@@ -10,7 +10,7 @@ GO ?= go
 BENCH_JSON ?= BENCH_PR10.json
 FUZZTIME ?= 30s
 
-.PHONY: all build test race bench bench-json fuzz smoke leaderkill fmt fmt-check vet doc-check byz recovery-race clean
+.PHONY: all build test race bench bench-check bench-json fuzz smoke leaderkill fmt fmt-check vet doc-check byz recovery-race clean
 
 all: build test
 
@@ -30,6 +30,14 @@ race:
 ## each benchmark once; use `go test -bench=. ./...` for real measurements)
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
+
+## bench-check: vet and test the repository benchmark (benchmark/, a module
+## of its own that compiles against the internal packages through a replace
+## directive, so root-level build/vet/test do not see it): an internal-API
+## refactor that breaks it fails here instead of in the benchmark pipeline
+bench-check:
+	$(GO) -C benchmark vet ./...
+	$(GO) -C benchmark test ./...
 
 ## bench-json: run every benchmark once with -benchmem (including the SMR
 ## throughput benchmark), then re-run the durable-throughput sweep and the
@@ -118,9 +126,9 @@ recovery-race:
 	$(GO) test -race -run 'TestKVReplicaDurableRestart' .
 
 ## clean: drop build and test caches scoped to this module, plus any
-## leftover replica data directories from local runs (in a sharded run the
-## per-group WALs and snapshots live as g<k>- namespaced files inside these
-## same per-replica directories, so the patterns cover them too)
+## leftover replica data directories from local runs (the per-group WALs
+## and snapshots live as g<k>- namespaced files inside these same
+## per-replica directories, so the patterns cover them too)
 clean:
 	$(GO) clean ./...
 	rm -rf fastbft-cluster-data-* /tmp/fastbft-cluster-data-* 2>/dev/null || true

@@ -1,6 +1,5 @@
 // Benchmarks regenerating every reproduced figure and table (one bench per
-// artifact; see DESIGN.md's experiment index), plus micro-benchmarks of the
-// substrates. Run them all with:
+// artifact), plus micro-benchmarks of the substrates. Run them all with:
 //
 //	go test -bench=. -benchmem
 package fastbft
@@ -31,6 +30,14 @@ import (
 
 // runSim executes one simulated consensus instance and reports the worst
 // decision latency in message delays via the returned value.
+// submit drives one command through HandleRequest — the path production
+// runs — as request seq of the client's session in group g, fire-and-forget.
+// A session keeps one request in flight, so benchmarks that burst commands
+// give each its own session.
+func submit(r *smr.Replica, g uint64, client string, seq uint64, cmd smr.Command) error {
+	return r.HandleRequest(&msg.Request{Client: types.ClientID(client), Seq: seq, Op: cmd, Group: g}, nil)
+}
+
 func runSim(b *testing.B, cfg types.Config, silent int, seed int64) types.Step {
 	b.Helper()
 	faulty := make(map[types.ProcessID]sim.Node, silent)
@@ -308,7 +315,7 @@ func BenchmarkSMRThroughput(b *testing.B) {
 					Op: smr.OpSet, Client: "bench", Seq: uint64(i),
 					Key: fmt.Sprintf("k%d", i%64), Value: "v",
 				})
-				if err := reps[0].Submit(cmd); err != nil {
+				if err := submit(reps[0], 0, "bench", uint64(i+1), cmd); err != nil {
 					b.Fatal(err)
 				}
 				// Wait for the write to apply everywhere: the benchmark
@@ -404,7 +411,7 @@ func BenchmarkSMRPipelinedThroughput(b *testing.B) {
 						Op: smr.OpSet, Client: "pipe", Seq: uint64(op),
 						Key: fmt.Sprintf("k%d", op%64), Value: "v",
 					})
-					if err := reps[0].Submit(cmd); err != nil {
+					if err := submit(reps[0], 0, fmt.Sprintf("pipe-%d", op), 1, cmd); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -532,7 +539,7 @@ func BenchmarkSMRDurableThroughput(b *testing.B) {
 							Op: smr.OpSet, Client: "dur", Seq: uint64(op),
 							Key: fmt.Sprintf("k%d", op%64), Value: "v",
 						})
-						if err := reps[0].Submit(cmd); err != nil {
+						if err := submit(reps[0], 0, fmt.Sprintf("dur-%d", op), 1, cmd); err != nil {
 							b.Fatal(err)
 						}
 					}
@@ -620,9 +627,8 @@ func BenchmarkCodec(b *testing.B) {
 	b.SetBytes(int64(len(encoded)))
 }
 
-// BenchmarkSMRBatchingAblation is the batching ablation called out in
-// DESIGN.md: replicated-write cost per command as the leader's batch size
-// grows. Larger batches amortize the two consensus rounds.
+// BenchmarkSMRBatchingAblation is the batching ablation: replicated-write
+// cost per command as the leader's batch size grows. Larger batches amortize the two consensus rounds.
 func BenchmarkSMRBatchingAblation(b *testing.B) {
 	cfg := types.Generalized(1, 1)
 	for _, batch := range []int{1, 8, 32} {
@@ -666,7 +672,7 @@ func BenchmarkSMRBatchingAblation(b *testing.B) {
 					Op: smr.OpSet, Client: "abl", Seq: uint64(i),
 					Key: fmt.Sprintf("k%d", i%64), Value: "v",
 				})
-				if err := reps[i%cfg.N].Submit(cmd); err != nil {
+				if err := submit(reps[i%cfg.N], 0, fmt.Sprintf("abl-%d", i), 1, cmd); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -741,7 +747,6 @@ func BenchmarkViewChangeDepthAblation(b *testing.B) {
 // beating the 1-shard aggregate by ≥1.5x. On multi-core hosts sharding
 // additionally parallelizes leader work (batching, signing, the ordering
 // hot path) across processes; this benchmark does not depend on that.
-// shards=1 is the byte-compatible unsharded composition.
 func BenchmarkSMRShardedThroughput(b *testing.B) {
 	cfg := types.Generalized(1, 1)
 	const burst = 256  // commands submitted per iteration, split across groups
@@ -757,16 +762,8 @@ func BenchmarkSMRShardedThroughput(b *testing.B) {
 			stores := make([][]*smr.KVStore, cfg.N)
 			for p := 0; p < cfg.N; p++ {
 				pid := types.ProcessID(p)
-				tr := net.Transport(pid)
-				var mux *transport.GroupMux
-				if shards > 1 {
-					mux = transport.NewGroupMux(tr, shards)
-				}
+				mux := transport.NewGroupMux(net.Transport(pid), shards)
 				for g := 0; g < shards; g++ {
-					gtr := tr
-					if mux != nil {
-						gtr = mux.View(g)
-					}
 					st := smr.NewKVStore()
 					grp, err := group.New(group.Config{
 						Cluster:     cfg,
@@ -775,7 +772,7 @@ func BenchmarkSMRShardedThroughput(b *testing.B) {
 						Self:        pid,
 						Signer:      scheme.Signer(pid),
 						Verifier:    scheme.Verifier(),
-						Transport:   gtr,
+						Transport:   mux.View(g),
 						App:         st,
 						BaseTimeout: 500 * time.Millisecond,
 						WindowSize:  window,
@@ -816,7 +813,7 @@ func BenchmarkSMRShardedThroughput(b *testing.B) {
 						Op: smr.OpSet, Client: "shard", Seq: seqs[g],
 						Key: fmt.Sprintf("g%dk%d", g, seqs[g]%64), Value: "v",
 					})
-					if err := groups[leaders[g]][g].Replica().Submit(cmd); err != nil {
+					if err := submit(groups[leaders[g]][g].Replica(), uint64(g), fmt.Sprintf("shard-%d", seqs[g]), 1, cmd); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -893,7 +890,7 @@ func leaderKillRun(b *testing.B, cfg types.Config, fixed bool, preOps, postOps i
 			Key: fmt.Sprintf("k%d", seq), Value: "v",
 		})
 		start := time.Now()
-		if err := reps[0].Submit(cmd); err != nil {
+		if err := submit(reps[0], 0, "lk", uint64(seq+1), cmd); err != nil {
 			b.Fatal(err)
 		}
 		for {

@@ -1,7 +1,5 @@
 // Command fastbft-bench regenerates every reproduced figure and table of
 // "Revisiting Optimal Resilience of Fast Byzantine Consensus" (PODC 2021).
-// See DESIGN.md for the experiment index and EXPERIMENTS.md for recorded
-// results.
 //
 // Usage:
 //

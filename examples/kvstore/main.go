@@ -55,9 +55,7 @@ func run(network bool, dataDir string, shards int) error {
 	if dataDir != "" {
 		mode += ", durable data dirs under " + dataDir
 	}
-	if shards > 1 {
-		mode += fmt.Sprintf(", %d consensus groups per replica", shards)
-	}
+	mode += fmt.Sprintf(", %d consensus group(s) per replica", shards)
 	fmt.Printf("starting %s replicated KV store over TCP (%s)\n", cfg, mode)
 
 	// Durable state is only meaningful under stable identities: a restarted

@@ -24,8 +24,8 @@
 //     matching-reply confirmation, and server-side exactly-once execution
 //     via per-client session tables).
 //
-// See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-// reproduction of every figure and table of the paper.
+// See README.md for the system inventory; cmd/fastbft-bench reproduces
+// every figure and table of the paper.
 package fastbft
 
 import (

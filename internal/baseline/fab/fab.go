@@ -8,7 +8,7 @@
 // reproduced experiment compares common-case behaviour (latency in message
 // delays, minimum process counts), where recovery never runs. The
 // constructor enforces FaB's own resilience bound, which is the quantity
-// the comparison tables report. This substitution is recorded in DESIGN.md.
+// the comparison tables report.
 package fab
 
 import (

@@ -1,8 +1,7 @@
 // Package bench implements the experiment harness: one function per figure
-// and table of the paper (see DESIGN.md's experiment index), each returning
-// a formatted Report that cmd/fastbft-bench prints and EXPERIMENTS.md
-// records. All experiments run in the deterministic simulator, so their
-// output is reproducible bit for bit.
+// and table of the paper, each returning a formatted Report that
+// cmd/fastbft-bench prints. All experiments run in the deterministic
+// simulator, so their output is reproducible bit for bit.
 package bench
 
 import (
@@ -12,7 +11,7 @@ import (
 
 // Report is a formatted experiment result.
 type Report struct {
-	// ID is the experiment identifier from DESIGN.md (e.g. "F1a", "T1").
+	// ID is the experiment identifier (e.g. "F1a", "T1").
 	ID string
 	// Title describes the experiment.
 	Title string

@@ -26,6 +26,13 @@ import (
 // imposes anyway: the adversary signs with its own key and cannot touch
 // other processes' channels.
 
+// group is the consensus group a Driver attacks. Group 0 rotates identities
+// by zero, so the corrupted process's logical and physical identifiers
+// coincide and the driver can sit directly on a physical transport endpoint;
+// the clusters it is deployed against (lockstep tests, the single-group
+// multi-process drills) host no other group.
+const group = 0
+
 // Behavior is one adversarial strategy, driven by the Driver's transport
 // deliveries. Deliver runs serialized (one delivery at a time) even over
 // concurrent transports, so implementations need no locking of their own
@@ -96,8 +103,8 @@ func (d *Driver) Close() error {
 }
 
 func (d *Driver) onPayload(from types.ProcessID, payload []byte) {
-	s, m, ok := smr.OpenEnvelope(payload)
-	if !ok {
+	g, s, m, ok := smr.OpenEnvelope(payload)
+	if !ok || g != group {
 		return
 	}
 	d.mu.Lock()
@@ -114,26 +121,26 @@ func (d *Driver) Self() types.ProcessID { return d.cfg.Self }
 // Cluster returns the resilience configuration under attack.
 func (d *Driver) Cluster() types.Config { return d.cfg.Cluster }
 
-// Signer exposes the corrupted process's raw (unsalted) signer — the
-// signing domain of checkpoint messages.
-func (d *Driver) Signer() sigcrypto.Signer { return d.cfg.Signer }
+// Signer exposes the corrupted process's signer bound to the group's
+// log-wide signing domain — the domain of checkpoint messages.
+func (d *Driver) Signer() sigcrypto.Signer { return smr.LogSigner(d.cfg.Signer, group) }
 
 // Forger returns a message forger operating in log slot s's signing
 // domain: its proposals, ack signatures, and certificates verify exactly
 // like an honest replica's messages for that slot — and, by the same salt,
 // for no other slot.
 func (d *Driver) Forger(s uint64) *Forger {
-	return NewForger(d.cfg.Self, smr.SlotSigner(d.cfg.Signer, s))
+	return NewForger(d.cfg.Self, smr.SlotSigner(d.cfg.Signer, group, s))
 }
 
 // Send envelopes m under slot s and sends it to one peer.
 func (d *Driver) Send(to types.ProcessID, s uint64, m msg.Message) {
-	_ = d.cfg.Transport.Send(to, smr.Envelope(s, m))
+	_ = d.cfg.Transport.Send(to, smr.Envelope(group, s, m))
 }
 
 // Broadcast envelopes m under slot s and sends it to every peer.
 func (d *Driver) Broadcast(s uint64, m msg.Message) {
-	_ = d.cfg.Transport.Broadcast(smr.Envelope(s, m))
+	_ = d.cfg.Transport.Broadcast(smr.Envelope(group, s, m))
 }
 
 // EachPeer calls fn for every process except the corrupted one, in

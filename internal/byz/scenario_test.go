@@ -331,7 +331,7 @@ func TestByzAckEquivocatorRecoverySMR(t *testing.T) {
 				if from != victim {
 					return
 				}
-				s, m, ok := smr.OpenEnvelope(payload)
+				_, s, m, ok := smr.OpenEnvelope(payload)
 				if !ok || s != 0 {
 					return
 				}

@@ -71,13 +71,11 @@ type Config struct {
 	// safety; after a timeout the session redirects to a replica that
 	// demonstrably answers.
 	Entry types.ProcessID
-	// Group is the consensus group this session speaks to in a sharded
-	// deployment: requests are stamped with it, and replies for any other
-	// group are rejected — the per-group sessions of one physical client
-	// share sequence-number spaces, so without the filter a reply from
-	// another group's session could settle this one's request. Zero (the
-	// only group of an unsharded deployment) keeps requests byte-identical
-	// to the pre-sharding format.
+	// Group is the consensus group this session speaks to: requests are
+	// stamped with it, and replies for any other group are rejected — the
+	// per-group sessions of one physical client share sequence-number
+	// spaces, so without the filter a reply from another group's session
+	// could settle this one's request.
 	Group uint64
 }
 

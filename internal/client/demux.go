@@ -9,8 +9,7 @@ import (
 )
 
 // Demux shares one client Transport — typically a single set of TCP
-// connections to the cluster — among the per-group client sessions of a
-// sharded deployment. Each group gets its own Transport view; replies are
+// connections to the cluster — among a client's per-group sessions. Each group gets its own Transport view; replies are
 // routed to the view named by their Group echo, and the sender identifier
 // is translated from the physical process that answered to the group's
 // logical identifier space (replies carry logical replica identifiers, and

@@ -1,32 +1,24 @@
-// Package group hosts one consensus group of a sharded replica process.
+// Package group hosts one consensus group of a replica process.
 //
-// A sharded deployment partitions the keyspace across N independent fastbft
+// A deployment partitions the keyspace across N ≥ 1 independent fastbft
 // groups; every replica process is a member of all of them, over one shared
 // replica-to-replica transport (see transport.GroupMux) and one data
 // directory (per-group file namespaces, see storage.Config.Namespace). The
-// group object composes the pieces a single-group KVReplica used to wire by
-// hand — an smr.Replica, its durable store, its signing identity — and adds
-// the two transformations sharding needs:
+// group object composes an smr.Replica, its durable store, and its signing
+// identity, and adds the one transformation hosting several groups needs:
 //
 //   - Leader rotation. Group g runs its protocol over logical process
 //     identities rotated by g mod n: logical l is physical (l+g) mod n. The
 //     view-1 leader of every group is logical process 1, so group g's
 //     steady-state leader is the physical process (1+g) mod n — leader work
 //     spreads across the cluster instead of serializing on one process's
-//     pipeline.
+//     pipeline. The rotation is applied at the transport boundary and at
+//     the signing boundary (signer identities are rewritten
+//     logical↔physical); group 0 rotates by 0, the identity.
 //
-//   - Group-salted signatures. All groups share the cluster's key pairs,
-//     and the SMR layer's slot-salted digests are identical across groups
-//     (every group numbers its slots from 0), so without a per-group domain
-//     a signature from one group would verify in another — handing a
-//     Byzantine peer a cross-group replay primitive for acks, votes, and
-//     certificates. When Shards > 1 every group (including group 0) signs
-//     under a group salt prepended outside the SMR layer's slot salt, and
-//     rewrites signer identities logical↔physical at the signing boundary.
-//
-// With Shards == 1 both transformations are skipped entirely: no rotation,
-// no salt, no group tag on the wire — the group is byte-for-byte the
-// pre-sharding single-group replica.
+// Addressing and signing context are not this package's business: the SMR
+// layer writes the group into every frame header and binds every signature
+// to it (smr.Config.Group), for group 0 exactly as for any other.
 package group
 
 import (
@@ -48,9 +40,7 @@ type Config struct {
 	Cluster types.Config
 	// Index is this group's number, in [0, Shards).
 	Index int
-	// Shards is the total number of groups in the deployment. 1 selects the
-	// byte-compatible unsharded composition (no rotation, no salt, no
-	// storage namespace).
+	// Shards is the total number of groups in the deployment.
 	Shards int
 	// Self is this process's physical identifier.
 	Self types.ProcessID
@@ -58,9 +48,9 @@ type Config struct {
 	Signer   sigcrypto.Signer
 	Verifier sigcrypto.Verifier
 	// Transport is this group's replica-to-replica transport view,
-	// addressed by physical identifiers (a transport.GroupMux view, or the
-	// raw transport when Shards == 1). The group owns it and closes it with
-	// the replica.
+	// addressed by physical identifiers: a transport.GroupMux view, or a
+	// transport carrying this group's frames alone. The group owns it and
+	// closes it with the replica.
 	Transport transport.Transport
 	// App consumes decided commands. Required.
 	App smr.App
@@ -99,12 +89,8 @@ func Rotation(g, n int) types.ProcessID {
 	return types.ProcessID(g % n)
 }
 
-// Namespace returns the storage file-name prefix of group g, empty for an
-// unsharded (shards <= 1) deployment.
-func Namespace(g, shards int) string {
-	if shards <= 1 {
-		return ""
-	}
+// Namespace returns the storage file-name prefix of group g.
+func Namespace(g int) string {
 	return fmt.Sprintf("g%d-", g)
 }
 
@@ -128,21 +114,8 @@ func New(cfg Config) (*Group, error) {
 		return nil, fmt.Errorf("group: index %d out of range [0,%d)", cfg.Index, cfg.Shards)
 	}
 	n := cfg.Cluster.N
-	rot := types.ProcessID(0)
-	tr := cfg.Transport
-	signer := cfg.Signer
-	verifier := cfg.Verifier
-	self := cfg.Self
-	if cfg.Shards > 1 {
-		rot = Rotation(cfg.Index, n)
-		self = logical(cfg.Self, rot, n)
-		if rot != 0 {
-			tr = &rotatedTransport{inner: cfg.Transport, rot: rot, n: n}
-		}
-		salt := groupSalt(uint64(cfg.Index))
-		signer = &groupSigner{inner: cfg.Signer, salt: salt, self: self}
-		verifier = &groupVerifier{inner: cfg.Verifier, salt: salt, rot: rot, n: n}
-	}
+	rot := Rotation(cfg.Index, n)
+	self := logical(cfg.Self, rot, n)
 	groupLabels := obs.Labels{"group": strconv.Itoa(cfg.Index)}
 	for k, v := range cfg.MetricsLabels {
 		groupLabels[k] = v
@@ -153,7 +126,7 @@ func New(cfg Config) (*Group, error) {
 		disk, err = storage.Open(storage.Config{
 			Dir:           cfg.DataDir,
 			Mode:          cfg.SyncMode,
-			Namespace:     Namespace(cfg.Index, cfg.Shards),
+			Namespace:     Namespace(cfg.Index),
 			Metrics:       cfg.Metrics,
 			MetricsLabels: groupLabels,
 			Logger:        cfg.Logger,
@@ -165,9 +138,9 @@ func New(cfg Config) (*Group, error) {
 	rep, err := smr.NewReplica(smr.Config{
 		Cluster:            cfg.Cluster,
 		Self:               self,
-		Signer:             signer,
-		Verifier:           verifier,
-		Transport:          tr,
+		Signer:             &groupSigner{inner: cfg.Signer, self: self},
+		Verifier:           &groupVerifier{inner: cfg.Verifier, rot: rot, n: n},
+		Transport:          &rotatedTransport{inner: cfg.Transport, rot: rot, n: n},
 		App:                cfg.App,
 		OnCommit:           cfg.OnCommit,
 		BaseTimeout:        cfg.BaseTimeout,
@@ -191,7 +164,7 @@ func New(cfg Config) (*Group, error) {
 }
 
 // Replica returns the group's SMR replica. Its process identifiers are
-// logical (see Logical/Physical) when the deployment is sharded.
+// logical (see Logical/Physical).
 func (g *Group) Replica() *smr.Replica { return g.rep }
 
 // Index returns the group's number.
@@ -294,34 +267,11 @@ func (t *rotatedTransport) Start() error { return t.inner.Start() }
 // Close implements Transport.
 func (t *rotatedTransport) Close() error { return t.inner.Close() }
 
-// groupSalt renders the signing domain of group g: a tag byte disjoint from
-// the SMR layer's slot-salt tag (0xA5) and from raw digest bytes, followed
-// by the group number. Prepended outside the slot salt, it makes every
-// signed byte string unique to (group, slot, digest) — the property that
-// kills cross-group replay.
-func groupSalt(g uint64) []byte {
-	buf := make([]byte, 1, 11)
-	buf[0] = 0xA7
-	for g >= 0x80 {
-		buf = append(buf, byte(g)|0x80)
-		g >>= 7
-	}
-	return append(buf, byte(g))
-}
-
-// saltedMsg prepends the group salt to a message about to be signed or
-// verified.
-func saltedMsg(salt, m []byte) []byte {
-	out := make([]byte, 0, len(salt)+len(m))
-	return append(append(out, salt...), m...)
-}
-
-// groupSigner signs under the group's salt with the process's physical key,
-// attributing the signature to the process's logical identifier — the only
-// identity the group's protocol messages speak.
+// groupSigner signs with the process's physical key, attributing the
+// signature to the process's logical identifier — the only identity the
+// group's protocol messages speak.
 type groupSigner struct {
 	inner sigcrypto.Signer
-	salt  []byte
 	self  types.ProcessID // logical
 }
 
@@ -332,17 +282,16 @@ func (s *groupSigner) ID() types.ProcessID { return s.self }
 
 // Sign implements Signer.
 func (s *groupSigner) Sign(msg []byte) sigcrypto.Signature {
-	sig := s.inner.Sign(saltedMsg(s.salt, msg))
+	sig := s.inner.Sign(msg)
 	sig.Signer = s.self
 	return sig
 }
 
-// groupVerifier verifies group-salted signatures whose signer field is a
-// logical identifier: it maps the signer back to the physical process whose
-// key actually signed, then defers to the cluster verifier.
+// groupVerifier verifies signatures whose signer field is a logical
+// identifier: it maps the signer back to the physical process whose key
+// actually signed, then defers to the cluster verifier.
 type groupVerifier struct {
 	inner sigcrypto.Verifier
-	salt  []byte
 	rot   types.ProcessID
 	n     int
 }
@@ -355,5 +304,5 @@ func (v *groupVerifier) Verify(msg []byte, sig sigcrypto.Signature) bool {
 		return false
 	}
 	phys := sigcrypto.Signature{Signer: physical(sig.Signer, v.rot, v.n), Bytes: sig.Bytes}
-	return v.inner.Verify(saltedMsg(v.salt, msg), phys)
+	return v.inner.Verify(msg, phys)
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/msg"
 	"repro/internal/sigcrypto"
 	"repro/internal/smr"
 	"repro/internal/storage"
@@ -19,11 +20,8 @@ func TestRotationAndNamespace(t *testing.T) {
 	if Rotation(0, 4) != 0 || Rotation(1, 4) != 1 || Rotation(5, 4) != 1 {
 		t.Fatal("rotation is group mod n")
 	}
-	if Namespace(3, 1) != "" {
-		t.Fatal("unsharded deployments must keep the unprefixed layout")
-	}
-	if Namespace(3, 4) != "g3-" {
-		t.Fatalf("namespace = %q", Namespace(3, 4))
+	if Namespace(0) != "g0-" || Namespace(3) != "g3-" {
+		t.Fatalf("namespaces = %q, %q", Namespace(0), Namespace(3))
 	}
 	// Logical/physical must be inverse bijections for every group.
 	for g := 0; g < 4; g++ {
@@ -36,56 +34,53 @@ func TestRotationAndNamespace(t *testing.T) {
 	}
 }
 
-// TestGroupSaltBlocksCrossGroupReplay is the safety property the group salt
-// exists for: all groups share the cluster's key pairs and number their
-// slots identically, so a signature minted in one group must not verify in
-// any other — otherwise a Byzantine peer could replay one group's acks,
-// votes, and certificates into another.
-func TestGroupSaltBlocksCrossGroupReplay(t *testing.T) {
+// TestRotatedSigningIdentity: the signing wrappers only rotate identities
+// (the signing domain is the SMR layer's business). A signature carries the
+// group's logical identifier, verifies when mapped back through the same
+// rotation, and fails under another rotation — there the logical identifier
+// names a different physical key.
+func TestRotatedSigningIdentity(t *testing.T) {
 	const n = 4
 	scheme := sigcrypto.NewHMAC(n, 7)
-	digest := []byte("slot-salted digest bytes")
-
-	signer0 := &groupSigner{inner: scheme.Signer(2), salt: groupSalt(0), self: 2}
-	sig := signer0.Sign(digest)
-	if sig.Signer != 2 {
-		t.Fatalf("signer attribution: %d", sig.Signer)
+	digest := []byte("domain-salted digest bytes")
+	for rot := types.ProcessID(0); rot < n; rot++ {
+		const phys = types.ProcessID(2)
+		self := logical(phys, rot, n)
+		sig := (&groupSigner{inner: scheme.Signer(phys), self: self}).Sign(digest)
+		if sig.Signer != self {
+			t.Fatalf("rotation %d: signature attributed to %d, want logical %d", rot, sig.Signer, self)
+		}
+		if !(&groupVerifier{inner: scheme.Verifier(), rot: rot, n: n}).Verify(digest, sig) {
+			t.Fatalf("rotation %d: own signature rejected", rot)
+		}
+		if (&groupVerifier{inner: scheme.Verifier(), rot: (rot + 1) % n, n: n}).Verify(digest, sig) {
+			t.Fatalf("rotation %d: signature verified under another rotation", rot)
+		}
 	}
-	ver0 := &groupVerifier{inner: scheme.Verifier(), salt: groupSalt(0), rot: 0, n: n}
-	if !ver0.Verify(digest, sig) {
-		t.Fatal("own-group signature rejected")
-	}
-	ver1 := &groupVerifier{inner: scheme.Verifier(), salt: groupSalt(1), rot: 1, n: n}
-	if ver1.Verify(digest, sig) {
-		t.Fatal("group-0 signature replayed into group 1")
-	}
-	// Same group number, unsalted (pre-sharding) verifier: the salted
-	// signature must not double as an unsalted one either.
-	if scheme.Verifier().Verify(digest, sig) {
-		t.Fatal("group-salted signature verified without the salt")
+	bad := sigcrypto.Signature{Signer: n, Bytes: []byte("x")}
+	if (&groupVerifier{inner: scheme.Verifier(), rot: 1, n: n}).Verify(digest, bad) {
+		t.Fatal("out-of-range signer accepted")
 	}
 }
 
-// shardedProc is one OS process's worth of a sharded deployment in a test:
-// all groups of one physical replica over one muxed transport and one data
-// directory.
+// shardedProc is one OS process's worth of a deployment in a test: all
+// groups of one physical replica over one transport and one data directory.
 type shardedProc struct {
 	groups []*Group
 	stores []*smr.KVStore
 }
 
+// bootProc boots every group of one process behind a GroupMux over tr — or,
+// with raw set (one shard only), directly on tr with no mux in between.
 func bootProc(t *testing.T, cfg types.Config, scheme sigcrypto.Scheme, shards int,
-	self types.ProcessID, dir string, tr transport.Transport) *shardedProc {
+	self types.ProcessID, dir string, tr transport.Transport, raw bool) *shardedProc {
 	t.Helper()
 	proc := &shardedProc{}
-	var mux *transport.GroupMux
-	if shards > 1 {
-		mux = transport.NewGroupMux(tr, shards)
-	}
+	mux := transport.NewGroupMux(tr, shards)
 	for g := 0; g < shards; g++ {
-		gtr := tr
-		if mux != nil {
-			gtr = mux.View(g)
+		gtr := mux.View(g)
+		if raw {
+			gtr = tr
 		}
 		store := smr.NewKVStore()
 		grp, err := New(Config{
@@ -133,15 +128,19 @@ func TestMultiGroupCrashRecovery(t *testing.T) {
 	procs := make([]*shardedProc, cfg.N)
 	for i := 0; i < cfg.N; i++ {
 		dirs[i] = filepath.Join(base, fmt.Sprintf("proc-%d", i))
-		procs[i] = bootProc(t, cfg, scheme, shards, types.ProcessID(i), dirs[i], net.Transport(types.ProcessID(i)))
+		procs[i] = bootProc(t, cfg, scheme, shards, types.ProcessID(i), dirs[i], net.Transport(types.ProcessID(i)), false)
 	}
 	alive := func() []int { return []int{0, 1, 2, 3} }
 
 	applied := make([]uint64, shards) // commands decided per group so far
 	write := func(g int, k, v string, via int) {
 		t.Helper()
-		cmd := smr.EncodeKV(smr.KVCommand{Op: smr.OpSet, Client: "w", Seq: applied[g] + 1, Key: k, Value: v})
-		if err := procs[via].groups[g].Replica().Submit(cmd); err != nil {
+		// Writes are not awaited one by one, so each is its own session.
+		err := procs[via].groups[g].Replica().HandleRequest(&msg.Request{
+			Client: types.ClientID(fmt.Sprintf("w%d", applied[g])), Seq: 1, Group: uint64(g),
+			Op: smr.EncodeKV(smr.KVCommand{Op: smr.OpSet, Key: k, Value: v}),
+		}, nil)
+		if err != nil {
 			t.Fatal(err)
 		}
 		applied[g]++
@@ -215,7 +214,7 @@ func TestMultiGroupCrashRecovery(t *testing.T) {
 	waitApplied([]int{0, 1, 2})
 
 	// Phase 3: recover process 3 from its single data directory.
-	procs[3] = bootProc(t, cfg, scheme, shards, 3, dirs[3], net.Restart(3))
+	procs[3] = bootProc(t, cfg, scheme, shards, 3, dirs[3], net.Restart(3), false)
 	for g := 0; g < shards; g++ {
 		write(g, fmt.Sprintf("g%d-post", g), "back", 3)
 	}
@@ -239,6 +238,41 @@ func TestMultiGroupCrashRecovery(t *testing.T) {
 	for p := 0; p < cfg.N; p++ {
 		for _, grp := range procs[p].groups {
 			_ = grp.Close()
+		}
+	}
+}
+
+// TestRawTransportAndMuxViewInteroperate: a frame is bit-identical whether
+// its replica sits behind a mux view or directly on the transport, so a
+// one-group cluster mixing both compositions decides and applies together.
+func TestRawTransportAndMuxViewInteroperate(t *testing.T) {
+	cfg := types.Generalized(1, 1) // n = 4
+	scheme := sigcrypto.NewHMAC(cfg.N, 43)
+	net := transport.NewMemNetwork(cfg.N, 0)
+	defer func() { _ = net.Close() }()
+	procs := make([]*shardedProc, cfg.N)
+	for i := range procs {
+		p := types.ProcessID(i)
+		procs[i] = bootProc(t, cfg, scheme, 1, p, "", net.Transport(p), i%2 == 1)
+		defer procs[i].groups[0].Close()
+	}
+	const ops = 6
+	for i := 0; i < ops; i++ {
+		err := procs[i%cfg.N].groups[0].Replica().HandleRequest(&msg.Request{
+			Client: types.ClientID(fmt.Sprintf("c%d", i)), Seq: 1,
+			Op: smr.EncodeKV(smr.KVCommand{Op: smr.OpSet, Key: fmt.Sprintf("k%d", i), Value: "v"}),
+		}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for _, proc := range procs {
+		for proc.stores[0].AppliedOps() < ops {
+			if time.Now().After(deadline) {
+				t.Fatal("timeout: mixed raw/mux cluster did not apply the workload")
+			}
+			time.Sleep(2 * time.Millisecond)
 		}
 	}
 }

@@ -12,6 +12,20 @@ import (
 // followed by the message fields.
 func Encode(m Message) []byte {
 	w := wire.NewWriter(128)
+	if !EncodeTo(w, m) {
+		// Unreachable for messages defined in this package; a zero-length
+		// buffer fails decoding loudly on the other side.
+		return nil
+	}
+	return w.Bytes()
+}
+
+// EncodeTo appends the canonical wire form of m to w, so a caller that
+// frames messages (the SMR layer's (group, slot) header) writes header and
+// message into one buffer. It reports false for a message type this package
+// does not define, having appended only the kind byte — a frame that fails
+// decoding on the other side.
+func EncodeTo(w *wire.Writer, m Message) bool {
 	w.Uint8(uint8(m.Kind()))
 	switch t := m.(type) {
 	case *Propose:
@@ -73,20 +87,14 @@ func Encode(m Message) []byte {
 		w.BytesField([]byte(t.Client))
 		w.Uvarint(t.Seq)
 		w.BytesField(t.Op)
-		// Trailing optional: present exactly when nonzero, so group-0
-		// encodings are byte-identical to the pre-sharding wire format.
-		if t.Group != 0 {
-			w.Uvarint(t.Group)
-		}
+		w.Uvarint(t.Group)
 	case *Reply:
 		w.BytesField([]byte(t.Client))
 		w.Uvarint(t.Seq)
 		w.Uvarint(t.Slot)
 		w.Int32(int32(t.Replica))
 		w.BytesField(t.Result)
-		if t.Group != 0 {
-			w.Uvarint(t.Group)
-		}
+		w.Uvarint(t.Group)
 	case *SnapshotChunk:
 		t.Cert.encode(w)
 		w.Uvarint(t.Total)
@@ -104,11 +112,9 @@ func Encode(m Message) []byte {
 			e.SV.encode(w)
 		}
 	default:
-		// Unreachable for messages defined in this package; a zero-length
-		// buffer fails decoding loudly on the other side.
-		return nil
+		return false
 	}
-	return w.Bytes()
+	return true
 }
 
 // Decode parses a message from its canonical wire form. Decoding is strict:
@@ -219,7 +225,7 @@ func Decode(buf []byte) (Message, error) {
 		t.Client = decodeClientID(r)
 		t.Seq = r.Uvarint()
 		t.Op = r.BytesField()
-		t.Group = decodeGroup(r)
+		t.Group = r.Uvarint()
 		m = t
 	case KindReply:
 		t := &Reply{}
@@ -228,7 +234,7 @@ func Decode(buf []byte) (Message, error) {
 		t.Slot = r.Uvarint()
 		t.Replica = types.ProcessID(r.Int32())
 		t.Result = r.BytesField()
-		t.Group = decodeGroup(r)
+		t.Group = r.Uvarint()
 		m = t
 	case KindSnapshotChunk:
 		t := &SnapshotChunk{}
@@ -276,23 +282,6 @@ func Decode(buf []byte) (Message, error) {
 		return nil, fmt.Errorf("decode %s: %w", kind, err)
 	}
 	return m, nil
-}
-
-// decodeGroup reads the trailing optional consensus-group field of Request
-// and Reply. The field is present exactly when nonzero: an absent field
-// decodes to group 0, and an explicit zero is rejected so that every group
-// keeps a unique canonical encoding (two byte strings never decode to one
-// message).
-func decodeGroup(r *wire.Reader) uint64 {
-	if r.Err() != nil || r.Remaining() == 0 {
-		return 0
-	}
-	g := r.Uvarint()
-	if g == 0 {
-		r.Fail(wire.ErrOverflow)
-		return 0
-	}
-	return g
 }
 
 // decodeClientID reads a client identifier, enforcing MaxClientID (the

@@ -21,12 +21,9 @@ const MaxClientID = 128
 // The canonical encoding of a Request is also the SMR command format —
 // requests flow through consensus batches byte-for-byte.
 //
-// Group addresses the consensus group of a sharded deployment (one process
-// hosting several independent groups; see internal/group). It is encoded as
-// a trailing optional field, present exactly when nonzero, so the encoding
-// of a group-0 request — and with it every command digest, WAL record, and
-// session-table entry of an unsharded deployment — is byte-for-byte what it
-// was before groups existed.
+// Group addresses the consensus group that orders the request (a process
+// hosts one group per shard; see internal/group). It is always on the wire,
+// a plain uvarint, group 0 included.
 type Request struct {
 	Client types.ClientID
 	Seq    uint64
@@ -45,8 +42,7 @@ func (m *Request) InView() types.View { return types.NoView }
 // Replicas cache the last reply per client and answer retransmissions from
 // the cache without re-executing.
 //
-// Group echoes the consensus group that executed the request (trailing
-// optional, like Request.Group). In a sharded deployment the per-group
+// Group echoes the consensus group that executed the request. The per-group
 // client sessions of one physical client share sequence-number spaces, so
 // the group echo is what lets a client demultiplex replies arriving on a
 // shared connection — and reject a reply that bled over from another

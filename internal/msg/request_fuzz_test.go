@@ -17,6 +17,8 @@ import (
 func FuzzDecodeRequest(f *testing.F) {
 	f.Add(Encode(&Request{Client: "alice", Seq: 1, Op: []byte("op")}))
 	f.Add(Encode(&Request{Client: "b", Seq: 1 << 40, Op: nil}))
+	f.Add(Encode(&Request{Client: "carol", Seq: 3, Op: []byte("op"), Group: 3}))
+	f.Add(Encode(&Request{Client: "d", Seq: 1, Op: []byte("op"), Group: 1 << 20}))
 	f.Add([]byte{byte(KindRequest)})
 	f.Add([]byte{byte(KindRequest), 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -42,6 +44,8 @@ func FuzzDecodeRequest(f *testing.F) {
 // FuzzDecodeReply is the same property for replies.
 func FuzzDecodeReply(f *testing.F) {
 	f.Add(Encode(&Reply{Client: "alice", Seq: 9, Slot: 4, Replica: 2, Result: []byte("r")}))
+	f.Add(Encode(&Reply{Client: "carol", Seq: 3, Slot: 8, Replica: 1, Result: []byte("r"), Group: 3}))
+	f.Add(Encode(&Reply{Client: "d", Seq: 1, Slot: 0, Replica: 0, Result: nil, Group: 1 << 20}))
 	f.Add([]byte{byte(KindReply)})
 	f.Add([]byte{byte(KindReply), 0, 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {

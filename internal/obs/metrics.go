@@ -93,7 +93,6 @@ type Histogram struct {
 	bounds []uint64
 	scale  float64
 	counts []atomic.Uint64 // len(bounds)+1; last is +Inf
-	count  atomic.Uint64
 	sum    atomic.Uint64
 }
 
@@ -107,7 +106,6 @@ func (h *Histogram) Observe(v uint64) {
 		i++
 	}
 	h.counts[i].Add(1)
-	h.count.Add(1)
 	h.sum.Add(v)
 }
 
@@ -119,12 +117,19 @@ func (h *Histogram) ObserveDuration(d time.Duration) {
 	h.Observe(uint64(d))
 }
 
-// Count returns the number of observations.
+// Count returns the number of observations: the sum of the buckets. There
+// is no separate counter — every view of the histogram derives its count
+// from the same pass that reads its buckets, so count and +Inf bucket agree
+// however writers interleave.
 func (h *Histogram) Count() uint64 {
 	if h == nil {
 		return 0
 	}
-	return h.count.Load()
+	total := uint64(0)
+	for i := range h.counts {
+		total += h.counts[i].Load()
+	}
+	return total
 }
 
 // DefaultLatencyBuckets are exponential (doubling) nanosecond bounds from
@@ -312,7 +317,6 @@ func (r *Registry) Snapshot() *Snapshot {
 			ms.Value = m.fn()
 		case kindHistogram:
 			h := m.h
-			ms.Count = h.count.Load()
 			ms.Sum = float64(h.sum.Load()) / h.scale
 			cum := uint64(0)
 			for i := range h.counts {
@@ -323,6 +327,7 @@ func (r *Registry) Snapshot() *Snapshot {
 				}
 				ms.Buckets = append(ms.Buckets, BucketSnapshot{LE: le, Count: cum})
 			}
+			ms.Count = cum // the +Inf bucket, by construction (see Count)
 		}
 		s.Metrics = append(s.Metrics, ms)
 	}
@@ -418,7 +423,7 @@ func writeSeries(b *strings.Builder, m *metric) {
 			fmt.Fprintf(b, "%s_bucket%s %d\n", m.name, withLabel(m.labelStr, "le", le), cum)
 		}
 		fmt.Fprintf(b, "%s_sum%s %s\n", m.name, m.labelStr, formatFloat(float64(h.sum.Load())/h.scale))
-		fmt.Fprintf(b, "%s_count%s %d\n", m.name, m.labelStr, h.count.Load())
+		fmt.Fprintf(b, "%s_count%s %d\n", m.name, m.labelStr, cum)
 	}
 }
 

@@ -11,8 +11,7 @@
 //     and property tests. They are not publicly verifiable cryptography (a
 //     verifier holding the key registry can forge), but within the simulator
 //     the registry plays the role of the trusted PKI, and determinism makes
-//     experiments reproducible. This substitution is documented in
-//     DESIGN.md.
+//     experiments reproducible.
 package sigcrypto
 
 import (

@@ -109,7 +109,7 @@ func TestChaosRandomDelaysAndCrashes(t *testing.T) {
 
 // TestDeterminism: identical seeds and schedules produce identical
 // executions — decision values, views, times, and message statistics. This
-// is the property every experiment in EXPERIMENTS.md relies on.
+// is the property every experiment of cmd/fastbft-bench relies on.
 func TestDeterminism(t *testing.T) {
 	run := func() (map[types.ProcessID]types.Decision, map[types.ProcessID]Time, Stats) {
 		cfg := types.Generalized(2, 1)

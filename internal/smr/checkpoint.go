@@ -61,7 +61,7 @@ func (r *Replica) maybeCheckpointLocked() {
 	r.snaps[s] = snap
 	sum := sha256.Sum256(snap)
 	cp := types.Checkpoint{Slot: s, StateHash: sum[:]}
-	m := &msg.Checkpoint{CP: cp, Phi: r.cfg.Signer.Sign(msg.CheckpointDigest(cp))}
+	m := &msg.Checkpoint{CP: cp, Phi: r.logSigner.Sign(msg.CheckpointDigest(cp))}
 	// Ordered, not durably gated: the digest is a deterministic function of
 	// the decided log, so a recovered replica could only ever re-sign the
 	// identical digest (see sendOrderedLocked).
@@ -77,7 +77,7 @@ func (r *Replica) onCheckpointLocked(from types.ProcessID, m *msg.Checkpoint) {
 	if r.interval == 0 || m.Phi.Signer != from {
 		return
 	}
-	if !r.cfg.Verifier.Verify(msg.CheckpointDigest(m.CP), m.Phi) {
+	if !r.logVerifier.Verify(msg.CheckpointDigest(m.CP), m.Phi) {
 		return // also gates the lag evidence below: unsigned claims carry none
 	}
 	if m.CP.Slot >= r.applyPtr+r.interval {

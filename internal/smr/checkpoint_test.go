@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/msg"
-	"repro/internal/quorum"
 	"repro/internal/sigcrypto"
 	"repro/internal/sim"
 	"repro/internal/transport"
@@ -53,7 +52,7 @@ func submitOps(t *testing.T, r *Replica, client string, from, to int) {
 	for i := from; i < to; i++ {
 		cmd := EncodeKV(KVCommand{Op: OpSet, Client: client, Seq: uint64(i),
 			Key: fmt.Sprintf("k%d", i), Value: fmt.Sprintf("v%d", i)})
-		if err := r.Submit(cmd); err != nil {
+		if err := submit(r, types.ClientID(fmt.Sprintf("%s-%d", client, i)), 1, cmd); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -276,10 +275,10 @@ func runSimCatchUp(t *testing.T, seed int64) []byte {
 		}
 	}()
 
-	submit := func(i int) {
+	submitOne := func(i int) {
 		cmd := EncodeKV(KVCommand{Op: OpSet, Client: "s", Seq: uint64(i),
 			Key: fmt.Sprintf("k%d", i), Value: fmt.Sprintf("v%d", i)})
-		if err := reps[0].Submit(cmd); err != nil {
+		if err := submit(reps[0], sessionID(i), 1, cmd); err != nil {
 			t.Fatal(err)
 		}
 		net.Drain(0)
@@ -287,7 +286,7 @@ func runSimCatchUp(t *testing.T, seed int64) []byte {
 
 	// Phase 1: everyone alive.
 	for i := 0; i < 4; i++ {
-		submit(i)
+		submitOne(i)
 	}
 	if stores[crashed].AppliedOps() != 4 {
 		t.Fatalf("phase 1: crashed-to-be replica applied %d ops", stores[crashed].AppliedOps())
@@ -297,7 +296,7 @@ func runSimCatchUp(t *testing.T, seed int64) []byte {
 	net.SetDown(crashed, true)
 	const phase2 = 4 + 3*interval + 4
 	for i := 4; i < phase2; i++ {
-		submit(i)
+		submitOne(i)
 	}
 	if cp, ok := reps[0].StableCheckpoint(); !ok || cp.Slot < 2*interval {
 		t.Fatalf("survivors have no advanced stable checkpoint (ok=%v)", ok)
@@ -327,7 +326,7 @@ func runSimCatchUp(t *testing.T, seed int64) []byte {
 
 	const totalOps = phase2 + 8
 	for i := phase2; i < totalOps; i++ {
-		submit(i)
+		submitOne(i)
 	}
 	net.Drain(0)
 
@@ -386,7 +385,7 @@ func TestGarbageBatchDecidesSlotButAppliesNothing(t *testing.T) {
 	}
 	// Slot 1 carries a batch holding one well-formed request (whose op is
 	// not a KV command) and one command that is not a request at all.
-	real := encodeRequest(&msg.Request{Client: "c", Seq: 1, Op: []byte("not-a-kv-op")})
+	real := Command(msg.Encode(&msg.Request{Client: "c", Seq: 1, Op: []byte("not-a-kv-op")}))
 	junk := Command("just-bytes")
 	r.mu.Lock()
 	r.onDecideLocked(0, types.Decision{Value: garbage, View: 1, Path: types.FastPath})
@@ -505,42 +504,3 @@ func TestCheckpointRequiresSnapshotter(t *testing.T) {
 type plainApp struct{}
 
 func (plainApp) Apply(uint64, Command) []byte { return nil }
-
-// TestSlotSaltedSignaturesRejectCrossSlotReplay: a commit certificate
-// assembled in one slot's signing domain must not verify in another slot's
-// domain — the property that stops a Byzantine state-transfer responder
-// from relabeling slot j's certified decision as slot k's.
-func TestSlotSaltedSignaturesRejectCrossSlotReplay(t *testing.T) {
-	cfg := types.Generalized(1, 1)
-	scheme := sigcrypto.NewHMAC(cfg.N, 9)
-	th := quorumFor(cfg)
-	x := types.Value("decided-value")
-	v := types.View(1)
-
-	// Assemble a genuine commit certificate under slot 3's domain.
-	saltedDigest := msgAckDigest(x, v)
-	var sigs []sigcrypto.Signature
-	for p := 0; p < 3; p++ {
-		s := slotSigner{inner: scheme.Signer(types.ProcessID(p)), salt: slotSalt(3)}
-		sigs = append(sigs, s.Sign(saltedDigest))
-	}
-	cc := ccFor(x, v, sigs)
-
-	ver3 := slotVerifier{inner: scheme.Verifier(), salt: slotSalt(3)}
-	ver9 := slotVerifier{inner: scheme.Verifier(), salt: slotSalt(9)}
-	if !cc.Verify(ver3, th) {
-		t.Fatal("genuine certificate rejected in its own slot domain")
-	}
-	if cc.Verify(ver9, th) {
-		t.Fatal("slot-3 certificate verified in slot 9's domain: cross-slot replay possible")
-	}
-}
-
-// Small indirection helpers so the test reads at the level of the property.
-func quorumFor(cfg types.Config) quorum.Thresholds { return quorum.New(cfg) }
-
-func msgAckDigest(x types.Value, v types.View) []byte { return msg.AckDigest(x, v) }
-
-func ccFor(x types.Value, v types.View, sigs []sigcrypto.Signature) *msg.CommitCert {
-	return &msg.CommitCert{Value: x, View: v, Sigs: sigs}
-}

@@ -49,7 +49,7 @@ func TestChunkedSnapshotCatchUp(t *testing.T) {
 		for i := from; i < to; i++ {
 			cmd := EncodeKV(KVCommand{Op: OpSet, Client: "c", Seq: uint64(i),
 				Key: fmt.Sprintf("k%d", i), Value: fmt.Sprintf("v%d-%s", i, pad)})
-			if err := reps[0].Submit(cmd); err != nil {
+			if err := submit(reps[0], sessionID(i), 1, cmd); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -248,7 +248,7 @@ func (r *Replica) recoverFromStore() error {
 		}
 		// Belt and braces: the files are the replica's own, but a damaged
 		// or mixed-up data directory must fail loudly, not corrupt state.
-		if !rec.SnapshotCert.Verify(r.cfg.Verifier, r.th) {
+		if !rec.SnapshotCert.Verify(r.logVerifier, r.th) {
 			return fmt.Errorf("smr: recovered snapshot certificate invalid (slot %d)", rec.SnapshotSlot)
 		}
 		sum := sha256.Sum256(rec.Snapshot)

@@ -153,7 +153,7 @@ func TestDurableFullClusterRestart(t *testing.T) {
 	// pre-restart command must not re-execute. Submit it alongside fresh
 	// commands; once the fresh ones applied, the total shows the replay
 	// was deduplicated.
-	if err := g.reps[1].Submit(lastCmd); err != nil {
+	if err := submit(g.reps[1], types.ClientID(fmt.Sprintf("c0-%d", ops-1)), 1, lastCmd); err != nil {
 		t.Fatal(err)
 	}
 	submitOps(t, g.reps[0], "c0", ops, ops+6)
@@ -264,10 +264,10 @@ func TestDurableRecoveredLeaderReproposesAdoptedValue(t *testing.T) {
 		}
 	}
 	orig := EncodeKV(KVCommand{Op: OpSet, Client: "c0", Seq: 1, Key: "adopted", Value: "pre-crash"})
-	// Submit runs the leader's propose-and-ack synchronously, so the
-	// slot-0 vote record is queued before Submit returns; Barrier makes it
+	// HandleRequest runs the leader's propose-and-ack synchronously, so the
+	// slot-0 vote record is queued before it returns; Barrier makes it
 	// durable before the crash.
-	if err := g.reps[leader].Submit(orig); err != nil {
+	if err := submit(g.reps[leader], "c0", 1, orig); err != nil {
 		t.Fatal(err)
 	}
 	if err := g.disks[leader].Barrier(); err != nil {
@@ -298,7 +298,7 @@ func TestDurableRecoveredLeaderReproposesAdoptedValue(t *testing.T) {
 		t.Fatal(err)
 	}
 	bait := EncodeKV(KVCommand{Op: OpSet, Client: "c1", Seq: 1, Key: "adopted", Value: "post-crash"})
-	if err := g.reps[leader].Submit(bait); err != nil {
+	if err := submit(g.reps[leader], "c1", 1, bait); err != nil {
 		t.Fatal(err)
 	}
 

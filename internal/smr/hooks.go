@@ -3,14 +3,13 @@ package smr
 import (
 	"repro/internal/msg"
 	"repro/internal/sigcrypto"
-	"repro/internal/wire"
 )
 
 // Adversary hooks: the envelope and signing-domain primitives of the SMR
 // layer, exported for the Byzantine harness (internal/byz). An adversarial
 // replica driver is only a meaningful test if its forgeries are exactly as
 // strong as a compromised-but-key-holding replica's — correctly enveloped,
-// correctly slot-salted, signed with a real cluster key — so the harness
+// correctly domain-salted, signed with a real cluster key — so the harness
 // builds its messages with the same primitives the honest replica uses
 // rather than a drifting reimplementation. Nothing here weakens the
 // protocol: every helper only combines the adversary's own signer with
@@ -25,37 +24,37 @@ const CtrlSlotID = ctrlSlot
 // exported name of syncSlot).
 const SyncSlotID = syncSlot
 
-// SlotSigner wraps a signer with the signing-domain salt of slot s: the
-// signer an honest replica would use inside slot s's consensus instance.
-func SlotSigner(inner sigcrypto.Signer, s uint64) sigcrypto.Signer {
-	return slotSigner{inner: inner, salt: slotSalt(s)}
+// SlotSigner binds a signer to the signing domain of slot s of group g: the
+// signer an honest replica of that group uses inside slot s's consensus
+// instance.
+func SlotSigner(inner sigcrypto.Signer, g, s uint64) sigcrypto.Signer {
+	return domainSigner{inner: inner, salt: slotDomain(g, s)}
 }
 
-// SlotVerifier wraps a verifier with the signing-domain salt of slot s.
-func SlotVerifier(inner sigcrypto.Verifier, s uint64) sigcrypto.Verifier {
-	return slotVerifier{inner: inner, salt: slotSalt(s)}
+// LogSigner binds a signer to group g's log-wide signing domain — the
+// domain of checkpoint signatures.
+func LogSigner(inner sigcrypto.Signer, g uint64) sigcrypto.Signer {
+	return domainSigner{inner: inner, salt: logDomain(g)}
 }
 
-// Envelope encodes m under slot number s, exactly as replicas address
+// Envelope frames m for slot s of group g, exactly as replicas address
 // per-slot consensus traffic (and, with the reserved slot numbers, sync and
 // control traffic).
-func Envelope(s uint64, m msg.Message) []byte {
-	return envelope(s, m)
+func Envelope(g, s uint64, m msg.Message) []byte {
+	return envelope(g, s, m)
 }
 
-// OpenEnvelope splits a payload into its slot number and decoded message.
-// Ctrl-slot payloads decode as *msg.Request; all other slots decode via
-// msg.Decode.
-func OpenEnvelope(payload []byte) (uint64, msg.Message, bool) {
-	rd := wire.NewReader(payload)
-	s := rd.Uvarint()
-	if rd.Err() != nil {
-		return 0, nil, false
+// OpenEnvelope splits a frame into its group, its slot number, and the
+// decoded message. Ctrl-slot payloads decode as *msg.Request; all other
+// slots decode via msg.Decode.
+func OpenEnvelope(frame []byte) (g, s uint64, m msg.Message, ok bool) {
+	g, s, inner, ok := openHeader(frame)
+	if !ok {
+		return 0, 0, nil, false
 	}
-	inner := payload[len(payload)-rd.Remaining():]
 	m, err := msg.Decode(inner)
 	if err != nil {
-		return 0, nil, false
+		return 0, 0, nil, false
 	}
-	return s, m, true
+	return g, s, m, true
 }

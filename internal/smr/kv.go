@@ -59,12 +59,9 @@ func DecodeKV(cmd Command) (KVCommand, error) {
 // ShardOf returns the consensus group a key belongs to when the keyspace is
 // hash-partitioned across shards groups. Every router — replica-side Get
 // dispatch, shard-aware clients — must use this one function, or a key's
-// reads and writes could land in different groups. shards <= 1 always
-// returns 0.
+// reads and writes could land in different groups. shards must be positive
+// (constructors validate it).
 func ShardOf(key string, shards int) uint64 {
-	if shards <= 1 {
-		return 0
-	}
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(key))
 	return h.Sum64() % uint64(shards)

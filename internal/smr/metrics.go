@@ -118,7 +118,7 @@ func (r *Replica) countOut(k msg.Kind) {
 // envOut counts and envelopes one outgoing protocol message.
 func (r *Replica) envOut(s uint64, m msg.Message) []byte {
 	r.countOut(m.Kind())
-	return envelope(s, m)
+	return envelope(r.cfg.Group, s, m)
 }
 
 // markStage records pipeline stage st of slot sl at time `at`.

@@ -11,7 +11,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/transport"
 	"repro/internal/types"
-	"repro/internal/wire"
 )
 
 // ---------------------------------------------------------------------------
@@ -48,11 +47,10 @@ func (r *Replica) inflightInvariantErr() error {
 	return nil
 }
 
-// payloadSlot parses the slot tag of an SMR envelope.
+// payloadSlot parses the slot number out of an SMR frame header.
 func payloadSlot(payload []byte) (uint64, bool) {
-	rd := wire.NewReader(payload)
-	s := rd.Uvarint()
-	return s, rd.Err() == nil
+	_, s, _, ok := openHeader(payload)
+	return s, ok
 }
 
 // commitLog records OnCommit deliveries for one replica.
@@ -121,7 +119,7 @@ func submitKV(t *testing.T, r *Replica, client string, i int) {
 	t.Helper()
 	cmd := EncodeKV(KVCommand{Op: OpSet, Client: client, Seq: uint64(i),
 		Key: fmt.Sprintf("k%d", i), Value: fmt.Sprintf("v%d", i)})
-	if err := r.Submit(cmd); err != nil {
+	if err := submit(r, types.ClientID(fmt.Sprintf("%s-%d", client, i)), 1, cmd); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -648,8 +646,8 @@ func TestSMRMalformedBatchCounted(t *testing.T) {
 	r.onDecideLocked(0, types.Decision{Value: garbage, View: 1, Path: types.FastPath})
 	r.onDecideLocked(1, types.Decision{Value: nil, View: 1, Path: types.FastPath}) // no-op
 	r.onDecideLocked(2, types.Decision{Value: EncodeBatch([]Command{
-		encodeRequest(&msg.Request{Client: "c", Seq: 1,
-			Op: []byte(EncodeKV(KVCommand{Op: OpSet, Client: "c", Seq: 1, Key: "x", Value: "1"}))}),
+		Command(msg.Encode(&msg.Request{Client: "c", Seq: 1,
+			Op: []byte(EncodeKV(KVCommand{Op: OpSet, Client: "c", Seq: 1, Key: "x", Value: "1"}))})),
 	}), View: 1, Path: types.FastPath})
 	r.mu.Unlock()
 

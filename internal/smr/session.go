@@ -1,8 +1,6 @@
 package smr
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"sort"
@@ -61,12 +59,6 @@ var (
 	errWrongGroup    = errors.New("smr: request addressed to another consensus group")
 )
 
-// encodeRequest renders a client request as SMR command bytes: the canonical
-// msg encoding, so identical requests encode identically everywhere.
-func encodeRequest(req *msg.Request) Command {
-	return Command(msg.Encode(req))
-}
-
 // decodeRequest parses SMR command bytes back into a request. Commands that
 // are not well-formed requests (a Byzantine leader can batch arbitrary
 // bytes) decode to (nil, false) and are skipped by the apply loop.
@@ -80,16 +72,6 @@ func decodeRequest(cmd Command) (*msg.Request, bool) {
 		return nil, false
 	}
 	return req, true
-}
-
-// syntheticClient derives a single-use session identity from command
-// content, for commands submitted through the legacy Submit API: identical
-// bytes submitted through any replica map to the same (client, seq) and so
-// still execute exactly once. The "#" prefix keeps the namespace visibly
-// apart from real client identifiers.
-func syntheticClient(cmd Command) types.ClientID {
-	sum := sha256.Sum256(cmd)
-	return types.ClientID("#" + hex.EncodeToString(sum[:12]))
 }
 
 // HandleRequest ingests one external client request:
@@ -148,15 +130,19 @@ func (r *Replica) HandleRequest(req *msg.Request, reply ReplyFunc) error {
 	if reply != nil {
 		r.replyTo[req.Client] = reply
 	}
-	enc := encodeRequest(req)
-	r.enqueueRequestLocked(req, enc)
+	// The body of the forward frame is the request's canonical encoding,
+	// which is also its SMR command bytes: one buffer serves both (the queue
+	// keeps its own copy).
+	w := newFrame(r.cfg.Group, ctrlSlot)
+	hdr := w.Len()
+	msg.EncodeTo(w, req)
+	frame := w.Bytes()
+	r.countOut(msg.KindRequest)
+	r.enqueueRequestLocked(req, Command(frame[hdr:]))
 	// Forward to every replica so the next slots' leaders can propose it
 	// (ordered, not durably gated: the forwarded bytes are the client's,
 	// not replica state).
-	w := wire.NewWriter(len(enc) + 10)
-	w.Uvarint(ctrlSlot)
-	r.countOut(msg.KindRequest)
-	r.broadcastOrderedLocked(append(w.Bytes(), enc...))
+	r.broadcastOrderedLocked(frame)
 	r.fillWindowLocked()
 	r.flushViewBufsLocked()
 	r.pokeRegimeLocked()

@@ -4,13 +4,13 @@
 // every replica applies the decided commands in slot order.
 //
 // Each log slot is one independent consensus instance (a core.Process); all
-// instances of a replica share one transport, with payloads tagged by slot
-// number, and one wall clock. Replication is pipelined: up to
-// Config.WindowSize slots run concurrently, each proposing a disjoint chunk
-// of the pending queue, so throughput is bounded by the window rather than
-// by one consensus round-trip per batch. Slots may decide out of order;
-// commands are applied strictly in slot order, and commit observers see
-// slots in order too.
+// instances of a replica share one transport, with payloads tagged by a
+// (group, slot) header (see newFrame), and one wall clock. Replication is
+// pipelined: up to Config.WindowSize slots run concurrently, each proposing
+// a disjoint chunk of the pending queue, so throughput is bounded by the
+// window rather than by one consensus round-trip per batch. Slots may decide
+// out of order; commands are applied strictly in slot order, and commit
+// observers see slots in order too.
 //
 // Window slots are opened by the leader: only the replica that leads view 1
 // (and with it the current leader regime — leader(v) is the same process
@@ -29,9 +29,8 @@
 // pair; replicas deduplicate by per-client session tables (see session.go),
 // cache the last reply per client for retransmissions, and prune inactive
 // sessions at checkpoint boundaries — so dedup memory is bounded by active
-// clients, not by log length. External clients submit through HandleRequest
-// (see internal/client for a full retransmitting client); Submit wraps raw
-// bytes in a synthetic content-derived session for backward compatibility.
+// clients, not by log length. Clients submit through HandleRequest (see
+// internal/client for a full retransmitting client).
 package smr
 
 import (
@@ -138,12 +137,12 @@ type Config struct {
 	// The replica takes ownership of the store and closes it on Close.
 	// Pair it with CheckpointInterval > 0, or the WAL grows without bound.
 	Storage *storage.Store
-	// Group is this replica's consensus-group number in a sharded
-	// deployment (see internal/group). Requests addressed to another group
-	// are rejected by HandleRequest, and replies echo the group so a
-	// shard-aware client can demultiplex them. Zero — the only value in an
-	// unsharded deployment — keeps requests and replies byte-identical to
-	// the pre-sharding wire format.
+	// Group is this replica's consensus-group number (see internal/group).
+	// It is the replica's whole addressing and signing context: every
+	// outgoing frame leads with it, frames and requests addressed to another
+	// group are dropped or rejected, replies echo it so a client can
+	// demultiplex them, and every signature is bound to it (see slotDomain,
+	// logDomain). Group 0 is a group like any other.
 	Group uint64
 	// Metrics, when set, exports the replica's counters, gauges, and staged
 	// request-latency histograms under MetricsLabels (see internal/obs).
@@ -197,6 +196,10 @@ type Replica struct {
 	interval    uint64         // cfg.CheckpointInterval (0 = disabled)
 	snapshotter Snapshotter    // non-nil iff interval > 0
 	store       *storage.Store // cfg.Storage (nil = in-memory replica)
+	// logSigner and logVerifier are the signature scheme bound to the
+	// group's log-wide domain (checkpoints; see logDomain).
+	logSigner   sigcrypto.Signer
+	logVerifier sigcrypto.Verifier
 
 	mu         sync.Mutex
 	started    bool
@@ -330,6 +333,8 @@ func NewReplica(cfg Config) (*Replica, error) {
 		interval:      cfg.CheckpointInterval,
 		snapshotter:   snapper,
 		store:         cfg.Storage,
+		logSigner:     domainSigner{inner: cfg.Signer, salt: logDomain(cfg.Group)},
+		logVerifier:   domainVerifier{inner: cfg.Verifier, salt: logDomain(cfg.Group)},
 		slots:         make(map[uint64]*slot),
 		decided:       make(map[uint64]types.Decision),
 		sessions:      make(map[types.ClientID]*session),
@@ -423,27 +428,6 @@ func (r *Replica) Close() error {
 	return err
 }
 
-// Submit queues a command for replication. The command is proposed in the
-// next available slot this replica leads or participates in; it stays
-// queued until some slot decides it.
-//
-// Submit wraps the bytes in a synthetic single-use session whose identity
-// derives from the command content, so identical bytes submitted through any
-// replica still execute exactly once. The dedup horizon of synthetic
-// sessions is bounded by checkpoint pruning (see sessionRetentionIntervals);
-// clients that need replies or durable sessions use HandleRequest.
-func (r *Replica) Submit(cmd Command) error {
-	if len(cmd) == 0 {
-		return errors.New("smr: empty command")
-	}
-	return r.HandleRequest(&msg.Request{
-		Client: syntheticClient(cmd),
-		Seq:    1,
-		Op:     []byte(cmd),
-		Group:  r.cfg.Group,
-	}, nil)
-}
-
 // Decided returns the decision for a slot, if any.
 func (r *Replica) Decided(s uint64) (types.Decision, bool) {
 	r.mu.Lock()
@@ -488,40 +472,60 @@ func (r *Replica) Stats() Stats {
 
 func (r *Replica) now() core.Time { return core.Time(time.Since(r.start)) }
 
-// slotSalt returns the signing-domain salt of slot s. Every signature a
-// consensus instance produces covers the salt followed by the instance's
-// own digest, so signatures (and the certificates built from them) are
-// bound to their slot: a commit certificate harvested from slot j can never
-// authenticate a decision for slot k — neither replayed into slot k's
-// envelopes nor presented in a state-transfer tail. The salt's leading byte
-// is disjoint from the msg digest domain bytes, so salted and unsalted
-// digests can never collide.
-func slotSalt(s uint64) []byte {
-	w := wire.NewWriter(11)
-	w.Uint8(0xA5)
+// Signing domains. All groups of a process share the cluster's key pairs
+// and number their slots from 0, so every signature covers a domain salt
+// ahead of the signed digest — one concatenation per sign or verify — that
+// binds it to exactly one context:
+//
+//   - slotDomain(g, s) for everything slot s's consensus instance signs: a
+//     commit certificate harvested from slot j of group g can never
+//     authenticate a decision for another slot or another group — neither
+//     replayed into their envelopes nor presented in a state-transfer tail;
+//   - logDomain(g) for signatures about group g's log as a whole
+//     (checkpoints).
+//
+// The two tags differ from each other and from the msg digest domain bytes,
+// and uvarints are self-delimiting, so no two (tag, group, slot, digest)
+// tuples render the same signed bytes.
+const (
+	slotDomainTag = 0xA5
+	logDomainTag  = 0xA7
+)
+
+func slotDomain(g, s uint64) []byte {
+	w := wire.NewWriter(21)
+	w.Uint8(slotDomainTag)
+	w.Uvarint(g)
 	w.Uvarint(s)
 	return w.Bytes()
 }
 
-// slotSigner and slotVerifier wrap the replica's signature scheme with a
-// per-slot salt.
-type slotSigner struct {
+func logDomain(g uint64) []byte {
+	w := wire.NewWriter(11)
+	w.Uint8(logDomainTag)
+	w.Uvarint(g)
+	return w.Bytes()
+}
+
+// domainSigner and domainVerifier bind the replica's signature scheme to
+// one signing domain.
+type domainSigner struct {
 	inner sigcrypto.Signer
 	salt  []byte
 }
 
-func (s slotSigner) ID() types.ProcessID { return s.inner.ID() }
+func (s domainSigner) ID() types.ProcessID { return s.inner.ID() }
 
-func (s slotSigner) Sign(msg []byte) sigcrypto.Signature {
+func (s domainSigner) Sign(msg []byte) sigcrypto.Signature {
 	return s.inner.Sign(saltedMsg(s.salt, msg))
 }
 
-type slotVerifier struct {
+type domainVerifier struct {
 	inner sigcrypto.Verifier
 	salt  []byte
 }
 
-func (v slotVerifier) Verify(msg []byte, sig sigcrypto.Signature) bool {
+func (v domainVerifier) Verify(msg []byte, sig sigcrypto.Signature) bool {
 	return v.inner.Verify(saltedMsg(v.salt, msg), sig)
 }
 
@@ -648,10 +652,10 @@ func (r *Replica) startSlotLocked(s uint64, lead bool) *slot {
 			input = EncodeBatch(chunk)
 		}
 	}
-	salt := slotSalt(s)
+	salt := slotDomain(r.cfg.Group, s)
 	proc, err := core.NewProcess(r.cfg.Cluster, r.cfg.Self,
-		slotSigner{inner: r.cfg.Signer, salt: salt},
-		slotVerifier{inner: r.cfg.Verifier, salt: salt},
+		domainSigner{inner: r.cfg.Signer, salt: salt},
+		domainVerifier{inner: r.cfg.Verifier, salt: salt},
 		input, r.cfg.BaseTimeout)
 	if err != nil {
 		return nil // configuration was validated at construction; unreachable
@@ -712,16 +716,16 @@ func (r *Replica) enterSlotViewLocked(s uint64, sl *slot, v types.View) {
 	sl.proc.Replica().SetInput(EncodeBatch(chunk))
 }
 
-// onPayload decodes a slot-tagged payload and routes it to the instance.
-// Every delivery ends by flushing coalesced view-change traffic and
-// reconciling the regime timer with the (possibly moved) log frontier.
+// onPayload parses a frame's (group, slot) header and routes the message to
+// the instance; a frame addressed to another group is dropped, whether it
+// came through a mux view or straight off a raw transport. Every delivery
+// ends by flushing coalesced view-change traffic and reconciling the regime
+// timer with the (possibly moved) log frontier.
 func (r *Replica) onPayload(from types.ProcessID, payload []byte) {
-	rd := wire.NewReader(payload)
-	s := rd.Uvarint()
-	if rd.Err() != nil {
+	g, s, inner, ok := openHeader(payload)
+	if !ok || g != r.cfg.Group {
 		return
 	}
-	inner := payload[len(payload)-rd.Remaining():]
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
@@ -1348,12 +1352,35 @@ func (r *Replica) dropPending(cmd Command) {
 	r.pending.Remove(cmd)
 }
 
-// envelope prefixes an encoded message with its slot number.
-func envelope(s uint64, m msg.Message) []byte {
-	inner := msg.Encode(m)
-	w := wire.NewWriter(len(inner) + 10)
+// newFrame starts a replica-to-replica frame: the header uvarint(group) ‖
+// uvarint(slot), after which the caller encodes the message into the same
+// buffer. That is the whole frame — transport.GroupMux routes on the leading
+// uvarint without rewriting it — so a frame is bit-identical whether the
+// replica sits behind a mux view or on a raw transport.
+func newFrame(g, s uint64) *wire.Writer {
+	w := wire.NewWriter(128)
+	w.Uvarint(g)
 	w.Uvarint(s)
-	return append(w.Bytes(), inner...)
+	return w
+}
+
+// envelope frames one message for slot s of group g.
+func envelope(g, s uint64, m msg.Message) []byte {
+	w := newFrame(g, s)
+	msg.EncodeTo(w, m)
+	return w.Bytes()
+}
+
+// openHeader splits a frame into its group, its slot, and the encoded
+// message behind the header.
+func openHeader(frame []byte) (g, s uint64, inner []byte, ok bool) {
+	rd := wire.NewReader(frame)
+	g = rd.Uvarint()
+	s = rd.Uvarint()
+	if rd.Err() != nil {
+		return 0, 0, nil, false
+	}
+	return g, s, frame[len(frame)-rd.Remaining():], true
 }
 
 // String renders replica status for logs.

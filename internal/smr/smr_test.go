@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/msg"
 	"repro/internal/sigcrypto"
 	"repro/internal/transport"
 	"repro/internal/types"
@@ -60,6 +61,16 @@ func waitFor(t *testing.T, timeout time.Duration, cond func() bool, what string)
 	t.Fatalf("timeout waiting for %s", what)
 }
 
+// submit drives cmd through HandleRequest — the path production runs — as
+// request seq of the client's session, fire-and-forget. A session keeps one
+// request in flight, so tests that burst commands give each its own session.
+func submit(r *Replica, client types.ClientID, seq uint64, cmd Command) error {
+	return r.HandleRequest(&msg.Request{Client: client, Seq: seq, Op: cmd, Group: r.cfg.Group}, nil)
+}
+
+// sessionID names the single-use client session of a test's i-th command.
+func sessionID(i int) types.ClientID { return types.ClientID(fmt.Sprintf("c%d", i)) }
+
 func TestSMRReplicatesCommands(t *testing.T) {
 	cfg := types.Generalized(1, 1)
 	reps, stores, cleanup := buildGroup(t, cfg, 1)
@@ -72,7 +83,7 @@ func TestSMRReplicatesCommands(t *testing.T) {
 			Key: fmt.Sprintf("k%d", i), Value: fmt.Sprintf("v%d", i),
 		})
 		for _, r := range reps {
-			if err := r.Submit(cmd); err != nil {
+			if err := submit(r, sessionID(i), 1, cmd); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -110,9 +121,9 @@ func TestSMRDeduplicatesResubmittedCommands(t *testing.T) {
 	defer cleanup()
 
 	cmd := EncodeKV(KVCommand{Op: OpSet, Client: "c1", Seq: 7, Key: "x", Value: "1"})
-	for i := 0; i < 5; i++ { // submit the same command repeatedly everywhere
+	for i := 0; i < 5; i++ { // submit the same request repeatedly everywhere
 		for _, r := range reps {
-			if err := r.Submit(cmd); err != nil {
+			if err := submit(r, "c1", 7, cmd); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -141,7 +152,7 @@ func TestSMRDelete(t *testing.T) {
 	set := EncodeKV(KVCommand{Op: OpSet, Client: "c", Seq: 1, Key: "k", Value: "v"})
 	del := EncodeKV(KVCommand{Op: OpDel, Client: "c", Seq: 2, Key: "k"})
 	for _, r := range reps {
-		if err := r.Submit(set); err != nil {
+		if err := submit(r, "c", 1, set); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -154,7 +165,7 @@ func TestSMRDelete(t *testing.T) {
 		return true
 	}, "set")
 	for _, r := range reps {
-		if err := r.Submit(del); err != nil {
+		if err := submit(r, "c", 2, del); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -256,7 +267,7 @@ func TestSMRBatchingAppliesAllCommandsInFewerSlots(t *testing.T) {
 	for i := 0; i < ops; i++ {
 		cmd := EncodeKV(KVCommand{Op: OpSet, Client: "b", Seq: uint64(i),
 			Key: fmt.Sprintf("bk%d", i), Value: "v"})
-		if err := reps[0].Submit(cmd); err != nil {
+		if err := submit(reps[0], sessionID(i), 1, cmd); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -291,10 +302,10 @@ func TestSMROverlappingBatchesStayIdempotent(t *testing.T) {
 	for i := 0; i < ops; i++ {
 		cmd := EncodeKV(KVCommand{Op: OpSet, Client: "dup", Seq: uint64(i),
 			Key: fmt.Sprintf("dk%d", i), Value: "v"})
-		if err := reps[0].Submit(cmd); err != nil {
+		if err := submit(reps[0], sessionID(i), 1, cmd); err != nil {
 			t.Fatal(err)
 		}
-		if err := reps[2].Submit(cmd); err != nil {
+		if err := submit(reps[2], sessionID(i), 1, cmd); err != nil {
 			t.Fatal(err)
 		}
 	}

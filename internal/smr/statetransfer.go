@@ -242,7 +242,7 @@ func (r *Replica) onSnapshotChunkLocked(m *msg.SnapshotChunk) {
 				return
 			}
 		}
-		if !m.Cert.Verify(r.cfg.Verifier, r.th) {
+		if !m.Cert.Verify(r.logVerifier, r.th) {
 			return
 		}
 		asm = &chunkAssembly{
@@ -301,7 +301,7 @@ func (r *Replica) onStateSnapshotLocked(from types.ProcessID, m *msg.StateSnapsh
 		m.Tail = m.Tail[:maxTailDecisions]
 	}
 	if m.HasSnap && m.Cert.CP.Slot >= r.applyPtr {
-		if m.Cert.Verify(r.cfg.Verifier, r.th) {
+		if m.Cert.Verify(r.logVerifier, r.th) {
 			sum := sha256.Sum256(m.Snapshot)
 			if types.Value(sum[:]).Equal(types.Value(m.Cert.CP.StateHash)) {
 				r.restoreLocked(m.Cert.Clone(), m.Snapshot)
@@ -316,8 +316,8 @@ func (r *Replica) onStateSnapshotLocked(from types.ProcessID, m *msg.StateSnapsh
 			continue
 		}
 		// Verify under the slot's signing domain: a certificate from any
-		// other slot cannot pass (see slotSalt).
-		if !td.CC.Verify(slotVerifier{inner: r.cfg.Verifier, salt: slotSalt(td.Slot)}, r.th) {
+		// other slot cannot pass (see slotDomain).
+		if !td.CC.Verify(domainVerifier{inner: r.cfg.Verifier, salt: slotDomain(r.cfg.Group, td.Slot)}, r.th) {
 			continue
 		}
 		if r.certs[td.Slot] == nil {

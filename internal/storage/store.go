@@ -72,9 +72,9 @@ type Config struct {
 	Mode SyncMode
 	// Namespace prefixes every file the store touches (WAL, snapshots,
 	// temporaries), so several stores — one per consensus group of a
-	// sharded replica — share one directory without colliding. Stores with
+	// replica process — share one directory without colliding. Stores with
 	// distinct namespaces never read or delete each other's files. Empty
-	// means the unprefixed pre-sharding layout.
+	// leaves the file names unprefixed (a store used on its own).
 	Namespace string
 	// Metrics, when set, exports the store's counters and fsync-latency
 	// histogram under MetricsLabels (typically {group: "<k>"}). The store

@@ -20,6 +20,8 @@ func FuzzDecodeClientFrame(f *testing.F) {
 		&msg.Request{Client: "bob", Seq: 1 << 33, Op: bytes.Repeat([]byte{0xab}, 512)},
 		&msg.Reply{Client: "alice", Seq: 7, Slot: 42, Replica: 3, Result: []byte("ok")},
 		&msg.Reply{Client: "c", Seq: 1, Slot: 0, Replica: 0, Result: nil},
+		&msg.Request{Client: "carol", Seq: 5, Op: []byte("set y 2"), Group: 3},
+		&msg.Reply{Client: "carol", Seq: 5, Slot: 11, Replica: 2, Result: []byte("ok"), Group: 3},
 	}
 	for _, m := range seedMsgs {
 		frame, err := EncodeClientFrame(m)

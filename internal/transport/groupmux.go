@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strconv"
 	"sync"
@@ -9,11 +10,14 @@ import (
 	"repro/internal/types"
 )
 
-// GroupMux multiplexes several independent consensus groups over one
-// underlying Transport: each group sees its own Transport view, and every
-// payload crosses the wire prefixed with its group number (one uvarint), so
-// a process can host N groups over a single set of authenticated channels
-// instead of N listeners and N×n connections.
+// GroupMux routes the frames of several independent consensus groups over
+// one underlying Transport, so a process can host N groups over a single set
+// of authenticated channels instead of N listeners and N×n connections.
+// Every replica-to-replica frame leads with its group number (one uvarint,
+// written by the SMR layer as part of its frame header); the mux peeks at it
+// and hands the whole frame, untouched, to that group's view. Outbound
+// frames pass through as they are — a frame is bit-identical whether its
+// replica sits behind a view or on the raw transport.
 //
 // Start and Close are reference-counted against the views. The inner
 // transport starts only when every view has started — by which point every
@@ -36,7 +40,7 @@ type GroupMux struct {
 func NewGroupMux(inner Transport, groups int) *GroupMux {
 	m := &GroupMux{inner: inner, groups: groups, views: make([]*groupView, groups)}
 	for g := 0; g < groups; g++ {
-		m.views[g] = &groupView{mux: m, group: uint64(g), tag: groupTag(uint64(g))}
+		m.views[g] = &groupView{mux: m, group: uint64(g)}
 	}
 	m.Instrument(nil, nil) // live but unexported counters until Instrument
 	return m
@@ -60,25 +64,12 @@ func (m *GroupMux) Instrument(reg *obs.Registry, ls obs.Labels) {
 // group always yields the same view.
 func (m *GroupMux) View(g int) Transport { return m.views[g] }
 
-// groupTag renders the envelope prefix of group g.
-func groupTag(g uint64) []byte {
-	var buf [10]byte
-	n := 0
-	for g >= 0x80 {
-		buf[n] = byte(g) | 0x80
-		g >>= 7
-		n++
-	}
-	buf[n] = byte(g)
-	return buf[:n+1]
-}
-
-// dispatch decodes the group prefix and routes the payload to the group's
-// handler. Malformed or out-of-range prefixes are dropped — the inner
-// transport authenticated the sender, so this only happens with a Byzantine
-// peer, and dropping is the cheapest response.
+// dispatch peeks at the group prefix and routes the frame, prefix included,
+// to the group's handler. Malformed or out-of-range prefixes are dropped —
+// the inner transport authenticated the sender, so this only happens with a
+// Byzantine peer, and dropping is the cheapest response.
 func (m *GroupMux) dispatch(from types.ProcessID, payload []byte) {
-	g, n := uvarint(payload)
+	g, n := binary.Uvarint(payload)
 	if n <= 0 || g >= uint64(m.groups) {
 		return
 	}
@@ -88,30 +79,8 @@ func (m *GroupMux) dispatch(from types.ProcessID, payload []byte) {
 	m.mu.Unlock()
 	if h != nil {
 		v.mFramesIn.Inc()
-		h(from, payload[n:])
+		h(from, payload)
 	}
-}
-
-// uvarint decodes an unsigned varint prefix, returning (value, bytes read);
-// n <= 0 means malformed (local copy of encoding/binary.Uvarint semantics,
-// bounded to 10 bytes).
-func uvarint(buf []byte) (uint64, int) {
-	var x uint64
-	var s uint
-	for i, b := range buf {
-		if i == 10 {
-			return 0, -1
-		}
-		if b < 0x80 {
-			if i == 9 && b > 1 {
-				return 0, -1
-			}
-			return x | uint64(b)<<s, i + 1
-		}
-		x |= uint64(b&0x7f) << s
-		s += 7
-	}
-	return 0, 0
 }
 
 // viewStarted records one view's Start; the last one installs the dispatch
@@ -155,7 +124,6 @@ func (m *GroupMux) viewClosed() error {
 type groupView struct {
 	mux   *GroupMux
 	group uint64
-	tag   []byte
 
 	mFramesIn, mFramesOut *obs.Counter
 
@@ -171,22 +139,16 @@ var _ Transport = (*groupView)(nil)
 // Self implements Transport.
 func (v *groupView) Self() types.ProcessID { return v.mux.inner.Self() }
 
-// Send implements Transport, prefixing the payload with the group tag.
+// Send implements Transport.
 func (v *groupView) Send(to types.ProcessID, payload []byte) error {
-	if len(payload)+len(v.tag) > MaxFrame {
-		return fmt.Errorf("groupmux: payload %d bytes exceeds limit", len(payload))
-	}
 	v.mFramesOut.Inc()
-	return v.mux.inner.Send(to, append(append(make([]byte, 0, len(v.tag)+len(payload)), v.tag...), payload...))
+	return v.mux.inner.Send(to, payload)
 }
 
 // Broadcast implements Transport.
 func (v *groupView) Broadcast(payload []byte) error {
-	if len(payload)+len(v.tag) > MaxFrame {
-		return fmt.Errorf("groupmux: payload %d bytes exceeds limit", len(payload))
-	}
 	v.mFramesOut.Inc()
-	return v.mux.inner.Broadcast(append(append(make([]byte, 0, len(v.tag)+len(payload)), v.tag...), payload...))
+	return v.mux.inner.Broadcast(payload)
 }
 
 // SetHandler implements Transport.

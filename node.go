@@ -181,15 +181,14 @@ type KVReplicaConfig struct {
 	// power failure).
 	SyncMode string
 	// Shards is the number of independent consensus groups the replica
-	// process hosts (default 1). With Shards > 1 the keyspace is
-	// hash-partitioned across the groups (see smr.ShardOf): every process
-	// is a member of all groups over one shared replica-to-replica
-	// transport, one client listener, and one data directory (per-group
-	// file namespaces), and each group's steady-state leader sits on a
-	// different process — group g leads from process (1+g) mod n — so
-	// leader work parallelizes across the cluster. Shards == 1 is
-	// byte-for-byte the unsharded system. Every process of a cluster must
-	// configure the same value.
+	// process hosts (default 1). The keyspace is hash-partitioned across
+	// the groups (see smr.ShardOf): every process is a member of all groups
+	// over one shared replica-to-replica transport, one client listener,
+	// and one data directory (per-group file namespaces), and each group's
+	// steady-state leader sits on a different process — group g leads from
+	// process (1+g) mod n — so leader work parallelizes across the cluster.
+	// One shard is the same composition with a single group, group 0. Every
+	// process of a cluster must configure the same value.
 	Shards int
 	// MetricsAddr, when non-empty, binds a per-replica HTTP introspection
 	// endpoint (e.g. "127.0.0.1:0") serving /metrics (Prometheus text),
@@ -205,10 +204,9 @@ type KVReplicaConfig struct {
 }
 
 // KVReplica is one member of the replicated key-value store: the SMR layer
-// of internal/smr running the paper's protocol per log slot. With Shards >
-// 1 the process hosts one independent consensus group per shard over a
-// shared transport and data directory (see internal/group); keys route to
-// groups by hash.
+// of internal/smr running the paper's protocol per log slot. The process
+// hosts one independent consensus group per shard over a shared transport
+// and data directory (see internal/group); keys route to groups by hash.
 type KVReplica struct {
 	cluster    Config
 	self       ProcessID
@@ -288,24 +286,14 @@ func NewKVReplica(cfg KVReplicaConfig) (*KVReplica, error) {
 			"n":       strconv.Itoa(cfg.Cluster.N),
 			"shards":  strconv.Itoa(cfg.Shards),
 		}, func() float64 { return 1 })
-	// With one shard the raw transport is used directly — no group tag on
-	// the wire, no identity rotation, no storage namespace: byte-for-byte
-	// the pre-sharding system.
-	var mux *transport.GroupMux
-	if cfg.Shards > 1 {
-		mux = transport.NewGroupMux(tr, cfg.Shards)
-		mux.Instrument(reg, baseLabels)
-	}
+	mux := transport.NewGroupMux(tr, cfg.Shards)
+	mux.Instrument(reg, baseLabels)
 	closeGroups := func() {
 		for _, g := range kr.groups {
 			_ = g.Close()
 		}
 	}
 	for i := 0; i < cfg.Shards; i++ {
-		gtr := transport.Transport(tr)
-		if mux != nil {
-			gtr = mux.View(i)
-		}
 		store := smr.NewKVStore()
 		g, err := group.New(group.Config{
 			Cluster:            cfg.Cluster,
@@ -314,7 +302,7 @@ func NewKVReplica(cfg KVReplicaConfig) (*KVReplica, error) {
 			Self:               cfg.Self,
 			Signer:             cfg.Keys.scheme.Signer(cfg.Self),
 			Verifier:           cfg.Keys.scheme.Verifier(),
-			Transport:          gtr,
+			Transport:          mux.View(i),
 			App:                store,
 			OnCommit:           onCommit,
 			BaseTimeout:        cfg.BaseTimeout,
@@ -399,8 +387,8 @@ func (r *KVReplica) Metrics() *MetricsRegistry { return r.reg }
 func (r *KVReplica) SetPeers(addrs []string) error { return r.tr.SetPeers(addrs) }
 
 // Start begins participating in every hosted group; with a client listener
-// configured, it also starts serving networked clients. With Shards > 1 the
-// shared transport comes up once the last group starts.
+// configured, it also starts serving networked clients. The shared transport
+// comes up once the last group starts.
 func (r *KVReplica) Start() error {
 	for _, g := range r.groups {
 		if err := g.Start(); err != nil {
@@ -454,9 +442,8 @@ type ClientReply struct {
 	// Slot is the log slot the request executed in.
 	Slot uint64
 	// Replica is the responding replica; a client trusts a result once f+1
-	// distinct replicas report it. In a sharded deployment the identifier
-	// is the group's logical one (group g's logical l is physical
-	// (l+g) mod n).
+	// distinct replicas report it. The identifier is the group's logical
+	// one (group g's logical l is physical (l+g) mod n).
 	Replica ProcessID
 	// Result is the application's result bytes.
 	Result []byte
@@ -469,11 +456,11 @@ type ClientReply struct {
 // per-client executed high-water mark, a retransmission of the last
 // executed request is answered from the reply cache without re-execution,
 // and onReply (optional) receives the reply once the request executes.
-// Sequence numbers start at 1 and must increase within a session. In a
-// sharded replica the request routes to its key's group (ops that do not
-// decode as KV commands go to group 0), and sessions are per group — a
-// client interleaving keys of different groups leaves gaps in each group's
-// sequence numbering, which the session tables accept.
+// Sequence numbers start at 1 and must increase within a session. The
+// request routes to its key's group (ops that do not decode as KV commands
+// go to group 0), and sessions are per group — a client interleaving keys
+// of different groups leaves gaps in each group's sequence numbering, which
+// the session tables accept.
 func (r *KVReplica) HandleRequest(clientID string, seq uint64, op []byte, onReply func(ClientReply)) error {
 	var cb smr.ReplyFunc
 	if onReply != nil {
@@ -489,10 +476,8 @@ func (r *KVReplica) HandleRequest(clientID string, seq uint64, op []byte, onRepl
 		}
 	}
 	g := uint64(0)
-	if r.shards > 1 {
-		if c, err := smr.DecodeKV(smr.Command(op)); err == nil {
-			g = smr.ShardOf(c.Key, r.shards)
-		}
+	if c, err := smr.DecodeKV(smr.Command(op)); err == nil {
+		g = smr.ShardOf(c.Key, r.shards)
 	}
 	return r.groups[g].Replica().HandleRequest(&msg.Request{
 		Client: types.ClientID(clientID), Seq: seq, Op: op, Group: g,
@@ -583,9 +568,9 @@ func (r *KVReplica) StableCheckpoint() (Checkpoint, bool) {
 // their per-client reply cache, so a request is applied exactly once no
 // matter how often it is resent.
 //
-// Against a sharded cluster the client is shard-aware: it holds one session
-// per consensus group and routes every key to its group's session, so
-// workloads spanning groups fan out across the per-group leaders.
+// The client is shard-aware: it holds one session per consensus group and
+// routes every key to its group's session, so workloads spanning groups fan
+// out across the per-group leaders.
 type KVClient struct {
 	shards int
 	inners []*client.Client // one session per group
@@ -596,7 +581,7 @@ type KVClient struct {
 // replicas. id names the session: reusing an id resumes its sequence
 // numbering, so a fresh client needs a fresh id. timeout is one
 // retransmission round (500ms if zero). The shard count is taken from the
-// replicas; a sharded cluster gets a shard-aware client transparently.
+// replicas.
 func NewKVClient(id string, timeout time.Duration, reps ...*KVReplica) (*KVClient, error) {
 	if len(reps) == 0 {
 		return nil, fmt.Errorf("fastbft: no replicas")
@@ -658,7 +643,8 @@ func NewKVClient(id string, timeout time.Duration, reps ...*KVReplica) (*KVClien
 // rule rests on. The session behaves exactly like an in-process NewKVClient
 // session: per-session sequence numbers, retransmission on timeout (which
 // also covers redialing crashed or unreachable replicas), f+1 matching-reply
-// confirmation, and server-side exactly-once execution.
+// confirmation, and server-side exactly-once execution. It is
+// NewShardedKVNetworkClient for a cluster hosting one group.
 func NewKVNetworkClient(id string, timeout time.Duration, cluster Config, keys *Keys, clientAddrs []string) (*KVClient, error) {
 	return NewShardedKVNetworkClient(id, timeout, cluster, keys, clientAddrs, 1)
 }
@@ -668,8 +654,7 @@ func NewKVNetworkClient(id string, timeout time.Duration, cluster Config, keys *
 // (KVReplicaConfig.Shards): one session per group, all multiplexed over a
 // single set of authenticated connections, with every key routed to its
 // group's session. shards must match the cluster's configuration — a
-// mismatched group number is rejected by the replicas. shards == 1 is
-// exactly NewKVNetworkClient.
+// mismatched group number is rejected by the replicas.
 func NewShardedKVNetworkClient(id string, timeout time.Duration, cluster Config, keys *Keys, clientAddrs []string, shards int) (*KVClient, error) {
 	if err := cluster.Validate(); err != nil {
 		return nil, err
@@ -692,19 +677,6 @@ func NewShardedKVNetworkClient(id string, timeout time.Duration, cluster Config,
 		return nil, err
 	}
 	c := &KVClient{shards: shards}
-	if shards == 1 {
-		inner, err := client.New(client.Config{
-			Cluster: cluster,
-			ID:      types.ClientID(id),
-			Timeout: timeout,
-		}, tr)
-		if err != nil {
-			_ = tr.Close()
-			return nil, err
-		}
-		c.inners = []*client.Client{inner}
-		return c, nil
-	}
 	demux := client.NewDemux(tr, cluster.N, shards)
 	for g := 0; g < shards; g++ {
 		inner, err := client.New(client.Config{

@@ -3,14 +3,10 @@
 
 GO ?= go
 
-# BENCH_JSON is where bench-json writes its report; the current report is
-# committed at the repo root (and CI uploads the regenerated one as a
-# workflow artifact), so the perf trajectory is recorded run over run.
 # FUZZTIME is the per-target budget of the fuzz target.
-BENCH_JSON ?= BENCH_PR10.json
 FUZZTIME ?= 30s
 
-.PHONY: all build test race bench bench-check bench-json fuzz smoke leaderkill fmt fmt-check vet doc-check byz recovery-race clean
+.PHONY: all build test race bench bench-check fuzz smoke leaderkill fmt fmt-check vet doc-check byz recovery-race clean
 
 all: build test
 
@@ -26,8 +22,9 @@ test:
 race:
 	$(GO) test -race ./...
 
-## bench: one-iteration smoke pass over every benchmark (compiles and runs
-## each benchmark once; use `go test -bench=. ./...` for real measurements)
+## bench: one-iteration smoke pass over the paper-reproduction benchmarks
+## (compiles and runs each once; use `go test -bench=. ./...` for real
+## measurements). The deployed system is measured by benchmark/run.sh
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
@@ -38,23 +35,6 @@ bench:
 bench-check:
 	$(GO) -C benchmark vet ./...
 	$(GO) -C benchmark test ./...
-
-## bench-json: run every benchmark once with -benchmem (including the SMR
-## throughput benchmark), then re-run the durable-throughput sweep and the
-## sharded-throughput sweep with real iteration counts (a single iteration
-## is far too noisy to read a sync-mode or shard-scaling ratio from), and
-## convert the combined output to a JSON report via cmd/benchjson, so the
-## perf trajectory is recorded run over run (separate steps, not a pipe: a
-## pipe would report the converter's exit status and let a failing
-## benchmark run slip through CI green). The pipelined run also dumps its
-## metrics-registry snapshot (FASTBFT_BENCH_METRICS), which benchjson embeds
-## in the report — stage-latency histograms travel with the numbers
-bench-json:
-	FASTBFT_BENCH_METRICS=$(BENCH_JSON).metrics $(GO) test -run '^$$' -bench . -skip '^BenchmarkSMRDurableThroughput$$|^BenchmarkSMRShardedThroughput$$' -benchtime 1x -benchmem ./... > $(BENCH_JSON).txt
-	$(GO) test -run '^$$' -bench '^BenchmarkSMRDurableThroughput$$' -benchtime 30x . >> $(BENCH_JSON).txt
-	$(GO) test -run '^$$' -bench '^BenchmarkSMRShardedThroughput$$' -benchtime 20x . >> $(BENCH_JSON).txt
-	$(GO) run ./cmd/benchjson -o $(BENCH_JSON) -metrics $(BENCH_JSON).metrics < $(BENCH_JSON).txt
-	rm -f $(BENCH_JSON).txt $(BENCH_JSON).metrics
 
 ## fuzz: run every fuzz target for FUZZTIME each (Go allows one -fuzz
 ## pattern per invocation, hence one line per target)

@@ -154,8 +154,8 @@ func (s *SelectiveAcker) Node() sim.Node {
 // nil vote regardless of what it saw, trying to erase history during view
 // changes.
 type StaleVoter struct {
-	Forger *Forger
-	N      int
+	Forger  *Forger
+	Cluster types.Config
 }
 
 // Node builds the simulator node.
@@ -169,8 +169,7 @@ func (s *StaleVoter) Node() sim.Node {
 			// Echo wishes (to keep view synchronization moving) and send a
 			// nil vote to the would-be leader of the wished view.
 			env.Broadcast(s.Forger.Wish(w.View))
-			leader := w.View.Leader(s.N)
-			env.Send(leader, s.Forger.Vote(msg.NilVote(), w.View))
+			env.Send(s.Cluster.Leader(w.View), s.Forger.Vote(msg.NilVote(), w.View))
 		},
 	}
 }

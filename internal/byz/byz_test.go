@@ -138,7 +138,7 @@ func TestStaleVoterCannotEraseDecision(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sv := &StaleVoter{Forger: NewForger(3, c.Scheme.Signer(3)), N: cfg.N}
+	sv := &StaleVoter{Forger: NewForger(3, c.Scheme.Signer(3)), Cluster: cfg}
 	c.Net.SetNode(3, sv.Node())
 	if _, err := c.Run(time.Minute); err != nil {
 		t.Fatal(err)

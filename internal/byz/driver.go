@@ -26,13 +26,6 @@ import (
 // imposes anyway: the adversary signs with its own key and cannot touch
 // other processes' channels.
 
-// group is the consensus group a Driver attacks. Group 0 rotates identities
-// by zero, so the corrupted process's logical and physical identifiers
-// coincide and the driver can sit directly on a physical transport endpoint;
-// the clusters it is deployed against (lockstep tests, the single-group
-// multi-process drills) host no other group.
-const group = 0
-
 // Behavior is one adversarial strategy, driven by the Driver's transport
 // deliveries. Deliver runs serialized (one delivery at a time) even over
 // concurrent transports, so implementations need no locking of their own
@@ -50,6 +43,10 @@ type Behavior interface {
 type DriverConfig struct {
 	// Cluster is the resilience configuration of the cluster under attack.
 	Cluster types.Config
+	// Group is the consensus group under attack: the driver speaks and
+	// signs in that group's frames and domains and ignores every other
+	// group's traffic.
+	Group uint64
 	// Self is the corrupted process's identifier.
 	Self types.ProcessID
 	// Signer holds the corrupted process's real cluster key.
@@ -79,6 +76,8 @@ func NewDriver(cfg DriverConfig) (*Driver, error) {
 	if cfg.Transport.Self() != cfg.Self {
 		return nil, errors.New("byz: transport/self mismatch")
 	}
+	// Hold the group's leader map, as its honest replicas do.
+	cfg.Cluster = smr.GroupCluster(cfg.Cluster, cfg.Group)
 	return &Driver{cfg: cfg}, nil
 }
 
@@ -104,7 +103,7 @@ func (d *Driver) Close() error {
 
 func (d *Driver) onPayload(from types.ProcessID, payload []byte) {
 	g, s, m, ok := smr.OpenEnvelope(payload)
-	if !ok || g != group {
+	if !ok || g != d.cfg.Group {
 		return
 	}
 	d.mu.Lock()
@@ -118,29 +117,31 @@ func (d *Driver) onPayload(from types.ProcessID, payload []byte) {
 // Self returns the corrupted process's identifier.
 func (d *Driver) Self() types.ProcessID { return d.cfg.Self }
 
-// Cluster returns the resilience configuration under attack.
+// Cluster returns the resilience configuration under attack, carrying the
+// attacked group's leader map: Cluster().Leader(v) is who that group's
+// replicas accept as leader of view v.
 func (d *Driver) Cluster() types.Config { return d.cfg.Cluster }
 
 // Signer exposes the corrupted process's signer bound to the group's
 // log-wide signing domain — the domain of checkpoint messages.
-func (d *Driver) Signer() sigcrypto.Signer { return smr.LogSigner(d.cfg.Signer, group) }
+func (d *Driver) Signer() sigcrypto.Signer { return smr.LogSigner(d.cfg.Signer, d.cfg.Group) }
 
 // Forger returns a message forger operating in log slot s's signing
 // domain: its proposals, ack signatures, and certificates verify exactly
 // like an honest replica's messages for that slot — and, by the same salt,
 // for no other slot.
 func (d *Driver) Forger(s uint64) *Forger {
-	return NewForger(d.cfg.Self, smr.SlotSigner(d.cfg.Signer, group, s))
+	return NewForger(d.cfg.Self, smr.SlotSigner(d.cfg.Signer, d.cfg.Group, s))
 }
 
 // Send envelopes m under slot s and sends it to one peer.
 func (d *Driver) Send(to types.ProcessID, s uint64, m msg.Message) {
-	_ = d.cfg.Transport.Send(to, smr.Envelope(group, s, m))
+	_ = d.cfg.Transport.Send(to, smr.Envelope(d.cfg.Group, s, m))
 }
 
 // Broadcast envelopes m under slot s and sends it to every peer.
 func (d *Driver) Broadcast(s uint64, m msg.Message) {
-	_ = d.cfg.Transport.Broadcast(smr.Envelope(group, s, m))
+	_ = d.cfg.Transport.Broadcast(smr.Envelope(d.cfg.Group, s, m))
 }
 
 // EachPeer calls fn for every process except the corrupted one, in

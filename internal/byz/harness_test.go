@@ -54,6 +54,7 @@ type byzCluster struct {
 
 type clusterOpts struct {
 	behavior Behavior
+	group    uint64 // consensus group every replica and the driver run
 	interval uint64 // checkpoint interval (0 disables)
 	timeout  time.Duration
 	// dirs maps durable replicas to their data directories.
@@ -89,6 +90,7 @@ func newByzCluster(t *testing.T, cfg types.Config, byzID types.ProcessID, seed i
 	}
 	drv, err := NewDriver(DriverConfig{
 		Cluster:   cfg,
+		Group:     opts.group,
 		Self:      byzID,
 		Signer:    c.scheme.Signer(byzID),
 		Verifier:  c.scheme.Verifier(),
@@ -113,6 +115,7 @@ func (c *byzCluster) bootReplica(p types.ProcessID, tr transport.Transport) {
 	c.t.Helper()
 	cfg := smr.Config{
 		Cluster:            c.cfg,
+		Group:              c.opts.group,
 		Self:               p,
 		Signer:             c.scheme.Signer(p),
 		Verifier:           c.scheme.Verifier(),
@@ -157,7 +160,7 @@ func (c *byzCluster) submit(client string, seq uint64) string {
 		Op: smr.OpSet, Client: client, Seq: seq,
 		Key: key, Value: fmt.Sprintf("%s-v%d", client, seq),
 	})
-	req := &msg.Request{Client: types.ClientID(client), Seq: seq, Op: op}
+	req := &msg.Request{Client: types.ClientID(client), Seq: seq, Op: op, Group: c.opts.group}
 	for _, rep := range c.reps {
 		if rep == nil {
 			continue
@@ -304,12 +307,12 @@ func correctPeers(cfg types.Config, byzID types.ProcessID) []types.ProcessID {
 
 // kvBatch builds a valid one-command batch carrying a KV set — the shape
 // of value an equivocating leader proposes so that whichever branch the
-// view change selects remains executable.
-func kvBatch(client string, seq uint64) (types.Value, string) {
+// view change selects remains executable in the given group.
+func kvBatch(group uint64, client string, seq uint64) (types.Value, string) {
 	key := fmt.Sprintf("%s-k%d", client, seq)
 	op := smr.EncodeKV(smr.KVCommand{
 		Op: smr.OpSet, Client: client, Seq: seq, Key: key, Value: client + "-v",
 	})
-	req := &msg.Request{Client: types.ClientID(client), Seq: seq, Op: op}
+	req := &msg.Request{Client: types.ClientID(client), Seq: seq, Op: op, Group: group}
 	return smr.EncodeBatch([]smr.Command{smr.Command(msg.Encode(req))}), key
 }

@@ -1,6 +1,7 @@
 package byz
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -23,69 +24,81 @@ import (
 // proposes value A to one group of correct replicas and value B to the
 // rest, then goes silent. The split keeps both branches below the commit
 // quorum, so view 1 cannot decide; the view change's vote selection must
-// converge every correct replica on the same branch.
+// converge every correct replica on the same branch. It runs against group
+// 0 and against group 1, whose leader schedule is shifted by one: there the
+// corrupted view-1 leader is process 2, and the vote-validity and
+// selection-culprit checks must attribute the equivocation to it.
 func TestByzEquivocatingLeaderSMR(t *testing.T) {
 	for _, tc := range byzConfigs {
-		t.Run(tc.name, func(t *testing.T) {
-			cfg := tc.cfg
-			byzID := types.ProcessID(1) // leader of view 1 of every slot
-			correct := correctPeers(cfg, byzID)
-
-			valueA, keyA := kvBatch("byz-a", 1)
-			valueB, _ := kvBatch("byz-b", 1)
-			groupA := make(map[types.ProcessID]bool)
-			th := newByzCluster(t, cfg, byzID, 901, clusterOpts{
-				behavior: &SlotEquivocator{Slot: 0, ValueA: valueA, ValueB: valueB, GroupA: groupA},
+		for group := uint64(0); group < 2; group++ {
+			t.Run(fmt.Sprintf("%s-group%d", tc.name, group), func(t *testing.T) {
+				equivocatingLeaderScenario(t, tc.cfg, group)
 			})
-			// Split so that neither branch can decide in view 1 (both below
-			// the commit and fast quorums) while exactly one branch — A —
-			// meets the selection quorum in the view change.
-			nA := th.th.CommitQuorum() - 1
-			for _, p := range correct[:nA] {
-				groupA[p] = true
-			}
-			nB := len(correct) - nA
-			if nA >= th.th.FastQuorum() || nA < th.th.SelectionQuorum() || nB >= th.th.SelectionQuorum() {
-				t.Fatalf("bad split for n=%d: |A|=%d |B|=%d (fast=%d commit=%d selection=%d)",
-					cfg.N, nA, nB, th.th.FastQuorum(), th.th.CommitQuorum(), th.th.SelectionQuorum())
-			}
-
-			keyC0 := th.submit("c0", 1) // triggers the equivocation
-
-			th.pump(30*time.Second, func() bool {
-				return th.allCorrect(func(_ types.ProcessID, r *smr.Replica) bool {
-					_, ok := r.Decided(0)
-					return ok
-				})
-			}, "every correct replica to decide slot 0 after the view change")
-
-			th.eachCorrect(func(p types.ProcessID, r *smr.Replica) {
-				d, _ := r.Decided(0)
-				if !d.Value.Equal(valueA) {
-					t.Fatalf("replica %s decided slot 0 with the minority branch (%d bytes)", p, len(d.Value))
-				}
-				if d.View < 2 {
-					t.Fatalf("replica %s decided slot 0 in view %d; the equivocated view must not decide", p, d.View)
-				}
-			})
-
-			// Liveness: the displaced client command and a fresh one both
-			// execute on every correct replica.
-			keyC1 := th.submit("c1", 1)
-			th.pump(30*time.Second, func() bool {
-				return th.allCorrect(func(p types.ProcessID, _ *smr.Replica) bool {
-					_, okA := th.stores[p].Get(keyA)
-					_, ok0 := th.stores[p].Get(keyC0)
-					_, ok1 := th.stores[p].Get(keyC1)
-					return okA && ok0 && ok1
-				})
-			}, "the selected branch and both client commands to apply everywhere")
-
-			th.waitConfirmed("c0/1", "c1/1")
-			th.assertReplySafety("c0/1", "c1/1")
-			th.assertStoresEqual()
-		})
+		}
 	}
+}
+
+func equivocatingLeaderScenario(t *testing.T, cfg types.Config, group uint64) {
+	byzID := types.ProcessID(1 + group) // leader of view 1 of every slot of the group
+	correct := correctPeers(cfg, byzID)
+
+	valueA, keyA := kvBatch(group, "byz-a", 1)
+	valueB, _ := kvBatch(group, "byz-b", 1)
+	groupA := make(map[types.ProcessID]bool)
+	th := newByzCluster(t, cfg, byzID, 901, clusterOpts{
+		group:    group,
+		behavior: &SlotEquivocator{Slot: 0, ValueA: valueA, ValueB: valueB, GroupA: groupA},
+	})
+	if got := th.drv.Cluster().Leader(1); got != byzID {
+		t.Fatalf("driver's leader map for group %d puts view 1 under %s, want %s", group, got, byzID)
+	}
+	// Split so that neither branch can decide in view 1 (both below
+	// the commit and fast quorums) while exactly one branch — A —
+	// meets the selection quorum in the view change.
+	nA := th.th.CommitQuorum() - 1
+	for _, p := range correct[:nA] {
+		groupA[p] = true
+	}
+	nB := len(correct) - nA
+	if nA >= th.th.FastQuorum() || nA < th.th.SelectionQuorum() || nB >= th.th.SelectionQuorum() {
+		t.Fatalf("bad split for n=%d: |A|=%d |B|=%d (fast=%d commit=%d selection=%d)",
+			cfg.N, nA, nB, th.th.FastQuorum(), th.th.CommitQuorum(), th.th.SelectionQuorum())
+	}
+
+	keyC0 := th.submit("c0", 1) // triggers the equivocation
+
+	th.pump(30*time.Second, func() bool {
+		return th.allCorrect(func(_ types.ProcessID, r *smr.Replica) bool {
+			_, ok := r.Decided(0)
+			return ok
+		})
+	}, "every correct replica to decide slot 0 after the view change")
+
+	th.eachCorrect(func(p types.ProcessID, r *smr.Replica) {
+		d, _ := r.Decided(0)
+		if !d.Value.Equal(valueA) {
+			t.Fatalf("replica %s decided slot 0 with the minority branch (%d bytes)", p, len(d.Value))
+		}
+		if d.View < 2 {
+			t.Fatalf("replica %s decided slot 0 in view %d; the equivocated view must not decide", p, d.View)
+		}
+	})
+
+	// Liveness: the displaced client command and a fresh one both
+	// execute on every correct replica.
+	keyC1 := th.submit("c1", 1)
+	th.pump(30*time.Second, func() bool {
+		return th.allCorrect(func(p types.ProcessID, _ *smr.Replica) bool {
+			_, okA := th.stores[p].Get(keyA)
+			_, ok0 := th.stores[p].Get(keyC0)
+			_, ok1 := th.stores[p].Get(keyC1)
+			return okA && ok0 && ok1
+		})
+	}, "the selected branch and both client commands to apply everywhere")
+
+	th.waitConfirmed("c0/1", "c1/1")
+	th.assertReplySafety("c0/1", "c1/1")
+	th.assertStoresEqual()
 }
 
 // TestByzGarbageProposerSMR: the corrupted leader drives the first two log
@@ -313,8 +326,8 @@ func TestByzAckEquivocatorRecoverySMR(t *testing.T) {
 			cfg := tc.cfg
 			byzID := types.ProcessID(1)
 			victim := types.ProcessID(3)
-			valueA, _ := kvBatch("byz-a", 1)
-			valueB, _ := kvBatch("byz-b", 1)
+			valueA, _ := kvBatch(0, "byz-a", 1)
+			valueB, _ := kvBatch(0, "byz-b", 1)
 			ae := &AckEquivocator{Slot: 0, Victim: victim, ValueA: valueA, ValueB: valueB}
 			th := newByzCluster(t, cfg, byzID, 905, clusterOpts{
 				behavior: ae,

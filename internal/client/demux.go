@@ -4,16 +4,14 @@ import (
 	"sync"
 
 	"repro/internal/msg"
-	"repro/internal/transport"
 	"repro/internal/types"
 )
 
 // Demux shares one client Transport — typically a single set of TCP
-// connections to the cluster — among a client's per-group sessions. Each group gets its own Transport view; replies are
-// routed to the view named by their Group echo, and the sender identifier
-// is translated from the physical process that answered to the group's
-// logical identifier space (replies carry logical replica identifiers, and
-// a session only counts a reply whose Replica field matches its sender).
+// connections to the cluster — among a client's per-group sessions. Each
+// group gets its own Transport view; sends pass through, and replies are
+// routed to the view named by their Group echo. Process identifiers are the
+// same in every view.
 //
 // Close is reference-counted: the inner transport closes when the last view
 // closes, so the per-group sessions tear down independently.
@@ -31,7 +29,7 @@ type Demux struct {
 func NewDemux(inner Transport, n, groups int) *Demux {
 	d := &Demux{inner: inner, n: n, views: make([]*demuxView, groups)}
 	for g := range d.views {
-		d.views[g] = &demuxView{demux: d, rot: types.ProcessID(g % n)}
+		d.views[g] = &demuxView{demux: d}
 	}
 	inner.SetHandler(d.dispatch)
 	return d
@@ -50,9 +48,7 @@ func (d *Demux) dispatch(from types.ProcessID, rep *msg.Reply) {
 	h := v.handler
 	d.mu.Unlock()
 	if h != nil {
-		// from enters the group's logical coordinates here; the reply's
-		// Replica field already is logical.
-		h((from-v.rot+types.ProcessID(d.n))%types.ProcessID(d.n), rep)
+		h(from, rep)
 	}
 }
 
@@ -77,7 +73,6 @@ func (d *Demux) viewClosed() error {
 // demuxView is one group's client transport over the shared demux.
 type demuxView struct {
 	demux *Demux
-	rot   types.ProcessID
 
 	// handler/closed are guarded by demux.mu.
 	handler func(from types.ProcessID, rep *msg.Reply)
@@ -86,13 +81,9 @@ type demuxView struct {
 
 var _ Transport = (*demuxView)(nil)
 
-// Send implements Transport; to is logical and crosses to the physical
-// process the shared transport addresses.
+// Send implements Transport.
 func (v *demuxView) Send(to types.ProcessID, req *msg.Request) error {
-	if !to.Valid(v.demux.n) {
-		return transport.ErrUnknownPeer
-	}
-	return v.demux.inner.Send((to+v.rot)%types.ProcessID(v.demux.n), req)
+	return v.demux.inner.Send(to, req)
 }
 
 // SetHandler implements Transport.

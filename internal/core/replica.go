@@ -233,7 +233,7 @@ func (r *Replica) enterView(v types.View) []Action {
 	var out []Action
 	out = append(out, EnterViewAction{View: v})
 
-	leader := v.Leader(r.cfg.N)
+	leader := r.cfg.Leader(v)
 	switch {
 	case leader == r.id && v == 1:
 		// The first leader proposes its own input with an empty certificate.
@@ -343,7 +343,7 @@ func (r *Replica) onPropose(from types.ProcessID, m *msg.Propose) []Action {
 	case m.View < r.view:
 		return nil
 	}
-	leader := m.View.Leader(r.cfg.N)
+	leader := r.cfg.Leader(m.View)
 	if from != leader && from != r.id {
 		return nil
 	}
@@ -473,7 +473,7 @@ func (r *Replica) onVote(from types.ProcessID, m *msg.Vote) []Action {
 	case m.View < r.view:
 		return nil
 	}
-	if r.leader == nil || m.View.Leader(r.cfg.N) != r.id {
+	if r.leader == nil || r.cfg.Leader(m.View) != r.id {
 		return nil
 	}
 	if m.SV.Voter != from {

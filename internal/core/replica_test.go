@@ -459,3 +459,61 @@ func TestRestoreVoteStateBlocksEquivocation(t *testing.T) {
 		t.Fatal("restored guard leaked into views the replica never acked in")
 	}
 }
+
+// TestReplicaFollowsShiftedLeaderSchedule: a replica asks its configuration
+// who leads. With the schedule offset by 2 (a consensus group g ≥ 1),
+// process 3 leads view 1 and process 0 leads view 2: they propose, their
+// proposals are the ones acknowledged, votes go to them, and only they run
+// the view change — the paper's leaders for those views do none of it.
+func TestReplicaFollowsShiftedLeaderSchedule(t *testing.T) {
+	f := newFixture(types.Generalized(1, 1).WithLeaderShift(2), 40) // n=4
+	const leader1, leader2, paper1, paper2 = types.ProcessID(3), types.ProcessID(0), types.ProcessID(1), types.ProcessID(2)
+	if f.cfg.Leader(1) != leader1 || f.cfg.Leader(2) != leader2 {
+		t.Fatalf("leaders %s, %s", f.cfg.Leader(1), f.cfg.Leader(2))
+	}
+	propose := func(by types.ProcessID, x types.Value) *msg.Propose {
+		return &msg.Propose{View: 1, X: x, Tau: f.scheme.Signer(by).Sign(msg.ProposeDigest(x, 1))}
+	}
+	input := types.Value("in")
+	for _, id := range []types.ProcessID{leader1, paper1} {
+		r, err := core.NewReplica(f.cfg, id, f.scheme.Signer(id), f.verifier(), input)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if proposed := countKind(r.Init(), msg.KindPropose) > 0; proposed != (id == leader1) {
+			t.Fatalf("%s proposed in view 1: %v", id, proposed)
+		}
+	}
+	x := types.Value("x")
+	r := f.newReplica(t, paper2, nil)
+	if countKind(r.Deliver(paper1, propose(paper1, x)), msg.KindAck) != 0 {
+		t.Fatal("proposal by the unshifted map's leader acknowledged")
+	}
+	if countKind(r.Deliver(leader1, propose(leader1, x)), msg.KindAck) != 1 {
+		t.Fatal("proposal by the group's view-1 leader rejected")
+	}
+	voted := false
+	for _, a := range r.EnterView(2) {
+		if s, ok := a.(core.SendAction); ok && s.Msg.Kind() == msg.KindVote {
+			voted = true
+			if s.To != leader2 {
+				t.Fatalf("vote sent to %s, want the view-2 leader %s", s.To, leader2)
+			}
+		}
+	}
+	if !voted {
+		t.Fatal("no vote sent on view entry")
+	}
+	// Only the shifted view-2 leader collects votes into a certificate round.
+	for _, id := range []types.ProcessID{leader2, paper2} {
+		nl := f.newReplica(t, id, input)
+		acts := nl.EnterView(2)
+		for _, voter := range []types.ProcessID{1, 3} {
+			sv := f.signed(voter, f.adopted(x, 1), 2)
+			acts = append(acts, nl.Deliver(voter, &msg.Vote{View: 2, SV: sv})...)
+		}
+		if got := countKind(acts, msg.KindCertRequest) > 0; got != (id == leader2) {
+			t.Fatalf("%s started a certificate round: %v", id, got)
+		}
+	}
+}

@@ -92,7 +92,7 @@ func Select(th quorum.Thresholds, ver sigcrypto.Verifier, v types.View, votes []
 	// is contained in the votes themselves (two propose signatures, or a
 	// propose signature plus a commit certificate, both attributable to
 	// leader(w)), so CertRequest receivers re-derive it without extra proof.
-	culprit := w.Leader(th.Config().N)
+	culprit := th.Config().Leader(w)
 	prime := make([]msg.SignedVote, 0, len(valid))
 	for _, sv := range valid {
 		if sv.Voter != culprit {

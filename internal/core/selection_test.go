@@ -50,7 +50,7 @@ func (f *fixture) adopted(x types.Value, u types.View) msg.VoteRecord {
 	if u > 1 {
 		cert = f.progressCert(x, u)
 	}
-	leader := u.Leader(f.cfg.N)
+	leader := f.cfg.Leader(u)
 	return msg.VoteRecord{
 		Value: x.Clone(),
 		View:  u,
@@ -219,6 +219,45 @@ func TestSelectEquivocationNeedsQuorumWithoutCulprit(t *testing.T) {
 	}
 	if out.Free || !out.Value.Equal(x) {
 		t.Fatalf("expected x after extra vote, got %+v", out)
+	}
+}
+
+// TestSelectUnderShiftedLeaderSchedule: with the leader schedule offset (a
+// consensus group g ≥ 1), vote validity and the equivocation culprit both
+// follow the configuration's map. Process 4 leads view 1 here; a check left
+// on the paper's map would reject every adopted vote (τ is not process 1's)
+// or blame process 1.
+func TestSelectUnderShiftedLeaderSchedule(t *testing.T) {
+	f := newFixture(types.Vanilla(2).WithLeaderShift(3), 7) // n=9, n−f=7
+	culprit := types.ProcessID(4)
+	if f.cfg.Leader(1) != culprit {
+		t.Fatalf("view-1 leader %s, want %s", f.cfg.Leader(1), culprit)
+	}
+	x, y := types.Value("x"), types.Value("y")
+	votes := []msg.SignedVote{
+		f.signed(culprit, f.adopted(x, 1), 2), // the equivocator's own vote
+		f.signed(0, f.adopted(x, 1), 2),
+		f.signed(1, f.adopted(x, 1), 2),
+		f.signed(2, f.adopted(x, 1), 2),
+		f.signed(3, f.adopted(x, 1), 2),
+		f.signed(5, f.adopted(y, 1), 2),
+		f.signed(6, msg.NilVote(), 2),
+	}
+	if _, err := core.Select(f.th, f.verifier(), 2, votes); !errors.Is(err, core.ErrNeedMoreVotes) {
+		t.Fatalf("expected ErrNeedMoreVotes with the culprit's vote in the quorum, got %v", err)
+	}
+	votes = append(votes, f.signed(7, msg.NilVote(), 2))
+	out, err := core.Select(f.th, f.verifier(), 2, votes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Free || !out.Value.Equal(x) || out.Culprit != culprit {
+		t.Fatalf("expected x with culprit %s, got %+v", culprit, out)
+	}
+	// A vote whose τ is signed by the paper's view-1 leader is not valid.
+	forged := msg.VoteRecord{Value: x, View: 1, Tau: f.scheme.Signer(1).Sign(msg.ProposeDigest(x, 1))}
+	if forged.Valid(f.verifier(), f.th) {
+		t.Fatal("vote adopted from a non-leader's proposal accepted")
 	}
 }
 

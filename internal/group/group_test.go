@@ -5,10 +5,12 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/msg"
+	"repro/internal/quorum"
 	"repro/internal/sigcrypto"
 	"repro/internal/smr"
 	"repro/internal/storage"
@@ -16,50 +18,247 @@ import (
 	"repro/internal/types"
 )
 
-func TestRotationAndNamespace(t *testing.T) {
-	if Rotation(0, 4) != 0 || Rotation(1, 4) != 1 || Rotation(5, 4) != 1 {
-		t.Fatal("rotation is group mod n")
-	}
+func TestNamespace(t *testing.T) {
 	if Namespace(0) != "g0-" || Namespace(3) != "g3-" {
 		t.Fatalf("namespaces = %q, %q", Namespace(0), Namespace(3))
 	}
-	// Logical/physical must be inverse bijections for every group.
-	for g := 0; g < 4; g++ {
-		rot := Rotation(g, 4)
-		for p := types.ProcessID(0); p < 4; p++ {
-			if physical(logical(p, rot, 4), rot, 4) != p {
-				t.Fatalf("group %d: identity rotation is not a bijection at %d", g, p)
+}
+
+// TestNewRejectsInvalidCluster: a cluster that was never validated (n = 0
+// here) is a construction error, not a divide by zero in the leader-shift
+// arithmetic.
+func TestNewRejectsInvalidCluster(t *testing.T) {
+	if _, err := New(Config{Shards: 1}); err == nil {
+		t.Fatal("zero-value cluster accepted")
+	}
+	net := transport.NewMemNetwork(4, 0)
+	defer func() { _ = net.Close() }()
+	_, err := New(Config{
+		Cluster: types.Config{N: 3, F: 1, T: 1}, Index: 1, Shards: 2,
+		Transport: net.Transport(0), App: smr.NewKVStore(),
+	})
+	if err == nil {
+		t.Fatal("cluster below the resilience bound accepted")
+	}
+}
+
+// frameLog records every frame the tapped processes receive, with the
+// sender their transport authenticated.
+type frameLog struct {
+	mu     sync.Mutex
+	frames []loggedFrame
+}
+
+type loggedFrame struct {
+	from    types.ProcessID
+	payload []byte
+}
+
+type tappedTransport struct {
+	transport.Transport
+	log *frameLog
+}
+
+func (l *frameLog) tap(tr transport.Transport) transport.Transport {
+	return &tappedTransport{Transport: tr, log: l}
+}
+
+func (t *tappedTransport) SetHandler(h transport.Handler) {
+	t.Transport.SetHandler(func(from types.ProcessID, payload []byte) {
+		t.log.mu.Lock()
+		t.log.frames = append(t.log.frames, loggedFrame{from: from, payload: append([]byte(nil), payload...)})
+		t.log.mu.Unlock()
+		h(from, payload)
+	})
+}
+
+// check walks the log and asserts, for every frame of every group, that the
+// identifiers inside it are the processes themselves: a proposal comes from
+// and is signed by the leader of its view under the group's schedule
+// (process (v+g) mod n), an ack signature is the sender's own and verifies
+// under the cluster verifier, and a commit certificate verifies under the
+// cluster verifier. It returns the number of verified commit certificates
+// and the proposers seen, per group and view.
+func (l *frameLog) check(t *testing.T, cfg types.Config, ver sigcrypto.Verifier) (certs map[uint64]int, proposers map[uint64]map[types.View]types.ProcessID) {
+	t.Helper()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	th := quorum.New(cfg)
+	certs = make(map[uint64]int)
+	proposers = make(map[uint64]map[types.View]types.ProcessID)
+	for _, fr := range l.frames {
+		g, s, m, ok := smr.OpenEnvelope(fr.payload)
+		if !ok {
+			t.Fatalf("undecodable frame from %s", fr.from)
+		}
+		// The slot's signing domain over the cluster's own verifier:
+		// nothing translates the signer in between.
+		sv := smr.SlotVerifier(ver, g, s)
+		switch m := m.(type) {
+		case *msg.Propose:
+			want := types.ProcessID((uint64(m.View) + g) % uint64(cfg.N))
+			if fr.from != want || m.Tau.Signer != want {
+				t.Fatalf("group %d slot %d %s: proposal from %s signed by %s, want leader %s", g, s, m.View, fr.from, m.Tau.Signer, want)
 			}
+			if !sv.Verify(msg.ProposeDigest(m.X, m.View), m.Tau) {
+				t.Fatalf("group %d slot %d: proposal signature does not verify under the cluster verifier", g, s)
+			}
+			if proposers[g] == nil {
+				proposers[g] = make(map[types.View]types.ProcessID)
+			}
+			proposers[g][m.View] = fr.from
+		case *msg.AckSig:
+			if m.Phi.Signer != fr.from || !sv.Verify(msg.AckDigest(m.X, m.View), m.Phi) {
+				t.Fatalf("group %d slot %d: ack signature by %s sent by %s does not verify as the sender's", g, s, m.Phi.Signer, fr.from)
+			}
+		case *msg.Commit:
+			if !m.CC.Verify(sv, th) {
+				t.Fatalf("group %d slot %d: commit certificate from %s does not verify under the cluster verifier", g, s, fr.from)
+			}
+			certs[g]++
+		}
+	}
+	return certs, proposers
+}
+
+// TestOneIdentifierSpaceAcrossGroups: four groups over four processes. The
+// groups differ in who leads, never in who a process is — every reply names
+// the process that produced it, every proposal is the (1+g) mod n leader's
+// own, and every signature and commit certificate on the wire verifies under
+// the cluster's plain verifier.
+func TestOneIdentifierSpaceAcrossGroups(t *testing.T) {
+	cfg := types.Generalized(1, 1) // n = 4
+	const shards = 4
+	scheme := sigcrypto.NewHMAC(cfg.N, 44)
+	net := transport.NewMemNetwork(cfg.N, 0)
+	defer func() { _ = net.Close() }()
+	var log frameLog
+	procs := make([]*shardedProc, cfg.N)
+	for i := range procs {
+		p := types.ProcessID(i)
+		procs[i] = bootProc(t, cfg, scheme, shards, p, "", log.tap(net.Transport(p)), false)
+	}
+	var mu sync.Mutex
+	replied := make([]int, shards)
+	var misattributed []string
+	for g := 0; g < shards; g++ {
+		req := &msg.Request{
+			Client: types.ClientID(fmt.Sprintf("c%d", g)), Seq: 1, Group: uint64(g),
+			Op: smr.EncodeKV(smr.KVCommand{Op: smr.OpSet, Key: fmt.Sprintf("k%d", g), Value: "v"}),
+		}
+		for i, proc := range procs {
+			p, g := types.ProcessID(i), g
+			err := proc.groups[g].Replica().HandleRequest(req, func(rep *msg.Reply) {
+				mu.Lock()
+				defer mu.Unlock()
+				replied[g]++
+				if rep.Replica != p || rep.Group != uint64(g) {
+					misattributed = append(misattributed,
+						fmt.Sprintf("process %s group %d replied as replica %s group %d", p, g, rep.Replica, rep.Group))
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		mu.Lock()
+		done := true
+		for _, r := range replied {
+			done = done && r == cfg.N
+		}
+		mu.Unlock()
+		if done {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("timeout: replies per group %v, want %d each", replied, cfg.N)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	for _, proc := range procs {
+		for _, grp := range proc.groups {
+			_ = grp.Close()
+		}
+	}
+	if len(misattributed) > 0 {
+		t.Fatal(strings.Join(misattributed, "; "))
+	}
+	certs, proposers := log.check(t, cfg, scheme.Verifier())
+	for g := uint64(0); g < shards; g++ {
+		if want := types.ProcessID((1 + g) % uint64(cfg.N)); proposers[g][1] != want {
+			t.Fatalf("group %d: view-1 proposer %s, want %s", g, proposers[g][1], want)
+		}
+		if certs[g] == 0 {
+			t.Fatalf("group %d: no commit certificate crossed the wire", g)
 		}
 	}
 }
 
-// TestRotatedSigningIdentity: the signing wrappers only rotate identities
-// (the signing domain is the SMR layer's business). A signature carries the
-// group's logical identifier, verifies when mapped back through the same
-// rotation, and fails under another rotation — there the logical identifier
-// names a different physical key.
-func TestRotatedSigningIdentity(t *testing.T) {
-	const n = 4
-	scheme := sigcrypto.NewHMAC(n, 7)
-	digest := []byte("domain-salted digest bytes")
-	for rot := types.ProcessID(0); rot < n; rot++ {
-		const phys = types.ProcessID(2)
-		self := logical(phys, rot, n)
-		sig := (&groupSigner{inner: scheme.Signer(phys), self: self}).Sign(digest)
-		if sig.Signer != self {
-			t.Fatalf("rotation %d: signature attributed to %d, want logical %d", rot, sig.Signer, self)
-		}
-		if !(&groupVerifier{inner: scheme.Verifier(), rot: rot, n: n}).Verify(digest, sig) {
-			t.Fatalf("rotation %d: own signature rejected", rot)
-		}
-		if (&groupVerifier{inner: scheme.Verifier(), rot: (rot + 1) % n, n: n}).Verify(digest, sig) {
-			t.Fatalf("rotation %d: signature verified under another rotation", rot)
+// TestShiftedGroupViewChange: group 1's view-1 leader, process 2, never
+// comes up. The group must time it out and decide under process 3, the
+// leader of view 2 — (2+g) mod n, not the paper's process 2 — which
+// exercises the shifted schedule through window fill, vote routing and
+// grafting. Group 0, led by process 1, is undisturbed.
+func TestShiftedGroupViewChange(t *testing.T) {
+	cfg := types.Generalized(1, 1) // n = 4
+	const shards, silent = 2, types.ProcessID(2)
+	scheme := sigcrypto.NewHMAC(cfg.N, 45)
+	net := transport.NewMemNetwork(cfg.N, 0)
+	defer func() { _ = net.Close() }()
+	var log frameLog
+	procs := make(map[types.ProcessID]*shardedProc)
+	for i := 0; i < cfg.N; i++ {
+		if p := types.ProcessID(i); p != silent {
+			procs[p] = bootProc(t, cfg, scheme, shards, p, "", log.tap(net.Transport(p)), false)
 		}
 	}
-	bad := sigcrypto.Signature{Signer: n, Bytes: []byte("x")}
-	if (&groupVerifier{inner: scheme.Verifier(), rot: 1, n: n}).Verify(digest, bad) {
-		t.Fatal("out-of-range signer accepted")
+	for g := 0; g < shards; g++ {
+		req := &msg.Request{
+			Client: types.ClientID(fmt.Sprintf("c%d", g)), Seq: 1, Group: uint64(g),
+			Op: smr.EncodeKV(smr.KVCommand{Op: smr.OpSet, Key: fmt.Sprintf("k%d", g), Value: "v"}),
+		}
+		for _, proc := range procs { // a client submits to every replica
+			if err := proc.groups[g].Replica().HandleRequest(req, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for p, proc := range procs {
+		for g := 0; g < shards; g++ {
+			for proc.stores[g].AppliedOps() < 1 {
+				if time.Now().After(deadline) {
+					t.Fatalf("timeout: process %s group %d applied nothing", p, g)
+				}
+				time.Sleep(2 * time.Millisecond)
+			}
+		}
+	}
+	// View 2 unless a scheduling hiccup timed that out too; whichever view
+	// decided, its proposer is the shifted schedule's leader (log.check).
+	var decidedIn types.View
+	for p, proc := range procs {
+		d, ok := proc.groups[1].Replica().Decided(0)
+		if !ok || d.View < 2 {
+			t.Fatalf("process %s group 1: slot 0 decided %v in %s, want a view past the silent leader's", p, ok, d.View)
+		}
+		decidedIn = d.View
+		for _, grp := range proc.groups {
+			_ = grp.Close()
+		}
+	}
+	_, proposers := log.check(t, cfg, scheme.Verifier())
+	if got := proposers[1][2]; got != 3 {
+		t.Fatalf("group 1 view 2 led by %s, want process 3", got)
+	}
+	if _, ok := proposers[1][decidedIn]; !ok {
+		t.Fatalf("group 1 decided in %s without a proposal in it", decidedIn)
+	}
+	if _, ok := proposers[1][1]; ok {
+		t.Fatal("the silent leader's view produced a proposal")
 	}
 }
 

@@ -53,7 +53,7 @@ func (vr VoteRecord) Valid(ver sigcrypto.Verifier, th quorum.Thresholds) bool {
 	if vr.View < 1 {
 		return false
 	}
-	leader := vr.View.Leader(th.Config().N)
+	leader := th.Config().Leader(vr.View)
 	if vr.Tau.Signer != leader {
 		return false
 	}
@@ -183,17 +183,17 @@ type EquivocationProof struct {
 }
 
 // Culprit returns the provably Byzantine process, leader(View).
-func (p EquivocationProof) Culprit(n int) types.ProcessID {
-	return p.View.Leader(n)
+func (p EquivocationProof) Culprit(cfg types.Config) types.ProcessID {
+	return cfg.Leader(p.View)
 }
 
 // Verify reports whether the proof is genuine: the two values differ and
 // both signatures are valid propose signatures by leader(View).
-func (p EquivocationProof) Verify(ver sigcrypto.Verifier, n int) bool {
+func (p EquivocationProof) Verify(ver sigcrypto.Verifier, cfg types.Config) bool {
 	if p.View < 1 || p.Value1.Equal(p.Value2) {
 		return false
 	}
-	leader := p.View.Leader(n)
+	leader := cfg.Leader(p.View)
 	if p.Tau1.Signer != leader || p.Tau2.Signer != leader {
 		return false
 	}

@@ -144,32 +144,41 @@ func TestVoteRecordMaxView(t *testing.T) {
 	}
 }
 
+// TestEquivocationProof runs under the paper's leader map and under a
+// shifted one (a consensus group g ≥ 1): the culprit and the signer check
+// follow the configuration, so a proof against the group's leader is not a
+// proof under another schedule.
 func TestEquivocationProof(t *testing.T) {
 	s := testScheme()
 	ver := s.Verifier()
-	leader := types.View(2).Leader(testCfg.N)
-	proof := EquivocationProof{
-		View:   2,
-		Value1: types.Value("a"),
-		Tau1:   s.Signer(leader).Sign(ProposeDigest(types.Value("a"), 2)),
-		Value2: types.Value("b"),
-		Tau2:   s.Signer(leader).Sign(ProposeDigest(types.Value("b"), 2)),
-	}
-	if !proof.Verify(ver, testCfg.N) {
-		t.Fatal("genuine equivocation proof rejected")
-	}
-	if proof.Culprit(testCfg.N) != leader {
-		t.Fatalf("culprit = %s, want %s", proof.Culprit(testCfg.N), leader)
-	}
-	same := proof
-	same.Value2 = same.Value1
-	if same.Verify(ver, testCfg.N) {
-		t.Fatal("proof with equal values accepted")
-	}
-	wrong := proof
-	wrong.Tau2 = s.Signer(0).Sign(ProposeDigest(types.Value("b"), 2))
-	if wrong.Verify(ver, testCfg.N) {
-		t.Fatal("proof with non-leader signature accepted")
+	for _, cfg := range []types.Config{testCfg, testCfg.WithLeaderShift(1)} {
+		leader := cfg.Leader(2)
+		proof := EquivocationProof{
+			View:   2,
+			Value1: types.Value("a"),
+			Tau1:   s.Signer(leader).Sign(ProposeDigest(types.Value("a"), 2)),
+			Value2: types.Value("b"),
+			Tau2:   s.Signer(leader).Sign(ProposeDigest(types.Value("b"), 2)),
+		}
+		if !proof.Verify(ver, cfg) {
+			t.Fatal("genuine equivocation proof rejected")
+		}
+		if proof.Culprit(cfg) != leader {
+			t.Fatalf("culprit = %s, want %s", proof.Culprit(cfg), leader)
+		}
+		if proof.Verify(ver, cfg.WithLeaderShift(2)) {
+			t.Fatal("proof accepted under another leader schedule")
+		}
+		same := proof
+		same.Value2 = same.Value1
+		if same.Verify(ver, cfg) {
+			t.Fatal("proof with equal values accepted")
+		}
+		wrong := proof
+		wrong.Tau2 = s.Signer(0).Sign(ProposeDigest(types.Value("b"), 2))
+		if wrong.Verify(ver, cfg) {
+			t.Fatal("proof with non-leader signature accepted")
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package smr
 import (
 	"repro/internal/msg"
 	"repro/internal/sigcrypto"
+	"repro/internal/types"
 )
 
 // Adversary hooks: the envelope and signing-domain primitives of the SMR
@@ -24,11 +25,27 @@ const CtrlSlotID = ctrlSlot
 // exported name of syncSlot).
 const SyncSlotID = syncSlot
 
+// GroupCluster returns the cluster configuration group g's consensus
+// instances run under: the same processes, quorums and thresholds, with view
+// v led by process (v+g) mod n. Who leads is the one thing a group changes
+// about the protocol; NewReplica derives its configuration here, and so does
+// anything that must agree with a group's replicas on the leader map.
+func GroupCluster(c types.Config, g uint64) types.Config {
+	return c.WithLeaderShift(g)
+}
+
 // SlotSigner binds a signer to the signing domain of slot s of group g: the
 // signer an honest replica of that group uses inside slot s's consensus
 // instance.
 func SlotSigner(inner sigcrypto.Signer, g, s uint64) sigcrypto.Signer {
 	return domainSigner{inner: inner, salt: slotDomain(g, s)}
+}
+
+// SlotVerifier is the verifying counterpart of SlotSigner: it checks
+// signatures in the domain of slot s of group g under inner, the cluster's
+// own verifier.
+func SlotVerifier(inner sigcrypto.Verifier, g, s uint64) sigcrypto.Verifier {
+	return domainVerifier{inner: inner, salt: slotDomain(g, s)}
 }
 
 // LogSigner binds a signer to group g's log-wide signing domain — the

@@ -107,11 +107,6 @@ type Config struct {
 	// (and seeds it while no decide latency has been observed yet). The
 	// viewsync default applies when zero.
 	BaseTimeout time.Duration
-	// FixedTimeout disables adaptive leader-suspicion timeouts: the regime
-	// timer always waits the full BaseTimeout (with backoff on repeated
-	// failure) instead of tracking the observed decide latency. Used by
-	// benchmarks to measure the pre-adaptive baseline.
-	FixedTimeout bool
 	// WindowSize bounds how many consensus instances may be live at once
 	// (default 8): the replica participates in slots
 	// [lowestUndecided, lowestUndecided+WindowSize), and starts an instance
@@ -142,7 +137,9 @@ type Config struct {
 	// outgoing frame leads with it, frames and requests addressed to another
 	// group are dropped or rejected, replies echo it so a client can
 	// demultiplex them, and every signature is bound to it (see slotDomain,
-	// logDomain). Group 0 is a group like any other.
+	// logDomain). It also sets the group's leader schedule: view v is led
+	// by process (v + Group) mod n (types.Config.WithLeaderShift). Group 0
+	// is a group like any other.
 	Group uint64
 	// Metrics, when set, exports the replica's counters, gauges, and staged
 	// request-latency histograms under MetricsLabels (see internal/obs).
@@ -184,8 +181,8 @@ type Stats struct {
 	// pushed the window into a view change (leader suspicions).
 	RegimeTimeouts uint64
 	// RegimeTimeout is the suspicion delay the regime timer would use if
-	// armed now: the adaptive EWMA-derived value (or BaseTimeout when fixed
-	// or unsampled), scaled by the current backoff.
+	// armed now: the adaptive EWMA-derived value (BaseTimeout while
+	// unsampled), scaled by the current backoff.
 	RegimeTimeout time.Duration
 }
 
@@ -308,6 +305,9 @@ func NewReplica(cfg Config) (*Replica, error) {
 	if err := cfg.Cluster.Validate(); err != nil {
 		return nil, err
 	}
+	// Group g's view v is led by process (v+g) mod n, so the groups of a
+	// deployment spread their view-1 leaders across the processes.
+	cfg.Cluster = GroupCluster(cfg.Cluster, cfg.Group)
 	if cfg.App == nil {
 		return nil, errors.New("smr: nil App")
 	}
@@ -566,7 +566,7 @@ func (r *Replica) fillWindowLocked() {
 	if r.pending.Len() == 0 {
 		return
 	}
-	if types.View(1).Leader(r.cfg.Cluster.N) != r.cfg.Self {
+	if r.cfg.Cluster.Leader(1) != r.cfg.Self {
 		return
 	}
 	startable := false
@@ -694,7 +694,7 @@ func (r *Replica) startSlotLocked(s uint64, lead bool) *slot {
 // vote constrains. The caller holds r.mu (the hook fires inside
 // Deliver/Tick/Init, which always run under it).
 func (r *Replica) enterSlotViewLocked(s uint64, sl *slot, v types.View) {
-	if v <= 1 || v.Leader(r.cfg.Cluster.N) != r.cfg.Self {
+	if v <= 1 || r.cfg.Cluster.Leader(v) != r.cfg.Self {
 		return
 	}
 	if _, dec := r.decided[s]; dec {
@@ -934,15 +934,15 @@ func (r *Replica) armRegimeLocked() {
 // base] — so the timeout shrinks toward real latency without ever racing
 // honest-but-slow decides — then doubled per consecutive no-progress fire
 // (capped at 64x), so repeated failures trade detection latency for
-// stability. With FixedTimeout, or before any decide has been observed, the
-// delay is the full base. The caller holds r.mu.
+// stability. Before any decide has been observed the delay is the full
+// base. The caller holds r.mu.
 func (r *Replica) regimeDelayLocked() time.Duration {
 	base := r.cfg.BaseTimeout
 	if base <= 0 {
 		base = viewsync.DefaultBaseTimeout
 	}
 	d := base
-	if !r.cfg.FixedTimeout && r.ewmaDecide > 0 {
+	if r.ewmaDecide > 0 {
 		d = 4 * r.ewmaDecide
 		floor := base / 16
 		if floor < 20*time.Millisecond {
@@ -1076,7 +1076,7 @@ func (r *Replica) flushViewBufsLocked() {
 			entries := r.voteBuf[v]
 			delete(r.voteBuf, v)
 			sort.Slice(entries, func(i, j int) bool { return entries[i].Slot < entries[j].Slot })
-			to := v.Leader(r.cfg.Cluster.N)
+			to := r.cfg.Cluster.Leader(v)
 			for i := 0; i < len(entries); i += msg.MaxWindowSlots {
 				j := i + msg.MaxWindowSlots
 				if j > len(entries) {

@@ -118,6 +118,33 @@ type Config struct {
 	// T is the fast-path threshold: the protocol terminates in two message
 	// delays whenever at most T processes are actually faulty.
 	T int
+	// shift offsets the leader schedule (see Leader); zero is the paper's
+	// map. Set by WithLeaderShift only, so Config{N, F, T} literals run the
+	// paper's schedule.
+	shift uint64
+}
+
+// Leader returns the leader of view v: (v + shift) mod n, the agreed map of
+// Section 3 offset by the configuration's leader shift. Every process of an
+// instance must hold the same shift; with shift zero this is v.Leader(n).
+func (c Config) Leader(v View) ProcessID {
+	if c.N <= 0 {
+		return NoProcess
+	}
+	return ProcessID((uint64(v)%uint64(c.N) + c.shift) % uint64(c.N))
+}
+
+// WithLeaderShift returns the configuration with its leader schedule offset
+// by shift mod n: view v is led by process (v + shift) mod n. Identities,
+// quorums and thresholds are untouched — hosting several consensus groups on
+// one set of processes gives each group its own shift, so their view-1
+// leaders differ (see internal/smr).
+func (c Config) WithLeaderShift(shift uint64) Config {
+	c.shift = 0
+	if c.N > 0 {
+		c.shift = shift % uint64(c.N)
+	}
+	return c
 }
 
 // Validate checks the resilience constraints from the paper:

@@ -20,6 +20,45 @@ func TestLeaderRoundRobin(t *testing.T) {
 	}
 }
 
+// TestConfigLeaderShift pins the one thing a consensus group changes about
+// the protocol: its leader schedule is the paper's map offset by the group
+// number. Shift g leads view v with process (v+g) mod n, shift 0 is the
+// paper's map, and group g's view-1 leader is process (1+g) mod n — process
+// 1 for group 0.
+func TestConfigLeaderShift(t *testing.T) {
+	for _, n := range []int{4, 9} {
+		base := Config{N: n, F: 1, T: 1}
+		for g := 0; g < 2*n; g++ {
+			cfg := base.WithLeaderShift(uint64(g))
+			for v := View(1); v <= View(3*n); v++ {
+				want := ProcessID((int(v) + g) % n)
+				if got := cfg.Leader(v); got != want {
+					t.Fatalf("n=%d shift=%d: leader(%s) = %s, want %s", n, g, v, got, want)
+				}
+				if g == 0 && cfg.Leader(v) != v.Leader(n) {
+					t.Fatalf("n=%d: shift 0 departs from the paper's map at %s", n, v)
+				}
+			}
+			if got, want := cfg.Leader(1), ProcessID((1+g)%n); got != want {
+				t.Fatalf("n=%d group %d: view-1 leader %s, want %s", n, g, got, want)
+			}
+			if cfg.N != base.N || cfg.F != base.F || cfg.T != base.T {
+				t.Fatalf("shift changed the resilience parameters: %s", cfg)
+			}
+		}
+		if base.Leader(7) != View(7).Leader(n) {
+			t.Fatalf("n=%d: a Config literal must run the paper's schedule", n)
+		}
+	}
+	// Near the top of the view space the sum must not wrap.
+	if got := (Config{N: 4, F: 1, T: 1}).WithLeaderShift(3).Leader(View(^uint64(0))); got != ProcessID((^uint64(0)%4+3)%4) {
+		t.Fatalf("leader at the maximal view: %s", got)
+	}
+	if got := (Config{}).WithLeaderShift(3).Leader(1); got != NoProcess {
+		t.Fatalf("leader with n=0: got %s, want NoProcess", got)
+	}
+}
+
 func TestLeaderFairness(t *testing.T) {
 	// Every process leads infinitely often: over n consecutive views every
 	// process leads exactly once.

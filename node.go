@@ -138,9 +138,9 @@ type KVReplicaConfig struct {
 	// Empty keeps the replica reachable by in-process handles only.
 	ClientListenAddr string
 	// BaseTimeout caps the leader-suspicion (regime) timer and seeds it
-	// before any decide latency has been observed (500ms if zero). With
-	// adaptive timeouts enabled (the default) the effective timer shrinks
-	// toward a small multiple of the observed decide latency.
+	// before any decide latency has been observed (500ms if zero). The
+	// effective timer shrinks toward a small multiple of the observed
+	// decide latency.
 	BaseTimeout time.Duration
 	// WindowSize bounds how many log slots may run consensus concurrently
 	// (default 8). The replica pipelines replication across the window —
@@ -151,11 +151,6 @@ type KVReplicaConfig struct {
 	// MaxBatch is the maximum number of pending commands packed into one
 	// slot proposal (default 1, i.e. no batching).
 	MaxBatch int
-	// FixedTimeout disables the adaptive leader-suspicion timer: the regime
-	// timer always waits the full BaseTimeout instead of tracking the
-	// observed decide latency. Useful as a benchmark baseline and for
-	// deployments that want a hard, predictable failover bound.
-	FixedTimeout bool
 	// OnCommit, if set, observes every decided log slot, in slot order.
 	OnCommit func(slot uint64, cmd []byte)
 	// CheckpointInterval, when positive, enables checkpointing: every
@@ -306,7 +301,6 @@ func NewKVReplica(cfg KVReplicaConfig) (*KVReplica, error) {
 			App:                store,
 			OnCommit:           onCommit,
 			BaseTimeout:        cfg.BaseTimeout,
-			FixedTimeout:       cfg.FixedTimeout,
 			WindowSize:         cfg.WindowSize,
 			MaxBatch:           cfg.MaxBatch,
 			CheckpointInterval: cfg.CheckpointInterval,
@@ -442,8 +436,8 @@ type ClientReply struct {
 	// Slot is the log slot the request executed in.
 	Slot uint64
 	// Replica is the responding replica; a client trusts a result once f+1
-	// distinct replicas report it. The identifier is the group's logical
-	// one (group g's logical l is physical (l+g) mod n).
+	// distinct replicas report it — the same process identifier in every
+	// group.
 	Replica ProcessID
 	// Result is the application's result bytes.
 	Result []byte
@@ -611,13 +605,10 @@ func NewKVClient(id string, timeout time.Duration, reps ...*KVReplica) (*KVClien
 	}
 	c := &KVClient{shards: shards}
 	for g := 0; g < shards; g++ {
-		// Each group's transport is indexed by the group's logical
-		// identifiers: logical l is the physical process (l+g) mod n.
 		handles := make([]*smr.Replica, cluster.N)
-		for l := 0; l < cluster.N; l++ {
-			phys := (l + g) % cluster.N
-			if reps[phys] != nil {
-				handles[l] = reps[phys].groups[g].Replica()
+		for p, kr := range reps {
+			if kr != nil {
+				handles[p] = kr.groups[g].Replica()
 			}
 		}
 		inner, err := client.New(client.Config{

@@ -6,7 +6,10 @@ GO ?= go
 # FUZZTIME is the per-target budget of the fuzz target.
 FUZZTIME ?= 30s
 
-.PHONY: all build test race bench bench-check fuzz smoke leaderkill fmt fmt-check vet doc-check byz recovery-race clean
+# SEEDS is how many seeds per scenario the sim-sweep target runs.
+SEEDS ?= 500
+
+.PHONY: all build test race bench bench-check fuzz smoke leaderkill fmt fmt-check vet doc-check byz sim-sweep recovery-race clean
 
 all: build test
 
@@ -90,13 +93,21 @@ doc-check:
 	$(GO) run ./cmd/doccheck
 
 ## byz: the Byzantine adversary suite under the race detector — the five
-## lockstep SMR attack scenarios of internal/byz, each under both resilience
+## simulator-driven SMR attack scenarios of internal/byz, each under both resilience
 ## shapes (n=5f−1 fast and n=3f+1 slow), plus the multi-process drills where
 ## one replica OS process runs the garbage or the equivocate adversary
 ## against a networked client (see docs/THREAT_MODEL.md for the taxonomy)
 byz:
 	$(GO) test -race -run 'TestByz' ./internal/byz
 	$(GO) test -race -count=1 -run 'TestRunMultiProcessByzantine|TestRunMultiProcessEquivocate' ./cmd/fastbft-cluster
+
+## sim-sweep: the seeded-schedule smoke of internal/smr (whole clusters under
+## random per-message delays on the simulator's virtual time; agreement,
+## exactly-once, identical stores, bounded-time progress) over SEEDS seeds per
+## scenario instead of CI's 20. A failure prints its seed; replay it with
+## `go test ./internal/smr -run TestSeededScheduleSmoke -sim.first=<seed> -sim.seeds=1`
+sim-sweep:
+	$(GO) test ./internal/smr -count=1 -run 'TestSeededScheduleSmoke' -sim.seeds=$(SEEDS)
 
 ## recovery-race: the crash-recovery and torn-write suites under the race
 ## detector (CI runs this as its own step; the paths mix goroutines,

@@ -62,7 +62,7 @@ func BenchmarkFigure1aFastPath(b *testing.B) {
 // (crashed first leader, votes, certificate round, new proposal).
 func BenchmarkFigure1bViewChange(b *testing.B) {
 	cfg := types.Generalized(1, 1)
-	leader1 := types.View(1).Leader(cfg.N)
+	leader1 := cfg.Leader(1)
 	for i := 0; i < b.N; i++ {
 		c, err := sim.NewCluster(sim.ClusterConfig{
 			Cfg:    cfg,
@@ -270,7 +270,7 @@ func BenchmarkViewChangeDepthAblation(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				faulty := make(map[types.ProcessID]sim.Node, depth)
 				for d := 0; d < depth; d++ {
-					faulty[types.View(1+d).Leader(cfg.N)] = sim.SilentNode{}
+					faulty[cfg.Leader(types.View(1+d))] = sim.SilentNode{}
 				}
 				c, err := sim.NewCluster(sim.ClusterConfig{
 					Cfg:    cfg,

@@ -27,7 +27,7 @@ func main() {
 
 func run() error {
 	cfg := types.Generalized(1, 1) // n = 4
-	leader := types.View(1).Leader(cfg.N)
+	leader := cfg.Leader(1)
 	fmt.Printf("cluster %s; Byzantine leader of view 1 is %s\n", cfg, leader)
 
 	// Build the cluster with the leader slot marked faulty, then install

@@ -91,7 +91,7 @@ func (r *Replica) learnQuorum() int { return r.n - r.t }
 
 // Init implements sim.Machine: the view-1 leader proposes its input.
 func (r *Replica) Init(core.Time) []core.Action {
-	if types.View(1).Leader(r.n) != r.id {
+	if (types.Config{N: r.n}).Leader(1) != r.id {
 		return nil
 	}
 	tau := r.signer.Sign(proposeDigest(1, r.input))
@@ -127,7 +127,7 @@ func (r *Replica) onPropose(from types.ProcessID, m *msg.Raw) []core.Action {
 	if m.View != 1 || r.accepted != nil {
 		return nil
 	}
-	leader := m.View.Leader(r.n)
+	leader := types.Config{N: r.n}.Leader(m.View)
 	if from != leader && from != r.id {
 		return nil
 	}

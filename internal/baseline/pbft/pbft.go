@@ -234,7 +234,7 @@ func (r *Replica) enterView(v types.View) []core.Action {
 	r.newViewSent = false
 	out := []core.Action{core.EnterViewAction{View: v}}
 
-	leader := v.Leader(r.n)
+	leader := types.Config{N: r.n}.Leader(v)
 	switch {
 	case leader == r.id && v == 1:
 		tau := r.signer.Sign(digest(domainPrePrepare, 1, r.input))
@@ -336,7 +336,7 @@ func (r *Replica) onPrePrepare(from types.ProcessID, m *msg.Raw) []core.Action {
 	if r.accepted != nil {
 		return nil
 	}
-	leader := m.View.Leader(r.n)
+	leader := types.Config{N: r.n}.Leader(m.View)
 	if from != leader && from != r.id {
 		return nil
 	}
@@ -427,7 +427,7 @@ func (r *Replica) onState(from types.ProcessID, m *msg.Raw) []core.Action {
 	case m.View < r.view:
 		return nil
 	}
-	if r.leaderStates == nil || m.View.Leader(r.n) != r.id {
+	if r.leaderStates == nil || (types.Config{N: r.n}).Leader(m.View) != r.id {
 		return nil
 	}
 	rd := wire.NewReader(m.Payload)
@@ -524,7 +524,7 @@ func (r *Replica) verifyNewView(m *msg.Raw) (bool, types.Value, sigcrypto.Signat
 	if rd.Finish() != nil || len(reports) < r.quorum() {
 		return false, nil, sigcrypto.Signature{}
 	}
-	if tau.Signer != m.View.Leader(r.n) {
+	if tau.Signer != (types.Config{N: r.n}).Leader(m.View) {
 		return false, nil, sigcrypto.Signature{}
 	}
 	chosen := chooseValue(reports, m.X) // leader may pick its input when free

@@ -90,7 +90,7 @@ func TestPBFTToleratesFSilentProcesses(t *testing.T) {
 func TestPBFTViewChangeAfterLeaderCrash(t *testing.T) {
 	f := 1
 	n := MinProcesses(f)
-	leader := types.View(1).Leader(n)
+	leader := types.Config{N: n}.Leader(1)
 	faulty := map[types.ProcessID]bool{leader: true}
 	net, procs := buildCluster(t, n, f, faulty, 3)
 	if _, err := net.Run(time.Minute, allDecided(procs)); err != nil {

@@ -92,7 +92,7 @@ func Figure1a() (*Report, error) {
 // certificate — after which the new leader's proposal decides.
 func Figure1b() (*Report, error) {
 	cfg := types.Generalized(1, 1)
-	leader1 := types.View(1).Leader(cfg.N)
+	leader1 := cfg.Leader(1)
 	tl := newTimeline()
 	c, err := sim.NewCluster(sim.ClusterConfig{
 		Cfg:    cfg,

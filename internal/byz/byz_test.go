@@ -14,7 +14,7 @@ import (
 // processes.
 func equivocationCluster(t *testing.T, cfg types.Config, k int, seed int64) *sim.Cluster {
 	t.Helper()
-	leader := types.View(1).Leader(cfg.N)
+	leader := cfg.Leader(1)
 	groupA := make(map[types.ProcessID]bool)
 	added := 0
 	for i := 0; i < cfg.N && added < k; i++ {
@@ -112,7 +112,7 @@ func TestStaleVoterCannotEraseDecision(t *testing.T) {
 	// decide, then let a Byzantine stale voter push nil votes in view 2.
 	// The remaining correct process must still decide the same value.
 	cfg := types.Generalized(1, 1) // n=4, fast quorum 3
-	leader := types.View(1).Leader(cfg.N)
+	leader := cfg.Leader(1)
 	var isolated types.ProcessID
 	for i := 0; i < cfg.N; i++ {
 		if pid := types.ProcessID(i); pid != leader && pid != 3 {
@@ -160,8 +160,8 @@ func TestForgedCertificateLeaderCannotDecideOrBlock(t *testing.T) {
 	// reject it; the system rotates past the bad leader and still decides,
 	// and never decides the forged value in view 2.
 	cfg := types.Generalized(1, 1)
-	leader1 := types.View(1).Leader(cfg.N)
-	leader2 := types.View(2).Leader(cfg.N)
+	leader1 := cfg.Leader(1)
+	leader2 := cfg.Leader(2)
 	if leader1 == leader2 {
 		t.Fatal("test setup: distinct leaders expected")
 	}

@@ -12,8 +12,8 @@ import (
 )
 
 // An adversarial replica driver occupies one process slot of an SMR cluster
-// — it binds a real transport endpoint (a sim.ReplicaNet endpoint in
-// lockstep tests, a transport.TCP in multi-process clusters), holds the
+// — it binds a real transport endpoint (a sim.Network endpoint in
+// simulator tests, a transport.TCP in multi-process clusters), holds the
 // process's real signing key, and runs a Behavior instead of the honest
 // replica loop. This is the step up from the message-level attack nodes
 // above: those drive single consensus instances in the discrete-event

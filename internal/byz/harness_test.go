@@ -30,8 +30,10 @@ var byzConfigs = []struct {
 	{"slow-n7f2t1", types.Generalized(2, 1)},
 }
 
-// byzCluster is a lockstep SMR cluster with one process slot occupied by an
-// adversarial Driver instead of an honest replica. Replies from every
+// byzCluster is an SMR cluster on a lockstep sim.Network (every send due the
+// instant it was made, in send order; timers on the virtual clock) with one
+// process slot occupied by an adversarial Driver instead of an honest
+// replica. With in-memory replicas a scenario replays exactly. Replies from every
 // correct replica are recorded per (client, seq) so tests can assert the
 // client-visible safety property: no two correct replicas ever confirm the
 // same request with different results.
@@ -41,11 +43,12 @@ type byzCluster struct {
 	th     quorum.Thresholds
 	byzID  types.ProcessID
 	scheme sigcrypto.Scheme
-	net    *sim.ReplicaNet
+	net    *sim.Network
 	opts   clusterOpts
 
 	reps   []*smr.Replica
 	stores []*smr.KVStore
+	disks  map[types.ProcessID]*storage.Store // current store of each durable replica
 	drv    *Driver
 
 	mu      sync.Mutex
@@ -72,10 +75,11 @@ func newByzCluster(t *testing.T, cfg types.Config, byzID types.ProcessID, seed i
 		th:      quorum.New(cfg),
 		byzID:   byzID,
 		scheme:  sigcrypto.NewHMAC(cfg.N, seed),
-		net:     sim.NewReplicaNet(cfg.N),
+		net:     sim.NewNetwork(cfg.N, sim.WithDelta(0)),
 		opts:    opts,
 		reps:    make([]*smr.Replica, cfg.N),
 		stores:  make([]*smr.KVStore, cfg.N),
+		disks:   make(map[types.ProcessID]*storage.Store),
 		replies: make(map[string][]*msg.Reply),
 	}
 	for i := 0; i < cfg.N; i++ {
@@ -120,6 +124,7 @@ func (c *byzCluster) bootReplica(p types.ProcessID, tr transport.Transport) {
 		Signer:             c.scheme.Signer(p),
 		Verifier:           c.scheme.Verifier(),
 		Transport:          tr,
+		Clock:              c.net.Clock(p),
 		BaseTimeout:        c.opts.timeout,
 		CheckpointInterval: c.opts.interval,
 	}
@@ -128,7 +133,7 @@ func (c *byzCluster) bootReplica(p types.ProcessID, tr transport.Transport) {
 		if err != nil {
 			c.t.Fatal(err)
 		}
-		cfg.Storage = disk
+		cfg.Storage, c.disks[p] = disk, disk
 	}
 	c.stores[p] = smr.NewKVStore()
 	cfg.App = c.stores[p]
@@ -181,21 +186,78 @@ func (c *byzCluster) recorder() smr.ReplyFunc {
 	}
 }
 
-// pump drains the network and polls cond until it holds, failing the test
-// at the deadline. The sleep lets real timers (view changes, fetch
-// retries) fire between drains.
-func (c *byzCluster) pump(timeout time.Duration, cond func() bool, what string) {
+// crash is kill -9 on correct replica p: its inbox and timers are gone and
+// nothing it sends from now on exists.
+func (c *byzCluster) crash(p types.ProcessID) {
+	c.net.Crash(p)
+	_ = c.reps[p].Close() // release the dead incarnation's goroutines
+	c.reps[p] = nil
+}
+
+// reboot brings crashed replica p back on a fresh endpoint — from its data
+// directory if it has one, from nothing otherwise — and starts it.
+func (c *byzCluster) reboot(p types.ProcessID) {
 	c.t.Helper()
-	deadline := time.Now().Add(timeout)
+	c.bootReplica(p, c.net.Restart(p))
+	if err := c.reps[p].Start(); err != nil {
+		c.t.Fatal(err)
+	}
+}
+
+// settle runs the current virtual instant to quiescence without letting time
+// pass. A durable replica's gated sends leave its store's flusher goroutine
+// only after a real fsync, which the simulator does not schedule, so the
+// instant is quiescent only once every disk is idle too: Barrier waits for
+// the flusher (an event wait, not a poll), and whatever it released is
+// settled in turn.
+func (c *byzCluster) settle() {
 	for {
-		c.net.Drain(0)
+		c.net.Settle()
+		if len(c.disks) == 0 {
+			return
+		}
+		for _, d := range c.disks {
+			_ = d.Barrier()
+		}
+		if c.net.Settle() == 0 {
+			return
+		}
+	}
+}
+
+// run advances virtual time, instant by instant, until cond holds — view
+// changes and fetch retries fire when the clock reaches them — and fails the
+// test if that takes more than `within` of it.
+func (c *byzCluster) run(within time.Duration, cond func() bool, what string) {
+	c.t.Helper()
+	limit := c.net.Now() + within
+	for {
+		c.settle()
 		if cond() {
 			return
 		}
-		if time.Now().After(deadline) {
-			c.t.Fatalf("timeout waiting for %s", what)
+		res, err := c.net.Run(limit, func() bool { return true })
+		if err != nil {
+			c.t.Fatal(err)
 		}
-		time.Sleep(2 * time.Millisecond)
+		if res.Events == 0 {
+			c.t.Fatalf("no %s within %v of virtual time", what, within)
+		}
+	}
+}
+
+// awaitGoroutines is the one wall-clock wait of this package's simulator
+// tests. The simulator schedules messages and timers, not goroutines: every
+// client reply callback runs on a goroutine of its own, spawned by an event
+// the simulator has already processed, so a test that asserts on recorded
+// replies waits here — for a goroutine that is already runnable, never for
+// protocol progress.
+func awaitGoroutines(t *testing.T, cond func() bool, what string) {
+	t.Helper()
+	for deadline := time.Now().Add(30 * time.Second); !cond(); time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timeout waiting for %s", what)
+		}
 	}
 }
 
@@ -230,13 +292,12 @@ func (c *byzCluster) confirmedBy(key string) int {
 	return len(distinct)
 }
 
-// waitConfirmed pumps until every key gathered at least f+1 distinct
-// replica replies. Replies are dispatched on their own goroutines after the
-// command applies, so tests must wait for their arrival separately from the
-// application-state conditions.
+// waitConfirmed waits until every key gathered at least f+1 distinct
+// replica replies. The commands have applied by now; their replies are
+// dispatched on goroutines of their own.
 func (c *byzCluster) waitConfirmed(keys ...string) {
 	c.t.Helper()
-	c.pump(30*time.Second, func() bool {
+	awaitGoroutines(c.t, func() bool {
 		for _, k := range keys {
 			if c.confirmedBy(k) < c.th.CertQuorum() {
 				return false

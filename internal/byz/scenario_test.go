@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/msg"
+	"repro/internal/sim"
 	"repro/internal/smr"
 	"repro/internal/types"
 )
@@ -67,7 +68,7 @@ func equivocatingLeaderScenario(t *testing.T, cfg types.Config, group uint64) {
 
 	keyC0 := th.submit("c0", 1) // triggers the equivocation
 
-	th.pump(30*time.Second, func() bool {
+	th.run(30*time.Second, func() bool {
 		return th.allCorrect(func(_ types.ProcessID, r *smr.Replica) bool {
 			_, ok := r.Decided(0)
 			return ok
@@ -87,7 +88,7 @@ func equivocatingLeaderScenario(t *testing.T, cfg types.Config, group uint64) {
 	// Liveness: the displaced client command and a fresh one both
 	// execute on every correct replica.
 	keyC1 := th.submit("c1", 1)
-	th.pump(30*time.Second, func() bool {
+	th.run(30*time.Second, func() bool {
 		return th.allCorrect(func(p types.ProcessID, _ *smr.Replica) bool {
 			_, okA := th.stores[p].Get(keyA)
 			_, ok0 := th.stores[p].Get(keyC0)
@@ -121,7 +122,7 @@ func TestByzGarbageProposerSMR(t *testing.T) {
 
 			keyC0 := th.submit("c0", 1) // triggers the garbage proposals
 
-			th.pump(30*time.Second, func() bool {
+			th.run(30*time.Second, func() bool {
 				return th.allCorrect(func(p types.ProcessID, r *smr.Replica) bool {
 					_, ok := th.stores[p].Get(keyC0)
 					return ok && r.Stats().MalformedBatches == garbageSlots
@@ -153,7 +154,7 @@ func TestByzGarbageProposerSMR(t *testing.T) {
 
 			// Liveness: the cluster keeps deciding past the garbage prefix.
 			keyC1 := th.submit("c1", 1)
-			th.pump(30*time.Second, func() bool {
+			th.run(30*time.Second, func() bool {
 				return th.allCorrect(func(p types.ProcessID, _ *smr.Replica) bool {
 					_, ok := th.stores[p].Get(keyC1)
 					return ok
@@ -181,7 +182,7 @@ func TestByzCommitCertReplaySMR(t *testing.T) {
 			th := newByzCluster(t, cfg, byzID, 903, clusterOpts{behavior: replayer})
 
 			keyC0 := th.submit("c0", 1)
-			th.pump(30*time.Second, func() bool {
+			th.run(30*time.Second, func() bool {
 				_, ok := replayer.Harvested()
 				return ok
 			}, "the adversary to harvest a commit certificate")
@@ -195,7 +196,7 @@ func TestByzCommitCertReplaySMR(t *testing.T) {
 			if !replayer.Replay(th.drv, src, target) {
 				t.Fatal("replay found no certificate")
 			}
-			th.net.Drain(0)
+			th.settle()
 
 			// Safety: the replayed certificate must not decide the target
 			// slot — not now, not after the view change resolves it.
@@ -210,7 +211,7 @@ func TestByzCommitCertReplaySMR(t *testing.T) {
 
 			// Liveness: replication continues undisturbed.
 			keyC1 := th.submit("c1", 1)
-			th.pump(30*time.Second, func() bool {
+			th.run(30*time.Second, func() bool {
 				return th.allCorrect(func(p types.ProcessID, _ *smr.Replica) bool {
 					_, ok0 := th.stores[p].Get(keyC0)
 					_, ok1 := th.stores[p].Get(keyC1)
@@ -249,7 +250,7 @@ func TestByzStaleSnapshotServerSMR(t *testing.T) {
 			for seq := uint64(1); seq <= 10; seq++ {
 				keys = append(keys, th.submit("c0", seq))
 			}
-			th.pump(30*time.Second, func() bool {
+			th.run(30*time.Second, func() bool {
 				return th.allCorrect(func(p types.ProcessID, _ *smr.Replica) bool {
 					return th.stores[p].AppliedOps() >= 10
 				})
@@ -258,14 +259,14 @@ func TestByzStaleSnapshotServerSMR(t *testing.T) {
 			// The adversary records a genuine response now; later history
 			// will make it stale.
 			ps.Harvest(th.drv, 0)
-			th.pump(10*time.Second, func() bool { return ps.Stale() }, "the adversary to harvest a genuine snapshot")
+			th.run(10*time.Second, func() bool { return ps.Stale() }, "the adversary to harvest a genuine snapshot")
 			if ps.StaleTailLen() == 0 {
 				t.Fatal("harvested response carries no tail decisions; the wrong-slot replay vector is dead")
 			}
 			for seq := uint64(11); seq <= 14; seq++ {
 				keys = append(keys, th.submit("c0", seq))
 			}
-			th.pump(30*time.Second, func() bool {
+			th.run(30*time.Second, func() bool {
 				return th.allCorrect(func(p types.ProcessID, _ *smr.Replica) bool {
 					return th.stores[p].AppliedOps() >= 14
 				})
@@ -273,17 +274,12 @@ func TestByzStaleSnapshotServerSMR(t *testing.T) {
 
 			// Crash the victim and bring it back empty: state transfer is
 			// its only way home, and the adversary gets the first fetch.
-			th.net.SetDown(victim, true)
-			_ = th.reps[victim].Close()
-			tr := th.net.Restart(victim)
-			th.bootReplica(victim, tr)
-			if err := th.reps[victim].Start(); err != nil {
-				t.Fatal(err)
-			}
+			th.crash(victim)
+			th.reboot(victim)
 			frontier := th.reps[0].AppliedCount()
 			ps.Lure(th.drv, frontier+interval)
 
-			th.pump(10*time.Second, func() bool {
+			th.run(10*time.Second, func() bool {
 				return ps.PoisonServed() >= 1 && th.reps[victim].AppliedCount() > 0
 			}, "the victim to fetch from the adversary and accept only the stale part")
 			victimAt := th.reps[victim].AppliedCount()
@@ -296,7 +292,7 @@ func TestByzStaleSnapshotServerSMR(t *testing.T) {
 			for seq := uint64(15); seq <= 22; seq++ {
 				keys = append(keys, th.submit("c0", seq))
 			}
-			th.pump(60*time.Second, func() bool {
+			th.run(60*time.Second, func() bool {
 				return th.allCorrect(func(p types.ProcessID, _ *smr.Replica) bool {
 					return th.stores[p].AppliedOps() >= 22
 				})
@@ -335,12 +331,14 @@ func TestByzAckEquivocatorRecoverySMR(t *testing.T) {
 			})
 
 			// Tap the network: count the victim's view-1 acks per value.
-			// The tap observes deliveries without touching them, so the
-			// "never happened" half of the claim is a real negative, not an
-			// artifact of filtering.
+			// The tap observes every send without touching it (the zero
+			// Fate is the lockstep delivery), so the "never happened" half
+			// of the claim is a real negative, not an artifact of filtering.
+			// The durable victim sends from its store's goroutine, hence
+			// the lock.
 			var tapMu sync.Mutex
 			acksA, acksB := 0, 0
-			th.net.SetTap(func(from, _ types.ProcessID, payload []byte) {
+			th.net.SetPayloadFunc(func(from, _ types.ProcessID, payload []byte, _ sim.Time) (fate sim.Fate) {
 				if from != victim {
 					return
 				}
@@ -365,35 +363,31 @@ func TestByzAckEquivocatorRecoverySMR(t *testing.T) {
 				if x.Equal(valueB) {
 					acksB++
 				}
+				return
 			})
 			ackedA := func() int { tapMu.Lock(); defer tapMu.Unlock(); return acksA }
 			ackedB := func() int { tapMu.Lock(); defer tapMu.Unlock(); return acksB }
 
 			ae.ProposeFirst(th.drv)
-			th.pump(10*time.Second, func() bool { return ackedA() > 0 }, "the victim to ack the pre-crash proposal")
+			th.run(10*time.Second, func() bool { return ackedA() > 0 }, "the victim to ack the pre-crash proposal")
 			preCrash := ackedA()
 
 			// Crash and recover the victim from its data directory.
-			th.net.SetDown(victim, true)
-			_ = th.reps[victim].Close()
-			tr := th.net.Restart(victim)
-			th.bootReplica(victim, tr)
-			if err := th.reps[victim].Start(); err != nil {
-				t.Fatal(err)
-			}
+			th.crash(victim)
+			th.reboot(victim)
 
 			// The conflicting proposal first — the recovered replica must
 			// hold to its persisted ack, not to this incarnation's "have I
 			// acked yet" flag, which the restart reset.
 			ae.ProposeConflict(th.drv)
-			th.net.Drain(0)
+			th.settle()
 			if n := ackedB(); n != 0 {
 				t.Fatalf("recovered victim acked the conflicting value %d times: crash-induced equivocation", n)
 			}
 			// An identical re-proposal must still be re-acked: the guard is
 			// selective silence, not deafness.
 			ae.ProposeFirst(th.drv)
-			th.pump(10*time.Second, func() bool { return ackedA() > preCrash }, "the recovered victim to re-ack its persisted value")
+			th.run(10*time.Second, func() bool { return ackedA() > preCrash }, "the recovered victim to re-ack its persisted value")
 			if n := ackedB(); n != 0 {
 				t.Fatalf("victim acked the conflicting value %d times after the re-ack", n)
 			}
@@ -403,7 +397,7 @@ func TestByzAckEquivocatorRecoverySMR(t *testing.T) {
 			// value everywhere, and never B (only the victim ever acked
 			// anything, so B has no quorum anywhere to hide in).
 			keyC0 := th.submit("c0", 1)
-			th.pump(30*time.Second, func() bool {
+			th.run(30*time.Second, func() bool {
 				return th.allCorrect(func(p types.ProcessID, r *smr.Replica) bool {
 					_, dec := r.Decided(0)
 					_, ok := th.stores[p].Get(keyC0)

@@ -59,7 +59,7 @@ func TestNewReplicaRejectsInvalidConfig(t *testing.T) {
 
 func TestLeaderProposesOwnInputInViewOne(t *testing.T) {
 	f := newFixture(types.Generalized(1, 1), 21)
-	leader := types.View(1).Leader(f.cfg.N)
+	leader := f.cfg.Leader(1)
 	r, err := core.NewReplica(f.cfg, leader, f.scheme.Signer(leader), f.verifier(), types.Value("mine"))
 	if err != nil {
 		t.Fatal(err)
@@ -80,7 +80,7 @@ func TestLeaderProposesOwnInputInViewOne(t *testing.T) {
 
 func TestReplicaAcksValidProposalOnce(t *testing.T) {
 	f := newFixture(types.Generalized(1, 1), 22)
-	leader := types.View(1).Leader(f.cfg.N)
+	leader := f.cfg.Leader(1)
 	var follower types.ProcessID
 	for i := 0; i < f.cfg.N; i++ {
 		if types.ProcessID(i) != leader {
@@ -109,7 +109,7 @@ func TestReplicaAcksValidProposalOnce(t *testing.T) {
 
 func TestReplicaRejectsForgedProposals(t *testing.T) {
 	f := newFixture(types.Generalized(1, 1), 23)
-	leader := types.View(1).Leader(f.cfg.N)
+	leader := f.cfg.Leader(1)
 	var follower, outsider types.ProcessID
 	for i := 0; i < f.cfg.N; i++ {
 		pid := types.ProcessID(i)
@@ -138,7 +138,7 @@ func TestReplicaRejectsForgedProposals(t *testing.T) {
 	// View-2 proposal without a progress certificate.
 	r2 := f.newReplica(t, follower, nil)
 	r2.EnterView(2)
-	leader2 := types.View(2).Leader(f.cfg.N)
+	leader2 := f.cfg.Leader(2)
 	noCert := &msg.Propose{View: 2, X: x, Tau: f.scheme.Signer(leader2).Sign(msg.ProposeDigest(x, 2))}
 	if countKind(r2.Deliver(leader2, noCert), msg.KindAck) != 0 {
 		t.Fatal("view-2 proposal without certificate acknowledged")
@@ -257,7 +257,7 @@ func TestFutureProposalBufferedUntilViewEntry(t *testing.T) {
 	f := newFixture(types.Generalized(1, 1), 28)
 	r := f.newReplica(t, 0, nil)
 	x := types.Value("x")
-	leader2 := types.View(2).Leader(f.cfg.N)
+	leader2 := f.cfg.Leader(2)
 	prop := &msg.Propose{View: 2, X: x, Cert: f.progressCert(x, 2), Tau: f.scheme.Signer(leader2).Sign(msg.ProposeDigest(x, 2))}
 	if countKind(r.Deliver(leader2, prop), msg.KindAck) != 0 {
 		t.Fatal("future-view proposal processed early")
@@ -270,10 +270,10 @@ func TestFutureProposalBufferedUntilViewEntry(t *testing.T) {
 
 func TestVoteSentToNewLeaderCarriesAdoptedState(t *testing.T) {
 	f := newFixture(types.Generalized(1, 1), 29)
-	leader1 := types.View(1).Leader(f.cfg.N)
+	leader1 := f.cfg.Leader(1)
 	var follower types.ProcessID
 	for i := 0; i < f.cfg.N; i++ {
-		if pid := types.ProcessID(i); pid != leader1 && pid != types.View(2).Leader(f.cfg.N) {
+		if pid := types.ProcessID(i); pid != leader1 && pid != f.cfg.Leader(2) {
 			follower = pid
 			break
 		}
@@ -314,11 +314,11 @@ func TestCertAckOnlyForJustifiedRequests(t *testing.T) {
 		f.signed(3, msg.NilVote(), 2),
 	}
 	ok := &msg.CertRequest{View: 2, X: x, Votes: votes}
-	if countKind(r.Deliver(types.View(2).Leader(f.cfg.N), ok), msg.KindCertAck) != 1 {
+	if countKind(r.Deliver(f.cfg.Leader(2), ok), msg.KindCertAck) != 1 {
 		t.Fatal("justified request not endorsed")
 	}
 	bad := &msg.CertRequest{View: 2, X: types.Value("evil"), Votes: votes}
-	if countKind(r.Deliver(types.View(2).Leader(f.cfg.N), bad), msg.KindCertAck) != 0 {
+	if countKind(r.Deliver(f.cfg.Leader(2), bad), msg.KindCertAck) != 0 {
 		t.Fatal("unjustified request endorsed")
 	}
 }
@@ -328,7 +328,7 @@ func TestLeaderViewChangeProducesJustifiedProposal(t *testing.T) {
 	// sends CertRequests, gathers CertAcks, and proposes a value whose
 	// certificate any replica accepts.
 	f := newFixture(types.Generalized(1, 1), 31)
-	leader2 := types.View(2).Leader(f.cfg.N)
+	leader2 := f.cfg.Leader(2)
 	r := f.newReplica(t, leader2, types.Value("leader-input"))
 	actions := r.EnterView(2)
 	if countKind(actions, msg.KindCertRequest) != 0 {
@@ -377,7 +377,7 @@ func TestLeaderViewChangeProducesJustifiedProposal(t *testing.T) {
 
 func TestLeaderIgnoresBogusVotesAndCertAcks(t *testing.T) {
 	f := newFixture(types.Generalized(1, 1), 32)
-	leader2 := types.View(2).Leader(f.cfg.N)
+	leader2 := f.cfg.Leader(2)
 	r := f.newReplica(t, leader2, types.Value("in"))
 	r.EnterView(2)
 	// Vote claiming a different voter than its channel.
@@ -404,7 +404,7 @@ func TestLeaderIgnoresBogusVotesAndCertAcks(t *testing.T) {
 // proposal is otherwise perfectly valid.
 func TestRestoreVoteStateBlocksEquivocation(t *testing.T) {
 	f := newFixture(types.Generalized(1, 1), 33)
-	leader := types.View(1).Leader(f.cfg.N)
+	leader := f.cfg.Leader(1)
 	var follower types.ProcessID
 	for i := 0; i < f.cfg.N; i++ {
 		if types.ProcessID(i) != leader {
@@ -452,7 +452,7 @@ func TestRestoreVoteStateBlocksEquivocation(t *testing.T) {
 	}
 	// A later view is unrestricted: the guard pins only acked views.
 	r2.EnterView(2)
-	leader2 := types.View(2).Leader(f.cfg.N)
+	leader2 := f.cfg.Leader(2)
 	okCert := f.progressCert(y, 2)
 	propY2 := &msg.Propose{View: 2, X: y, Cert: okCert, Tau: f.scheme.Signer(leader2).Sign(msg.ProposeDigest(y, 2))}
 	if countKind(r2.Deliver(leader2, propY2), msg.KindAck) != 1 {

@@ -149,7 +149,7 @@ func TestSelectEquivocationWithSelectionQuorum(t *testing.T) {
 	// case 2).
 	f := newFixture(types.Vanilla(2), 5) // n=9, f=t=2, selection quorum 4
 	x, y := types.Value("x"), types.Value("y")
-	culprit := types.View(1).Leader(f.cfg.N) // process 1
+	culprit := f.cfg.Leader(1) // process 1
 	votes := []msg.SignedVote{
 		f.signed(0, f.adopted(x, 1), 2),
 		f.signed(2, f.adopted(x, 1), 2),
@@ -198,7 +198,7 @@ func TestSelectEquivocationNeedsQuorumWithoutCulprit(t *testing.T) {
 	// must wait for one more vote (Section 3.2).
 	f := newFixture(types.Vanilla(2), 7) // n=9, n−f=7
 	x, y := types.Value("x"), types.Value("y")
-	culprit := types.View(1).Leader(f.cfg.N) // process 1
+	culprit := f.cfg.Leader(1) // process 1
 	votes := []msg.SignedVote{
 		f.signed(culprit, f.adopted(x, 1), 2), // the equivocator's own vote
 		f.signed(0, f.adopted(x, 1), 2),

@@ -211,7 +211,8 @@ func runExecution(g Groups, i int, delta time.Duration) (*ExecutionReport, error
 	}
 	installCrashAtDelta := func(p types.ProcessID, input types.Value) {
 		s := NewStrawman(g.N, g.T, p, input, fallback)
-		net.SetNode(p, sim.NewCrashNode(sim.NewMachineNode(s), sim.Time(delta)))
+		net.SetNode(p, sim.NewMachineNode(s))
+		net.CrashAt(p, sim.Time(delta))
 		byz[p] = true
 	}
 

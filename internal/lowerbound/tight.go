@@ -38,7 +38,7 @@ func RunTightConfiguration(f, t int, delta time.Duration, seed int64) (*TightRep
 		delta = sim.DefaultDelta
 	}
 	rep := &TightReport{Cfg: cfg}
-	leader := types.View(1).Leader(cfg.N)
+	leader := cfg.Leader(1)
 	for split := 0; split < cfg.N; split++ {
 		rep.Splits++
 		groupA := make(map[types.ProcessID]bool)

@@ -18,7 +18,7 @@ func makeAdoptedVote(s sigcrypto.Scheme, x types.Value, u types.View) VoteRecord
 		Value: x.Clone(),
 		View:  u,
 		Cert:  cert,
-		Tau:   s.Signer(u.Leader(testCfg.N)).Sign(ProposeDigest(x, u)),
+		Tau:   s.Signer(testCfg.Leader(u)).Sign(ProposeDigest(x, u)),
 	}
 }
 

@@ -1,8 +1,9 @@
-// Package node is the real-time runtime: it drives a deterministic protocol
-// state machine (core.Machine) over a real transport, translating wall-clock
-// time into the machine's virtual time and TimerActions into a timer
-// goroutine. One Runner hosts one consensus instance; the SMR layer
-// (internal/smr) multiplexes many instances over one transport.
+// Package node is the runtime of one deterministic protocol state machine
+// (core.Machine) over a transport: it translates a Clock's time (clock.go:
+// Wall in a deployment, a sim.Network's virtual clock in tests) into the
+// machine's virtual time and TimerActions into clock timers. One Runner hosts
+// one consensus instance; the SMR layer (internal/smr) multiplexes many over
+// one transport and takes its time from the same Clock.
 package node
 
 import (
@@ -20,6 +21,7 @@ type DecideFunc func(d types.Decision)
 
 // Runner hosts one Machine on one Transport.
 type Runner struct {
+	clock   Clock
 	machine core.Machine
 	tr      transport.Transport
 	decide  DecideFunc
@@ -28,18 +30,17 @@ type Runner struct {
 	mu      sync.Mutex
 	started bool
 	closed  bool
-	timer   *time.Timer
-	stop    chan struct{}
+	timer   Timer
 	wg      sync.WaitGroup
 }
 
-// NewRunner wires machine to tr. decide may be nil.
-func NewRunner(machine core.Machine, tr transport.Transport, decide DecideFunc) *Runner {
+// NewRunner wires machine to tr on the given clock. decide may be nil.
+func NewRunner(clock Clock, machine core.Machine, tr transport.Transport, decide DecideFunc) *Runner {
 	return &Runner{
+		clock:   clock,
 		machine: machine,
 		tr:      tr,
 		decide:  decide,
-		stop:    make(chan struct{}),
 	}
 }
 
@@ -52,7 +53,7 @@ func (r *Runner) Start() error {
 		return transport.ErrClosed
 	}
 	r.started = true
-	r.start = time.Now()
+	r.start = r.clock.Now()
 	r.mu.Unlock()
 
 	r.tr.SetHandler(r.onPayload)
@@ -77,16 +78,15 @@ func (r *Runner) Close() error {
 	if r.timer != nil {
 		r.timer.Stop()
 	}
-	close(r.stop)
 	r.mu.Unlock()
 	err := r.tr.Close()
 	r.wg.Wait()
 	return err
 }
 
-// now converts wall-clock time to machine time (duration since Start).
+// now converts clock time to machine time (duration since Start).
 func (r *Runner) now() core.Time {
-	return core.Time(time.Since(r.start))
+	return r.clock.Now().Sub(r.start)
 }
 
 // onPayload decodes and delivers one payload under the machine lock.
@@ -150,12 +150,12 @@ func (r *Runner) apply(actions []core.Action) {
 
 // armTimer (re)schedules the single machine timer; the caller holds r.mu.
 func (r *Runner) armTimer(deadline core.Time) {
-	delay := time.Duration(deadline) - time.Since(r.start)
+	delay := deadline - r.now()
 	if delay < 0 {
 		delay = 0
 	}
 	if r.timer != nil {
 		r.timer.Stop()
 	}
-	r.timer = time.AfterFunc(delay, r.onTimer)
+	r.timer = r.clock.AfterFunc(delay, r.onTimer)
 }

@@ -1,4 +1,4 @@
-package node
+package node_test
 
 import (
 	"sync"
@@ -6,34 +6,52 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/node"
 	"repro/internal/sigcrypto"
+	"repro/internal/sim"
 	"repro/internal/transport"
 	"repro/internal/types"
 )
 
-// runCluster runs one consensus instance over the given transports and
-// returns the decisions of all replicas.
+const baseTimeout = 100 * time.Millisecond
+
+// decisionLog collects the decide callbacks of one cluster.
+type decisionLog struct {
+	mu sync.Mutex
+	by map[types.ProcessID]types.Decision
+}
+
+// newRunner hosts process pid of one consensus instance on tr and clock,
+// recording its decision in log; decided, if set, runs after each record.
+func newRunner(t *testing.T, cfg types.Config, scheme sigcrypto.Scheme, pid types.ProcessID,
+	clock node.Clock, tr transport.Transport, log *decisionLog, decided func()) *node.Runner {
+	t.Helper()
+	proc, err := core.NewProcess(cfg, pid, scheme.Signer(pid), scheme.Verifier(),
+		types.Value("real-value"), baseTimeout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return node.NewRunner(clock, proc, tr, func(d types.Decision) {
+		log.mu.Lock()
+		log.by[pid] = d
+		log.mu.Unlock()
+		if decided != nil {
+			decided()
+		}
+	})
+}
+
+// runCluster runs one consensus instance over the given real transports on
+// the wall clock and returns the decisions of all replicas.
 func runCluster(t *testing.T, cfg types.Config, trs []transport.Transport, scheme sigcrypto.Scheme) []types.Decision {
 	t.Helper()
-	var (
-		mu        sync.Mutex
-		decisions = make(map[types.ProcessID]types.Decision)
-		decidedCh = make(chan struct{}, cfg.N)
-	)
-	runners := make([]*Runner, cfg.N)
+	log := &decisionLog{by: make(map[types.ProcessID]types.Decision)}
+	decidedCh := make(chan struct{}, cfg.N)
+	runners := make([]*node.Runner, cfg.N)
 	for i := 0; i < cfg.N; i++ {
 		pid := types.ProcessID(i)
-		proc, err := core.NewProcess(cfg, pid, scheme.Signer(pid), scheme.Verifier(),
-			types.Value("real-value"), 100*time.Millisecond)
-		if err != nil {
-			t.Fatal(err)
-		}
-		runners[i] = NewRunner(proc, trs[i], func(d types.Decision) {
-			mu.Lock()
-			decisions[pid] = d
-			mu.Unlock()
-			decidedCh <- struct{}{}
-		})
+		runners[i] = newRunner(t, cfg, scheme, pid, node.Wall, trs[i], log,
+			func() { decidedCh <- struct{}{} })
 	}
 	for _, r := range runners {
 		if err := r.Start(); err != nil {
@@ -55,12 +73,61 @@ func runCluster(t *testing.T, cfg types.Config, trs []transport.Transport, schem
 		}
 	}
 	out := make([]types.Decision, cfg.N)
-	mu.Lock()
-	defer mu.Unlock()
-	for pid, d := range decisions {
+	log.mu.Lock()
+	defer log.mu.Unlock()
+	for pid, d := range log.by {
 		out[pid] = d
 	}
 	return out
+}
+
+// TestRunnerOnVirtualTime hosts the instance on a sim.Network's endpoints
+// and clocks with the view-1 leader dead from the start: the only way to a
+// decision is the Runner's machine timer, which exists only on the virtual
+// clock — so nobody decides before one base timeout of virtual time, the
+// survivors decide in view 2 right after it, and the test never waits for a
+// real one.
+func TestRunnerOnVirtualTime(t *testing.T) {
+	cfg := types.Generalized(1, 1)
+	scheme := sigcrypto.NewHMAC(cfg.N, 10)
+	leader := cfg.Leader(1)
+	// decisionsAfter runs the scenario for d of virtual time.
+	decisionsAfter := func(d time.Duration) map[types.ProcessID]types.Decision {
+		net := sim.NewNetwork(cfg.N, sim.WithDelta(time.Millisecond))
+		net.Crash(leader)
+		log := &decisionLog{by: make(map[types.ProcessID]types.Decision)}
+		runners := make([]*node.Runner, cfg.N)
+		for i := range runners {
+			pid := types.ProcessID(i)
+			runners[i] = newRunner(t, cfg, scheme, pid, net.Clock(pid), net.Transport(pid), log, nil)
+			if err := runners[i].Start(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		net.Advance(d)
+		for _, r := range runners {
+			_ = r.Close() // waits for the decide callbacks
+		}
+		return log.by
+	}
+
+	if early := decisionsAfter(baseTimeout - 1); len(early) != 0 {
+		t.Fatalf("%d processes decided before the view-1 timeout with a dead leader", len(early))
+	}
+	decisions := decisionsAfter(baseTimeout + 50*time.Millisecond)
+	for i := 0; i < cfg.N; i++ {
+		pid := types.ProcessID(i)
+		d, ok := decisions[pid]
+		if pid == leader {
+			if ok {
+				t.Fatal("the crashed leader decided")
+			}
+			continue
+		}
+		if !ok || d.View != 2 || !d.Value.Equal(types.Value("real-value")) {
+			t.Fatalf("process %s: decision %+v (decided=%v), want real-value in view 2", pid, d, ok)
+		}
+	}
 }
 
 func TestRunnerOverMemNetwork(t *testing.T) {

@@ -185,9 +185,9 @@ func TestPrometheusText(t *testing.T) {
 // and stages without a submit mark observe nothing.
 func TestTracerStageOrdering(t *testing.T) {
 	reg := NewRegistry()
-	tr := NewTracer(reg, "stage_lat", "", nil)
-	var tc Trace
 	base := time.Now()
+	tr := NewTracer(reg, "stage_lat", "", nil, base.Add(-time.Second))
+	var tc Trace
 	tr.Mark(&tc, StageSubmit, base)
 	tr.Mark(&tc, StageProposed, base.Add(1*time.Millisecond))
 	tr.Mark(&tc, StageProposed, base.Add(5*time.Millisecond)) // loses: first wins
@@ -220,7 +220,7 @@ func TestTracerStageOrdering(t *testing.T) {
 	}
 	// A trace with no submit mark records timestamps but observes nothing.
 	var orphan Trace
-	tr.MarkNow(&orphan, StageDecided)
+	tr.Mark(&orphan, StageDecided, base)
 	snap = reg.Snapshot()
 	if n, _ := snap.HistCount("stage_lat", Labels{"stage": "decided"}); n != 1 {
 		t.Fatalf("orphan trace leaked an observation (count %d)", n)
@@ -233,7 +233,7 @@ func TestTracerStageOrdering(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			tr.MarkNow(&shared, StageReplied)
+			tr.Mark(&shared, StageReplied, base.Add(time.Millisecond))
 		}()
 	}
 	wg.Wait()

@@ -66,9 +66,10 @@ type Tracer struct {
 }
 
 // NewTracer registers the tracer's histograms — name, labeled {stage=...}
-// per destination stage — in reg.
-func NewTracer(reg *Registry, name, help string, labels Labels) *Tracer {
-	t := &Tracer{epoch: time.Now()}
+// per destination stage — in reg. epoch is the instant marks are measured
+// from, read off the same clock the caller stamps its marks with.
+func NewTracer(reg *Registry, name, help string, labels Labels, epoch time.Time) *Tracer {
+	t := &Tracer{epoch: epoch}
 	for s := StageProposed; s < numStages; s++ {
 		ls := Labels{"stage": s.String()}
 		for k, v := range labels {
@@ -109,14 +110,6 @@ func (t *Tracer) Mark(tr *Trace, s Stage, at time.Time) {
 		return
 	}
 	t.hist[s].Observe(uint64(max64(now-submit, 0)))
-}
-
-// MarkNow is Mark at time.Now().
-func (t *Tracer) MarkNow(tr *Trace, s Stage) {
-	if t == nil {
-		return
-	}
-	t.Mark(tr, s, time.Now())
 }
 
 // MarkAt records stage s with an explicit epoch-relative timestamp already

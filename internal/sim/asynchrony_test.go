@@ -113,7 +113,7 @@ func TestChaosRandomDelaysAndCrashes(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	run := func() (map[types.ProcessID]types.Decision, map[types.ProcessID]Time, Stats) {
 		cfg := types.Generalized(2, 1)
-		leader1 := types.View(1).Leader(cfg.N)
+		leader1 := cfg.Leader(1)
 		c, err := NewCluster(ClusterConfig{
 			Cfg:    cfg,
 			Inputs: DistinctInputs(cfg.N, "det"),

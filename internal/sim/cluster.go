@@ -44,8 +44,8 @@ type ClusterConfig struct {
 	// installs SilentNode. Processes in Faulty are excluded from the
 	// all-correct-decided termination condition and from agreement checks.
 	Faulty map[types.ProcessID]Node
-	// CrashAt wraps the (otherwise correct) process so it goes silent at
-	// the given time — the T-faulty behaviour of Section 4.1.
+	// CrashAt makes the (otherwise correct) process go silent at the given
+	// time (Network.CrashAt) — the T-faulty behaviour of Section 4.1.
 	CrashAt map[types.ProcessID]Time
 }
 
@@ -66,14 +66,7 @@ func NewCluster(cc ClusterConfig) (*Cluster, error) {
 	if baseTimeout == 0 {
 		baseTimeout = 10 * delta
 	}
-	opts := []Option{WithDelta(delta)}
-	if cc.Latency != nil {
-		opts = append(opts, WithLatency(cc.Latency))
-	}
-	if cc.Trace != nil {
-		opts = append(opts, WithTrace(cc.Trace))
-	}
-	net := NewNetwork(cfg.N, opts...)
+	net := NewNetwork(cfg.N, WithDelta(delta), WithLatency(cc.Latency), WithTrace(cc.Trace))
 	scheme := sigcrypto.NewHMAC(cfg.N, cc.Seed)
 
 	c := &Cluster{
@@ -100,13 +93,12 @@ func NewCluster(cc ClusterConfig) (*Cluster, error) {
 		}
 		c.procs[i] = p
 		c.correct[i] = true
-		var node Node = NewMachineNode(p)
+		net.SetNode(pid, NewMachineNode(p))
 		if crashAt, ok := cc.CrashAt[pid]; ok {
-			node = NewCrashNode(node, crashAt)
+			net.CrashAt(pid, crashAt)
 			c.correct[i] = false // counted as faulty for termination/agreement
 			faulty++
 		}
-		net.SetNode(pid, node)
 	}
 	if faulty > cfg.F {
 		return nil, fmt.Errorf("sim: %d faulty processes exceeds f=%d", faulty, cfg.F)

@@ -134,7 +134,7 @@ func TestViewChangeAfterLeaderCrash(t *testing.T) {
 	} {
 		cfg := cfg
 		t.Run(cfg.String(), func(t *testing.T) {
-			leader1 := types.View(1).Leader(cfg.N)
+			leader1 := cfg.Leader(1)
 			c, err := NewCluster(ClusterConfig{
 				Cfg:    cfg,
 				Inputs: DistinctInputs(cfg.N, "in"),
@@ -179,7 +179,7 @@ func TestDistinctInputsAgreeOnProposerValue(t *testing.T) {
 	if err := c.CheckAgreement(true); err != nil {
 		t.Fatal(err)
 	}
-	leader := types.View(1).Leader(cfg.N)
+	leader := cfg.Leader(1)
 	want := c.Process(leader).Replica().Input()
 	for _, p := range c.CorrectIDs() {
 		d, _ := c.Process(p).Decided()

@@ -24,9 +24,6 @@ func NewMachineNode(m Machine) *MachineNode {
 	return &MachineNode{m: m}
 }
 
-// Machine returns the wrapped state machine.
-func (n *MachineNode) Machine() Machine { return n.m }
-
 // OnStart implements Node.
 func (n *MachineNode) OnStart(e *Env) {
 	n.apply(e, n.m.Init(e.Now))
@@ -57,47 +54,6 @@ func (n *MachineNode) apply(e *Env, actions []core.Action) {
 			// Observability only.
 		}
 	}
-}
-
-// CrashNode wraps a node that behaves correctly until a given virtual time
-// and is silent afterwards — the fail-stop behaviour of the T-faulty
-// two-step executions of Section 4.1, where Byzantine processes "correctly
-// follow the protocol during the first round. After that, they stop taking
-// any steps."
-type CrashNode struct {
-	inner   Node
-	crashAt Time
-}
-
-var _ Node = (*CrashNode)(nil)
-
-// NewCrashNode wraps inner so that it stops reacting at crashAt.
-func NewCrashNode(inner Node, crashAt Time) *CrashNode {
-	return &CrashNode{inner: inner, crashAt: crashAt}
-}
-
-// OnStart implements Node.
-func (n *CrashNode) OnStart(e *Env) {
-	if e.Now >= n.crashAt {
-		return
-	}
-	n.inner.OnStart(e)
-}
-
-// OnMessage implements Node.
-func (n *CrashNode) OnMessage(from types.ProcessID, m msg.Message, e *Env) {
-	if e.Now >= n.crashAt {
-		return
-	}
-	n.inner.OnMessage(from, m, e)
-}
-
-// OnTimer implements Node.
-func (n *CrashNode) OnTimer(e *Env) {
-	if e.Now >= n.crashAt {
-		return
-	}
-	n.inner.OnTimer(e)
 }
 
 // SilentNode never reacts: a process that is Byzantine by being mute from

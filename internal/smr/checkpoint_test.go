@@ -8,55 +8,9 @@ import (
 
 	"repro/internal/msg"
 	"repro/internal/sigcrypto"
-	"repro/internal/sim"
 	"repro/internal/transport"
 	"repro/internal/types"
 )
-
-// buildCkptGroup wires n SMR replicas with checkpointing over an in-memory
-// network and returns the network so tests can crash and restart members.
-func buildCkptGroup(t *testing.T, cfg types.Config, seed int64, interval uint64) ([]*Replica, []*KVStore, *transport.MemNetwork, sigcrypto.Scheme) {
-	t.Helper()
-	scheme := sigcrypto.NewHMAC(cfg.N, seed)
-	net := transport.NewMemNetwork(cfg.N, 0)
-	reps := make([]*Replica, cfg.N)
-	stores := make([]*KVStore, cfg.N)
-	for i := 0; i < cfg.N; i++ {
-		pid := types.ProcessID(i)
-		stores[i] = NewKVStore()
-		r, err := NewReplica(Config{
-			Cluster:            cfg,
-			Self:               pid,
-			Signer:             scheme.Signer(pid),
-			Verifier:           scheme.Verifier(),
-			Transport:          net.Transport(pid),
-			App:                stores[i],
-			BaseTimeout:        200 * time.Millisecond,
-			CheckpointInterval: interval,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		reps[i] = r
-	}
-	for _, r := range reps {
-		if err := r.Start(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return reps, stores, net, scheme
-}
-
-func submitOps(t *testing.T, r *Replica, client string, from, to int) {
-	t.Helper()
-	for i := from; i < to; i++ {
-		cmd := EncodeKV(KVCommand{Op: OpSet, Client: client, Seq: uint64(i),
-			Key: fmt.Sprintf("k%d", i), Value: fmt.Sprintf("v%d", i)})
-		if err := submit(r, types.ClientID(fmt.Sprintf("%s-%d", client, i)), 1, cmd); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
 
 // TestCheckpointingBoundsSlotState runs many slots through a checkpointing
 // group and asserts the per-slot maps are actually pruned: live consensus
@@ -66,34 +20,22 @@ func TestCheckpointingBoundsSlotState(t *testing.T) {
 	cfg := types.Generalized(1, 1)
 	const interval = 4
 	const ops = 48
-	reps, stores, net, _ := buildCkptGroup(t, cfg, 31, interval)
-	defer func() {
-		for _, r := range reps {
-			_ = r.Close()
-		}
-		_ = net.Close()
-	}()
+	g := newSimGroup(t, cfg, 31, groupOpts{jitter: testJitter, interval: interval})
+	reps, stores := g.reps, g.stores
 
 	for i := 0; i < ops; i++ {
 		submitOps(t, reps[0], "c0", i, i+1)
 		// Pace submissions so the log advances slot by slot and checkpoint
 		// boundaries are actually crossed many times.
 		if i%8 == 7 {
-			waitFor(t, 30*time.Second, func() bool {
+			g.run(10*time.Second, func() bool {
 				return stores[0].AppliedOps() >= uint64(i+1)
 			}, "paced application")
 		}
 	}
-	waitFor(t, 30*time.Second, func() bool {
-		for _, st := range stores {
-			if st.AppliedOps() < ops {
-				return false
-			}
-		}
-		return true
-	}, "all replicas to apply all commands")
+	g.run(10*time.Second, g.applied(ops), "all replicas to apply all commands")
 
-	waitFor(t, 30*time.Second, func() bool {
+	g.run(10*time.Second, func() bool {
 		for _, r := range reps {
 			cp, ok := r.StableCheckpoint()
 			if !ok || cp.Slot+3*interval < reps[0].AppliedCount() {
@@ -131,39 +73,24 @@ func TestCrashedReplicaCatchesUpViaStateTransfer(t *testing.T) {
 	cfg := types.Generalized(1, 1)
 	const interval = 4
 	crashed := types.ProcessID(cfg.N - 1)
-	reps, stores, net, scheme := buildCkptGroup(t, cfg, 32, interval)
-	defer func() {
-		for _, r := range reps {
-			_ = r.Close()
-		}
-		_ = net.Close()
-	}()
+	g := newSimGroup(t, cfg, 32, groupOpts{jitter: testJitter, interval: interval})
+	reps, stores := g.reps, g.stores
 
 	// Phase 1: all replicas alive, some traffic.
 	submitOps(t, reps[0], "c", 0, 4)
-	waitFor(t, 30*time.Second, func() bool {
-		for _, st := range stores {
-			if st.AppliedOps() < 4 {
-				return false
-			}
-		}
-		return true
-	}, "phase-1 application")
+	g.run(10*time.Second, g.applied(4), "phase-1 application")
 
-	// Phase 2: crash the replica (its endpoint closes; messages to it are
-	// dropped, as with a dead host) and run >= 3 checkpoint intervals of
-	// traffic on the survivors.
-	if err := reps[crashed].Close(); err != nil {
-		t.Fatal(err)
-	}
+	// Phase 2: crash the replica (messages to it are dropped, as with a dead
+	// host) and run >= 3 checkpoint intervals of traffic on the survivors.
+	g.crash(crashed)
 	const phase2 = 4 + 3*interval + 4 // well past three checkpoint boundaries
 	for i := 4; i < phase2; i++ {
 		submitOps(t, reps[0], "c", i, i+1)
-		waitFor(t, 30*time.Second, func() bool {
+		g.run(10*time.Second, func() bool {
 			return stores[0].AppliedOps() >= uint64(i+1)
 		}, "phase-2 paced application")
 	}
-	waitFor(t, 30*time.Second, func() bool {
+	g.run(10*time.Second, func() bool {
 		cp, ok := reps[0].StableCheckpoint()
 		return ok && cp.Slot >= 2*interval
 	}, "survivors to advance their stable checkpoint")
@@ -175,29 +102,15 @@ func TestCrashedReplicaCatchesUpViaStateTransfer(t *testing.T) {
 	// Phase 3: restart the crashed replica with a fresh endpoint and empty
 	// state (a crash loses volatile state; there is no disk), keep traffic
 	// flowing, and wait for convergence.
-	tr := net.Restart(crashed)
-	freshStore := NewKVStore()
-	restarted, err := NewReplica(Config{
-		Cluster:            cfg,
-		Self:               crashed,
-		Signer:             scheme.Signer(crashed),
-		Verifier:           scheme.Verifier(),
-		Transport:          tr,
-		App:                freshStore,
-		BaseTimeout:        200 * time.Millisecond,
-		CheckpointInterval: interval,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	restarted := g.reboot(crashed)
 	if err := restarted.Start(); err != nil {
 		t.Fatal(err)
 	}
-	defer func() { _ = restarted.Close() }()
+	freshStore := stores[crashed]
 
 	const totalOps = phase2 + 8
 	submitOps(t, reps[0], "c", phase2, totalOps)
-	waitFor(t, 60*time.Second, func() bool {
+	g.run(30*time.Second, func() bool {
 		return stores[0].AppliedOps() >= totalOps &&
 			freshStore.AppliedOps() >= totalOps &&
 			restarted.AppliedCount() >= reps[0].AppliedCount()
@@ -230,50 +143,17 @@ func TestCrashedReplicaCatchesUpViaStateTransfer(t *testing.T) {
 	}
 }
 
-// runSimCatchUp runs the crash/recovery scenario on the deterministic
-// lockstep network and returns replica 0's final application snapshot. Two
-// invocations must produce identical bytes (determinism) and the restarted
-// replica must converge (state transfer).
+// runSimCatchUp runs the crash/recovery scenario on the lockstep network and
+// returns replica 0's final application snapshot. Two invocations must
+// produce identical bytes (determinism) and the restarted replica must
+// converge (state transfer).
 func runSimCatchUp(t *testing.T, seed int64) []byte {
 	t.Helper()
 	cfg := types.Generalized(1, 1)
 	const interval = 4
 	crashed := types.ProcessID(cfg.N - 1)
-	scheme := sigcrypto.NewHMAC(cfg.N, seed)
-	net := sim.NewReplicaNet(cfg.N)
-	reps := make([]*Replica, cfg.N)
-	stores := make([]*KVStore, cfg.N)
-	mk := func(pid types.ProcessID) (*Replica, *KVStore) {
-		store := NewKVStore()
-		r, err := NewReplica(Config{
-			Cluster:  cfg,
-			Self:     pid,
-			Signer:   scheme.Signer(pid),
-			Verifier: scheme.Verifier(),
-			// The lockstep pump drives everything; timers must never race it.
-			Transport:          net.Transport(pid),
-			App:                store,
-			BaseTimeout:        time.Hour,
-			CheckpointInterval: interval,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := r.Start(); err != nil {
-			t.Fatal(err)
-		}
-		return r, store
-	}
-	for i := 0; i < cfg.N; i++ {
-		reps[i], stores[i] = mk(types.ProcessID(i))
-	}
-	defer func() {
-		for _, r := range reps {
-			if r != nil {
-				_ = r.Close()
-			}
-		}
-	}()
+	g := newSimGroup(t, cfg, seed, groupOpts{interval: interval})
+	reps, stores := g.reps, g.stores
 
 	submitOne := func(i int) {
 		cmd := EncodeKV(KVCommand{Op: OpSet, Client: "s", Seq: uint64(i),
@@ -281,7 +161,7 @@ func runSimCatchUp(t *testing.T, seed int64) []byte {
 		if err := submit(reps[0], sessionID(i), 1, cmd); err != nil {
 			t.Fatal(err)
 		}
-		net.Drain(0)
+		g.settle()
 	}
 
 	// Phase 1: everyone alive.
@@ -293,7 +173,7 @@ func runSimCatchUp(t *testing.T, seed int64) []byte {
 	}
 
 	// Phase 2: crash and run three checkpoint intervals without it.
-	net.SetDown(crashed, true)
+	g.crash(crashed)
 	const phase2 = 4 + 3*interval + 4
 	for i := 4; i < phase2; i++ {
 		submitOne(i)
@@ -303,32 +183,16 @@ func runSimCatchUp(t *testing.T, seed int64) []byte {
 	}
 
 	// Phase 3: restart with empty state; traffic pulls it back in.
-	reps[crashed], stores[crashed] = nil, nil
-	tr := net.Restart(crashed)
-	store := NewKVStore()
-	r, err := NewReplica(Config{
-		Cluster:            cfg,
-		Self:               crashed,
-		Signer:             scheme.Signer(crashed),
-		Verifier:           scheme.Verifier(),
-		Transport:          tr,
-		App:                store,
-		BaseTimeout:        time.Hour,
-		CheckpointInterval: interval,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := g.reboot(crashed)
 	if err := r.Start(); err != nil {
 		t.Fatal(err)
 	}
-	reps[crashed], stores[crashed] = r, store
+	store := stores[crashed]
 
 	const totalOps = phase2 + 8
 	for i := phase2; i < totalOps; i++ {
 		submitOne(i)
 	}
-	net.Drain(0)
 
 	if got, want := store.AppliedOps(), stores[0].AppliedOps(); got != want {
 		t.Fatalf("restarted replica applied %d ops, survivor %d", got, want)

@@ -28,16 +28,11 @@ func TestChunkedSnapshotCatchUp(t *testing.T) {
 	withSmallSnapshotFrames(t, 512, 300)
 	cfg := types.Generalized(1, 1)
 	const interval = 4
-	reps, stores, net, scheme := buildCkptGroup(t, cfg, 91, interval)
+	// A fixed delay keeps each link FIFO, which chunk reassembly relies on
+	// (as it does on TCP); a lost or reordered chunk costs a fetch retry.
+	g := newSimGroup(t, cfg, 91, groupOpts{delta: time.Millisecond, interval: interval})
+	reps, stores := g.reps, g.stores
 	crashed := types.ProcessID(cfg.N - 1)
-	defer func() {
-		for i, r := range reps {
-			if types.ProcessID(i) != crashed {
-				_ = r.Close()
-			}
-		}
-		_ = net.Close()
-	}()
 
 	// Values sized so the composite snapshot dwarfs the shrunken frame
 	// budget, forcing multiple chunks.
@@ -56,26 +51,17 @@ func TestChunkedSnapshotCatchUp(t *testing.T) {
 	}
 
 	bigOps(0, 4)
-	waitFor(t, 30*time.Second, func() bool {
-		for _, st := range stores {
-			if st.AppliedOps() < 4 {
-				return false
-			}
-		}
-		return true
-	}, "phase-1 application")
+	g.run(10*time.Second, g.applied(4), "phase-1 application")
 
-	if err := reps[crashed].Close(); err != nil {
-		t.Fatal(err)
-	}
+	g.crash(crashed)
 	const phase2 = 4 + 3*interval + 4
 	for i := 4; i < phase2; i++ {
 		bigOps(i, i+1)
-		waitFor(t, 30*time.Second, func() bool {
+		g.run(10*time.Second, func() bool {
 			return stores[0].AppliedOps() >= uint64(i+1)
 		}, "phase-2 paced application")
 	}
-	waitFor(t, 30*time.Second, func() bool {
+	g.run(10*time.Second, func() bool {
 		cp, ok := reps[0].StableCheckpoint()
 		return ok && cp.Slot >= 2*interval
 	}, "survivors to advance their stable checkpoint")
@@ -89,29 +75,15 @@ func TestChunkedSnapshotCatchUp(t *testing.T) {
 		t.Fatalf("test premise broken: stable snapshot %d bytes fits the %d-byte frame budget", snapLen, maxResponseBytes)
 	}
 
-	tr := net.Restart(crashed)
-	freshStore := NewKVStore()
-	restarted, err := NewReplica(Config{
-		Cluster:            cfg,
-		Self:               crashed,
-		Signer:             scheme.Signer(crashed),
-		Verifier:           scheme.Verifier(),
-		Transport:          tr,
-		App:                freshStore,
-		BaseTimeout:        200 * time.Millisecond,
-		CheckpointInterval: interval,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	restarted := g.reboot(crashed)
 	if err := restarted.Start(); err != nil {
 		t.Fatal(err)
 	}
-	defer func() { _ = restarted.Close() }()
+	freshStore := stores[crashed]
 
 	const totalOps = phase2 + 6
 	bigOps(phase2, totalOps)
-	waitFor(t, 60*time.Second, func() bool {
+	g.run(30*time.Second, func() bool {
 		return stores[0].AppliedOps() >= totalOps && freshStore.AppliedOps() >= totalOps
 	}, "restarted replica to catch up through chunked state transfer")
 
@@ -139,14 +111,8 @@ func TestChunkedSnapshotCatchUp(t *testing.T) {
 // not restore anything.
 func TestSnapshotChunkReassemblyRejectsHostileChunks(t *testing.T) {
 	cfg := types.Generalized(1, 1)
-	reps, stores, net, _ := buildCkptGroup(t, cfg, 92, 4)
-	defer func() {
-		for _, r := range reps {
-			_ = r.Close()
-		}
-		_ = net.Close()
-	}()
-	r := reps[0]
+	g := newSimGroup(t, cfg, 92, groupOpts{interval: 4})
+	r, stores := g.reps[0], g.stores
 	before := stores[0].AppliedOps()
 
 	chunk := func(slot uint64, hash []byte, total, off uint64, data []byte) *msg.SnapshotChunk {

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"time"
 
 	"repro/internal/msg"
 	"repro/internal/obs"
@@ -214,7 +213,7 @@ func (r *Replica) dispatchReplyTracedLocked(cb ReplyFunc, rep *msg.Reply, tr *ob
 	r.countOut(msg.KindReply)
 	run := func() {
 		if tr != nil {
-			r.m.tracer.MarkNow(tr, obs.StageReplied)
+			r.m.tracer.Mark(tr, obs.StageReplied, r.cfg.Clock.Now())
 		}
 		r.wg.Add(1)
 		go func() {
@@ -240,7 +239,6 @@ func (r *Replica) recoverFromStore() error {
 	rec := r.store.Recovered()
 	r.recovering = true
 	defer func() { r.recovering = false }()
-	r.start = time.Now() // sane clock for anything replay touches; Start resets it
 
 	if rec.HasSnapshot {
 		if r.interval == 0 {

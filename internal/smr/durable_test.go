@@ -2,96 +2,18 @@ package smr
 
 import (
 	"fmt"
-	"path/filepath"
 	"testing"
 	"time"
 
-	"repro/internal/sigcrypto"
 	"repro/internal/storage"
-	"repro/internal/transport"
 	"repro/internal/types"
 )
 
-// durableGroup is a checkpointing SMR group where every replica runs on a
-// storage.Store rooted in its own data directory, so tests can simulate a
-// power cut (Store.Abort) and rebuild replicas from disk alone.
-type durableGroup struct {
-	cfg    types.Config
-	scheme sigcrypto.Scheme
-	net    *transport.MemNetwork
-	dirs   []string
-	reps   []*Replica
-	stores []*KVStore
-	disks  []*storage.Store
-}
-
-func buildDurableGroup(t *testing.T, cfg types.Config, seed int64, interval uint64, mode storage.SyncMode) *durableGroup {
-	t.Helper()
-	g := &durableGroup{
-		cfg:    cfg,
-		scheme: sigcrypto.NewHMAC(cfg.N, seed),
-		net:    transport.NewMemNetwork(cfg.N, 0),
-		dirs:   make([]string, cfg.N),
-		reps:   make([]*Replica, cfg.N),
-		stores: make([]*KVStore, cfg.N),
-		disks:  make([]*storage.Store, cfg.N),
-	}
-	base := t.TempDir()
-	for i := 0; i < cfg.N; i++ {
-		g.dirs[i] = filepath.Join(base, fmt.Sprintf("replica-%d", i))
-		g.bootReplica(t, types.ProcessID(i), interval, mode, g.net.Transport(types.ProcessID(i)))
-	}
-	for _, r := range g.reps {
-		if err := r.Start(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return g
-}
-
-// bootReplica (re)builds replica p from its data directory; the caller
-// starts it. tr is the transport to wire it to (fresh after a restart).
-func (g *durableGroup) bootReplica(t *testing.T, p types.ProcessID, interval uint64, mode storage.SyncMode, tr transport.Transport) {
-	t.Helper()
-	disk, err := storage.Open(storage.Config{Dir: g.dirs[p], Mode: mode})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.stores[p] = NewKVStore()
-	r, err := NewReplica(Config{
-		Cluster:            g.cfg,
-		Self:               p,
-		Signer:             g.scheme.Signer(p),
-		Verifier:           g.scheme.Verifier(),
-		Transport:          tr,
-		App:                g.stores[p],
-		BaseTimeout:        200 * time.Millisecond,
-		CheckpointInterval: interval,
-		Storage:            disk,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.reps[p] = r
-	g.disks[p] = disk
-}
-
-// crash simulates kill -9 on replica p: the store stops mid-flight
-// (nothing unflushed survives, no further effect runs), the network
-// endpoint dies, and the replica object is abandoned un-Closed.
-func (g *durableGroup) crash(p types.ProcessID) transport.Transport {
-	g.disks[p].Abort()
-	return g.net.Restart(p)
-}
-
-func (g *durableGroup) close() {
-	for _, r := range g.reps {
-		if r != nil {
-			_ = r.Close()
-		}
-	}
-	_ = g.net.Close()
-}
+// The durable tests run the fixture with a storage.Store (SyncGroup) under
+// every replica, so they can cut the power (Store.Abort, via simGroup.crash)
+// and rebuild replicas from disk alone. The store's flusher and syncer stay
+// real goroutines doing real fsyncs; simGroup.settle waits them out at every
+// virtual instant.
 
 // TestDurableFullClusterRestart is the assertion in-memory replication can
 // never make: every replica is stopped at once — no survivor to serve
@@ -102,27 +24,15 @@ func TestDurableFullClusterRestart(t *testing.T) {
 	cfg := types.Generalized(1, 1)
 	const interval = 4
 	const ops = 14 // crosses several checkpoint boundaries, ends mid-interval
-	g := buildDurableGroup(t, cfg, 71, interval, storage.SyncGroup)
-	defer g.close()
+	g := newSimGroup(t, cfg, 71, groupOpts{interval: interval, durable: true})
 
 	submitOps(t, g.reps[0], "c0", 0, ops)
-	waitFor(t, 30*time.Second, func() bool {
-		for _, st := range g.stores {
-			if st.AppliedOps() < ops {
-				return false
-			}
-		}
-		return true
-	}, "all replicas to apply the pre-restart workload")
+	g.run(10*time.Second, g.applied(ops), "all replicas to apply the pre-restart workload")
 	lastCmd := EncodeKV(KVCommand{Op: OpSet, Client: "c0", Seq: ops - 1,
 		Key: fmt.Sprintf("k%d", ops-1), Value: fmt.Sprintf("v%d", ops-1)})
 
-	// Quiesce the disks, then cut the power on the whole cluster at once.
-	for _, d := range g.disks {
-		if err := d.Barrier(); err != nil {
-			t.Fatal(err)
-		}
-	}
+	// The disks are quiescent (run settles them); cut the power on the
+	// whole cluster at once.
 	for i := 0; i < cfg.N; i++ {
 		g.crash(types.ProcessID(i))
 	}
@@ -132,7 +42,7 @@ func TestDurableFullClusterRestart(t *testing.T) {
 	// before Start — from the data dir alone.
 	for i := 0; i < cfg.N; i++ {
 		p := types.ProcessID(i)
-		g.bootReplica(t, p, interval, storage.SyncGroup, g.net.Transport(p))
+		g.reboot(p)
 		if got := g.reps[p].AppliedCount(); got < ops {
 			t.Fatalf("replica %d recovered applied=%d before Start, want >= %d", i, got, ops)
 		}
@@ -157,14 +67,7 @@ func TestDurableFullClusterRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	submitOps(t, g.reps[0], "c0", ops, ops+6)
-	waitFor(t, 30*time.Second, func() bool {
-		for _, st := range g.stores {
-			if st.AppliedOps() < ops+6 {
-				return false
-			}
-		}
-		return true
-	}, "post-restart workload to replicate")
+	g.run(10*time.Second, g.applied(ops+6), "post-restart workload to replicate")
 	for i, st := range g.stores {
 		if got := st.AppliedOps(); got != ops+6 {
 			t.Fatalf("replica %d applied %d commands, want exactly %d (replay across restart re-executed)", i, got, ops+6)
@@ -181,41 +84,20 @@ func TestDurableReplicaRecoversFromDataDirAlone(t *testing.T) {
 	const interval = 4
 	const phaseA = 12
 	const phaseB = 8
-	g := buildDurableGroup(t, cfg, 72, interval, storage.SyncGroup)
-	defer g.close()
+	g := newSimGroup(t, cfg, 72, groupOpts{interval: interval, durable: true})
 	crashed := types.ProcessID(cfg.N - 1)
 
 	submitOps(t, g.reps[0], "c0", 0, phaseA)
-	waitFor(t, 30*time.Second, func() bool {
-		for _, st := range g.stores {
-			if st.AppliedOps() < phaseA {
-				return false
-			}
-		}
-		return true
-	}, "phase A to replicate everywhere")
-	if err := g.disks[crashed].Barrier(); err != nil {
-		t.Fatal(err)
-	}
-	tr := g.crash(crashed)
+	g.run(10*time.Second, g.applied(phaseA), "phase A to replicate everywhere")
+	g.crash(crashed)
 
 	// The cluster keeps deciding with n-1 replicas.
 	submitOps(t, g.reps[0], "c0", phaseA, phaseA+phaseB)
-	waitFor(t, 30*time.Second, func() bool {
-		for i, st := range g.stores {
-			if types.ProcessID(i) == crashed {
-				continue
-			}
-			if st.AppliedOps() < phaseA+phaseB {
-				return false
-			}
-		}
-		return true
-	}, "phase B to replicate on the survivors")
+	g.run(10*time.Second, g.applied(phaseA+phaseB), "phase B to replicate on the survivors")
 
 	// Rebuild the crashed replica. Before Start — before it can reach any
 	// peer — its phase-A state must be back, from the data dir alone.
-	g.bootReplica(t, crashed, interval, storage.SyncGroup, tr)
+	g.reboot(crashed)
 	if got := g.reps[crashed].AppliedCount(); got < phaseA {
 		t.Fatalf("recovered applied=%d from disk, want >= %d", got, phaseA)
 	}
@@ -231,7 +113,7 @@ func TestDurableReplicaRecoversFromDataDirAlone(t *testing.T) {
 	// Phase B arrives through normal state transfer; new traffic keeps
 	// the sync loop fed.
 	submitOps(t, g.reps[0], "c0", phaseA+phaseB, phaseA+phaseB+6)
-	waitFor(t, 30*time.Second, func() bool {
+	g.run(30*time.Second, func() bool {
 		return g.stores[crashed].AppliedOps() >= phaseA+phaseB+6
 	}, "recovered replica to catch up and follow new traffic")
 	for k := 0; k < phaseA+phaseB+6; k++ {
@@ -251,29 +133,25 @@ func TestDurableReplicaRecoversFromDataDirAlone(t *testing.T) {
 // the slots after it.
 func TestDurableRecoveredLeaderReproposesAdoptedValue(t *testing.T) {
 	cfg := types.Generalized(1, 1)
-	leader := types.View(1).Leader(cfg.N) // leads view 1 of every slot
-	g := buildDurableGroup(t, cfg, 73, 4, storage.SyncGroup)
-	defer g.close()
+	leader := cfg.Leader(1) // leads view 1 of every slot
+	g := newSimGroup(t, cfg, 73, groupOpts{interval: 4, durable: true})
 
 	// Only the leader runs at first: its proposal and ack for slot 0 are
 	// persisted, but with no peers there is no quorum and no decision.
 	for i := 0; i < cfg.N; i++ {
 		if p := types.ProcessID(i); p != leader {
 			g.crash(p)
-			g.reps[p] = nil
 		}
 	}
 	orig := EncodeKV(KVCommand{Op: OpSet, Client: "c0", Seq: 1, Key: "adopted", Value: "pre-crash"})
 	// HandleRequest runs the leader's propose-and-ack synchronously, so the
-	// slot-0 vote record is queued before it returns; Barrier makes it
-	// durable before the crash.
+	// slot-0 vote record is queued before it returns; settling waits out the
+	// fsync that makes it durable before the crash.
 	if err := submit(g.reps[leader], "c0", 1, orig); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.disks[leader].Barrier(); err != nil {
-		t.Fatal(err)
-	}
-	ltr := g.crash(leader)
+	g.settle()
+	g.crash(leader)
 	if !hasVoteOnDisk(t, g.dirs[leader], 0) {
 		t.Fatal("slot-0 vote record missing from the leader's WAL before the ack left the process")
 	}
@@ -285,16 +163,14 @@ func TestDurableRecoveredLeaderReproposesAdoptedValue(t *testing.T) {
 		if p == leader {
 			continue
 		}
-		g.bootReplica(t, p, 4, storage.SyncGroup, g.net.Transport(p))
-		if err := g.reps[p].Start(); err != nil {
+		if err := g.reboot(p).Start(); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// The leader restarts from its directory. Its pending queue is empty
 	// and a different command is submitted immediately — the bait: absent
 	// the restored vote, slot 0's view-1 proposal would now carry this.
-	g.bootReplica(t, leader, 4, storage.SyncGroup, ltr)
-	if err := g.reps[leader].Start(); err != nil {
+	if err := g.reboot(leader).Start(); err != nil {
 		t.Fatal(err)
 	}
 	bait := EncodeKV(KVCommand{Op: OpSet, Client: "c1", Seq: 1, Key: "adopted", Value: "post-crash"})
@@ -302,14 +178,7 @@ func TestDurableRecoveredLeaderReproposesAdoptedValue(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	waitFor(t, 30*time.Second, func() bool {
-		for _, st := range g.stores {
-			if st.AppliedOps() < 2 {
-				return false
-			}
-		}
-		return true
-	}, "both commands to replicate")
+	g.run(10*time.Second, g.applied(2), "both commands to replicate")
 	// Slot 0 decided the pre-crash value on every replica; the bait came
 	// after. Apply order makes "post-crash" the final value, and the
 	// pre-crash command was not lost.

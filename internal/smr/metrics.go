@@ -54,7 +54,7 @@ func (r *Replica) initMetricsLocked(reg *obs.Registry, ls obs.Labels) {
 		m.msgOut[k] = reg.Counter("fastbft_messages_out_total", "protocol messages produced, by kind (a broadcast counts once)", withLabel(ls, "kind", k.String()))
 	}
 	m.tracer = obs.NewTracer(reg, "fastbft_stage_seconds",
-		"cumulative request latency from submit to each pipeline stage", ls)
+		"cumulative request latency from submit to each pipeline stage", ls, r.cfg.Clock.Now())
 	reg.GaugeFunc("fastbft_pending_commands", "commands awaiting slot assignment", ls, func() float64 {
 		r.mu.Lock()
 		defer r.mu.Unlock()

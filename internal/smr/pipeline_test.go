@@ -2,13 +2,11 @@ package smr
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/msg"
 	"repro/internal/sigcrypto"
-	"repro/internal/sim"
 	"repro/internal/transport"
 	"repro/internal/types"
 )
@@ -47,83 +45,6 @@ func (r *Replica) inflightInvariantErr() error {
 	return nil
 }
 
-// payloadSlot parses the slot number out of an SMR frame header.
-func payloadSlot(payload []byte) (uint64, bool) {
-	_, s, _, ok := openHeader(payload)
-	return s, ok
-}
-
-// commitLog records OnCommit deliveries for one replica.
-type commitLog struct {
-	mu    sync.Mutex
-	slots []uint64
-}
-
-func (c *commitLog) record(slot uint64, _ Command, _ types.Decision) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.slots = append(c.slots, slot)
-}
-
-func (c *commitLog) snapshot() []uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]uint64(nil), c.slots...)
-}
-
-func (c *commitLog) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.slots)
-}
-
-// buildLockstepGroup wires n replicas over a deterministic lockstep
-// ReplicaNet with per-replica commit logs. Timers are effectively disabled
-// (the pump drives everything).
-func buildLockstepGroup(t *testing.T, cfg types.Config, seed int64, window, maxBatch int, interval uint64) ([]*Replica, []*KVStore, []*commitLog, *sim.ReplicaNet, sigcrypto.Scheme) {
-	t.Helper()
-	scheme := sigcrypto.NewHMAC(cfg.N, seed)
-	net := sim.NewReplicaNet(cfg.N)
-	reps := make([]*Replica, cfg.N)
-	stores := make([]*KVStore, cfg.N)
-	logs := make([]*commitLog, cfg.N)
-	for i := 0; i < cfg.N; i++ {
-		pid := types.ProcessID(i)
-		stores[i] = NewKVStore()
-		logs[i] = &commitLog{}
-		r, err := NewReplica(Config{
-			Cluster:            cfg,
-			Self:               pid,
-			Signer:             scheme.Signer(pid),
-			Verifier:           scheme.Verifier(),
-			Transport:          net.Transport(pid),
-			App:                stores[i],
-			OnCommit:           logs[i].record,
-			BaseTimeout:        time.Hour,
-			WindowSize:         window,
-			MaxBatch:           maxBatch,
-			CheckpointInterval: interval,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := r.Start(); err != nil {
-			t.Fatal(err)
-		}
-		reps[i] = r
-	}
-	return reps, stores, logs, net, scheme
-}
-
-func submitKV(t *testing.T, r *Replica, client string, i int) {
-	t.Helper()
-	cmd := EncodeKV(KVCommand{Op: OpSet, Client: client, Seq: uint64(i),
-		Key: fmt.Sprintf("k%d", i), Value: fmt.Sprintf("v%d", i)})
-	if err := submit(r, types.ClientID(fmt.Sprintf("%s-%d", client, i)), 1, cmd); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // ---------------------------------------------------------------------------
 // Pipelining: the window actually fills
 // ---------------------------------------------------------------------------
@@ -139,14 +60,10 @@ func submitKV(t *testing.T, r *Replica, client string, i int) {
 func TestSMRPipelineFillsWindow(t *testing.T) {
 	cfg := types.Generalized(1, 1)
 	const window = 4
-	reps, stores, _, net, _ := buildLockstepGroup(t, cfg, 41, window, 1, 0)
-	defer func() {
-		for _, r := range reps {
-			_ = r.Close()
-		}
-	}()
+	g := newSimGroup(t, cfg, 41, groupOpts{window: window})
+	reps, stores := g.reps, g.stores
 
-	leader := types.View(1).Leader(cfg.N)
+	leader := cfg.Leader(1)
 	const ops = 7 // more than the window: the excess must stay queued
 	for i := 0; i < ops; i++ {
 		submitKV(t, reps[leader], "burst", i)
@@ -166,7 +83,7 @@ func TestSMRPipelineFillsWindow(t *testing.T) {
 	// Let the cluster run: everything decides and applies, in order, on all
 	// replicas, and the window keeps refilling past the first WindowSize
 	// slots.
-	net.Drain(0)
+	g.settle()
 	for i, st := range stores {
 		if st.AppliedOps() != ops {
 			t.Fatalf("replica %d applied %d ops, want %d", i, st.AppliedOps(), ops)
@@ -182,90 +99,39 @@ func TestSMRPipelineFillsWindow(t *testing.T) {
 	}
 }
 
-// TestSMRPipelineDisjointChunksUnderLoad runs a concurrent workload over the
-// real in-memory transport with pipelining and batching enabled, and
-// continuously asserts that no command is ever proposed in two live slots of
-// the same replica simultaneously (the acceptance invariant of pipelined
-// replication), while every command still executes exactly once.
+// TestSMRPipelineDisjointChunksUnderLoad runs a pipelined, batched workload
+// submitted through every replica under seeded random message delays — slots
+// overtake each other and every replica's proposals collide with the
+// leader's — and asserts after every single simulator event that no command
+// is proposed in two live slots of the same replica at once (the acceptance
+// invariant of pipelined replication), while every command still executes
+// exactly once.
 func TestSMRPipelineDisjointChunksUnderLoad(t *testing.T) {
 	cfg := types.Generalized(1, 1)
-	scheme := sigcrypto.NewHMAC(cfg.N, 42)
-	net := transport.NewMemNetwork(cfg.N, 0)
-	defer func() { _ = net.Close() }()
-	reps := make([]*Replica, cfg.N)
-	stores := make([]*KVStore, cfg.N)
-	for i := 0; i < cfg.N; i++ {
-		pid := types.ProcessID(i)
-		stores[i] = NewKVStore()
-		r, err := NewReplica(Config{
-			Cluster:     cfg,
-			Self:        pid,
-			Signer:      scheme.Signer(pid),
-			Verifier:    scheme.Verifier(),
-			Transport:   net.Transport(pid),
-			App:         stores[i],
-			BaseTimeout: 200 * time.Millisecond,
-			WindowSize:  8,
-			MaxBatch:    4,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		reps[i] = r
-	}
-	for _, r := range reps {
-		if err := r.Start(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	defer func() {
-		for _, r := range reps {
-			_ = r.Close()
-		}
-	}()
+	g := newSimGroup(t, cfg, 42, groupOpts{jitter: 2 * time.Millisecond, window: 8, maxBatch: 4})
+	reps, stores := g.reps, g.stores
 
-	const ops = 96
-	stop := make(chan struct{})
-	violations := make(chan error, 1)
-	go func() {
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			for _, r := range reps {
-				if err := r.inflightInvariantErr(); err != nil {
-					select {
-					case violations <- err:
-					default:
-					}
-					return
-				}
-			}
-			time.Sleep(200 * time.Microsecond)
-		}
-	}()
 	// Submit through every replica to force conflicting local proposals (the
 	// losing chunks are what exercises re-enqueueing).
+	const ops = 96
 	for i := 0; i < ops; i++ {
 		submitKV(t, reps[i%cfg.N], "load", i)
 	}
-	waitFor(t, 30*time.Second, func() bool {
-		for _, st := range stores {
-			if st.AppliedOps() < ops {
-				return false
+	var violation error
+	if _, err := g.net.Run(g.net.Now()+10*time.Second, func() bool {
+		for _, r := range reps {
+			if violation = r.inflightInvariantErr(); violation != nil {
+				return true
 			}
 		}
-		return true
-	}, "pipelined workload to apply everywhere")
-	close(stop)
-	select {
-	case err := <-violations:
+		return g.applied(ops)()
+	}); err != nil {
 		t.Fatal(err)
-	default:
 	}
-	time.Sleep(100 * time.Millisecond) // any duplicate applications would land here
+	if violation != nil {
+		t.Fatal(violation)
+	}
+	g.net.Advance(100 * time.Millisecond) // any duplicate applications would land here
 	for i, st := range stores {
 		if st.AppliedOps() != ops {
 			t.Fatalf("replica %d applied %d ops, want exactly %d", i, st.AppliedOps(), ops)
@@ -289,26 +155,19 @@ func TestSMRPipelineDisjointChunksUnderLoad(t *testing.T) {
 // callbacks in strict slot order.
 func TestSMROutOfOrderDecideAppliesInOrder(t *testing.T) {
 	cfg := types.Generalized(1, 1)
-	reps, stores, logs, net, _ := buildLockstepGroup(t, cfg, 43, 8, 1, 0)
-	defer func() {
-		for _, r := range reps {
-			_ = r.Close()
-		}
-	}()
+	g := newSimGroup(t, cfg, 43, groupOpts{window: 8})
+	reps, stores, logs := g.reps, g.stores, g.logs
 
 	// Park all consensus traffic of slot 1: slots 2..4 will decide while
 	// slot 1 cannot.
 	const gap = uint64(1)
-	net.SetHold(func(_, _ types.ProcessID, payload []byte) bool {
-		s, ok := payloadSlot(payload)
-		return ok && s == gap
-	})
+	g.net.SetPayloadFunc(holdSlot(gap))
 
 	const ops = 5 // slots 0..4
 	for i := 0; i < ops; i++ {
 		submitKV(t, reps[0], "ooo", i)
 	}
-	net.Drain(0)
+	g.settle()
 
 	// Slots beyond the gap decided out of order; the gap and everything
 	// after it must not have applied.
@@ -327,22 +186,23 @@ func TestSMROutOfOrderDecideAppliesInOrder(t *testing.T) {
 	}
 	// Commit observers must have seen exactly the contiguous prefix.
 	for i, l := range logs {
-		waitFor(t, 10*time.Second, func() bool { return l.len() >= int(gap) }, "prefix commits to drain")
+		awaitGoroutines(t, func() bool { return l.len() >= int(gap) }, "prefix commits to drain")
 		if got := l.snapshot(); len(got) != int(gap) {
 			t.Fatalf("replica %d observed %d commits (%v) with the gap parked, want %d", i, len(got), got, gap)
 		}
 	}
 
 	// Release the gap: the log drains, in order, everywhere.
-	net.ReleaseHeld()
-	net.Drain(0)
+	g.net.SetPayloadFunc(nil)
+	g.net.Release()
+	g.settle()
 	for i, st := range stores {
 		if st.AppliedOps() != ops {
 			t.Fatalf("replica %d applied %d ops after release, want %d", i, st.AppliedOps(), ops)
 		}
 	}
 	for i, l := range logs {
-		waitFor(t, 10*time.Second, func() bool { return l.len() >= ops }, "all commits to drain")
+		awaitGoroutines(t, func() bool { return l.len() >= ops }, "all commits to drain")
 		got := l.snapshot()
 		if len(got) != ops {
 			t.Fatalf("replica %d observed %d commits, want %d", i, len(got), ops)
@@ -374,23 +234,16 @@ func TestSMROutOfOrderDecideAppliesInOrder(t *testing.T) {
 // never lost.
 func TestSMROutOfOrderDecideLongerGap(t *testing.T) {
 	cfg := types.Generalized(1, 1)
-	reps, stores, logs, net, _ := buildLockstepGroup(t, cfg, 44, 8, 2, 0)
-	defer func() {
-		for _, r := range reps {
-			_ = r.Close()
-		}
-	}()
+	g := newSimGroup(t, cfg, 44, groupOpts{window: 8, maxBatch: 2})
+	reps, stores, logs := g.reps, g.stores, g.logs
 
 	const gap = uint64(2)
-	net.SetHold(func(_, _ types.ProcessID, payload []byte) bool {
-		s, ok := payloadSlot(payload)
-		return ok && s == gap
-	})
+	g.net.SetPayloadFunc(holdSlot(gap))
 	const ops = 12 // batches of 2 across 6 slots
 	for i := 0; i < ops; i++ {
 		submitKV(t, reps[0], "gap", i)
 	}
-	net.Drain(0)
+	g.settle()
 	for i, r := range reps {
 		if got := r.AppliedCount(); got != gap {
 			t.Fatalf("replica %d apply frontier %d, want %d", i, got, gap)
@@ -399,15 +252,16 @@ func TestSMROutOfOrderDecideLongerGap(t *testing.T) {
 			t.Fatalf("replica %d decided only %d slots past the gap, want >= 3 (k+1..k+3)", i, decided)
 		}
 	}
-	net.ReleaseHeld()
-	net.Drain(0)
+	g.net.SetPayloadFunc(nil)
+	g.net.Release()
+	g.settle()
 	for i, st := range stores {
 		if st.AppliedOps() != ops {
 			t.Fatalf("replica %d applied %d ops, want %d", i, st.AppliedOps(), ops)
 		}
 	}
 	for i, l := range logs {
-		waitFor(t, 10*time.Second, func() bool { return l.len() >= int(reps[i].AppliedCount()) }, "commits to drain")
+		awaitGoroutines(t, func() bool { return l.len() >= int(reps[i].AppliedCount()) }, "commits to drain")
 		got := l.snapshot()
 		for s := 1; s < len(got); s++ {
 			if got[s] != got[s-1]+1 {
@@ -418,65 +272,25 @@ func TestSMROutOfOrderDecideLongerGap(t *testing.T) {
 }
 
 // TestSMRCommitOrderUnderConcurrency is the regression test for the ordered
-// commit drainer: under a real concurrent pipelined workload (in-memory
-// transport, many slots deciding close together), every replica's OnCommit
-// stream must be strictly ascending by slot. The previous implementation
-// fired one goroutine per slot and could deliver slot 7 before slot 6.
+// commit drainer: under a pipelined workload whose slots decide close
+// together and out of order (seeded random delays, submissions through every
+// replica), every replica's OnCommit stream must be strictly ascending by
+// slot. The drainer is a real goroutine racing the simulator's event loop;
+// the previous implementation fired one goroutine per slot and could deliver
+// slot 7 before slot 6.
 func TestSMRCommitOrderUnderConcurrency(t *testing.T) {
 	cfg := types.Generalized(1, 1)
-	scheme := sigcrypto.NewHMAC(cfg.N, 45)
-	net := transport.NewMemNetwork(cfg.N, 0)
-	defer func() { _ = net.Close() }()
-	reps := make([]*Replica, cfg.N)
-	stores := make([]*KVStore, cfg.N)
-	logs := make([]*commitLog, cfg.N)
-	for i := 0; i < cfg.N; i++ {
-		pid := types.ProcessID(i)
-		stores[i] = NewKVStore()
-		logs[i] = &commitLog{}
-		r, err := NewReplica(Config{
-			Cluster:     cfg,
-			Self:        pid,
-			Signer:      scheme.Signer(pid),
-			Verifier:    scheme.Verifier(),
-			Transport:   net.Transport(pid),
-			App:         stores[i],
-			OnCommit:    logs[i].record,
-			BaseTimeout: 200 * time.Millisecond,
-			WindowSize:  8,
-			MaxBatch:    2,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		reps[i] = r
-	}
-	for _, r := range reps {
-		if err := r.Start(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	defer func() {
-		for _, r := range reps {
-			_ = r.Close()
-		}
-	}()
+	g := newSimGroup(t, cfg, 45, groupOpts{jitter: 2 * time.Millisecond, window: 8, maxBatch: 2})
+	reps, logs := g.reps, g.logs
 
 	const ops = 64
 	for i := 0; i < ops; i++ {
 		submitKV(t, reps[i%cfg.N], "order", i)
 	}
-	waitFor(t, 30*time.Second, func() bool {
-		for _, st := range stores {
-			if st.AppliedOps() < ops {
-				return false
-			}
-		}
-		return true
-	}, "workload to apply")
+	g.run(10*time.Second, g.applied(ops), "workload to apply")
 	for i := range reps {
 		i := i
-		waitFor(t, 10*time.Second, func() bool {
+		awaitGoroutines(t, func() bool {
 			return uint64(logs[i].len()) >= reps[i].AppliedCount()
 		}, "commit queue to drain")
 		got := logs[i].snapshot()
@@ -507,19 +321,13 @@ func TestSMRPipelineCrashRestartPartFilledWindow(t *testing.T) {
 	cfg := types.Generalized(1, 1)
 	const interval = uint64(4)
 	crashed := types.ProcessID(cfg.N - 1)
-	reps, stores, _, net, scheme := buildLockstepGroup(t, cfg, 46, 8, 1, interval)
-	defer func() {
-		for _, r := range reps {
-			if r != nil {
-				_ = r.Close()
-			}
-		}
-	}()
+	g := newSimGroup(t, cfg, 46, groupOpts{window: 8, interval: interval})
+	reps, stores := g.reps, g.stores
 
 	// Phase 1: a few slots everywhere.
 	for i := 0; i < 4; i++ {
 		submitKV(t, reps[0], "cw", i)
-		net.Drain(0)
+		g.settle()
 	}
 	if got := stores[crashed].AppliedOps(); got != 4 {
 		t.Fatalf("phase 1: crashed-to-be replica applied %d ops", got)
@@ -528,64 +336,42 @@ func TestSMRPipelineCrashRestartPartFilledWindow(t *testing.T) {
 	// Phase 2: park slot 5 so slots 6..9 decide out of order, leaving the
 	// window part-filled, then crash the replica in that state.
 	const gap = uint64(5)
-	net.SetHold(func(_, _ types.ProcessID, payload []byte) bool {
-		s, ok := payloadSlot(payload)
-		return ok && s == gap
-	})
+	g.net.SetPayloadFunc(holdSlot(gap))
 	for i := 4; i < 10; i++ {
 		submitKV(t, reps[0], "cw", i)
 	}
-	net.Drain(0)
+	g.settle()
 	if got := reps[0].AppliedCount(); got != gap {
 		t.Fatalf("phase 2: apply frontier %d, want stalled at %d", got, gap)
 	}
-	net.SetDown(crashed, true)
-	net.ReleaseHeld()
-	net.Drain(0)
+	g.crash(crashed)
+	g.net.SetPayloadFunc(nil)
+	g.net.Release()
+	g.settle()
 
 	// Phase 3: several checkpoint intervals without the crashed replica, so
 	// the survivors prune the slots it missed.
 	const phase3End = 10 + 3*int(interval) + 2
 	for i := 10; i < phase3End; i++ {
 		submitKV(t, reps[0], "cw", i)
-		net.Drain(0)
+		g.settle()
 	}
 	if cp, ok := reps[0].StableCheckpoint(); !ok || cp.Slot < 2*interval {
 		t.Fatalf("survivors lack an advanced stable checkpoint (ok=%v)", ok)
 	}
 
 	// Phase 4: restart with empty state; fresh traffic pulls it back in.
-	_ = reps[crashed].Close() // release the crashed instance's goroutines
-	reps[crashed] = nil
-	tr := net.Restart(crashed)
-	freshStore := NewKVStore()
-	freshLog := &commitLog{}
-	restarted, err := NewReplica(Config{
-		Cluster:            cfg,
-		Self:               crashed,
-		Signer:             scheme.Signer(crashed),
-		Verifier:           scheme.Verifier(),
-		Transport:          tr,
-		App:                freshStore,
-		OnCommit:           freshLog.record,
-		BaseTimeout:        time.Hour,
-		WindowSize:         8,
-		CheckpointInterval: interval,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	restarted := g.reboot(crashed)
 	if err := restarted.Start(); err != nil {
 		t.Fatal(err)
 	}
-	reps[crashed] = restarted
+	freshStore, freshLog := stores[crashed], g.logs[crashed]
 
 	const totalOps = phase3End + 6
 	for i := phase3End; i < totalOps; i++ {
 		submitKV(t, reps[0], "cw", i)
-		net.Drain(0)
+		g.settle()
 	}
-	net.Drain(0)
 
 	if got, want := freshStore.AppliedOps(), stores[0].AppliedOps(); got != want {
 		t.Fatalf("restarted replica applied %d ops, survivor %d", got, want)
@@ -605,9 +391,7 @@ func TestSMRPipelineCrashRestartPartFilledWindow(t *testing.T) {
 	}
 	// The restarted replica's commit stream is ascending and contiguous from
 	// wherever state transfer let it join.
-	waitFor(t, 10*time.Second, func() bool {
-		return freshLog.len() > 0
-	}, "restarted replica commits")
+	awaitGoroutines(t, func() bool { return freshLog.len() > 0 }, "restarted replica commits")
 	got := freshLog.snapshot()
 	for s := 1; s < len(got); s++ {
 		if got[s] != got[s-1]+1 {

@@ -1,0 +1,299 @@
+package smr
+
+import (
+	"bytes"
+	"encoding/binary"
+	"flag"
+	"fmt"
+	"reflect"
+	"testing"
+	"time"
+
+	"repro/internal/msg"
+	"repro/internal/sim"
+	"repro/internal/types"
+)
+
+// Seeded schedules: whole clusters run under random per-message delays drawn
+// from a seed, so slots and views overtake each other in ways no scripted
+// scenario lists, and a failure replays from the seed it prints:
+//
+//	go test ./internal/smr -run TestSeededScheduleSmoke -sim.first=<seed> -sim.seeds=1
+//
+// This is a smoke over a handful of seeds, not an explorer: it injects no
+// crashes mid-run, no drops and no Byzantine behaviour.
+var (
+	simSeeds = flag.Int("sim.seeds", 20, "how many seeds TestSeededScheduleSmoke runs per scenario")
+	simFirst = flag.Int64("sim.first", 1, "first seed of TestSeededScheduleSmoke")
+)
+
+const (
+	scheduleDelta    = 10 * time.Millisecond // bound of the per-message delay
+	scheduleSessions = 3
+	scheduleRequests = 6 // per session, closed loop
+	scheduleLimit    = 60 * time.Second
+)
+
+// scheduleResult is what one seeded run leaves behind.
+type scheduleResult struct {
+	trace   []byte             // every delivery: time, from, to, payload
+	decided [][]types.Decision // per replica, the decision of every applied slot
+	stores  [][]byte           // per replica, the KVStore snapshot
+	elapsed time.Duration      // virtual time until every live replica applied everything
+}
+
+// runSchedule runs three closed-loop client sessions against a window-4
+// cluster under SeededDelay(seed, Δ) — with silent set, the view-1 leader is
+// dead from the start, so every slot decides through a view change — until
+// every live replica applied every request, and fails the test (naming the
+// seed) if that takes more than scheduleLimit of virtual time.
+func runSchedule(t *testing.T, cfg types.Config, seed int64, silent bool) scheduleResult {
+	t.Helper()
+	var res scheduleResult
+	g := newSimGroup(t, cfg, seed, groupOpts{
+		jitter: scheduleDelta,
+		window: 4,
+		trace: func(ev sim.TraceEvent) {
+			var hdr [8 + 3*binary.MaxVarintLen64]byte
+			binary.BigEndian.PutUint64(hdr[:8], uint64(ev.Time))
+			n := 8 + binary.PutUvarint(hdr[8:], uint64(ev.From))
+			n += binary.PutUvarint(hdr[n:], uint64(ev.To))
+			n += binary.PutUvarint(hdr[n:], uint64(len(ev.Payload)))
+			res.trace = append(append(res.trace, hdr[:n]...), ev.Payload...)
+		},
+	})
+	if silent {
+		g.crash(cfg.Leader(1))
+	}
+
+	// Session c sends its k-th request through replica (c+k) mod n — skipping
+	// a dead one — once that replica has executed the session's previous one.
+	// The check runs after every simulator event, so the submissions are part
+	// of the schedule the seed determines.
+	entry := func(c, k int) *Replica {
+		for p := (c + k) % cfg.N; ; p = (p + 1) % cfg.N {
+			if g.reps[p] != nil {
+				return g.reps[p]
+			}
+		}
+	}
+	next := make([]int, scheduleSessions) // requests issued so far, per session
+	issue := func() {
+		for c := range next {
+			id := types.ClientID(fmt.Sprintf("s%d", c))
+			if k := next[c]; k > 0 {
+				if seq, _ := entry(c, k).SessionSeq(id); seq < uint64(k) {
+					continue // previous request still in flight
+				}
+			}
+			if next[c] == scheduleRequests {
+				continue
+			}
+			next[c]++
+			op := kvSetOp(fmt.Sprintf("s%d-%d", c, next[c]), fmt.Sprintf("v%d", next[c]))
+			if err := entry(c, next[c]).HandleRequest(&msg.Request{Client: id, Seq: uint64(next[c]), Op: op}, nil); err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+		}
+	}
+	const total = scheduleSessions * scheduleRequests
+	issue()
+	if _, err := g.net.Run(scheduleLimit, func() bool {
+		issue()
+		return g.applied(total)()
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !g.applied(total)() {
+		t.Fatalf("seed %d: no progress to %d applied commands within %v of virtual time (%v)",
+			seed, total, scheduleLimit, g.reps)
+	}
+	res.elapsed = g.net.Now()
+	g.net.Advance(time.Second) // stragglers, and any duplicate application
+
+	g.live(func(p types.ProcessID, r *Replica) {
+		var log []types.Decision
+		for s := uint64(0); s < r.AppliedCount(); s++ {
+			d, ok := r.Decided(s)
+			if !ok {
+				t.Fatalf("seed %d: replica %s applied slot %d without a decision record", seed, p, s)
+			}
+			log = append(log, d)
+		}
+		res.decided = append(res.decided, log)
+		res.stores = append(res.stores, g.stores[p].Snapshot())
+
+		// Exactly-once per (client, seq): every request wrote a key of its
+		// own, so all keys present and no more executions than requests means
+		// each ran once.
+		if got := g.stores[p].AppliedOps(); got != total {
+			t.Fatalf("seed %d: replica %s executed %d commands for %d requests", seed, p, got, total)
+		}
+		for c := 0; c < scheduleSessions; c++ {
+			for k := 1; k <= scheduleRequests; k++ {
+				if v, ok := g.stores[p].Get(fmt.Sprintf("s%d-%d", c, k)); !ok || v != fmt.Sprintf("v%d", k) {
+					t.Fatalf("seed %d: replica %s: request s%d/%d left %q (present=%v)", seed, p, c, k, v, ok)
+				}
+			}
+		}
+	})
+	// Agreement per slot, and byte-identical application state.
+	for i := 1; i < len(res.decided); i++ {
+		for s := 0; s < len(res.decided[i]) && s < len(res.decided[0]); s++ {
+			if !res.decided[i][s].Value.Equal(res.decided[0][s].Value) {
+				t.Fatalf("seed %d: slot %d decided differently on two replicas", seed, s)
+			}
+		}
+		if !bytes.Equal(res.stores[i], res.stores[0]) {
+			t.Fatalf("seed %d: replica stores diverged", seed)
+		}
+	}
+	return res
+}
+
+// TestSeededScheduleReplays: one seed, run twice, yields a byte-identical
+// delivery trace and identical decided logs on every replica — the property
+// that makes a printed seed a reproduction. The silenced-leader variant
+// replays the regime timers and the windowed view change too.
+func TestSeededScheduleReplays(t *testing.T) {
+	cfg := types.Generalized(1, 1)
+	for _, silent := range []bool{false, true} {
+		a := runSchedule(t, cfg, 1234, silent)
+		b := runSchedule(t, cfg, 1234, silent)
+		if !bytes.Equal(a.trace, b.trace) {
+			t.Fatalf("silent=%v: same seed, different delivery traces (%d vs %d bytes)", silent, len(a.trace), len(b.trace))
+		}
+		if !reflect.DeepEqual(a.decided, b.decided) {
+			t.Fatalf("silent=%v: same seed, different decided logs", silent)
+		}
+		if len(a.trace) == 0 || len(a.decided[0]) == 0 {
+			t.Fatal("the run recorded nothing")
+		}
+		if c := runSchedule(t, cfg, 1235, silent); bytes.Equal(a.trace, c.trace) {
+			t.Fatalf("silent=%v: different seeds, same delivery trace", silent)
+		}
+	}
+}
+
+// TestSeededScheduleSmoke runs -sim.seeds seeds (20 by default; `make
+// sim-sweep` runs more) of each scenario and checks, per run, agreement per
+// slot, exactly-once execution, byte-identical stores and progress within
+// bounded virtual time. A failure names its seed.
+func TestSeededScheduleSmoke(t *testing.T) {
+	for _, sc := range []struct {
+		name   string
+		cfg    types.Config
+		silent bool
+	}{
+		{"n4", types.Generalized(1, 1), false},
+		{"n7", types.Generalized(2, 1), false},
+		{"n4-silent-leader", types.Generalized(1, 1), true},
+	} {
+		t.Run(sc.name, func(t *testing.T) {
+			var worst time.Duration
+			for seed := *simFirst; seed < *simFirst+int64(*simSeeds); seed++ {
+				if res := runSchedule(t, sc.cfg, seed, sc.silent); res.elapsed > worst {
+					worst = res.elapsed
+				}
+			}
+			t.Logf("%d seeds from %d: slowest run took %v of virtual time", *simSeeds, *simFirst, worst)
+		})
+	}
+}
+
+// TestFetchRetryLoop pins the state-sync retry policy on virtual time. With
+// every peer silent, a replica that saw lag evidence re-sends FetchState
+// every fetchRetryCooldown, round-robin over its peers, and parks the sync
+// after one fruitless cycle of n retries — that is what bounds the work a
+// Byzantine peer can cause with an inflated evidence slot. On the serving
+// side, a second FetchState from the same requester inside
+// fetchRetryCooldown/2 is refused.
+func TestFetchRetryLoop(t *testing.T) {
+	cfg := types.Generalized(1, 1)
+	g := newSimGroup(t, cfg, 61, groupOpts{interval: 2})
+	r := g.reps[0]
+
+	// Give replica 0 something to serve: a stable checkpoint.
+	submitOps(t, r, "c", 0, 4)
+	g.settle()
+	if _, ok := r.StableCheckpoint(); !ok {
+		t.Fatal("no stable checkpoint after two intervals")
+	}
+
+	type send struct {
+		at time.Duration
+		to types.ProcessID
+	}
+	var fetches []send
+	served := 0
+	g.net.SetPayloadFunc(func(from, to types.ProcessID, payload []byte, now sim.Time) sim.Fate {
+		_, s, m, ok := OpenEnvelope(payload)
+		if !ok || s != syncSlot {
+			return sim.Fate{}
+		}
+		switch m.(type) {
+		case *msg.FetchState:
+			if from == r.cfg.Self {
+				fetches = append(fetches, send{now, to})
+				return sim.Fate{Drop: true} // every peer stays silent
+			}
+		case *msg.StateSnapshot:
+			if from == r.cfg.Self {
+				served++
+			}
+		}
+		return sim.Fate{}
+	})
+
+	// Serving side first: three requests from process 3, the second inside
+	// the refusal window, the third just past it.
+	ask := func() {
+		_ = g.net.Transport(3).Send(0, Envelope(0, syncSlot, &msg.FetchState{From: 0}))
+		g.settle()
+	}
+	ask()
+	g.net.Advance(fetchRetryCooldown/2 - 1)
+	ask()
+	if served != 1 {
+		t.Fatalf("%d responses to two requests %v apart, want the second refused", served, fetchRetryCooldown/2-1)
+	}
+	g.net.Advance(1)
+	ask()
+	if served != 2 {
+		t.Fatalf("%d responses after the refusal window passed, want 2", served)
+	}
+
+	// Requesting side: lag evidence from process 2, far beyond the frontier.
+	start := g.net.Now()
+	r.mu.Lock()
+	r.noteBehindLocked(r.applyPtr+100, 2)
+	r.mu.Unlock()
+	g.net.Advance(time.Duration(cfg.N+3) * fetchRetryCooldown)
+
+	want := []send{{0, 2}}
+	for i, to := 1, types.ProcessID(2); i <= cfg.N; i++ {
+		if to = (to + 1) % types.ProcessID(cfg.N); to == r.cfg.Self {
+			to = (to + 1) % types.ProcessID(cfg.N)
+		}
+		want = append(want, send{time.Duration(i) * fetchRetryCooldown, to})
+	}
+	for i := range fetches {
+		fetches[i].at -= start
+	}
+	if !reflect.DeepEqual(fetches, want) {
+		t.Fatalf("fetch schedule %v, want %v (one per cooldown, round-robin, parked after %d retries)", fetches, want, cfg.N)
+	}
+	r.mu.Lock()
+	parked := r.fetchAt == 0
+	r.mu.Unlock()
+	if !parked {
+		t.Fatal("the sync loop is still armed after a fruitless cycle")
+	}
+	// Fresh evidence re-arms it.
+	r.mu.Lock()
+	r.noteBehindLocked(r.applyPtr+200, 3)
+	r.mu.Unlock()
+	if got := fetches[len(fetches)-1]; got.to != 3 {
+		t.Fatalf("fresh evidence from process 3 sent the fetch to %s", got.to)
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"time"
 
 	"repro/internal/msg"
 	"repro/internal/obs"
@@ -185,7 +184,7 @@ func (r *Replica) enqueueRequestLocked(req *msg.Request, enc Command) {
 	if r.pending.Contains(enc) {
 		return // duplicate arrival; don't clone just to discard the copy
 	}
-	r.pending.PushBackAt(enc.Clone(), r.m.tracer.Nanos(time.Now()))
+	r.pending.PushBackAt(enc.Clone(), r.m.tracer.Nanos(r.cfg.Clock.Now()))
 }
 
 // compactPendingLocked drops queued commands the session table has since

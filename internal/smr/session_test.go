@@ -9,9 +9,9 @@ import (
 	"repro/internal/types"
 )
 
-// execReq submits one client request through replica r and, when wait is
-// set, blocks until r answers it.
-func execReq(t *testing.T, r *Replica, id types.ClientID, seq uint64, op []byte, wait bool) *msg.Reply {
+// execReq submits one client request through replica r of group g, runs the
+// simulation until r has executed it, and returns r's reply.
+func execReq(t *testing.T, g *simGroup, r *Replica, id types.ClientID, seq uint64, op []byte) *msg.Reply {
 	t.Helper()
 	ch := make(chan *msg.Reply, 4)
 	err := r.HandleRequest(&msg.Request{Client: id, Seq: seq, Op: op},
@@ -19,16 +19,12 @@ func execReq(t *testing.T, r *Replica, id types.ClientID, seq uint64, op []byte,
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !wait {
-		return nil
-	}
-	select {
-	case rep := <-ch:
-		return rep
-	case <-time.After(30 * time.Second):
-		t.Fatalf("no reply for %s/%d", id, seq)
-		return nil
-	}
+	g.run(10*time.Second, func() bool {
+		got, ok := r.SessionSeq(id)
+		return ok && got >= seq
+	}, fmt.Sprintf("execution of %s/%d", id, seq))
+	awaitGoroutines(t, func() bool { return len(ch) > 0 }, "the reply callback")
+	return <-ch
 }
 
 func kvSetOp(key, value string) []byte {
@@ -45,13 +41,8 @@ func TestSessionTableStaysBoundedAcrossCheckpoints(t *testing.T) {
 	const interval = 2
 	const clients = 3
 	const rounds = 8 // commands per client: 24 slots >= 10 checkpoint intervals
-	reps, stores, net, _ := buildCkptGroup(t, cfg, 51, interval)
-	defer func() {
-		for _, r := range reps {
-			_ = r.Close()
-		}
-		_ = net.Close()
-	}()
+	g := newSimGroup(t, cfg, 51, groupOpts{jitter: testJitter, interval: interval})
+	reps, stores := g.reps, g.stores
 
 	var lastReply *msg.Reply
 	total := 0
@@ -59,7 +50,7 @@ func TestSessionTableStaysBoundedAcrossCheckpoints(t *testing.T) {
 		for c := 0; c < clients; c++ {
 			id := types.ClientID(fmt.Sprintf("client-%d", c))
 			key := fmt.Sprintf("k%d-%d", c, round)
-			rep := execReq(t, reps[0], id, uint64(round+1), kvSetOp(key, "v"), true)
+			rep := execReq(t, g, reps[0], id, uint64(round+1), kvSetOp(key, "v"))
 			if rep.Seq != uint64(round+1) {
 				t.Fatalf("reply seq %d, want %d", rep.Seq, round+1)
 			}
@@ -67,14 +58,7 @@ func TestSessionTableStaysBoundedAcrossCheckpoints(t *testing.T) {
 			total++
 		}
 	}
-	waitFor(t, 30*time.Second, func() bool {
-		for _, st := range stores {
-			if st.AppliedOps() < uint64(total) {
-				return false
-			}
-		}
-		return true
-	}, "all replicas to apply all commands")
+	g.run(10*time.Second, g.applied(uint64(total)), "all replicas to apply all commands")
 	if applied := reps[0].AppliedCount(); applied < 10*interval {
 		t.Fatalf("only %d slots applied; the test needs >= %d (10 checkpoint intervals)",
 			applied, 10*interval)
@@ -96,12 +80,12 @@ func TestSessionTableStaysBoundedAcrossCheckpoints(t *testing.T) {
 		before[i] = st.AppliedOps()
 	}
 	id := types.ClientID(fmt.Sprintf("client-%d", clients-1))
-	again := execReq(t, reps[0], id, uint64(rounds), kvSetOp(fmt.Sprintf("k%d-%d", clients-1, rounds-1), "v"), true)
+	again := execReq(t, g, reps[0], id, uint64(rounds), kvSetOp(fmt.Sprintf("k%d-%d", clients-1, rounds-1), "v"))
 	if again.Slot != lastReply.Slot || string(again.Result) != string(lastReply.Result) {
 		t.Fatalf("cached reply mismatch: got slot=%d result=%q, want slot=%d result=%q",
 			again.Slot, again.Result, lastReply.Slot, lastReply.Result)
 	}
-	time.Sleep(100 * time.Millisecond) // a re-execution would need network time
+	g.net.Advance(100 * time.Millisecond) // a re-execution would need network time
 	for i, st := range stores {
 		if st.AppliedOps() != before[i] {
 			t.Errorf("replica %d re-applied a retransmitted request (%d -> %d ops)",
@@ -119,31 +103,19 @@ func TestSessionTableStaysBoundedAcrossCheckpoints(t *testing.T) {
 func TestSessionPruningDropsInactiveClients(t *testing.T) {
 	cfg := types.Generalized(1, 1)
 	const interval = 2
-	reps, stores, net, _ := buildCkptGroup(t, cfg, 52, interval)
-	defer func() {
-		for _, r := range reps {
-			_ = r.Close()
-		}
-		_ = net.Close()
-	}()
+	g := newSimGroup(t, cfg, 52, groupOpts{jitter: testJitter, interval: interval})
+	reps := g.reps
 
 	// The ghost client executes once, then disappears.
-	execReq(t, reps[0], "ghost", 1, kvSetOp("g", "1"), true)
+	execReq(t, g, reps[0], "ghost", 1, kvSetOp("g", "1"))
 
 	// A persistent client drives traffic well past the retention horizon.
 	const ops = 4 * interval * sessionRetentionIntervals
 	for i := 1; i <= ops; i++ {
-		execReq(t, reps[0], "steady", uint64(i), kvSetOp(fmt.Sprintf("s%d", i), "v"), true)
+		execReq(t, g, reps[0], "steady", uint64(i), kvSetOp(fmt.Sprintf("s%d", i), "v"))
 	}
-	waitFor(t, 30*time.Second, func() bool {
-		for _, st := range stores {
-			if st.AppliedOps() < ops+1 {
-				return false
-			}
-		}
-		return true
-	}, "all replicas to apply all commands")
-	waitFor(t, 30*time.Second, func() bool {
+	g.run(10*time.Second, g.applied(ops+1), "all replicas to apply all commands")
+	g.run(10*time.Second, func() bool {
 		for _, r := range reps {
 			if _, ok := r.SessionSeq("ghost"); ok {
 				return false
@@ -163,10 +135,10 @@ func TestSessionPruningDropsInactiveClients(t *testing.T) {
 // queued for proposal, so replays cannot bloat batches (or spin up slots).
 func TestStaleRequestNeverEntersProposalBatch(t *testing.T) {
 	cfg := types.Generalized(1, 1)
-	reps, stores, cleanup := buildGroup(t, cfg, 53)
-	defer cleanup()
+	g := newSimGroup(t, cfg, 53, groupOpts{jitter: testJitter})
+	reps, stores := g.reps, g.stores
 
-	rep := execReq(t, reps[0], "mallory", 3, kvSetOp("m", "1"), true)
+	rep := execReq(t, g, reps[0], "mallory", 3, kvSetOp("m", "1"))
 	if rep.Seq != 3 {
 		t.Fatalf("reply seq %d, want 3", rep.Seq)
 	}
@@ -183,7 +155,7 @@ func TestStaleRequestNeverEntersProposalBatch(t *testing.T) {
 			t.Fatalf("stale seq %d entered the pending queue (%d pending)", seq, n)
 		}
 	}
-	time.Sleep(100 * time.Millisecond)
+	g.net.Advance(100 * time.Millisecond)
 	if got := reps[0].AppliedCount(); got != slots {
 		t.Fatalf("stale requests advanced the log from %d to %d slots", slots, got)
 	}
@@ -214,20 +186,15 @@ func TestReplayRejectedAfterRestartAndStateTransfer(t *testing.T) {
 	cfg := types.Generalized(1, 1)
 	const interval = 4
 	crashed := types.ProcessID(cfg.N - 1)
-	reps, stores, net, scheme := buildCkptGroup(t, cfg, 54, interval)
-	defer func() {
-		for _, r := range reps {
-			_ = r.Close()
-		}
-		_ = net.Close()
-	}()
+	g := newSimGroup(t, cfg, 54, groupOpts{jitter: testJitter, interval: interval})
+	reps, stores := g.reps, g.stores
 
 	// Phase 1: all alive; alice executes a few requests.
 	seq := uint64(0)
 	step := func(r *Replica) {
 		seq++
-		execReq(t, r, "alice", seq, kvSetOp(fmt.Sprintf("a%d", seq), fmt.Sprintf("v%d", seq)), true)
-		waitFor(t, 30*time.Second, func() bool {
+		execReq(t, g, r, "alice", seq, kvSetOp(fmt.Sprintf("a%d", seq), fmt.Sprintf("v%d", seq)))
+		g.run(10*time.Second, func() bool {
 			return stores[0].AppliedOps() >= seq
 		}, "paced application")
 	}
@@ -237,41 +204,25 @@ func TestReplayRejectedAfterRestartAndStateTransfer(t *testing.T) {
 
 	// Phase 2: crash one replica; run three checkpoint intervals without it
 	// so the survivors prune the slots it missed.
-	if err := reps[crashed].Close(); err != nil {
-		t.Fatal(err)
-	}
+	g.crash(crashed)
 	for i := 0; i < 3*interval+4; i++ {
 		step(reps[0])
 	}
-	waitFor(t, 30*time.Second, func() bool {
+	g.run(10*time.Second, func() bool {
 		cp, ok := reps[0].StableCheckpoint()
 		return ok && cp.Slot >= 2*interval
 	}, "survivors to advance their stable checkpoint")
 
 	// Phase 3: restart with empty state; it catches up via state transfer.
-	tr := net.Restart(crashed)
-	freshStore := NewKVStore()
-	restarted, err := NewReplica(Config{
-		Cluster:            cfg,
-		Self:               crashed,
-		Signer:             scheme.Signer(crashed),
-		Verifier:           scheme.Verifier(),
-		Transport:          tr,
-		App:                freshStore,
-		BaseTimeout:        200 * time.Millisecond,
-		CheckpointInterval: interval,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	restarted := g.reboot(crashed)
 	if err := restarted.Start(); err != nil {
 		t.Fatal(err)
 	}
-	defer func() { _ = restarted.Close() }()
+	freshStore := stores[crashed]
 	for i := 0; i < 4; i++ {
 		step(reps[0])
 	}
-	waitFor(t, 60*time.Second, func() bool {
+	g.run(30*time.Second, func() bool {
 		return freshStore.AppliedOps() >= seq &&
 			restarted.AppliedCount() >= reps[0].AppliedCount()
 	}, "restarted replica to catch up")
@@ -293,7 +244,7 @@ func TestReplayRejectedAfterRestartAndStateTransfer(t *testing.T) {
 	if n := restarted.PendingCount(); n != 0 {
 		t.Fatalf("replay entered the restarted replica's pending queue (%d pending)", n)
 	}
-	time.Sleep(100 * time.Millisecond)
+	g.net.Advance(100 * time.Millisecond)
 	if got := freshStore.AppliedOps(); got != before {
 		t.Fatalf("replay re-executed on the restarted replica (%d -> %d ops)", before, got)
 	}

@@ -5,7 +5,8 @@
 //
 // Each log slot is one independent consensus instance (a core.Process); all
 // instances of a replica share one transport, with payloads tagged by a
-// (group, slot) header (see newFrame), and one wall clock. Replication is
+// (group, slot) header (see newFrame), and one clock (Config.Clock — the
+// replica reads time and arms timers nowhere else). Replication is
 // pipelined: up to Config.WindowSize slots run concurrently, each proposing
 // a disjoint chunk of the pending queue, so throughput is bounded by the
 // window rather than by one consensus round-trip per batch. Slots may decide
@@ -42,6 +43,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/msg"
+	"repro/internal/node"
 	"repro/internal/obs"
 	"repro/internal/quorum"
 	"repro/internal/sigcrypto"
@@ -154,6 +156,10 @@ type Config struct {
 	// severities; nil logs through the standard library logger with the
 	// historical message text.
 	Logger *obs.Logger
+	// Clock is the replica's one time source: every timestamp it takes and
+	// every timer it arms goes through it. Nil means the wall clock, which
+	// every deployment runs on; tests inject a sim.Network's virtual clock.
+	Clock node.Clock
 }
 
 // Stats is a point-in-time snapshot of replica counters (see
@@ -233,7 +239,7 @@ type Replica struct {
 	// armed, so a fire can tell progress from a stall; regimeBackoff counts
 	// consecutive no-progress fires; ewmaDecide tracks observed decide
 	// latency for the adaptive timeout.
-	regimeTimer   *time.Timer
+	regimeTimer   node.Timer
 	regimeGen     uint64
 	regimeNext    uint64
 	regimeApply   uint64
@@ -257,7 +263,7 @@ type Replica struct {
 	fetchAt    uint64                                // 1 + applyPtr at the last FetchState (0 = sync idle)
 	fetchEv    uint64                                // highest lag evidence slot observed
 	fetchTime  time.Time                             // when the last FetchState was sent
-	fetchTimer *time.Timer                           // retry timer of the sync loop
+	fetchTimer node.Timer                            // retry timer of the sync loop
 	fetchRR    types.ProcessID                       // peer the last FetchState went to
 	fetchCycle int                                   // retries in the current round-robin cycle
 	fetchStart uint64                                // applyPtr when the current cycle began
@@ -320,6 +326,9 @@ func NewReplica(cfg Config) (*Replica, error) {
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = 1
 	}
+	if cfg.Clock == nil {
+		cfg.Clock = node.Wall
+	}
 	var snapper Snapshotter
 	if cfg.CheckpointInterval > 0 {
 		var ok bool
@@ -329,6 +338,7 @@ func NewReplica(cfg Config) (*Replica, error) {
 	}
 	r := &Replica{
 		cfg:           cfg,
+		start:         cfg.Clock.Now(),
 		th:            quorum.New(cfg.Cluster),
 		interval:      cfg.CheckpointInterval,
 		snapshotter:   snapper,
@@ -370,7 +380,6 @@ func (r *Replica) Start() error {
 		return transport.ErrClosed
 	}
 	r.started = true
-	r.start = time.Now()
 	if r.cfg.OnCommit != nil {
 		r.wg.Add(1)
 		go r.commitDrainer()
@@ -470,7 +479,7 @@ func (r *Replica) Stats() Stats {
 	}
 }
 
-func (r *Replica) now() core.Time { return core.Time(time.Since(r.start)) }
+func (r *Replica) now() core.Time { return r.cfg.Clock.Now().Sub(r.start) }
 
 // Signing domains. All groups of a process share the cluster's key pairs
 // and number their slots from 0, so every signature covers a domain salt
@@ -660,7 +669,7 @@ func (r *Replica) startSlotLocked(s uint64, lead bool) *slot {
 	if err != nil {
 		return nil // configuration was validated at construction; unreachable
 	}
-	sl := &slot{proc: proc, proposed: chunk, born: time.Now()}
+	sl := &slot{proc: proc, proposed: chunk, born: r.cfg.Clock.Now()}
 	if oldest == 0 {
 		// Follower instances (and leaders with an empty queue) have no
 		// enqueue timestamp to backfill: their pipeline clock starts when
@@ -712,7 +721,7 @@ func (r *Replica) enterSlotViewLocked(s uint64, sl *slot, v types.View) {
 	if oldest != 0 {
 		r.m.tracer.MarkAt(&sl.trace, obs.StageSubmit, oldest)
 	}
-	r.markStage(sl, obs.StageProposed, time.Now())
+	r.markStage(sl, obs.StageProposed, r.cfg.Clock.Now())
 	sl.proc.Replica().SetInput(EncodeBatch(chunk))
 }
 
@@ -926,7 +935,7 @@ func (r *Replica) armRegimeLocked() {
 	if r.regimeTimer != nil {
 		r.regimeTimer.Stop()
 	}
-	r.regimeTimer = time.AfterFunc(r.regimeDelayLocked(), func() { r.onRegimeTimer(gen) })
+	r.regimeTimer = r.cfg.Clock.AfterFunc(r.regimeDelayLocked(), func() { r.onRegimeTimer(gen) })
 }
 
 // regimeDelayLocked computes the current leader-suspicion delay: 4x the
@@ -1130,7 +1139,7 @@ func (r *Replica) applyActions(s uint64, sl *slot, actions []core.Action) {
 				// it cannot yet act on; proposals stay durably gated.)
 				// A commit broadcast is the moment this replica saw an ack
 				// quorum for the slot's value — the tracer's ackquorum stage.
-				r.markStage(sl, obs.StageAckQuorum, time.Now())
+				r.markStage(sl, obs.StageAckQuorum, r.cfg.Clock.Now())
 				r.broadcastOrderedLocked(r.envOut(s, act.Msg))
 			case *msg.Wish:
 				// Coalesced like votes: the wishes of one view collapse
@@ -1172,24 +1181,23 @@ func (r *Replica) onDecideLocked(s uint64, d types.Decision) {
 	r.persistDecisionLocked(s, d)
 	if sl, ok := r.slots[s]; ok {
 		sl.ackLog = nil // the decision record supersedes the slot's vote records
-		if !sl.born.IsZero() {
-			// Feed the adaptive suspicion timeout: EWMA (alpha = 1/4) of
-			// instance-open-to-decide latency.
-			lat := time.Since(sl.born)
-			if r.ewmaDecide == 0 {
-				r.ewmaDecide = lat
-			} else {
-				r.ewmaDecide = (3*r.ewmaDecide + lat) / 4
-			}
+		now := r.cfg.Clock.Now()
+		// Feed the adaptive suspicion timeout: EWMA (alpha = 1/4) of
+		// instance-open-to-decide latency.
+		lat := now.Sub(sl.born)
+		if r.ewmaDecide == 0 {
+			r.ewmaDecide = lat
+		} else {
+			r.ewmaDecide = (3*r.ewmaDecide + lat) / 4
 		}
-		r.markStage(sl, obs.StageDecided, time.Now())
+		r.markStage(sl, obs.StageDecided, now)
 		if r.store != nil && !r.recovering {
 			// The decision record just entered the store's write pipeline;
 			// its effect fires once the record is fsynced, which is when the
 			// decision became durable. Trace marks are atomic, so stamping
 			// from the effect goroutine without r.mu is safe.
 			tr := &sl.trace
-			r.store.Effect(func() { r.m.tracer.MarkNow(tr, obs.StageDurable) })
+			r.store.Effect(func() { r.m.tracer.Mark(tr, obs.StageDurable, r.cfg.Clock.Now()) })
 		}
 	}
 	delete(r.restoredVotes, s)
@@ -1297,7 +1305,7 @@ func (r *Replica) advanceLocked() {
 			}
 		}
 		if sl, ok := r.slots[r.applyPtr]; ok {
-			r.markStage(sl, obs.StageApplied, time.Now())
+			r.markStage(sl, obs.StageApplied, r.cfg.Clock.Now())
 		}
 		if r.cfg.OnCommit != nil {
 			r.queueCommitLocked(commitEvent{slot: r.applyPtr, d: dd})

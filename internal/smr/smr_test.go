@@ -5,76 +5,17 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/msg"
-	"repro/internal/sigcrypto"
-	"repro/internal/transport"
 	"repro/internal/types"
 )
 
-// buildGroup wires n SMR replicas over an in-memory network.
-func buildGroup(t *testing.T, cfg types.Config, seed int64) ([]*Replica, []*KVStore, func()) {
-	t.Helper()
-	scheme := sigcrypto.NewHMAC(cfg.N, seed)
-	net := transport.NewMemNetwork(cfg.N, 0)
-	reps := make([]*Replica, cfg.N)
-	stores := make([]*KVStore, cfg.N)
-	for i := 0; i < cfg.N; i++ {
-		pid := types.ProcessID(i)
-		stores[i] = NewKVStore()
-		r, err := NewReplica(Config{
-			Cluster:     cfg,
-			Self:        pid,
-			Signer:      scheme.Signer(pid),
-			Verifier:    scheme.Verifier(),
-			Transport:   net.Transport(pid),
-			App:         stores[i],
-			BaseTimeout: 200 * time.Millisecond,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		reps[i] = r
-	}
-	for _, r := range reps {
-		if err := r.Start(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cleanup := func() {
-		for _, r := range reps {
-			_ = r.Close()
-		}
-		_ = net.Close()
-	}
-	return reps, stores, cleanup
-}
-
-func waitFor(t *testing.T, timeout time.Duration, cond func() bool, what string) {
-	t.Helper()
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	t.Fatalf("timeout waiting for %s", what)
-}
-
-// submit drives cmd through HandleRequest — the path production runs — as
-// request seq of the client's session, fire-and-forget. A session keeps one
-// request in flight, so tests that burst commands give each its own session.
-func submit(r *Replica, client types.ClientID, seq uint64, cmd Command) error {
-	return r.HandleRequest(&msg.Request{Client: client, Seq: seq, Op: cmd, Group: r.cfg.Group}, nil)
-}
-
-// sessionID names the single-use client session of a test's i-th command.
-func sessionID(i int) types.ClientID { return types.ClientID(fmt.Sprintf("c%d", i)) }
+// The functional tests below run under seeded random message delays: the
+// interleaving is arbitrary, and the same on every run.
+const testJitter = 2 * time.Millisecond
 
 func TestSMRReplicatesCommands(t *testing.T) {
 	cfg := types.Generalized(1, 1)
-	reps, stores, cleanup := buildGroup(t, cfg, 1)
-	defer cleanup()
+	g := newSimGroup(t, cfg, 1, groupOpts{jitter: testJitter})
+	reps, stores := g.reps, g.stores
 
 	const ops = 10
 	for i := 0; i < ops; i++ {
@@ -88,14 +29,7 @@ func TestSMRReplicatesCommands(t *testing.T) {
 			}
 		}
 	}
-	waitFor(t, 30*time.Second, func() bool {
-		for _, st := range stores {
-			if st.AppliedOps() < ops {
-				return false
-			}
-		}
-		return true
-	}, "all replicas to apply all commands")
+	g.run(10*time.Second, g.applied(ops), "all replicas to apply all commands")
 
 	for i, st := range stores {
 		for k := 0; k < ops; k++ {
@@ -117,8 +51,8 @@ func TestSMRReplicatesCommands(t *testing.T) {
 
 func TestSMRDeduplicatesResubmittedCommands(t *testing.T) {
 	cfg := types.Generalized(1, 1)
-	reps, stores, cleanup := buildGroup(t, cfg, 2)
-	defer cleanup()
+	g := newSimGroup(t, cfg, 2, groupOpts{jitter: testJitter})
+	reps, stores := g.reps, g.stores
 
 	cmd := EncodeKV(KVCommand{Op: OpSet, Client: "c1", Seq: 7, Key: "x", Value: "1"})
 	for i := 0; i < 5; i++ { // submit the same request repeatedly everywhere
@@ -128,15 +62,8 @@ func TestSMRDeduplicatesResubmittedCommands(t *testing.T) {
 			}
 		}
 	}
-	waitFor(t, 30*time.Second, func() bool {
-		for _, st := range stores {
-			if st.AppliedOps() < 1 {
-				return false
-			}
-		}
-		return true
-	}, "command application")
-	time.Sleep(100 * time.Millisecond) // let any duplicate slots drain
+	g.run(10*time.Second, g.applied(1), "command application")
+	g.net.Advance(100 * time.Millisecond) // let any duplicate slots drain
 	for i, st := range stores {
 		if st.AppliedOps() != 1 {
 			t.Fatalf("replica %d applied %d ops, want exactly 1", i, st.AppliedOps())
@@ -146,8 +73,8 @@ func TestSMRDeduplicatesResubmittedCommands(t *testing.T) {
 
 func TestSMRDelete(t *testing.T) {
 	cfg := types.Generalized(1, 1)
-	reps, stores, cleanup := buildGroup(t, cfg, 3)
-	defer cleanup()
+	g := newSimGroup(t, cfg, 3, groupOpts{jitter: testJitter})
+	reps, stores := g.reps, g.stores
 
 	set := EncodeKV(KVCommand{Op: OpSet, Client: "c", Seq: 1, Key: "k", Value: "v"})
 	del := EncodeKV(KVCommand{Op: OpDel, Client: "c", Seq: 2, Key: "k"})
@@ -156,27 +83,13 @@ func TestSMRDelete(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	waitFor(t, 30*time.Second, func() bool {
-		for _, st := range stores {
-			if st.AppliedOps() < 1 {
-				return false
-			}
-		}
-		return true
-	}, "set")
+	g.run(10*time.Second, g.applied(1), "set")
 	for _, r := range reps {
 		if err := submit(r, "c", 2, del); err != nil {
 			t.Fatal(err)
 		}
 	}
-	waitFor(t, 30*time.Second, func() bool {
-		for _, st := range stores {
-			if st.AppliedOps() < 2 {
-				return false
-			}
-		}
-		return true
-	}, "del")
+	g.run(10*time.Second, g.applied(2), "del")
 	for i, st := range stores {
 		if _, ok := st.Get("k"); ok {
 			t.Fatalf("replica %d: key survived delete", i)
@@ -220,48 +133,10 @@ func TestBatchCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// buildGroupBatched is buildGroup with a batching configuration.
-func buildGroupBatched(t *testing.T, cfg types.Config, seed int64, maxBatch int) ([]*Replica, []*KVStore, func()) {
-	t.Helper()
-	scheme := sigcrypto.NewHMAC(cfg.N, seed)
-	net := transport.NewMemNetwork(cfg.N, 0)
-	reps := make([]*Replica, cfg.N)
-	stores := make([]*KVStore, cfg.N)
-	for i := 0; i < cfg.N; i++ {
-		pid := types.ProcessID(i)
-		stores[i] = NewKVStore()
-		r, err := NewReplica(Config{
-			Cluster:     cfg,
-			Self:        pid,
-			Signer:      scheme.Signer(pid),
-			Verifier:    scheme.Verifier(),
-			Transport:   net.Transport(pid),
-			App:         stores[i],
-			BaseTimeout: 200 * time.Millisecond,
-			MaxBatch:    maxBatch,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		reps[i] = r
-	}
-	for _, r := range reps {
-		if err := r.Start(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return reps, stores, func() {
-		for _, r := range reps {
-			_ = r.Close()
-		}
-		_ = net.Close()
-	}
-}
-
 func TestSMRBatchingAppliesAllCommandsInFewerSlots(t *testing.T) {
 	cfg := types.Generalized(1, 1)
-	reps, stores, cleanup := buildGroupBatched(t, cfg, 21, 16)
-	defer cleanup()
+	g := newSimGroup(t, cfg, 21, groupOpts{jitter: testJitter, maxBatch: 16})
+	reps, stores := g.reps, g.stores
 
 	const ops = 32
 	for i := 0; i < ops; i++ {
@@ -271,14 +146,7 @@ func TestSMRBatchingAppliesAllCommandsInFewerSlots(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	waitFor(t, 30*time.Second, func() bool {
-		for _, st := range stores {
-			if st.AppliedOps() < ops {
-				return false
-			}
-		}
-		return true
-	}, "batched application")
+	g.run(10*time.Second, g.applied(ops), "batched application")
 	// Batching must compress the log: far fewer slots than commands.
 	slots := reps[0].AppliedCount()
 	if slots >= ops {
@@ -295,8 +163,8 @@ func TestSMROverlappingBatchesStayIdempotent(t *testing.T) {
 	// Submit the same commands through two replicas with batching: every
 	// command must be applied exactly once even if it lands in two batches.
 	cfg := types.Generalized(1, 1)
-	reps, stores, cleanup := buildGroupBatched(t, cfg, 22, 8)
-	defer cleanup()
+	g := newSimGroup(t, cfg, 22, groupOpts{jitter: testJitter, maxBatch: 8})
+	reps, stores := g.reps, g.stores
 
 	const ops = 8
 	for i := 0; i < ops; i++ {
@@ -309,15 +177,8 @@ func TestSMROverlappingBatchesStayIdempotent(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	waitFor(t, 30*time.Second, func() bool {
-		for _, st := range stores {
-			if st.AppliedOps() < ops {
-				return false
-			}
-		}
-		return true
-	}, "idempotent application")
-	time.Sleep(100 * time.Millisecond)
+	g.run(10*time.Second, g.applied(ops), "idempotent application")
+	g.net.Advance(100 * time.Millisecond)
 	for i, st := range stores {
 		if st.AppliedOps() != ops {
 			t.Fatalf("replica %d applied %d ops, want exactly %d", i, st.AppliedOps(), ops)

@@ -69,7 +69,7 @@ func (r *Replica) noteBehindLocked(evidence uint64, from types.ProcessID) {
 		r.fetchEv = evidence
 	}
 	if r.fetchAt != 0 && r.applyPtr+1 <= r.fetchAt &&
-		time.Since(r.fetchTime) < fetchRetryCooldown {
+		r.cfg.Clock.Now().Sub(r.fetchTime) < fetchRetryCooldown {
 		return
 	}
 	r.sendFetchLocked(from)
@@ -79,13 +79,13 @@ func (r *Replica) noteBehindLocked(evidence uint64, from types.ProcessID) {
 // timer. The caller holds r.mu.
 func (r *Replica) sendFetchLocked(to types.ProcessID) {
 	r.fetchAt = r.applyPtr + 1
-	r.fetchTime = time.Now()
+	r.fetchTime = r.cfg.Clock.Now()
 	r.fetchRR = to
 	r.sendOrderedLocked(to, r.envOut(syncSlot, &msg.FetchState{From: r.applyPtr}))
 	if r.fetchTimer != nil {
 		r.fetchTimer.Stop()
 	}
-	r.fetchTimer = time.AfterFunc(fetchRetryCooldown, r.onFetchRetry)
+	r.fetchTimer = r.cfg.Clock.AfterFunc(fetchRetryCooldown, r.onFetchRetry)
 }
 
 // onFetchRetry re-drives an unsatisfied state-sync: as long as the applied
@@ -136,10 +136,11 @@ func (r *Replica) onFetchStateLocked(from types.ProcessID, m *msg.FetchState) {
 	if r.interval == 0 {
 		return
 	}
-	if time.Since(r.serveTime[from]) < fetchRetryCooldown/2 {
+	now := r.cfg.Clock.Now()
+	if now.Sub(r.serveTime[from]) < fetchRetryCooldown/2 {
 		return // the honest retry cadence is fetchRetryCooldown
 	}
-	r.serveTime[from] = time.Now()
+	r.serveTime[from] = now
 	resp := &msg.StateSnapshot{}
 	tailFrom := m.From
 	budget := maxResponseBytes

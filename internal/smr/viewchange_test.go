@@ -4,9 +4,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/sigcrypto"
 	"repro/internal/sim"
-	"repro/internal/transport"
 	"repro/internal/types"
 )
 
@@ -14,58 +12,6 @@ import (
 // regression (a stranded command must resolve through the adaptive regime
 // timer, not a full BaseTimeout), timer hygiene across Close, and the
 // adaptive suspicion delay shrinking back after a leader failure heals.
-
-// buildTimedLockstepGroup is buildLockstepGroup with a real BaseTimeout:
-// deliveries stay deterministic (lockstep ReplicaNet), but the regime
-// timers are live, so tests can pump the net while wall-clock suspicion
-// drives the view change — the byz-harness idiom.
-func buildTimedLockstepGroup(t *testing.T, cfg types.Config, seed int64, window, maxBatch int, timeout time.Duration) ([]*Replica, []*KVStore, *sim.ReplicaNet) {
-	t.Helper()
-	scheme := sigcrypto.NewHMAC(cfg.N, seed)
-	net := sim.NewReplicaNet(cfg.N)
-	reps := make([]*Replica, cfg.N)
-	stores := make([]*KVStore, cfg.N)
-	for i := 0; i < cfg.N; i++ {
-		pid := types.ProcessID(i)
-		stores[i] = NewKVStore()
-		r, err := NewReplica(Config{
-			Cluster:     cfg,
-			Self:        pid,
-			Signer:      scheme.Signer(pid),
-			Verifier:    scheme.Verifier(),
-			Transport:   net.Transport(pid),
-			App:         stores[i],
-			BaseTimeout: timeout,
-			WindowSize:  window,
-			MaxBatch:    maxBatch,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := r.Start(); err != nil {
-			t.Fatal(err)
-		}
-		reps[i] = r
-	}
-	return reps, stores, net
-}
-
-// pumpUntil drains the lockstep net and polls cond, sleeping briefly so
-// wall-clock timers can fire between drains.
-func pumpUntil(t *testing.T, net *sim.ReplicaNet, timeout time.Duration, cond func() bool, what string) {
-	t.Helper()
-	deadline := time.Now().Add(timeout)
-	for {
-		net.Drain(0)
-		if cond() {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("timeout waiting for %s", what)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-}
 
 // TestSMROrphanSlotResolvesViaWindowedViewChange is the regression test for
 // the orphan-slot hazard (ROADMAP item 4). The durability-skew shape: a
@@ -78,53 +24,47 @@ func pumpUntil(t *testing.T, net *sim.ReplicaNet, timeout time.Duration, cond fu
 // exists: the suspicion delay has shrunk toward the observed decide latency
 // (floor BaseTimeout/16), the whole window changes view in one step, and
 // the view-change leader grafts the stranded command onto its proposal —
-// so the command must apply in strictly less than one BaseTimeout.
+// so the command must apply in strictly less than one BaseTimeout of
+// virtual time, and no sooner than the adapted suspicion delay.
 func TestSMROrphanSlotResolvesViaWindowedViewChange(t *testing.T) {
 	cfg := types.Generalized(1, 1)
 	const base = 2 * time.Second
-	reps, stores, net := buildTimedLockstepGroup(t, cfg, 81, 4, 1, base)
-	defer func() {
-		for _, r := range reps {
-			_ = r.Close()
-		}
-	}()
-	leader := types.View(1).Leader(cfg.N)
+	g := newSimGroup(t, cfg, 81, groupOpts{delta: time.Millisecond, base: base, window: 4})
+	reps := g.reps
+	leader := cfg.Leader(1)
 
 	// Warm up through the leader: a few ordinary decides seed the latency
 	// EWMA on every replica, which is what arms the fast suspicion.
 	const warm = 3
 	for i := 0; i < warm; i++ {
 		submitKV(t, reps[leader], "warm", i)
-		net.Drain(0)
+		g.run(time.Second, g.applied(uint64(i+1)), "a warm-up op to apply")
 	}
-	for i, st := range stores {
-		if st.AppliedOps() != warm {
-			t.Fatalf("replica %d applied %d warm-up ops, want %d", i, st.AppliedOps(), warm)
+	// Decides take a few milliseconds, so 4·EWMA sits below the floor.
+	const adapted = base / 16
+	for i, r := range reps {
+		if got := r.Stats().RegimeTimeout; got != adapted {
+			t.Fatalf("replica %d suspicion delay %v after warm-up, want the floor %v", i, got, adapted)
 		}
 	}
 
 	// Durability skew: the leader stops hearing ctrl forwards. A command
 	// submitted at a follower is now pending on every replica but the one
 	// that could propose it in view 1.
-	net.SetHold(func(_, to types.ProcessID, payload []byte) bool {
+	g.net.SetPayloadFunc(func(_, to types.ProcessID, payload []byte, _ sim.Time) sim.Fate {
 		s, ok := payloadSlot(payload)
-		return ok && s == ctrlSlot && to == leader
+		return sim.Fate{Delay: g.opts.delta, Hold: ok && s == ctrlSlot && to == leader}
 	})
-	start := time.Now()
+	start := g.net.Now()
 	submitKV(t, reps[0], "orphan", 100)
-
-	pumpUntil(t, net, 30*time.Second, func() bool {
-		for _, st := range stores {
-			if st.AppliedOps() != warm+1 {
-				return false
-			}
-		}
-		return true
-	}, "the stranded command to apply everywhere")
-	elapsed := time.Since(start)
+	g.run(30*time.Second, g.applied(warm+1), "the stranded command to apply everywhere")
+	elapsed := g.net.Now() - start
 
 	if elapsed >= base {
 		t.Fatalf("stranded command took %v to resolve, want < BaseTimeout %v (the orphan-slot stall)", elapsed, base)
+	}
+	if elapsed < adapted {
+		t.Fatalf("stranded command resolved after %v, before the suspicion delay %v could fire", elapsed, adapted)
 	}
 	// The slot that carried it cannot have been proposed by the view-1
 	// leader — it never saw the command — so it must be a view-change
@@ -143,45 +83,50 @@ func TestSMROrphanSlotResolvesViaWindowedViewChange(t *testing.T) {
 	}
 }
 
-// TestSMRRegimeTimerNoFireAfterClose pins timer hygiene: Close must stop
-// the regime timer for good. A replica is parked in the suspicious state
-// (work outstanding, leader silent) so its timer is armed and firing; after
-// Close, the suspicion counter must never move again — a leaked timer
-// firing into a closed replica is exactly the kind of use-after-close the
-// race detector sees only if the fire actually happens. CI reruns this
-// under -race -count=2.
+// TestSMRRegimeTimerNoFireAfterClose pins the unsampled timer's schedule
+// and its hygiene. A replica is parked in the suspicious state (work
+// outstanding, every message held, no decide ever observed): the first
+// suspicion must fire exactly one BaseTimeout after the work arrived, and
+// each fruitless fire doubles the next delay, up to 64×. Then Close must
+// stop the timer for good: however far time advances, the suspicion counter
+// never moves again — a leaked timer firing into a closed replica is
+// exactly the kind of use-after-close the race detector sees only if the
+// fire actually happens.
 func TestSMRRegimeTimerNoFireAfterClose(t *testing.T) {
 	cfg := types.Generalized(1, 1)
 	const base = 30 * time.Millisecond
-	reps, _, net := buildTimedLockstepGroup(t, cfg, 82, 4, 1, base)
-	closed := false
-	defer func() {
-		if !closed {
-			for _, r := range reps {
-				_ = r.Close()
-			}
-		}
-	}()
+	g := newSimGroup(t, cfg, 82, groupOpts{base: base, window: 4})
+	reps := g.reps
 
-	// Park every ctrl forward to the leader: the submitted command stays
-	// pending, the followers' regime timers arm and keep firing (the view
-	// change cannot complete because nothing is ever drained).
-	net.SetHold(func(_, _ types.ProcessID, _ []byte) bool { return true })
+	g.net.SetPayloadFunc(func(_, _ types.ProcessID, _ []byte, _ sim.Time) sim.Fate {
+		return sim.Fate{Hold: true}
+	})
 	submitKV(t, reps[0], "hygiene", 1)
-	waitFor(t, 10*time.Second, func() bool {
-		return reps[0].Stats().RegimeTimeouts >= 1
-	}, "the regime timer to fire at least once while the replica is live")
+	for fires, delay := uint64(0), time.Duration(base); fires < 9; fires++ {
+		if got := reps[0].Stats().RegimeTimeout; got != delay {
+			t.Fatalf("after %d fruitless fires the suspicion delay is %v, want %v", fires, got, delay)
+		}
+		g.net.Advance(delay - 1)
+		if got := reps[0].Stats().RegimeTimeouts; got != fires {
+			t.Fatalf("suspicion %d fired early: %d fires one tick before its %v delay elapsed", fires+1, got, delay)
+		}
+		g.net.Advance(1)
+		if got := reps[0].Stats().RegimeTimeouts; got != fires+1 {
+			t.Fatalf("suspicion %d did not fire when its %v delay elapsed (%d fires)", fires+1, delay, got)
+		}
+		if delay < 64*base {
+			delay *= 2
+		}
+	}
 
 	for _, r := range reps {
 		_ = r.Close()
 	}
-	closed = true
 	fired := make([]uint64, len(reps))
 	for i, r := range reps {
 		fired[i] = r.Stats().RegimeTimeouts
 	}
-	// Several base timeouts of real time: a leaked timer would fire here.
-	time.Sleep(8 * base)
+	g.net.Advance(200 * base) // past the backed-off cap: a leaked timer would fire here
 	for i, r := range reps {
 		if got := r.Stats().RegimeTimeouts; got != fired[i] {
 			t.Fatalf("replica %d regime timer fired after Close: %d -> %d suspicions", i, fired[i], got)
@@ -190,76 +135,65 @@ func TestSMRRegimeTimerNoFireAfterClose(t *testing.T) {
 }
 
 // TestSMRRegimeTimerShrinksAfterRecovery drives the adaptive timeout
-// through its whole arc over a real concurrent transport: it shrinks below
-// BaseTimeout once ordinary decides seed the EWMA, the leader's death is
-// detected (suspicions fire, commands keep committing through the windowed
-// view change), and after the cluster settles into the post-leader regime
-// the delay shrinks back down instead of sticking at the backed-off cap.
+// through its whole arc: it is clamp(4·EWMA, max(base/16, 20ms), base) once
+// ordinary decides seed the EWMA, the leader's death is detected
+// (suspicions fire, commands keep committing through the windowed view
+// change), and after the cluster settles into the post-leader regime the
+// delay shrinks back down — frontier movement resets the backoff — instead
+// of sticking at the backed-off cap.
 func TestSMRRegimeTimerShrinksAfterRecovery(t *testing.T) {
 	cfg := types.Generalized(1, 1)
 	const base = 320 * time.Millisecond
-	scheme := sigcrypto.NewHMAC(cfg.N, 83)
-	net := transport.NewMemNetwork(cfg.N, 0)
-	defer func() { _ = net.Close() }()
-	reps := make([]*Replica, cfg.N)
-	stores := make([]*KVStore, cfg.N)
-	for i := 0; i < cfg.N; i++ {
-		pid := types.ProcessID(i)
-		stores[i] = NewKVStore()
-		r, err := NewReplica(Config{
-			Cluster:     cfg,
-			Self:        pid,
-			Signer:      scheme.Signer(pid),
-			Verifier:    scheme.Verifier(),
-			Transport:   net.Transport(pid),
-			App:         stores[i],
-			BaseTimeout: base,
-			WindowSize:  8,
-			MaxBatch:    4,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := r.Start(); err != nil {
-			t.Fatal(err)
-		}
-		reps[i] = r
+	g := newSimGroup(t, cfg, 83, groupOpts{delta: 5 * time.Millisecond, base: base, window: 8, maxBatch: 4})
+	reps := g.reps
+	leader := cfg.Leader(1)
+
+	// regimeDelay reads the policy with the EWMA and backoff forced.
+	regimeDelay := func(ewma time.Duration, backoff uint) time.Duration {
+		r := reps[0]
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		oldE, oldB := r.ewmaDecide, r.regimeBackoff
+		defer func() { r.ewmaDecide, r.regimeBackoff = oldE, oldB }()
+		r.ewmaDecide, r.regimeBackoff = ewma, backoff
+		return r.regimeDelayLocked()
 	}
-	defer func() {
-		for _, r := range reps {
-			_ = r.Close()
-		}
-	}()
-	leader := types.View(1).Leader(cfg.N)
-	survivors := []int{0, 2, 3}
-	appliedEverywhere := func(n uint64) func() bool {
-		return func() bool {
-			for _, i := range survivors {
-				if stores[i].AppliedOps() < n {
-					return false
-				}
-			}
-			return true
+	for _, tc := range []struct {
+		ewma    time.Duration
+		backoff uint
+		want    time.Duration
+	}{
+		{0, 0, base}, // unsampled: the full base
+		{time.Millisecond, 0, 20 * time.Millisecond},           // below the floor max(base/16, 20ms)
+		{10 * time.Millisecond, 0, 40 * time.Millisecond},      // 4·EWMA
+		{200 * time.Millisecond, 0, base},                      // capped at base
+		{10 * time.Millisecond, 3, 320 * time.Millisecond},     // doubled per fruitless fire
+		{10 * time.Millisecond, 9, 64 * 40 * time.Millisecond}, // ... up to 64×
+	} {
+		if got := regimeDelay(tc.ewma, tc.backoff); got != tc.want {
+			t.Fatalf("regime delay with EWMA %v, backoff %d = %v, want %v", tc.ewma, tc.backoff, got, tc.want)
 		}
 	}
 
 	const warm = 8
 	for i := 0; i < warm; i++ {
 		submitKV(t, reps[0], "shrink", i)
-		waitFor(t, 10*time.Second, appliedEverywhere(uint64(i+1)), "a warm-up op to apply")
+		g.run(time.Second, g.applied(uint64(i+1)), "a warm-up op to apply")
 	}
-	if got := reps[0].Stats().RegimeTimeout; got >= base {
-		t.Fatalf("suspicion delay %v has not adapted below BaseTimeout %v after %d decides", got, base, warm)
+	// A follower opens the instance when the proposal arrives and decides
+	// one message delay later, when the acks do: its EWMA is exactly Δ.
+	if got := reps[0].Stats().RegimeTimeout; got != 20*time.Millisecond {
+		t.Fatalf("suspicion delay %v after %d decides of 5ms each, want 4·EWMA = the 20ms floor", got, warm)
 	}
 
 	// Kill the view-1 leader. Every further command must ride the windowed
 	// view change: suspicion fires at the adapted delay, the new leader
 	// grafts the stranded commands, and each decide re-feeds the EWMA.
-	_ = reps[leader].Close()
+	g.crash(leader)
 	const post = 8
 	for i := warm; i < warm+post; i++ {
 		submitKV(t, reps[0], "shrink", i)
-		waitFor(t, 20*time.Second, appliedEverywhere(uint64(i+1)), "a post-kill op to commit through the view change")
+		g.run(10*time.Second, g.applied(uint64(i+1)), "a post-kill op to commit through the view change")
 	}
 	st := reps[0].Stats()
 	if st.RegimeTimeouts == 0 {
@@ -270,5 +204,11 @@ func TestSMRRegimeTimerShrinksAfterRecovery(t *testing.T) {
 	// is not stuck paying a backed-off timeout per slot forever.
 	if st.RegimeTimeout > base/2 {
 		t.Fatalf("suspicion delay %v stuck high after recovery (base %v, %d suspicions)", st.RegimeTimeout, base, st.RegimeTimeouts)
+	}
+	reps[0].mu.Lock()
+	backoff := reps[0].regimeBackoff
+	reps[0].mu.Unlock()
+	if backoff != 0 {
+		t.Fatalf("backoff %d survived frontier movement; progress must reset it", backoff)
 	}
 }

@@ -52,16 +52,6 @@ func (v View) String() string {
 	return "v" + strconv.FormatUint(uint64(v), 10)
 }
 
-// Leader returns the leader of view v among n processes using the agreed
-// map leader(v) = p_{(v mod n)+1} from Section 3 of the paper. With the
-// zero-based ProcessID used in this codebase that is (v mod n).
-func (v View) Leader(n int) ProcessID {
-	if n <= 0 {
-		return NoProcess
-	}
-	return ProcessID(uint64(v) % uint64(n))
-}
-
 // Value is a proposal value. Values are opaque byte strings; consensus never
 // interprets them. The empty value is valid.
 type Value []byte
@@ -124,9 +114,11 @@ type Config struct {
 	shift uint64
 }
 
-// Leader returns the leader of view v: (v + shift) mod n, the agreed map of
-// Section 3 offset by the configuration's leader shift. Every process of an
-// instance must hold the same shift; with shift zero this is v.Leader(n).
+// Leader returns the leader of view v: (v + shift) mod n — the agreed map
+// leader(v) = p_{(v mod n)+1} of Section 3 of the paper (that is v mod n with
+// this codebase's zero-based ProcessID), offset by the configuration's leader
+// shift. It is the one definition of "who leads view v" in the repository.
+// Every process of an instance must hold the same shift.
 func (c Config) Leader(v View) ProcessID {
 	if c.N <= 0 {
 		return NoProcess

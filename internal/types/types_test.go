@@ -11,11 +11,11 @@ func TestLeaderRoundRobin(t *testing.T) {
 	n := 4
 	for v := View(1); v <= 12; v++ {
 		want := ProcessID(uint64(v) % uint64(n))
-		if got := v.Leader(n); got != want {
+		if got := (Config{N: n}).Leader(v); got != want {
 			t.Fatalf("leader(%s) with n=%d: got %s, want %s", v, n, got, want)
 		}
 	}
-	if got := View(5).Leader(0); got != NoProcess {
+	if got := (Config{}).Leader(5); got != NoProcess {
 		t.Fatalf("leader with n=0: got %s, want NoProcess", got)
 	}
 }
@@ -35,8 +35,8 @@ func TestConfigLeaderShift(t *testing.T) {
 				if got := cfg.Leader(v); got != want {
 					t.Fatalf("n=%d shift=%d: leader(%s) = %s, want %s", n, g, v, got, want)
 				}
-				if g == 0 && cfg.Leader(v) != v.Leader(n) {
-					t.Fatalf("n=%d: shift 0 departs from the paper's map at %s", n, v)
+				if g == 0 && cfg.Leader(v) != ProcessID(uint64(v)%uint64(n)) {
+					t.Fatalf("n=%d: shift 0 departs from the paper's map (v mod n) at %s", n, v)
 				}
 			}
 			if got, want := cfg.Leader(1), ProcessID((1+g)%n); got != want {
@@ -46,7 +46,7 @@ func TestConfigLeaderShift(t *testing.T) {
 				t.Fatalf("shift changed the resilience parameters: %s", cfg)
 			}
 		}
-		if base.Leader(7) != View(7).Leader(n) {
+		if base.Leader(7) != ProcessID(7%n) {
 			t.Fatalf("n=%d: a Config literal must run the paper's schedule", n)
 		}
 	}
@@ -65,7 +65,7 @@ func TestLeaderFairness(t *testing.T) {
 	for n := 4; n <= 19; n++ {
 		seen := make(map[ProcessID]int, n)
 		for v := View(1); v <= View(n); v++ {
-			seen[v.Leader(n)]++
+			seen[Config{N: n}.Leader(v)]++
 		}
 		if len(seen) != n {
 			t.Fatalf("n=%d: only %d distinct leaders in %d views", n, len(seen), n)

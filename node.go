@@ -90,7 +90,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		return nil, err
 	}
 	n := &Node{tr: tr, proc: proc}
-	n.runner = node.NewRunner(proc, tr, func(d types.Decision) {
+	n.runner = node.NewRunner(node.Wall, proc, tr, func(d types.Decision) {
 		if cfg.OnDecide != nil {
 			cfg.OnDecide(d)
 		}

@@ -110,46 +110,73 @@ func TestSelectiveAckerCannotBlockOrSplit(t *testing.T) {
 func TestStaleVoterCannotEraseDecision(t *testing.T) {
 	// Partition the network so only a fast quorum sees view 1, let them
 	// decide, then let a Byzantine stale voter push nil votes in view 2.
-	// The remaining correct process must still decide the same value.
-	cfg := types.Generalized(1, 1) // n=4, fast quorum 3
-	leader := cfg.Leader(1)
-	var isolated types.ProcessID
-	for i := 0; i < cfg.N; i++ {
-		if pid := types.ProcessID(i); pid != leader && pid != 3 {
-			isolated = pid
-			break
-		}
-	}
-	delta := sim.DefaultDelta
-	c, err := sim.NewCluster(sim.ClusterConfig{
-		Cfg:    cfg,
-		Inputs: sim.UniformInputs(cfg.N, types.Value("keep")),
-		Seed:   8,
-		Faulty: map[types.ProcessID]sim.Node{3: sim.SilentNode{}},
-		// Drop every message to the isolated process during view 1 (before
-		// 5Δ); deliver normally afterwards.
-		Latency: func(from, to types.ProcessID, m msg.Message, now sim.Time) (sim.Time, bool) {
-			if to == isolated && now < 5*delta {
-				return 0, false
+	// The remaining correct process must still decide the same value. The
+	// attack only bites if the forged votes reach the process that collects
+	// them — the leader of the wished view under this configuration's
+	// schedule — so the delivery trace is checked for that, under the
+	// paper's schedule and a shifted one.
+	base := types.Generalized(1, 1) // n=4, fast quorum 3
+	for _, cfg := range []types.Config{base, base.WithLeaderShift(1)} {
+		leader := cfg.Leader(1)
+		// The voter leads neither view, the isolated process is a third one.
+		voter, isolated := types.NoProcess, types.NoProcess
+		for i := cfg.N - 1; i >= 0; i-- {
+			switch pid := types.ProcessID(i); {
+			case pid == leader || pid == cfg.Leader(2):
+			case voter == types.NoProcess:
+				voter = pid
+			default:
+				isolated = pid
 			}
-			return delta, true
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sv := &StaleVoter{Forger: NewForger(3, c.Scheme.Signer(3)), Cluster: cfg}
-	c.Net.SetNode(3, sv.Node())
-	if _, err := c.Run(time.Minute); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.CheckAgreement(true); err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range c.CorrectIDs() {
-		d, _ := c.Process(p).Decided()
-		if !d.Value.Equal(types.Value("keep")) {
-			t.Fatalf("%s decided %s, want keep", p, d.Value)
+		}
+		delta := sim.DefaultDelta
+		forgedToLeader2 := 0
+		c, err := sim.NewCluster(sim.ClusterConfig{
+			Cfg:    cfg,
+			Inputs: sim.UniformInputs(cfg.N, types.Value("keep")),
+			Seed:   8,
+			Faulty: map[types.ProcessID]sim.Node{voter: sim.SilentNode{}},
+			// Drop every message to the isolated process during view 1 (before
+			// 5Δ); deliver normally afterwards.
+			Latency: func(from, to types.ProcessID, m msg.Message, now sim.Time) (sim.Time, bool) {
+				if to == isolated && now < 5*delta {
+					return 0, false
+				}
+				return delta, true
+			},
+			Trace: func(ev sim.TraceEvent) {
+				v, ok := ev.Msg.(*msg.Vote)
+				if !ok || ev.From != voter {
+					return
+				}
+				if !v.SV.Vote.Nil || ev.To != cfg.Leader(v.View) {
+					t.Errorf("leader(1)=%s: forged vote for view %d (nil=%v) delivered to %s, want a nil vote to %s",
+						leader, v.View, v.SV.Vote.Nil, ev.To, cfg.Leader(v.View))
+				}
+				if v.View == 2 {
+					forgedToLeader2++
+				}
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sv := &StaleVoter{Forger: NewForger(voter, c.Scheme.Signer(voter)), Cluster: cfg}
+		c.Net.SetNode(voter, sv.Node())
+		if _, err := c.Run(time.Minute); err != nil {
+			t.Fatal(err)
+		}
+		if forgedToLeader2 == 0 {
+			t.Fatalf("leader(1)=%s: no forged nil vote reached %s, the leader of view 2", leader, cfg.Leader(2))
+		}
+		if err := c.CheckAgreement(true); err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range c.CorrectIDs() {
+			d, _ := c.Process(p).Decided()
+			if !d.Value.Equal(types.Value("keep")) {
+				t.Fatalf("leader(1)=%s: %s decided %s, want keep", leader, p, d.Value)
+			}
 		}
 	}
 }

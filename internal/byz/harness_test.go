@@ -190,7 +190,7 @@ func (c *byzCluster) recorder() smr.ReplyFunc {
 // nothing it sends from now on exists.
 func (c *byzCluster) crash(p types.ProcessID) {
 	c.net.Crash(p)
-	_ = c.reps[p].Close() // release the dead incarnation's goroutines
+	_ = c.reps[p].Close() // stop the dead incarnation's timers
 	c.reps[p] = nil
 }
 
@@ -246,21 +246,6 @@ func (c *byzCluster) run(within time.Duration, cond func() bool, what string) {
 	}
 }
 
-// awaitGoroutines is the one wall-clock wait of this package's simulator
-// tests. The simulator schedules messages and timers, not goroutines: every
-// client reply callback runs on a goroutine of its own, spawned by an event
-// the simulator has already processed, so a test that asserts on recorded
-// replies waits here — for a goroutine that is already runnable, never for
-// protocol progress.
-func awaitGoroutines(t *testing.T, cond func() bool, what string) {
-	t.Helper()
-	for deadline := time.Now().Add(30 * time.Second); !cond(); time.Sleep(100 * time.Microsecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("timeout waiting for %s", what)
-		}
-	}
-}
-
 // eachCorrect calls fn for every live correct replica.
 func (c *byzCluster) eachCorrect(fn func(p types.ProcessID, r *smr.Replica)) {
 	for i, r := range c.reps {
@@ -279,32 +264,6 @@ func (c *byzCluster) allCorrect(pred func(p types.ProcessID, r *smr.Replica) boo
 		}
 	})
 	return ok
-}
-
-// confirmedBy returns how many distinct correct replicas replied to key.
-func (c *byzCluster) confirmedBy(key string) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	distinct := make(map[types.ProcessID]bool)
-	for _, rp := range c.replies[key] {
-		distinct[rp.Replica] = true
-	}
-	return len(distinct)
-}
-
-// waitConfirmed waits until every key gathered at least f+1 distinct
-// replica replies. The commands have applied by now; their replies are
-// dispatched on goroutines of their own.
-func (c *byzCluster) waitConfirmed(keys ...string) {
-	c.t.Helper()
-	awaitGoroutines(c.t, func() bool {
-		for _, k := range keys {
-			if c.confirmedBy(k) < c.th.CertQuorum() {
-				return false
-			}
-		}
-		return true
-	}, "client replies to gather a confirmation quorum")
 }
 
 // assertReplySafety is the client-visible safety check: for every request,

@@ -97,7 +97,6 @@ func equivocatingLeaderScenario(t *testing.T, cfg types.Config, group uint64) {
 		})
 	}, "the selected branch and both client commands to apply everywhere")
 
-	th.waitConfirmed("c0/1", "c1/1")
 	th.assertReplySafety("c0/1", "c1/1")
 	th.assertStoresEqual()
 }
@@ -161,7 +160,6 @@ func TestByzGarbageProposerSMR(t *testing.T) {
 				})
 			}, "a post-attack command to apply everywhere")
 
-			th.waitConfirmed("c0/1", "c1/1")
 			th.assertReplySafety("c0/1", "c1/1")
 			th.assertStoresEqual()
 		})
@@ -220,7 +218,6 @@ func TestByzCommitCertReplaySMR(t *testing.T) {
 			}, "post-replay commands to apply everywhere")
 			checkTarget()
 
-			th.waitConfirmed("c0/1", "c1/1")
 			th.assertReplySafety("c0/1", "c1/1")
 			th.assertStoresEqual()
 		})
@@ -422,7 +419,6 @@ func TestByzAckEquivocatorRecoverySMR(t *testing.T) {
 				}
 			})
 
-			th.waitConfirmed("c0/1")
 			th.assertReplySafety("c0/1")
 			th.assertStoresEqual()
 		})

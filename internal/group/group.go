@@ -48,7 +48,8 @@ type Config struct {
 	Transport transport.Transport
 	// App consumes decided commands. Required.
 	App smr.App
-	// OnCommit, if set, observes decided slots in slot order.
+	// OnCommit, if set, observes decided slots in slot order (see
+	// smr.CommitFunc for the callback contract).
 	OnCommit smr.CommitFunc
 	// BaseTimeout, WindowSize, MaxBatch, and CheckpointInterval
 	// parameterize the group's smr.Replica; see smr.Config.
@@ -96,10 +97,7 @@ func New(cfg Config) (*Group, error) {
 	if cfg.Index < 0 || cfg.Index >= cfg.Shards {
 		return nil, fmt.Errorf("group: index %d out of range [0,%d)", cfg.Index, cfg.Shards)
 	}
-	groupLabels := obs.Labels{"group": strconv.Itoa(cfg.Index)}
-	for k, v := range cfg.MetricsLabels {
-		groupLabels[k] = v
-	}
+	groupLabels := cfg.MetricsLabels.With("group", strconv.Itoa(cfg.Index))
 	var disk *storage.Store
 	if cfg.DataDir != "" {
 		var err error

@@ -9,7 +9,8 @@ import "time"
 type Clock interface {
 	Now() time.Time
 	// AfterFunc calls f once d has elapsed — on its own goroutine, or from
-	// the simulator's event loop — unless the timer is stopped first.
+	// the simulator's event loop — unless the timer is stopped first. What f
+	// causes in a Runner or replica, user callbacks included, runs there too.
 	AfterFunc(d time.Duration, f func()) Timer
 }
 

@@ -3,11 +3,11 @@
 // Wall in a deployment, a sim.Network's virtual clock in tests) into the
 // machine's virtual time and TimerActions into clock timers. One Runner hosts
 // one consensus instance; the SMR layer (internal/smr) multiplexes many over
-// one transport and takes its time from the same Clock.
+// one transport, takes its time from the same Clock and, like the Runner,
+// hands its user callbacks out through an Outbox (outbox.go).
 package node
 
 import (
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -16,7 +16,9 @@ import (
 	"repro/internal/types"
 )
 
-// DecideFunc is invoked (once) when the machine decides.
+// DecideFunc is invoked (once) when the machine decides, under the Outbox
+// contract: after the Runner's lock is released, on the goroutine that
+// released it; it may call back into the Runner and must not block.
 type DecideFunc func(d types.Decision)
 
 // Runner hosts one Machine on one Transport.
@@ -27,11 +29,10 @@ type Runner struct {
 	decide  DecideFunc
 	start   time.Time
 
-	mu      sync.Mutex
+	mu      Outbox // the machine lock; the decide callback leaves through it
 	started bool
 	closed  bool
 	timer   Timer
-	wg      sync.WaitGroup
 }
 
 // NewRunner wires machine to tr on the given clock. decide may be nil.
@@ -48,26 +49,22 @@ func NewRunner(clock Clock, machine core.Machine, tr transport.Transport, decide
 // initializes the machine.
 func (r *Runner) Start() error {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	if r.started || r.closed {
-		r.mu.Unlock()
 		return transport.ErrClosed
 	}
 	r.started = true
 	r.start = r.clock.Now()
-	r.mu.Unlock()
-
 	r.tr.SetHandler(r.onPayload)
 	if err := r.tr.Start(); err != nil {
 		return err
 	}
-
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.apply(r.machine.Init(r.now()))
 	return nil
 }
 
-// Close stops the runner; the transport is closed as well.
+// Close stops the runner; the transport is closed as well. No callback runs
+// after it returns.
 func (r *Runner) Close() error {
 	r.mu.Lock()
 	if r.closed {
@@ -78,10 +75,8 @@ func (r *Runner) Close() error {
 	if r.timer != nil {
 		r.timer.Stop()
 	}
-	r.mu.Unlock()
-	err := r.tr.Close()
-	r.wg.Wait()
-	return err
+	r.mu.Drain()
+	return r.tr.Close()
 }
 
 // now converts clock time to machine time (duration since Start).
@@ -133,14 +128,8 @@ func (r *Runner) apply(actions []core.Action) {
 			r.armTimer(act.Deadline)
 		case core.DecideAction:
 			if r.decide != nil {
-				// Deliver the callback without holding the lock.
 				d := act.Decision
-				cb := r.decide
-				r.wg.Add(1)
-				go func() {
-					defer r.wg.Done()
-					cb(d)
-				}()
+				r.mu.Post(func() { r.decide(d) })
 			}
 		case core.EnterViewAction:
 			// Observability only.

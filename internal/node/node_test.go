@@ -86,29 +86,44 @@ func runCluster(t *testing.T, cfg types.Config, trs []transport.Transport, schem
 // decision is the Runner's machine timer, which exists only on the virtual
 // clock — so nobody decides before one base timeout of virtual time, the
 // survivors decide in view 2 right after it, and the test never waits for a
-// real one.
+// real one. The decide callbacks are events of the simulation like any other:
+// each has run by the time Advance returns, exactly once, and none runs once
+// Close has returned.
 func TestRunnerOnVirtualTime(t *testing.T) {
 	cfg := types.Generalized(1, 1)
 	scheme := sigcrypto.NewHMAC(cfg.N, 10)
 	leader := cfg.Leader(1)
-	// decisionsAfter runs the scenario for d of virtual time.
+	// decisionsAfter runs the scenario for d of virtual time, closes every
+	// runner, and lets the network run on.
 	decisionsAfter := func(d time.Duration) map[types.ProcessID]types.Decision {
 		net := sim.NewNetwork(cfg.N, sim.WithDelta(time.Millisecond))
 		net.Crash(leader)
 		log := &decisionLog{by: make(map[types.ProcessID]types.Decision)}
+		calls := 0
 		runners := make([]*node.Runner, cfg.N)
 		for i := range runners {
 			pid := types.ProcessID(i)
-			runners[i] = newRunner(t, cfg, scheme, pid, net.Clock(pid), net.Transport(pid), log, nil)
+			runners[i] = newRunner(t, cfg, scheme, pid, net.Clock(pid), net.Transport(pid), log, func() { calls++ })
 			if err := runners[i].Start(); err != nil {
 				t.Fatal(err)
 			}
 		}
 		net.Advance(d)
-		for _, r := range runners {
-			_ = r.Close() // waits for the decide callbacks
+		decided := make(map[types.ProcessID]types.Decision, len(log.by))
+		for pid, dec := range log.by {
+			decided[pid] = dec
 		}
-		return log.by
+		if calls != len(decided) {
+			t.Fatalf("%d decide callbacks for %d deciding processes", calls, len(decided))
+		}
+		for _, r := range runners {
+			_ = r.Close()
+		}
+		net.Advance(10 * baseTimeout)
+		if calls != len(decided) {
+			t.Fatalf("%d decide callbacks ran after Close returned", calls-len(decided))
+		}
+		return decided
 	}
 
 	if early := decisionsAfter(baseTimeout - 1); len(early) != 0 {

@@ -33,6 +33,15 @@ import (
 // Labels are a metric's constant labels, fixed at registration.
 type Labels map[string]string
 
+// With returns a copy of l with label k set to v.
+func (l Labels) With(k, v string) Labels {
+	out := Labels{k: v}
+	for key, val := range l {
+		out[key] = val
+	}
+	return out
+}
+
 // Counter is a monotonically increasing atomic counter.
 type Counter struct{ v atomic.Uint64 }
 

@@ -71,11 +71,7 @@ type Tracer struct {
 func NewTracer(reg *Registry, name, help string, labels Labels, epoch time.Time) *Tracer {
 	t := &Tracer{epoch: epoch}
 	for s := StageProposed; s < numStages; s++ {
-		ls := Labels{"stage": s.String()}
-		for k, v := range labels {
-			ls[k] = v
-		}
-		t.hist[s] = reg.Histogram(name, help, ls, 1e9, DefaultLatencyBuckets())
+		t.hist[s] = reg.Histogram(name, help, labels.With("stage", s.String()), 1e9, DefaultLatencyBuckets())
 	}
 	return t
 }

@@ -173,59 +173,21 @@ func (r *Replica) persistCertLocked(s uint64, cc *msg.CommitCert) {
 	r.store.Append(storage.EncodeCert(s, cc))
 }
 
-// queueCommitLocked hands one applied slot to the ordered OnCommit
-// drainer. With storage the event is released through the effect queue, so
-// an observer never sees a commit whose decision record could still be
-// lost in a crash. Deferred (never inline): the closure needs r.mu, which
-// the caller holds. The caller holds r.mu.
-func (r *Replica) queueCommitLocked(ev commitEvent) {
-	if r.store == nil || r.recovering {
-		r.commitQ = append(r.commitQ, ev)
-		r.commitCond.Signal()
-		return
-	}
-	r.store.Defer(func() {
-		r.mu.Lock()
-		r.commitQ = append(r.commitQ, ev)
-		r.commitCond.Signal()
-		r.mu.Unlock()
-	})
-}
-
-// dispatchReplyLocked schedules a client reply callback; with storage it
-// waits for the durability of everything appended so far (in particular
-// the decision record of the slot that produced the reply). The caller
-// holds r.mu.
-func (r *Replica) dispatchReplyLocked(cb ReplyFunc, rep *msg.Reply) {
-	r.dispatchReplyTracedLocked(cb, rep, nil)
-}
-
-// dispatchReplyTracedLocked is dispatchReplyLocked with the trace of the
-// slot that produced the reply: the replied stage is stamped at the moment
-// the callback is released — after the durability gate, since a reply is a
-// promise the command survives a crash. tr may be nil (cached replies whose
-// slot instance is gone). Marks are atomic, so stamping from the effect
-// goroutine without r.mu is safe.
-func (r *Replica) dispatchReplyTracedLocked(cb ReplyFunc, rep *msg.Reply, tr *obs.Trace) {
-	if r.recovering {
-		return
-	}
+// dispatchReplyLocked posts a client reply callback (see CommitFunc); with
+// storage it waits for the durability of everything appended so far (in
+// particular the decision record of the slot that produced the reply). tr is
+// that slot's trace, or nil (cached replies whose slot instance is gone): the
+// replied stage is stamped when the callback is released — after the
+// durability gate, since a reply is a promise the command survives a crash.
+// Marks are atomic, so stamping without r.mu is safe. The caller holds r.mu.
+func (r *Replica) dispatchReplyLocked(cb ReplyFunc, rep *msg.Reply, tr *obs.Trace) {
 	r.countOut(msg.KindReply)
-	run := func() {
+	r.mu.Post(func() {
 		if tr != nil {
 			r.m.tracer.Mark(tr, obs.StageReplied, r.cfg.Clock.Now())
 		}
-		r.wg.Add(1)
-		go func() {
-			defer r.wg.Done()
-			cb(rep)
-		}()
-	}
-	if r.store == nil {
-		run()
-		return
-	}
-	r.store.Effect(run)
+		cb(rep)
+	})
 }
 
 // recoverFromStore rebuilds the replica from its data directory alone:

@@ -47,11 +47,11 @@ func (r *Replica) initMetricsLocked(reg *obs.Registry, ls obs.Labels) {
 	m.reproposed = reg.Counter("fastbft_commands_reproposed_total", "commands returned to the pending queue by a conflicting decision", ls)
 	m.regime = reg.Counter("fastbft_regime_timeouts_total", "regime-timer fires that found no progress (leader suspicions)", ls)
 	m.viewsTotal = reg.Counter("fastbft_view_changes_total", "slot instances that entered a view beyond 1", ls)
-	m.pathFast = reg.Counter("fastbft_decided_path_total", "decisions by protocol path", withLabel(ls, "path", "fast"))
-	m.pathSlow = reg.Counter("fastbft_decided_path_total", "decisions by protocol path", withLabel(ls, "path", "slow"))
+	m.pathFast = reg.Counter("fastbft_decided_path_total", "decisions by protocol path", ls.With("path", "fast"))
+	m.pathSlow = reg.Counter("fastbft_decided_path_total", "decisions by protocol path", ls.With("path", "slow"))
 	for k := msg.Kind(1); int(k) <= maxMsgKind; k++ {
-		m.msgIn[k] = reg.Counter("fastbft_messages_in_total", "protocol messages received, by kind", withLabel(ls, "kind", k.String()))
-		m.msgOut[k] = reg.Counter("fastbft_messages_out_total", "protocol messages produced, by kind (a broadcast counts once)", withLabel(ls, "kind", k.String()))
+		m.msgIn[k] = reg.Counter("fastbft_messages_in_total", "protocol messages received, by kind", ls.With("kind", k.String()))
+		m.msgOut[k] = reg.Counter("fastbft_messages_out_total", "protocol messages produced, by kind (a broadcast counts once)", ls.With("kind", k.String()))
 	}
 	m.tracer = obs.NewTracer(reg, "fastbft_stage_seconds",
 		"cumulative request latency from submit to each pipeline stage", ls, r.cfg.Clock.Now())
@@ -124,13 +124,4 @@ func (r *Replica) envOut(s uint64, m msg.Message) []byte {
 // markStage records pipeline stage st of slot sl at time `at`.
 func (r *Replica) markStage(sl *slot, st obs.Stage, at time.Time) {
 	r.m.tracer.Mark(&sl.trace, st, at)
-}
-
-// withLabel merges one extra label into a copy of ls.
-func withLabel(ls obs.Labels, k, v string) obs.Labels {
-	out := obs.Labels{k: v}
-	for key, val := range ls {
-		out[key] = val
-	}
-	return out
 }

@@ -186,7 +186,6 @@ func TestSMROutOfOrderDecideAppliesInOrder(t *testing.T) {
 	}
 	// Commit observers must have seen exactly the contiguous prefix.
 	for i, l := range logs {
-		awaitGoroutines(t, func() bool { return l.len() >= int(gap) }, "prefix commits to drain")
 		if got := l.snapshot(); len(got) != int(gap) {
 			t.Fatalf("replica %d observed %d commits (%v) with the gap parked, want %d", i, len(got), got, gap)
 		}
@@ -202,7 +201,6 @@ func TestSMROutOfOrderDecideAppliesInOrder(t *testing.T) {
 		}
 	}
 	for i, l := range logs {
-		awaitGoroutines(t, func() bool { return l.len() >= ops }, "all commits to drain")
 		got := l.snapshot()
 		if len(got) != ops {
 			t.Fatalf("replica %d observed %d commits, want %d", i, len(got), ops)
@@ -261,8 +259,10 @@ func TestSMROutOfOrderDecideLongerGap(t *testing.T) {
 		}
 	}
 	for i, l := range logs {
-		awaitGoroutines(t, func() bool { return l.len() >= int(reps[i].AppliedCount()) }, "commits to drain")
 		got := l.snapshot()
+		if len(got) != int(reps[i].AppliedCount()) {
+			t.Fatalf("replica %d observed %d commits for %d applied slots", i, len(got), reps[i].AppliedCount())
+		}
 		for s := 1; s < len(got); s++ {
 			if got[s] != got[s-1]+1 {
 				t.Fatalf("replica %d commit order not contiguous ascending: %v", i, got)
@@ -271,13 +271,13 @@ func TestSMROutOfOrderDecideLongerGap(t *testing.T) {
 	}
 }
 
-// TestSMRCommitOrderUnderConcurrency is the regression test for the ordered
-// commit drainer: under a pipelined workload whose slots decide close
+// TestSMRCommitOrderUnderConcurrency is the regression test for ordered
+// commit delivery: under a pipelined workload whose slots decide close
 // together and out of order (seeded random delays, submissions through every
 // replica), every replica's OnCommit stream must be strictly ascending by
-// slot. The drainer is a real goroutine racing the simulator's event loop;
-// the previous implementation fired one goroutine per slot and could deliver
-// slot 7 before slot 6.
+// slot and complete the instant the slots are applied. An early
+// implementation fired one goroutine per slot and could deliver slot 7
+// before slot 6.
 func TestSMRCommitOrderUnderConcurrency(t *testing.T) {
 	cfg := types.Generalized(1, 1)
 	g := newSimGroup(t, cfg, 45, groupOpts{jitter: 2 * time.Millisecond, window: 8, maxBatch: 2})
@@ -289,13 +289,9 @@ func TestSMRCommitOrderUnderConcurrency(t *testing.T) {
 	}
 	g.run(10*time.Second, g.applied(ops), "workload to apply")
 	for i := range reps {
-		i := i
-		awaitGoroutines(t, func() bool {
-			return uint64(logs[i].len()) >= reps[i].AppliedCount()
-		}, "commit queue to drain")
 		got := logs[i].snapshot()
-		if len(got) == 0 {
-			t.Fatalf("replica %d observed no commits", i)
+		if uint64(len(got)) != reps[i].AppliedCount() || len(got) == 0 {
+			t.Fatalf("replica %d observed %d commits for %d applied slots", i, len(got), reps[i].AppliedCount())
 		}
 		if got[0] != 0 {
 			t.Fatalf("replica %d first commit is slot %d, want 0", i, got[0])
@@ -391,8 +387,10 @@ func TestSMRPipelineCrashRestartPartFilledWindow(t *testing.T) {
 	}
 	// The restarted replica's commit stream is ascending and contiguous from
 	// wherever state transfer let it join.
-	awaitGoroutines(t, func() bool { return freshLog.len() > 0 }, "restarted replica commits")
 	got := freshLog.snapshot()
+	if len(got) == 0 {
+		t.Fatal("restarted replica observed no commits")
+	}
 	for s := 1; s < len(got); s++ {
 		if got[s] != got[s-1]+1 {
 			t.Fatalf("restarted replica commit order not contiguous: %v", got)

@@ -36,10 +36,27 @@ const (
 
 // scheduleResult is what one seeded run leaves behind.
 type scheduleResult struct {
-	trace   []byte             // every delivery: time, from, to, payload
+	// trace is the run as the network and the clients saw it, in order: every
+	// delivery (time, from, to, payload) and every reply callback (time,
+	// replica, client, seq, slot, result).
+	trace   []byte
+	replies int                // how many of the records are replies
 	decided [][]types.Decision // per replica, the decision of every applied slot
 	stores  [][]byte           // per replica, the KVStore snapshot
 	elapsed time.Duration      // virtual time until every live replica applied everything
+}
+
+// record appends one trace record: a tag, the virtual time, three numbers
+// and two byte strings.
+func (res *scheduleResult) record(tag byte, at time.Duration, a, b, c uint64, x, y []byte) {
+	var hdr [9 + 5*binary.MaxVarintLen64]byte
+	hdr[0] = tag
+	binary.BigEndian.PutUint64(hdr[1:9], uint64(at))
+	n := 9
+	for _, v := range []uint64{a, b, c, uint64(len(x)), uint64(len(y))} {
+		n += binary.PutUvarint(hdr[n:], v)
+	}
+	res.trace = append(append(append(res.trace, hdr[:n]...), x...), y...)
 }
 
 // runSchedule runs three closed-loop client sessions against a window-4
@@ -54,12 +71,7 @@ func runSchedule(t *testing.T, cfg types.Config, seed int64, silent bool) schedu
 		jitter: scheduleDelta,
 		window: 4,
 		trace: func(ev sim.TraceEvent) {
-			var hdr [8 + 3*binary.MaxVarintLen64]byte
-			binary.BigEndian.PutUint64(hdr[:8], uint64(ev.Time))
-			n := 8 + binary.PutUvarint(hdr[8:], uint64(ev.From))
-			n += binary.PutUvarint(hdr[n:], uint64(ev.To))
-			n += binary.PutUvarint(hdr[n:], uint64(len(ev.Payload)))
-			res.trace = append(append(res.trace, hdr[:n]...), ev.Payload...)
+			res.record('m', ev.Time, uint64(ev.From), uint64(ev.To), 0, ev.Payload, nil)
 		},
 	})
 	if silent {
@@ -67,9 +79,12 @@ func runSchedule(t *testing.T, cfg types.Config, seed int64, silent bool) schedu
 	}
 
 	// Session c sends its k-th request through replica (c+k) mod n — skipping
-	// a dead one — once that replica has executed the session's previous one.
-	// The check runs after every simulator event, so the submissions are part
-	// of the schedule the seed determines.
+	// a dead one — from the reply callback of request k-1: the sessions are
+	// driven by what a client sees, replies, which are events of the schedule
+	// the seed determines, and every reply goes on the trace. A replica keeps
+	// a client's reply route, so later requests are answered by every replica
+	// the session visited; the first reply to the outstanding request
+	// triggers the next one.
 	entry := func(c, k int) *Replica {
 		for p := (c + k) % cfg.N; ; p = (p + 1) % cfg.N {
 			if g.reps[p] != nil {
@@ -78,30 +93,28 @@ func runSchedule(t *testing.T, cfg types.Config, seed int64, silent bool) schedu
 		}
 	}
 	next := make([]int, scheduleSessions) // requests issued so far, per session
-	issue := func() {
-		for c := range next {
-			id := types.ClientID(fmt.Sprintf("s%d", c))
-			if k := next[c]; k > 0 {
-				if seq, _ := entry(c, k).SessionSeq(id); seq < uint64(k) {
-					continue // previous request still in flight
-				}
+	var issue func(c int)
+	issue = func(c int) {
+		next[c]++
+		k := next[c]
+		id := types.ClientID(fmt.Sprintf("s%d", c))
+		op := kvSetOp(fmt.Sprintf("s%d-%d", c, k), fmt.Sprintf("v%d", k))
+		err := entry(c, k).HandleRequest(&msg.Request{Client: id, Seq: uint64(k), Op: op}, func(rep *msg.Reply) {
+			res.record('r', g.net.Now(), uint64(rep.Replica), rep.Seq, rep.Slot, []byte(rep.Client), rep.Result)
+			res.replies++
+			if rep.Seq == uint64(next[c]) && next[c] < scheduleRequests {
+				issue(c)
 			}
-			if next[c] == scheduleRequests {
-				continue
-			}
-			next[c]++
-			op := kvSetOp(fmt.Sprintf("s%d-%d", c, next[c]), fmt.Sprintf("v%d", next[c]))
-			if err := entry(c, next[c]).HandleRequest(&msg.Request{Client: id, Seq: uint64(next[c]), Op: op}, nil); err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
-			}
+		})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
 		}
 	}
 	const total = scheduleSessions * scheduleRequests
-	issue()
-	if _, err := g.net.Run(scheduleLimit, func() bool {
-		issue()
-		return g.applied(total)()
-	}); err != nil {
+	for c := range next {
+		issue(c)
+	}
+	if _, err := g.net.Run(scheduleLimit, g.applied(total)); err != nil {
 		t.Fatal(err)
 	}
 	if !g.applied(total)() {
@@ -152,8 +165,9 @@ func runSchedule(t *testing.T, cfg types.Config, seed int64, silent bool) schedu
 }
 
 // TestSeededScheduleReplays: one seed, run twice, yields a byte-identical
-// delivery trace and identical decided logs on every replica — the property
-// that makes a printed seed a reproduction. The silenced-leader variant
+// trace — every delivery and every client-observed reply, in order — and
+// identical decided logs on every replica: the property that makes a printed
+// seed a reproduction. The silenced-leader variant
 // replays the regime timers and the windowed view change too.
 func TestSeededScheduleReplays(t *testing.T) {
 	cfg := types.Generalized(1, 1)
@@ -168,6 +182,9 @@ func TestSeededScheduleReplays(t *testing.T) {
 		}
 		if len(a.trace) == 0 || len(a.decided[0]) == 0 {
 			t.Fatal("the run recorded nothing")
+		}
+		if a.replies < scheduleSessions*scheduleRequests {
+			t.Fatalf("silent=%v: the trace holds %d replies for %d requests", silent, a.replies, scheduleSessions*scheduleRequests)
 		}
 		if c := runSchedule(t, cfg, 1235, silent); bytes.Equal(a.trace, c.trace) {
 			t.Fatalf("silent=%v: different seeds, same delivery trace", silent)

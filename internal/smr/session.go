@@ -34,9 +34,12 @@ type session struct {
 	lastReply []byte // cached result of lastSeq, served to retransmissions
 }
 
-// ReplyFunc receives the reply to a request submitted with HandleRequest.
-// It is invoked on its own goroutine, once per executed request of the
-// client (and immediately for retransmissions answered from the cache).
+// ReplyFunc receives the reply to a request submitted with HandleRequest,
+// once per executed request of the client (and for retransmissions answered
+// from the cache, before HandleRequest returns unless a delivery is already
+// in progress). Replies to one client arrive in sequence order, each after
+// its slot's OnCommit; see CommitFunc for the contract
+// (in order, after the lock, may re-enter, must not block).
 type ReplyFunc func(*msg.Reply)
 
 // sessionRetentionIntervals is how many checkpoint intervals a session
@@ -108,8 +111,8 @@ func (r *Replica) HandleRequest(req *msg.Request, reply ReplyFunc) error {
 		return errWrongGroup
 	}
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	if r.closed {
-		r.mu.Unlock()
 		return transport.ErrClosed
 	}
 	r.countIn(msg.KindRequest)
@@ -121,9 +124,8 @@ func (r *Replica) HandleRequest(req *msg.Request, reply ReplyFunc) error {
 		// may still be riding an in-flight fsync, and a reply is a promise
 		// the command survives a crash.
 		if reply != nil && req.Seq == sess.lastSeq {
-			r.dispatchReplyLocked(reply, r.cachedReplyLocked(req.Client, sess))
+			r.dispatchReplyLocked(reply, r.cachedReplyLocked(req.Client, sess), nil)
 		}
-		r.mu.Unlock()
 		return nil
 	}
 	if reply != nil {
@@ -145,7 +147,6 @@ func (r *Replica) HandleRequest(req *msg.Request, reply ReplyFunc) error {
 	r.fillWindowLocked()
 	r.flushViewBufsLocked()
 	r.pokeRegimeLocked()
-	r.mu.Unlock()
 	return nil
 }
 
@@ -230,7 +231,7 @@ func (r *Replica) executeRequestLocked(slot uint64, cmd Command) {
 		if sl, ok := r.slots[slot]; ok {
 			tr = &sl.trace
 		}
-		r.dispatchReplyTracedLocked(cb, r.cachedReplyLocked(req.Client, sess), tr)
+		r.dispatchReplyLocked(cb, r.cachedReplyLocked(req.Client, sess), tr)
 	}
 }
 

@@ -23,7 +23,9 @@ func execReq(t *testing.T, g *simGroup, r *Replica, id types.ClientID, seq uint6
 		got, ok := r.SessionSeq(id)
 		return ok && got >= seq
 	}, fmt.Sprintf("execution of %s/%d", id, seq))
-	awaitGoroutines(t, func() bool { return len(ch) > 0 }, "the reply callback")
+	if len(ch) == 0 {
+		t.Fatalf("%s/%d executed without a reply", id, seq)
+	}
 	return <-ch
 }
 

@@ -132,7 +132,7 @@ func (g *simGroup) crash(p types.ProcessID) {
 	if g.opts.durable {
 		g.disks[p].Abort()
 	}
-	_ = g.reps[p].Close() // release the dead incarnation's goroutines
+	_ = g.reps[p].Close() // stop the dead incarnation's timers
 	g.reps[p] = nil
 }
 
@@ -208,21 +208,6 @@ func (g *simGroup) run(within time.Duration, cond func() bool, what string) {
 	}
 }
 
-// awaitGoroutines is the one wall-clock wait of this package's simulator
-// tests. The simulator schedules messages and timers, not goroutines: a
-// client reply callback and the ordered OnCommit drainer each run on a
-// goroutine of their own, spawned by an event the simulator has already
-// processed, so a test that asserts on their output waits here — for a
-// goroutine that is already runnable, never for protocol progress.
-func awaitGoroutines(t *testing.T, cond func() bool, what string) {
-	t.Helper()
-	for deadline := time.Now().Add(30 * time.Second); !cond(); time.Sleep(100 * time.Microsecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("timeout waiting for %s", what)
-		}
-	}
-}
-
 // holdSlot parks every payload of log slot s (see sim.Network.Release).
 func holdSlot(s uint64) sim.PayloadFunc {
 	return func(_, _ types.ProcessID, payload []byte, _ sim.Time) sim.Fate {
@@ -237,16 +222,32 @@ func payloadSlot(payload []byte) (uint64, bool) {
 	return s, ok
 }
 
-// commitLog records OnCommit deliveries for one replica.
+// commitLog records one replica's user callbacks in delivery order: every
+// OnCommit, and every reply delivered to reply (a ReplyFunc). The mutex is
+// for the durable groups, whose callbacks run on the store's goroutines.
 type commitLog struct {
-	mu    sync.Mutex
-	slots []uint64
+	mu     sync.Mutex
+	slots  []uint64 // OnCommit deliveries
+	events []callback
+}
+
+// callback is one delivered OnCommit (rep == nil) or reply.
+type callback struct {
+	slot uint64
+	rep  *msg.Reply
 }
 
 func (c *commitLog) record(slot uint64, _ Command, _ types.Decision) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.slots = append(c.slots, slot)
+	c.events = append(c.events, callback{slot: slot})
+}
+
+func (c *commitLog) reply(rep *msg.Reply) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.events = append(c.events, callback{slot: rep.Slot, rep: rep})
 }
 
 func (c *commitLog) snapshot() []uint64 {
@@ -255,10 +256,10 @@ func (c *commitLog) snapshot() []uint64 {
 	return append([]uint64(nil), c.slots...)
 }
 
-func (c *commitLog) len() int {
+func (c *commitLog) history() []callback {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.slots)
+	return append([]callback(nil), c.events...)
 }
 
 // submit drives cmd through HandleRequest — the path production runs — as

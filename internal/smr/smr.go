@@ -38,7 +38,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -85,9 +84,16 @@ type App interface {
 }
 
 // CommitFunc observes every decided slot (including no-ops), after the
-// application applied it. Callbacks are delivered from one drainer
-// goroutine, strictly in slot order — even when slots decide out of order,
-// an observer never sees slot k+1 before slot k.
+// application applied it, strictly in slot order — even when slots decide
+// out of order, an observer never sees slot k+1 before slot k.
+//
+// It and ReplyFunc, the replica's two user callbacks, leave it one way
+// (node.Outbox): queued under the replica lock as the apply loop produces
+// them — a slot's OnCommit, then the replies of the requests it executed —
+// and delivered in that order after the lock is released, one at a time, on
+// whichever goroutine released it (with Storage, on the store's, once the
+// slot's decision record is durable). A callback may call back into the
+// replica; it must not block.
 type CommitFunc func(slot uint64, cmd Command, d types.Decision)
 
 // Config parameterizes a Replica.
@@ -103,7 +109,8 @@ type Config struct {
 	Transport transport.Transport
 	// App consumes decided commands. Required.
 	App App
-	// OnCommit, if set, observes decided slots in slot order.
+	// OnCommit, if set, observes decided slots in slot order (see CommitFunc
+	// for the callback contract).
 	OnCommit CommitFunc
 	// BaseTimeout caps the leader-suspicion timeout of the regime timer
 	// (and seeds it while no decide latency has been observed yet). The
@@ -204,7 +211,7 @@ type Replica struct {
 	logSigner   sigcrypto.Signer
 	logVerifier sigcrypto.Verifier
 
-	mu         sync.Mutex
+	mu         node.Outbox // the replica lock; user callbacks leave through it
 	started    bool
 	closed     bool
 	recovering bool // inside recoverFromStore: no appends, no sends
@@ -217,15 +224,6 @@ type Replica struct {
 	inflight   map[string]uint64            // command bytes -> live slot proposing it
 	next       uint64                       // lowest slot not yet decided locally
 	applyPtr   uint64                       // lowest slot not yet applied
-	wg         sync.WaitGroup
-
-	// Ordered commit delivery (see commitDrainer). commitDone, set by
-	// Close only after the storage queue has fully drained, is what lets
-	// the drainer exit: exiting on r.closed alone could lose tail events
-	// still flowing out of the store's effect queue during shutdown.
-	commitQ    []commitEvent
-	commitCond *sync.Cond
-	commitDone bool
 
 	// Counters behind Stats(), registry-backed and atomic (see metrics.go),
 	// plus the staged request tracer.
@@ -300,12 +298,6 @@ type slot struct {
 	trace obs.Trace
 }
 
-// commitEvent is one decided slot queued for the ordered OnCommit drainer.
-type commitEvent struct {
-	slot uint64
-	d    types.Decision
-}
-
 // NewReplica builds an SMR replica.
 func NewReplica(cfg Config) (*Replica, error) {
 	if err := cfg.Cluster.Validate(); err != nil {
@@ -359,12 +351,14 @@ func NewReplica(cfg Config) (*Replica, error) {
 		wishBuf:       make(map[types.View][]uint64),
 		voteBuf:       make(map[types.View][]msg.WindowVoteEntry),
 	}
-	r.commitCond = sync.NewCond(&r.mu)
 	if cfg.Logger != nil {
 		r.lg = cfg.Logger.With("group", cfg.Group)
 	}
 	r.initMetricsLocked(cfg.Metrics, cfg.MetricsLabels)
 	if r.store != nil {
+		// A callback is a promise that what it reports survives a crash: it
+		// waits for the WAL records appended before it.
+		r.mu.Via = r.store.Effect
 		if err := r.recoverFromStore(); err != nil {
 			return nil, err
 		}
@@ -380,10 +374,6 @@ func (r *Replica) Start() error {
 		return transport.ErrClosed
 	}
 	r.started = true
-	if r.cfg.OnCommit != nil {
-		r.wg.Add(1)
-		go r.commitDrainer()
-	}
 	r.cfg.Transport.SetHandler(r.onPayload)
 	if err := r.cfg.Transport.Start(); err != nil {
 		return err
@@ -401,7 +391,8 @@ func (r *Replica) Start() error {
 
 // Close stops the replica, its storage (draining pending durable effects
 // first, so nothing acknowledged is lost in a graceful shutdown), and its
-// transport.
+// transport. Callbacks queued so far are delivered before it returns, none
+// after; it must not be called from one.
 func (r *Replica) Close() error {
 	r.mu.Lock()
 	if r.closed {
@@ -420,21 +411,13 @@ func (r *Replica) Close() error {
 	if r.fetchTimer != nil {
 		r.fetchTimer.Stop()
 	}
-	r.mu.Unlock()
+	r.mu.Drain()
 	if r.store != nil {
-		// Drain before releasing the commit drainer: queued commit events
-		// and replies still flow out, and their records hit disk.
+		// Queued sends, replies and commit notifications still flow out, and
+		// their records hit disk.
 		_ = r.store.Close()
 	}
-	r.mu.Lock()
-	// Only now may the drainer exit: every commit-event effect the store
-	// held has been appended to commitQ.
-	r.commitDone = true
-	r.commitCond.Broadcast()
-	r.mu.Unlock()
-	err := r.cfg.Transport.Close()
-	r.wg.Wait()
-	return err
+	return r.cfg.Transport.Close()
 }
 
 // Decided returns the decision for a slot, if any.
@@ -1287,6 +1270,12 @@ func (r *Replica) advanceLocked() {
 		if !ok {
 			break
 		}
+		if r.cfg.OnCommit != nil {
+			// Posted ahead of the slot's replies, delivered after the lock is
+			// released — by when the slot has been applied.
+			s := r.applyPtr
+			r.mu.Post(func() { r.cfg.OnCommit(s, Command(dd.Value), dd) })
+		}
 		if len(dd.Value) > 0 {
 			if cmds, err := DecodeBatch(dd.Value); err == nil {
 				for _, cmd := range cmds {
@@ -1307,9 +1296,6 @@ func (r *Replica) advanceLocked() {
 		if sl, ok := r.slots[r.applyPtr]; ok {
 			r.markStage(sl, obs.StageApplied, r.cfg.Clock.Now())
 		}
-		if r.cfg.OnCommit != nil {
-			r.queueCommitLocked(commitEvent{slot: r.applyPtr, d: dd})
-		}
 		r.applyPtr++
 		r.maybeCheckpointLocked()
 	}
@@ -1323,35 +1309,6 @@ func (r *Replica) advanceLocked() {
 	}
 	// Keep replicating while fresh commands are queued.
 	r.fillWindowLocked()
-}
-
-// commitDrainer delivers OnCommit callbacks in slot order. One goroutine
-// drains a queue the apply loop fills, so observers see slot k before k+1
-// no matter how the underlying consensus instances interleaved; the
-// callback runs without holding r.mu, so it may call back into the replica.
-func (r *Replica) commitDrainer() {
-	defer r.wg.Done()
-	r.mu.Lock()
-	for {
-		for len(r.commitQ) == 0 && !r.commitDone {
-			r.commitCond.Wait()
-		}
-		if len(r.commitQ) == 0 {
-			r.mu.Unlock()
-			return // closed and fully drained
-		}
-		// Take the whole batch: events appended while the lock is released
-		// land on a fresh slice and are processed next round, so slot order
-		// is preserved and a drained backlog's backing array (holding whole
-		// batched decision values) is released rather than retained.
-		batch := r.commitQ
-		r.commitQ = nil
-		r.mu.Unlock()
-		for _, ev := range batch {
-			r.cfg.OnCommit(ev.slot, Command(ev.d.Value), ev.d)
-		}
-		r.mu.Lock()
-	}
 }
 
 // dropPending removes an applied command from the proposal queue in O(1)

@@ -401,67 +401,42 @@ func (s *Store) Append(payload []byte, effects ...func()) {
 	s.mu.Unlock()
 }
 
-// unsyncedLocked reports whether durably-gated work is still outstanding:
-// queued ops, a drain in flight, effects awaiting the syncer, or written
-// records not yet covered by an fsync (SyncNone never syncs, so bare
-// writes do not count against it). The caller holds s.mu.
-func (s *Store) unsyncedLocked() bool {
+// busyLocked reports whether an effect must queue behind outstanding work:
+// queued ops, a drain in flight, effects awaiting the syncer or — unless the
+// effect is ordered-only — written records not yet covered by an fsync
+// (SyncNone never syncs, so bare writes do not count against it). The caller
+// holds s.mu.
+func (s *Store) busyLocked(ordered bool) bool {
 	if len(s.queue) > 0 || s.flushing || s.inSync > 0 {
 		return true
 	}
-	return s.mode != SyncNone && s.writeSeq > s.syncedSeq
+	return !ordered && s.mode != SyncNone && s.writeSeq > s.syncedSeq
 }
 
 // Effect schedules f to run once everything appended so far is durable.
 // When nothing is pending, f runs inline — the common no-backlog case adds
 // no latency.
-func (s *Store) Effect(f func()) {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	if !s.unsyncedLocked() && s.err == nil {
-		s.mInline.Inc()
-		s.mu.Unlock()
-		f()
-		return
-	}
-	s.queue = append(s.queue, op{effect: f})
-	s.cond.Signal()
-	s.mu.Unlock()
-}
+func (s *Store) Effect(f func()) { s.effect(f, false) }
 
 // OrderedEffect schedules f to run in queue order but without waiting for
 // any fsync: for actions that expose no state a crash could lose, where
 // only the relative order with durable effects matters. Runs inline when
 // nothing is queued at all.
-func (s *Store) OrderedEffect(f func()) {
+func (s *Store) OrderedEffect(f func()) { s.effect(f, true) }
+
+func (s *Store) effect(f func(), ordered bool) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return
 	}
-	if len(s.queue) == 0 && !s.flushing && s.inSync == 0 && s.err == nil {
+	if !s.busyLocked(ordered) && s.err == nil {
 		s.mInline.Inc()
 		s.mu.Unlock()
 		f()
 		return
 	}
-	s.queue = append(s.queue, op{effect: f, ordered: true})
-	s.cond.Signal()
-	s.mu.Unlock()
-}
-
-// Defer schedules f like Effect but never runs it inline, even when the
-// queue is idle — for callers that hold locks f itself acquires.
-func (s *Store) Defer(f func()) {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	s.queue = append(s.queue, op{effect: f})
+	s.queue = append(s.queue, op{effect: f, ordered: ordered})
 	s.cond.Signal()
 	s.mu.Unlock()
 }

@@ -12,9 +12,9 @@ import (
 	"repro/internal/types"
 )
 
-// ClientHandler ingests one decoded client request. reply must be safe to
-// call from any goroutine at any later time (requests execute after
-// consensus); replies to connections that have since died are dropped. A
+// ClientHandler ingests one decoded client request. reply may be called from
+// any goroutine at any later time (requests execute after consensus) and never
+// blocks; replies to connections that have since died are dropped. A
 // returned error marks the request as invalid at the session layer (empty
 // operation, oversized client ID, zero sequence number) and drops the
 // connection that sent it.
@@ -39,13 +39,14 @@ type ClientListenerConfig struct {
 	// goroutine for a bounded time and never the accept loop.
 	ReadTimeout time.Duration
 	// WriteTimeout bounds one reply write (default 10 seconds); a client
-	// that stops reading has its replies dropped, to be recovered by
-	// retransmission.
+	// that stops reading is disconnected when it expires or clientReplyQueue
+	// replies are waiting, and recovers its replies by retransmission.
 	WriteTimeout time.Duration
 	// MaxConns caps concurrent client connections (default 1024).
 	// Connections above the cap are closed on accept, so the worst a
-	// connection-flooding client can pin is MaxConns goroutines and
-	// MaxConns×MaxClientFrame of buffer for one ReadTimeout — never
+	// connection-flooding client can pin is two goroutines (reader, writer)
+	// per connection, MaxConns×MaxClientFrame of read buffer for one
+	// ReadTimeout and MaxConns×clientReplyQueue queued replies — never
 	// unbounded memory. Honest clients redial.
 	MaxConns int
 }
@@ -163,9 +164,11 @@ func (l *ClientListener) serveConn(conn net.Conn) {
 	}
 	l.conns[conn] = struct{}{}
 	l.mu.Unlock()
-	w := &clientConnWriter{conn: conn, timeout: l.cfg.WriteTimeout}
+	w := &clientConnWriter{conn: conn, timeout: l.cfg.WriteTimeout,
+		queue: make(chan []byte, clientReplyQueue), done: make(chan struct{})}
 	defer func() {
-		w.shutdown()
+		close(w.done)
+		_ = conn.Close()
 		l.mu.Lock()
 		delete(l.conns, conn)
 		l.mu.Unlock()
@@ -186,6 +189,8 @@ func (l *ClientListener) serveConn(conn net.Conn) {
 	if err := w.write(EncodeServerHello(l.cfg.Signer, nonce)); err != nil {
 		return
 	}
+	l.wg.Add(1)
+	go w.run(&l.wg)
 
 	for {
 		_ = conn.SetReadDeadline(time.Now().Add(l.cfg.ReadTimeout))
@@ -207,41 +212,57 @@ func (l *ClientListener) serveConn(conn net.Conn) {
 	}
 }
 
-// clientConnWriter serializes writes to one client connection. Replies
-// arrive from apply-loop goroutines long after the request frame was read,
-// possibly after the connection died; writes after shutdown are dropped
-// silently (the client retransmits and is answered from the reply cache).
+// clientReplyQueue is how many replies may wait for one connection's writer.
+// A session keeps one request in flight, so a client that reads its socket is
+// owed at most one per session sharing the connection — tens; a connection
+// this far behind has stopped reading.
+const clientReplyQueue = 256
+
+// clientConnWriter owns the write side of one client connection. Replies
+// arrive as replica callbacks, which must not block, possibly after the
+// connection died: reply only queues the frame for the connection's one
+// writer goroutine, which alone waits on the socket. A full queue (or a failed
+// write) closes the connection, which ends its reader, and a dead connection
+// drops the reply — either way the client retransmits and is answered from
+// the reply cache.
 type clientConnWriter struct {
 	conn    net.Conn
 	timeout time.Duration
-
-	mu   sync.Mutex
-	dead bool
+	queue   chan []byte   // encoded replies, oldest first; never closed
+	done    chan struct{} // closed by the reader (serveConn) on its way out
 }
 
+// write sends one frame under the write deadline.
 func (w *clientConnWriter) write(payload []byte) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.dead {
-		return ErrClosed
-	}
 	_ = w.conn.SetWriteDeadline(time.Now().Add(w.timeout))
 	return WriteClientFrame(w.conn, payload)
 }
 
-// reply frames and sends one reply, dropping it on any failure.
+// run is the writer goroutine: it drains the queue until the reader is done.
+func (w *clientConnWriter) run(wg *sync.WaitGroup) {
+	defer wg.Done()
+	for {
+		select {
+		case <-w.done:
+			return
+		case payload := <-w.queue:
+			if w.write(payload) != nil {
+				_ = w.conn.Close()
+				return
+			}
+		}
+	}
+}
+
+// reply queues one reply; it never blocks.
 func (w *clientConnWriter) reply(rep *msg.Reply) {
 	if rep == nil {
 		return
 	}
-	_ = w.write(msg.Encode(rep))
-}
-
-// shutdown closes the connection and marks the writer dead so late replies
-// are dropped without touching the socket.
-func (w *clientConnWriter) shutdown() {
-	w.mu.Lock()
-	w.dead = true
-	w.mu.Unlock()
-	_ = w.conn.Close()
+	select {
+	case <-w.done:
+	case w.queue <- msg.Encode(rep):
+	default:
+		_ = w.conn.Close() // the client has stopped reading
+	}
 }

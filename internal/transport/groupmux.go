@@ -51,10 +51,7 @@ func NewGroupMux(inner Transport, groups int) *GroupMux {
 // counters live but unexported.
 func (m *GroupMux) Instrument(reg *obs.Registry, ls obs.Labels) {
 	for _, v := range m.views {
-		gl := obs.Labels{"group": strconv.FormatUint(v.group, 10)}
-		for k, val := range ls {
-			gl[k] = val
-		}
+		gl := ls.With("group", strconv.FormatUint(v.group, 10))
 		v.mFramesIn = reg.Counter("fastbft_mux_frames_in_total", "frames dispatched to this group's handler", gl)
 		v.mFramesOut = reg.Counter("fastbft_mux_frames_out_total", "frames this group sent or broadcast (a broadcast counts once)", gl)
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"strconv"
 	"sync"
 	"time"
 
@@ -187,10 +188,7 @@ func (t *TCPTransport) Send(to types.ProcessID, payload []byte) error {
 	if len(payload) > MaxFrame {
 		return fmt.Errorf("tcp: payload %d bytes exceeds limit", len(payload))
 	}
-	t.mu.Lock()
-	closed := t.closed
-	t.mu.Unlock()
-	if closed {
+	if t.isClosed() {
 		return ErrClosed
 	}
 	t.peers[to].enqueue(payload)
@@ -303,19 +301,31 @@ func (t *TCPTransport) serveConn(conn net.Conn) {
 	}
 }
 
-// tcpPeer owns the outbound connection to one peer: an unbounded FIFO
-// outbox drained by a goroutine that (re)connects as needed.
+// maxPeerOutbox bounds the payload bytes queued for one peer, which for a
+// peer that is down would otherwise grow for as long as the process lives.
+// Past it the oldest frames are dropped and counted; a peer that returns
+// catches up as after any message loss, by state transfer. The bound is twice
+// the largest burst the stack sends one peer on purpose: a chunked 64 MiB
+// snapshot and its tail.
+const maxPeerOutbox = 128 << 20
+
+// tcpPeer owns the outbound connection to one peer: a FIFO outbox of at most
+// maxPeerOutbox bytes, drained by a goroutine that (re)connects as needed.
 type tcpPeer struct {
-	t    *TCPTransport
-	id   types.ProcessID
-	mu   sync.Mutex
-	cond *sync.Cond
-	box  [][]byte
-	stop bool
+	t        *TCPTransport
+	id       types.ProcessID
+	mDropped *obs.Counter
+	mu       sync.Mutex // guards box, bytes and stop
+	cond     *sync.Cond
+	box      [][]byte
+	bytes    int // sum of len over box
+	stop     bool
 }
 
 func newTCPPeer(t *TCPTransport, id types.ProcessID) *tcpPeer {
-	p := &tcpPeer{t: t, id: id}
+	p := &tcpPeer{t: t, id: id, mDropped: t.cfg.Metrics.Counter("fastbft_transport_outbox_dropped_total",
+		"peer-channel frames dropped, oldest first, because the peer's outbox was full",
+		t.cfg.MetricsLabels.With("peer", strconv.Itoa(int(id))))}
 	p.cond = sync.NewCond(&p.mu)
 	return p
 }
@@ -329,7 +339,21 @@ func (p *tcpPeer) enqueue(payload []byte) {
 		return
 	}
 	p.box = append(p.box, cp)
+	p.bytes += len(cp)
+	for p.bytes > maxPeerOutbox { // never the frame just queued: MaxFrame is below the bound
+		p.pop()
+		p.mDropped.Inc()
+	}
 	p.cond.Signal()
+}
+
+// pop removes and returns the oldest queued frame; the caller holds p.mu.
+func (p *tcpPeer) pop() []byte {
+	payload := p.box[0]
+	p.box[0] = nil
+	p.box = p.box[1:]
+	p.bytes -= len(payload)
+	return payload
 }
 
 func (p *tcpPeer) close() {
@@ -357,30 +381,30 @@ func (p *tcpPeer) run() {
 			p.mu.Unlock()
 			return
 		}
-		payload := p.box[0]
+		// The frame leaves the outbox before it is written, so a drop by
+		// enqueue meanwhile can only take frames behind it.
+		payload := p.pop()
 		p.mu.Unlock()
 
-		if conn == nil {
-			conn = p.dial()
+		for {
 			if conn == nil {
-				return // transport closed while dialing
+				if conn = p.dial(); conn == nil {
+					return // transport closed while dialing
+				}
 			}
-		}
-		if err := writeFrame(conn, payload); err != nil {
+			if writeFrame(conn, payload) == nil {
+				break
+			}
 			_ = conn.Close()
 			conn = nil // reconnect and retry the same payload
-			continue
 		}
-		p.mu.Lock()
-		p.box = p.box[1:]
-		p.mu.Unlock()
 	}
 }
 
 // dial connects and handshakes, retrying until success or shutdown.
 func (p *tcpPeer) dial() net.Conn {
 	for {
-		if p.t.isClosed() || p.stopped() {
+		if p.t.isClosed() { // Close stops the peers only after closing the transport
 			return nil
 		}
 		conn, err := net.DialTimeout("tcp", p.t.peerAddr(p.id), time.Second)
@@ -400,12 +424,6 @@ func (p *tcpPeer) dial() net.Conn {
 		}
 		return conn
 	}
-}
-
-func (p *tcpPeer) stopped() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.stop
 }
 
 // writeFrame emits one 4-byte length-prefixed frame. It is shared by the

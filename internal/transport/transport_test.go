@@ -2,10 +2,12 @@ package transport
 
 import (
 	"fmt"
+	"net"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/sigcrypto"
 	"repro/internal/types"
 )
@@ -189,5 +191,62 @@ func TestTCPSendAfterCloseFails(t *testing.T) {
 	cleanup()
 	if err := trs[0].Send(1, []byte("late")); err == nil {
 		t.Fatal("expected error after close")
+	}
+}
+
+// TestTCPOutboxIsBounded: frames for a peer whose address never accepts are
+// queued only up to maxPeerOutbox bytes; past it the oldest are dropped and
+// counted, the newest kept.
+func TestTCPOutboxIsBounded(t *testing.T) {
+	// An address nobody listens on: bound once, then released.
+	hole, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := hole.Addr().String()
+	_ = hole.Close()
+
+	scheme := sigcrypto.NewHMAC(2, 98)
+	reg := obs.NewRegistry()
+	tr, err := NewTCP(TCPConfig{
+		Self: 0, N: 2, ListenAddr: "127.0.0.1:0",
+		Signer: scheme.Signer(0), Verifier: scheme.Verifier(),
+		DialRetry: 10 * time.Millisecond, Metrics: reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = tr.Close() }()
+	if err := tr.SetPeers([]string{tr.Addr(), dead}); err != nil {
+		t.Fatal(err)
+	}
+	tr.SetHandler(func(types.ProcessID, []byte) {})
+	if err := tr.Start(); err != nil {
+		t.Fatal(err)
+	}
+
+	const frame = 4 << 20
+	const frames = maxPeerOutbox/frame + 4
+	payload := make([]byte, frame)
+	for i := 0; i < frames; i++ {
+		payload[0] = byte(i)
+		if err := tr.Send(1, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p := tr.peers[1]
+	p.mu.Lock()
+	queued, oldest, newest := p.bytes, p.box[0][0], p.box[len(p.box)-1][0]
+	p.mu.Unlock()
+	if queued > maxPeerOutbox {
+		t.Fatalf("%d bytes queued for the dead peer, bound is %d", queued, maxPeerOutbox)
+	}
+	if newest != frames-1 || oldest == 0 {
+		t.Fatalf("queue holds frames %d..%d of 0..%d, want the oldest dropped and the newest kept", oldest, newest, frames-1)
+	}
+	// The sender goroutine may hold one more frame (the one it is dialing for).
+	dropped, _ := reg.Snapshot().Value("fastbft_transport_outbox_dropped_total", obs.Labels{"peer": "1"})
+	if want := float64(frames - maxPeerOutbox/frame); dropped != want && dropped != want-1 {
+		t.Fatalf("dropped counter %v after %d frames of %d bytes, want %v or %v", dropped, frames, frame, want-1, want)
 	}
 }

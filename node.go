@@ -151,7 +151,9 @@ type KVReplicaConfig struct {
 	// MaxBatch is the maximum number of pending commands packed into one
 	// slot proposal (default 1, i.e. no batching).
 	MaxBatch int
-	// OnCommit, if set, observes every decided log slot, in slot order.
+	// OnCommit, if set, observes every decided log slot, in slot order. Like
+	// HandleRequest's onReply it runs on one of the replica's own goroutines,
+	// outside its lock: it may call back into the replica and must not block.
 	OnCommit func(slot uint64, cmd []byte)
 	// CheckpointInterval, when positive, enables checkpointing: every
 	// CheckpointInterval applied slots the replica emits a signed
@@ -449,7 +451,8 @@ type ClientReply struct {
 // session layer: requests are deduplicated by (clientID, seq) with a
 // per-client executed high-water mark, a retransmission of the last
 // executed request is answered from the reply cache without re-execution,
-// and onReply (optional) receives the reply once the request executes.
+// and onReply (optional) receives the reply once the request executes —
+// after the slot's OnCommit, in sequence order per client; it must not block.
 // Sequence numbers start at 1 and must increase within a session. The
 // request routes to its key's group (ops that do not decode as KV commands
 // go to group 0), and sessions are per group — a client interleaving keys

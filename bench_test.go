@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/baseline/fab"
 	"repro/internal/baseline/pbft"
+	"repro/internal/core"
 	"repro/internal/lowerbound"
 	"repro/internal/msg"
 	"repro/internal/sigcrypto"
@@ -23,9 +24,9 @@ import (
 
 func runSim(b *testing.B, cfg types.Config, silent int, seed int64) types.Step {
 	b.Helper()
-	faulty := make(map[types.ProcessID]sim.Node, silent)
+	faulty := make(map[types.ProcessID]core.Machine, silent)
 	for i := 0; i < silent; i++ {
-		faulty[types.ProcessID(cfg.N-1-i)] = sim.SilentNode{}
+		faulty[types.ProcessID(cfg.N-1-i)] = nil
 	}
 	c, err := sim.NewCluster(sim.ClusterConfig{
 		Cfg:    cfg,
@@ -68,7 +69,7 @@ func BenchmarkFigure1bViewChange(b *testing.B) {
 			Cfg:    cfg,
 			Inputs: sim.DistinctInputs(cfg.N, "in"),
 			Seed:   int64(i),
-			Faulty: map[types.ProcessID]sim.Node{leader1: sim.SilentNode{}},
+			Faulty: map[types.ProcessID]core.Machine{leader1: nil},
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -142,55 +143,35 @@ func BenchmarkTableLatency(b *testing.B) {
 	b.Run("fab/n=6", func(b *testing.B) {
 		n := fab.MinProcesses(1, 1)
 		for i := 0; i < b.N; i++ {
-			scheme := sigcrypto.NewHMAC(n, int64(i))
-			net := sim.NewNetwork(n)
-			reps := make([]*fab.Replica, n)
-			for p := 0; p < n; p++ {
-				r, err := fab.NewReplica(n, 1, 1, types.ProcessID(p), scheme.Signer(types.ProcessID(p)), scheme.Verifier(), types.Value("x"))
-				if err != nil {
-					b.Fatal(err)
-				}
-				reps[p] = r
-				net.SetNode(types.ProcessID(p), sim.NewMachineNode(r))
-			}
-			if _, err := net.Run(time.Minute, func() bool {
-				for _, r := range reps {
-					if _, ok := r.Decided(); !ok {
-						return false
-					}
-				}
-				return true
-			}); err != nil {
-				b.Fatal(err)
-			}
+			runMachines(b, types.Config{N: n, F: 1, T: 1}, int64(i), func(p types.ProcessID, keys sigcrypto.Scheme) (core.Machine, error) {
+				return fab.NewReplica(n, 1, 1, p, keys.Signer(p), keys.Verifier(), types.Value("x"))
+			})
 		}
 	})
 	b.Run("pbft/n=4", func(b *testing.B) {
 		n := pbft.MinProcesses(1)
 		for i := 0; i < b.N; i++ {
-			scheme := sigcrypto.NewHMAC(n, int64(i))
-			net := sim.NewNetwork(n)
-			procs := make([]*pbft.Process, n)
-			for p := 0; p < n; p++ {
-				proc, err := pbft.NewProcess(n, 1, types.ProcessID(p), scheme.Signer(types.ProcessID(p)), scheme.Verifier(), types.Value("x"), 100*time.Millisecond)
-				if err != nil {
-					b.Fatal(err)
-				}
-				procs[p] = proc
-				net.SetNode(types.ProcessID(p), sim.NewMachineNode(proc))
-			}
-			if _, err := net.Run(time.Minute, func() bool {
-				for _, p := range procs {
-					if _, ok := p.Decided(); !ok {
-						return false
-					}
-				}
-				return true
-			}); err != nil {
-				b.Fatal(err)
-			}
+			runMachines(b, types.Config{N: n, F: 1}, int64(i), func(p types.ProcessID, keys sigcrypto.Scheme) (core.Machine, error) {
+				return pbft.NewProcess(n, 1, p, keys.Signer(p), keys.Verifier(), types.Value("x"), 100*time.Millisecond)
+			})
 		}
 	})
+}
+
+// runMachines runs one instance of a baseline protocol until every process
+// decides.
+func runMachines(b *testing.B, cfg types.Config, seed int64, build func(types.ProcessID, sigcrypto.Scheme) (core.Machine, error)) {
+	b.Helper()
+	c, err := sim.NewCluster(sim.ClusterConfig{Cfg: cfg, Seed: seed, Machine: build})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := c.Run(time.Minute); err != nil {
+		b.Fatal(err)
+	}
+	if !c.AllCorrectDecided() {
+		b.Fatal("not every process decided")
+	}
 }
 
 // BenchmarkTableCertSize regenerates Table T3: a run with forced view
@@ -202,26 +183,19 @@ func BenchmarkTableCertSize(b *testing.B) {
 	var certBytes int
 	for i := 0; i < b.N; i++ {
 		certBytes = 0
-		trace := func(ev sim.TraceEvent) {
-			if ev.Kind == msg.KindPropose {
-				certBytes = ev.Bytes
-			}
-		}
-		latency := func(from, to types.ProcessID, m msg.Message, now sim.Time) (sim.Time, bool) {
-			if now < sim.Time(blackout) {
-				switch m.Kind() {
-				case msg.KindPropose, msg.KindCertRequest:
-					return 0, false
-				}
-			}
-			return sim.DefaultDelta, true
-		}
 		c, err := sim.NewCluster(sim.ClusterConfig{
-			Cfg:     cfg,
-			Inputs:  sim.UniformInputs(cfg.N, types.Value("x")),
-			Seed:    int64(i),
-			Latency: latency,
-			Trace:   trace,
+			Cfg:    cfg,
+			Inputs: sim.UniformInputs(cfg.N, types.Value("x")),
+			Seed:   int64(i),
+			Fate: func(from, to types.ProcessID, m msg.Message, now sim.Time) sim.Fate {
+				k := m.Kind()
+				return sim.Fate{Delay: sim.DefaultDelta, Drop: now < blackout && (k == msg.KindPropose || k == msg.KindCertRequest)}
+			},
+			Trace: func(ev sim.TraceEvent, m msg.Message) {
+				if m.Kind() == msg.KindPropose {
+					certBytes = len(ev.Payload)
+				}
+			},
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -268,9 +242,9 @@ func BenchmarkViewChangeDepthAblation(b *testing.B) {
 		b.Run(fmt.Sprintf("silent-leaders=%d", depth), func(b *testing.B) {
 			var elapsed sim.Time
 			for i := 0; i < b.N; i++ {
-				faulty := make(map[types.ProcessID]sim.Node, depth)
+				faulty := make(map[types.ProcessID]core.Machine, depth)
 				for d := 0; d < depth; d++ {
-					faulty[cfg.Leader(types.View(1+d))] = sim.SilentNode{}
+					faulty[cfg.Leader(types.View(1+d))] = nil
 				}
 				c, err := sim.NewCluster(sim.ClusterConfig{
 					Cfg:    cfg,

@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -39,13 +40,14 @@ func experiments() []experiment {
 }
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "fastbft-bench:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+// run runs the experiments args select and writes their reports to out.
+func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("fastbft-bench", flag.ContinueOnError)
 	which := fs.String("experiment", "", "experiment id to run (default: all)")
 	list := fs.Bool("list", false, "list experiment ids")
@@ -55,7 +57,7 @@ func run(args []string) error {
 	exps := experiments()
 	if *list {
 		for _, e := range exps {
-			fmt.Printf("%-12s %s\n", e.id, e.desc)
+			fmt.Fprintf(out, "%-12s %s\n", e.id, e.desc)
 		}
 		return nil
 	}
@@ -68,7 +70,7 @@ func run(args []string) error {
 		if err != nil {
 			return fmt.Errorf("%s: %w", e.id, err)
 		}
-		fmt.Println(rep.Format())
+		fmt.Fprintln(out, rep.Format())
 		ran++
 	}
 	if ran == 0 {

@@ -15,6 +15,8 @@ import (
 	"time"
 
 	"repro/internal/byz"
+	"repro/internal/core"
+	"repro/internal/sigcrypto"
 	"repro/internal/sim"
 	"repro/internal/types"
 )
@@ -30,18 +32,10 @@ func run() error {
 	leader := cfg.Leader(1)
 	fmt.Printf("cluster %s; Byzantine leader of view 1 is %s\n", cfg, leader)
 
-	// Build the cluster with the leader slot marked faulty, then install
-	// the equivocating node: "left" goes to the first correct process,
-	// "right" to the rest, and the leader acknowledges both.
-	cluster, err := sim.NewCluster(sim.ClusterConfig{
-		Cfg:    cfg,
-		Inputs: sim.DistinctInputs(cfg.N, "honest-input"),
-		Seed:   2024,
-		Faulty: map[types.ProcessID]sim.Node{leader: sim.SilentNode{}},
-	})
-	if err != nil {
-		return err
-	}
+	// The leader slot runs the equivocating machine, signing with the key
+	// the cluster's scheme gives it: "left" goes to the first correct
+	// process, "right" to the rest, and the leader acknowledges both.
+	const seed = 2024
 	groupA := map[types.ProcessID]bool{}
 	for i := 0; i < cfg.N; i++ {
 		if pid := types.ProcessID(i); pid != leader {
@@ -50,13 +44,21 @@ func run() error {
 		}
 	}
 	attack := &byz.EquivocatingLeader{
-		Forger: byz.NewForger(leader, cluster.Scheme.Signer(leader)),
+		Forger: byz.NewForger(leader, sigcrypto.NewHMAC(cfg.N, seed).Signer(leader)),
 		N:      cfg.N,
 		Value1: types.Value("left"),
 		Value2: types.Value("right"),
 		GroupA: groupA,
 	}
-	cluster.Net.SetNode(leader, attack.Node())
+	cluster, err := sim.NewCluster(sim.ClusterConfig{
+		Cfg:    cfg,
+		Inputs: sim.DistinctInputs(cfg.N, "honest-input"),
+		Seed:   seed,
+		Faulty: map[types.ProcessID]core.Machine{leader: attack},
+	})
+	if err != nil {
+		return err
+	}
 
 	if _, err := cluster.Run(time.Minute); err != nil {
 		return err

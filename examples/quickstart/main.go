@@ -33,7 +33,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	for p, d := range res.Decisions {
+	for p := fastbft.ProcessID(0); int(p) < cfg.N; p++ {
+		d := res.Decisions[p]
 		fmt.Printf("%s decided %s in view %s via the %s path\n", p, d.Value, d.View, d.Path)
 	}
 	fmt.Printf("latency: %d message delays (paper: 2), %d messages delivered\n",

@@ -33,6 +33,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/sigcrypto"
 	"repro/internal/sim"
 	"repro/internal/types"
@@ -126,9 +127,9 @@ func Simulate(cfg Config, opts SimOptions) (*SimResult, error) {
 	if len(inputs) != cfg.N {
 		return nil, fmt.Errorf("fastbft: %d inputs for n=%d", len(inputs), cfg.N)
 	}
-	faulty := make(map[ProcessID]sim.Node, len(opts.Crashed))
+	faulty := make(map[ProcessID]core.Machine, len(opts.Crashed))
 	for _, p := range opts.Crashed {
-		faulty[p] = sim.SilentNode{}
+		faulty[p] = nil
 	}
 	cluster, err := sim.NewCluster(sim.ClusterConfig{
 		Cfg:    cfg,
@@ -154,11 +155,10 @@ func Simulate(cfg Config, opts SimOptions) (*SimResult, error) {
 	res := &SimResult{
 		Decisions: make(map[ProcessID]Decision),
 		Elapsed:   run.Elapsed,
-		Messages:  cluster.Net.Stats().TotalMessages(),
+		Messages:  cluster.Stats().TotalMessages(),
 	}
 	for _, p := range cluster.CorrectIDs() {
-		d, _ := cluster.Process(p).Decided()
-		res.Decisions[p] = d
+		res.Decisions[p], _, _ = cluster.Decision(p)
 	}
 	steps, _ := cluster.MaxDecisionSteps()
 	res.Steps = steps

@@ -89,7 +89,7 @@ func (r *Replica) Decided() (types.Decision, bool) { return r.decision, r.decide
 // the common case: n − t.
 func (r *Replica) learnQuorum() int { return r.n - r.t }
 
-// Init implements sim.Machine: the view-1 leader proposes its input.
+// Init implements core.Machine: the view-1 leader proposes its input.
 func (r *Replica) Init(core.Time) []core.Action {
 	if (types.Config{N: r.n}).Leader(1) != r.id {
 		return nil
@@ -103,7 +103,7 @@ func (r *Replica) Init(core.Time) []core.Action {
 	return append(out, r.Deliver(r.id, m, 0)...)
 }
 
-// Deliver implements sim.Machine.
+// Deliver implements core.Machine.
 func (r *Replica) Deliver(from types.ProcessID, raw msg.Message, _ core.Time) []core.Action {
 	m, ok := raw.(*msg.Raw)
 	if !ok || m.Proto != msg.ProtoFaB || !from.Valid(r.n) {
@@ -119,7 +119,7 @@ func (r *Replica) Deliver(from types.ProcessID, raw msg.Message, _ core.Time) []
 	}
 }
 
-// Tick implements sim.Machine. The fast path has no timers (recovery is out
+// Tick implements core.Machine. The fast path has no timers (recovery is out
 // of scope; see the package comment).
 func (r *Replica) Tick(core.Time) []core.Action { return nil }
 

@@ -4,58 +4,46 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/sigcrypto"
 	"repro/internal/sim"
 	"repro/internal/types"
 )
 
-func buildCluster(t *testing.T, n, f, tt int, faulty map[types.ProcessID]bool, seed int64) (*sim.Network, []*Replica) {
+// buildCluster hosts n FaB replicas on a simulated network, leaving the
+// processes in faulty out as silent ones.
+func buildCluster(t *testing.T, n, f, tt int, faulty []types.ProcessID, seed int64) *sim.Cluster {
 	t.Helper()
-	scheme := sigcrypto.NewHMAC(n, seed)
-	net := sim.NewNetwork(n)
-	reps := make([]*Replica, n)
-	for i := 0; i < n; i++ {
-		pid := types.ProcessID(i)
-		if faulty[pid] {
-			net.SetNode(pid, sim.SilentNode{})
-			continue
-		}
-		r, err := NewReplica(n, f, tt, pid, scheme.Signer(pid), scheme.Verifier(), types.Value("fab-value"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		reps[i] = r
-		net.SetNode(pid, sim.NewMachineNode(r))
+	silent := make(map[types.ProcessID]core.Machine, len(faulty))
+	for _, p := range faulty {
+		silent[p] = nil
 	}
-	return net, reps
-}
-
-func allDecided(reps []*Replica) func() bool {
-	return func() bool {
-		for _, r := range reps {
-			if r == nil {
-				continue
-			}
-			if _, ok := r.Decided(); !ok {
-				return false
-			}
-		}
-		return true
+	c, err := sim.NewCluster(sim.ClusterConfig{
+		Cfg:    types.Config{N: n, F: f, T: tt},
+		Seed:   seed,
+		Faulty: silent,
+		Machine: func(p types.ProcessID, keys sigcrypto.Scheme) (core.Machine, error) {
+			return NewReplica(n, f, tt, p, keys.Signer(p), keys.Verifier(), types.Value("fab-value"))
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
+	return c
 }
 
 func TestFaBCommonCaseTwoSteps(t *testing.T) {
 	for _, p := range []struct{ f, t int }{{1, 1}, {2, 1}, {2, 2}, {3, 3}} {
 		n := MinProcesses(p.f, p.t)
-		net, reps := buildCluster(t, n, p.f, p.t, nil, 1)
-		if _, err := net.Run(10*time.Second, allDecided(reps)); err != nil {
+		c := buildCluster(t, n, p.f, p.t, nil, 1)
+		if _, err := c.Run(10 * time.Second); err != nil {
 			t.Fatal(err)
 		}
-		for i, r := range reps {
-			if _, ok := r.Decided(); !ok {
-				t.Fatalf("f=%d t=%d: %s did not decide", p.f, p.t, types.ProcessID(i))
+		for _, pid := range c.CorrectIDs() {
+			steps, ok := c.DecisionSteps(pid)
+			if !ok {
+				t.Fatalf("f=%d t=%d: %s did not decide", p.f, p.t, pid)
 			}
-			steps, _ := net.DecisionSteps(types.ProcessID(i))
 			if steps != 2 {
 				t.Fatalf("f=%d t=%d: expected 2-step decision, got %d", p.f, p.t, steps)
 			}
@@ -66,19 +54,15 @@ func TestFaBCommonCaseTwoSteps(t *testing.T) {
 func TestFaBStaysFastWithTSilentProcesses(t *testing.T) {
 	f, tt := 2, 1
 	n := MinProcesses(f, tt) // 9
-	faulty := map[types.ProcessID]bool{types.ProcessID(n - 1): true}
-	net, reps := buildCluster(t, n, f, tt, faulty, 2)
-	if _, err := net.Run(10*time.Second, allDecided(reps)); err != nil {
+	c := buildCluster(t, n, f, tt, []types.ProcessID{types.ProcessID(n - 1)}, 2)
+	if _, err := c.Run(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	for i, r := range reps {
-		if r == nil {
-			continue
+	for _, pid := range c.CorrectIDs() {
+		steps, ok := c.DecisionSteps(pid)
+		if !ok {
+			t.Fatalf("%s did not decide", pid)
 		}
-		if _, ok := r.Decided(); !ok {
-			t.Fatalf("%s did not decide", types.ProcessID(i))
-		}
-		steps, _ := net.DecisionSteps(types.ProcessID(i))
 		if steps != 2 {
 			t.Fatalf("expected 2 steps with %d silent, got %d", tt, steps)
 		}

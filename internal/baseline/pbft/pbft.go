@@ -532,7 +532,7 @@ func (r *Replica) verifyNewView(m *msg.Raw) (bool, types.Value, sigcrypto.Signat
 }
 
 // ---------------------------------------------------------------------------
-// Process wrapper (replica + view synchronizer), a sim.Machine.
+// Process wrapper (replica + view synchronizer), a core.Machine.
 // ---------------------------------------------------------------------------
 
 // Process combines the PBFT replica with the wish-based view synchronizer.
@@ -559,14 +559,14 @@ func (p *Process) Decided() (types.Decision, bool) { return p.replica.Decided() 
 // View returns the current view.
 func (p *Process) View() types.View { return p.replica.View() }
 
-// Init implements sim.Machine.
+// Init implements core.Machine.
 func (p *Process) Init(now core.Time) []core.Action {
 	out := p.sync.Init(now)
 	actions := p.applySync(out, now)
 	return append(actions, p.replica.Init()...)
 }
 
-// Deliver implements sim.Machine.
+// Deliver implements core.Machine.
 func (p *Process) Deliver(from types.ProcessID, m msg.Message, now core.Time) []core.Action {
 	if w, ok := m.(*msg.Wish); ok {
 		return p.applySync(p.sync.OnWish(from, w.View, now), now)
@@ -574,7 +574,7 @@ func (p *Process) Deliver(from types.ProcessID, m msg.Message, now core.Time) []
 	return p.replica.Deliver(from, m)
 }
 
-// Tick implements sim.Machine.
+// Tick implements core.Machine.
 func (p *Process) Tick(now core.Time) []core.Action {
 	return p.applySync(p.sync.OnTimeout(now), now)
 }

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/lowerbound"
 	"repro/internal/msg"
 	"repro/internal/sim"
@@ -23,9 +24,9 @@ func newTimeline() *timeline {
 	return &timeline{counts: make(map[[2]int]int)}
 }
 
-func (tl *timeline) trace(ev sim.TraceEvent) {
+func (tl *timeline) trace(ev sim.TraceEvent, m msg.Message) {
 	step := int((ev.Time + delta - 1) / delta)
-	tl.counts[[2]int{step, int(ev.Kind)}]++
+	tl.counts[[2]int{step, int(m.Kind())}]++
 }
 
 func (tl *timeline) addRows(r *Report) {
@@ -100,7 +101,7 @@ func Figure1b() (*Report, error) {
 		Seed:   2,
 		Delta:  delta,
 		Trace:  tl.trace,
-		Faulty: map[types.ProcessID]sim.Node{leader1: sim.SilentNode{}},
+		Faulty: map[types.ProcessID]core.Machine{leader1: nil},
 	})
 	if err != nil {
 		return nil, err
@@ -137,10 +138,7 @@ func Figure5() (*Report, error) {
 		Seed:   3,
 		Delta:  delta,
 		Trace:  tl.trace,
-		Faulty: map[types.ProcessID]sim.Node{
-			types.ProcessID(5): sim.SilentNode{},
-			types.ProcessID(6): sim.SilentNode{},
-		},
+		Faulty: map[types.ProcessID]core.Machine{5: nil, 6: nil},
 	})
 	if err != nil {
 		return nil, err

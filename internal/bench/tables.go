@@ -6,26 +6,23 @@ import (
 
 	"repro/internal/baseline/fab"
 	"repro/internal/baseline/pbft"
+	"repro/internal/core"
 	"repro/internal/msg"
 	"repro/internal/sigcrypto"
 	"repro/internal/sim"
 	"repro/internal/types"
 )
 
-// runOurs measures the paper's protocol: worst-case decision steps over
-// correct processes, with `silent` processes mute from the start.
-func runOurs(cfg types.Config, silent int, seed int64) (types.Step, error) {
-	faulty := make(map[types.ProcessID]sim.Node, silent)
+// worstSteps runs one instance of cc's protocol with the last `silent`
+// processes mute from the start, checks agreement, and returns the
+// worst-case decision latency over correct processes.
+func worstSteps(cc sim.ClusterConfig, silent int) (types.Step, error) {
+	cc.Delta = delta
+	cc.Faulty = make(map[types.ProcessID]core.Machine, silent)
 	for i := 0; i < silent; i++ {
-		faulty[types.ProcessID(cfg.N-1-i)] = sim.SilentNode{}
+		cc.Faulty[types.ProcessID(cc.Cfg.N-1-i)] = nil
 	}
-	c, err := sim.NewCluster(sim.ClusterConfig{
-		Cfg:    cfg,
-		Inputs: sim.UniformInputs(cfg.N, types.Value("x")),
-		Seed:   seed,
-		Delta:  delta,
-		Faulty: faulty,
-	})
+	c, err := sim.NewCluster(cc)
 	if err != nil {
 		return 0, err
 	}
@@ -39,102 +36,33 @@ func runOurs(cfg types.Config, silent int, seed int64) (types.Step, error) {
 	return steps, nil
 }
 
+// runOurs measures the paper's protocol.
+func runOurs(cfg types.Config, silent int, seed int64) (types.Step, error) {
+	return worstSteps(sim.ClusterConfig{Cfg: cfg, Inputs: sim.UniformInputs(cfg.N, types.Value("x")), Seed: seed}, silent)
+}
+
 // runFaB measures the FaB Paxos baseline fast path.
 func runFaB(f, t, silent int, seed int64) (types.Step, error) {
 	n := fab.MinProcesses(f, t)
-	scheme := sigcrypto.NewHMAC(n, seed)
-	net := sim.NewNetwork(n, sim.WithDelta(delta))
-	reps := make([]*fab.Replica, n)
-	for i := 0; i < n; i++ {
-		pid := types.ProcessID(i)
-		if i >= n-silent {
-			net.SetNode(pid, sim.SilentNode{})
-			continue
-		}
-		r, err := fab.NewReplica(n, f, t, pid, scheme.Signer(pid), scheme.Verifier(), types.Value("x"))
-		if err != nil {
-			return 0, err
-		}
-		reps[i] = r
-		net.SetNode(pid, sim.NewMachineNode(r))
-	}
-	stop := func() bool {
-		for _, r := range reps {
-			if r == nil {
-				continue
-			}
-			if _, ok := r.Decided(); !ok {
-				return false
-			}
-		}
-		return true
-	}
-	if _, err := net.Run(time.Minute, stop); err != nil {
-		return 0, err
-	}
-	var worst types.Step
-	for i, r := range reps {
-		if r == nil {
-			continue
-		}
-		steps, ok := net.DecisionSteps(types.ProcessID(i))
-		if !ok {
-			return 0, fmt.Errorf("fab: %s did not decide", types.ProcessID(i))
-		}
-		if steps > worst {
-			worst = steps
-		}
-	}
-	return worst, nil
+	return worstSteps(sim.ClusterConfig{
+		Cfg:  types.Config{N: n, F: f, T: t},
+		Seed: seed,
+		Machine: func(p types.ProcessID, keys sigcrypto.Scheme) (core.Machine, error) {
+			return fab.NewReplica(n, f, t, p, keys.Signer(p), keys.Verifier(), types.Value("x"))
+		},
+	}, silent)
 }
 
 // runPBFT measures the PBFT baseline.
 func runPBFT(f, silent int, seed int64) (types.Step, error) {
 	n := pbft.MinProcesses(f)
-	scheme := sigcrypto.NewHMAC(n, seed)
-	net := sim.NewNetwork(n, sim.WithDelta(delta))
-	procs := make([]*pbft.Process, n)
-	for i := 0; i < n; i++ {
-		pid := types.ProcessID(i)
-		if i >= n-silent {
-			net.SetNode(pid, sim.SilentNode{})
-			continue
-		}
-		p, err := pbft.NewProcess(n, f, pid, scheme.Signer(pid), scheme.Verifier(), types.Value("x"), 10*delta)
-		if err != nil {
-			return 0, err
-		}
-		procs[i] = p
-		net.SetNode(pid, sim.NewMachineNode(p))
-	}
-	stop := func() bool {
-		for _, p := range procs {
-			if p == nil {
-				continue
-			}
-			if _, ok := p.Decided(); !ok {
-				return false
-			}
-		}
-		return true
-	}
-	if _, err := net.Run(time.Minute, stop); err != nil {
-		return 0, err
-	}
-	var worst types.Step
-	for i, p := range procs {
-		if p == nil {
-			continue
-		}
-		steps, ok := net.DecisionSteps(types.ProcessID(i))
-		if !ok {
-			return 0, fmt.Errorf("pbft: %s did not decide", types.ProcessID(i))
-		}
-		if steps > worst {
-			worst = steps
-		}
-	}
-	return worst, nil
+	return worstSteps(sim.ClusterConfig{
+		Cfg:  types.Config{N: n, F: f},
+		Seed: seed,
+		Machine: func(p types.ProcessID, keys sigcrypto.Scheme) (core.Machine, error) {
+			return pbft.NewProcess(n, f, p, keys.Signer(p), keys.Verifier(), types.Value("x"), 10*delta)
+		},
+	}, silent)
 }
 
 // TableResilience reproduces the headline comparison (Sections 1 and 5):
@@ -247,27 +175,20 @@ func TableCertSize() (*Report, error) {
 func certSizeAtBlackout(cfg types.Config, blackoutSteps int) (types.View, int, error) {
 	blackout := time.Duration(blackoutSteps) * delta * 10 // timer is 10Δ per view
 	var lastProposeBytes int
-	trace := func(ev sim.TraceEvent) {
-		if ev.Kind == msg.KindPropose {
-			lastProposeBytes = ev.Bytes
-		}
-	}
-	latency := func(from, to types.ProcessID, m msg.Message, now sim.Time) (sim.Time, bool) {
-		if now < blackout {
-			switch m.Kind() {
-			case msg.KindPropose, msg.KindCertRequest:
-				return 0, false
-			}
-		}
-		return delta, true
-	}
 	c, err := sim.NewCluster(sim.ClusterConfig{
-		Cfg:     cfg,
-		Inputs:  sim.UniformInputs(cfg.N, types.Value("x")),
-		Seed:    7,
-		Delta:   delta,
-		Latency: latency,
-		Trace:   trace,
+		Cfg:    cfg,
+		Inputs: sim.UniformInputs(cfg.N, types.Value("x")),
+		Seed:   7,
+		Delta:  delta,
+		Fate: func(from, to types.ProcessID, m msg.Message, now sim.Time) sim.Fate {
+			k := m.Kind()
+			return sim.Fate{Delay: delta, Drop: now < blackout && (k == msg.KindPropose || k == msg.KindCertRequest)}
+		},
+		Trace: func(ev sim.TraceEvent, m msg.Message) {
+			if m.Kind() == msg.KindPropose {
+				lastProposeBytes = len(ev.Payload)
+			}
+		},
 	})
 	if err != nil {
 		return 0, 0, err

@@ -1,11 +1,13 @@
 // Package byz is the Byzantine adversary harness. It operates at two
-// levels. The message level — a Forger plus attack nodes (equivocating
-// leaders, selective ack-senders, vote withholders, certificate forgers,
-// flooders) for the discrete-event simulator's single consensus instances.
-// And the replica level — a Driver running an adversarial Behavior over a
-// real transport endpoint, attacking the full SMR stack (slot-salted
-// signatures, pipelined windows, checkpoints, state transfer, recovery) in
-// lockstep sim clusters and multi-process TCP clusters alike.
+// levels. The instance level — a Forger plus adversarial core.Machines
+// (equivocating leaders, selective ack-senders, vote withholders,
+// certificate forgers, flooders) that take a faulty process slot of a
+// single consensus instance (sim.ClusterConfig.Faulty) and run, like the
+// correct processes, on a node.Runner. And the replica level — a Driver
+// running an adversarial Behavior over a real transport endpoint, attacking
+// the full SMR stack (slot-salted signatures, pipelined windows,
+// checkpoints, state transfer, recovery) in lockstep sim clusters and
+// multi-process TCP clusters alike.
 //
 // The adversary model matches Section 2.1 of the paper, written out in
 // docs/THREAT_MODEL.md: the adversary controls up to f processes (and owns
@@ -16,9 +18,9 @@ package byz
 import (
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/msg"
 	"repro/internal/sigcrypto"
-	"repro/internal/sim"
 	"repro/internal/types"
 )
 
@@ -80,12 +82,22 @@ func (f *Forger) CertAck(x types.Value, v types.View) *msg.CertAck {
 // Wish builds a view-synchronization wish.
 func (f *Forger) Wish(v types.View) *msg.Wish { return &msg.Wish{View: v} }
 
-// EquivocatingLeader returns a node for a corrupted process that, as leader
-// of view 1, proposes Value1 to the processes in GroupA and Value2 to
-// everyone else, then acknowledges both values — the canonical equivocation
-// attack of Section 3.2. In later views it stays silent.
+// idle supplies the inputs an adversarial machine ignores; with the
+// process identifier its embedded Forger provides, a strategy implements
+// only the core.Machine methods it acts on.
+type idle struct{}
+
+func (idle) Init(core.Time) []core.Action                                  { return nil }
+func (idle) Deliver(types.ProcessID, msg.Message, core.Time) []core.Action { return nil }
+func (idle) Tick(core.Time) []core.Action                                  { return nil }
+
+// EquivocatingLeader is a corrupted process that, as leader of view 1,
+// proposes Value1 to the processes in GroupA and Value2 to everyone else,
+// then acknowledges both values — the canonical equivocation attack of
+// Section 3.2. In later views it stays silent.
 type EquivocatingLeader struct {
-	Forger *Forger
+	idle
+	*Forger
 	N      int
 	Value1 types.Value
 	Value2 types.Value
@@ -93,84 +105,82 @@ type EquivocatingLeader struct {
 	GroupA map[types.ProcessID]bool
 }
 
-// Node builds the simulator node.
-func (e *EquivocatingLeader) Node() sim.Node {
-	return &sim.FuncNode{
-		Start: func(env *sim.Env) {
-			p1 := e.Forger.Propose(e.Value1, 1, nil)
-			p2 := e.Forger.Propose(e.Value2, 1, nil)
-			for i := 0; i < e.N; i++ {
-				pid := types.ProcessID(i)
-				if pid == e.Forger.ID() {
-					continue
-				}
-				if e.GroupA[pid] {
-					env.Send(pid, p1)
-				} else {
-					env.Send(pid, p2)
-				}
-			}
-			// Acknowledge both values to push each partition toward its own
-			// fast quorum.
-			for i := 0; i < e.N; i++ {
-				pid := types.ProcessID(i)
-				if pid == e.Forger.ID() {
-					continue
-				}
-				env.Send(pid, e.Forger.Ack(e.Value1, 1))
-				env.Send(pid, e.Forger.Ack(e.Value2, 1))
-				env.Send(pid, e.Forger.AckSig(e.Value1, 1))
-				env.Send(pid, e.Forger.AckSig(e.Value2, 1))
-			}
-		},
+// Init implements core.Machine: the equivocating proposals and acks.
+func (e *EquivocatingLeader) Init(core.Time) []core.Action {
+	p1 := e.Propose(e.Value1, 1, nil)
+	p2 := e.Propose(e.Value2, 1, nil)
+	var out []core.Action
+	for i := 0; i < e.N; i++ {
+		pid := types.ProcessID(i)
+		if pid == e.ID() {
+			continue
+		}
+		if e.GroupA[pid] {
+			out = append(out, core.SendAction{To: pid, Msg: p1})
+		} else {
+			out = append(out, core.SendAction{To: pid, Msg: p2})
+		}
 	}
+	// Acknowledge both values to push each partition toward its own fast
+	// quorum.
+	for i := 0; i < e.N; i++ {
+		pid := types.ProcessID(i)
+		if pid == e.ID() {
+			continue
+		}
+		out = append(out,
+			core.SendAction{To: pid, Msg: e.Ack(e.Value1, 1)},
+			core.SendAction{To: pid, Msg: e.Ack(e.Value2, 1)},
+			core.SendAction{To: pid, Msg: e.AckSig(e.Value1, 1)},
+			core.SendAction{To: pid, Msg: e.AckSig(e.Value2, 1)})
+	}
+	return out
 }
 
 // SelectiveAcker is a corrupted non-leader that acknowledges every proposal
 // but only to a chosen subset of processes, trying to split fast quorums.
 type SelectiveAcker struct {
-	Forger *Forger
+	idle
+	*Forger
 	// Targets receive the acks; everyone else is ignored.
 	Targets []types.ProcessID
 }
 
-// Node builds the simulator node.
-func (s *SelectiveAcker) Node() sim.Node {
-	return &sim.FuncNode{
-		Msg: func(_ types.ProcessID, m msg.Message, env *sim.Env) {
-			p, ok := m.(*msg.Propose)
-			if !ok {
-				return
-			}
-			for _, to := range s.Targets {
-				env.Send(to, s.Forger.Ack(p.X, p.View))
-				env.Send(to, s.Forger.AckSig(p.X, p.View))
-			}
-		},
+// Deliver implements core.Machine.
+func (s *SelectiveAcker) Deliver(_ types.ProcessID, m msg.Message, _ core.Time) []core.Action {
+	p, ok := m.(*msg.Propose)
+	if !ok {
+		return nil
 	}
+	var out []core.Action
+	for _, to := range s.Targets {
+		out = append(out,
+			core.SendAction{To: to, Msg: s.Ack(p.X, p.View)},
+			core.SendAction{To: to, Msg: s.AckSig(p.X, p.View)})
+	}
+	return out
 }
 
 // StaleVoter is a corrupted process that answers every new leader with a
 // nil vote regardless of what it saw, trying to erase history during view
 // changes.
 type StaleVoter struct {
-	Forger  *Forger
+	idle
+	*Forger
 	Cluster types.Config
 }
 
-// Node builds the simulator node.
-func (s *StaleVoter) Node() sim.Node {
-	return &sim.FuncNode{
-		Msg: func(_ types.ProcessID, m msg.Message, env *sim.Env) {
-			w, ok := m.(*msg.Wish)
-			if !ok {
-				return
-			}
-			// Echo wishes (to keep view synchronization moving) and send a
-			// nil vote to the would-be leader of the wished view.
-			env.Broadcast(s.Forger.Wish(w.View))
-			env.Send(s.Cluster.Leader(w.View), s.Forger.Vote(msg.NilVote(), w.View))
-		},
+// Deliver implements core.Machine.
+func (s *StaleVoter) Deliver(_ types.ProcessID, m msg.Message, _ core.Time) []core.Action {
+	w, ok := m.(*msg.Wish)
+	if !ok {
+		return nil
+	}
+	// Echo wishes (to keep view synchronization moving) and send a nil vote
+	// to the would-be leader of the wished view.
+	return []core.Action{
+		core.BroadcastAction{Msg: s.Wish(w.View)},
+		core.SendAction{To: s.Cluster.Leader(w.View), Msg: s.Vote(msg.NilVote(), w.View)},
 	}
 }
 
@@ -178,39 +188,39 @@ func (s *StaleVoter) Node() sim.Node {
 // a fabricated progress certificate (too few signatures, or signatures from
 // itself only). Correct processes must reject the proposal outright.
 type ForgedCertLeader struct {
-	Forger *Forger
-	N      int
-	View   types.View
-	Value  types.Value
+	idle
+	*Forger
+	N     int
+	View  types.View
+	Value types.Value
+
+	proposed bool
 }
 
-// Node builds the simulator node: it waits for wishes toward its view and
+// Deliver implements core.Machine: it waits for a wish toward its view and
 // then proposes with the bogus certificate.
-func (l *ForgedCertLeader) Node() sim.Node {
-	proposed := false
-	return &sim.FuncNode{
-		Msg: func(_ types.ProcessID, m msg.Message, env *sim.Env) {
-			w, ok := m.(*msg.Wish)
-			if !ok || w.View < l.View || proposed {
-				return
-			}
-			proposed = true
-			// A "certificate" consisting of the leader's own signature
-			// repeated — below CertQuorum distinct signers.
-			phi := l.Forger.CertAck(l.Value, l.View).Phi
-			cert := &msg.ProgressCert{
-				Value: l.Value.Clone(),
-				View:  l.View,
-				Sigs:  []sigcrypto.Signature{phi, phi},
-			}
-			p := l.Forger.Propose(l.Value, l.View, cert)
-			for i := 0; i < l.N; i++ {
-				if pid := types.ProcessID(i); pid != l.Forger.ID() {
-					env.Send(pid, p)
-				}
-			}
-		},
+func (l *ForgedCertLeader) Deliver(_ types.ProcessID, m msg.Message, _ core.Time) []core.Action {
+	w, ok := m.(*msg.Wish)
+	if !ok || w.View < l.View || l.proposed {
+		return nil
 	}
+	l.proposed = true
+	// A "certificate" consisting of the leader's own signature repeated —
+	// below CertQuorum distinct signers.
+	phi := l.CertAck(l.Value, l.View).Phi
+	cert := &msg.ProgressCert{
+		Value: l.Value.Clone(),
+		View:  l.View,
+		Sigs:  []sigcrypto.Signature{phi, phi},
+	}
+	p := l.Propose(l.Value, l.View, cert)
+	var out []core.Action
+	for i := 0; i < l.N; i++ {
+		if pid := types.ProcessID(i); pid != l.ID() {
+			out = append(out, core.SendAction{To: pid, Msg: p})
+		}
+	}
+	return out
 }
 
 // Flooder spams junk protocol state: acks and ack signatures for thousands
@@ -218,28 +228,28 @@ func (l *ForgedCertLeader) Node() sim.Node {
 // processes must neither crash nor let their per-instance state grow without
 // bound (the replica caps tracked keys), and the protocol must still decide.
 type Flooder struct {
-	Forger *Forger
-	N      int
+	idle
+	*Forger
+	N int
 	// Pairs is the number of junk (view, value) pairs to spray.
 	Pairs int
 }
 
-// Node builds the simulator node.
-func (fl *Flooder) Node() sim.Node {
-	return &sim.FuncNode{
-		Start: func(env *sim.Env) {
-			for i := 0; i < fl.Pairs; i++ {
-				v := types.View(1000 + i)
-				x := types.Value(fmt.Sprintf("junk-%d", i))
-				for q := 0; q < fl.N; q++ {
-					pid := types.ProcessID(q)
-					if pid == fl.Forger.ID() {
-						continue
-					}
-					env.Send(pid, fl.Forger.Ack(x, v))
-					env.Send(pid, fl.Forger.AckSig(x, v))
-				}
+// Init implements core.Machine.
+func (fl *Flooder) Init(core.Time) []core.Action {
+	var out []core.Action
+	for i := 0; i < fl.Pairs; i++ {
+		v := types.View(1000 + i)
+		x := types.Value(fmt.Sprintf("junk-%d", i))
+		for q := 0; q < fl.N; q++ {
+			pid := types.ProcessID(q)
+			if pid == fl.ID() {
+				continue
 			}
-		},
+			out = append(out,
+				core.SendAction{To: pid, Msg: fl.Ack(x, v)},
+				core.SendAction{To: pid, Msg: fl.AckSig(x, v)})
+		}
 	}
+	return out
 }

@@ -4,10 +4,18 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/msg"
+	"repro/internal/sigcrypto"
 	"repro/internal/sim"
 	"repro/internal/types"
 )
+
+// forger signs for process p with the key a cluster of cfg seeded with seed
+// gives it.
+func forger(cfg types.Config, seed int64, p types.ProcessID) *Forger {
+	return NewForger(p, sigcrypto.NewHMAC(cfg.N, seed).Signer(p))
+}
 
 // equivocationCluster builds a cluster whose view-1 leader equivocates
 // between "left" and "right", sending "left" to the first k correct
@@ -25,25 +33,22 @@ func equivocationCluster(t *testing.T, cfg types.Config, k int, seed int64) *sim
 		groupA[pid] = true
 		added++
 	}
-	// The cluster constructor creates the scheme, so build it first with a
-	// placeholder and patch in the equivocator after.
-	c, err := sim.NewCluster(sim.ClusterConfig{
-		Cfg:    cfg,
-		Inputs: sim.DistinctInputs(cfg.N, "input"),
-		Seed:   seed,
-		Faulty: map[types.ProcessID]sim.Node{leader: sim.SilentNode{}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	eq := &EquivocatingLeader{
-		Forger: NewForger(leader, c.Scheme.Signer(leader)),
+		Forger: forger(cfg, seed, leader),
 		N:      cfg.N,
 		Value1: types.Value("left"),
 		Value2: types.Value("right"),
 		GroupA: groupA,
 	}
-	c.Net.SetNode(leader, eq.Node())
+	c, err := sim.NewCluster(sim.ClusterConfig{
+		Cfg:    cfg,
+		Inputs: sim.DistinctInputs(cfg.N, "input"),
+		Seed:   seed,
+		Faulty: map[types.ProcessID]core.Machine{leader: eq},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	return c
 }
 
@@ -83,16 +88,14 @@ func TestSelectiveAckerCannotBlockOrSplit(t *testing.T) {
 		Cfg:    cfg,
 		Inputs: sim.UniformInputs(cfg.N, types.Value("v")),
 		Seed:   7,
-		Faulty: map[types.ProcessID]sim.Node{3: sim.SilentNode{}},
+		Faulty: map[types.ProcessID]core.Machine{3: &SelectiveAcker{
+			Forger:  forger(cfg, 7, 3),
+			Targets: []types.ProcessID{0},
+		}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sa := &SelectiveAcker{
-		Forger:  NewForger(3, c.Scheme.Signer(3)),
-		Targets: []types.ProcessID{0},
-	}
-	c.Net.SetNode(3, sa.Node())
 	if _, err := c.Run(time.Minute); err != nil {
 		t.Fatal(err)
 	}
@@ -135,17 +138,14 @@ func TestStaleVoterCannotEraseDecision(t *testing.T) {
 			Cfg:    cfg,
 			Inputs: sim.UniformInputs(cfg.N, types.Value("keep")),
 			Seed:   8,
-			Faulty: map[types.ProcessID]sim.Node{voter: sim.SilentNode{}},
+			Faulty: map[types.ProcessID]core.Machine{voter: &StaleVoter{Forger: forger(cfg, 8, voter), Cluster: cfg}},
 			// Drop every message to the isolated process during view 1 (before
 			// 5Δ); deliver normally afterwards.
-			Latency: func(from, to types.ProcessID, m msg.Message, now sim.Time) (sim.Time, bool) {
-				if to == isolated && now < 5*delta {
-					return 0, false
-				}
-				return delta, true
+			Fate: func(from, to types.ProcessID, m msg.Message, now sim.Time) sim.Fate {
+				return sim.Fate{Delay: delta, Drop: to == isolated && now < 5*delta}
 			},
-			Trace: func(ev sim.TraceEvent) {
-				v, ok := ev.Msg.(*msg.Vote)
+			Trace: func(ev sim.TraceEvent, m msg.Message) {
+				v, ok := m.(*msg.Vote)
 				if !ok || ev.From != voter {
 					return
 				}
@@ -161,8 +161,6 @@ func TestStaleVoterCannotEraseDecision(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sv := &StaleVoter{Forger: NewForger(voter, c.Scheme.Signer(voter)), Cluster: cfg}
-		c.Net.SetNode(voter, sv.Node())
 		if _, err := c.Run(time.Minute); err != nil {
 			t.Fatal(err)
 		}
@@ -196,26 +194,22 @@ func TestForgedCertificateLeaderCannotDecideOrBlock(t *testing.T) {
 		Cfg:    cfg,
 		Inputs: sim.UniformInputs(cfg.N, types.Value("honest")),
 		Seed:   40,
-		Faulty: map[types.ProcessID]sim.Node{leader2: sim.SilentNode{}},
+		Faulty: map[types.ProcessID]core.Machine{leader2: &ForgedCertLeader{
+			Forger: forger(cfg, 40, leader2),
+			N:      cfg.N,
+			View:   2,
+			Value:  types.Value("forged"),
+		}},
 		// Suppress view 1 entirely so view 2's forged proposal is the first
 		// thing correct processes see.
-		Latency: func(from, to types.ProcessID, m msg.Message, now sim.Time) (sim.Time, bool) {
-			if from == leader1 && m.Kind() == msg.KindPropose && m.InView() == 1 {
-				return 0, false
-			}
-			return sim.DefaultDelta, true
+		Fate: func(from, to types.ProcessID, m msg.Message, now sim.Time) sim.Fate {
+			drop := from == leader1 && m.Kind() == msg.KindPropose && m.InView() == 1
+			return sim.Fate{Delay: sim.DefaultDelta, Drop: drop}
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	forged := &ForgedCertLeader{
-		Forger: NewForger(leader2, c.Scheme.Signer(leader2)),
-		N:      cfg.N,
-		View:   2,
-		Value:  types.Value("forged"),
-	}
-	c.Net.SetNode(leader2, forged.Node())
 	if _, err := c.Run(time.Minute); err != nil {
 		t.Fatal(err)
 	}
@@ -239,13 +233,11 @@ func TestFlooderCannotBlockDecisionOrExhaustState(t *testing.T) {
 		Cfg:    cfg,
 		Inputs: sim.UniformInputs(cfg.N, types.Value("real")),
 		Seed:   41,
-		Faulty: map[types.ProcessID]sim.Node{3: sim.SilentNode{}},
+		Faulty: map[types.ProcessID]core.Machine{3: &Flooder{Forger: forger(cfg, 41, 3), N: cfg.N, Pairs: 5000}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fl := &Flooder{Forger: NewForger(3, c.Scheme.Signer(3)), N: cfg.N, Pairs: 5000}
-	c.Net.SetNode(3, fl.Node())
 	if _, err := c.Run(time.Minute); err != nil {
 		t.Fatal(err)
 	}

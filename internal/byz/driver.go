@@ -15,9 +15,9 @@ import (
 // — it binds a real transport endpoint (a sim.Network endpoint in
 // simulator tests, a transport.TCP in multi-process clusters), holds the
 // process's real signing key, and runs a Behavior instead of the honest
-// replica loop. This is the step up from the message-level attack nodes
-// above: those drive single consensus instances in the discrete-event
-// simulator; a Driver attacks the full replicated log — slot-salted
+// replica loop. This is the step up from the adversarial machines in byz.go:
+// those occupy a process of a single consensus instance; a Driver attacks
+// the full replicated log — slot-salted
 // signatures, checkpoints, state transfer, client forwarding — through the
 // same wire format honest replicas speak.
 //

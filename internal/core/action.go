@@ -7,10 +7,10 @@
 // The implementation is a deterministic, single-threaded state machine:
 // every input (initialization, message delivery, timer expiry) returns a
 // list of Actions for the embedding runtime to execute. The same state
-// machine is driven by the discrete-event simulator (internal/sim), the
-// real-time node runtime (internal/node), and the adversarial schedules of
-// the experiment harness, which is what makes message-delay measurements
-// and safety tests deterministic.
+// machine runs on the node runtime (internal/node) over a real transport and
+// over the discrete-event simulator (internal/sim) under the adversarial
+// schedules of the experiment harness, which is what makes message-delay
+// measurements and safety tests deterministic.
 package core
 
 import (

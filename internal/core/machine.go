@@ -7,10 +7,11 @@ import (
 
 // Machine is the deterministic state-machine interface shared by every
 // protocol in the repository (the paper's protocol, the PBFT and FaB
-// baselines, the lower-bound strawman): a process reacts to initialization,
-// message deliveries, and timer expiries by emitting actions. Runtimes — the
-// discrete-event simulator and the real-time node runner — drive Machines
-// without knowing which protocol they embody.
+// baselines, the lower-bound strawman, the adversaries of internal/byz): a
+// process reacts to initialization, message deliveries, and timer expiries by
+// emitting actions. One runtime, internal/node's Runner, drives Machines
+// without knowing which protocol they embody — over TCP, an in-memory
+// network, or the discrete-event simulator's endpoints (sim.Cluster).
 type Machine interface {
 	// ID returns the process identifier.
 	ID() types.ProcessID

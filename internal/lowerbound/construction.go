@@ -1,11 +1,16 @@
 package lowerbound
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
+	"sort"
 	"strings"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/msg"
+	"repro/internal/sigcrypto"
 	"repro/internal/sim"
 	"repro/internal/types"
 )
@@ -84,19 +89,14 @@ type ExecutionReport struct {
 	Violation string
 }
 
-// decidedValues returns the distinct values decided by correct processes.
+// decidedValues returns the distinct values decided by correct processes,
+// in bytewise order.
 func (r *ExecutionReport) decidedValues() []types.Value {
 	var out []types.Value
 	for _, v := range r.Decisions {
-		dup := false
-		for _, u := range out {
-			if u.Equal(v) {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			out = append(out, v)
+		i := sort.Search(len(out), func(i int) bool { return bytes.Compare(out[i], v) >= 0 })
+		if i == len(out) || !out[i].Equal(v) {
+			out = slices.Insert(out, i, v)
 		}
 	}
 	return out
@@ -156,7 +156,6 @@ func runExecution(g Groups, i int, delta time.Duration) (*ExecutionReport, error
 	fallback := 6 * delta
 	holdback := 12 * delta // the proof's time T
 
-	byz := make(map[types.ProcessID]bool)
 	groupOf := func(p types.ProcessID) int {
 		switch {
 		case member(g.P1, p):
@@ -175,15 +174,13 @@ func runExecution(g Groups, i int, delta time.Duration) (*ExecutionReport, error
 	}
 
 	// Latency: Δ everywhere, with the proof's two delay patterns in ρ2/ρ4.
-	latency := func(from, to types.ProcessID, _ msg.Message, now sim.Time) (sim.Time, bool) {
+	latency := func(from, to types.ProcessID, _ msg.Message, now sim.Time) sim.Fate {
 		d := sim.Time(delta)
 		if i == 2 || i == 4 {
 			if groupOf(from) == 3 && groupOf(to) != 3 {
 				// P3 decides "in silence": its messages reach non-P3
 				// processes only at time T.
-				if arr := holdback - now; arr > d {
-					d = arr
-				}
+				d = max(d, holdback-now)
 			}
 			// The group that is correct in ρi but Byzantine in ρ{i±1} must
 			// not contaminate P3 before it decides at 2Δ: round-2 messages
@@ -193,93 +190,94 @@ func runExecution(g Groups, i int, delta time.Duration) (*ExecutionReport, error
 				shield = 5
 			}
 			if groupOf(from) == shield && groupOf(to) == 3 {
-				if arr := 3*sim.Time(delta) - now; arr > d {
-					d = arr
-				}
+				d = max(d, 3*sim.Time(delta)-now)
 			}
 		}
-		return d, true
+		return sim.Fate{Delay: d}
 	}
 
-	net := sim.NewNetwork(g.N, sim.WithDelta(delta), sim.WithLatency(latency))
-	correct := make(map[types.ProcessID]*Strawman)
-
-	install := func(p types.ProcessID, input types.Value) {
-		s := NewStrawman(g.N, g.T, p, input, fallback)
-		correct[p] = s
-		net.SetNode(p, sim.NewMachineNode(s))
+	// Correct processes run the strawman with input 0 — but p in ρ1.
+	strawman := func(q types.ProcessID, _ sigcrypto.Scheme) (core.Machine, error) {
+		if q == g.P && i == 1 {
+			return NewStrawman(g.N, g.T, q, value1, fallback), nil
+		}
+		return NewStrawman(g.N, g.T, q, value0, fallback), nil
 	}
-	installCrashAtDelta := func(p types.ProcessID, input types.Value) {
-		s := NewStrawman(g.N, g.T, p, input, fallback)
-		net.SetNode(p, sim.NewMachineNode(s))
-		net.CrashAt(p, sim.Time(delta))
-		byz[p] = true
-	}
-
+	faulty := make(map[types.ProcessID]core.Machine)
+	crashAt := make(map[types.ProcessID]sim.Time)
 	switch i {
 	case 1, 5:
-		// ρ1 / ρ5: p correct; P1 / P5 crash at Δ.
-		pInput := value1
+		// ρ1 / ρ5: p correct with input 1 / 0; P1 / P5 crash at Δ.
 		crashGroup := g.P1
 		if i == 5 {
-			pInput = value0
 			crashGroup = g.P5
 		}
-		install(g.P, pInput)
-		for q := types.ProcessID(1); int(q) < g.N; q++ {
-			if member(crashGroup, q) {
-				installCrashAtDelta(q, value0)
-			} else {
-				install(q, value0)
-			}
+		for _, q := range crashGroup {
+			crashAt[q] = sim.Time(delta)
 		}
 	default:
 		// ρ2..ρ4: p Byzantine, equivocating by group index.
-		byz[g.P] = true
-		net.SetNode(g.P, equivocatingLeaderNode(g, i))
+		faulty[g.P] = &adversary{self: g.P, n: g.N, face: func(q types.ProcessID) msg.Message {
+			switch grp := groupOf(q); {
+			case grp < i, i == 3 && grp == 3:
+				return ProposeMsg(value0)
+			case grp > i:
+				return ProposeMsg(value1)
+			}
+			return nil
+		}}
+		// Group Pi is Byzantine too. ρ3: P3 crashes at Δ before sending
+		// round-2 messages. ρ2: P2 relays value 1 to P3 (as in ρ1) and value 0
+		// to everyone else (as in ρ3/ρ4). ρ4: P4 relays value 0 to P3 (as in
+		// ρ5) and value 1 to everyone else (as in ρ1).
+		toP3, toRest := value0, value1
+		if i == 2 {
+			toP3, toRest = value1, value0
+		}
 		for q := types.ProcessID(1); int(q) < g.N; q++ {
-			grp := groupOf(q)
 			switch {
-			case grp != i:
-				install(q, value0)
+			case groupOf(q) != i:
 			case i == 3:
-				// ρ3: P3 crashes at Δ before sending round-2 messages.
-				installCrashAtDelta(q, value0)
+				crashAt[q] = sim.Time(delta)
 			default:
-				// ρ2: P2 relays value 1 to P3 (as in ρ1) and value 0 to
-				// everyone else (as in ρ3/ρ4). ρ4: P4 relays value 0 to P3
-				// (as in ρ5) and value 1 to everyone else (as in ρ1).
-				byz[q] = true
-				toP3, toRest := value0, value1
-				if i == 2 {
-					toP3, toRest = value1, value0
-				}
-				net.SetNode(q, twoFacedAckerNode(g, q, toP3, toRest, delta))
+				faulty[q] = &adversary{self: q, n: g.N, at: delta, face: func(q types.ProcessID) msg.Message {
+					if member(g.P3, q) {
+						return AckMsg(toP3)
+					}
+					return AckMsg(toRest)
+				}}
 			}
 		}
 	}
 
-	rep.Byzantine = sortedIDs(byz)
-	allCorrectDecided := func() bool {
-		for _, s := range correct {
-			if _, ok := s.Decided(); !ok {
-				return false
-			}
-		}
-		return true
-	}
-	if _, err := net.Run(time.Duration(g.N)*holdback, allCorrectDecided); err != nil {
+	c, err := sim.NewCluster(sim.ClusterConfig{
+		Cfg:     types.Config{N: g.N, F: g.F, T: g.T},
+		Machine: strawman,
+		Delta:   delta,
+		Fate:    latency,
+		Faulty:  faulty,
+		CrashAt: crashAt,
+	})
+	if err != nil {
 		return nil, err
 	}
-	for p, s := range correct {
-		d, ok := s.Decided()
+	if _, err := c.Run(time.Duration(g.N) * holdback); err != nil {
+		return nil, err
+	}
+	for q := range faulty {
+		rep.Byzantine = append(rep.Byzantine, q)
+	}
+	for q := range crashAt {
+		rep.Byzantine = append(rep.Byzantine, q)
+	}
+	slices.Sort(rep.Byzantine)
+	for _, p := range c.CorrectIDs() {
+		d, _, ok := c.Decision(p)
 		if !ok {
 			return nil, fmt.Errorf("correct process %s did not decide", p)
 		}
 		rep.Decisions[p] = d.Value
-		if steps, ok := net.DecisionSteps(p); ok {
-			rep.Steps[p] = steps
-		}
+		rep.Steps[p], _ = c.DecisionSteps(p)
 	}
 	if vals := rep.decidedValues(); len(vals) > 1 {
 		strs := make([]string, len(vals))
@@ -291,77 +289,38 @@ func runExecution(g Groups, i int, delta time.Duration) (*ExecutionReport, error
 	return rep, nil
 }
 
-// equivocatingLeaderNode implements the Byzantine influential process p in
-// ρi: it sends the ρ5 proposal (0) to groups Pj with j < i and the ρ1
-// proposal (1) to groups with j > i. Group Pi is Byzantine and needs no
-// proposal (in ρ3, the crashed P3 receives value 0, matching the figure).
-func equivocatingLeaderNode(g Groups, i int) sim.Node {
-	return &sim.FuncNode{
-		Start: func(env *sim.Env) {
-			for q := types.ProcessID(1); int(q) < g.N; q++ {
-				grp := 0
-				switch {
-				case member(g.P1, q):
-					grp = 1
-				case member(g.P2, q):
-					grp = 2
-				case member(g.P3, q):
-					grp = 3
-				case member(g.P4, q):
-					grp = 4
-				case member(g.P5, q):
-					grp = 5
-				}
-				switch {
-				case grp < i:
-					env.Send(q, ProposeMsg(value0))
-				case grp > i:
-					env.Send(q, ProposeMsg(value1))
-				case i == 3 && grp == 3:
-					env.Send(q, ProposeMsg(value0))
-				}
-			}
-		},
-	}
+// adversary is a Byzantine process of the construction: at time at (0: on
+// start) it sends every other process q the message face(q), if any — the
+// influential process p equivocating in ρi (the ρ5 proposal 0 to groups Pj
+// with j < i, the ρ1 proposal 1 to groups with j > i), or a member of group
+// Pi in ρ2/ρ4 acknowledging toward P3 and toward everyone else the value the
+// corresponding adjacent execution has it acknowledge.
+type adversary struct {
+	self types.ProcessID
+	n    int
+	at   core.Time
+	face func(q types.ProcessID) msg.Message
 }
 
-// twoFacedAckerNode implements the Byzantine group Pi in ρ2/ρ4: at time Δ
-// (when a correct process would acknowledge), it acknowledges toP3 toward
-// group P3 and toRest toward every other process, impersonating the correct
-// behaviour of the corresponding adjacent execution.
-func twoFacedAckerNode(g Groups, self types.ProcessID, toP3, toRest types.Value, delta time.Duration) sim.Node {
-	sent := false
-	return &sim.FuncNode{
-		Start: func(env *sim.Env) {
-			env.SetTimer(sim.Time(delta))
-		},
-		Timer: func(env *sim.Env) {
-			if sent {
-				return
-			}
-			sent = true
-			for q := types.ProcessID(0); int(q) < g.N; q++ {
-				if q == self {
-					continue
-				}
-				if member(g.P3, q) {
-					env.Send(q, AckMsg(toP3))
-				} else {
-					env.Send(q, AckMsg(toRest))
-				}
-			}
-		},
+func (a *adversary) ID() types.ProcessID { return a.self }
+
+func (a *adversary) Init(core.Time) []core.Action {
+	if a.at > 0 {
+		return []core.Action{core.TimerAction{Deadline: a.at}}
 	}
+	return a.Tick(0)
 }
 
-func sortedIDs(set map[types.ProcessID]bool) []types.ProcessID {
-	out := make([]types.ProcessID, 0, len(set))
-	for p := range set {
-		out = append(out, p)
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
+func (a *adversary) Deliver(types.ProcessID, msg.Message, core.Time) []core.Action { return nil }
+
+func (a *adversary) Tick(core.Time) []core.Action {
+	var out []core.Action
+	for q := types.ProcessID(0); int(q) < a.n; q++ {
+		if q == a.self {
+			continue
+		}
+		if m := a.face(q); m != nil {
+			out = append(out, core.SendAction{To: q, Msg: m})
 		}
 	}
 	return out

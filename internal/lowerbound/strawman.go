@@ -57,7 +57,7 @@ func NewStrawman(n, t int, id types.ProcessID, input types.Value, fallback core.
 	}
 }
 
-// ID implements sim.Machine.
+// ID implements core.Machine.
 func (s *Strawman) ID() types.ProcessID { return s.id }
 
 // Decided returns the decision, if reached.
@@ -77,7 +77,7 @@ func AckMsg(x types.Value) *msg.Raw {
 	return &msg.Raw{View: 1, Proto: msg.ProtoStrawman, Sub: subAck, X: x.Clone()}
 }
 
-// Init implements sim.Machine: the leader proposes, everyone arms the
+// Init implements core.Machine: the leader proposes, everyone arms the
 // fallback timer.
 func (s *Strawman) Init(core.Time) []core.Action {
 	out := []core.Action{core.TimerAction{Deadline: s.fallback}}
@@ -89,7 +89,7 @@ func (s *Strawman) Init(core.Time) []core.Action {
 	return out
 }
 
-// Deliver implements sim.Machine.
+// Deliver implements core.Machine.
 func (s *Strawman) Deliver(from types.ProcessID, raw msg.Message, _ core.Time) []core.Action {
 	m, ok := raw.(*msg.Raw)
 	if !ok || m.Proto != msg.ProtoStrawman {
@@ -115,7 +115,7 @@ func (s *Strawman) Deliver(from types.ProcessID, raw msg.Message, _ core.Time) [
 	}
 }
 
-// Tick implements sim.Machine: the fallback decision.
+// Tick implements core.Machine: the fallback decision.
 func (s *Strawman) Tick(core.Time) []core.Action {
 	if s.decided {
 		return nil

@@ -6,7 +6,9 @@ import (
 	"time"
 
 	"repro/internal/byz"
+	"repro/internal/core"
 	"repro/internal/msg"
+	"repro/internal/sigcrypto"
 	"repro/internal/sim"
 	"repro/internal/types"
 )
@@ -54,34 +56,31 @@ func RunTightConfiguration(f, t int, delta time.Duration, seed int64) (*TightRep
 		// Delay messages between the two partitions during view 1 so each
 		// side tallies its own value first, mirroring the construction's
 		// delivery schedule.
-		latency := func(from, to types.ProcessID, _ msg.Message, now sim.Time) (sim.Time, bool) {
+		latency := func(from, to types.ProcessID, _ msg.Message, now sim.Time) sim.Fate {
 			d := sim.Time(delta)
 			if groupA[from] != groupA[to] && now < 4*sim.Time(delta) {
-				if arr := 4*sim.Time(delta) - now; arr > d {
-					d = arr
-				}
+				d = max(d, 4*sim.Time(delta)-now)
 			}
-			return d, true
+			return sim.Fate{Delay: d}
 		}
+		seed := seed + int64(split)
 		c, err := sim.NewCluster(sim.ClusterConfig{
-			Cfg:     cfg,
-			Inputs:  sim.DistinctInputs(cfg.N, "in"),
-			Seed:    seed + int64(split),
-			Delta:   delta,
-			Latency: latency,
-			Faulty:  map[types.ProcessID]sim.Node{leader: sim.SilentNode{}},
+			Cfg:    cfg,
+			Inputs: sim.DistinctInputs(cfg.N, "in"),
+			Seed:   seed,
+			Delta:  delta,
+			Fate:   latency,
+			Faulty: map[types.ProcessID]core.Machine{leader: &byz.EquivocatingLeader{
+				Forger: byz.NewForger(leader, sigcrypto.NewHMAC(cfg.N, seed).Signer(leader)),
+				N:      cfg.N,
+				Value1: value0,
+				Value2: value1,
+				GroupA: groupA,
+			}},
 		})
 		if err != nil {
 			return nil, fmt.Errorf("split %d: %w", split, err)
 		}
-		eq := &byz.EquivocatingLeader{
-			Forger: byz.NewForger(leader, c.Scheme.Signer(leader)),
-			N:      cfg.N,
-			Value1: value0,
-			Value2: value1,
-			GroupA: groupA,
-		}
-		c.Net.SetNode(leader, eq.Node())
 		if _, err := c.Run(5 * time.Minute); err != nil {
 			return nil, fmt.Errorf("split %d: %w", split, err)
 		}

@@ -1,10 +1,12 @@
-// Package node is the runtime of one deterministic protocol state machine
+// Package node is the one runtime of a deterministic protocol state machine
 // (core.Machine) over a transport: it translates a Clock's time (clock.go:
-// Wall in a deployment, a sim.Network's virtual clock in tests) into the
-// machine's virtual time and TimerActions into clock timers. One Runner hosts
-// one consensus instance; the SMR layer (internal/smr) multiplexes many over
-// one transport, takes its time from the same Clock and, like the Runner,
-// hands its user callbacks out through an Outbox (outbox.go).
+// Wall in a deployment, a sim.Network's virtual clock in tests and
+// experiments) into the machine's virtual time and TimerActions into clock
+// timers. One Runner hosts one consensus instance — the paper's protocol, a
+// baseline or an adversary, over TCP, an in-memory network or the simulator
+// (sim.Cluster); the SMR layer (internal/smr) multiplexes many over one
+// transport, takes its time from the same Clock and, like the Runner, hands
+// its user callbacks out through an Outbox (outbox.go).
 package node
 
 import (
@@ -137,7 +139,8 @@ func (r *Runner) apply(actions []core.Action) {
 	}
 }
 
-// armTimer (re)schedules the single machine timer; the caller holds r.mu.
+// armTimer (re)schedules the single machine timer: the new deadline replaces
+// the pending one, and one already past fires at once. The caller holds r.mu.
 func (r *Runner) armTimer(deadline core.Time) {
 	delay := deadline - r.now()
 	if delay < 0 {

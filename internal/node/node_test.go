@@ -1,11 +1,13 @@
 package node_test
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/msg"
 	"repro/internal/node"
 	"repro/internal/sigcrypto"
 	"repro/internal/sim"
@@ -141,6 +143,63 @@ func TestRunnerOnVirtualTime(t *testing.T) {
 		}
 		if !ok || d.View != 2 || !d.Value.Equal(types.Value("real-value")) {
 			t.Fatalf("process %s: decision %+v (decided=%v), want real-value in view 2", pid, d, ok)
+		}
+	}
+}
+
+// timerMachine arms its timer for armed on Init and re-arms it for rearmed
+// on every delivery; it logs the instants it ticks at.
+type timerMachine struct {
+	armed, rearmed core.Time
+	ticks          []core.Time
+}
+
+func (m *timerMachine) ID() types.ProcessID { return 0 }
+
+func (m *timerMachine) Init(core.Time) []core.Action {
+	return []core.Action{core.TimerAction{Deadline: m.armed}}
+}
+
+func (m *timerMachine) Deliver(types.ProcessID, msg.Message, core.Time) []core.Action {
+	return []core.Action{core.TimerAction{Deadline: m.rearmed}}
+}
+
+func (m *timerMachine) Tick(now core.Time) []core.Action {
+	m.ticks = append(m.ticks, now)
+	return nil
+}
+
+// TestRunnerTimerReplacesDeadline pins the machine timer's contract in
+// virtual time: a TimerAction replaces the pending deadline — re-armed later,
+// the timer ticks once, at the later deadline; re-armed earlier, at the
+// earlier one — and a deadline already past ticks at once.
+func TestRunnerTimerReplacesDeadline(t *testing.T) {
+	const ms = time.Millisecond
+	for _, tc := range []struct {
+		name           string
+		armed, rearmed core.Time // on Init; on the delivery at 2ms
+		want           []core.Time
+	}{
+		{"later", 5 * ms, 10 * ms, []core.Time{10 * ms}},
+		{"earlier", 10 * ms, 5 * ms, []core.Time{5 * ms}},
+		{"past", 5 * ms, 1 * ms, []core.Time{2 * ms}},
+	} {
+		net := sim.NewNetwork(2, sim.WithDelta(2*ms))
+		m := &timerMachine{armed: tc.armed, rearmed: tc.rearmed}
+		if err := node.NewRunner(net.Clock(0), m, net.Transport(0), nil).Start(); err != nil {
+			t.Fatal(err)
+		}
+		peer := net.Transport(1)
+		peer.SetHandler(func(types.ProcessID, []byte) {})
+		if err := peer.Start(); err != nil {
+			t.Fatal(err)
+		}
+		if err := peer.Send(0, msg.Encode(&msg.Wish{View: 2})); err != nil {
+			t.Fatal(err)
+		}
+		net.Advance(time.Second)
+		if !reflect.DeepEqual(m.ticks, tc.want) {
+			t.Errorf("%s: ticks at %v, want %v", tc.name, m.ticks, tc.want)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/msg"
 	"repro/internal/types"
 )
@@ -25,22 +26,22 @@ func TestLivenessAfterGST(t *testing.T) {
 		t.Run(cfg.String(), func(t *testing.T) {
 			delta := DefaultDelta
 			gst := 50 * delta
-			latency := func(from, to types.ProcessID, _ msg.Message, now Time) (Time, bool) {
+			latency := func(from, to types.ProcessID, _ msg.Message, now Time) Fate {
 				if now < gst {
 					// Arbitrary pre-GST behaviour: delays that scale with
 					// the sender, far beyond Δ, but all bounded by GST+Δ
 					// (reliable channels: nothing is lost).
 					d := gst + delta - now + Time(from)*delta
-					return d, true
+					return Fate{Delay: d}
 				}
-				return delta, true
+				return Fate{Delay: delta}
 			}
 			c, err := NewCluster(ClusterConfig{
-				Cfg:     cfg,
-				Inputs:  DistinctInputs(cfg.N, "in"),
-				Seed:    31,
-				Delta:   delta,
-				Latency: latency,
+				Cfg:    cfg,
+				Inputs: DistinctInputs(cfg.N, "in"),
+				Seed:   31,
+				Delta:  delta,
+				Fate:   latency,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -70,15 +71,15 @@ func TestChaosRandomDelaysAndCrashes(t *testing.T) {
 			// before a "calm" point, after which the network is synchronous
 			// (GST must exist for liveness).
 			calm := Time(rng.Intn(40)) * Time(delta)
-			latency := func(from, to types.ProcessID, _ msg.Message, now Time) (Time, bool) {
+			latency := func(from, to types.ProcessID, _ msg.Message, now Time) Fate {
 				if now >= calm {
-					return Time(delta), true
+					return Fate{Delay: delta}
 				}
 				// Deterministic pseudo-random delay derived from the
 				// arguments so the latency function stays reproducible.
 				h := uint64(from)*31 + uint64(to)*17 + uint64(now/Time(delta))*13 + uint64(seed)
 				extra := Time(h%20) * Time(delta) / 2
-				return Time(delta) + extra, true
+				return Fate{Delay: delta + extra}
 			}
 			crashes := make(map[types.ProcessID]Time)
 			nCrash := rng.Intn(cfg.F + 1)
@@ -91,7 +92,7 @@ func TestChaosRandomDelaysAndCrashes(t *testing.T) {
 				Inputs:  DistinctInputs(cfg.N, "chaos"),
 				Seed:    seed,
 				Delta:   delta,
-				Latency: latency,
+				Fate:    latency,
 				CrashAt: crashes,
 			})
 			if err != nil {
@@ -118,7 +119,7 @@ func TestDeterminism(t *testing.T) {
 			Cfg:    cfg,
 			Inputs: DistinctInputs(cfg.N, "det"),
 			Seed:   77,
-			Faulty: map[types.ProcessID]Node{leader1: SilentNode{}},
+			Faulty: map[types.ProcessID]core.Machine{leader1: nil},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -129,14 +130,14 @@ func TestDeterminism(t *testing.T) {
 		decisions := make(map[types.ProcessID]types.Decision)
 		times := make(map[types.ProcessID]Time)
 		for _, p := range c.CorrectIDs() {
-			d, at, ok := c.Net.Decision(p)
+			d, at, ok := c.Decision(p)
 			if !ok {
 				t.Fatalf("%s did not decide", p)
 			}
 			decisions[p] = d
 			times[p] = at
 		}
-		return decisions, times, c.Net.Stats()
+		return decisions, times, c.Stats()
 	}
 	d1, t1, s1 := run()
 	d2, t2, s2 := run()
@@ -232,7 +233,7 @@ func TestMessageComplexityQuadratic(t *testing.T) {
 		if _, err := c.Run(time.Minute); err != nil {
 			t.Fatal(err)
 		}
-		stats := c.Net.Stats()
+		stats := c.Stats()
 		n := cfg.N
 		// Upper bound: propose (n−1) + acks (n(n−1)) + acksigs (n(n−1)).
 		upper := (n - 1) + 2*n*(n-1)

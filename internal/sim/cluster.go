@@ -3,54 +3,163 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/core"
+	"repro/internal/msg"
+	"repro/internal/node"
 	"repro/internal/sigcrypto"
 	"repro/internal/types"
 )
 
-// Cluster wires n core.Process state machines into one simulated network,
-// with hooks to replace any subset of them by faulty nodes. It is the
-// standard fixture of the test suite and the experiment harness.
+// Cluster hosts one consensus instance on a simulated network: every process
+// is a core.Machine run by a node.Runner — the runtime deployments use over
+// TCP — on the process's endpoint and clock, started in process order. The
+// machines are the paper's protocol unless the caller supplies others (the
+// baselines, the lower-bound strawman), and any of them can be replaced by a
+// faulty machine. It is the standard fixture of the single-instance tests
+// and of the experiment harness, and the one place messages are decoded on
+// the simulator: for the message-level Fate, the Trace and the Stats.
 type Cluster struct {
-	Net    *Network
-	Cfg    types.Config
-	Scheme sigcrypto.Scheme
+	Net *Network
+	Cfg types.Config
 
-	procs   []*core.Process // nil for replaced (faulty) slots
-	correct []bool
+	delta    Time
+	machines []core.Machine // nil for silent processes
+	correct  []bool
+	decided  []decision
+	stats    Stats
+}
+
+// decision is one process's recorded Decide callback.
+type decision struct {
+	d  types.Decision
+	at Time
+	ok bool
+}
+
+// Stats aggregates delivered message counts per message kind.
+type Stats struct {
+	Messages map[msg.Kind]int
+}
+
+// TotalMessages returns the total number of delivered messages.
+func (s Stats) TotalMessages() int {
+	total := 0
+	for _, c := range s.Messages {
+		total += c
+	}
+	return total
 }
 
 // ClusterConfig parameterizes NewCluster.
 type ClusterConfig struct {
-	// Cfg is the resilience configuration (required).
+	// Cfg is the resilience configuration (required). It configures the
+	// paper's protocol; with Machine set only N and F are read.
 	Cfg types.Config
-	// Inputs are the per-process input values; len(Inputs) must be n.
+	// Machine, if set, builds process p's machine, with the keys of the
+	// cluster's signature scheme, in place of the paper's protocol — whose
+	// view-1 timer is 10×Delta, long enough that the fast path never races
+	// the first view change under synchrony.
+	Machine func(p types.ProcessID, keys sigcrypto.Scheme) (core.Machine, error)
+	// Inputs are the paper's protocol's per-process input values;
+	// len(Inputs) must be n.
 	Inputs []types.Value
-	// Seed seeds the deterministic signature scheme.
+	// Seed seeds the signature scheme, sigcrypto.NewHMAC(n, Seed): a faulty
+	// machine's keys come from the same call.
 	Seed int64
 	// Delta is the message-delay bound (DefaultDelta if 0).
 	Delta Time
-	// BaseTimeout is the view-1 timer (a multiple of Delta is sensible).
-	// Defaults to 10×Delta, long enough that the fast path never races the
-	// first view change under synchrony.
-	BaseTimeout time.Duration
-	// Latency overrides the synchronous Δ latency model.
-	Latency LatencyFunc
-	// Trace observes deliveries.
-	Trace TraceFunc
-	// Faulty maps process IDs to replacement nodes. A nil map entry value
-	// installs SilentNode. Processes in Faulty are excluded from the
+	// Fate rules on every message sent, like a PayloadFunc on the decoded
+	// message. Without one every message is delivered after Δ.
+	Fate func(from, to types.ProcessID, m msg.Message, now Time) Fate
+	// Trace observes every delivery with its decoded message.
+	Trace func(ev TraceEvent, m msg.Message)
+	// Faulty maps process IDs to the machines replacing them; a nil machine
+	// is a process mute from the start (its endpoint takes deliveries and
+	// ignores them). Processes in Faulty are excluded from the
 	// all-correct-decided termination condition and from agreement checks.
-	Faulty map[types.ProcessID]Node
+	Faulty map[types.ProcessID]core.Machine
 	// CrashAt makes the (otherwise correct) process go silent at the given
 	// time (Network.CrashAt) — the T-faulty behaviour of Section 4.1.
 	CrashAt map[types.ProcessID]Time
 }
 
-// NewCluster builds the simulated cluster.
+// NewCluster builds the simulated cluster and starts every process.
 func NewCluster(cc ClusterConfig) (*Cluster, error) {
+	cfg := cc.Cfg
+	delta := cc.Delta
+	if delta == 0 {
+		delta = DefaultDelta
+	}
+	build := cc.Machine
+	if build == nil {
+		var err error
+		if build, err = protocol(cc, delta); err != nil {
+			return nil, err
+		}
+	}
+	c := &Cluster{
+		Cfg:      cfg,
+		delta:    delta,
+		machines: make([]core.Machine, cfg.N),
+		correct:  make([]bool, cfg.N),
+		decided:  make([]decision, cfg.N),
+		stats:    Stats{Messages: make(map[msg.Kind]int)},
+	}
+	c.Net = NewNetwork(cfg.N, WithDelta(delta), WithTrace(c.observe(cc.Trace)))
+	if rule := cc.Fate; rule != nil {
+		c.Net.SetPayloadFunc(func(from, to types.ProcessID, payload []byte, now Time) Fate {
+			m, err := msg.Decode(payload)
+			if err != nil {
+				return Fate{Delay: delta} // dropped on delivery
+			}
+			return rule(from, to, m, now)
+		})
+	}
+	keys := sigcrypto.NewHMAC(cfg.N, cc.Seed)
+	faulty := 0
+	for i := range c.machines {
+		pid := types.ProcessID(i)
+		m, bad := cc.Faulty[pid]
+		if !bad {
+			var err error
+			if m, err = build(pid, keys); err != nil {
+				return nil, err
+			}
+		}
+		c.machines[i] = m
+		if crashAt, ok := cc.CrashAt[pid]; ok {
+			c.Net.CrashAt(pid, crashAt)
+			bad = true // counted as faulty for termination/agreement
+		}
+		c.correct[i] = !bad
+		if bad {
+			faulty++
+		}
+	}
+	if faulty > cfg.F {
+		return nil, fmt.Errorf("sim: %d faulty processes exceeds f=%d", faulty, cfg.F)
+	}
+	for i, m := range c.machines {
+		pid := types.ProcessID(i)
+		tr := c.Net.Transport(pid)
+		if m == nil {
+			tr.SetHandler(func(types.ProcessID, []byte) {})
+			if err := tr.Start(); err != nil {
+				return nil, err
+			}
+			continue
+		}
+		r := node.NewRunner(c.Net.Clock(pid), m, tr, func(d types.Decision) { c.record(pid, d) })
+		if err := r.Start(); err != nil {
+			return nil, err
+		}
+	}
+	return c, nil
+}
+
+// protocol returns the builder of the paper's protocol configured by cc.
+func protocol(cc ClusterConfig, delta Time) (func(types.ProcessID, sigcrypto.Scheme) (core.Machine, error), error) {
 	cfg := cc.Cfg
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -58,56 +167,59 @@ func NewCluster(cc ClusterConfig) (*Cluster, error) {
 	if len(cc.Inputs) != cfg.N {
 		return nil, fmt.Errorf("sim: %d inputs for n=%d", len(cc.Inputs), cfg.N)
 	}
-	delta := cc.Delta
-	if delta == 0 {
-		delta = DefaultDelta
-	}
-	baseTimeout := cc.BaseTimeout
-	if baseTimeout == 0 {
-		baseTimeout = 10 * delta
-	}
-	net := NewNetwork(cfg.N, WithDelta(delta), WithLatency(cc.Latency), WithTrace(cc.Trace))
-	scheme := sigcrypto.NewHMAC(cfg.N, cc.Seed)
-
-	c := &Cluster{
-		Net:     net,
-		Cfg:     cfg,
-		Scheme:  scheme,
-		procs:   make([]*core.Process, cfg.N),
-		correct: make([]bool, cfg.N),
-	}
-	faulty := 0
-	for i := 0; i < cfg.N; i++ {
-		pid := types.ProcessID(i)
-		if node, bad := cc.Faulty[pid]; bad {
-			faulty++
-			if node == nil {
-				node = SilentNode{}
-			}
-			net.SetNode(pid, node)
-			continue
-		}
-		p, err := core.NewProcess(cfg, pid, scheme.Signer(pid), scheme.Verifier(), cc.Inputs[i], baseTimeout)
-		if err != nil {
-			return nil, err
-		}
-		c.procs[i] = p
-		c.correct[i] = true
-		net.SetNode(pid, NewMachineNode(p))
-		if crashAt, ok := cc.CrashAt[pid]; ok {
-			net.CrashAt(pid, crashAt)
-			c.correct[i] = false // counted as faulty for termination/agreement
-			faulty++
-		}
-	}
-	if faulty > cfg.F {
-		return nil, fmt.Errorf("sim: %d faulty processes exceeds f=%d", faulty, cfg.F)
-	}
-	return c, nil
+	return func(p types.ProcessID, keys sigcrypto.Scheme) (core.Machine, error) {
+		return core.NewProcess(cfg, p, keys.Signer(p), keys.Verifier(), cc.Inputs[p], 10*delta)
+	}, nil
 }
 
-// Process returns the state machine of process p (nil for faulty slots).
-func (c *Cluster) Process(p types.ProcessID) *core.Process { return c.procs[p] }
+// observe decodes every delivery for the statistics and the caller's trace;
+// a payload that does not decode is dropped by its receiver and not counted.
+func (c *Cluster) observe(trace func(TraceEvent, msg.Message)) TraceFunc {
+	return func(ev TraceEvent) {
+		m, err := msg.Decode(ev.Payload)
+		if err != nil {
+			return
+		}
+		c.stats.Messages[m.Kind()]++
+		if trace != nil {
+			trace(ev, m)
+		}
+	}
+}
+
+// record is process p's decide callback: the first decision, at the virtual
+// time it was made.
+func (c *Cluster) record(p types.ProcessID, d types.Decision) {
+	if !c.decided[p].ok {
+		c.decided[p] = decision{d: d, at: c.Net.Now(), ok: true}
+	}
+}
+
+// Process returns the paper-protocol state machine of process p (nil for
+// faulty slots and other protocols).
+func (c *Cluster) Process(p types.ProcessID) *core.Process {
+	proc, _ := c.machines[p].(*core.Process)
+	return proc
+}
+
+// Stats returns delivery statistics collected so far.
+func (c *Cluster) Stats() Stats { return c.stats }
+
+// Decision returns process p's decision and the virtual time it was made.
+func (c *Cluster) Decision(p types.ProcessID) (types.Decision, Time, bool) {
+	rec := c.decided[p]
+	return rec.d, rec.at, rec.ok
+}
+
+// DecisionSteps returns the decision latency of p in message delays
+// (Δ units, rounded up), the unit the paper's "two-step" refers to.
+func (c *Cluster) DecisionSteps(p types.ProcessID) (types.Step, bool) {
+	rec := c.decided[p]
+	if !rec.ok {
+		return 0, false
+	}
+	return types.Step((rec.at + c.delta - 1) / c.delta), true
+}
 
 // CorrectIDs returns the identifiers of correct processes.
 func (c *Cluster) CorrectIDs() []types.ProcessID {
@@ -123,10 +235,7 @@ func (c *Cluster) CorrectIDs() []types.ProcessID {
 // AllCorrectDecided reports whether every correct process has decided.
 func (c *Cluster) AllCorrectDecided() bool {
 	for i, ok := range c.correct {
-		if !ok {
-			continue
-		}
-		if _, decided := c.procs[i].Decided(); !decided {
+		if ok && !c.decided[i].ok {
 			return false
 		}
 	}
@@ -156,20 +265,19 @@ func (c *Cluster) CheckAgreement(requireAll bool) error {
 		if !ok {
 			continue
 		}
-		d, decided := c.procs[i].Decided()
-		if !decided {
+		rec := c.decided[i]
+		if !rec.ok {
 			if requireAll {
 				return fmt.Errorf("%w: %s", ErrNotDecided, types.ProcessID(i))
 			}
 			continue
 		}
 		if ref == nil {
-			dd := d
-			ref = &dd
+			ref = &rec.d
 			continue
 		}
-		if !ref.Value.Equal(d.Value) {
-			return fmt.Errorf("%w: %s vs %s", ErrDisagreement, ref.Value, d.Value)
+		if !ref.Value.Equal(rec.d.Value) {
+			return fmt.Errorf("%w: %s vs %s", ErrDisagreement, ref.Value, rec.d.Value)
 		}
 	}
 	return nil
@@ -179,17 +287,12 @@ func (c *Cluster) CheckAgreement(requireAll bool) error {
 // processes, in message delays.
 func (c *Cluster) MaxDecisionSteps() (types.Step, bool) {
 	var worst types.Step
-	for i, ok := range c.correct {
-		if !ok {
-			continue
-		}
-		steps, decided := c.Net.DecisionSteps(types.ProcessID(i))
+	for _, p := range c.CorrectIDs() {
+		steps, decided := c.DecisionSteps(p)
 		if !decided {
 			return 0, false
 		}
-		if steps > worst {
-			worst = steps
-		}
+		worst = max(worst, steps)
 	}
 	return worst, true
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/types"
 )
 
@@ -61,10 +62,10 @@ func TestFastPathWithTCrashedProcesses(t *testing.T) {
 	} {
 		cfg := cfg
 		t.Run(cfg.String(), func(t *testing.T) {
-			faulty := make(map[types.ProcessID]Node, cfg.T)
+			faulty := make(map[types.ProcessID]core.Machine, cfg.T)
 			// Silence the last t processes (never the view-1 leader, p1).
 			for i := 0; i < cfg.T; i++ {
-				faulty[types.ProcessID(cfg.N-1-i)] = SilentNode{}
+				faulty[types.ProcessID(cfg.N-1-i)] = nil
 			}
 			c, err := NewCluster(ClusterConfig{
 				Cfg:    cfg,
@@ -93,9 +94,9 @@ func TestSlowPathWithMoreThanTFailures(t *testing.T) {
 	// With t < failures ≤ f and a correct leader, the slow path decides in
 	// three message delays (Appendix A.1, Figure 5: n=7, f=2, t=1).
 	cfg := types.Generalized(2, 1) // n=7
-	faulty := map[types.ProcessID]Node{
-		types.ProcessID(5): SilentNode{},
-		types.ProcessID(6): SilentNode{},
+	faulty := map[types.ProcessID]core.Machine{
+		types.ProcessID(5): nil,
+		types.ProcessID(6): nil,
 	}
 	c, err := NewCluster(ClusterConfig{
 		Cfg:    cfg,
@@ -139,7 +140,7 @@ func TestViewChangeAfterLeaderCrash(t *testing.T) {
 				Cfg:    cfg,
 				Inputs: DistinctInputs(cfg.N, "in"),
 				Seed:   4,
-				Faulty: map[types.ProcessID]Node{leader1: SilentNode{}},
+				Faulty: map[types.ProcessID]core.Machine{leader1: nil},
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -6,41 +6,94 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/msg"
+	"repro/internal/sigcrypto"
 	"repro/internal/types"
 )
 
-// TestRunIsResumable steps one network repeatedly. The first Run's limit
+// script is a machine built from closures; a nil one ignores the input.
+type script struct {
+	id      types.ProcessID
+	init    func(now Time) []core.Action
+	deliver func(from types.ProcessID, m msg.Message, now Time) []core.Action
+	tick    func(now Time) []core.Action
+}
+
+func (s *script) ID() types.ProcessID { return s.id }
+
+func (s *script) Init(now Time) []core.Action {
+	if s.init == nil {
+		return nil
+	}
+	return s.init(now)
+}
+
+func (s *script) Deliver(from types.ProcessID, m msg.Message, now Time) []core.Action {
+	if s.deliver == nil {
+		return nil
+	}
+	return s.deliver(from, m, now)
+}
+
+func (s *script) Tick(now Time) []core.Action {
+	if s.tick == nil {
+		return nil
+	}
+	return s.tick(now)
+}
+
+// TestRunIsResumable steps one cluster repeatedly. The first Run's limit
 // falls between a send and its delivery: the message must stay queued (the
 // old loop popped and discarded it), arrive exactly once when a later Run
-// reaches it, OnStart must not run again on resume (the old loop re-ran it
-// every call), and two timers armed by one process must both fire, in
-// deadline order (the old per-process deadline slot kept only the latest).
+// reaches it, Init must not run again on resume (the old loop re-ran it
+// every call), and two clock timers armed by one process must both fire, in
+// deadline order, alongside the machine's own timer (the old per-process
+// deadline slot kept only the latest).
 func TestRunIsResumable(t *testing.T) {
 	const delta = 10 * time.Millisecond
-	net := NewNetwork(2, WithDelta(delta))
 	starts, got := 0, 0
 	var fired []string
-	net.SetNode(0, &FuncNode{
-		Start: func(e *Env) {
-			starts++
-			e.Send(1, &msg.Wish{View: 7})
-			clock := e.net.Clock(0)
-			clock.AfterFunc(8*time.Millisecond, func() { fired = append(fired, "late") })
-			clock.AfterFunc(3*time.Millisecond, func() { fired = append(fired, "early") })
-			e.SetTimer(12 * time.Millisecond)
+	machines := []core.Machine{
+		&script{
+			id: 0,
+			init: func(Time) []core.Action {
+				starts++
+				return []core.Action{
+					core.SendAction{To: 1, Msg: &msg.Wish{View: 7}},
+					core.TimerAction{Deadline: 12 * time.Millisecond},
+				}
+			},
+			tick: func(now Time) []core.Action {
+				fired = append(fired, fmt.Sprintf("tick@%v", now))
+				return nil
+			},
 		},
-		Timer: func(e *Env) { fired = append(fired, fmt.Sprintf("env@%v", e.Now)) },
-	})
-	net.SetNode(1, &FuncNode{
-		Msg: func(from types.ProcessID, m msg.Message, _ *Env) {
-			if w, ok := m.(*msg.Wish); ok && from == 0 && w.View == 7 {
-				got++
-			}
+		&script{
+			id: 1,
+			deliver: func(from types.ProcessID, m msg.Message, _ Time) []core.Action {
+				if w, ok := m.(*msg.Wish); ok && from == 0 && w.View == 7 {
+					got++
+				}
+				return nil
+			},
+		},
+	}
+	c, err := NewCluster(ClusterConfig{
+		Cfg:   types.Config{N: 2},
+		Delta: delta,
+		Machine: func(p types.ProcessID, _ sigcrypto.Scheme) (core.Machine, error) {
+			return machines[p], nil
 		},
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clock := c.Net.Clock(0)
+	clock.AfterFunc(8*time.Millisecond, func() { fired = append(fired, "late") })
+	clock.AfterFunc(3*time.Millisecond, func() { fired = append(fired, "early") })
 
-	res, err := net.Run(5*time.Millisecond, nil)
+	res, err := c.Run(5 * time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,19 +104,19 @@ func TestRunIsResumable(t *testing.T) {
 		t.Fatalf("timers fired by 5ms: %v, want %v", fired, want)
 	}
 
-	if _, err := net.Run(time.Second, nil); err != nil {
+	if _, err := c.Run(time.Second); err != nil {
 		t.Fatal(err)
 	}
 	if got != 1 {
 		t.Fatalf("message delivered %d times across the resumed run, want exactly once", got)
 	}
 	if starts != 1 {
-		t.Fatalf("OnStart ran %d times across two runs, want once", starts)
+		t.Fatalf("Init ran %d times across two runs, want once", starts)
 	}
-	if want := []string{"early", "late", "env@12ms"}; !reflect.DeepEqual(fired, want) {
+	if want := []string{"early", "late", "tick@12ms"}; !reflect.DeepEqual(fired, want) {
 		t.Fatalf("timers fired %v, want %v", fired, want)
 	}
-	if now := net.Now(); now != 12*time.Millisecond {
+	if now := c.Net.Now(); now != 12*time.Millisecond {
 		t.Fatalf("drained network stopped at %v, want the last event's 12ms", now)
 	}
 }

@@ -2,21 +2,21 @@
 // every experiment and by every multi-replica test. It models the partially
 // synchronous system of Section 2.1: reliable authenticated point-to-point
 // channels, a message-delay bound Δ that holds after GST, and up to f
-// Byzantine processes realized as arbitrary event handlers.
+// Byzantine processes realized as arbitrary state machines.
 //
-// There is one simulator, with one event heap, and two ways to occupy a
-// process slot of it: a message-level Node (SetNode) — a core.Machine or an
-// ad-hoc handler exchanging msg.Messages through its Env, how single
-// consensus instances, the baselines and the lower-bound constructions run —
-// or a payload-level endpoint (Transport, Clock; see transport.go), how whole
-// SMR replicas and adversarial replica drivers run, unmodified, in virtual
-// time. The simulator never decodes a payload.
+// There is one simulator, with one event heap, and one way to occupy a
+// process slot of it: a payload-level endpoint (Transport, Clock; see
+// transport.go). Whatever runs on it runs there unmodified and in virtual
+// time — a single consensus instance's core.Machine hosted by a node.Runner
+// (Cluster, cluster.go), a whole SMR replica, an adversarial replica driver.
+// The simulator never decodes a payload; Cluster does, for its message-level
+// fates, traces and statistics.
 //
-// Determinism is the point: events are processed in (time, sequence) order,
-// messages are round-tripped through the wire codec, and all randomness
-// comes from seeds, so a schedule that demonstrates a property (a two-step
-// decision, a view change, a lower-bound disagreement) reproduces exactly.
-// Latency is measured in Δ units — the paper's "message delays".
+// Determinism is the point: events are processed in (time, sequence) order
+// and all randomness comes from seeds, so a schedule that demonstrates a
+// property (a two-step decision, a view change, a lower-bound disagreement)
+// reproduces exactly. Latency is measured in Δ units — the paper's "message
+// delays".
 //
 // Time moves only when the caller steps the network: Run (until a condition
 // or a virtual-time limit, resumable), Settle (until nothing is due at the
@@ -38,7 +38,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/msg"
 	"repro/internal/transport"
 	"repro/internal/types"
 )
@@ -49,85 +48,17 @@ const DefaultDelta = 10 * time.Millisecond
 // Time is virtual time since the start of the execution.
 type Time = core.Time
 
-// Env gives a node the capabilities it has in the model: sending messages
-// and arming its local timer. It is only valid during the callback it is
-// passed to.
-type Env struct {
-	net  *Network
-	self types.ProcessID
-	// Now is the current virtual time.
-	Now Time
-}
-
-// Send transmits m to process to. The message is encoded and decoded
-// through the wire codec, so malformed messages vanish exactly as they
-// would on a real network.
-func (e *Env) Send(to types.ProcessID, m msg.Message) {
-	e.net.send(e.self, to, m, e.Now)
-}
-
-// Broadcast transmits m to every process except the sender.
-func (e *Env) Broadcast(m msg.Message) {
-	for p := 0; p < e.net.n; p++ {
-		if pid := types.ProcessID(p); pid != e.self {
-			e.net.send(e.self, pid, m, e.Now)
-		}
-	}
-}
-
-// SetTimer arms the node's single timer to fire at deadline (absolute
-// virtual time). Re-arming replaces the previous deadline.
-func (e *Env) SetTimer(deadline Time) {
-	e.net.setTimer(e.self, deadline)
-}
-
-// Node is a simulated process: correct nodes adapt a deterministic state
-// machine; Byzantine nodes are arbitrary handlers.
-type Node interface {
-	// OnStart runs at time 0.
-	OnStart(e *Env)
-	// OnMessage delivers one message.
-	OnMessage(from types.ProcessID, m msg.Message, e *Env)
-	// OnTimer fires when the node's timer deadline is reached.
-	OnTimer(e *Env)
-}
-
-// LatencyFunc decides the fate of one message: the delivery delay and
-// whether it is delivered at all. Implementations must be deterministic in
-// their arguments for reproducible runs. A nil LatencyFunc delivers
-// everything after exactly Δ.
-type LatencyFunc func(from, to types.ProcessID, m msg.Message, now Time) (delay Time, deliver bool)
-
-// TraceFunc observes every delivery that reaches a node or a transport
-// handler, for experiments that need message counts or sizes and for replay
-// tests that compare two runs' delivery order.
+// TraceFunc observes every delivery that reaches a transport handler, for
+// experiments that need message counts or sizes and for replay tests that
+// compare two runs' delivery order.
 type TraceFunc func(ev TraceEvent)
 
-// TraceEvent describes one delivery: to a message-level node it carries the
-// decoded message (Kind, Msg), to a transport endpoint the opaque Payload.
+// TraceEvent describes one delivery.
 type TraceEvent struct {
 	Time    Time
 	From    types.ProcessID
 	To      types.ProcessID
-	Kind    msg.Kind
-	Bytes   int
-	Msg     msg.Message
 	Payload []byte
-}
-
-// Stats aggregates message counts and bytes per message kind.
-type Stats struct {
-	Messages map[msg.Kind]int
-	Bytes    map[msg.Kind]int
-}
-
-// TotalMessages returns the total number of delivered messages.
-func (s Stats) TotalMessages() int {
-	total := 0
-	for _, c := range s.Messages {
-		total += c
-	}
-	return total
 }
 
 // Network is the simulator instance. One goroutine steps it (Run, Settle,
@@ -136,47 +67,29 @@ func (s Stats) TotalMessages() int {
 // Send, AfterFunc, Stop, Now — which is how a durable replica's storage
 // goroutines release gated sends into the simulation.
 type Network struct {
-	n       int
-	delta   Time
-	latency LatencyFunc
-	trace   TraceFunc
-	stats   Stats
-	nodes   []Node // message-level processes (nil = transport slot), set before the first step
-
-	// decisions recorded through RecordDecision.
-	decisions map[types.ProcessID]decisionRecord
+	n     int
+	delta Time
+	trace TraceFunc
 
 	// mu guards everything below; it is never held across a callback.
-	mu         sync.Mutex
-	eps        []*endpoint // payload-level processes, created by Transport
-	nodeTimers []*timer    // each node's single Env timer
-	crashed    []bool
-	life       []uint64 // incarnation of each process; Restart starts a new one
-	queue      eventQueue
-	seq        uint64
-	now        Time
-	started    bool
-	fate       PayloadFunc
-	held       []event
-}
-
-type decisionRecord struct {
-	d  types.Decision
-	at Time
+	mu      sync.Mutex
+	eps     []*endpoint // created by Transport
+	crashed []bool
+	life    []uint64 // incarnation of each process; Restart starts a new one
+	queue   eventQueue
+	seq     uint64
+	now     Time
+	fate    PayloadFunc
+	held    []event
 }
 
 // Option configures a Network.
 type Option func(*Network)
 
 // WithDelta sets the synchronous message-delay bound Δ: the delay of every
-// send no LatencyFunc or PayloadFunc rules on (0 is the lockstep network).
+// send no PayloadFunc rules on (0 is the lockstep network).
 func WithDelta(d Time) Option {
 	return func(n *Network) { n.delta = d }
-}
-
-// WithLatency installs a custom latency/drop model for message-level sends.
-func WithLatency(f LatencyFunc) Option {
-	return func(n *Network) { n.latency = f }
 }
 
 // WithTrace installs a delivery observer.
@@ -187,18 +100,11 @@ func WithTrace(f TraceFunc) Option {
 // NewNetwork creates a simulator for n processes.
 func NewNetwork(n int, opts ...Option) *Network {
 	net := &Network{
-		n:          n,
-		delta:      DefaultDelta,
-		nodes:      make([]Node, n),
-		eps:        make([]*endpoint, n),
-		nodeTimers: make([]*timer, n),
-		decisions:  make(map[types.ProcessID]decisionRecord, n),
-		crashed:    make([]bool, n),
-		life:       make([]uint64, n),
-		stats: Stats{
-			Messages: make(map[msg.Kind]int),
-			Bytes:    make(map[msg.Kind]int),
-		},
+		n:       n,
+		delta:   DefaultDelta,
+		eps:     make([]*endpoint, n),
+		crashed: make([]bool, n),
+		life:    make([]uint64, n),
 	}
 	for _, o := range opts {
 		o(net)
@@ -212,12 +118,6 @@ func (net *Network) Now() Time {
 	defer net.mu.Unlock()
 	return net.now
 }
-
-// Stats returns delivery statistics collected so far.
-func (net *Network) Stats() Stats { return net.stats }
-
-// SetNode installs the message-level node for process p.
-func (net *Network) SetNode(p types.ProcessID, node Node) { net.nodes[p] = node }
 
 // Crash silences process p from time now on: pending and future events for
 // p — deliveries and timers alike — are discarded, and nothing it sends
@@ -236,64 +136,6 @@ func (net *Network) CrashAt(p types.ProcessID, at Time) {
 	net.mu.Lock()
 	defer net.mu.Unlock()
 	net.armLocked(p, at, func() { net.Crash(p) })
-}
-
-// RecordDecision is called by node adapters when their process decides.
-func (net *Network) RecordDecision(p types.ProcessID, d types.Decision) {
-	if _, dup := net.decisions[p]; dup {
-		return
-	}
-	net.decisions[p] = decisionRecord{d: d, at: net.Now()}
-}
-
-// Decision returns process p's decision and the virtual time it was made.
-func (net *Network) Decision(p types.ProcessID) (types.Decision, Time, bool) {
-	rec, ok := net.decisions[p]
-	return rec.d, rec.at, ok
-}
-
-// DecisionSteps returns the decision latency of p in message delays
-// (Δ units, rounded up), the unit the paper's "two-step" refers to.
-func (net *Network) DecisionSteps(p types.ProcessID) (types.Step, bool) {
-	rec, ok := net.decisions[p]
-	if !ok {
-		return 0, false
-	}
-	steps := (rec.at + net.delta - 1) / net.delta
-	return types.Step(steps), true
-}
-
-// send enqueues a message-level delivery according to the latency model.
-func (net *Network) send(from, to types.ProcessID, m msg.Message, now Time) {
-	if !to.Valid(net.n) {
-		return
-	}
-	delay, deliver := net.delta, true
-	if net.latency != nil {
-		delay, deliver = net.latency(from, to, m, now)
-	}
-	if !deliver {
-		return
-	}
-	encoded := msg.Encode(m)
-	net.mu.Lock()
-	defer net.mu.Unlock()
-	if encoded != nil && !net.crashed[from] && !net.crashed[to] {
-		net.push(event{at: now + delay, to: to, from: from, data: encoded})
-	}
-}
-
-// setTimer replaces node p's single timer deadline.
-func (net *Network) setTimer(p types.ProcessID, deadline Time) {
-	net.mu.Lock()
-	defer net.mu.Unlock()
-	if old := net.nodeTimers[p]; old != nil {
-		old.done = true
-	}
-	node := net.nodes[p]
-	net.nodeTimers[p] = net.armLocked(p, deadline, func() {
-		node.OnTimer(&Env{net: net, self: p, Now: net.Now()})
-	})
 }
 
 // armLocked queues a timer of process p that calls fn at virtual time at.
@@ -317,10 +159,10 @@ type RunResult struct {
 // limit stays queued, and a later call picks up where this one stopped.
 func (net *Network) Run(limit Time, stop func() bool) (RunResult, error) {
 	net.mu.Lock()
-	for p := range net.nodes {
-		if net.nodes[p] == nil && net.eps[p] == nil {
+	for p, ep := range net.eps {
+		if ep == nil {
 			net.mu.Unlock()
-			return RunResult{}, fmt.Errorf("sim: process %s has no node", types.ProcessID(p))
+			return RunResult{}, fmt.Errorf("sim: process %s has no endpoint", types.ProcessID(p))
 		}
 	}
 	net.mu.Unlock()
@@ -348,27 +190,10 @@ func (net *Network) Advance(d Time) {
 	net.mu.Unlock()
 }
 
-// runTo is the one event loop: it starts the nodes on first use, processes
-// events due at or before limit until none is left or stop holds, and returns
-// how many. If the next event lies beyond a finite limit, time moves to it.
+// runTo is the one event loop: it processes events due at or before limit
+// until none is left or stop holds, and returns how many. If the next event
+// lies beyond a finite limit, time moves to it.
 func (net *Network) runTo(limit Time, stop func() bool) int {
-	net.mu.Lock()
-	var starting []Node
-	if !net.started {
-		net.started = true
-		starting = append(starting, net.nodes...)
-		for p := range starting {
-			if net.crashed[p] {
-				starting[p] = nil
-			}
-		}
-	}
-	net.mu.Unlock()
-	for p, node := range starting {
-		if node != nil {
-			node.OnStart(&Env{net: net, self: types.ProcessID(p), Now: 0})
-		}
-	}
 	events := 0
 	for net.step(limit) {
 		events++
@@ -386,8 +211,8 @@ func (net *Network) runTo(limit Time, stop func() bool) int {
 
 // step consumes the earliest event if it is due at or before limit and
 // reports whether there was one. Events of a crashed process or a previous
-// incarnation, stopped timers, malformed messages and deliveries nobody
-// listens for are consumed silently.
+// incarnation, stopped timers and deliveries nobody listens for are consumed
+// silently.
 func (net *Network) step(limit Time) bool {
 	net.mu.Lock()
 	if len(net.queue) == 0 || net.queue[0].at > limit {
@@ -398,7 +223,7 @@ func (net *Network) step(limit Time) bool {
 	if ev.at > net.now {
 		net.now = ev.at
 	}
-	now, node := net.now, net.nodes[ev.to]
+	now := net.now
 	live := !net.crashed[ev.to] && ev.life == net.life[ev.to]
 	if ev.tm != nil {
 		live = live && !ev.tm.done
@@ -410,27 +235,13 @@ func (net *Network) step(limit Time) bool {
 	}
 	net.mu.Unlock()
 
-	te := TraceEvent{Time: now, From: ev.from, To: ev.to, Bytes: len(ev.data)}
 	switch {
 	case !live:
 	case ev.tm != nil:
 		ev.tm.fn()
-	case node != nil:
-		m, err := msg.Decode(ev.data)
-		if err != nil {
-			break // malformed: dropped, as on a real network
-		}
-		net.stats.Messages[m.Kind()]++
-		net.stats.Bytes[m.Kind()] += len(ev.data)
-		if net.trace != nil {
-			te.Kind, te.Msg = m.Kind(), m
-			net.trace(te)
-		}
-		node.OnMessage(ev.from, m, &Env{net: net, self: ev.to, Now: now})
 	case h != nil:
 		if net.trace != nil {
-			te.Payload = ev.data
-			net.trace(te)
+			net.trace(TraceEvent{Time: now, From: ev.from, To: ev.to, Payload: ev.data})
 		}
 		h(ev.from, ev.data)
 	}
@@ -453,8 +264,8 @@ type event struct {
 	tm   *timer
 }
 
-// timer is one armed timer: a node's Env timer or a Clock.AfterFunc. done
-// (fired or stopped) is guarded by the network's lock.
+// timer is one armed Clock.AfterFunc (or a CrashAt). done (fired or stopped)
+// is guarded by the network's lock.
 type timer struct {
 	net  *Network
 	fn   func()

@@ -10,8 +10,8 @@ import (
 	"repro/internal/types"
 )
 
-// The payload-level face of the Network: a process slot without a Node can be
-// bound to a transport.Transport endpoint and a node.Clock — how SMR replicas
+// The face of the Network a process sees: a transport.Transport endpoint and
+// a node.Clock — how single consensus instances (Cluster), SMR replicas
 // (internal/smr) and adversarial drivers (internal/byz) run on the simulator.
 // Its sends and AfterFunc timers are events of the one (time, seq) heap.
 
@@ -24,9 +24,9 @@ type Fate struct {
 
 // PayloadFunc rules on every payload an endpoint sends, at the instant it is
 // sent: deliver after a delay, drop, or hold. Seeing every send, it doubles as
-// the tap a test counts or decodes traffic with. Like LatencyFunc, its
-// message-level counterpart, it must be deterministic in its arguments (and
-// its own seeded state) for a run to replay. Without one, the delay is Δ.
+// the tap a test counts or decodes traffic with. It must be deterministic in
+// its arguments (and its own seeded state) for a run to replay. Without one,
+// the delay is Δ.
 type PayloadFunc func(from, to types.ProcessID, payload []byte, now Time) Fate
 
 // SetPayloadFunc installs (or, with nil, removes) the payload predicate.

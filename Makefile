@@ -9,7 +9,7 @@ FUZZTIME ?= 30s
 # SEEDS is how many seeds per scenario the sim-sweep target runs.
 SEEDS ?= 500
 
-.PHONY: all build test race bench bench-check fuzz smoke leaderkill fmt fmt-check vet doc-check byz sim-sweep recovery-race clean
+.PHONY: all build test race bench bench-check fuzz smoke leaderkill fmt fmt-check vet doc-check byz sim-sweep recovery-race cluster-race clean
 
 all: build test
 
@@ -115,6 +115,13 @@ sim-sweep:
 recovery-race:
 	$(GO) test -race -count=2 -run 'Durable|TornWrite|Recover|WALRecord|Checkpoint' ./internal/storage ./internal/smr
 	$(GO) test -race -run 'TestKVReplicaDurableRestart' .
+
+## cluster-race: the in-process TCP cluster run of cmd/fastbft-cluster
+## (n = 4 replicas over localhost, 20 replicated writes) twenty times under
+## the race detector (CI runs this as its own step): a replica left out of
+## the fast quorums must catch up on every run, not most runs
+cluster-race:
+	$(GO) test -race -count=20 -run 'TestRunSmallCluster$$' ./cmd/fastbft-cluster
 
 ## clean: drop build and test caches scoped to this module, plus any
 ## leftover replica data directories from local runs (the per-group WALs

@@ -263,7 +263,13 @@ func runSingleProcess(cfg fastbft.Config, ops, shards int) error {
 			break
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("kv timeout: replica applied %d of %d ops", reps[0].AppliedOps(), ops)
+			// Name every replica: the stuck one is rarely the first.
+			per := make([]string, len(reps))
+			for i, r := range reps {
+				per[i] = fmt.Sprintf("replica %d applied %d (%d regime timeouts)",
+					i, r.AppliedOps(), r.Stats().RegimeTimeouts)
+			}
+			return fmt.Errorf("kv timeout after %d ops: %s", ops, strings.Join(per, ", "))
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -284,9 +290,10 @@ type child struct {
 }
 
 // drillCkptInterval is the checkpoint interval of the multi-process
-// cluster: it enables state transfer (the restarted replica catches up on
-// what it missed while dead) and WAL truncation in the children's data
-// directories.
+// cluster, far below the replica default so that a drill of a few dozen ops
+// crosses several checkpoints: the restarted replica catches up on what it
+// missed while dead through a stable checkpoint, and the children's WALs are
+// truncated.
 const drillCkptInterval = 8
 
 // byzProcID is the process the -byz adversary corrupts: the leader of view 1
@@ -846,11 +853,10 @@ func replicaMain(args []string) error {
 	f := fs.Int("f", 1, "Byzantine faults tolerated")
 	t := fs.Int("t", 1, "fast-path fault threshold")
 	seed := fs.Int64("seed", 1, "deterministic key seed shared with the parent")
-	ckpt := fs.Uint64("ckpt", 0, "checkpoint interval (0 disables)")
+	ckpt := fs.Uint64("ckpt", 0, "checkpoint interval (0 = replica default (128))")
 	addr := fs.String("addr", "127.0.0.1:0", "replica-to-replica listen address (pinned on restart)")
 	clientAddr := fs.String("clientaddr", "127.0.0.1:0", "client-facing listen address (pinned on restart)")
 	dataDir := fs.String("datadir", "", "data directory for the write-ahead log and snapshots (empty = in-memory)")
-	syncMode := fs.String("sync", "group", "WAL fsync policy: none, group, or always")
 	baseTimeout := fs.Duration("basetimeout", 0, "per-slot view-1 timer (0 = the replica default)")
 	byzName := fs.String("byz", "", "run the named adversary instead of an honest replica")
 	shards := fs.Int("shards", 1, "consensus groups hosted by this process")
@@ -873,7 +879,6 @@ func replicaMain(args []string) error {
 		ClientListenAddr:   *clientAddr,
 		CheckpointInterval: *ckpt,
 		DataDir:            *dataDir,
-		SyncMode:           *syncMode,
 		BaseTimeout:        *baseTimeout,
 		Shards:             *shards,
 		MetricsAddr:        *metricsAddr,

@@ -87,9 +87,10 @@ func run(network bool, dataDir string, shards int) error {
 			rcfg.ClientListenAddr = "127.0.0.1:0"
 		}
 		if dataDir != "" {
-			// Durability pairs with checkpointing: the WAL is truncated at
-			// every stable checkpoint, and a restarted replica recovers
-			// from its snapshot plus the log after it.
+			// The WAL is truncated at every stable checkpoint, and a
+			// restarted replica recovers from its snapshot plus the log
+			// after it; a short interval (the default is 128) lets this
+			// small demo cross a few checkpoints.
 			rcfg.DataDir = filepath.Join(dataDir, fmt.Sprintf("replica-%d", i))
 			rcfg.CheckpointInterval = 8
 		}

@@ -55,7 +55,8 @@ type (
 	// Step counts message delays.
 	Step = types.Step
 	// Checkpoint identifies a stable, quorum-certified cut of a replicated
-	// log (see KVReplicaConfig.CheckpointInterval).
+	// log; every replica takes one each KVReplicaConfig.CheckpointInterval
+	// slots (128 by default).
 	Checkpoint = types.Checkpoint
 )
 

@@ -420,19 +420,23 @@ func TestKVReplicaDurableRestart(t *testing.T) {
 	}
 }
 
-// TestKVReplicaRejectsBadSyncMode pins the config validation.
+// TestKVReplicaRejectsBadSyncMode pins the config validation: group commit
+// is the only sync mode, so the retired "none" and "always" fail like any
+// unknown name.
 func TestKVReplicaRejectsBadSyncMode(t *testing.T) {
 	cfg := GeneralizedConfig(1, 1)
 	keys := GenerateTestKeys(cfg.N, 18)
-	_, err := NewKVReplica(KVReplicaConfig{
-		Cluster:    cfg,
-		Self:       0,
-		Keys:       keys,
-		ListenAddr: "127.0.0.1:0",
-		DataDir:    t.TempDir(),
-		SyncMode:   "paranoid",
-	})
-	if err == nil {
-		t.Fatal("unknown sync mode accepted")
+	for _, mode := range []string{"paranoid", "none", "always"} {
+		_, err := NewKVReplica(KVReplicaConfig{
+			Cluster:    cfg,
+			Self:       0,
+			Keys:       keys,
+			ListenAddr: "127.0.0.1:0",
+			DataDir:    t.TempDir(),
+			SyncMode:   mode,
+		})
+		if err == nil {
+			t.Fatalf("sync mode %q accepted", mode)
+		}
 	}
 }

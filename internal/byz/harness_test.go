@@ -58,7 +58,7 @@ type byzCluster struct {
 type clusterOpts struct {
 	behavior Behavior
 	group    uint64 // consensus group every replica and the driver run
-	interval uint64 // checkpoint interval (0 disables)
+	interval uint64 // checkpoint interval (0 = smr's default)
 	timeout  time.Duration
 	// dirs maps durable replicas to their data directories.
 	dirs map[types.ProcessID]string
@@ -129,7 +129,7 @@ func (c *byzCluster) bootReplica(p types.ProcessID, tr transport.Transport) {
 		CheckpointInterval: c.opts.interval,
 	}
 	if dir, ok := c.opts.dirs[p]; ok {
-		disk, err := storage.Open(storage.Config{Dir: dir, Mode: storage.SyncAlways})
+		disk, err := storage.Open(storage.Config{Dir: dir})
 		if err != nil {
 			c.t.Fatal(err)
 		}

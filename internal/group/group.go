@@ -52,7 +52,8 @@ type Config struct {
 	// smr.CommitFunc for the callback contract).
 	OnCommit smr.CommitFunc
 	// BaseTimeout, WindowSize, MaxBatch, and CheckpointInterval
-	// parameterize the group's smr.Replica; see smr.Config.
+	// parameterize the group's smr.Replica and pass through unchanged; zero
+	// selects smr's default (see smr.Config).
 	BaseTimeout        time.Duration
 	WindowSize         int
 	MaxBatch           int
@@ -61,7 +62,8 @@ type Config struct {
 	// process share the directory; each opens its own store under its
 	// namespace.
 	DataDir string
-	// SyncMode is the WAL fsync policy when DataDir is set.
+	// SyncMode is the WAL fsync policy when DataDir is set; group commit
+	// (storage.SyncGroup, the zero value) is the only one.
 	SyncMode storage.SyncMode
 	// Metrics, when set, receives the group's replica and storage series,
 	// labeled with the group number. Nil leaves the counters live but

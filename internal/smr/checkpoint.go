@@ -21,18 +21,9 @@ import (
 // correct state at that slot. A replica with a stable checkpoint prunes all
 // consensus instances, decision records, and commit certificates at or below
 // the checkpoint slot, and keeps the snapshot bytes to serve state transfer
-// (see statetransfer.go).
-
-// Snapshotter is implemented by applications that support checkpointing.
-// Snapshot must be deterministic: two replicas that applied the same command
-// sequence must produce byte-identical snapshots, because the snapshot
-// digest is what checkpoint quorums certify.
-type Snapshotter interface {
-	// Snapshot serializes the full application state.
-	Snapshot() []byte
-	// Restore replaces the application state with a decoded snapshot.
-	Restore(data []byte) error
-}
+// (see statetransfer.go). Checkpointing is always on: a replica left out of
+// the fast quorums (n − t acks decide, so up to t correct replicas can trail
+// every slot) catches up only through it.
 
 // ckptVotesPerSender is how many recent signed checkpoints are retained per
 // sender. Keying the store by sender (rather than by (slot, digest)) bounds
@@ -46,7 +37,7 @@ const ckptVotesPerSender = 4
 // an interval boundary. The caller holds r.mu and has applied every slot
 // below r.applyPtr.
 func (r *Replica) maybeCheckpointLocked() {
-	if r.interval == 0 || r.applyPtr == 0 || r.applyPtr%r.interval != 0 {
+	if r.applyPtr == 0 || r.applyPtr%r.interval != 0 {
 		return
 	}
 	s := r.applyPtr - 1
@@ -74,7 +65,7 @@ func (r *Replica) maybeCheckpointLocked() {
 // accumulates. A checkpoint far beyond the local frontier is evidence that
 // this replica is lagging and triggers state transfer.
 func (r *Replica) onCheckpointLocked(from types.ProcessID, m *msg.Checkpoint) {
-	if r.interval == 0 || m.Phi.Signer != from {
+	if m.Phi.Signer != from {
 		return
 	}
 	if !r.logVerifier.Verify(msg.CheckpointDigest(m.CP), m.Phi) {
@@ -205,8 +196,7 @@ func (r *Replica) StableCheckpoint() (types.Checkpoint, bool) {
 }
 
 // SlotCount returns the number of live consensus instances (test/metrics
-// hook: with checkpointing enabled it stays bounded regardless of log
-// length).
+// hook: it stays bounded regardless of log length).
 func (r *Replica) SlotCount() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -231,7 +221,7 @@ func (r *Replica) DecidedCount() int {
 // through state transfer reject replays exactly like replicas that applied
 // the whole log. The caller holds r.mu and must have r.applyPtr == s+1.
 func (r *Replica) encodeSnapshotLocked(s uint64) []byte {
-	app := r.snapshotter.Snapshot()
+	app := r.cfg.App.Snapshot()
 	size := 16 + len(app)
 	for id, sess := range r.sessions {
 		size += len(id) + len(sess.lastReply) + 24

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/msg"
 	"repro/internal/sigcrypto"
+	"repro/internal/sim"
 	"repro/internal/transport"
 	"repro/internal/types"
 )
@@ -140,6 +141,48 @@ func TestCrashedReplicaCatchesUpViaStateTransfer(t *testing.T) {
 	}
 	if cp.Slot < 2*interval {
 		t.Fatalf("restarted replica's stable checkpoint %d predates the outage", cp.Slot)
+	}
+}
+
+// TestLaggingReplicaCatchesUp: the fast path decides on n − t acks, so a
+// correct replica can be left out of every fast quorum, fall a window behind
+// and still has to converge — under the default configuration. Replica 3
+// hears only the leader (process 1) until the other three have applied every
+// command: the leader's traffic for slots beyond its window is lag evidence
+// it cannot act on, and the held traffic of processes 0 and 2 covers only the
+// first window. Without state transfer it would stop at WindowSize commands
+// for good; with it, it catches up within a fetch-retry cooldown.
+func TestLaggingReplicaCatchesUp(t *testing.T) {
+	cfg := types.Generalized(1, 1)
+	const (
+		ops    = 20
+		delta  = time.Millisecond
+		lagger = types.ProcessID(3)
+	)
+	g := newSimGroup(t, cfg, 35, groupOpts{delta: delta, base: 500 * time.Millisecond})
+	g.net.SetPayloadFunc(func(from, to types.ProcessID, _ []byte, _ sim.Time) sim.Fate {
+		return sim.Fate{Delay: delta, Hold: to == lagger && (from == 0 || from == 2)}
+	})
+	submitOps(t, g.reps[0], "c", 0, ops)
+	g.run(5*time.Second, func() bool {
+		for p := types.ProcessID(0); p < lagger; p++ {
+			if g.stores[p].AppliedOps() < ops {
+				return false
+			}
+		}
+		return true
+	}, "replicas 0-2 to apply every command")
+
+	g.net.SetPayloadFunc(nil)
+	g.net.Release()
+	g.run(5*time.Second, func() bool { return g.stores[lagger].AppliedOps() >= ops },
+		"the lagging replica to apply every command")
+	for i := 0; i < ops; i++ {
+		key := fmt.Sprintf("k%d", i)
+		want, _ := g.stores[0].Get(key)
+		if got, ok := g.stores[lagger].Get(key); !ok || got != want {
+			t.Fatalf("lagging replica: %s=%q (present=%v), want %q", key, got, ok, want)
+		}
 	}
 }
 
@@ -347,24 +390,3 @@ func TestKVSnapshotDeterminism(t *testing.T) {
 		t.Fatal("garbage snapshot restored without error")
 	}
 }
-
-// TestCheckpointRequiresSnapshotter: enabling checkpointing with an App
-// that cannot snapshot must fail fast.
-func TestCheckpointRequiresSnapshotter(t *testing.T) {
-	cfg := types.Generalized(1, 1)
-	scheme := sigcrypto.NewHMAC(cfg.N, 8)
-	net := transport.NewMemNetwork(cfg.N, 0)
-	defer func() { _ = net.Close() }()
-	_, err := NewReplica(Config{
-		Cluster: cfg, Self: 0,
-		Signer: scheme.Signer(0), Verifier: scheme.Verifier(),
-		Transport: net.Transport(0), App: plainApp{}, CheckpointInterval: 4,
-	})
-	if err == nil {
-		t.Fatal("checkpointing accepted an App without Snapshotter")
-	}
-}
-
-type plainApp struct{}
-
-func (plainApp) Apply(uint64, Command) []byte { return nil }

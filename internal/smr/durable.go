@@ -2,7 +2,6 @@ package smr
 
 import (
 	"crypto/sha256"
-	"errors"
 	"fmt"
 	"sort"
 
@@ -29,8 +28,8 @@ import (
 //     recovered replica can serve state transfer without peers;
 //   - every outgoing message and client reply is released through the
 //     store's effect queue, strictly after the records appended before it
-//     — with SyncGroup that is group commit: one fsync covers everything
-//     queued while the previous fsync was in flight.
+//     — group commit: one fsync covers everything queued while the
+//     previous fsync was in flight.
 //
 // At each stable checkpoint the snapshot file (which carries the session
 // table, so client dedup state needs no WAL records of its own) is written
@@ -38,11 +37,6 @@ import (
 // Recovery is local: restore the snapshot, replay the decisions after it
 // in slot order through the normal apply path, and seed the in-flight
 // consensus instances with their pre-crash vote state.
-
-// Durability configuration errors.
-var (
-	errSnapshotNoCheckpointing = errors.New("smr: data directory holds a checkpoint snapshot but CheckpointInterval is 0")
-)
 
 // sendEnvLocked ships an encoded envelope to one peer, durably gated: with
 // storage, the send waits until everything appended to the WAL so far is
@@ -203,9 +197,6 @@ func (r *Replica) recoverFromStore() error {
 	defer func() { r.recovering = false }()
 
 	if rec.HasSnapshot {
-		if r.interval == 0 {
-			return errSnapshotNoCheckpointing
-		}
 		// Belt and braces: the files are the replica's own, but a damaged
 		// or mixed-up data directory must fail loudly, not corrupt state.
 		if !rec.SnapshotCert.Verify(r.logVerifier, r.th) {
@@ -219,7 +210,7 @@ func (r *Replica) recoverFromStore() error {
 		if err != nil {
 			return fmt.Errorf("smr: recovered snapshot: %w", err)
 		}
-		if err := r.snapshotter.Restore(app); err != nil {
+		if err := r.cfg.App.Restore(app); err != nil {
 			return fmt.Errorf("smr: restoring recovered snapshot: %w", err)
 		}
 		r.sessions = sessions
@@ -245,7 +236,7 @@ func (r *Replica) recoverFromStore() error {
 		r.certs[s] = cc.Clone()
 	}
 	for s, vs := range rec.Votes {
-		if s < r.applyPtr || len(vs.Acks) == 0 && vs.Cert == nil {
+		if s < r.applyPtr || len(vs.Acks) == 0 {
 			continue
 		}
 		if _, dec := r.decided[s]; dec {
@@ -297,7 +288,6 @@ func (r *Replica) restoreSlotVoteLocked(s uint64, sl *slot, vs *storage.VoteStat
 		last := vs.Acks[n-1]
 		vr = msg.VoteRecord{Value: last.X, View: last.View, Cert: last.Cert, Tau: last.Tau}
 	}
-	vr.CC = vs.Cert
 	sl.proc.Replica().RestoreVoteState(acks, &vr)
 	sl.ackLog = vs.Acks // carried forward so WAL truncation keeps re-encoding them
 	delete(r.restoredVotes, s)
@@ -342,9 +332,6 @@ func (r *Replica) liveRecordsLocked() [][]byte {
 		if vs, ok := r.restoredVotes[s]; ok {
 			for _, p := range vs.Acks {
 				live = append(live, storage.EncodeVote(s, p))
-			}
-			if vs.Cert != nil {
-				live = append(live, storage.EncodeCert(s, vs.Cert))
 			}
 		}
 		if d, ok := r.decided[s]; ok {

@@ -213,7 +213,7 @@ func TestDurableRecoveredLeaderReproposesAdoptedValue(t *testing.T) {
 // given slot (peeked through a read-only scan in a throwaway open).
 func hasVoteOnDisk(t *testing.T, dir string, slot uint64) bool {
 	t.Helper()
-	st, err := storage.Open(storage.Config{Dir: dir, Mode: storage.SyncNone})
+	st, err := storage.Open(storage.Config{Dir: dir})
 	if err != nil {
 		return false
 	}

@@ -75,10 +75,7 @@ type KVStore struct {
 	applied uint64
 }
 
-var (
-	_ App         = (*KVStore)(nil)
-	_ Snapshotter = (*KVStore)(nil)
-)
+var _ App = (*KVStore)(nil)
 
 // NewKVStore returns an empty store.
 func NewKVStore() *KVStore {
@@ -131,7 +128,7 @@ func (kv *KVStore) AppliedOps() uint64 {
 	return kv.applied
 }
 
-// Snapshot implements Snapshotter. Keys are emitted in sorted order so that
+// Snapshot implements App. Keys are emitted in sorted order so that
 // replicas with identical logical state produce byte-identical snapshots, as
 // checkpoint certification requires.
 func (kv *KVStore) Snapshot() []byte {
@@ -154,7 +151,7 @@ func (kv *KVStore) Snapshot() []byte {
 	return w.Bytes()
 }
 
-// Restore implements Snapshotter, replacing the store contents.
+// Restore implements App, replacing the store contents.
 func (kv *KVStore) Restore(data []byte) error {
 	r := wire.NewReader(data)
 	applied := r.Uvarint()

@@ -73,7 +73,7 @@ const syncSlot = ^uint64(0) - 1
 // instances and are unbundled into per-slot deliveries by the receiver.
 const viewSlot = ^uint64(0) - 2
 
-// App consumes decided commands in slot order.
+// App consumes decided commands in slot order and checkpoints its state.
 type App interface {
 	// Apply executes one decided command and returns its result. Empty
 	// commands (no-ops) are not passed to the application. The result is
@@ -81,6 +81,13 @@ type App interface {
 	// retransmissions, so it must be a deterministic function of the
 	// replicated state and the command; nil is a valid result.
 	Apply(slot uint64, cmd Command) []byte
+	// Snapshot serializes the full application state. It must be
+	// deterministic: two replicas that applied the same command sequence
+	// must produce byte-identical snapshots, because the snapshot digest is
+	// what checkpoint quorums certify (see checkpoint.go).
+	Snapshot() []byte
+	// Restore replaces the application state with a decoded snapshot.
+	Restore(data []byte) error
 }
 
 // CommitFunc observes every decided slot (including no-ops), after the
@@ -124,12 +131,11 @@ type Config struct {
 	// MaxBatch is the maximum number of pending commands a leader packs
 	// into one proposal (default 1, i.e. no batching).
 	MaxBatch int
-	// CheckpointInterval, when positive, enables checkpointing and state
-	// transfer: every CheckpointInterval applied slots the replica emits a
-	// signed checkpoint, and a quorum-certified checkpoint prunes all
-	// per-slot state it covers (see checkpoint.go). Requires App to
-	// implement Snapshotter. Zero disables checkpointing: the log grows
-	// without bound, as in the bare protocol.
+	// CheckpointInterval is the checkpoint period (default 128): every
+	// CheckpointInterval applied slots the replica emits a signed
+	// checkpoint, and a quorum-certified checkpoint prunes all per-slot
+	// state it covers and serves state transfer to lagging replicas (see
+	// checkpoint.go, statetransfer.go).
 	CheckpointInterval uint64
 	// Storage, when non-nil, makes the replica durable (see durable.go):
 	// adopted votes are WAL-appended before their acks leave the process,
@@ -139,7 +145,6 @@ type Config struct {
 	// construction — including the vote state of in-flight slots, so a
 	// recovered replica never equivocates against its own earlier acks.
 	// The replica takes ownership of the store and closes it on Close.
-	// Pair it with CheckpointInterval > 0, or the WAL grows without bound.
 	Storage *storage.Store
 	// Group is this replica's consensus-group number (see internal/group).
 	// It is the replica's whole addressing and signing context: every
@@ -201,11 +206,10 @@ type Stats struct {
 
 // Replica is one member of the replicated state machine.
 type Replica struct {
-	cfg         Config
-	th          quorum.Thresholds
-	interval    uint64         // cfg.CheckpointInterval (0 = disabled)
-	snapshotter Snapshotter    // non-nil iff interval > 0
-	store       *storage.Store // cfg.Storage (nil = in-memory replica)
+	cfg      Config
+	th       quorum.Thresholds
+	interval uint64         // cfg.CheckpointInterval
+	store    *storage.Store // cfg.Storage (nil = in-memory replica)
 	// logSigner and logVerifier are the signature scheme bound to the
 	// group's log-wide domain (checkpoints; see logDomain).
 	logSigner   sigcrypto.Signer
@@ -318,22 +322,17 @@ func NewReplica(cfg Config) (*Replica, error) {
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = 1
 	}
+	if cfg.CheckpointInterval == 0 {
+		cfg.CheckpointInterval = 128
+	}
 	if cfg.Clock == nil {
 		cfg.Clock = node.Wall
-	}
-	var snapper Snapshotter
-	if cfg.CheckpointInterval > 0 {
-		var ok bool
-		if snapper, ok = cfg.App.(Snapshotter); !ok {
-			return nil, errors.New("smr: CheckpointInterval requires App to implement Snapshotter")
-		}
 	}
 	r := &Replica{
 		cfg:           cfg,
 		start:         cfg.Clock.Now(),
 		th:            quorum.New(cfg.Cluster),
 		interval:      cfg.CheckpointInterval,
-		snapshotter:   snapper,
 		store:         cfg.Storage,
 		logSigner:     domainSigner{inner: cfg.Signer, salt: logDomain(cfg.Group)},
 		logVerifier:   domainVerifier{inner: cfg.Verifier, salt: logDomain(cfg.Group)},
@@ -834,7 +833,7 @@ func (r *Replica) onSyncLocked(from types.ProcessID, m msg.Message) {
 // decision, so the certificate may only be available a beat later). The
 // certificates authenticate tail decisions during state transfer.
 func (r *Replica) captureCertLocked(s uint64, sl *slot) {
-	if r.interval == 0 || r.certs[s] != nil {
+	if r.certs[s] != nil {
 		return
 	}
 	if _, decided := r.decided[s]; !decided {

@@ -62,7 +62,7 @@ const fetchRetryCooldown = time.Second
 // feeds the state-sync loop, rate-limited so that a burst of evidence
 // produces one fetch. The caller holds r.mu.
 func (r *Replica) noteBehindLocked(evidence uint64, from types.ProcessID) {
-	if r.interval == 0 || from == r.cfg.Self {
+	if from == r.cfg.Self {
 		return
 	}
 	if evidence > r.fetchEv {
@@ -133,9 +133,6 @@ func (r *Replica) onFetchRetry() {
 // response for a 2-byte request is an amplification lever a Byzantine peer
 // must not be able to pull at line rate. The caller holds r.mu.
 func (r *Replica) onFetchStateLocked(from types.ProcessID, m *msg.FetchState) {
-	if r.interval == 0 {
-		return
-	}
 	now := r.cfg.Clock.Now()
 	if now.Sub(r.serveTime[from]) < fetchRetryCooldown/2 {
 		return // the honest retry cadence is fetchRetryCooldown
@@ -223,7 +220,7 @@ type chunkAssembly struct {
 // buffer anything — and the completed snapshot is accepted only if its
 // SHA-256 digest matches that certificate. The caller holds r.mu.
 func (r *Replica) onSnapshotChunkLocked(m *msg.SnapshotChunk) {
-	if r.interval == 0 || r.fetchAt == 0 {
+	if r.fetchAt == 0 {
 		return
 	}
 	if m.Cert.CP.Slot < r.applyPtr {
@@ -286,9 +283,6 @@ func commitCertSize(cc *msg.CommitCert) int {
 // onStateSnapshotLocked verifies and applies a state-transfer response. The
 // caller holds r.mu.
 func (r *Replica) onStateSnapshotLocked(from types.ProcessID, m *msg.StateSnapshot) {
-	if r.interval == 0 {
-		return
-	}
 	// Accept snapshots only while a fetch is outstanding, and never more
 	// tail entries than a response may carry: signature verification is
 	// expensive and runs under r.mu, so unsolicited frames stuffed with
@@ -352,7 +346,7 @@ func (r *Replica) restoreLocked(cert *msg.CheckpointCert, snap []byte) {
 	if err != nil {
 		return // certified digest but malformed layout: not a correct snapshot
 	}
-	if err := r.snapshotter.Restore(app); err != nil {
+	if err := r.cfg.App.Restore(app); err != nil {
 		return
 	}
 	r.sessions = sessions

@@ -43,9 +43,9 @@ func testCheckpointCert(slot uint64, hash string) *msg.CheckpointCert {
 	}
 }
 
-func openStore(t *testing.T, dir string, mode SyncMode) *Store {
+func openStore(t *testing.T, dir string) *Store {
 	t.Helper()
-	s, err := Open(Config{Dir: dir, Mode: mode})
+	s, err := Open(Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestRecordRoundTrip(t *testing.T) {
 // close, reopen, and find everything folded by slot.
 func TestStoreRecoversAppendedRecords(t *testing.T) {
 	dir := t.TempDir()
-	s := openStore(t, dir, SyncGroup)
+	s := openStore(t, dir)
 	s.Append(EncodeVote(1, testVote(1, "a")))
 	s.Append(EncodeVote(1, testVote(2, "b"))) // later view supersedes
 	s.Append(EncodeDecision(1, types.Decision{Value: types.Value("b"), View: 2, Path: types.SlowPath}))
@@ -99,7 +99,7 @@ func TestStoreRecoversAppendedRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s = openStore(t, dir, SyncGroup)
+	s = openStore(t, dir)
 	defer func() { _ = s.Close() }()
 	rec := s.Recovered()
 	if rec.HasSnapshot {
@@ -124,7 +124,7 @@ func TestStoreRecoversAppendedRecords(t *testing.T) {
 // queue order, each only after the records before it were written.
 func TestEffectsRunInOrderAfterRecords(t *testing.T) {
 	dir := t.TempDir()
-	s := openStore(t, dir, SyncGroup)
+	s := openStore(t, dir)
 	defer func() { _ = s.Close() }()
 
 	var mu sync.Mutex
@@ -156,7 +156,7 @@ func TestEffectsRunInOrderAfterRecords(t *testing.T) {
 // older snapshots; recovery then starts from the snapshot.
 func TestCheckpointTruncatesWALAndPrunesSnapshots(t *testing.T) {
 	dir := t.TempDir()
-	s := openStore(t, dir, SyncGroup)
+	s := openStore(t, dir)
 	for slot := uint64(0); slot < 8; slot++ {
 		s.Append(EncodeDecision(slot, types.Decision{Value: types.Value("v"), View: 1, Path: types.FastPath}))
 	}
@@ -176,7 +176,7 @@ func TestCheckpointTruncatesWALAndPrunesSnapshots(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, snapName(3))); !os.IsNotExist(err) {
 		t.Fatal("old snapshot not pruned")
 	}
-	s = openStore(t, dir, SyncGroup)
+	s = openStore(t, dir)
 	defer func() { _ = s.Close() }()
 	rec := s.Recovered()
 	if !rec.HasSnapshot || rec.SnapshotSlot != 5 || !bytes.Equal(rec.Snapshot, []byte("snap-5")) {
@@ -229,7 +229,7 @@ func TestTornWriteRecovery(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(dir, walName), contents, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		s := openStore(t, dir, SyncGroup)
+		s := openStore(t, dir)
 		rec := s.Recovered()
 		got := len(rec.Decisions)
 		for _, vs := range rec.Votes {
@@ -257,7 +257,7 @@ func TestTornWriteRecovery(t *testing.T) {
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
-		s2 := openStore(t, dir, SyncGroup)
+		s2 := openStore(t, dir)
 		if vs := s2.Recovered().Votes[9]; vs == nil || len(vs.Acks) != 1 {
 			t.Fatalf("%s: append after torn-tail recovery lost", label)
 		}
@@ -315,7 +315,7 @@ func TestValidCRCBadRecordStopsScan(t *testing.T) {
 // must never run afterwards.
 func TestAbortDropsPendingEffects(t *testing.T) {
 	dir := t.TempDir()
-	s := openStore(t, dir, SyncGroup)
+	s := openStore(t, dir)
 	var mu sync.Mutex
 	ran := 0
 	for i := 0; i < 100; i++ {
@@ -343,43 +343,41 @@ func TestAbortDropsPendingEffects(t *testing.T) {
 	mu.Unlock()
 
 	// The store reopens cleanly regardless of where the cut landed.
-	s2 := openStore(t, dir, SyncGroup)
+	s2 := openStore(t, dir)
 	_ = s2.Close()
 }
 
-// TestParseSyncMode pins the accepted spellings.
+// TestParseSyncMode pins the accepted spellings: group commit is the only
+// mode, and the retired "none" and "always" are rejected, not mapped to it.
 func TestParseSyncMode(t *testing.T) {
-	for in, want := range map[string]SyncMode{
-		"": SyncGroup, "group": SyncGroup, "none": SyncNone, "always": SyncAlways,
-	} {
-		got, err := ParseSyncMode(in)
-		if err != nil || got != want {
+	for _, in := range []string{"", "group"} {
+		if got, err := ParseSyncMode(in); err != nil || got != SyncGroup {
 			t.Fatalf("ParseSyncMode(%q) = %v, %v", in, got, err)
 		}
 	}
-	if _, err := ParseSyncMode("fsync"); err == nil {
-		t.Fatal("expected error for unknown mode")
+	for _, in := range []string{"none", "always", "fsync"} {
+		if _, err := ParseSyncMode(in); err == nil {
+			t.Fatalf("ParseSyncMode(%q) accepted", in)
+		}
 	}
 }
 
-// TestSyncModesAllDurable: every mode survives a graceful close/reopen
-// (they differ in power-failure guarantees, not in process-exit ones).
+// TestSyncModesAllDurable: records appended without effects (which trigger
+// no fsync of their own) survive a graceful close/reopen — Close syncs them.
 func TestSyncModesAllDurable(t *testing.T) {
-	for _, mode := range []SyncMode{SyncNone, SyncGroup, SyncAlways} {
-		t.Run(mode.String(), func(t *testing.T) {
-			dir := t.TempDir()
-			s := openStore(t, dir, mode)
-			for i := uint64(0); i < 5; i++ {
-				s.Append(EncodeDecision(i, types.Decision{Value: types.Value("v"), View: 1, Path: types.FastPath}))
-			}
-			if err := s.Close(); err != nil {
-				t.Fatal(err)
-			}
-			s2 := openStore(t, dir, mode)
-			if got := len(s2.Recovered().Decisions); got != 5 {
-				t.Fatalf("mode %s: recovered %d decisions, want 5", mode, got)
-			}
-			_ = s2.Close()
-		})
-	}
+	t.Run("group", func(t *testing.T) {
+		dir := t.TempDir()
+		s := openStore(t, dir)
+		for i := uint64(0); i < 5; i++ {
+			s.Append(EncodeDecision(i, types.Decision{Value: types.Value("v"), View: 1, Path: types.FastPath}))
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		s2 := openStore(t, dir)
+		if got := len(s2.Recovered().Decisions); got != 5 {
+			t.Fatalf("recovered %d decisions, want 5", got)
+		}
+		_ = s2.Close()
+	})
 }

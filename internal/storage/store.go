@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/msg"
@@ -14,49 +13,24 @@ import (
 	"repro/internal/types"
 )
 
-// SyncMode selects how aggressively the WAL is fsync'd.
+// SyncMode names the WAL fsync policy. Group commit is the only one: a
+// replica that acks a vote it has not fsynced could lose it in a power cut
+// and then equivocate. The type, ParseSyncMode and Config.Mode remain
+// because the repository benchmark (benchmark/) compiles against them.
 type SyncMode int
 
-const (
-	// SyncGroup is group commit (the default): all records queued while
-	// the previous fsync was in flight are written and synced together —
-	// one fsync amortized over the whole batch. Effects (outgoing
-	// messages, client replies) are released after their batch is durable.
-	SyncGroup SyncMode = iota
-	// SyncNone never fsyncs: records are written to the OS (so they
-	// survive a killed process) but not forced to disk (lost on power
-	// failure or OS crash).
-	SyncNone
-	// SyncAlways fsyncs after every single record — no amortization, the
-	// strictest and slowest setting.
-	SyncAlways
-)
+// SyncGroup is group commit: all records queued while the previous fsync was
+// in flight are written and synced together — one fsync amortized over the
+// whole batch. Effects (outgoing messages, client replies) are released after
+// their batch is durable.
+const SyncGroup SyncMode = 0
 
-func (m SyncMode) String() string {
-	switch m {
-	case SyncNone:
-		return "none"
-	case SyncGroup:
-		return "group"
-	case SyncAlways:
-		return "always"
-	default:
-		return fmt.Sprintf("syncmode(%d)", int(m))
-	}
-}
-
-// ParseSyncMode parses "none", "group", or "always" ("" means group).
+// ParseSyncMode parses a sync-mode name: "group", or "" for the same.
 func ParseSyncMode(s string) (SyncMode, error) {
-	switch s {
-	case "", "group":
-		return SyncGroup, nil
-	case "none":
-		return SyncNone, nil
-	case "always":
-		return SyncAlways, nil
-	default:
-		return SyncGroup, fmt.Errorf("storage: unknown sync mode %q (want none, group, or always)", s)
+	if s != "" && s != "group" {
+		return SyncGroup, fmt.Errorf("storage: unknown sync mode %q (group commit is the only mode)", s)
 	}
+	return SyncGroup, nil
 }
 
 // walName is the write-ahead log file inside a data directory (prefixed by
@@ -68,7 +42,7 @@ type Config struct {
 	// Dir is the replica's data directory (created if missing). One
 	// directory belongs to exactly one replica process.
 	Dir string
-	// Mode is the fsync policy (default SyncGroup).
+	// Mode is the fsync policy; SyncGroup, the only one, is the zero value.
 	Mode SyncMode
 	// Namespace prefixes every file the store touches (WAL, snapshots,
 	// temporaries), so several stores — one per consensus group of a
@@ -79,7 +53,7 @@ type Config struct {
 	// Metrics, when set, exports the store's counters and fsync-latency
 	// histogram under MetricsLabels (typically {group: "<k>"}). The store
 	// counts either way — a nil registry hands out live, unexported
-	// metrics — so Stats() is always torn-free.
+	// metrics.
 	Metrics *obs.Registry
 	// MetricsLabels are the constant labels of this store's series.
 	MetricsLabels obs.Labels
@@ -89,12 +63,10 @@ type Config struct {
 }
 
 // VoteState is the recovered vote state of one log slot: every adopted-vote
-// record persisted for the slot (oldest first — the last entry is the
-// latest adopted proposal) plus the slot's commit certificate, if one was
-// persisted before the crash.
+// record persisted for the slot, oldest first — the last entry is the latest
+// adopted proposal.
 type VoteState struct {
 	Acks []*msg.Propose
-	Cert *msg.CommitCert
 }
 
 // RecoveredState is everything Open reconstructed from disk: the newest
@@ -158,10 +130,9 @@ type checkpointOp struct {
 // a single flusher goroutine writes, fsyncs, and releases effects in that
 // order.
 type Store struct {
-	dir  string
-	ns   string
-	mode SyncMode
-	rec  *RecoveredState
+	dir string
+	ns  string
+	rec *RecoveredState
 
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -185,26 +156,20 @@ type Store struct {
 	writeSeq   uint64
 	syncedSeq  uint64
 
-	// Counters behind Stats(), registry-backed and atomic (reads are never
-	// torn, even against the flusher and syncer goroutines). recsWritten /
+	// Registry-backed counters (see Config.Metrics). recsWritten /
 	// recsSynced track records covered per fsync for the coalescing
 	// histogram; they are writer/syncer-stage values guarded by s.mu.
-	mRecords     *obs.Counter
-	mBatches     *obs.Counter
-	mSyncs       *obs.Counter
-	mInline      *obs.Counter
-	mWALBytes    *obs.Counter
-	mFsyncLat    *obs.Histogram
-	mCoalesce    *obs.Histogram
-	statSyncTime atomic.Int64 // cumulative fsync nanoseconds
-	recsWritten  uint64
-	recsSynced   uint64
+	mRecords    *obs.Counter
+	mBatches    *obs.Counter
+	mSyncs      *obs.Counter
+	mInline     *obs.Counter
+	mWALBytes   *obs.Counter
+	mFsyncLat   *obs.Histogram
+	mCoalesce   *obs.Histogram
+	recsWritten uint64
+	recsSynced  uint64
 
 	lg *obs.Logger
-
-	// fileMu serializes WAL file writes between the flusher and the
-	// SyncNone inline fast path.
-	fileMu sync.Mutex
 }
 
 // Open creates or recovers a Store in cfg.Dir: it loads the newest valid
@@ -221,7 +186,6 @@ func Open(cfg Config) (*Store, error) {
 	s := &Store{
 		dir:        cfg.Dir,
 		ns:         cfg.Namespace,
-		mode:       cfg.Mode,
 		done:       make(chan struct{}),
 		syncCh:     make(chan syncReq, 1024),
 		syncerDone: make(chan struct{}),
@@ -322,34 +286,6 @@ func (s *Store) recover() error {
 // Recovered returns the state reconstructed at Open.
 func (s *Store) Recovered() *RecoveredState { return s.rec }
 
-// Dir returns the data directory.
-func (s *Store) Dir() string { return s.dir }
-
-// Namespace returns the file-name prefix this store owns within Dir.
-func (s *Store) Namespace() string { return s.ns }
-
-// Mode returns the fsync policy.
-func (s *Store) Mode() SyncMode { return s.mode }
-
-// Stats is a point-in-time snapshot of store counters: records appended,
-// flusher batches drained, fsyncs issued, and effects run inline (without
-// a queue hop).
-type Stats struct {
-	Records uint64
-	Batches uint64
-	Syncs   uint64
-	Inline  uint64
-	// SyncTime is the cumulative wall-clock time spent in WAL fsyncs.
-	SyncTime time.Duration
-}
-
-// Stats returns a snapshot of the store's counters. Every field is read
-// atomically — the snapshot is torn-free without taking the store's lock.
-func (s *Store) Stats() Stats {
-	return Stats{Records: s.mRecords.Load(), Batches: s.mBatches.Load(), Syncs: s.mSyncs.Load(),
-		Inline: s.mInline.Load(), SyncTime: time.Duration(s.statSyncTime.Load())}
-}
-
 // Err returns the sticky disk error, if any. Once a write or fsync fails
 // the store stops releasing effects — the replica goes quiet rather than
 // exposing state that is not durable.
@@ -363,11 +299,6 @@ func (s *Store) Err() error {
 // that must only run once the record is durable. Append never blocks on
 // an fsync; the flusher writes and fsyncs in the background and runs the
 // effects in queue order.
-//
-// SyncNone takes a fast path: the record promises only to survive a
-// killed process, so the write() lands inline (ordered before the
-// effects, keeping the vote-before-ack invariant under kill -9) and the
-// effects run immediately — no cross-goroutine hop at all.
 func (s *Store) Append(payload []byte, effects ...func()) {
 	frame := AppendFrame(nil, payload)
 	s.mu.Lock()
@@ -376,23 +307,6 @@ func (s *Store) Append(payload []byte, effects ...func()) {
 		return
 	}
 	s.mRecords.Inc()
-	if s.mode == SyncNone && len(s.queue) == 0 && !s.flushing && s.err == nil {
-		wal := s.wal
-		s.mInline.Inc()
-		s.mu.Unlock()
-		s.fileMu.Lock()
-		_, err := wal.Write(frame)
-		s.fileMu.Unlock()
-		s.mWALBytes.Add(uint64(len(frame)))
-		if err != nil {
-			s.fail(fmt.Errorf("storage: wal write: %w", err))
-			return
-		}
-		for _, f := range effects {
-			f()
-		}
-		return
-	}
 	s.queue = append(s.queue, op{frame: frame})
 	for _, f := range effects {
 		s.queue = append(s.queue, op{effect: f})
@@ -403,14 +317,13 @@ func (s *Store) Append(payload []byte, effects ...func()) {
 
 // busyLocked reports whether an effect must queue behind outstanding work:
 // queued ops, a drain in flight, effects awaiting the syncer or — unless the
-// effect is ordered-only — written records not yet covered by an fsync
-// (SyncNone never syncs, so bare writes do not count against it). The caller
-// holds s.mu.
+// effect is ordered-only — written records not yet covered by an fsync. The
+// caller holds s.mu.
 func (s *Store) busyLocked(ordered bool) bool {
 	if len(s.queue) > 0 || s.flushing || s.inSync > 0 {
 		return true
 	}
-	return !ordered && s.mode != SyncNone && s.writeSeq > s.syncedSeq
+	return !ordered && s.writeSeq > s.syncedSeq
 }
 
 // Effect schedules f to run once everything appended so far is durable.
@@ -458,15 +371,15 @@ func (s *Store) Checkpoint(cert *msg.CheckpointCert, snapshot []byte, live [][]b
 }
 
 // Barrier blocks until every op queued before the call has been processed
-// (written, effects run) and, when the mode syncs at all, until every
-// written record is fsync'd. It returns the sticky error, if any.
+// (written, effects run) and until every written record is fsync'd. It
+// returns the sticky error, if any.
 func (s *Store) Barrier() error {
 	s.mu.Lock()
 	for (len(s.queue) > 0 || s.flushing || s.inSync > 0) && !s.aborted {
 		s.cond.Wait()
 	}
 	err := s.err
-	mustSync := s.mode != SyncNone && s.writeSeq > s.syncedSeq && err == nil && !s.aborted
+	mustSync := s.writeSeq > s.syncedSeq && err == nil && !s.aborted
 	seq := s.writeSeq
 	wal := s.wal
 	s.mu.Unlock()
@@ -487,8 +400,8 @@ func (s *Store) Barrier() error {
 	return err
 }
 
-// Close drains the queue (remaining records are written, fsync'd per the
-// mode, and their effects run), stops the flusher, and closes the WAL.
+// Close drains the queue (remaining records are written and fsync'd, and
+// their effects run), stops the flusher, and closes the WAL.
 // Idempotent.
 func (s *Store) Close() error {
 	s.mu.Lock()
@@ -506,7 +419,7 @@ func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.wal != nil {
-		if s.mode != SyncNone && s.err == nil && !s.aborted {
+		if s.err == nil && !s.aborted {
 			_ = s.wal.Sync()
 		}
 		_ = s.wal.Close()
@@ -663,30 +576,18 @@ func (s *Store) processBatch(batch []op) {
 			}
 			j++
 		}
-		if s.mode == SyncAlways {
-			// No amortization: write and fsync record by record, in order,
-			// before any effect of the segment is handed over.
-			for k := i; k < j; k++ {
-				if batch[k].frame != nil {
-					s.write(batch[k].frame, 1)
-					s.syncNow()
-				}
-			}
-		} else if len(frames) > 0 {
+		if len(frames) > 0 {
 			s.write(frames, nrecs)
 		}
 		i = j
 		if len(effects) > 0 {
 			// Hand the effects to the syncer only when an fsync actually
-			// stands between them and the outside world: SyncNone never
-			// syncs, ordered-only segments need nothing but their place in
-			// line, and when the syncer is idle with nothing unsynced
-			// (SyncAlways after the per-record syncs above, SyncGroup in a
-			// quiet moment) the effects can run right here — saving a
-			// cross-goroutine hop on the latency chain.
+			// stands between them and the outside world: ordered-only
+			// segments need nothing but their place in line, and when the
+			// syncer is idle with nothing unsynced the effects can run right
+			// here — saving a cross-goroutine hop on the latency chain.
 			s.mu.Lock()
-			direct := s.mode == SyncNone ||
-				(s.inSync == 0 && (!durable || s.writeSeq == s.syncedSeq))
+			direct := s.inSync == 0 && (!durable || s.writeSeq == s.syncedSeq)
 			if !direct {
 				s.inSync++
 			}
@@ -707,7 +608,7 @@ func (s *Store) processBatch(batch []op) {
 func (s *Store) syncUpTo() {
 	s.mu.Lock()
 	seq := s.writeSeq
-	skip := s.mode == SyncNone || seq <= s.syncedSeq || s.err != nil || s.aborted
+	skip := seq <= s.syncedSeq || s.err != nil || s.aborted
 	wal := s.wal
 	s.mu.Unlock()
 	if skip || wal == nil {
@@ -731,7 +632,6 @@ func (s *Store) syncUpTo() {
 func (s *Store) recordSync(start time.Time) {
 	d := time.Since(start)
 	s.mSyncs.Inc()
-	s.statSyncTime.Add(d.Nanoseconds())
 	s.mFsyncLat.ObserveDuration(d)
 	s.mu.Lock()
 	covered := s.recsWritten - s.recsSynced
@@ -740,29 +640,6 @@ func (s *Store) recordSync(start time.Time) {
 	if covered > 0 {
 		s.mCoalesce.Observe(covered)
 	}
-}
-
-// syncNow fsyncs synchronously in the writer stage (SyncAlways only).
-func (s *Store) syncNow() {
-	s.mu.Lock()
-	seq := s.writeSeq
-	wal := s.wal
-	bad := s.err != nil || s.aborted
-	s.mu.Unlock()
-	if bad || wal == nil {
-		return
-	}
-	start := time.Now()
-	if err := wal.Sync(); err != nil {
-		s.fail(fmt.Errorf("storage: wal fsync: %w", err))
-		return
-	}
-	s.recordSync(start)
-	s.mu.Lock()
-	if s.syncedSeq < seq {
-		s.syncedSeq = seq
-	}
-	s.mu.Unlock()
 }
 
 // syncerBarrier waits until the syncer has processed every hand-off queued
@@ -783,10 +660,7 @@ func (s *Store) write(b []byte, nrecs uint64) {
 	if s.failed() || s.wal == nil {
 		return
 	}
-	s.fileMu.Lock()
-	_, err := s.wal.Write(b)
-	s.fileMu.Unlock()
-	if err != nil {
+	if _, err := s.wal.Write(b); err != nil {
 		s.fail(fmt.Errorf("storage: wal write: %w", err))
 		return
 	}

@@ -19,9 +19,9 @@
 // are re-derived by replaying decision records after it, so they need no
 // records of their own.
 //
-// Durability is paced by a SyncMode: SyncGroup (the default) implements
-// group commit — records queued while the previous fsync was in flight are
-// written and synced together, one fsync amortized over all of them — and
+// Durability is paced by group commit — records queued while the previous
+// fsync was in flight are written and synced together, one fsync amortized
+// over all of them — and
 // every externally visible effect (an outgoing message, a client reply) is
 // released only after the records it depends on are durable.
 //

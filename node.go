@@ -155,10 +155,10 @@ type KVReplicaConfig struct {
 	// HandleRequest's onReply it runs on one of the replica's own goroutines,
 	// outside its lock: it may call back into the replica and must not block.
 	OnCommit func(slot uint64, cmd []byte)
-	// CheckpointInterval, when positive, enables checkpointing: every
-	// CheckpointInterval applied slots the replica emits a signed
-	// checkpoint; a quorum-certified checkpoint prunes the log below it and
-	// serves state transfer to lagging replicas. Zero disables it.
+	// CheckpointInterval is the checkpoint period (zero means the replica
+	// default, 128): every CheckpointInterval applied slots the replica
+	// emits a signed checkpoint; a quorum-certified checkpoint prunes the
+	// log below it and serves state transfer to lagging replicas.
 	CheckpointInterval uint64
 	// DataDir, when non-empty, makes the replica durable: it keeps a
 	// CRC-framed, fsync'd write-ahead log (adopted votes persisted before
@@ -167,15 +167,14 @@ type KVReplicaConfig struct {
 	// directory, and recovers its pre-crash state from it at construction
 	// — a replica kill -9'd mid-window restarts from its data directory
 	// alone and rejoins consensus without equivocating against its own
-	// earlier votes. One directory belongs to exactly one replica. Pair it
-	// with CheckpointInterval > 0 so the log is truncated at every stable
-	// checkpoint. Empty keeps the replica purely in-memory.
+	// earlier votes. The WAL is truncated at every stable checkpoint. One
+	// directory belongs to exactly one replica. Empty keeps the replica
+	// purely in-memory.
 	DataDir string
-	// SyncMode is the WAL fsync policy when DataDir is set: "group" (the
-	// default — one fsync amortized over every record queued while the
-	// previous fsync was in flight), "always" (fsync per record), or
-	// "none" (OS-buffered writes only: survives a killed process, not a
-	// power failure).
+	// SyncMode names the WAL fsync policy when DataDir is set. Group commit
+	// (one fsync amortized over every record queued while the previous
+	// fsync was in flight) is the only policy: "" and "group" select it,
+	// anything else is an error.
 	SyncMode string
 	// Shards is the number of independent consensus groups the replica
 	// process hosts (default 1). The keyspace is hash-partitioned across
@@ -545,7 +544,7 @@ func (r *KVReplica) AppliedOps() uint64 {
 }
 
 // StableCheckpoint returns group 0's newest quorum-certified checkpoint, if
-// checkpointing is enabled and one has formed. (Each group checkpoints
+// one has formed. (Each group checkpoints
 // independently; group 0 is the representative the single-group API
 // exposes.)
 func (r *KVReplica) StableCheckpoint() (Checkpoint, bool) {

@@ -216,23 +216,18 @@ func key(v types.View, x types.Value) string {
 	return fmt.Sprintf("%d|%s", v, x)
 }
 
-// Init starts view 1.
-func (r *Replica) Init() []core.Action { return r.enterView(1) }
-
-// EnterView advances to view v (driven by the synchronizer).
+// EnterView advances to view v (driven by the synchronizer, the only way
+// into a view). Views never decrease and each is entered at most once, so a
+// process pre-prepares or prepares at most once per view.
 func (r *Replica) EnterView(v types.View) []core.Action {
 	if v <= r.view {
 		return nil
 	}
-	return r.enterView(v)
-}
-
-func (r *Replica) enterView(v types.View) []core.Action {
 	r.view = v
 	r.accepted = nil
 	r.leaderStates = nil
 	r.newViewSent = false
-	out := []core.Action{core.EnterViewAction{View: v}}
+	var out []core.Action
 
 	leader := types.Config{N: r.n}.Leader(v)
 	switch {
@@ -561,25 +556,23 @@ func (p *Process) View() types.View { return p.replica.View() }
 
 // Init implements core.Machine.
 func (p *Process) Init(now core.Time) []core.Action {
-	out := p.sync.Init(now)
-	actions := p.applySync(out, now)
-	return append(actions, p.replica.Init()...)
+	return p.applySync(p.sync.Init(now))
 }
 
 // Deliver implements core.Machine.
 func (p *Process) Deliver(from types.ProcessID, m msg.Message, now core.Time) []core.Action {
 	if w, ok := m.(*msg.Wish); ok {
-		return p.applySync(p.sync.OnWish(from, w.View, now), now)
+		return p.applySync(p.sync.OnWish(from, w.View, now))
 	}
 	return p.replica.Deliver(from, m)
 }
 
 // Tick implements core.Machine.
 func (p *Process) Tick(now core.Time) []core.Action {
-	return p.applySync(p.sync.OnTimeout(now), now)
+	return p.applySync(p.sync.OnTimeout(now))
 }
 
-func (p *Process) applySync(out viewsync.Output, now core.Time) []core.Action {
+func (p *Process) applySync(out viewsync.Output) []core.Action {
 	var actions []core.Action
 	if out.Wish != nil {
 		actions = append(actions, core.BroadcastAction{Msg: out.Wish})
@@ -590,6 +583,5 @@ func (p *Process) applySync(out viewsync.Output, now core.Time) []core.Action {
 	if out.Enter != 0 {
 		actions = append(actions, p.replica.EnterView(out.Enter)...)
 	}
-	_ = now
 	return actions
 }

@@ -62,11 +62,3 @@ type TimerAction struct {
 }
 
 func (TimerAction) isAction() {}
-
-// EnterViewAction reports that the process entered a new view. It carries
-// no obligation for the runtime; tracing and experiments consume it.
-type EnterViewAction struct {
-	View types.View
-}
-
-func (EnterViewAction) isAction() {}

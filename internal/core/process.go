@@ -38,11 +38,13 @@ func NewProcess(cfg types.Config, id types.ProcessID, signer sigcrypto.Signer, v
 func (p *Process) Replica() *Replica { return p.replica }
 
 // SetEnterHook registers fn to run synchronously right before the replica
-// enters a new view, with the view about to be entered. The hook runs before
-// any protocol step of the new view — in particular before the replica's own
-// vote is recorded and before buffered votes of that view are replayed — so
-// a runtime can refresh the replica's input (SetInput) in time for a free
-// selection, no matter how deliveries interleave.
+// enters a new view, with the view about to be entered. The synchronizer is
+// the only way into a view, so the hook runs once per view entered, view 1
+// included: it is the one place a runtime observes view entry. The hook runs
+// before any protocol step of the new view — in particular before the
+// replica's own vote is recorded and before buffered votes of that view are
+// replayed — so a runtime can refresh the replica's input (SetInput) in time
+// for a free selection, no matter how deliveries interleave.
 func (p *Process) SetEnterHook(fn func(types.View)) { p.enterHook = fn }
 
 // ID returns the process identifier.
@@ -56,29 +58,26 @@ func (p *Process) View() types.View { return p.replica.View() }
 
 // Init starts the process at time now: enter view 1 and arm the view timer.
 func (p *Process) Init(now Time) []Action {
-	out := p.sync.Init(now)
-	actions := p.applySync(out, now)
-	actions = append(actions, p.replica.Init()...)
-	return actions
+	return p.applySync(p.sync.Init(now))
 }
 
 // Deliver routes a message either to the view synchronizer (wishes) or to
 // the consensus replica (everything else).
 func (p *Process) Deliver(from types.ProcessID, m msg.Message, now Time) []Action {
 	if w, ok := m.(*msg.Wish); ok {
-		return p.applySync(p.sync.OnWish(from, w.View, now), now)
+		return p.applySync(p.sync.OnWish(from, w.View, now))
 	}
 	return p.replica.Deliver(from, m)
 }
 
 // Tick handles expiry of the view timer.
 func (p *Process) Tick(now Time) []Action {
-	return p.applySync(p.sync.OnTimeout(now), now)
+	return p.applySync(p.sync.OnTimeout(now))
 }
 
 // applySync converts a synchronizer output into runtime actions, entering
 // new views on the replica as needed.
-func (p *Process) applySync(out viewsync.Output, now Time) []Action {
+func (p *Process) applySync(out viewsync.Output) []Action {
 	var actions []Action
 	if out.Wish != nil {
 		actions = append(actions, BroadcastAction{Msg: out.Wish})
@@ -92,6 +91,5 @@ func (p *Process) applySync(out viewsync.Output, now Time) []Action {
 		}
 		actions = append(actions, p.replica.EnterView(out.Enter)...)
 	}
-	_ = now
 	return actions
 }

@@ -98,7 +98,7 @@ type Replica struct {
 }
 
 // NewReplica creates the state machine of process id with the given input
-// value. Call Init to start view 1.
+// value. It starts in no view; EnterView(1) starts view 1.
 func NewReplica(cfg types.Config, id types.ProcessID, signer sigcrypto.Signer, verifier sigcrypto.Verifier, input types.Value) (*Replica, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrInvalidConfig, err)
@@ -182,10 +182,10 @@ func (r *Replica) CurrentVote() msg.VoteRecord {
 }
 
 // RestoreVoteState seeds a recovering replica with the vote state its
-// pre-crash incarnation persisted, and must be called before Init. acks
-// maps every view the process acked in to the value it acked (the
-// equivocation guard: in those views only the identical value is ever
-// acked again). adopted, when non-nil and not the nil vote, re-adopts the
+// pre-crash incarnation persisted, and must be called before the replica
+// enters view 1. acks maps every view the process acked in to the value it
+// acked (the equivocation guard: in those views only the identical value is
+// ever acked again). adopted, when non-nil and not the nil vote, re-adopts the
 // pre-crash vote record (x, u, σ, τ) so the recovered process's votes in
 // future view changes still carry it — the extended paper's assumption
 // that processes remember their adopted votes across steps, which only
@@ -211,27 +211,25 @@ func (r *Replica) RestoreVoteState(acks map[types.View]types.Value, adopted *msg
 	}
 }
 
-// Init starts the protocol: every process begins in view 1, and leader(1)
-// immediately proposes its input (Section 3).
-func (r *Replica) Init() []Action {
-	return r.enterView(1)
-}
+// Init enters view 1: it is EnterView(1), for callers that drive a bare
+// Replica without a view synchronizer. A Process enters view 1 through its
+// synchronizer and never calls it.
+func (r *Replica) Init() []Action { return r.EnterView(1) }
 
-// EnterView advances the replica to view v (driven by the view
-// synchronizer). Views never decrease; stale requests are ignored.
+// EnterView advances the replica to view v — driven by the view
+// synchronizer, the only way into a view — and takes the view's first
+// step: leader(1) proposes its input (Section 3), a later view's leader
+// starts the view change, and every other process sends it its vote. Views
+// never decrease and each is entered at most once (a v at or below the
+// current view is ignored), so a process acks at most one value per view.
 func (r *Replica) EnterView(v types.View) []Action {
 	if v <= r.view {
 		return nil
 	}
-	return r.enterView(v)
-}
-
-func (r *Replica) enterView(v types.View) []Action {
 	r.view = v
 	r.acked = false
 	r.leader = nil
 	var out []Action
-	out = append(out, EnterViewAction{View: v})
 
 	leader := r.cfg.Leader(v)
 	switch {

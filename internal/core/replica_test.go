@@ -15,7 +15,7 @@ func (f *fixture) newReplica(t *testing.T, id types.ProcessID, input types.Value
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.Init()
+	r.EnterView(1)
 	return r
 }
 
@@ -64,9 +64,9 @@ func TestLeaderProposesOwnInputInViewOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	actions := r.Init()
+	actions := r.EnterView(1)
 	if countKind(actions, msg.KindPropose) != 1 {
-		t.Fatal("view-1 leader must propose at Init")
+		t.Fatal("view-1 leader must propose on entering view 1")
 	}
 	// The leader adopts and acknowledges its own proposal.
 	if countKind(actions, msg.KindAck) != 1 || countKind(actions, msg.KindAckSig) != 1 {
@@ -422,13 +422,13 @@ func TestRestoreVoteStateBlocksEquivocation(t *testing.T) {
 	}
 	persisted := r1.CurrentVote()
 
-	// Post-crash incarnation, restored before Init.
+	// Post-crash incarnation, restored before it enters view 1.
 	r2, err := core.NewReplica(f.cfg, follower, f.scheme.Signer(follower), f.verifier(), types.Value("own-input"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	r2.RestoreVoteState(map[types.View]types.Value{1: x}, &persisted)
-	r2.Init()
+	r2.EnterView(1)
 
 	// The adopted vote survives the crash: the recovered replica's vote in
 	// a future view change still carries (x, 1).
@@ -480,7 +480,7 @@ func TestReplicaFollowsShiftedLeaderSchedule(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if proposed := countKind(r.Init(), msg.KindPropose) > 0; proposed != (id == leader1) {
+		if proposed := countKind(r.EnterView(1), msg.KindPropose) > 0; proposed != (id == leader1) {
 			t.Fatalf("%s proposed in view 1: %v", id, proposed)
 		}
 	}

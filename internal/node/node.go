@@ -133,8 +133,6 @@ func (r *Runner) apply(actions []core.Action) {
 				d := act.Decision
 				r.mu.Post(func() { r.decide(d) })
 			}
-		case core.EnterViewAction:
-			// Observability only.
 		}
 	}
 }

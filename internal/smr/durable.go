@@ -274,10 +274,10 @@ func (r *Replica) resumeRestoredSlotsLocked() {
 }
 
 // restoreSlotVoteLocked seeds a restarting instance with its pre-crash
-// vote state and returns the input value the instance should propose if it
-// leads: the latest adopted value, so a recovered leader re-proposes what
-// it already signed rather than equivocating with a fresh chunk. The
-// caller holds r.mu; called between core.NewProcess and Init.
+// vote state (startSlotLocked makes the latest adopted value its input, so
+// a recovered leader re-proposes what it already signed rather than
+// equivocating with a fresh chunk). The caller holds r.mu; called between
+// core.NewProcess and the Process.Init that enters view 1.
 func (r *Replica) restoreSlotVoteLocked(s uint64, sl *slot, vs *storage.VoteState) {
 	acks := make(map[types.View]types.Value, len(vs.Acks))
 	for _, p := range vs.Acks {

@@ -59,19 +59,47 @@ func (res *scheduleResult) record(tag byte, at time.Duration, a, b, c uint64, x,
 	res.trace = append(append(append(res.trace, hdr[:n]...), x...), y...)
 }
 
+// frameKey identifies one protocol step's frame on one link: a process
+// enters each view of a slot once, so it proposes (as leader) and acks at
+// most once per (slot, view), and each such frame crosses a link once.
+type frameKey struct {
+	from, to types.ProcessID
+	slot     uint64
+	view     types.View
+	kind     msg.Kind
+}
+
 // runSchedule runs three closed-loop client sessions against a window-4
 // cluster under SeededDelay(seed, Δ) — with silent set, the view-1 leader is
 // dead from the start, so every slot decides through a view change — until
 // every live replica applied every request, and fails the test (naming the
-// seed) if that takes more than scheduleLimit of virtual time.
+// seed) if that takes more than scheduleLimit of virtual time, or as soon as
+// a Propose, Ack or AckSig crosses the same link twice for one slot and view.
 func runSchedule(t *testing.T, cfg types.Config, seed int64, silent bool) scheduleResult {
 	t.Helper()
 	var res scheduleResult
+	seen := make(map[frameKey]bool)
 	g := newSimGroup(t, cfg, seed, groupOpts{
 		jitter: scheduleDelta,
 		window: 4,
 		trace: func(ev sim.TraceEvent) {
 			res.record('m', ev.Time, uint64(ev.From), uint64(ev.To), 0, ev.Payload, nil)
+			_, s, inner, ok := openHeader(ev.Payload)
+			if !ok {
+				return
+			}
+			m, err := msg.Decode(inner)
+			if err != nil {
+				return
+			}
+			switch k := m.Kind(); k {
+			case msg.KindPropose, msg.KindAck, msg.KindAckSig:
+				key := frameKey{ev.From, ev.To, s, m.InView(), k}
+				if seen[key] {
+					t.Fatalf("seed %d: %s sent a second %s of slot %d, view %s, to %s", seed, ev.From, k, s, m.InView(), ev.To)
+				}
+				seen[key] = true
+			}
 		},
 	})
 	if silent {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/msg"
+	"repro/internal/obs"
 	"repro/internal/sigcrypto"
 	"repro/internal/sim"
 	"repro/internal/storage"
@@ -44,6 +45,7 @@ type simGroup struct {
 	reps   []*Replica
 	stores []*KVStore
 	logs   []*commitLog
+	regs   []*obs.Registry  // each replica's metrics (Config.Metrics)
 	dirs   []string         // durable groups only
 	disks  []*storage.Store // durable groups only
 }
@@ -59,6 +61,7 @@ func newSimGroup(t *testing.T, cfg types.Config, seed int64, opts groupOpts) *si
 		reps:   make([]*Replica, cfg.N),
 		stores: make([]*KVStore, cfg.N),
 		logs:   make([]*commitLog, cfg.N),
+		regs:   make([]*obs.Registry, cfg.N),
 	}
 	if opts.jitter > 0 {
 		g.net.SetPayloadFunc(sim.SeededDelay(seed, opts.jitter))
@@ -96,6 +99,7 @@ func (g *simGroup) build(p types.ProcessID) {
 	g.t.Helper()
 	g.stores[p] = NewKVStore()
 	g.logs[p] = &commitLog{}
+	g.regs[p] = obs.NewRegistry()
 	cfg := Config{
 		Cluster:            g.cfg,
 		Self:               p,
@@ -109,6 +113,7 @@ func (g *simGroup) build(p types.ProcessID) {
 		WindowSize:         g.opts.window,
 		MaxBatch:           g.opts.maxBatch,
 		CheckpointInterval: g.opts.interval,
+		Metrics:            g.regs[p],
 	}
 	if g.opts.durable {
 		disk, err := storage.Open(storage.Config{Dir: g.dirs[p], Mode: storage.SyncGroup})
@@ -144,6 +149,12 @@ func (g *simGroup) reboot(p types.ProcessID) *Replica {
 	g.net.Restart(p)
 	g.build(p)
 	return g.reps[p]
+}
+
+// viewChanges reads replica p's fastbft_view_changes_total from its registry.
+func (g *simGroup) viewChanges(p types.ProcessID) float64 {
+	v, _ := g.regs[p].Snapshot().Value("fastbft_view_changes_total", nil)
+	return v
 }
 
 // live calls fn for every replica that is currently up.

@@ -674,8 +674,10 @@ func (r *Replica) startSlotLocked(s uint64, lead bool) *slot {
 }
 
 // enterSlotViewLocked runs just before slot s enters view v (registered as
-// the instance's enter hook). When this replica leads the new view and the
-// instance carries nothing — no chunk proposed by this replica, nothing
+// the instance's enter hook, the one place the replica observes view
+// entry). Entering any view beyond the first means a leader was given up on,
+// and is counted. When this replica leads the new view and the instance
+// carries nothing — no chunk proposed by this replica, nothing
 // adopted in an earlier view — the leader grafts a fresh chunk of the
 // pending queue onto the instance. Under leader-driven fill, follower
 // instances open with a nil input; without this graft, a view change whose
@@ -685,7 +687,11 @@ func (r *Replica) startSlotLocked(s uint64, lead bool) *slot {
 // vote constrains. The caller holds r.mu (the hook fires inside
 // Deliver/Tick/Init, which always run under it).
 func (r *Replica) enterSlotViewLocked(s uint64, sl *slot, v types.View) {
-	if v <= 1 || r.cfg.Cluster.Leader(v) != r.cfg.Self {
+	if v <= 1 {
+		return
+	}
+	r.m.viewsTotal.Inc()
+	if r.cfg.Cluster.Leader(v) != r.cfg.Self {
 		return
 	}
 	if _, dec := r.decided[s]; dec {
@@ -1139,13 +1145,6 @@ func (r *Replica) applyActions(s uint64, sl *slot, actions []core.Action) {
 			// view, so coarser-grained fires are safe.
 		case core.DecideAction:
 			r.onDecideLocked(s, act.Decision)
-		case core.EnterViewAction:
-			// The input graft runs through the instance's enter hook (see
-			// enterSlotViewLocked); here the event is only counted — entering
-			// any view beyond the first means a leader was given up on.
-			if act.View >= 2 {
-				r.m.viewsTotal.Inc()
-			}
 		}
 	}
 }

@@ -46,6 +46,10 @@ func TestSMRReplicatesCommands(t *testing.T) {
 		if r.AppliedCount() != want {
 			t.Fatalf("replica %d applied %d slots, replica 0 applied %d", i, r.AppliedCount(), want)
 		}
+		// Fault-free, every slot decided in view 1: no view change counted.
+		if vc := g.viewChanges(types.ProcessID(i)); vc != 0 {
+			t.Fatalf("replica %d counted %v view changes in a fault-free run", i, vc)
+		}
 	}
 }
 

@@ -76,10 +76,22 @@ func TestSMROrphanSlotResolvesViaWindowedViewChange(t *testing.T) {
 	if d.View < 2 {
 		t.Fatalf("slot %d decided in view %d; the uninformed leader cannot have proposed it", warm, d.View)
 	}
-	for _, r := range reps {
+	entered := 0
+	for i, r := range reps {
 		if err := r.inflightInvariantErr(); err != nil {
 			t.Fatal(err)
 		}
+		// Every replica whose instance of the slot entered view 2 counted it
+		// (fastbft_view_changes_total, which the kv-failover gate reads).
+		if sl, ok := r.slots[warm]; ok && sl.proc.View() >= 2 {
+			entered++
+			if vc := g.viewChanges(types.ProcessID(i)); vc < 1 {
+				t.Fatalf("replica %d entered view %s of slot %d but counted %v view changes", i, sl.proc.View(), warm, vc)
+			}
+		}
+	}
+	if entered < cfg.N-cfg.F {
+		t.Fatalf("%d replicas hold slot %d in view ≥ 2, want at least n − f = %d", entered, warm, cfg.N-cfg.F)
 	}
 }
 

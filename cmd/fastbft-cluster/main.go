@@ -105,7 +105,6 @@ func run(args []string) error {
 	byzName := fs.String("byz", "", "corrupt one replica process with the named adversary (requires -procs); see docs/THREAT_MODEL.md. Known: garbage, equivocate")
 	leaderKill := fs.Bool("leaderkill", false, "kill -9 the view-1 leader process mid-workload and bound the recovery (requires -procs)")
 	shards := fs.Int("shards", 1, "consensus groups per replica process; keys are hash-partitioned and group leaders spread across processes")
-	metrics := fs.Bool("metrics", false, "give every replica process an HTTP introspection endpoint; the parent scrapes them mid-workload and cross-checks decided-slot counters at shutdown (requires -procs)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -141,13 +140,13 @@ func run(args []string) error {
 		// (its process slot would have to play honest); go straight to the
 		// adversarial multi-process phase.
 		fmt.Printf("byzantine: replica process %d runs the %q adversary\n", byzProcID, *byzName)
-		return runMultiProcess(cfg, *f, *t, *ops, *seed, *timeout, *byzName, false, 1, *metrics)
+		return runMultiProcess(cfg, *f, *t, *ops, *seed, *timeout, *byzName, false, 1)
 	}
 	if *leaderKill {
 		// The drill's whole point is losing the leader; skip the warm-up
 		// consensus round so the workload starts against a full cluster.
 		fmt.Printf("leaderkill: replica process %d (the view-1 leader) will be kill -9'd mid-workload\n", byzProcID)
-		return runMultiProcess(cfg, *f, *t, *ops, *seed, *timeout, "", true, 1, *metrics)
+		return runMultiProcess(cfg, *f, *t, *ops, *seed, *timeout, "", true, 1)
 	}
 
 	// Phase 1: single-shot consensus over TCP.
@@ -203,13 +202,14 @@ func run(args []string) error {
 	}
 
 	if *procs {
-		return runMultiProcess(cfg, *f, *t, *ops, *seed, *timeout, "", false, *shards, *metrics)
+		return runMultiProcess(cfg, *f, *t, *ops, *seed, *timeout, "", false, *shards)
 	}
 	return runSingleProcess(cfg, *ops, *shards)
 }
 
-// runSingleProcess is the original KV phase: every replica in this process,
-// driven through an in-process handle.
+// runSingleProcess is the in-process KV phase: every replica in this
+// process, driven by one closed-loop client session over in-process
+// handles.
 func runSingleProcess(cfg fastbft.Config, ops, shards int) error {
 	keys, err := fastbft.GenerateKeys(cfg.N)
 	if err != nil {
@@ -244,40 +244,31 @@ func runSingleProcess(cfg fastbft.Config, ops, shards int) error {
 			return err
 		}
 	}
+	cl, err := fastbft.NewKVClient("cluster-client", 0, reps...)
+	if err != nil {
+		return err
+	}
+	defer func() { _ = cl.Close() }()
+	// A write that never confirms is retransmitted forever; closing the
+	// session at the deadline fails it instead.
+	watchdog := time.AfterFunc(2*time.Minute, func() { _ = cl.Close() })
+	defer watchdog.Stop()
 	start := time.Now()
 	for i := 0; i < ops; i++ {
-		if err := reps[0].Set(fmt.Sprintf("key-%d", i), fmt.Sprintf("value-%d", i)); err != nil {
-			return err
-		}
-	}
-	deadline := time.Now().Add(2 * time.Minute)
-	for {
-		done := true
-		for _, r := range reps {
-			if r.AppliedOps() < uint64(ops) {
-				done = false
-				break
-			}
-		}
-		if done {
-			break
-		}
-		if time.Now().After(deadline) {
+		key, val := fmt.Sprintf("key-%d", i), fmt.Sprintf("value-%d", i)
+		if res, err := cl.Set(key, val); err != nil || res != val {
 			// Name every replica: the stuck one is rarely the first.
 			per := make([]string, len(reps))
-			for i, r := range reps {
-				per[i] = fmt.Sprintf("replica %d applied %d (%d regime timeouts)",
-					i, r.AppliedOps(), r.Stats().RegimeTimeouts)
+			for p, r := range reps {
+				regime := r.Metrics().Snapshot().Sum("fastbft_regime_timeouts_total", nil)
+				per[p] = fmt.Sprintf("replica %d applied %d (%.0f regime timeouts)", p, r.AppliedOps(), regime)
 			}
-			return fmt.Errorf("kv timeout after %d ops: %s", ops, strings.Join(per, ", "))
+			return fmt.Errorf("kv write %d of %d confirmed %q (%v): %s", i, ops, res, err, strings.Join(per, ", "))
 		}
-		time.Sleep(time.Millisecond)
 	}
 	elapsed := time.Since(start)
-	fmt.Printf("kv store: %d replicated writes on %d replicas in %.2fs (%.0f ops/s)\n",
+	fmt.Printf("kv store: %d replicated writes on %d replicas, each confirmed by f+1 replicas, in %.2fs (%.0f ops/s)\n",
 		ops, cfg.N, elapsed.Seconds(), float64(ops)/elapsed.Seconds())
-	v, ok := reps[cfg.N-1].Get(fmt.Sprintf("key-%d", ops-1))
-	fmt.Printf("kv check: last key on last replica = %q (present=%v)\n", v, ok)
 	return nil
 }
 
@@ -302,10 +293,14 @@ const drillCkptInterval = 8
 const byzProcID = 1
 
 // byzGarbageSlots is how many log slots the "garbage" adversary drives to a
-// malformed decision. The correct replica processes report their
-// MalformedBatches counter on shutdown and the parent requires exactly this
-// many on every one of them.
+// malformed decision. The parent requires exactly this many on the
+// fastbft_malformed_batches_total series of every correct replica process.
 const byzGarbageSlots = 2
+
+// gateWait bounds how long the parent polls a replica process's metrics
+// endpoint for the drill's gates: decisions keep landing for a moment after
+// the client's last confirmation.
+const gateWait = 15 * time.Second
 
 // leaderKillRecoveryBound caps how long the cluster may take to confirm the
 // first write after the view-1 leader is kill -9'd. With the windowed view
@@ -327,25 +322,24 @@ const leaderKillRecoveryBound = 15 * time.Second
 // With byzName non-empty there is no crash drill — the fault budget is spent
 // on replica byzProcID, which runs the named adversary instead of an honest
 // replica. The workload then proves liveness under active Byzantine behavior
-// (every write still confirmed by f+1 correct replicas), and on shutdown the
-// parent collects each correct replica's STATS line and requires the
-// adversary's footprint (the MalformedBatches counter) to be exactly what the
-// attack dictates — evidence the malformed decisions were counted, logged,
-// and skipped rather than silently lost — plus at least one regime-timer
-// suspicion, evidence the workload really rode the windowed view change.
+// (every write still confirmed by f+1 correct replicas), and the parent
+// requires the adversary's footprint (the malformed-batch counter) to be
+// exactly what the attack dictates — evidence the malformed decisions were
+// counted, logged, and skipped rather than silently lost — plus at least one
+// regime-timer suspicion, evidence the workload really rode the windowed
+// view change.
 // With leaderKill set the drill instead kill -9's the view-1 leader process
 // (byzProcID — the leader of view 1 of every slot) a third of the way in,
-// never restarts it, times how long the next write takes to confirm, and
-// fails if recovery exceeds leaderKillRecoveryBound.
-// With metrics set every honest child additionally binds an HTTP
-// introspection endpoint: the parent scrapes each live child's JSON metrics
-// snapshot halfway through the workload (asserting the staged-latency
+// never restarts it, times how long the next write takes to confirm, fails
+// if recovery exceeds leaderKillRecoveryBound, and requires a regime
+// suspicion on every survivor.
+// Every honest child binds an HTTP introspection endpoint, the parent's
+// only view of its counters: halfway through the workload the parent
+// scrapes each live child's JSON snapshot (asserting the staged-latency
 // histograms, fsync/coalescing instruments, per-kind message counters, and
-// view-change counters are really being populated), and on shutdown each
-// child re-scrapes itself and reports a METRICS line the parent checks for
-// agreement between the endpoint's decided-slot counters and the replica's
-// own Stats.
-func runMultiProcess(cfg fastbft.Config, f, t, ops int, seed int64, timeout time.Duration, byzName string, leaderKill bool, shards int, metrics bool) error {
+// view-change counters are really being populated), and at the end it polls
+// each live child's snapshot for the drill's gates (see awaitGates).
+func runMultiProcess(cfg fastbft.Config, f, t, ops int, seed int64, timeout time.Duration, byzName string, leaderKill bool, shards int) error {
 	exe, err := os.Executable()
 	if err != nil {
 		return err
@@ -390,34 +384,14 @@ func runMultiProcess(cfg fastbft.Config, f, t, ops int, seed int64, timeout time
 			"-datadir", filepath.Join(dataRoot, fmt.Sprintf("replica-%d", i)),
 			"-shards", strconv.Itoa(shards),
 		}
-		if metrics && !(byzName != "" && i == byzProcID) {
-			// The adversary child has no replica (and so no registry); every
-			// honest child binds an ephemeral introspection endpoint.
-			cargs = append(cargs, "-metricsaddr", "127.0.0.1:0")
-		}
-		if byzName != "" {
-			if i == byzProcID {
-				cargs = append(cargs, "-byz", byzName)
-			} else {
-				// Correct replicas report the adversary's footprint on
-				// shutdown. The corrupted view-1 leader never proposes
-				// honestly, so client commands ride the windowed view
-				// change — a short timer keeps the drill brisk. The garbage
-				// adversary additionally dictates an exact malformed-batch
-				// count; the flag carries it so the child knows when its
-				// counter is final.
-				cargs = append(cargs, "-stats", "-basetimeout", "150ms")
-				if byzName == "garbage" {
-					cargs = append(cargs, "-byzslots", strconv.Itoa(byzGarbageSlots))
-				}
-			}
-		}
-		if leaderKill {
-			// Every replica is honest; the survivors report STATS so the
-			// parent can check the regime timer actually fired, and the short
-			// timer makes failover latency about the mechanism, not the
+		if byzName != "" && i == byzProcID {
+			cargs = append(cargs, "-byz", byzName)
+		} else if byzName != "" || leaderKill {
+			// A corrupted or killed view-1 leader leaves client commands to
+			// the windowed view change: a short timer keeps the drill brisk
+			// and makes failover latency about the mechanism, not the
 			// default 500ms budget.
-			cargs = append(cargs, "-stats", "-basetimeout", "150ms")
+			cargs = append(cargs, "-basetimeout", "150ms")
 		}
 		cmd := exec.Command(exe, cargs...)
 		cmd.Env = append(os.Environ(), replicaEnv+"=1")
@@ -450,9 +424,9 @@ func runMultiProcess(cfg fastbft.Config, f, t, ops int, seed int64, timeout time
 	defer watchdog.Stop()
 
 	// Collect each child's bound addresses, distribute the peer table, wait
-	// for every replica to come up. A metrics-enabled child reports a third
-	// ADDRS field ("-" when the endpoint is off); the adversary child keeps
-	// the two-field form.
+	// for every replica to come up. An honest child reports its metrics
+	// endpoint as a third ADDRS field; the adversary child has no replica and
+	// so no registry.
 	peerAddrs := make([]string, cfg.N)
 	clientAddrs := make([]string, cfg.N)
 	metricsAddrs := make([]string, cfg.N)
@@ -462,7 +436,7 @@ func runMultiProcess(cfg fastbft.Config, f, t, ops int, seed int64, timeout time
 			return fmt.Errorf("replica process %d: %w", i, err)
 		}
 		peerAddrs[i], clientAddrs[i] = fields[0], fields[1]
-		if len(fields) >= 3 && fields[2] != "-" {
+		if len(fields) > 2 {
 			metricsAddrs[i] = fields[2]
 		}
 	}
@@ -539,8 +513,7 @@ func runMultiProcess(cfg fastbft.Config, f, t, ops int, seed int64, timeout time
 			}
 			// The peer/client addresses are pinned; the metrics endpoint is
 			// ephemeral and rebinds wherever the OS puts it.
-			metricsAddrs[crash1] = ""
-			if len(fields) >= 3 && fields[2] != "-" {
+			if len(fields) > 2 {
 				metricsAddrs[crash1] = fields[2]
 			}
 			if err := ready(crash1); err != nil {
@@ -555,7 +528,7 @@ func runMultiProcess(cfg fastbft.Config, f, t, ops int, seed int64, timeout time
 			_ = children[crash2].cmd.Wait()
 			fmt.Printf("crash: killed replica process %d — further progress needs the recovered replica\n", crash2)
 		}
-		if metrics && i == ops/2 {
+		if i == ops/2 {
 			// Halfway in, scrape every live replica's introspection endpoint
 			// and require the instruments to be visibly working: in the
 			// default drill crash1 is dead between killAt and restartAt; in
@@ -608,58 +581,31 @@ func runMultiProcess(cfg fastbft.Config, f, t, ops int, seed int64, timeout time
 		}
 	}
 	elapsed := time.Since(start)
-	if byzName != "" {
+	switch {
+	case byzName != "":
 		fmt.Printf("networked kv: %d writes from an external client process, each confirmed by f+1 correct replicas over TCP, with replica process %d running the %q adversary throughout (%.2fs, %.0f ops/s)\n",
 			ops, byzProcID, byzName, elapsed.Seconds(), float64(ops)/elapsed.Seconds())
-		// Shut the correct replicas down one by one and collect their STATS
-		// line: every one of them must have decided, counted, and skipped
+		// Every correct replica must have decided, counted, and skipped
 		// exactly the malformed slots the adversary drove (the equivocator's
-		// branches are well-formed batches, so its count is zero), and every
-		// one must have suspected the silent leader at least once — the
-		// workload's liveness came through the windowed view change.
+		// branches are well-formed batches, so its count is zero), and
+		// every one must have suspected the silent leader at least once —
+		// the workload's liveness came through the windowed view change.
 		wantMalformed := 0
 		if byzName == "garbage" {
 			wantMalformed = byzGarbageSlots
 		}
-		if err := collectStats(children, byzProcID, wantMalformed); err != nil {
-			return err
-		}
-		if metrics {
-			if err := collectMetrics(children, byzProcID, metricsAddrs); err != nil {
-				return err
-			}
-		}
-		_ = children[byzProcID].stdin.Close()
-		return nil
-	}
-	if leaderKill {
+		return awaitGates(metricsAddrs, byzProcID, wantMalformed, true)
+	case leaderKill:
 		fmt.Printf("networked kv: %d writes from an external client process, each confirmed by f+1 replicas over TCP, with the view-1 leader kill -9'd a third of the way in and never restarted (%.2fs, %.0f ops/s, %.0fms leader failover)\n",
 			ops, elapsed.Seconds(), float64(ops)/elapsed.Seconds(),
 			float64(leaderKillRecovery.Microseconds())/1000)
-		// The survivors must report at least one regime suspicion each:
-		// two thirds of the workload committed without the view-1 leader,
+		// Two thirds of the workload committed without the view-1 leader,
 		// which is impossible unless the windowed view change carried it.
-		if err := collectStats(children, byzProcID, 0); err != nil {
-			return err
-		}
-		if metrics {
-			return collectMetrics(children, byzProcID, metricsAddrs)
-		}
-		return nil
+		return awaitGates(metricsAddrs, byzProcID, 0, true)
 	}
 	fmt.Printf("networked kv: %d writes from an external client process, each confirmed by f+1 replicas over TCP, with replica %d kill -9'd and restarted from its data dir and replica %d crashed after it (%.2fs, %.0f ops/s)\n",
 		ops, crash1, crash2, elapsed.Seconds(), float64(ops)/elapsed.Seconds())
-
-	// Graceful shutdown: closing stdin tells a child to stop.
-	for i, c := range children {
-		if i != crash2 {
-			_ = c.stdin.Close()
-		}
-	}
-	if metrics {
-		return collectMetrics(children, crash2, metricsAddrs)
-	}
-	return nil
+	return awaitGates(metricsAddrs, crash2, 0, false)
 }
 
 // expect reads lines from the child until one starts with the given tag,
@@ -680,44 +626,48 @@ func (c *child) expect(tag string, argc int) ([]string, error) {
 	return nil, fmt.Errorf("replica exited before %s", tag)
 }
 
-// collectStats shuts down every child except skip (closing stdin asks it to
-// stop), reads each one's STATS line, and requires the malformed-batch
-// counter to equal wantMalformed and the regime-suspicion counter to be at
-// least one — together, evidence that the drill's decisions were audited
-// and that progress came through the windowed view change rather than a
-// live leader.
-func collectStats(children []*child, skip, wantMalformed int) error {
-	for i, c := range children {
-		if i == skip {
+// awaitGates polls the metrics endpoint of every replica process except
+// skip until its registry, summed over its groups, shows a decided slot,
+// exactly wantMalformed malformed batches and, with wantRegime, at least one
+// regime suspicion. It fails the drill on the first process that misses its
+// gates for gateWait.
+func awaitGates(metricsAddrs []string, skip, wantMalformed int, wantRegime bool) error {
+	for p, addr := range metricsAddrs {
+		if p == skip {
 			continue
 		}
-		_ = c.stdin.Close()
-		fields, err := c.expect("STATS", 1)
-		if err != nil {
-			return fmt.Errorf("replica process %d stats: %w", i, err)
+		if addr == "" {
+			return fmt.Errorf("replica process %d reported no metrics endpoint", p)
 		}
-		stats := make(map[string]string, len(fields))
-		for _, kv := range fields {
-			if k, v, ok := strings.Cut(kv, "="); ok {
-				stats[k] = v
+		rep := obs.Labels{"replica": strconv.Itoa(p)}
+		deadline := time.Now().Add(gateWait)
+		for {
+			snap, err := fetchSnapshot(addr)
+			if err != nil {
+				return fmt.Errorf("replica process %d: %w", p, err)
 			}
+			decided := snap.Sum("fastbft_slots_decided_total", rep)
+			malformed := snap.Sum("fastbft_malformed_batches_total", rep)
+			regime := snap.Sum("fastbft_regime_timeouts_total", rep)
+			var miss string
+			switch {
+			case decided == 0:
+				miss = "no decided slots"
+			case malformed != float64(wantMalformed):
+				miss = fmt.Sprintf("%.0f malformed batches, want %d", malformed, wantMalformed)
+			case wantRegime && regime < 1:
+				miss = "no regime suspicions; the drill should have forced the windowed view change"
+			}
+			if miss == "" {
+				fmt.Printf("replica process %d: decided=%.0f malformed=%.0f regime=%.0f applied=%.0f\n", p,
+					decided, malformed, regime, snap.Sum("fastbft_commands_applied_total", rep))
+				break
+			}
+			if time.Now().After(deadline) {
+				return fmt.Errorf("replica process %d: %s", p, miss)
+			}
+			time.Sleep(20 * time.Millisecond)
 		}
-		malformed, err := strconv.Atoi(stats["malformed"])
-		if err != nil {
-			return fmt.Errorf("replica process %d: bad STATS line %v", i, fields)
-		}
-		if malformed != wantMalformed {
-			return fmt.Errorf("replica process %d counted %d malformed batches, want %d", i, malformed, wantMalformed)
-		}
-		regime, err := strconv.Atoi(stats["regime"])
-		if err != nil {
-			return fmt.Errorf("replica process %d: bad STATS line %v", i, fields)
-		}
-		if regime < 1 {
-			return fmt.Errorf("replica process %d reported no regime suspicions; the drill should have forced the windowed view change", i)
-		}
-		fmt.Printf("replica process %d: malformed=%d regime=%d applied=%s\n",
-			i, malformed, regime, stats["applied"])
 	}
 	return nil
 }
@@ -740,17 +690,6 @@ func fetchSnapshot(addr string) (*obs.Snapshot, error) {
 	return &snap, nil
 }
 
-// snapshotDecided sums the decided-slot counter across a replica's groups.
-func snapshotDecided(snap *obs.Snapshot, proc, shards int) uint64 {
-	var decided float64
-	for g := 0; g < shards; g++ {
-		v, _ := snap.Value("fastbft_slots_decided_total",
-			obs.Labels{"group": strconv.Itoa(g), "replica": strconv.Itoa(proc)})
-		decided += v
-	}
-	return uint64(decided)
-}
-
 // scrapeMidWorkload requires replica proc's snapshot to show the
 // observability layer fully live mid-drill: the staged request tracer has
 // carried batches all the way to "replied", the WAL recorded real fsyncs and
@@ -765,7 +704,7 @@ func scrapeMidWorkload(addr string, proc, shards int) error {
 		return err
 	}
 	rep := strconv.Itoa(proc)
-	decided := snapshotDecided(snap, proc, shards)
+	decided := snap.Sum("fastbft_slots_decided_total", obs.Labels{"replica": rep})
 	var fsyncs, replied uint64
 	for g := 0; g < shards; g++ {
 		gl := obs.Labels{"group": strconv.Itoa(g), "replica": rep}
@@ -809,41 +748,6 @@ func scrapeMidWorkload(addr string, proc, shards int) error {
 	return nil
 }
 
-// collectMetrics reads each surviving child's METRICS line — printed on
-// shutdown after the child scrapes its own HTTP endpoint — and requires the
-// endpoint's decided-slot total to agree with the replica's in-process
-// Stats. Disagreement means the registry and the Stats path drifted apart,
-// exactly the torn-counter class of bug the shared registry exists to kill.
-func collectMetrics(children []*child, skip int, metricsAddrs []string) error {
-	for i, c := range children {
-		if i == skip || metricsAddrs[i] == "" {
-			continue
-		}
-		_ = c.stdin.Close() // idempotent; collectStats may already have closed it
-		fields, err := c.expect("METRICS", 2)
-		if err != nil {
-			return fmt.Errorf("replica process %d metrics: %w", i, err)
-		}
-		kv := make(map[string]string, len(fields))
-		for _, f := range fields {
-			if k, v, ok := strings.Cut(f, "="); ok {
-				kv[k] = v
-			}
-		}
-		decided, err1 := strconv.ParseUint(kv["decided"], 10, 64)
-		statsDecided, err2 := strconv.ParseUint(kv["stats_decided"], 10, 64)
-		if err1 != nil || err2 != nil {
-			return fmt.Errorf("replica process %d: bad METRICS line %v", i, fields)
-		}
-		if decided != statsDecided {
-			return fmt.Errorf("replica process %d: metrics endpoint reports %d decided slots but Stats reports %d",
-				i, decided, statsDecided)
-		}
-		fmt.Printf("replica process %d: metrics endpoint agrees with Stats (decided=%d)\n", i, decided)
-	}
-	return nil
-}
-
 // replicaMain is the child role of a -procs run: one KV replica with a
 // replica-to-replica listener and a client-facing listener, coordinated with
 // the parent over stdin/stdout (ADDRS out, PEERS in, READY out, EOF to stop).
@@ -860,9 +764,6 @@ func replicaMain(args []string) error {
 	baseTimeout := fs.Duration("basetimeout", 0, "per-slot view-1 timer (0 = the replica default)")
 	byzName := fs.String("byz", "", "run the named adversary instead of an honest replica")
 	shards := fs.Int("shards", 1, "consensus groups hosted by this process")
-	stats := fs.Bool("stats", false, "report a STATS line on shutdown")
-	byzSlots := fs.Int("byzslots", 0, "expected malformed-batch count to settle before the STATS line (implies -stats)")
-	metricsAddr := fs.String("metricsaddr", "", "HTTP introspection endpoint listen address (empty = disabled)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -881,20 +782,15 @@ func replicaMain(args []string) error {
 		DataDir:            *dataDir,
 		BaseTimeout:        *baseTimeout,
 		Shards:             *shards,
-		MetricsAddr:        *metricsAddr,
+		MetricsAddr:        "127.0.0.1:0",
 	})
 	if err != nil {
 		return err
 	}
 	defer func() { _ = r.Close() }()
-	// The third ADDRS field is the metrics endpoint; "-" keeps the field
-	// positions stable when it is disabled. The parent requires only two
-	// fields, so old parents keep working.
-	maddr := r.MetricsAddr()
-	if maddr == "" {
-		maddr = "-"
-	}
-	fmt.Printf("ADDRS %s %s %s\n", r.Addr(), r.ClientAddr(), maddr)
+	// The third ADDRS field is the metrics endpoint, the parent's only view
+	// of this replica's counters.
+	fmt.Printf("ADDRS %s %s %s\n", r.Addr(), r.ClientAddr(), r.MetricsAddr())
 
 	in := bufio.NewScanner(os.Stdin)
 	for in.Scan() {
@@ -916,41 +812,6 @@ func replicaMain(args []string) error {
 	}
 	// Serve until the parent closes our stdin (or kills us).
 	for in.Scan() {
-	}
-	if *stats || *byzSlots > 0 {
-		// The parent reads a STATS line before this process exits. The
-		// malformed counter is final once the apply frontier passed the
-		// attacked prefix; commands keep applying for a moment after the
-		// client's last confirmation, so poll briefly instead of sampling.
-		deadline := time.Now().Add(15 * time.Second)
-		for r.Stats().MalformedBatches < uint64(*byzSlots) && time.Now().Before(deadline) {
-			time.Sleep(10 * time.Millisecond)
-		}
-		st := r.Stats()
-		fmt.Printf("STATS malformed=%d applied=%d reproposed=%d regime=%d\n",
-			st.MalformedBatches, st.AppliedCommands, st.Reproposed, st.RegimeTimeouts)
-	}
-	if r.MetricsAddr() != "" {
-		// Prove the endpoint end to end before exiting: scrape our own HTTP
-		// endpoint and require the decided-slot counters it serves to agree
-		// with the in-process Stats. Decisions can still be landing for a
-		// moment after the client's last confirmation, so poll until the two
-		// views settle on the same number.
-		var decided, statsDecided uint64
-		deadline := time.Now().Add(15 * time.Second)
-		for {
-			snap, err := fetchSnapshot(r.MetricsAddr())
-			if err != nil {
-				return fmt.Errorf("metrics self-scrape: %w", err)
-			}
-			decided = snapshotDecided(snap, *self, *shards)
-			statsDecided = r.Stats().DecidedSlots
-			if decided == statsDecided || time.Now().After(deadline) {
-				break
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
-		fmt.Printf("METRICS decided=%d stats_decided=%d\n", decided, statsDecided)
 	}
 	return in.Err()
 }

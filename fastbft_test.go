@@ -169,54 +169,56 @@ func TestKVReplicaCluster(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := reps[0].Set("k1", "v1"); err != nil {
-		t.Fatal(err)
-	}
-	if err := reps[1].Set("k2", "v2"); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(time.Minute)
-	for {
-		done := true
-		for _, r := range reps {
-			if r.AppliedOps() < 2 {
-				done = false
-			}
+	// Three independent sessions, one write each, every write confirmed by
+	// f+1 matching replies before the next session starts.
+	for i, w := range []struct {
+		op   func(*KVClient) (string, error)
+		want string
+	}{
+		{func(c *KVClient) (string, error) { return c.Set("k1", "v1") }, "v1"},
+		{func(c *KVClient) (string, error) { return c.Set("k2", "v2") }, "v2"},
+		{func(c *KVClient) (string, error) { return c.Delete("k1") }, "v1"}, // the removed value
+	} {
+		c, err := NewKVClient(fmt.Sprintf("writer-%d", i), 0, reps...)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if done {
-			break
+		res, err := w.op(c)
+		_ = c.Close()
+		if err != nil || res != w.want {
+			t.Fatalf("write %d: res=%q err=%v, want %q", i, res, err, w.want)
 		}
-		if time.Now().After(deadline) {
-			t.Fatal("timeout waiting for replication")
-		}
-		time.Sleep(5 * time.Millisecond)
 	}
+	// Confirmation needs f+1 replicas; every replica converges after it.
+	waitApplied(t, reps, 3)
 	for i, r := range reps {
-		if v, ok := r.Get("k1"); !ok || v != "v1" {
-			t.Fatalf("replica %d: k1=%q", i, v)
+		if _, ok := r.Get("k1"); ok {
+			t.Fatalf("replica %d: deleted key k1 survived", i)
 		}
 		if v, ok := r.Get("k2"); !ok || v != "v2" {
 			t.Fatalf("replica %d: k2=%q", i, v)
 		}
 	}
-	if err := reps[2].Delete("k1"); err != nil {
-		t.Fatal(err)
-	}
-	deadline = time.Now().Add(time.Minute)
+}
+
+// waitApplied waits until every replica has applied at least n commands.
+func waitApplied(t *testing.T, reps []*KVReplica, n uint64) {
+	t.Helper()
+	deadline := time.Now().Add(time.Minute)
 	for {
 		done := true
 		for _, r := range reps {
-			if _, ok := r.Get("k1"); ok {
+			if r.AppliedOps() < n {
 				done = false
 			}
 		}
 		if done {
-			break
+			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("timeout waiting for delete")
+			t.Fatalf("timeout: replica 0 applied %d of %d commands", reps[0].AppliedOps(), n)
 		}
-		time.Sleep(5 * time.Millisecond)
+		time.Sleep(2 * time.Millisecond)
 	}
 }
 
@@ -274,19 +276,7 @@ func TestKVClientSessions(t *testing.T) {
 	if c.Seq() != 3 {
 		t.Fatalf("session assigned %d sequence numbers, want 3", c.Seq())
 	}
-	deadline := time.Now().Add(time.Minute)
-	for {
-		done := true
-		for _, r := range reps {
-			if r.AppliedOps() < 3 {
-				done = false
-			}
-		}
-		if done || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitApplied(t, reps, 3)
 	for i, r := range reps {
 		if v, ok := r.Get("fruit"); !ok || v != "kiwi" {
 			t.Fatalf("replica %d: fruit=%q (present=%v)", i, v, ok)
@@ -367,36 +357,27 @@ func TestKVReplicaDurableRestart(t *testing.T) {
 			_ = r.Close()
 		}
 	}
-	waitApplied := func(reps []*KVReplica, n uint64) {
+	// set writes one key through a fresh session, confirmed by f+1 replicas.
+	set := func(reps []*KVReplica, id, key, value string) {
 		t.Helper()
-		deadline := time.Now().Add(time.Minute)
-		for {
-			done := true
-			for _, r := range reps {
-				if r.AppliedOps() < n {
-					done = false
-					break
-				}
-			}
-			if done {
-				return
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("timeout waiting for %d applied ops", n)
-			}
-			time.Sleep(2 * time.Millisecond)
+		c, err := NewKVClient(id, 0, reps...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() { _ = c.Close() }()
+		if res, err := c.Set(key, value); err != nil || res != value {
+			t.Fatalf("set %s: res=%q err=%v", key, res, err)
 		}
 	}
 
 	reps := boot()
 	const ops = 10
 	for i := 0; i < ops; i++ {
-		if err := reps[0].Set(fmt.Sprintf("key-%d", i), fmt.Sprintf("val-%d", i)); err != nil {
-			closeAll(reps)
-			t.Fatal(err)
-		}
+		set(reps, fmt.Sprintf("writer-%d", i), fmt.Sprintf("key-%d", i), fmt.Sprintf("val-%d", i))
 	}
-	waitApplied(reps, ops)
+	// Every replica, not only the confirming f+1, must hold the writes
+	// before the shutdown.
+	waitApplied(t, reps, ops)
 	closeAll(reps)
 
 	// Second incarnation: everything back from disk before any traffic.
@@ -409,10 +390,8 @@ func TestKVReplicaDurableRestart(t *testing.T) {
 			}
 		}
 	}
-	if err := reps[1].Set("after-restart", "yes"); err != nil {
-		t.Fatal(err)
-	}
-	waitApplied(reps, ops+1)
+	set(reps, "after-restart", "after-restart", "yes")
+	waitApplied(t, reps, ops+1)
 	for i, r := range reps {
 		if v, ok := r.Get("after-restart"); !ok || v != "yes" {
 			t.Fatalf("replica %d: post-restart replication broken (%q %v)", i, v, ok)

@@ -63,10 +63,11 @@ var GarbageBatch = types.Value("\xffgarbage-not-a-batch")
 
 // GarbageProposer is a corrupted process that, as leader of view 1, drives
 // the first Slots log slots to decide a non-batch value, then goes silent.
-// The malformed decisions must be counted (Stats.MalformedBatches), logged,
-// and skipped without stalling the in-order apply loop; client commands the
-// garbage crowded out must still execute in later slots, which the silence
-// forces through the windowed view change.
+// The malformed decisions must be counted (fastbft_malformed_batches_total
+// in the replica's metrics registry), logged, and skipped without stalling
+// the in-order apply loop; client commands the garbage crowded out must
+// still execute in later slots, which the silence forces through the
+// windowed view change.
 type GarbageProposer struct {
 	// Slots is how many log slots (from 0) receive a garbage proposal.
 	Slots uint64

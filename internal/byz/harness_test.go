@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/msg"
+	"repro/internal/obs"
 	"repro/internal/quorum"
 	"repro/internal/sigcrypto"
 	"repro/internal/sim"
@@ -48,6 +49,7 @@ type byzCluster struct {
 
 	reps   []*smr.Replica
 	stores []*smr.KVStore
+	regs   []*obs.Registry                    // each correct replica's metrics (smr.Config.Metrics)
 	disks  map[types.ProcessID]*storage.Store // current store of each durable replica
 	drv    *Driver
 
@@ -79,6 +81,7 @@ func newByzCluster(t *testing.T, cfg types.Config, byzID types.ProcessID, seed i
 		opts:    opts,
 		reps:    make([]*smr.Replica, cfg.N),
 		stores:  make([]*smr.KVStore, cfg.N),
+		regs:    make([]*obs.Registry, cfg.N),
 		disks:   make(map[types.ProcessID]*storage.Store),
 		replies: make(map[string][]*msg.Reply),
 	}
@@ -137,11 +140,18 @@ func (c *byzCluster) bootReplica(p types.ProcessID, tr transport.Transport) {
 	}
 	c.stores[p] = smr.NewKVStore()
 	cfg.App = c.stores[p]
+	c.regs[p] = obs.NewRegistry()
+	cfg.Metrics = c.regs[p]
 	rep, err := smr.NewReplica(cfg)
 	if err != nil {
 		c.t.Fatal(err)
 	}
 	c.reps[p] = rep
+}
+
+// counter reads correct replica p's series name from its registry.
+func (c *byzCluster) counter(p types.ProcessID, name string) float64 {
+	return c.regs[p].Snapshot().Sum(name, nil)
 }
 
 func (c *byzCluster) close() {

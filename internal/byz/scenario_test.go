@@ -122,9 +122,9 @@ func TestByzGarbageProposerSMR(t *testing.T) {
 			keyC0 := th.submit("c0", 1) // triggers the garbage proposals
 
 			th.run(30*time.Second, func() bool {
-				return th.allCorrect(func(p types.ProcessID, r *smr.Replica) bool {
+				return th.allCorrect(func(p types.ProcessID, _ *smr.Replica) bool {
 					_, ok := th.stores[p].Get(keyC0)
-					return ok && r.Stats().MalformedBatches == garbageSlots
+					return ok && th.counter(p, "fastbft_malformed_batches_total") == garbageSlots
 				})
 			}, "garbage slots to be counted and the displaced command to apply")
 
@@ -135,11 +135,10 @@ func TestByzGarbageProposerSMR(t *testing.T) {
 						t.Fatalf("replica %s: slot %d should have decided the garbage value", p, s)
 					}
 				}
-				st := r.Stats()
-				if st.AppliedSlots < garbageSlots+1 {
-					t.Fatalf("replica %s: apply frontier %d stalled behind the garbage slots", p, st.AppliedSlots)
+				if n := r.AppliedCount(); n < garbageSlots+1 {
+					t.Fatalf("replica %s: apply frontier %d stalled behind the garbage slots", p, n)
 				}
-				if st.AppliedCommands == 0 {
+				if th.counter(p, "fastbft_commands_applied_total") == 0 {
 					t.Fatalf("replica %s: no commands applied", p)
 				}
 				// The slot that carried the stranded command could not have

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/msg"
+	"repro/internal/obs"
 	"repro/internal/quorum"
 	"repro/internal/sigcrypto"
 	"repro/internal/smr"
@@ -39,6 +40,28 @@ func TestNewRejectsInvalidCluster(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("cluster below the resilience bound accepted")
+	}
+}
+
+// TestDefaultBaseTimeout: a group built with a zero BaseTimeout — as every
+// caller that sets none builds it — gets the one replica default, 500ms,
+// which before any decide is the suspicion delay itself.
+func TestDefaultBaseTimeout(t *testing.T) {
+	net := transport.NewMemNetwork(4, 0)
+	defer func() { _ = net.Close() }()
+	scheme := sigcrypto.NewHMAC(4, 1)
+	reg := obs.NewRegistry()
+	g, err := New(Config{
+		Cluster: types.Generalized(1, 1), Index: 0, Shards: 1,
+		Signer: scheme.Signer(0), Verifier: scheme.Verifier(),
+		Transport: net.Transport(0), App: smr.NewKVStore(), Metrics: reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = g.Close() }()
+	if got := reg.Snapshot().Sum("fastbft_regime_timeout_seconds", nil); got != 0.5 {
+		t.Fatalf("suspicion delay %vs with a zero BaseTimeout, want the 0.5s default", got)
 	}
 }
 

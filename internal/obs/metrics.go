@@ -352,6 +352,26 @@ func (s *Snapshot) Value(name string, labels Labels) (float64, bool) {
 	return m.Value, true
 }
 
+// Sum adds up the values of every counter/gauge series named name whose
+// labels include all of subset (an empty subset matches the whole family),
+// e.g. one replica's decided slots across its groups. No match sums to 0.
+func (s *Snapshot) Sum(name string, subset Labels) float64 {
+	total := 0.0
+next:
+	for _, m := range s.Metrics {
+		if m.Name != name {
+			continue
+		}
+		for k, v := range subset {
+			if got, ok := m.Labels[k]; !ok || got != v {
+				continue next
+			}
+		}
+		total += m.Value
+	}
+	return total
+}
+
 // HistCount returns the observation count of the histogram series.
 func (s *Snapshot) HistCount(name string, labels Labels) (uint64, bool) {
 	m := s.find(name, labels)

@@ -144,6 +144,39 @@ func TestRegistryIdempotentAndNil(t *testing.T) {
 	reg.Gauge("same", "", Labels{"g": "1"}) // kind mismatch: must panic
 }
 
+// TestSnapshotSum checks the summing read: a label subset matches series
+// across groups, an empty subset sums the whole family, and a subset or
+// name that matches nothing sums to 0.
+func TestSnapshotSum(t *testing.T) {
+	reg := NewRegistry()
+	for _, s := range []struct {
+		replica, group string
+		v              uint64
+	}{{"0", "0", 3}, {"0", "1", 4}, {"1", "0", 10}} {
+		reg.Counter("decided", "", Labels{"replica": s.replica, "group": s.group}).Add(s.v)
+	}
+	reg.Counter("other", "", Labels{"replica": "0", "group": "0"}).Add(100)
+	snap := reg.Snapshot()
+	for _, tc := range []struct {
+		name   string
+		subset Labels
+		want   float64
+	}{
+		{"decided", Labels{"replica": "0"}, 7},               // both groups of replica 0
+		{"decided", Labels{"group": "0"}, 13},                // group 0 across replicas
+		{"decided", Labels{"replica": "0", "group": "1"}, 4}, // one series
+		{"decided", nil, 17},                                 // the whole family
+		{"decided", Labels{}, 17},
+		{"decided", Labels{"replica": "2"}, 0}, // no such label value
+		{"decided", Labels{"path": "fast"}, 0}, // no such label key
+		{"missing", nil, 0},                    // no such family
+	} {
+		if got := snap.Sum(tc.name, tc.subset); got != tc.want {
+			t.Errorf("Sum(%q, %v) = %v, want %v", tc.name, tc.subset, got, tc.want)
+		}
+	}
+}
+
 // TestPrometheusText checks the exposition format: HELP/TYPE once per
 // name, labeled series, cumulative buckets with le and +Inf, sum/count.
 func TestPrometheusText(t *testing.T) {

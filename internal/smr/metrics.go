@@ -14,11 +14,11 @@ const maxMsgKind = int(msg.KindWindowVote)
 // replicaMetrics are the replica's registry-backed counters and the staged
 // request tracer. The bundle always exists — a nil Config.Metrics registry
 // hands out live, unexported metrics — so the hot path never branches on
-// whether observability was requested, and Stats() reads are atomic
-// (torn-free) either way. Everything here is updated with single atomic
-// instructions; quantities that already live behind r.mu (queue depths,
-// window occupancy) are exported as GaugeFuncs read at scrape time instead
-// of being mirrored into a second source of truth.
+// whether observability was requested; the registry is the one read path.
+// Everything here is updated with single atomic instructions; quantities
+// that already live behind r.mu (queue depths, window occupancy) are
+// exported as GaugeFuncs read at scrape time instead of being mirrored into
+// a second source of truth.
 type replicaMetrics struct {
 	decided    *obs.Counter // slots decided locally
 	applied    *obs.Counter // well-formed commands executed
@@ -41,7 +41,6 @@ type replicaMetrics struct {
 // once from NewReplica, before the replica is shared).
 func (r *Replica) initMetricsLocked(reg *obs.Registry, ls obs.Labels) {
 	m := &r.m
-	m.decided = reg.Counter("fastbft_slots_decided_total", "slots decided locally (consensus or certified state-transfer tail)", ls)
 	m.applied = reg.Counter("fastbft_commands_applied_total", "well-formed requests executed by the application", ls)
 	m.malformed = reg.Counter("fastbft_malformed_batches_total", "decided non-empty values that failed DecodeBatch (Byzantine-leader evidence)", ls)
 	m.reproposed = reg.Counter("fastbft_commands_reproposed_total", "commands returned to the pending queue by a conflicting decision", ls)
@@ -83,6 +82,10 @@ func (r *Replica) initMetricsLocked(reg *obs.Registry, ls obs.Labels) {
 		defer r.mu.Unlock()
 		return r.regimeDelayLocked().Seconds()
 	})
+	// A snapshot reads series in registration order. The decided counter
+	// goes last: the path counters and the apply frontier it bounds only
+	// move after it, so read before it they never exceed it in one scrape.
+	m.decided = reg.Counter("fastbft_slots_decided_total", "slots decided locally (consensus or certified state-transfer tail)", ls)
 }
 
 // windowOccupancyLocked counts live undecided instances inside the window.

@@ -406,8 +406,8 @@ func TestSMRPipelineCrashRestartPartFilledWindow(t *testing.T) {
 // ---------------------------------------------------------------------------
 
 // TestSMRMalformedBatchCounted: a decided value that fails DecodeBatch must
-// advance the log, apply nothing, and be counted on Stats() — previously it
-// was silently swallowed. No-op (empty) decisions must NOT count.
+// advance the log, apply nothing, and be counted — previously it was
+// silently swallowed. No-op (empty) decisions must NOT count.
 func TestSMRMalformedBatchCounted(t *testing.T) {
 	cfg := types.Generalized(1, 1)
 	scheme := sigcrypto.NewHMAC(cfg.N, 47)
@@ -433,18 +433,17 @@ func TestSMRMalformedBatchCounted(t *testing.T) {
 	}), View: 1, Path: types.FastPath})
 	r.mu.Unlock()
 
-	st := r.Stats()
-	if st.MalformedBatches != 1 {
-		t.Fatalf("MalformedBatches=%d, want 1 (garbage counted once, no-op not counted)", st.MalformedBatches)
+	if n := r.m.malformed.Load(); n != 1 {
+		t.Fatalf("malformed=%d, want 1 (garbage counted once, no-op not counted)", n)
 	}
-	if st.AppliedSlots != 3 {
-		t.Fatalf("AppliedSlots=%d, want 3 (malformed and no-op slots still advance the log)", st.AppliedSlots)
+	if n := r.AppliedCount(); n != 3 {
+		t.Fatalf("applied slots=%d, want 3 (malformed and no-op slots still advance the log)", n)
 	}
-	if st.AppliedCommands != 1 {
-		t.Fatalf("AppliedCommands=%d, want 1", st.AppliedCommands)
+	if n := r.m.applied.Load(); n != 1 {
+		t.Fatalf("applied commands=%d, want 1", n)
 	}
-	if st.DecidedSlots != 3 {
-		t.Fatalf("DecidedSlots=%d, want 3", st.DecidedSlots)
+	if n := r.m.decided.Load(); n != 3 {
+		t.Fatalf("decided slots=%d, want 3", n)
 	}
 	if n := store.AppliedOps(); n != 1 {
 		t.Fatalf("store applied %d ops, want 1", n)

@@ -157,6 +157,13 @@ func (g *simGroup) viewChanges(p types.ProcessID) float64 {
 	return v
 }
 
+// suspicionDelay reads the delay r's regime timer would use if armed now.
+func suspicionDelay(r *Replica) time.Duration {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.regimeDelayLocked()
+}
+
 // live calls fn for every replica that is currently up.
 func (g *simGroup) live(fn func(p types.ProcessID, r *Replica)) {
 	for i, r := range g.reps {

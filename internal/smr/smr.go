@@ -49,7 +49,6 @@ import (
 	"repro/internal/storage"
 	"repro/internal/transport"
 	"repro/internal/types"
-	"repro/internal/viewsync"
 	"repro/internal/wire"
 )
 
@@ -120,8 +119,8 @@ type Config struct {
 	// for the callback contract).
 	OnCommit CommitFunc
 	// BaseTimeout caps the leader-suspicion timeout of the regime timer
-	// (and seeds it while no decide latency has been observed yet). The
-	// viewsync default applies when zero.
+	// (and seeds it while no decide latency has been observed yet), and is
+	// every slot's view-1 timer (500ms if zero).
 	BaseTimeout time.Duration
 	// WindowSize bounds how many consensus instances may be live at once
 	// (default 8): the replica participates in slots
@@ -159,7 +158,7 @@ type Config struct {
 	// request-latency histograms under MetricsLabels (see internal/obs).
 	// The replica counts either way — a nil registry hands out live,
 	// unexported metrics — so instrumentation adds no branches to the hot
-	// path and Stats() reads stay torn-free.
+	// path. The registry is the only way to read the counters.
 	Metrics *obs.Registry
 	// MetricsLabels are the constant labels of this replica's series
 	// (typically {group: "<k>"} in a sharded deployment).
@@ -172,36 +171,6 @@ type Config struct {
 	// every timer it arms goes through it. Nil means the wall clock, which
 	// every deployment runs on; tests inject a sim.Network's virtual clock.
 	Clock node.Clock
-}
-
-// Stats is a point-in-time snapshot of replica counters (see
-// Replica.Stats).
-type Stats struct {
-	// DecidedSlots counts slots decided locally (consensus or certified
-	// state-transfer tail).
-	DecidedSlots uint64
-	// AppliedSlots is the in-order apply frontier (== AppliedCount).
-	AppliedSlots uint64
-	// AppliedCommands counts well-formed requests executed by the
-	// application.
-	AppliedCommands uint64
-	// MalformedBatches counts decided non-empty slot values that failed
-	// DecodeBatch — evidence of a garbage-proposing (Byzantine) leader.
-	MalformedBatches uint64
-	// Reproposed counts commands returned to the pending queue because the
-	// slot that proposed them decided a different value.
-	Reproposed uint64
-	// InflightCommands is the number of commands currently assigned to live
-	// slot proposals; PendingCommands is the number awaiting assignment.
-	InflightCommands int
-	PendingCommands  int
-	// RegimeTimeouts counts regime-timer fires that found no progress and
-	// pushed the window into a view change (leader suspicions).
-	RegimeTimeouts uint64
-	// RegimeTimeout is the suspicion delay the regime timer would use if
-	// armed now: the adaptive EWMA-derived value (BaseTimeout while
-	// unsampled), scaled by the current backoff.
-	RegimeTimeout time.Duration
 }
 
 // Replica is one member of the replicated state machine.
@@ -229,8 +198,8 @@ type Replica struct {
 	next       uint64                       // lowest slot not yet decided locally
 	applyPtr   uint64                       // lowest slot not yet applied
 
-	// Counters behind Stats(), registry-backed and atomic (see metrics.go),
-	// plus the staged request tracer.
+	// Registry-backed atomic counters (see metrics.go), plus the staged
+	// request tracer.
 	m  replicaMetrics
 	lg *obs.Logger
 
@@ -324,6 +293,9 @@ func NewReplica(cfg Config) (*Replica, error) {
 	}
 	if cfg.CheckpointInterval == 0 {
 		cfg.CheckpointInterval = 128
+	}
+	if cfg.BaseTimeout <= 0 {
+		cfg.BaseTimeout = 500 * time.Millisecond
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = node.Wall
@@ -440,25 +412,6 @@ func (r *Replica) PendingCount() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.pending.Len() + len(r.inflight)
-}
-
-// Stats returns a snapshot of the replica's counters. The counters are
-// registry-backed atomics, so each value is read torn-free; the queue
-// depths and frontier are read under the replica lock as before.
-func (r *Replica) Stats() Stats {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return Stats{
-		DecidedSlots:     r.m.decided.Load(),
-		AppliedSlots:     r.applyPtr,
-		AppliedCommands:  r.m.applied.Load(),
-		MalformedBatches: r.m.malformed.Load(),
-		Reproposed:       r.m.reproposed.Load(),
-		InflightCommands: len(r.inflight),
-		PendingCommands:  r.pending.Len(),
-		RegimeTimeouts:   r.m.regime.Load(),
-		RegimeTimeout:    r.regimeDelayLocked(),
-	}
 }
 
 func (r *Replica) now() core.Time { return r.cfg.Clock.Now().Sub(r.start) }
@@ -935,9 +888,6 @@ func (r *Replica) armRegimeLocked() {
 // base. The caller holds r.mu.
 func (r *Replica) regimeDelayLocked() time.Duration {
 	base := r.cfg.BaseTimeout
-	if base <= 0 {
-		base = viewsync.DefaultBaseTimeout
-	}
 	d := base
 	if r.ewmaDecide > 0 {
 		d = 4 * r.ewmaDecide

@@ -43,7 +43,7 @@ func TestSMROrphanSlotResolvesViaWindowedViewChange(t *testing.T) {
 	// Decides take a few milliseconds, so 4·EWMA sits below the floor.
 	const adapted = base / 16
 	for i, r := range reps {
-		if got := r.Stats().RegimeTimeout; got != adapted {
+		if got := suspicionDelay(r); got != adapted {
 			t.Fatalf("replica %d suspicion delay %v after warm-up, want the floor %v", i, got, adapted)
 		}
 	}
@@ -115,15 +115,15 @@ func TestSMRRegimeTimerNoFireAfterClose(t *testing.T) {
 	})
 	submitKV(t, reps[0], "hygiene", 1)
 	for fires, delay := uint64(0), time.Duration(base); fires < 9; fires++ {
-		if got := reps[0].Stats().RegimeTimeout; got != delay {
+		if got := suspicionDelay(reps[0]); got != delay {
 			t.Fatalf("after %d fruitless fires the suspicion delay is %v, want %v", fires, got, delay)
 		}
 		g.net.Advance(delay - 1)
-		if got := reps[0].Stats().RegimeTimeouts; got != fires {
+		if got := reps[0].m.regime.Load(); got != fires {
 			t.Fatalf("suspicion %d fired early: %d fires one tick before its %v delay elapsed", fires+1, got, delay)
 		}
 		g.net.Advance(1)
-		if got := reps[0].Stats().RegimeTimeouts; got != fires+1 {
+		if got := reps[0].m.regime.Load(); got != fires+1 {
 			t.Fatalf("suspicion %d did not fire when its %v delay elapsed (%d fires)", fires+1, delay, got)
 		}
 		if delay < 64*base {
@@ -136,11 +136,11 @@ func TestSMRRegimeTimerNoFireAfterClose(t *testing.T) {
 	}
 	fired := make([]uint64, len(reps))
 	for i, r := range reps {
-		fired[i] = r.Stats().RegimeTimeouts
+		fired[i] = r.m.regime.Load()
 	}
 	g.net.Advance(200 * base) // past the backed-off cap: a leaked timer would fire here
 	for i, r := range reps {
-		if got := r.Stats().RegimeTimeouts; got != fired[i] {
+		if got := r.m.regime.Load(); got != fired[i] {
 			t.Fatalf("replica %d regime timer fired after Close: %d -> %d suspicions", i, fired[i], got)
 		}
 	}
@@ -194,7 +194,7 @@ func TestSMRRegimeTimerShrinksAfterRecovery(t *testing.T) {
 	}
 	// A follower opens the instance when the proposal arrives and decides
 	// one message delay later, when the acks do: its EWMA is exactly Δ.
-	if got := reps[0].Stats().RegimeTimeout; got != 20*time.Millisecond {
+	if got := suspicionDelay(reps[0]); got != 20*time.Millisecond {
 		t.Fatalf("suspicion delay %v after %d decides of 5ms each, want 4·EWMA = the 20ms floor", got, warm)
 	}
 
@@ -207,15 +207,15 @@ func TestSMRRegimeTimerShrinksAfterRecovery(t *testing.T) {
 		submitKV(t, reps[0], "shrink", i)
 		g.run(10*time.Second, g.applied(uint64(i+1)), "a post-kill op to commit through the view change")
 	}
-	st := reps[0].Stats()
-	if st.RegimeTimeouts == 0 {
+	fires := reps[0].m.regime.Load()
+	if fires == 0 {
 		t.Fatal("no regime suspicion fired while committing past a dead leader")
 	}
 	// The delay must have come back down: progress resets the backoff and
 	// fresh decides pull the EWMA toward the real latency, so the replica
 	// is not stuck paying a backed-off timeout per slot forever.
-	if st.RegimeTimeout > base/2 {
-		t.Fatalf("suspicion delay %v stuck high after recovery (base %v, %d suspicions)", st.RegimeTimeout, base, st.RegimeTimeouts)
+	if delay := suspicionDelay(reps[0]); delay > base/2 {
+		t.Fatalf("suspicion delay %v stuck high after recovery (base %v, %d suspicions)", delay, base, fires)
 	}
 	reps[0].mu.Lock()
 	backoff := reps[0].regimeBackoff

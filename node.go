@@ -3,7 +3,6 @@ package fastbft
 import (
 	"fmt"
 	"strconv"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/client"
@@ -211,8 +210,6 @@ type KVReplica struct {
 	clientLn   *transport.ClientListener // nil unless ClientListenAddr was set
 	groups     []*group.Group            // one per shard
 	stores     []*smr.KVStore            // parallel to groups
-	seq        atomic.Uint64
-	client     string
 	reg        *MetricsRegistry
 	metricsSrv *obs.Server // nil unless MetricsAddr was set
 }
@@ -224,9 +221,6 @@ func NewKVReplica(cfg KVReplicaConfig) (*KVReplica, error) {
 	}
 	if cfg.Keys == nil || cfg.Keys.N() != cfg.Cluster.N {
 		return nil, fmt.Errorf("fastbft: keys for %d processes required", cfg.Cluster.N)
-	}
-	if cfg.BaseTimeout <= 0 {
-		cfg.BaseTimeout = 500 * time.Millisecond
 	}
 	if cfg.Shards == 0 {
 		cfg.Shards = 1
@@ -273,7 +267,6 @@ func NewKVReplica(cfg KVReplicaConfig) (*KVReplica, error) {
 		self:    cfg.Self,
 		shards:  cfg.Shards,
 		tr:      tr,
-		client:  fmt.Sprintf("replica-%d", cfg.Self),
 		reg:     reg,
 	}
 	reg.GaugeFunc("fastbft_replica_info", "static replica identity (always 1); labels carry the configuration",
@@ -414,21 +407,6 @@ func (r *KVReplica) Close() error {
 	return err
 }
 
-// Set replicates a key/value write through the key's group, fire-and-forget,
-// under the replica's own client session. Use NewKVClient for replies and
-// end-to-end confirmation.
-func (r *KVReplica) Set(key, value string) error {
-	return r.HandleRequest(r.client, r.seq.Add(1),
-		smr.EncodeKV(smr.KVCommand{Op: smr.OpSet, Key: key, Value: value}), nil)
-}
-
-// Delete replicates a key removal through the key's group, fire-and-forget,
-// under the replica's own client session.
-func (r *KVReplica) Delete(key string) error {
-	return r.HandleRequest(r.client, r.seq.Add(1),
-		smr.EncodeKV(smr.KVCommand{Op: smr.OpDel, Key: key}), nil)
-}
-
 // ClientReply is a replica's response to an executed client request.
 type ClientReply struct {
 	// Client and Seq identify the request within its session.
@@ -490,40 +468,8 @@ func (r *KVReplica) SessionCount() int {
 	return total
 }
 
-// ReplicaStats is a snapshot of a replica's SMR counters: decided and
-// applied slots, executed commands, malformed decided batches (evidence of
-// a garbage-proposing leader), re-proposed commands, and the current
-// in-flight/pending queue sizes.
-type ReplicaStats = smr.Stats
-
-// Stats returns a snapshot of this replica's SMR counters, aggregated
-// across its groups: counters and queue sizes sum; RegimeTimeout reports
-// the largest (most conservative) per-group suspicion delay. Use ShardStats
-// for one group's view.
-func (r *KVReplica) Stats() ReplicaStats {
-	var agg ReplicaStats
-	for _, g := range r.groups {
-		st := g.Replica().Stats()
-		agg.DecidedSlots += st.DecidedSlots
-		agg.AppliedSlots += st.AppliedSlots
-		agg.AppliedCommands += st.AppliedCommands
-		agg.MalformedBatches += st.MalformedBatches
-		agg.Reproposed += st.Reproposed
-		agg.InflightCommands += st.InflightCommands
-		agg.PendingCommands += st.PendingCommands
-		agg.RegimeTimeouts += st.RegimeTimeouts
-		if st.RegimeTimeout > agg.RegimeTimeout {
-			agg.RegimeTimeout = st.RegimeTimeout
-		}
-	}
-	return agg
-}
-
 // Shards returns how many consensus groups the replica hosts.
 func (r *KVReplica) Shards() int { return r.shards }
-
-// ShardStats returns one group's SMR counters.
-func (r *KVReplica) ShardStats(g int) ReplicaStats { return r.groups[g].Replica().Stats() }
 
 // ShardOf returns the group a key routes to on this replica.
 func (r *KVReplica) ShardOf(key string) uint64 { return smr.ShardOf(key, r.shards) }

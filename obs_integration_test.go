@@ -14,26 +14,17 @@ import (
 	"repro/internal/obs"
 )
 
-// registryDecided sums the registry's decided-slot counter across a
-// replica's groups from one snapshot.
-func registryDecided(snap *obs.Snapshot, replica, shards int) uint64 {
-	var sum float64
-	for g := 0; g < shards; g++ {
-		v, _ := snap.Value("fastbft_slots_decided_total",
-			obs.Labels{"group": strconv.Itoa(g), "replica": strconv.Itoa(replica)})
-		sum += v
-	}
-	return uint64(sum)
-}
-
-// TestMetricsRegistryShardConsistency pins the one-registry invariant of the
-// observability layer: the per-group counters in the metrics registry, the
-// per-group ShardStats, and the aggregated Stats are three views of the same
-// atomics, so on a sharded replica they must agree exactly — per group and
-// in aggregate — once the deployment quiesces. Before the registry existed,
-// Stats was read field by field from unsynchronized counters; this test is
-// the regression fence for that torn-read class of bug.
-func TestMetricsRegistryShardConsistency(t *testing.T) {
+// TestMetricsInvariantsUnderLoad scrapes every replica's registry while a
+// fault-free 2-shard cluster serves concurrent client sessions, and holds
+// each scrape to the cross-metric invariants an operator relies on, per
+// group: no decision is counted under more than one path (Σ
+// fastbft_decided_path_total ≤ fastbft_slots_decided_total), and the apply
+// frontier never passes the decided count (fastbft_applied_slots ≤
+// fastbft_slots_decided_total). At quiescence every replica's
+// fastbft_commands_applied_total, summed over its groups, equals the
+// confirmed writes. The workload stays below one checkpoint interval per
+// group, so no snapshot moves a frontier past the decisions it counted.
+func TestMetricsInvariantsUnderLoad(t *testing.T) {
 	cfg := GeneralizedConfig(1, 1) // n = 4
 	const shards = 2
 	keys := GenerateTestKeys(cfg.N, 31)
@@ -44,76 +35,76 @@ func TestMetricsRegistryShardConsistency(t *testing.T) {
 		}
 	}()
 
-	cl, err := NewKVClient("consistency-client", 2*time.Second, reps...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = cl.Close() }()
-	const ops = 24
-	for i := 0; i < ops; i++ {
-		key, want := fmt.Sprintf("ck-%d", i), fmt.Sprintf("cv-%d", i)
-		if got, err := cl.Set(key, want); err != nil || got != want {
-			t.Fatalf("write %d: got %q, err %v", i, got, err)
+	const workers, opsPerWorker = 3, 16
+	done := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		cl, err := NewKVClient(fmt.Sprintf("load-%d", w), 2*time.Second, reps...)
+		if err != nil {
+			t.Fatal(err)
 		}
+		// Closing the session on the way out also ends its worker early.
+		defer func() { _ = cl.Close() }()
+		go func(w int, cl *KVClient) {
+			for i := 0; i < opsPerWorker; i++ {
+				key, want := fmt.Sprintf("w%d-k%d", w, i), fmt.Sprintf("w%d-v%d", w, i)
+				if got, err := cl.Set(key, want); err != nil || got != want {
+					done <- fmt.Errorf("worker %d write %d: got %q, err %v", w, i, got, err)
+					return
+				}
+			}
+			done <- nil
+		}(w, cl)
 	}
 
-	for i, r := range reps {
-		// Decisions can still be landing for a moment after the last client
-		// confirmation (window slots deciding no-ops, followers catching
-		// up), and the two reads below are not one atomic observation — so
-		// poll until the registry view and the Stats view settle on the same
-		// numbers, and only then require exact agreement everywhere.
-		deadline := time.Now().Add(30 * time.Second)
-		var snap *obs.Snapshot
-		var st ReplicaStats
-		for {
-			snap = r.Metrics().Snapshot()
-			st = r.Stats()
-			if registryDecided(snap, i, shards) == st.DecidedSlots &&
-				st.AppliedCommands == ops {
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("replica %d: registry decided %d never settled on Stats decided %d (applied %d, want %d)",
-					i, registryDecided(snap, i, shards), st.DecidedSlots, st.AppliedCommands, ops)
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-
-		var shardDecided, shardApplied, regApplied uint64
+	check := func(i int, snap *obs.Snapshot) {
+		t.Helper()
 		for g := 0; g < shards; g++ {
-			gs := r.ShardStats(g)
 			gl := obs.Labels{"group": strconv.Itoa(g), "replica": strconv.Itoa(i)}
-			d, ok := snap.Value("fastbft_slots_decided_total", gl)
+			decided, ok := snap.Value("fastbft_slots_decided_total", gl)
 			if !ok {
 				t.Fatalf("replica %d group %d: decided counter not in the registry", i, g)
 			}
-			a, ok := snap.Value("fastbft_commands_applied_total", gl)
-			if !ok {
-				t.Fatalf("replica %d group %d: applied counter not in the registry", i, g)
+			if paths := snap.Sum("fastbft_decided_path_total", gl); paths > decided {
+				t.Fatalf("replica %d group %d: %v decisions by path, %v slots decided", i, g, paths, decided)
 			}
-			// Per-group: the registry counter and the ShardStats field must
-			// be the very same number.
-			if uint64(d) != gs.DecidedSlots {
-				t.Fatalf("replica %d group %d: registry decided %d, ShardStats decided %d",
-					i, g, uint64(d), gs.DecidedSlots)
+			if applied, _ := snap.Value("fastbft_applied_slots", gl); applied > decided {
+				t.Fatalf("replica %d group %d: apply frontier %v past %v decided slots", i, g, applied, decided)
 			}
-			if uint64(a) != gs.AppliedCommands {
-				t.Fatalf("replica %d group %d: registry applied %d, ShardStats applied %d",
-					i, g, uint64(a), gs.AppliedCommands)
-			}
-			shardDecided += gs.DecidedSlots
-			shardApplied += gs.AppliedCommands
-			regApplied += uint64(a)
-		}
-		if shardDecided != st.DecidedSlots {
-			t.Fatalf("replica %d: per-group decided sum %d, aggregate Stats %d", i, shardDecided, st.DecidedSlots)
-		}
-		if shardApplied != st.AppliedCommands || regApplied != st.AppliedCommands {
-			t.Fatalf("replica %d: applied views disagree: shards %d, registry %d, Stats %d",
-				i, shardApplied, regApplied, st.AppliedCommands)
 		}
 	}
+	scrapes := 0
+	for finished := 0; finished < workers; {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			finished++
+		case <-time.After(time.Millisecond):
+		}
+		for i, r := range reps {
+			check(i, r.Metrics().Snapshot())
+		}
+		scrapes++
+	}
+
+	const total = workers * opsPerWorker
+	for i, r := range reps {
+		deadline := time.Now().Add(30 * time.Second)
+		for {
+			snap := r.Metrics().Snapshot()
+			check(i, snap)
+			applied := snap.Sum("fastbft_commands_applied_total", obs.Labels{"replica": strconv.Itoa(i)})
+			if applied == total {
+				break
+			}
+			if applied > total || time.Now().After(deadline) {
+				t.Fatalf("replica %d: registry counts %v applied commands, want the %d confirmed writes", i, applied, total)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	t.Logf("%d scrapes of %d replicas under load", scrapes, cfg.N)
 }
 
 // TestMetricsEndpointLiveScrape drives a workload against a real TCP cluster
@@ -209,17 +200,19 @@ func TestMetricsEndpointLiveScrape(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	decided := func(snap *obs.Snapshot) float64 {
+		return snap.Sum("fastbft_slots_decided_total", obs.Labels{"replica": "0"})
+	}
 	deadline := time.Now().Add(30 * time.Second)
 	var second *obs.Snapshot
 	for {
 		second = scrapeJSON()
-		if registryDecided(second, 0, 1) > registryDecided(first, 0, 1) &&
-			registryDecided(second, 0, 1) > 0 {
+		if decided(second) > decided(first) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("decided counter never advanced between scrapes: first %d, second %d",
-				registryDecided(first, 0, 1), registryDecided(second, 0, 1))
+			t.Fatalf("decided counter never advanced between scrapes: first %v, second %v",
+				decided(first), decided(second))
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

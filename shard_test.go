@@ -124,22 +124,7 @@ func TestShardedClusterCrossShardClients(t *testing.T) {
 	// Exactly-once: every replica applies each command once — no more (a
 	// cross-group duplicate would inflate the count) and no less.
 	const total = workers * opsPerWorker
-	deadline := time.Now().Add(time.Minute)
-	for {
-		done := true
-		for _, r := range reps {
-			if r.AppliedOps() < total {
-				done = false
-			}
-		}
-		if done {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("timeout: replica 0 applied %d of %d", reps[0].AppliedOps(), total)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitApplied(t, reps, total)
 	for i, r := range reps {
 		if n := r.AppliedOps(); n != total {
 			t.Fatalf("replica %d applied %d commands, want exactly %d", i, n, total)
@@ -152,13 +137,9 @@ func TestShardedClusterCrossShardClients(t *testing.T) {
 				}
 			}
 		}
-		// The aggregated view must be the sum of the per-group views.
-		var sum uint64
-		for g := 0; g < r.Shards(); g++ {
-			sum += r.ShardStats(g).AppliedCommands
-		}
-		if agg := r.Stats().AppliedCommands; agg != sum || sum != total {
-			t.Fatalf("replica %d: aggregate AppliedCommands %d, per-group sum %d, want %d", i, agg, sum, total)
+		// The registry's per-group counters must add up to the same total.
+		if sum := r.Metrics().Snapshot().Sum("fastbft_commands_applied_total", nil); sum != total {
+			t.Fatalf("replica %d: registry counts %v applied commands across groups, want %d", i, sum, total)
 		}
 	}
 

@@ -49,6 +49,7 @@ import (
 	"repro/internal/storage"
 	"repro/internal/transport"
 	"repro/internal/types"
+	"repro/internal/viewsync"
 	"repro/internal/wire"
 )
 
@@ -120,7 +121,8 @@ type Config struct {
 	OnCommit CommitFunc
 	// BaseTimeout caps the leader-suspicion timeout of the regime timer
 	// (and seeds it while no decide latency has been observed yet), and is
-	// every slot's view-1 timer (500ms if zero).
+	// every slot's view-1 timer (viewsync.DefaultBaseTimeout, 500ms, if
+	// zero).
 	BaseTimeout time.Duration
 	// WindowSize bounds how many consensus instances may be live at once
 	// (default 8): the replica participates in slots
@@ -295,7 +297,7 @@ func NewReplica(cfg Config) (*Replica, error) {
 		cfg.CheckpointInterval = 128
 	}
 	if cfg.BaseTimeout <= 0 {
-		cfg.BaseTimeout = 500 * time.Millisecond
+		cfg.BaseTimeout = viewsync.DefaultBaseTimeout
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = node.Wall

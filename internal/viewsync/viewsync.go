@@ -26,8 +26,9 @@ import (
 	"repro/internal/types"
 )
 
-// DefaultBaseTimeout is the view-1 timeout used when the caller passes 0.
-const DefaultBaseTimeout = 50 * time.Millisecond
+// DefaultBaseTimeout is the view-1 timeout used when the caller passes 0:
+// the one default of every runtime (single-shot nodes and SMR replicas).
+const DefaultBaseTimeout = 500 * time.Millisecond
 
 // Output is the synchronizer's reaction to an input: an optional wish to
 // broadcast, an optional view to enter, and an optional new timer deadline.

@@ -46,7 +46,8 @@ type NodeConfig struct {
 	Input Value
 	// OnDecide is invoked once when the node decides.
 	OnDecide func(Decision)
-	// BaseTimeout is the view-1 timer (500ms if zero).
+	// BaseTimeout is the view-1 timer (500ms if zero, the default every
+	// replica shares).
 	BaseTimeout time.Duration
 }
 
@@ -66,9 +67,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	}
 	if cfg.Keys == nil || cfg.Keys.N() != cfg.Cluster.N {
 		return nil, fmt.Errorf("fastbft: keys for %d processes required", cfg.Cluster.N)
-	}
-	if cfg.BaseTimeout <= 0 {
-		cfg.BaseTimeout = 500 * time.Millisecond
 	}
 	tr, err := transport.NewTCP(transport.TCPConfig{
 		Self:       cfg.Self,

@@ -113,7 +113,7 @@ sim-sweep:
 ## detector (CI runs this as its own step; the paths mix goroutines,
 ## fsync ordering, and process state, so interleavings deserve extra dice)
 recovery-race:
-	$(GO) test -race -count=2 -run 'Durable|TornWrite|Recover|WALRecord|Checkpoint' ./internal/storage ./internal/smr
+	$(GO) test -race -count=2 -run 'Durable|TornWrite|Recover|WALRecord|Checkpoint|GroupCommit' ./internal/storage ./internal/smr
 	$(GO) test -race -run 'TestKVReplicaDurableRestart' .
 
 ## cluster-race: the in-process TCP cluster run of cmd/fastbft-cluster

@@ -75,9 +75,6 @@ func (r *Replica) broadcastEnvLocked(env []byte) {
 // they just do not hold the fsync up (the network flight overlaps it).
 // The classification:
 //
-//   - leader proposals: the protocol already tolerates an equivocating
-//     leader (correct processes ack at most one proposal per view), and a
-//     recovered leader restarts from its persisted adopted value anyway;
 //   - commit messages: the attached certificate is self-certifying
 //     (CommitQuorum ack signatures, verified by every receiver), and a
 //     conflicting certificate for the same view cannot exist by quorum
@@ -93,11 +90,15 @@ func (r *Replica) broadcastEnvLocked(env []byte) {
 //   - client-request forwards: the bytes are the client's, not replica
 //     state.
 //
-// What remains durably gated: the replica's own votes (Ack, AckSig, the
-// view-change Vote — and its coalesced WindowVote form), the coalesced
-// WindowWish (the per-slot wishes it bundles feed peers' view-entry
-// quorums, and a replica that forgot wishing could stall re-entry), and a
-// decision's effects (client replies, OnCommit).
+// What remains durably gated: leader proposals (the protocol would
+// tolerate an equivocating leader, but letting the propose wave outrun the
+// rest of the pipeline widens the window in which a slow replica opens
+// slots on traffic it cannot yet act on — see applyActions), the replica's
+// own votes (Ack, AckSig, the view-change Vote — and its coalesced
+// WindowVote form), the coalesced WindowWish (the per-slot wishes it
+// bundles feed peers' view-entry quorums, and a replica that forgot
+// wishing could stall re-entry), and a decision's effects (client replies,
+// OnCommit).
 // The caller holds r.mu.
 func (r *Replica) sendOrderedLocked(to types.ProcessID, env []byte) {
 	if r.recovering {

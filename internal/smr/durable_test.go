@@ -11,9 +11,9 @@ import (
 
 // The durable tests run the fixture with a storage.Store (SyncGroup) under
 // every replica, so they can cut the power (Store.Abort, via simGroup.crash)
-// and rebuild replicas from disk alone. The store's flusher and syncer stay
-// real goroutines doing real fsyncs; simGroup.settle waits them out at every
-// virtual instant.
+// and rebuild replicas from disk alone. Each store's flusher stays a real
+// goroutine doing real fsyncs; simGroup.settle waits it out at every virtual
+// instant.
 
 // TestDurableFullClusterRestart is the assertion in-memory replication can
 // never make: every replica is stopped at once — no survivor to serve

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/msg"
+	"repro/internal/obs"
 	"repro/internal/sigcrypto"
 	"repro/internal/types"
 )
@@ -50,6 +51,104 @@ func openStore(t *testing.T, dir string) *Store {
 		t.Fatal(err)
 	}
 	return s
+}
+
+// openMetered opens a store that exports its counters to a fresh registry.
+func openMetered(t *testing.T) (*Store, *obs.Registry) {
+	t.Helper()
+	reg := obs.NewRegistry()
+	s, err := Open(Config{Dir: t.TempDir(), Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = s.Close() })
+	return s, reg
+}
+
+// walSyncs reads the store's fsync count and its coalescing histogram (one
+// sample per fsync, the records it certified) from the registry.
+func walSyncs(reg *obs.Registry) (syncs float64, samples uint64, records float64) {
+	snap := reg.Snapshot()
+	syncs, _ = snap.Value("fastbft_wal_syncs_total", nil)
+	for _, m := range snap.Metrics {
+		if m.Name == "fastbft_wal_coalesced_records" {
+			samples, records = m.Count, m.Sum
+		}
+	}
+	return syncs, samples, records
+}
+
+// holdFlusher appends a record whose effect parks the flusher until the
+// returned release is called, and returns once the flusher is parked:
+// everything queued meanwhile is drained as one batch.
+func holdFlusher(t *testing.T, s *Store) (release func()) {
+	t.Helper()
+	held, gate := make(chan struct{}), make(chan struct{})
+	s.Append(EncodeVote(0, testVote(1, "hold")), func() {
+		close(held)
+		<-gate
+	})
+	<-held
+	return func() { close(gate) }
+}
+
+// TestGroupCommitOrderedEffectSkipsFsync: an ordered effect queued behind an
+// unsynced record leaves without an fsync; the durable effect after it pays
+// exactly one.
+func TestGroupCommitOrderedEffectSkipsFsync(t *testing.T) {
+	s, reg := openMetered(t)
+	release := holdFlusher(t, s) // one fsync, for the holding record
+	var ordered, durable float64
+	s.Append(EncodeVote(1, testVote(1, "x")))
+	s.OrderedEffect(func() { ordered, _, _ = walSyncs(reg) })
+	s.Effect(func() { durable, _, _ = walSyncs(reg) })
+	release()
+	if err := s.Barrier(); err != nil {
+		t.Fatal(err)
+	}
+	if ordered != 1 || durable != 2 {
+		t.Fatalf("fsyncs seen by the ordered effect %v (want 1), by the durable effect %v (want 2)", ordered, durable)
+	}
+}
+
+// TestGroupCommitCoalescesQueuedRecords: records appended while an fsync's
+// effects hold the flusher share the next fsync — one fsync, one coalescing
+// sample of all of them.
+func TestGroupCommitCoalescesQueuedRecords(t *testing.T) {
+	s, reg := openMetered(t)
+	release := holdFlusher(t, s)
+	syncs0, samples0, records0 := walSyncs(reg)
+	for i := uint64(1); i <= 8; i++ {
+		s.Append(EncodeVote(i, testVote(1, "x")), func() {})
+	}
+	release()
+	if err := s.Barrier(); err != nil {
+		t.Fatal(err)
+	}
+	syncs, samples, records := walSyncs(reg)
+	if syncs-syncs0 != 1 || samples-samples0 != 1 || records-records0 != 8 {
+		t.Fatalf("8 queued records took %v fsyncs with %d coalescing samples of %v records, want 1, 1, 8",
+			syncs-syncs0, samples-samples0, records-records0)
+	}
+}
+
+// TestGroupCommitCoalescingAfterCheckpoint: a checkpoint's WAL rewrite makes
+// the records before it durable (or drops them), so the first fsync after it
+// certifies only the records appended since.
+func TestGroupCommitCoalescingAfterCheckpoint(t *testing.T) {
+	s, reg := openMetered(t)
+	for slot := uint64(0); slot < 8; slot++ {
+		s.Append(EncodeDecision(slot, types.Decision{Value: types.Value("v"), View: 1, Path: types.FastPath}))
+	}
+	s.Checkpoint(testCheckpointCert(7, "h7"), []byte("snap-7"), nil)
+	s.Append(EncodeVote(8, testVote(1, "x")), func() {})
+	if err := s.Barrier(); err != nil {
+		t.Fatal(err)
+	}
+	if syncs, samples, records := walSyncs(reg); syncs != 1 || samples != 1 || records != 1 {
+		t.Fatalf("after a checkpoint: %v fsyncs with %d coalescing samples of %v records, want 1, 1, 1",
+			syncs, samples, records)
+	}
 }
 
 // TestRecordRoundTrip pins the payload codecs: every record kind survives

@@ -94,27 +94,10 @@ type op struct {
 	// ordered marks an effect that requires only queue order, not
 	// durability: it runs without waiting for an fsync of the records
 	// before it. Used for messages that expose no replica state a crash
-	// could lose (proposals, state-transfer serving) — they keep their
-	// place in the line but do not hold the line up.
+	// could lose (commit messages, checkpoint digests, state-transfer
+	// serving) — they keep their place in the line but do not hold the
+	// line up.
 	ordered bool
-}
-
-// effectEntry is one effect inside a hand-off, with its durability class.
-type effectEntry struct {
-	f       func()
-	ordered bool
-}
-
-// syncReq is one hand-off from the writer stage to the syncer stage: the
-// effects released by one drained segment (their records are already
-// written), or a barrier the writer waits on before swapping the WAL
-// handle. The syncer coalesces every request queued while the previous
-// fsync was in flight into one fsync — group commit proper — and issues
-// that fsync lazily, at the first effect that actually requires
-// durability, so ordered-only effects ahead of it escape immediately.
-type syncReq struct {
-	effects []effectEntry
-	barrier chan struct{}
 }
 
 // checkpointOp installs a stable checkpoint: durably write the snapshot
@@ -144,30 +127,21 @@ type Store struct {
 	wal      *os.File
 	done     chan struct{}
 
-	// Two-stage group commit: the flusher (writer stage) drains the queue
-	// and writes frames without syncing; effects are handed to the syncer
-	// stage over syncCh, which fsyncs once per coalesced hand-off batch and
-	// then releases the effects. inSync counts hand-offs not yet fully
-	// processed; writeSeq/syncedSeq version the WAL so an fsync only
-	// certifies the writes that preceded it.
-	syncCh     chan syncReq
-	syncerDone chan struct{}
-	inSync     int
-	writeSeq   uint64
-	syncedSeq  uint64
+	// written counts the records written to the WAL, synced how many of
+	// them an fsync (or a checkpoint's rewrite) has made durable. Only the
+	// flusher advances them; effect callers read them under s.mu to decide
+	// whether an effect must queue.
+	written uint64
+	synced  uint64
 
-	// Registry-backed counters (see Config.Metrics). recsWritten /
-	// recsSynced track records covered per fsync for the coalescing
-	// histogram; they are writer/syncer-stage values guarded by s.mu.
-	mRecords    *obs.Counter
-	mBatches    *obs.Counter
-	mSyncs      *obs.Counter
-	mInline     *obs.Counter
-	mWALBytes   *obs.Counter
-	mFsyncLat   *obs.Histogram
-	mCoalesce   *obs.Histogram
-	recsWritten uint64
-	recsSynced  uint64
+	// Registry-backed counters (see Config.Metrics).
+	mRecords  *obs.Counter
+	mBatches  *obs.Counter
+	mSyncs    *obs.Counter
+	mInline   *obs.Counter
+	mWALBytes *obs.Counter
+	mFsyncLat *obs.Histogram
+	mCoalesce *obs.Histogram
 
 	lg *obs.Logger
 }
@@ -184,12 +158,10 @@ func Open(cfg Config) (*Store, error) {
 		return nil, err
 	}
 	s := &Store{
-		dir:        cfg.Dir,
-		ns:         cfg.Namespace,
-		done:       make(chan struct{}),
-		syncCh:     make(chan syncReq, 1024),
-		syncerDone: make(chan struct{}),
-		lg:         cfg.Logger,
+		dir:  cfg.Dir,
+		ns:   cfg.Namespace,
+		done: make(chan struct{}),
+		lg:   cfg.Logger,
 	}
 	reg, ls := cfg.Metrics, cfg.MetricsLabels
 	s.mRecords = reg.Counter("fastbft_wal_records_total", "WAL records appended", ls)
@@ -204,7 +176,6 @@ func Open(cfg Config) (*Store, error) {
 		return nil, err
 	}
 	go s.flusher()
-	go s.syncer()
 	return s, nil
 }
 
@@ -316,14 +287,13 @@ func (s *Store) Append(payload []byte, effects ...func()) {
 }
 
 // busyLocked reports whether an effect must queue behind outstanding work:
-// queued ops, a drain in flight, effects awaiting the syncer or — unless the
-// effect is ordered-only — written records not yet covered by an fsync. The
-// caller holds s.mu.
+// queued ops, a drain in flight or — unless the effect is ordered-only —
+// written records not yet covered by an fsync. The caller holds s.mu.
 func (s *Store) busyLocked(ordered bool) bool {
-	if len(s.queue) > 0 || s.flushing || s.inSync > 0 {
+	if len(s.queue) > 0 || s.flushing {
 		return true
 	}
-	return !ordered && s.writeSeq > s.syncedSeq
+	return !ordered && s.written > s.synced
 }
 
 // Effect schedules f to run once everything appended so far is durable.
@@ -375,29 +345,17 @@ func (s *Store) Checkpoint(cert *msg.CheckpointCert, snapshot []byte, live [][]b
 // returns the sticky error, if any.
 func (s *Store) Barrier() error {
 	s.mu.Lock()
-	for (len(s.queue) > 0 || s.flushing || s.inSync > 0) && !s.aborted {
+	defer s.mu.Unlock()
+	if !s.closed && s.busyLocked(false) {
+		// A no-op durable effect: the flusher fsyncs before running it, so
+		// the WAL handle is only ever synced from the flusher goroutine.
+		s.queue = append(s.queue, op{effect: func() {}})
+		s.cond.Signal()
+	}
+	for (len(s.queue) > 0 || s.flushing) && !s.aborted {
 		s.cond.Wait()
 	}
-	err := s.err
-	mustSync := s.writeSeq > s.syncedSeq && err == nil && !s.aborted
-	seq := s.writeSeq
-	wal := s.wal
-	s.mu.Unlock()
-	if mustSync && wal != nil {
-		// Both stages are idle, so syncing from here cannot race a
-		// checkpoint's handle swap.
-		serr := wal.Sync()
-		if serr != nil {
-			s.fail(fmt.Errorf("storage: wal fsync: %w", serr))
-			return serr
-		}
-		s.mu.Lock()
-		if s.syncedSeq < seq {
-			s.syncedSeq = seq
-		}
-		s.mu.Unlock()
-	}
-	return err
+	return s.err
 }
 
 // Close drains the queue (remaining records are written and fsync'd, and
@@ -408,14 +366,12 @@ func (s *Store) Close() error {
 	if s.closed {
 		s.mu.Unlock()
 		<-s.done
-		<-s.syncerDone
 		return nil
 	}
 	s.closed = true
 	s.cond.Broadcast()
 	s.mu.Unlock()
 	<-s.done
-	<-s.syncerDone
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.wal != nil {
@@ -436,7 +392,6 @@ func (s *Store) Abort() {
 	if s.closed {
 		s.mu.Unlock()
 		<-s.done
-		<-s.syncerDone
 		return
 	}
 	s.closed = true
@@ -445,7 +400,6 @@ func (s *Store) Abort() {
 	s.cond.Broadcast()
 	s.mu.Unlock()
 	<-s.done
-	<-s.syncerDone
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.wal != nil {
@@ -454,12 +408,12 @@ func (s *Store) Abort() {
 	}
 }
 
-// flusher is the writer stage: it drains the queue in order, writes frames
-// without waiting for the disk, and hands each segment's effects to the
-// syncer. Closing the queue closes the hand-off channel, which stops the
-// syncer after it drains.
+// flusher is group commit's one loop: it drains the queue in order, writes
+// each segment's frames, fsyncs, and runs the segment's effects. Everything
+// appended while an fsync is in flight piles up in the queue and shares the
+// next one — the amortization that keeps durable throughput near the
+// in-memory pipeline's.
 func (s *Store) flusher() {
-	defer close(s.syncCh)
 	defer close(s.done)
 	s.mu.Lock()
 	for {
@@ -483,65 +437,11 @@ func (s *Store) flusher() {
 	}
 }
 
-// syncer is the fsync stage of group commit: it coalesces every hand-off
-// queued while the previous fsync was in flight, issues one fsync covering
-// all of their records, and only then releases their effects, in order.
-// The writer never waits for the disk, so records pile up behind the
-// in-flight fsync and share the next one — the amortization that keeps
-// durable throughput near the in-memory pipeline's.
-func (s *Store) syncer() {
-	defer close(s.syncerDone)
-	for req := range s.syncCh {
-		reqs := []syncReq{req}
-		// Coalesce everything already queued (stop at the first barrier so
-		// the writer's WAL-handle swap stays ordered).
-		if req.barrier == nil {
-		gather:
-			for {
-				select {
-				case r, ok := <-s.syncCh:
-					if !ok {
-						break gather
-					}
-					reqs = append(reqs, r)
-					if r.barrier != nil {
-						break gather
-					}
-				default:
-					break gather
-				}
-			}
-		}
-		// Run the effects in order, fsyncing lazily: the first effect that
-		// requires durability pays one fsync certifying every record
-		// written before this point; ordered-only effects ahead of it (a
-		// proposal whose network flight can overlap the fsync) escape
-		// immediately.
-		synced := false
-		for _, r := range reqs {
-			for _, e := range r.effects {
-				if !e.ordered && !synced {
-					s.syncUpTo()
-					synced = true
-				}
-				s.runEffect(e.f)
-			}
-			if r.barrier != nil {
-				close(r.barrier)
-			}
-		}
-		s.mu.Lock()
-		s.inSync -= len(reqs)
-		s.cond.Broadcast()
-		s.mu.Unlock()
-	}
-}
-
-// processBatch handles one drained batch. Frames between two flush points
-// are written with one write call and no fsync; the segment's effects are
-// handed to the syncer, which fsyncs before releasing them. A checkpoint
-// op is a flush point: it waits for the syncer to drain (so the fsync of
-// earlier effects ran against the old WAL handle), then swaps the WAL.
+// processBatch handles one drained batch. The frames between two checkpoint
+// ops form a segment, written with one write call; the segment's effects
+// then run in queue order, fsyncing lazily: the first effect that requires
+// durability pays one fsync certifying every record written so far, and
+// ordered-only effects ahead of it leave without waiting.
 //
 // Effect-less records (a decision whose replies were not requested, a
 // captured certificate) are written but trigger no fsync of their own —
@@ -549,66 +449,47 @@ func (s *Store) syncer() {
 // between loses only records nothing observable ever depended on, which
 // is exactly the WAL contract.
 func (s *Store) processBatch(batch []op) {
-	i := 0
-	for i < len(batch) {
+	for i := 0; i < len(batch); {
 		if batch[i].ckpt != nil {
-			s.syncerBarrier()
 			s.doCheckpoint(batch[i].ckpt)
 			i++
 			continue
 		}
-		// Collect the segment up to the next checkpoint op.
 		j := i
 		var frames []byte
-		var effects []effectEntry
-		durable := false
 		nrecs := uint64(0)
-		for j < len(batch) && batch[j].ckpt == nil {
+		for ; j < len(batch) && batch[j].ckpt == nil; j++ {
 			if batch[j].frame != nil {
 				frames = append(frames, batch[j].frame...)
 				nrecs++
 			}
-			if batch[j].effect != nil {
-				effects = append(effects, effectEntry{f: batch[j].effect, ordered: batch[j].ordered})
-				if !batch[j].ordered {
-					durable = true
-				}
-			}
-			j++
 		}
-		if len(frames) > 0 {
+		if nrecs > 0 {
 			s.write(frames, nrecs)
 		}
-		i = j
-		if len(effects) > 0 {
-			// Hand the effects to the syncer only when an fsync actually
-			// stands between them and the outside world: ordered-only
-			// segments need nothing but their place in line, and when the
-			// syncer is idle with nothing unsynced the effects can run right
-			// here — saving a cross-goroutine hop on the latency chain.
-			s.mu.Lock()
-			direct := s.inSync == 0 && (!durable || s.writeSeq == s.syncedSeq)
-			if !direct {
-				s.inSync++
+		synced := false
+		for _, o := range batch[i:j] {
+			if o.effect == nil {
+				continue
 			}
-			s.mu.Unlock()
-			if direct {
-				for _, e := range effects {
-					s.runEffect(e.f)
-				}
-			} else {
-				s.syncCh <- syncReq{effects: effects}
+			if !o.ordered && !synced {
+				s.syncUpTo()
+				synced = true
 			}
+			s.runEffect(o.effect)
 		}
+		i = j
 	}
 }
 
 // syncUpTo fsyncs the WAL if records were written since the last fsync,
-// certifying everything written so far. Syncer-stage only.
+// certifying everything written so far, and accounts the fsync: count,
+// latency, and how many records it certified (the group-commit coalescing
+// factor). Flusher only.
 func (s *Store) syncUpTo() {
 	s.mu.Lock()
-	seq := s.writeSeq
-	skip := seq <= s.syncedSeq || s.err != nil || s.aborted
+	covered := s.written - s.synced
+	skip := covered == 0 || s.err != nil || s.aborted
 	wal := s.wal
 	s.mu.Unlock()
 	if skip || wal == nil {
@@ -619,43 +500,16 @@ func (s *Store) syncUpTo() {
 		s.fail(fmt.Errorf("storage: wal fsync: %w", err))
 		return
 	}
-	s.recordSync(start)
-	s.mu.Lock()
-	if s.syncedSeq < seq {
-		s.syncedSeq = seq
-	}
-	s.mu.Unlock()
-}
-
-// recordSync accounts one completed fsync: count, latency, and how many
-// records it certified (the group-commit coalescing factor).
-func (s *Store) recordSync(start time.Time) {
-	d := time.Since(start)
 	s.mSyncs.Inc()
-	s.mFsyncLat.ObserveDuration(d)
+	s.mFsyncLat.ObserveDuration(time.Since(start))
+	s.mCoalesce.Observe(covered)
 	s.mu.Lock()
-	covered := s.recsWritten - s.recsSynced
-	s.recsSynced = s.recsWritten
+	s.synced += covered
 	s.mu.Unlock()
-	if covered > 0 {
-		s.mCoalesce.Observe(covered)
-	}
 }
 
-// syncerBarrier waits until the syncer has processed every hand-off queued
-// so far (their fsyncs ran against the current WAL handle).
-func (s *Store) syncerBarrier() {
-	br := make(chan struct{})
-	s.mu.Lock()
-	s.inSync++
-	s.mu.Unlock()
-	s.syncCh <- syncReq{barrier: br}
-	<-br
-}
-
-// write appends bytes holding nrecs records to the WAL and bumps the write
-// sequence the syncer certifies against. Errors are sticky. Writer-stage
-// only.
+// write appends bytes holding nrecs records to the WAL. Errors are sticky.
+// Flusher only.
 func (s *Store) write(b []byte, nrecs uint64) {
 	if s.failed() || s.wal == nil {
 		return
@@ -666,8 +520,7 @@ func (s *Store) write(b []byte, nrecs uint64) {
 	}
 	s.mWALBytes.Add(uint64(len(b)))
 	s.mu.Lock()
-	s.writeSeq++
-	s.recsWritten += nrecs
+	s.written += nrecs
 	s.mu.Unlock()
 }
 
@@ -733,7 +586,7 @@ func (s *Store) doCheckpoint(op *checkpointOp) {
 	_ = old.Close()
 	s.mu.Lock()
 	s.wal = wal
-	s.syncedSeq = s.writeSeq // the rewrite fsync'd everything still live
+	s.synced = s.written // the rewrite fsync'd everything still live
 	s.mu.Unlock()
 	pruneSnapshots(s.dir, s.ns, op.cert.CP.Slot)
 }

@@ -45,6 +45,7 @@ fuzz:
 	$(GO) test ./internal/smr -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/msg -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/msg -run '^$$' -fuzz '^FuzzDecodeReply$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/msg -run '^$$' -fuzz '^FuzzDecodeStateSnapshot$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/transport -run '^$$' -fuzz '^FuzzDecodeClientFrame$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/storage -run '^$$' -fuzz '^FuzzDecodeWALRecord$$' -fuzztime $(FUZZTIME)
 
@@ -109,11 +110,12 @@ byz:
 sim-sweep:
 	$(GO) test ./internal/smr -count=1 -run 'TestSeededScheduleSmoke' -sim.seeds=$(SEEDS)
 
-## recovery-race: the crash-recovery and torn-write suites under the race
-## detector (CI runs this as its own step; the paths mix goroutines,
-## fsync ordering, and process state, so interleavings deserve extra dice)
+## recovery-race: the crash-recovery, torn-write and state-transfer suites
+## under the race detector (CI runs this as its own step; the paths mix
+## goroutines, fsync ordering, and process state, so interleavings deserve
+## extra dice)
 recovery-race:
-	$(GO) test -race -count=2 -run 'Durable|TornWrite|Recover|WALRecord|Checkpoint|GroupCommit' ./internal/storage ./internal/smr
+	$(GO) test -race -count=2 -run 'Durable|TornWrite|Recover|WALRecord|Checkpoint|GroupCommit|StateTransfer|CatchUp|CatchesUp|Chunk|FetchRetry' ./internal/storage ./internal/smr
 	$(GO) test -race -run 'TestKVReplicaDurableRestart' .
 
 ## cluster-race: the in-process TCP cluster run of cmd/fastbft-cluster

@@ -103,11 +103,11 @@ func (g *GarbageProposer) Deliver(d *Driver, _ types.ProcessID, slot uint64, _ m
 //
 //   - a snapshot under a forged certificate (below the signature quorum),
 //   - a snapshot whose bytes do not hash to a genuine certificate's digest,
-//   - snapshot chunks reassembling to bytes that fail the certified digest,
 //   - a tail decision whose commit certificate was harvested from a
 //     different slot (the slot-salt replay),
 //   - and finally a genuine but stale response, recorded earlier from a
-//     correct peer — verifiable progress, but short of the frontier.
+//     correct peer and replayed frame for frame — verifiable progress,
+//     but short of the frontier.
 //
 // The stale response is the liveness half of the attack: the victim
 // accepts it (it is real), stays behind the cluster, and must escape via
@@ -117,7 +117,8 @@ type StaleSnapshotServer struct {
 	Victim types.ProcessID
 
 	mu           sync.Mutex
-	stale        *msg.StateSnapshot
+	stale        []*msg.StateSnapshot // the harvested response, frame by frame
+	harvested    bool                 // stale holds a complete response
 	poisonServed int
 }
 
@@ -146,7 +147,7 @@ func (s *StaleSnapshotServer) Lure(d *Driver, evidence uint64) {
 func (s *StaleSnapshotServer) Stale() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.stale != nil
+	return s.harvested
 }
 
 // StaleTailLen returns how many tail decisions the harvested response
@@ -154,10 +155,10 @@ func (s *StaleSnapshotServer) Stale() bool {
 func (s *StaleSnapshotServer) StaleTailLen() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.stale == nil {
+	if !s.harvested {
 		return 0
 	}
-	return len(s.stale.Tail)
+	return len(s.stale[len(s.stale)-1].Tail)
 }
 
 // PoisonServed returns how many poisoned fetch rounds were served to the
@@ -176,17 +177,27 @@ func (s *StaleSnapshotServer) Deliver(d *Driver, from types.ProcessID, slot uint
 	}
 	switch t := m.(type) {
 	case *msg.StateSnapshot:
-		if from != s.Victim {
-			s.mu.Lock()
-			s.stale = t
-			s.mu.Unlock()
+		if from == s.Victim {
+			return
 		}
+		// Record one whole response: its first frame starts at offset 0,
+		// its last completes the snapshot (or carries only a tail).
+		s.mu.Lock()
+		if t.Offset == 0 {
+			s.stale = nil
+		}
+		s.stale = append(s.stale, t)
+		s.harvested = t.Offset+uint64(len(t.Data)) >= t.Total
+		s.mu.Unlock()
 	case *msg.FetchState:
 		if from != s.Victim {
 			return
 		}
 		s.mu.Lock()
-		stale := s.stale
+		var stale []*msg.StateSnapshot
+		if s.harvested {
+			stale = s.stale
+		}
 		s.poisonServed++
 		s.mu.Unlock()
 
@@ -199,32 +210,28 @@ func (s *StaleSnapshotServer) Deliver(d *Driver, from types.ProcessID, slot uint
 			d.Signer().Sign(msg.CheckpointDigest(cp)),
 		}}
 		d.Send(s.Victim, smr.SyncSlotID, &msg.StateSnapshot{
-			HasSnap: true, Snapshot: poison, Cert: forged,
+			Cert: forged, Total: uint64(len(poison)), Data: poison,
 		})
 
-		if stale != nil && stale.HasSnap {
-			// Genuine certificate, wrong bytes: fails the digest check.
+		if len(stale) > 0 && stale[0].Total > 0 {
+			// Genuine certificate, wrong bytes: the certificate opens the
+			// reassembly, the completed buffer fails the certified digest.
 			d.Send(s.Victim, smr.SyncSlotID, &msg.StateSnapshot{
-				HasSnap: true, Snapshot: poison, Cert: stale.Cert,
-			})
-			// Chunked variant: a valid certificate opens the reassembly,
-			// the completed buffer fails the certified digest.
-			d.Send(s.Victim, smr.SyncSlotID, &msg.SnapshotChunk{
-				Cert: stale.Cert, Total: uint64(len(poison)), Offset: 0, Data: poison,
+				Cert: stale[0].Cert, Total: uint64(len(poison)), Data: poison,
 			})
 		}
-		if stale != nil && len(stale.Tail) > 0 {
+		if len(stale) > 0 && len(stale[len(stale)-1].Tail) > 0 {
 			// Slot-salt replay: a commit certificate harvested from slot j
 			// presented as the decision of slot j+1.
-			td := stale.Tail[0]
+			td := stale[len(stale)-1].Tail[0]
 			d.Send(s.Victim, smr.SyncSlotID, &msg.StateSnapshot{
 				Tail: []msg.TailDecision{{Slot: td.Slot + 1, CC: td.CC}},
 			})
 		}
-		if stale != nil {
-			// The stale-but-genuine response, last: the victim accepts it
-			// and lands behind the frontier.
-			d.Send(s.Victim, smr.SyncSlotID, stale)
+		// The stale-but-genuine response, last and frame for frame: the
+		// victim accepts it and lands behind the frontier.
+		for _, f := range stale {
+			d.Send(s.Victim, smr.SyncSlotID, f)
 		}
 	}
 }

@@ -99,6 +99,7 @@ type waiter struct {
 	done    chan struct{}
 	votes   map[types.ProcessID][]byte // per-replica result (latest wins)
 	settled bool
+	closed  bool // settled by Close, not by a reply quorum
 	result  []byte
 }
 
@@ -187,9 +188,9 @@ func (c *Client) Execute(op []byte) ([]byte, error) {
 		select {
 		case <-w.done:
 			c.mu.Lock()
-			res, closed := w.result, c.closed
+			res, closed := w.result, w.closed
 			c.mu.Unlock()
-			if closed && res == nil {
+			if closed {
 				return nil, ErrClosed
 			}
 			return res, nil
@@ -267,7 +268,7 @@ func (c *Client) Close() error {
 	c.closed = true
 	for _, w := range c.waiters {
 		if !w.settled {
-			w.settled = true
+			w.settled, w.closed = true, true
 			close(w.done)
 		}
 	}

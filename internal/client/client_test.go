@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/msg"
 	"repro/internal/sigcrypto"
 	"repro/internal/smr"
 	"repro/internal/transport"
@@ -217,5 +218,49 @@ func TestClosedClientUnblocksExecute(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("execute still blocked after Close")
+	}
+}
+
+// quorumThenClose is a transport whose first Send delivers need matching
+// empty replies and then closes the client, before Execute wakes up.
+type quorumThenClose struct {
+	need    int
+	c       *Client
+	handler func(types.ProcessID, *msg.Reply)
+	done    bool
+}
+
+func (tr *quorumThenClose) SetHandler(h func(types.ProcessID, *msg.Reply)) { tr.handler = h }
+func (tr *quorumThenClose) Close() error                                   { return nil }
+
+func (tr *quorumThenClose) Send(_ types.ProcessID, req *msg.Request) error {
+	if tr.done {
+		return nil
+	}
+	tr.done = true
+	for p := 0; p < tr.need; p++ {
+		tr.handler(types.ProcessID(p), &msg.Reply{Client: req.Client, Seq: req.Seq, Replica: types.ProcessID(p)})
+	}
+	return tr.c.Close()
+}
+
+// TestEmptyResultSettledBeforeClose: a request f+1 replicas confirmed with
+// an empty result (a KV delete of an absent key) returns that result even
+// when Close lands before Execute wakes; only a request Close itself
+// released reports ErrClosed.
+func TestEmptyResultSettledBeforeClose(t *testing.T) {
+	cfg := types.Generalized(1, 1)
+	tr := &quorumThenClose{need: cfg.F + 1}
+	c, err := New(Config{Cluster: cfg, ID: "dave"}, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.c = c
+	res, err := c.Execute([]byte("delete absent key"))
+	if err != nil {
+		t.Fatalf("confirmed request returned %v", err)
+	}
+	if len(res) != 0 {
+		t.Fatalf("result %q, want empty", res)
 	}
 }

@@ -55,16 +55,20 @@ type TailDecision struct {
 	CC   CommitCert
 }
 
-// StateSnapshot is the state-transfer response: the responder's stable
-// checkpoint (snapshot bytes plus the certificate binding their digest to
-// Cert.CP), followed by certified decisions for slots after the checkpoint.
-// HasSnap is false when the responder has no stable checkpoint yet and the
-// response carries only tail decisions.
+// StateSnapshot is one frame of a state-transfer response. A response
+// streams the responder's stable checkpoint snapshot as pieces of Total
+// bytes in offset order, every piece carrying the certificate that binds
+// the whole snapshot's digest to Cert.CP; the receiver reassembles them
+// and accepts the snapshot only if its SHA-256 digest matches the
+// certificate. The last piece also carries certified decisions for the
+// slots after the checkpoint. A responder with no shippable snapshot sends
+// one frame with Total == 0 and only the tail.
 type StateSnapshot struct {
-	HasSnap  bool
-	Snapshot []byte
-	Cert     CheckpointCert
-	Tail     []TailDecision
+	Cert   CheckpointCert
+	Total  uint64
+	Offset uint64
+	Data   []byte
+	Tail   []TailDecision
 }
 
 // Kind implements Message.
@@ -73,33 +77,11 @@ func (m *StateSnapshot) Kind() Kind { return KindStateSnapshot }
 // InView implements Message.
 func (m *StateSnapshot) InView() types.View { return types.NoView }
 
-// SnapshotChunk carries one size-bounded piece of a stable-checkpoint
-// snapshot too large for a single StateSnapshot frame. The chunks of one
-// snapshot share the certificate that binds the snapshot's digest; the
-// receiver reassembles them in offset order and accepts the whole only if
-// its SHA-256 digest matches the certificate — the same authentication as
-// the single-frame path, applied to the reassembled bytes. Total is the
-// full snapshot size, so the receiver knows when reassembly is complete
-// (and can refuse absurd claims before buffering anything).
-type SnapshotChunk struct {
-	Cert   CheckpointCert
-	Total  uint64
-	Offset uint64
-	Data   []byte
-}
-
-// Kind implements Message.
-func (m *SnapshotChunk) Kind() Kind { return KindSnapshotChunk }
-
-// InView implements Message.
-func (m *SnapshotChunk) InView() types.View { return types.NoView }
-
 // Compile-time interface checks.
 var (
 	_ Message = (*Checkpoint)(nil)
 	_ Message = (*FetchState)(nil)
 	_ Message = (*StateSnapshot)(nil)
-	_ Message = (*SnapshotChunk)(nil)
 )
 
 // CheckpointCert certifies a checkpoint: CertQuorum (f+1) signatures from

@@ -75,11 +75,11 @@ func TestCheckpointEqualClone(t *testing.T) {
 	}
 }
 
-// TestSnapshotChunkCodecRoundTrip pins the wire form of chunked
-// state-transfer snapshots.
+// TestSnapshotChunkCodecRoundTrip pins the wire form of one piece of a
+// streamed state-transfer snapshot.
 func TestSnapshotChunkCodecRoundTrip(t *testing.T) {
 	s := testScheme()
-	in := &SnapshotChunk{
+	in := &StateSnapshot{
 		Cert:   *sampleCheckpointCert(s),
 		Total:  1 << 20,
 		Offset: 4096,
@@ -90,7 +90,7 @@ func TestSnapshotChunkCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, ok := m.(*SnapshotChunk)
+	out, ok := m.(*StateSnapshot)
 	if !ok {
 		t.Fatalf("decoded %T", m)
 	}

@@ -73,11 +73,10 @@ func EncodeTo(w *wire.Writer, m Message) bool {
 	case *FetchState:
 		w.Uvarint(t.From)
 	case *StateSnapshot:
-		w.Bool(t.HasSnap)
-		if t.HasSnap {
-			w.BytesField(t.Snapshot)
-			t.Cert.encode(w)
-		}
+		t.Cert.encode(w)
+		w.Uvarint(t.Total)
+		w.Uvarint(t.Offset)
+		w.BytesField(t.Data)
 		w.Uvarint(uint64(len(t.Tail)))
 		for _, td := range t.Tail {
 			w.Uvarint(td.Slot)
@@ -95,11 +94,6 @@ func EncodeTo(w *wire.Writer, m Message) bool {
 		w.Int32(int32(t.Replica))
 		w.BytesField(t.Result)
 		w.Uvarint(t.Group)
-	case *SnapshotChunk:
-		t.Cert.encode(w)
-		w.Uvarint(t.Total)
-		w.Uvarint(t.Offset)
-		w.BytesField(t.Data)
 	case *WindowWish:
 		w.Uvarint(uint64(t.View))
 		w.Uvarint(t.Lo)
@@ -156,9 +150,6 @@ func Decode(buf []byte) (Message, error) {
 		t.View = types.View(r.Uvarint())
 		t.X = r.BytesField()
 		n := r.SliceLen()
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
 		t.Votes = make([]SignedVote, 0, n)
 		for i := 0; i < n; i++ {
 			t.Votes = append(t.Votes, decodeSignedVote(r))
@@ -200,15 +191,11 @@ func Decode(buf []byte) (Message, error) {
 		m = t
 	case KindStateSnapshot:
 		t := &StateSnapshot{}
-		t.HasSnap = r.Bool()
-		if t.HasSnap {
-			t.Snapshot = r.BytesField()
-			t.Cert = decodeCheckpointCert(r)
-		}
+		t.Cert = decodeCheckpointCert(r)
+		t.Total = r.Uvarint()
+		t.Offset = r.Uvarint()
+		t.Data = r.BytesField()
 		n := r.SliceLen()
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
 		if n > MaxTailDecisions {
 			return nil, wire.ErrOverflow
 		}
@@ -236,13 +223,6 @@ func Decode(buf []byte) (Message, error) {
 		t.Result = r.BytesField()
 		t.Group = r.Uvarint()
 		m = t
-	case KindSnapshotChunk:
-		t := &SnapshotChunk{}
-		t.Cert = decodeCheckpointCert(r)
-		t.Total = r.Uvarint()
-		t.Offset = r.Uvarint()
-		t.Data = r.BytesField()
-		m = t
 	case KindWindowWish:
 		t := &WindowWish{}
 		t.View = types.View(r.Uvarint())
@@ -261,9 +241,6 @@ func Decode(buf []byte) (Message, error) {
 		t := &WindowVote{}
 		t.View = types.View(r.Uvarint())
 		n := r.SliceLen()
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
 		if n > MaxWindowSlots {
 			return nil, wire.ErrOverflow
 		}

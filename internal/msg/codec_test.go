@@ -1,6 +1,7 @@
 package msg
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -79,14 +80,36 @@ func TestRoundTripAllKinds(t *testing.T) {
 		&FetchState{From: 41},
 		&StateSnapshot{},
 		&StateSnapshot{
-			HasSnap:  true,
-			Snapshot: []byte("snapshot-bytes"),
-			Cert:     *sampleCheckpointCert(s),
-			Tail:     []TailDecision{{Slot: 17, CC: *cc}, {Slot: 18, CC: *cc}},
+			Cert:   *sampleCheckpointCert(s),
+			Total:  14,
+			Offset: 0,
+			Data:   []byte("snapshot-bytes"),
+			Tail:   []TailDecision{{Slot: 17, CC: *cc}, {Slot: 18, CC: *cc}},
 		},
+		&StateSnapshot{Tail: []TailDecision{{Slot: 17, CC: *cc}}},
 	}
 	for _, m := range msgs {
 		roundTrip(t, m)
+	}
+}
+
+// TestKindNumbersArePinned: kind bytes are persisted (Request bytes live in
+// WALs and snapshots) and exchanged between versions, so a kind keeps its
+// number for good and a retired number stays unused.
+func TestKindNumbersArePinned(t *testing.T) {
+	want := map[Kind]uint8{
+		KindPropose: 1, KindAck: 2, KindAckSig: 3, KindVote: 4, KindCertRequest: 5,
+		KindCertAck: 6, KindCommit: 7, KindWish: 8, KindRaw: 9, KindCheckpoint: 10,
+		KindFetchState: 11, KindStateSnapshot: 12, KindRequest: 13, KindReply: 14,
+		KindWindowWish: 16, KindWindowVote: 17,
+	}
+	for k, n := range want {
+		if uint8(k) != n {
+			t.Errorf("%s is kind %d, want %d", k, uint8(k), n)
+		}
+	}
+	if _, err := Decode([]byte{15}); err == nil {
+		t.Error("retired kind 15 decoded")
 	}
 }
 
@@ -96,6 +119,38 @@ func TestDecodeRejectsUnknownKind(t *testing.T) {
 	}
 	if _, err := Decode(nil); err == nil {
 		t.Fatal("expected error for empty buffer")
+	}
+}
+
+// TestDecodeBoundsClaimedCounts: a slice count the frame cannot back with
+// bytes is refused before anything is allocated for it. Decoding runs under
+// the replica lock, so a few-byte frame claiming 65 535 votes or signatures
+// must not cost megabytes of allocation first.
+func TestDecodeBoundsClaimedCounts(t *testing.T) {
+	frames := []struct {
+		name string
+		buf  []byte
+	}{
+		// kind, view 1, empty value, vote count 65 535
+		{"certreq", []byte{byte(KindCertRequest), 1, 0, 0xff, 0xff, 0x03}},
+		// kind, view 1, empty value, certificate (empty value, view 1,
+		// signature count 65 535)
+		{"commit", []byte{byte(KindCommit), 1, 0, 0, 1, 0xff, 0xff, 0x03}},
+	}
+	for _, f := range frames {
+		if _, err := Decode(f.buf); err == nil {
+			t.Fatalf("%s: truncated frame decoded", f.name)
+		}
+		const runs = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			_, _ = Decode(f.buf)
+		}
+		runtime.ReadMemStats(&after)
+		if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > 4096 {
+			t.Fatalf("%s: decoding a %d-byte frame allocated %d bytes", f.name, len(f.buf), per)
+		}
 	}
 }
 

@@ -43,8 +43,10 @@ const (
 	// KindFetchState asks a peer for a state-transfer snapshot covering the
 	// requester's applied frontier.
 	KindFetchState
-	// KindStateSnapshot answers a FetchState with a certified checkpoint
-	// snapshot plus certified decisions for the slots after it.
+	// KindStateSnapshot carries one piece of the answer to a FetchState: a
+	// size-bounded piece of the certified checkpoint snapshot, the last
+	// piece also carrying certified decisions for the slots after it (see
+	// StateSnapshot).
 	KindStateSnapshot
 	// KindRequest is an external client's command submission; its canonical
 	// encoding doubles as the SMR command format (see Request).
@@ -52,10 +54,9 @@ const (
 	// KindReply is a replica's response to an executed client request; f+1
 	// matching replies convince the client (see Reply).
 	KindReply
-	// KindSnapshotChunk carries one piece of a chunked state-transfer
-	// snapshot, authenticated by the reassembled digest against the
-	// checkpoint certificate (see SnapshotChunk).
-	KindSnapshotChunk
+	// Kind 15 is reserved and never sent, so the kinds after it keep their
+	// wire numbers.
+	_
 	// KindWindowWish coalesces the view-synchronization wishes of a
 	// contiguous slot range into one message: when an SMR replica suspects a
 	// leader regime it changes the view of every in-flight window slot at
@@ -101,8 +102,6 @@ func (k Kind) String() string {
 		return "request"
 	case KindReply:
 		return "reply"
-	case KindSnapshotChunk:
-		return "snapshotchunk"
 	case KindWindowWish:
 		return "windowwish"
 	case KindWindowVote:

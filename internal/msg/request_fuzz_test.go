@@ -67,3 +67,36 @@ func FuzzDecodeReply(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDecodeStateSnapshot is the same property for state-transfer frames,
+// which a replica decodes from any peer that answers its fetch.
+func FuzzDecodeStateSnapshot(f *testing.F) {
+	s := testScheme()
+	cc := sampleCommitCert(s, []byte("value"), 2)
+	f.Add(Encode(&StateSnapshot{
+		Cert: *sampleCheckpointCert(s), Total: 9, Offset: 0, Data: []byte("snapshot!"),
+		Tail: []TailDecision{{Slot: 17, CC: *cc}},
+	}))
+	f.Add(Encode(&StateSnapshot{Cert: *sampleCheckpointCert(s), Total: 1 << 20, Offset: 4096, Data: []byte("piece")}))
+	f.Add(Encode(&StateSnapshot{Tail: []TailDecision{{Slot: 3, CC: *cc}, {Slot: 4, CC: *cc}}}))
+	f.Add([]byte{byte(KindStateSnapshot)})
+	f.Add([]byte{byte(KindStateSnapshot), 0, 0, 0, 0, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		buf := append([]byte(nil), data...)
+		buf[0] = byte(KindStateSnapshot)
+		m, err := Decode(buf)
+		if err != nil {
+			return
+		}
+		ss, ok := m.(*StateSnapshot)
+		if !ok {
+			t.Fatalf("state-snapshot kind decoded to %T", m)
+		}
+		if !bytes.Equal(Encode(ss), buf) {
+			t.Fatalf("non-canonical state-snapshot encoding accepted: %x", buf)
+		}
+	})
+}

@@ -9,23 +9,22 @@ import (
 	"repro/internal/types"
 )
 
-// withSmallSnapshotFrames shrinks the single-frame state-transfer budget
-// and the chunk size so a modest KV state exercises the chunked path that
-// production only needs past 4 MiB.
-func withSmallSnapshotFrames(t *testing.T, frameBudget, chunk int) {
+// withSmallSnapshotPieces shrinks the state-transfer piece size so a
+// modest KV state is streamed in several pieces, as production streams
+// snapshots past 1 MiB.
+func withSmallSnapshotPieces(t *testing.T, chunk int) {
 	t.Helper()
-	oldBudget, oldChunk := maxResponseBytes, snapChunkSize
-	maxResponseBytes, snapChunkSize = frameBudget, chunk
-	t.Cleanup(func() { maxResponseBytes, snapChunkSize = oldBudget, oldChunk })
+	old := snapChunkSize
+	snapChunkSize = chunk
+	t.Cleanup(func() { snapChunkSize = old })
 }
 
 // TestChunkedSnapshotCatchUp re-runs the crashed-replica catch-up with a
-// stable snapshot too large for one StateSnapshot frame: the responder
-// must stream it as SnapshotChunk messages and the restarted replica must
-// reassemble, digest-verify, and restore it — closing the old single-frame
-// size limit.
+// stable snapshot larger than one StateSnapshot piece: the responder must
+// stream it in several pieces and the restarted replica must reassemble,
+// digest-verify, and restore it.
 func TestChunkedSnapshotCatchUp(t *testing.T) {
-	withSmallSnapshotFrames(t, 512, 300)
+	withSmallSnapshotPieces(t, 300)
 	cfg := types.Generalized(1, 1)
 	const interval = 4
 	// A fixed delay keeps each link FIFO, which chunk reassembly relies on
@@ -34,8 +33,8 @@ func TestChunkedSnapshotCatchUp(t *testing.T) {
 	reps, stores := g.reps, g.stores
 	crashed := types.ProcessID(cfg.N - 1)
 
-	// Values sized so the composite snapshot dwarfs the shrunken frame
-	// budget, forcing multiple chunks.
+	// Values sized so the composite snapshot dwarfs the shrunken piece
+	// size, forcing multiple pieces.
 	pad := make([]byte, 200)
 	for i := range pad {
 		pad[i] = byte('a' + i%26)
@@ -67,12 +66,12 @@ func TestChunkedSnapshotCatchUp(t *testing.T) {
 	}, "survivors to advance their stable checkpoint")
 
 	// Confirm the premise: the survivors' stable snapshot really does not
-	// fit the single-frame budget, so only chunking can ship it.
+	// fit one piece, so it ships in several.
 	reps[0].mu.Lock()
 	snapLen := len(reps[0].stableSnap)
 	reps[0].mu.Unlock()
-	if snapLen <= maxResponseBytes {
-		t.Fatalf("test premise broken: stable snapshot %d bytes fits the %d-byte frame budget", snapLen, maxResponseBytes)
+	if snapLen <= snapChunkSize {
+		t.Fatalf("test premise broken: stable snapshot %d bytes fits the %d-byte piece size", snapLen, snapChunkSize)
 	}
 
 	restarted := g.reboot(crashed)
@@ -115,8 +114,8 @@ func TestSnapshotChunkReassemblyRejectsHostileChunks(t *testing.T) {
 	r, stores := g.reps[0], g.stores
 	before := stores[0].AppliedOps()
 
-	chunk := func(slot uint64, hash []byte, total, off uint64, data []byte) *msg.SnapshotChunk {
-		return &msg.SnapshotChunk{
+	chunk := func(slot uint64, hash []byte, total, off uint64, data []byte) *msg.StateSnapshot {
+		return &msg.StateSnapshot{
 			Cert:   msg.CheckpointCert{CP: types.Checkpoint{Slot: slot, StateHash: hash}},
 			Total:  total,
 			Offset: off,
@@ -126,7 +125,7 @@ func TestSnapshotChunkReassemblyRejectsHostileChunks(t *testing.T) {
 
 	r.mu.Lock()
 	// No fetch outstanding: dropped outright.
-	r.onSnapshotChunkLocked(chunk(100, []byte("h"), 10, 0, []byte("xxxxx")))
+	r.onStateSnapshotLocked(chunk(100, []byte("h"), 10, 0, []byte("xxxxx")))
 	if r.chunkAsm != nil {
 		r.mu.Unlock()
 		t.Fatal("chunk buffered without an outstanding fetch")
@@ -134,20 +133,20 @@ func TestSnapshotChunkReassemblyRejectsHostileChunks(t *testing.T) {
 	// Pretend a fetch is outstanding from here on.
 	r.fetchAt = r.applyPtr + 1
 	// Unsigned certificate: no buffering.
-	r.onSnapshotChunkLocked(chunk(100, []byte("h"), 10, 0, []byte("xxxxx")))
+	r.onStateSnapshotLocked(chunk(100, []byte("h"), 10, 0, []byte("xxxxx")))
 	if r.chunkAsm != nil {
 		r.mu.Unlock()
 		t.Fatal("chunk buffered under an unverifiable certificate")
 	}
 	// Absurd size claims: rejected before any allocation.
-	r.onSnapshotChunkLocked(chunk(100, []byte("h"), maxSnapshotBytes+1, 0, []byte("x")))
-	r.onSnapshotChunkLocked(chunk(100, []byte("h"), 4, 3, []byte("xx"))) // overruns Total
+	r.onStateSnapshotLocked(chunk(100, []byte("h"), maxSnapshotBytes+1, 0, []byte("x")))
+	r.onStateSnapshotLocked(chunk(100, []byte("h"), 4, 3, []byte("xx"))) // overruns Total
 	if r.chunkAsm != nil {
 		r.mu.Unlock()
 		t.Fatal("over-limit chunk buffered")
 	}
 	// Non-zero offset with no assembly in progress: dropped.
-	r.onSnapshotChunkLocked(chunk(100, []byte("h"), 10, 5, []byte("xxxxx")))
+	r.onStateSnapshotLocked(chunk(100, []byte("h"), 10, 5, []byte("xxxxx")))
 	if r.chunkAsm != nil {
 		r.mu.Unlock()
 		t.Fatal("mid-stream chunk started an assembly")

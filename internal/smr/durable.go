@@ -1,7 +1,6 @@
 package smr
 
 import (
-	"crypto/sha256"
 	"fmt"
 	"sort"
 
@@ -186,7 +185,7 @@ func (r *Replica) dispatchReplyLocked(cb ReplyFunc, rep *msg.Reply, tr *obs.Trac
 }
 
 // recoverFromStore rebuilds the replica from its data directory alone:
-// verify and restore the snapshot, re-install the decisions and
+// install the snapshot (installSnapshotLocked), re-install the decisions and
 // certificates above it, replay the contiguous prefix through the normal
 // apply path (which rebuilds the application state and session table), and
 // stage the vote state of in-flight slots for when their instances
@@ -198,30 +197,12 @@ func (r *Replica) recoverFromStore() error {
 	defer func() { r.recovering = false }()
 
 	if rec.HasSnapshot {
-		// Belt and braces: the files are the replica's own, but a damaged
-		// or mixed-up data directory must fail loudly, not corrupt state.
-		if !rec.SnapshotCert.Verify(r.logVerifier, r.th) {
-			return fmt.Errorf("smr: recovered snapshot certificate invalid (slot %d)", rec.SnapshotSlot)
-		}
-		sum := sha256.Sum256(rec.Snapshot)
-		if !types.Value(sum[:]).Equal(types.Value(rec.SnapshotCert.CP.StateHash)) {
-			return fmt.Errorf("smr: recovered snapshot does not match its certificate (slot %d)", rec.SnapshotSlot)
-		}
-		sessions, app, err := decodeSnapshot(rec.SnapshotSlot, rec.Snapshot)
-		if err != nil {
+		// The files are the replica's own, but a damaged or mixed-up data
+		// directory must fail loudly, not corrupt state: the snapshot goes
+		// through the same checks as one that arrives by state transfer.
+		if err := r.installSnapshotLocked(rec.SnapshotCert, rec.Snapshot); err != nil {
 			return fmt.Errorf("smr: recovered snapshot: %w", err)
 		}
-		if err := r.cfg.App.Restore(app); err != nil {
-			return fmt.Errorf("smr: restoring recovered snapshot: %w", err)
-		}
-		r.sessions = sessions
-		r.applyPtr = rec.SnapshotSlot + 1
-		r.next = r.applyPtr
-		r.ckptDone = rec.SnapshotSlot + 1
-		snapCopy := append([]byte(nil), rec.Snapshot...)
-		r.snaps[rec.SnapshotSlot] = snapCopy
-		r.stable = rec.SnapshotCert.Clone()
-		r.stableSnap = snapCopy
 	}
 	for s, d := range rec.Decisions {
 		if s < r.applyPtr {

@@ -1,12 +1,18 @@
 package smr
 
 import (
+	"crypto/sha256"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/msg"
+	"repro/internal/sigcrypto"
+	"repro/internal/sim"
 	"repro/internal/storage"
 	"repro/internal/types"
+	"repro/internal/wire"
 )
 
 // The durable tests run the fixture with a storage.Store (SyncGroup) under
@@ -220,4 +226,82 @@ func hasVoteOnDisk(t *testing.T, dir string, slot uint64) bool {
 	defer st.Abort()
 	vs := st.Recovered().Votes[slot]
 	return vs != nil && len(vs.Acks) > 0
+}
+
+// TestRecoverRefusesSnapshotItsCertificateDoesNotCover: recovery installs
+// the snapshot file through the same checks as a snapshot that arrives by
+// state transfer, so a data directory holding a snapshot its certificate
+// does not cover — a certificate below CertQuorum, or a genuine one over
+// other bytes — makes NewReplica fail, naming the slot, instead of
+// restoring it. The same directory with a genuine certificate over the
+// snapshot's own bytes recovers.
+func TestRecoverRefusesSnapshotItsCertificateDoesNotCover(t *testing.T) {
+	cfg := types.Generalized(1, 1)
+	scheme := sigcrypto.NewHMAC(cfg.N, 73)
+	const slot = 7
+	w := wire.NewWriter(0)
+	w.Uvarint(slot)
+	encodeSessions(w, nil)
+	w.BytesField(NewKVStore().Snapshot())
+	snap := w.Bytes()
+	certOver := func(b []byte, signers ...types.ProcessID) *msg.CheckpointCert {
+		sum := sha256.Sum256(b)
+		cp := types.Checkpoint{Slot: slot, StateHash: sum[:]}
+		cert := &msg.CheckpointCert{CP: cp}
+		for _, p := range signers {
+			cert.Sigs = append(cert.Sigs, LogSigner(scheme.Signer(p), 0).Sign(msg.CheckpointDigest(cp)))
+		}
+		return cert
+	}
+	recoverWith := func(t *testing.T, cert *msg.CheckpointCert) (*Replica, error) {
+		t.Helper()
+		dir := t.TempDir()
+		st, err := storage.Open(storage.Config{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.Checkpoint(cert, snap, nil)
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if st, err = storage.Open(storage.Config{Dir: dir}); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = st.Close() })
+		net := sim.NewNetwork(cfg.N)
+		return NewReplica(Config{
+			Cluster: cfg, Self: 0, Signer: scheme.Signer(0), Verifier: scheme.Verifier(),
+			Transport: net.Transport(0), Clock: net.Clock(0), App: NewKVStore(), Storage: st,
+		})
+	}
+
+	for _, tc := range []struct {
+		name string
+		cert *msg.CheckpointCert
+	}{
+		{"below CertQuorum", certOver(snap, 0)},
+		{"genuine over other bytes", certOver([]byte("other bytes"), 0, 1)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r, err := recoverWith(t, tc.cert)
+			if err == nil {
+				_ = r.Close()
+				t.Fatal("NewReplica recovered a snapshot its certificate does not cover")
+			}
+			if !strings.Contains(err.Error(), fmt.Sprintf("slot %d", slot)) ||
+				!strings.Contains(err.Error(), "certificate") {
+				t.Fatalf("error %q does not name the certificate and slot %d", err, slot)
+			}
+		})
+	}
+	t.Run("genuine", func(t *testing.T) {
+		r, err := recoverWith(t, certOver(snap, 0, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		if cp, ok := r.StableCheckpoint(); !ok || cp.Slot != slot {
+			t.Fatalf("recovered stable checkpoint %v (ok=%v), want slot %d", cp, ok, slot)
+		}
+	})
 }

@@ -21,8 +21,8 @@ import (
 const CtrlSlotID = ctrlSlot
 
 // SyncSlotID is the reserved envelope slot number carrying log-maintenance
-// messages — Checkpoint, FetchState, StateSnapshot, SnapshotChunk (the
-// exported name of syncSlot).
+// messages — Checkpoint, FetchState, StateSnapshot (the exported name of
+// syncSlot).
 const SyncSlotID = syncSlot
 
 // GroupCluster returns the cluster configuration group g's consensus
@@ -62,8 +62,9 @@ func Envelope(g, s uint64, m msg.Message) []byte {
 }
 
 // OpenEnvelope splits a frame into its group, its slot number, and the
-// decoded message. Ctrl-slot payloads decode as *msg.Request; all other
-// slots decode via msg.Decode.
+// decoded message. Every slot's payload decodes through msg.Decode; a
+// ctrl-slot payload is an encoded request, so it comes back as
+// *msg.Request.
 func OpenEnvelope(frame []byte) (g, s uint64, m msg.Message, ok bool) {
 	g, s, inner, ok := openHeader(frame)
 	if !ok {

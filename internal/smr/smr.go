@@ -64,8 +64,9 @@ type Command = types.Value
 const ctrlSlot = ^uint64(0)
 
 // syncSlot is the reserved envelope slot number carrying log-maintenance
-// messages (Checkpoint, FetchState, StateSnapshot); they concern the log as
-// a whole, not one consensus instance.
+// messages (Checkpoint, FetchState, and the StateSnapshot frames that
+// answer a fetch); they concern the log as a whole, not one consensus
+// instance.
 const syncSlot = ^uint64(0) - 1
 
 // viewSlot is the reserved envelope slot number carrying windowed
@@ -247,7 +248,8 @@ type Replica struct {
 	// durable.go). Non-empty only on a replica recovering from a crash.
 	restoredVotes map[uint64]*storage.VoteState
 
-	// Chunked snapshot reassembly (see statetransfer.go).
+	// Reassembly of a streamed state-transfer snapshot (see
+	// statetransfer.go).
 	chunkAsm *chunkAssembly
 }
 
@@ -783,9 +785,7 @@ func (r *Replica) onSyncLocked(from types.ProcessID, m msg.Message) {
 	case *msg.FetchState:
 		r.onFetchStateLocked(from, t)
 	case *msg.StateSnapshot:
-		r.onStateSnapshotLocked(from, t)
-	case *msg.SnapshotChunk:
-		r.onSnapshotChunkLocked(t)
+		r.onStateSnapshotLocked(t)
 	}
 }
 

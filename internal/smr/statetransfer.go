@@ -2,6 +2,7 @@ package smr
 
 import (
 	"crypto/sha256"
+	"fmt"
 	"time"
 
 	"repro/internal/msg"
@@ -12,14 +13,16 @@ import (
 // restarted, or was partitioned past the live window — catch up without
 // re-running consensus for slots the rest of the cluster has already
 // garbage-collected. The lagging replica sends FetchState to a peer that
-// showed evidence of being ahead; the peer answers with a StateSnapshot:
-// its stable checkpoint (snapshot bytes plus the f+1-signature certificate
-// over their digest) and, for the slots after the checkpoint, the decided
-// values authenticated by their commit certificates. Both parts are
-// verifiable, so a Byzantine responder can at worst stay silent:
+// showed evidence of being ahead; the peer answers with a stream of
+// StateSnapshot frames: its stable checkpoint (snapshot bytes, in pieces,
+// each carrying the f+1-signature certificate over the whole snapshot's
+// digest) and, on the last frame, the decided values of the slots after
+// the checkpoint, authenticated by their commit certificates. Both parts
+// are verifiable, so a Byzantine responder can at worst stay silent:
 //
-//   - the snapshot is accepted only if its SHA-256 digest matches a valid
-//     CheckpointCert, which only ever certifies the unique correct state;
+//   - the reassembled snapshot is installed only if its SHA-256 digest
+//     matches a valid CheckpointCert, which only ever certifies the unique
+//     correct state;
 //   - each tail decision is accepted only with a valid CommitCert, which by
 //     Lemma A.2 can only exist for the value the slot actually decided.
 //
@@ -28,26 +31,22 @@ import (
 // after every applied-frontier advance, so successive rounds converge while
 // traffic keeps flowing.
 
-// maxTailDecisions and maxResponseBytes bound one StateSnapshot response —
-// by entry count and by encoded size, so a response that is sent fits the
-// transport frame limit (transport.MaxFrame, 8 MiB). A requester further
-// behind than one response can cover catches up over multiple fetch
-// rounds. A stable snapshot that alone exceeds the single-frame budget is
-// streamed as SnapshotChunk messages instead (up to maxSnapshotBytes),
-// reassembled and digest-verified against the checkpoint certificate by
-// the receiver.
+// maxTailDecisions and maxResponseBytes bound the certified tail of one
+// response — by entry count and by encoded size, so the last frame (at
+// most one snapChunkSize piece plus the tail) fits the transport frame
+// limit (transport.MaxFrame, 8 MiB). A requester further behind than one
+// response can cover catches up over multiple fetch rounds. A stable
+// snapshot above maxSnapshotBytes is not shipped at all.
 const (
 	maxTailDecisions = msg.MaxTailDecisions
+	maxResponseBytes = 4 << 20
 	maxSnapshotBytes = 64 << 20
 )
 
-// maxResponseBytes and snapChunkSize are variables only so tests can
-// exercise the chunked path with small states; production values are
-// fixed at init.
-var (
-	maxResponseBytes = 4 << 20
-	snapChunkSize    = 1 << 20
-)
+// snapChunkSize is the largest snapshot piece one StateSnapshot frame
+// carries. It is a variable only so tests can split a small state into
+// several pieces.
+var snapChunkSize = 1 << 20
 
 // fetchRetryCooldown is the retry cadence of an unsatisfied state-sync.
 // Retries matter for liveness twice over: evidence slots are unverifiable
@@ -128,41 +127,33 @@ func (r *Replica) onFetchRetry() {
 }
 
 // onFetchStateLocked serves a state-transfer request: the stable checkpoint
-// if it moves the requester forward, plus certified decisions for the slots
-// after it. Serving is rate-limited per requester — building a multi-MiB
+// if it moves the requester forward, streamed in pieces of at most
+// snapChunkSize bytes, plus certified decisions for the slots after it on
+// the last frame. Per-sender delivery order keeps the pieces in offset
+// order. Serving is rate-limited per requester — building a multi-MiB
 // response for a 2-byte request is an amplification lever a Byzantine peer
-// must not be able to pull at line rate. The caller holds r.mu.
+// must not be able to pull at line rate. The caller holds r.mu; every
+// frame is encoded before this method returns, so sharing the stored
+// snapshot and certificate (no clones) is safe.
 func (r *Replica) onFetchStateLocked(from types.ProcessID, m *msg.FetchState) {
 	now := r.cfg.Clock.Now()
 	if now.Sub(r.serveTime[from]) < fetchRetryCooldown/2 {
 		return // the honest retry cadence is fetchRetryCooldown
 	}
 	r.serveTime[from] = now
-	resp := &msg.StateSnapshot{}
+	var cert msg.CheckpointCert
+	var snap []byte
 	tailFrom := m.From
-	budget := maxResponseBytes
-	if r.stable != nil && r.stableSnap != nil && r.stable.CP.Slot >= m.From {
-		switch {
-		case len(r.stableSnap) <= budget:
-			// Single-frame path. The response is encoded and framed before
-			// this method returns, so sharing the stored snapshot and
-			// certificate (no clones) is safe.
-			resp.HasSnap = true
-			resp.Snapshot = r.stableSnap
-			resp.Cert = *r.stable
-			tailFrom = r.stable.CP.Slot + 1
-			budget -= len(r.stableSnap)
-		case len(r.stableSnap) <= maxSnapshotBytes:
-			// Too large for one frame: stream it in size-bounded chunks
-			// ahead of the tail. Order is preserved per sender, so the
-			// chunks arrive in offset order and the tail after them.
-			r.sendSnapshotChunksLocked(from)
-			tailFrom = r.stable.CP.Slot + 1
-		}
-		// Beyond maxSnapshotBytes the snapshot is not shippable; the tail
-		// below still serves requesters inside the un-pruned range.
+	if r.stable != nil && r.stableSnap != nil && r.stable.CP.Slot >= m.From &&
+		len(r.stableSnap) <= maxSnapshotBytes {
+		cert, snap = *r.stable, r.stableSnap
+		tailFrom = r.stable.CP.Slot + 1
 	}
-	for s := tailFrom; s < r.applyPtr && len(resp.Tail) < maxTailDecisions; s++ {
+	// Beyond maxSnapshotBytes the snapshot is not shippable; the tail still
+	// serves requesters inside the un-pruned range.
+	var tail []msg.TailDecision
+	budget := maxResponseBytes
+	for s := tailFrom; s < r.applyPtr && len(tail) < maxTailDecisions; s++ {
 		cc, ok := r.certs[s]
 		if !ok {
 			break // tail must stay contiguous to be useful
@@ -172,38 +163,22 @@ func (r *Replica) onFetchStateLocked(from types.ProcessID, m *msg.FetchState) {
 			break // the rest goes in the requester's next fetch round
 		}
 		budget -= sz
-		resp.Tail = append(resp.Tail, msg.TailDecision{Slot: s, CC: *cc})
+		tail = append(tail, msg.TailDecision{Slot: s, CC: *cc})
 	}
-	if !resp.HasSnap && len(resp.Tail) == 0 {
-		return // nothing beyond what the chunks (if any) already carry
+	if len(snap) == 0 && len(tail) == 0 {
+		return
 	}
-	r.sendOrderedLocked(from, r.envOut(syncSlot, resp))
-}
-
-// sendSnapshotChunksLocked streams the stable snapshot to one requester as
-// SnapshotChunk messages. Every chunk carries the checkpoint certificate,
-// so the receiver can validate the association cheaply and the reassembled
-// snapshot verifies against the certified digest exactly like the
-// single-frame path. The caller holds r.mu; each chunk is encoded before
-// the method returns, so sharing the snapshot bytes is safe.
-func (r *Replica) sendSnapshotChunksLocked(to types.ProcessID) {
-	snap := r.stableSnap
-	total := uint64(len(snap))
-	for off := 0; off < len(snap); off += snapChunkSize {
-		end := off + snapChunkSize
-		if end > len(snap) {
-			end = len(snap)
+	for off := 0; off == 0 || off < len(snap); off += snapChunkSize {
+		end := min(off+snapChunkSize, len(snap))
+		piece := &msg.StateSnapshot{Cert: cert, Total: uint64(len(snap)), Offset: uint64(off), Data: snap[off:end]}
+		if end == len(snap) {
+			piece.Tail = tail
 		}
-		r.sendOrderedLocked(to, r.envOut(syncSlot, &msg.SnapshotChunk{
-			Cert:   *r.stable,
-			Total:  total,
-			Offset: uint64(off),
-			Data:   snap[off:end],
-		}))
+		r.sendOrderedLocked(from, r.envOut(syncSlot, piece))
 	}
 }
 
-// chunkAssembly is the in-progress reassembly of one chunked snapshot. At
+// chunkAssembly is the in-progress reassembly of one streamed snapshot. At
 // most one exists per replica, bounding the buffered memory; it is
 // replaced only by a verified certificate for a strictly newer checkpoint.
 type chunkAssembly struct {
@@ -212,36 +187,32 @@ type chunkAssembly struct {
 	buf   []byte
 }
 
-// onSnapshotChunkLocked feeds one chunk into the reassembly. Chunks are
-// accepted only while a fetch is outstanding, in offset order (per-sender
-// delivery order preserves it; a gap means loss, and the fetch retry
-// simply re-requests). The first chunk must present a valid certificate —
-// the gate that stops an unsolicited sender from making the replica
-// buffer anything — and the completed snapshot is accepted only if its
-// SHA-256 digest matches that certificate. The caller holds r.mu.
-func (r *Replica) onSnapshotChunkLocked(m *msg.SnapshotChunk) {
-	if r.fetchAt == 0 {
-		return
-	}
+// reassembleLocked feeds one snapshot piece into the reassembly and returns
+// the certificate and bytes once the snapshot is complete. Pieces are
+// accepted in offset order (per-sender delivery order preserves it; a gap
+// means loss, and the fetch retry simply re-requests). The first piece
+// must present a valid certificate — the gate that stops an unsolicited
+// sender from making the replica buffer anything; the completed bytes are
+// checked against that certificate by installSnapshotLocked. The caller
+// holds r.mu and has checked that a fetch is outstanding.
+func (r *Replica) reassembleLocked(m *msg.StateSnapshot) (*msg.CheckpointCert, []byte) {
 	if m.Cert.CP.Slot < r.applyPtr {
-		return // already past it
+		return nil, nil // already past it
 	}
 	if m.Total == 0 || m.Total > maxSnapshotBytes ||
 		uint64(len(m.Data)) > m.Total || m.Offset+uint64(len(m.Data)) > m.Total {
-		return
+		return nil, nil
 	}
 	asm := r.chunkAsm
 	if m.Offset == 0 {
-		if asm != nil && asm.cert.CP.Slot >= m.Cert.CP.Slot {
-			// Keep the assembly already under way unless the newcomer is
-			// strictly newer (a retry restarts via the retry fetch anyway).
-			if asm.cert.CP.Slot > m.Cert.CP.Slot || uint64(len(asm.buf)) > 0 &&
-				!types.Value(asm.cert.CP.StateHash).Equal(types.Value(m.Cert.CP.StateHash)) {
-				return
-			}
+		// Keep the assembly already under way unless the newcomer is
+		// strictly newer (a retry restarts via the retry fetch anyway).
+		if asm != nil && (asm.cert.CP.Slot > m.Cert.CP.Slot ||
+			asm.cert.CP.Slot == m.Cert.CP.Slot && len(asm.buf) > 0 && !asm.cert.CP.Equal(m.Cert.CP)) {
+			return nil, nil
 		}
 		if !m.Cert.Verify(r.logVerifier, r.th) {
-			return
+			return nil, nil
 		}
 		asm = &chunkAssembly{
 			cert:  m.Cert.Clone(),
@@ -250,24 +221,17 @@ func (r *Replica) onSnapshotChunkLocked(m *msg.SnapshotChunk) {
 		}
 		r.chunkAsm = asm
 	} else {
-		if asm == nil || asm.cert.CP.Slot != m.Cert.CP.Slot ||
-			!types.Value(asm.cert.CP.StateHash).Equal(types.Value(m.Cert.CP.StateHash)) ||
+		if asm == nil || !asm.cert.CP.Equal(m.Cert.CP) ||
 			asm.total != m.Total || uint64(len(asm.buf)) != m.Offset {
-			return // out of order or mismatched; the fetch retry recovers
+			return nil, nil // out of order or mismatched; the fetch retry recovers
 		}
 		asm.buf = append(asm.buf, m.Data...)
 	}
 	if uint64(len(asm.buf)) < asm.total {
-		return
+		return nil, nil
 	}
 	r.chunkAsm = nil
-	sum := sha256.Sum256(asm.buf)
-	if !types.Value(sum[:]).Equal(types.Value(asm.cert.CP.StateHash)) {
-		return // reassembly does not match the certified digest
-	}
-	if asm.cert.CP.Slot >= r.applyPtr {
-		r.restoreLocked(asm.cert, asm.buf)
-	}
+	return asm.cert, asm.buf
 }
 
 // commitCertSize estimates the encoded size of one tail decision, for the
@@ -280,11 +244,12 @@ func commitCertSize(cc *msg.CommitCert) int {
 	return n
 }
 
-// onStateSnapshotLocked verifies and applies a state-transfer response. The
-// caller holds r.mu.
-func (r *Replica) onStateSnapshotLocked(from types.ProcessID, m *msg.StateSnapshot) {
-	// Accept snapshots only while a fetch is outstanding, and never more
-	// tail entries than a response may carry: signature verification is
+// onStateSnapshotLocked verifies and applies one state-transfer frame: its
+// snapshot piece feeds the reassembly, and its certified tail decisions
+// are applied. The caller holds r.mu.
+func (r *Replica) onStateSnapshotLocked(m *msg.StateSnapshot) {
+	// Accept frames only while a fetch is outstanding, and never more tail
+	// entries than a response may carry: signature verification is
 	// expensive and runs under r.mu, so unsolicited frames stuffed with
 	// garbage certificates must not become a stall lever. (A response that
 	// arrives after the sync loop gave up is dropped; the next lag evidence
@@ -292,16 +257,15 @@ func (r *Replica) onStateSnapshotLocked(from types.ProcessID, m *msg.StateSnapsh
 	if r.fetchAt == 0 {
 		return
 	}
+	if m.Total > 0 {
+		if cert, snap := r.reassembleLocked(m); snap != nil && cert.CP.Slot >= r.applyPtr {
+			// A snapshot its certificate does not cover is dropped; the
+			// fetch retry asks another peer.
+			_ = r.installSnapshotLocked(cert, snap)
+		}
+	}
 	if len(m.Tail) > maxTailDecisions {
 		m.Tail = m.Tail[:maxTailDecisions]
-	}
-	if m.HasSnap && m.Cert.CP.Slot >= r.applyPtr {
-		if m.Cert.Verify(r.logVerifier, r.th) {
-			sum := sha256.Sum256(m.Snapshot)
-			if types.Value(sum[:]).Equal(types.Value(m.Cert.CP.StateHash)) {
-				r.restoreLocked(m.Cert.Clone(), m.Snapshot)
-			}
-		}
 	}
 	// Apply certified tail decisions. Order does not matter for safety (the
 	// decision apply loop only ever advances contiguously), but applying in
@@ -329,25 +293,35 @@ func (r *Replica) onStateSnapshotLocked(from types.ProcessID, m *msg.StateSnapsh
 	}
 }
 
-// restoreLocked fast-forwards the replica to a verified checkpoint: the
-// application state is replaced by the snapshot, everything at or below the
-// checkpoint slot is discarded, and the checkpoint becomes this replica's
-// own stable checkpoint (so it can in turn serve state transfer and prune).
-// With pipelined replication the discarded range can include live window
-// slots this replica proposed chunks for but never saw decide; pruning them
-// (stabilizeLocked) returns those in-flight commands to the pending queue,
-// and the compaction below then drops whichever of them the restored
-// session table proves already executed — so a caught-up replica neither
-// loses nor replays commands its part-filled window was carrying.
-// The caller holds r.mu; the snapshot digest has been verified against cert.
-func (r *Replica) restoreLocked(cert *msg.CheckpointCert, snap []byte) {
+// installSnapshotLocked is the one way a snapshot enters the replica, from
+// a peer through state transfer or from the replica's own data directory
+// at recovery. It checks snap against cert (a CertQuorum certificate whose
+// digest snap matches), replaces the application state and session table,
+// discards everything at or below the checkpoint slot, and makes the
+// checkpoint this replica's own stable checkpoint (so it can in turn serve
+// state transfer and prune). With pipelined replication the discarded
+// range can include live window slots this replica proposed chunks for but
+// never saw decide; pruning them (stabilizeLocked) returns those in-flight
+// commands to the pending queue, and the compaction below then drops
+// whichever of them the restored session table proves already executed —
+// so a caught-up replica neither loses nor replays commands its
+// part-filled window was carrying. On error nothing has changed unless
+// the application's Restore failed. The caller holds r.mu.
+func (r *Replica) installSnapshotLocked(cert *msg.CheckpointCert, snap []byte) error {
 	s := cert.CP.Slot
+	if !cert.Verify(r.logVerifier, r.th) {
+		return fmt.Errorf("snapshot certificate invalid (slot %d)", s)
+	}
+	sum := sha256.Sum256(snap)
+	if !types.Value(sum[:]).Equal(types.Value(cert.CP.StateHash)) {
+		return fmt.Errorf("snapshot does not match its certificate (slot %d)", s)
+	}
 	sessions, app, err := decodeSnapshot(s, snap)
 	if err != nil {
-		return // certified digest but malformed layout: not a correct snapshot
+		return fmt.Errorf("snapshot at slot %d: %w", s, err)
 	}
 	if err := r.cfg.App.Restore(app); err != nil {
-		return
+		return fmt.Errorf("restoring snapshot at slot %d: %w", s, err)
 	}
 	r.sessions = sessions
 	// Drop queued requests the restored session table proves stale, so a
@@ -363,9 +337,10 @@ func (r *Replica) restoreLocked(cert *msg.CheckpointCert, snap []byte) {
 	}
 	snapCopy := append([]byte(nil), snap...)
 	r.snaps[s] = snapCopy
-	r.stabilizeLocked(cert, snapCopy)
+	r.stabilizeLocked(cert.Clone(), snapCopy)
 	// Slots just above the checkpoint may already be decided locally (they
 	// arrived while the gap below blocked the apply loop); drain them. The
 	// sync loop itself stays armed until the lag evidence is satisfied.
 	r.advanceLocked()
+	return nil
 }

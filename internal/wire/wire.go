@@ -218,13 +218,16 @@ func (r *Reader) BytesField() []byte {
 	return out
 }
 
-// SliceLen reads a slice length prefix, enforcing MaxSlice.
+// SliceLen reads a slice length prefix, enforcing MaxSlice. A count above
+// the unread byte count is refused too: every element encodes to at least
+// one byte, so such a count can only be a lie, and refusing it stops a
+// short frame from making the caller preallocate for MaxSlice elements.
 func (r *Reader) SliceLen() int {
 	n := r.Uvarint()
 	if r.err != nil {
 		return 0
 	}
-	if n > MaxSlice {
+	if n > MaxSlice || n > uint64(r.Remaining()) {
 		r.fail(ErrOverflow)
 		return 0
 	}

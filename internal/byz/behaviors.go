@@ -102,7 +102,8 @@ func (g *GarbageProposer) Deliver(d *Driver, _ types.ProcessID, slot uint64, _ m
 // serves every poisoned response shape the receiver must reject:
 //
 //   - a snapshot under a forged certificate (below the signature quorum),
-//   - a snapshot whose bytes do not hash to a genuine certificate's digest,
+//   - a well-formed snapshot of a genuine certificate's slot whose bytes
+//     do not hash to the certificate's digest,
 //   - a tail decision whose commit certificate was harvested from a
 //     different slot (the slot-salt replay),
 //   - and finally a genuine but stale response, recorded earlier from a
@@ -214,10 +215,13 @@ func (s *StaleSnapshotServer) Deliver(d *Driver, from types.ProcessID, slot uint
 		})
 
 		if len(stale) > 0 && stale[0].Total > 0 {
-			// Genuine certificate, wrong bytes: the certificate opens the
-			// reassembly, the completed buffer fails the certified digest.
+			// Genuine certificate, wrong bytes: a well-formed snapshot of
+			// the certified slot holding an empty store. The certificate
+			// opens the reassembly and the snapshot decodes; only the
+			// certified digest rejects it.
+			empty := smr.SnapshotOf(stale[0].Cert.CP.Slot, smr.NewKVStore().Snapshot())
 			d.Send(s.Victim, smr.SyncSlotID, &msg.StateSnapshot{
-				Cert: stale[0].Cert, Total: uint64(len(poison)), Data: poison,
+				Cert: stale[0].Cert, Total: uint64(len(empty)), Data: empty,
 			})
 		}
 		if len(stale) > 0 && len(stale[len(stale)-1].Tail) > 0 {

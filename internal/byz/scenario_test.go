@@ -282,6 +282,14 @@ func TestByzStaleSnapshotServerSMR(t *testing.T) {
 			if victimAt >= frontier {
 				t.Fatalf("victim at %d is not behind the frontier %d: the stale response was not stale", victimAt, frontier)
 			}
+			// The progress it accepted is the genuine stale state: every
+			// write applied before the harvest, none lost to a poisoned
+			// snapshot installed in its place.
+			for _, k := range keys[:10] {
+				if _, ok := th.stores[victim].Get(k); !ok {
+					t.Fatalf("victim at %d lacks pre-harvest key %s: it installed a snapshot other than the certified one", victimAt, k)
+				}
+			}
 
 			// Liveness: fresh traffic and the fetch retry carry the victim
 			// past the forged evidence to the true frontier.

@@ -3,7 +3,8 @@
 // A deployment partitions the keyspace across N ≥ 1 independent fastbft
 // groups; every replica process is a member of all of them, over one shared
 // replica-to-replica transport (see transport.GroupMux) and one data
-// directory (per-group file namespaces, see storage.Config.Namespace). The
+// directory holding one WAL file per group (per-group file namespaces, see
+// storage.Config.Namespace). The
 // group object composes an smr.Replica with its durable store and hands it
 // the process's signer, verifier and transport view untouched: there is one
 // process-identifier space, shared by every group, the wire, the WAL, the

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -457,10 +458,33 @@ func TestMultiGroupCrashRecovery(t *testing.T) {
 			}
 		}
 	}
+	checkpointed := 0
+	for _, grp := range procs[3].groups {
+		if _, ok := grp.Replica().StableCheckpoint(); ok {
+			checkpointed++
+		}
+	}
 	for p := 0; p < cfg.N; p++ {
 		for _, grp := range procs[p].groups {
 			_ = grp.Close()
 		}
+	}
+	// The recovered process's directory holds one file per group, its WAL
+	// (the stable checkpoint is the WAL's first record): no snapshot files,
+	// no checkpoint temporaries.
+	if checkpointed != shards {
+		t.Fatalf("%d of %d groups of the recovered process hold a stable checkpoint; the file listing needs every group to have installed one", checkpointed, shards)
+	}
+	entries, err = os.ReadDir(dirs[3])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if want := []string{"g0-wal.log", "g1-wal.log"}; !slices.Equal(names, want) {
+		t.Fatalf("data dir holds %v, want exactly %v", names, want)
 	}
 }
 

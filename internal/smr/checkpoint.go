@@ -124,9 +124,9 @@ func (r *Replica) onCheckpointLocked(from types.ProcessID, m *msg.Checkpoint) {
 
 // stabilizeLocked installs a newer stable checkpoint and garbage-collects
 // everything the checkpoint covers: consensus instances, decision records,
-// commit certificates, older snapshots, and older checkpoint votes. The
-// caller holds r.mu; cert must be valid and snap must hash to
-// cert.CP.StateHash.
+// commit certificates, older snapshots, recovered vote state, and older
+// checkpoint votes. The caller holds r.mu; cert must be valid and snap must
+// hash to cert.CP.StateHash.
 func (r *Replica) stabilizeLocked(cert *msg.CheckpointCert, snap []byte) {
 	if cert == nil {
 		return
@@ -167,6 +167,11 @@ func (r *Replica) stabilizeLocked(cert *msg.CheckpointCert, snap []byte) {
 			delete(r.snaps, num)
 		}
 	}
+	for num := range r.restoredVotes {
+		if num <= s {
+			delete(r.restoredVotes, num)
+		}
+	}
 	for sender, votes := range r.ckptVotes {
 		kept := votes[:0]
 		for _, v := range votes {
@@ -180,8 +185,8 @@ func (r *Replica) stabilizeLocked(cert *msg.CheckpointCert, snap []byte) {
 			r.ckptVotes[sender] = kept
 		}
 	}
-	// Durably install the checkpoint: snapshot file first, then the WAL is
-	// truncated to the records still live above it (see durable.go).
+	// Durably install the checkpoint: one new WAL, headed by the snapshot
+	// record, keeps the records above it (see durable.go).
 	r.persistCheckpointLocked(cert, snap)
 }
 
@@ -221,14 +226,19 @@ func (r *Replica) DecidedCount() int {
 // through state transfer reject replays exactly like replicas that applied
 // the whole log. The caller holds r.mu and must have r.applyPtr == s+1.
 func (r *Replica) encodeSnapshotLocked(s uint64) []byte {
-	app := r.cfg.App.Snapshot()
+	return encodeSnapshot(s, r.sessions, r.cfg.App.Snapshot())
+}
+
+// encodeSnapshot renders the composite snapshot layout decodeSnapshot
+// parses.
+func encodeSnapshot(s uint64, sessions map[types.ClientID]*session, app []byte) []byte {
 	size := 16 + len(app)
-	for id, sess := range r.sessions {
+	for id, sess := range sessions {
 		size += len(id) + len(sess.lastReply) + 24
 	}
 	w := wire.NewWriter(size)
 	w.Uvarint(s)
-	encodeSessions(w, r.sessions)
+	encodeSessions(w, sessions)
 	w.BytesField(app)
 	return w.Bytes()
 }
@@ -252,9 +262,16 @@ func decodeSnapshot(slot uint64, snap []byte) (map[types.ClientID]*session, []by
 	if err != nil {
 		return nil, nil, err
 	}
-	app := rd.BytesField()
-	if err := rd.Finish(); err != nil {
+	// The application snapshot is the length-prefixed rest, read without
+	// wire's one-message cap: a snapshot travels in pieces (state
+	// transfer) or in an uncapped WAL record, so it must decode at any
+	// size.
+	n := rd.Uvarint()
+	if err := rd.Err(); err != nil {
 		return nil, nil, fmt.Errorf("smr snapshot: %w", err)
 	}
-	return sessions, app, nil
+	if n != uint64(rd.Remaining()) {
+		return nil, nil, fmt.Errorf("smr snapshot: application snapshot of %d bytes in %d", n, rd.Remaining())
+	}
+	return sessions, snap[len(snap)-rd.Remaining():], nil
 }

@@ -2,7 +2,6 @@ package smr
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/msg"
 	"repro/internal/obs"
@@ -11,9 +10,8 @@ import (
 )
 
 // Durability integration. With Config.Storage set, the replica writes a
-// write-ahead log and checkpoint snapshots through internal/storage and
-// holds back externally visible effects until the records they depend on
-// are durable:
+// write-ahead log through internal/storage and holds back externally
+// visible effects until the records they depend on are durable:
 //
 //   - before an ack (and its slow-path signature) leaves the process, the
 //     adopted vote behind it is appended to the WAL — so a replica that is
@@ -23,16 +21,19 @@ import (
 //   - before a decided slot's effects (client replies, OnCommit callbacks,
 //     subsequent protocol messages) become visible, its decision record is
 //     appended;
-//   - commit certificates are appended as they are captured, so a
-//     recovered replica can serve state transfer without peers;
+//   - commit certificates are appended as they are captured or arrive in
+//     a state-transfer tail, so a recovered replica can serve state
+//     transfer without peers;
 //   - every outgoing message and client reply is released through the
 //     store's effect queue, strictly after the records appended before it
 //     — group commit: one fsync covers everything queued while the
 //     previous fsync was in flight.
 //
-// At each stable checkpoint the snapshot file (which carries the session
-// table, so client dedup state needs no WAL records of its own) is written
-// atomically and the WAL is truncated to the records above the checkpoint.
+// Every record is appended once, when the replica learns it; the replica
+// keeps no copy for the store. At each stable checkpoint the store replaces
+// the WAL, in one atomic install, with the snapshot record (the snapshot
+// carries the session table, so client dedup state needs no WAL records of
+// its own) followed by the old WAL's records above the checkpoint.
 // Recovery is local: restore the snapshot, replay the decisions after it
 // in slot order through the normal apply path, and seed the in-flight
 // consensus instances with their pre-crash vote state.
@@ -137,15 +138,9 @@ func (r *Replica) persistVoteLocked(s uint64, sl *slot) {
 	if vr.Nil {
 		return
 	}
-	if n := len(sl.ackLog); n > 0 {
-		last := sl.ackLog[n-1]
-		if last.View == vr.View && last.X.Equal(vr.Value) {
-			return // re-ack of an already-persisted vote (post-recovery)
-		}
-	}
-	p := &msg.Propose{View: vr.View, X: vr.Value, Cert: vr.Cert, Tau: vr.Tau}
-	sl.ackLog = append(sl.ackLog, p)
-	r.store.Append(storage.EncodeVote(s, p))
+	// A recovered replica's re-ack appends its vote a second time; the
+	// doubled record folds to the same VoteState at the next recovery.
+	r.store.Append(storage.EncodeVote(s, &msg.Propose{View: vr.View, X: vr.Value, Cert: vr.Cert, Tau: vr.Tau}))
 }
 
 // persistDecisionLocked appends a decision record; onDecideLocked calls it
@@ -196,7 +191,7 @@ func (r *Replica) recoverFromStore() error {
 	r.recovering = true
 	defer func() { r.recovering = false }()
 
-	if rec.HasSnapshot {
+	if rec.SnapshotCert != nil {
 		// The files are the replica's own, but a damaged or mixed-up data
 		// directory must fail loudly, not corrupt state: the snapshot goes
 		// through the same checks as one that arrives by state transfer.
@@ -271,73 +266,15 @@ func (r *Replica) restoreSlotVoteLocked(s uint64, sl *slot, vs *storage.VoteStat
 		vr = msg.VoteRecord{Value: last.X, View: last.View, Cert: last.Cert, Tau: last.Tau}
 	}
 	sl.proc.Replica().RestoreVoteState(acks, &vr)
-	sl.ackLog = vs.Acks // carried forward so WAL truncation keeps re-encoding them
 	delete(r.restoredVotes, s)
 }
 
-// liveRecordsLocked re-encodes every WAL record still needed above the new
-// stable checkpoint: decisions (and their certificates) not yet pruned,
-// and the adopted-vote logs of in-flight slots — both instantiated ones
-// and restored ones whose instances have not restarted yet. Called by
-// stabilizeLocked after pruning, so everything left is above the
-// checkpoint. Slot order is ascending for determinism; within a slot,
-// votes replay oldest-first as originally appended. The caller holds r.mu.
-func (r *Replica) liveRecordsLocked() [][]byte {
-	slots := make([]uint64, 0, len(r.decided)+len(r.slots)+len(r.restoredVotes))
-	seen := make(map[uint64]bool)
-	add := func(s uint64) {
-		if !seen[s] {
-			seen[s] = true
-			slots = append(slots, s)
-		}
-	}
-	for s := range r.decided {
-		add(s)
-	}
-	for s := range r.certs {
-		add(s)
-	}
-	for s := range r.slots {
-		add(s)
-	}
-	for s := range r.restoredVotes {
-		add(s)
-	}
-	sort.Slice(slots, func(i, j int) bool { return slots[i] < slots[j] })
-	var live [][]byte
-	for _, s := range slots {
-		if sl, ok := r.slots[s]; ok {
-			for _, p := range sl.ackLog {
-				live = append(live, storage.EncodeVote(s, p))
-			}
-		}
-		if vs, ok := r.restoredVotes[s]; ok {
-			for _, p := range vs.Acks {
-				live = append(live, storage.EncodeVote(s, p))
-			}
-		}
-		if d, ok := r.decided[s]; ok {
-			live = append(live, storage.EncodeDecision(s, d))
-		}
-		if cc, ok := r.certs[s]; ok {
-			live = append(live, storage.EncodeCert(s, cc))
-		}
-	}
-	return live
-}
-
 // persistCheckpointLocked hands a freshly stabilized checkpoint to the
-// store: the snapshot file is written durably first, then the WAL is
-// truncated to the still-live records. The caller holds r.mu and has
-// already pruned everything the checkpoint covers.
+// store, which installs it as the head of a new WAL holding the records
+// above it. The caller holds r.mu.
 func (r *Replica) persistCheckpointLocked(cert *msg.CheckpointCert, snap []byte) {
 	if r.store == nil || r.recovering {
 		return
 	}
-	for s := range r.restoredVotes {
-		if s <= cert.CP.Slot {
-			delete(r.restoredVotes, s)
-		}
-	}
-	r.store.Checkpoint(cert, snap, r.liveRecordsLocked())
+	r.store.Checkpoint(cert, snap)
 }

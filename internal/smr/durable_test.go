@@ -12,7 +12,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/storage"
 	"repro/internal/types"
-	"repro/internal/wire"
 )
 
 // The durable tests run the fixture with a storage.Store (SyncGroup) under
@@ -129,6 +128,67 @@ func TestDurableReplicaRecoversFromDataDirAlone(t *testing.T) {
 	}
 }
 
+// TestDurableStateTransferTailCertsReachTheWAL: the commit certificates a
+// replica learns from a state-transfer tail are appended to its WAL when
+// they arrive, like the certificates it captures itself — a checkpoint
+// keeps only what the WAL already holds, so a certificate held only in
+// memory would be lost at the next crash. A replica that caught up through
+// a snapshot and its tail, crashed before the next checkpoint, must find
+// every certificate above its stable checkpoint on disk.
+func TestDurableStateTransferTailCertsReachTheWAL(t *testing.T) {
+	cfg := types.Generalized(1, 1)
+	const interval = 4
+	g := newSimGroup(t, cfg, 74, groupOpts{interval: interval, durable: true})
+	lagging := types.ProcessID(cfg.N - 1)
+
+	submitOps(t, g.reps[0], "c0", 0, interval)
+	g.run(10*time.Second, g.applied(interval), "the first interval to replicate everywhere")
+	g.crash(lagging)
+	// One command per slot, paced, so the survivors' log ends two slots
+	// past a checkpoint: a catch-up response carries a snapshot and a tail.
+	const ops = 3*interval + 2
+	for i := interval; i < ops; i++ {
+		submitOps(t, g.reps[0], "c0", i, i+1)
+		g.run(10*time.Second, func() bool { return g.stores[0].AppliedOps() > uint64(i) }, "paced application")
+	}
+
+	if err := g.reboot(lagging).Start(); err != nil {
+		t.Fatal(err)
+	}
+	submitOps(t, g.reps[0], "c0", ops, ops+1) // fresh traffic is the lag evidence
+	g.run(30*time.Second, g.applied(ops+1), "the lagging replica to catch up")
+
+	r := g.reps[lagging]
+	r.mu.Lock()
+	stable := r.stable.CP.Slot
+	var inMemory []uint64
+	for s := range r.certs {
+		inMemory = append(inMemory, s)
+	}
+	r.mu.Unlock()
+	if stable < 2*interval {
+		t.Fatalf("stable checkpoint %d: the replica did not catch up through a snapshot", stable)
+	}
+	if len(inMemory) == 0 {
+		t.Fatal("no certificates above the stable checkpoint; the tail vector is dead")
+	}
+	g.crash(lagging) // the disks are settled: everything appended is durable
+	st, err := storage.Open(storage.Config{Dir: g.dirs[lagging]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Abort()
+	rec := st.Recovered()
+	if rec.SnapshotCert == nil || rec.SnapshotCert.CP.Slot != stable {
+		t.Fatalf("WAL not headed by the stable checkpoint at slot %d", stable)
+	}
+	for _, s := range inMemory {
+		if rec.Certs[s] == nil {
+			t.Fatalf("certificate of slot %d (stable checkpoint %d) held in memory but not in the WAL", s, stable)
+		}
+	}
+}
+
 // TestDurableRecoveredLeaderReproposesAdoptedValue is the equivocation
 // drill at the SMR level: the view-1 leader proposes and acks a value for
 // a slot, crashes before any peer can decide it, and restarts with an
@@ -229,7 +289,7 @@ func hasVoteOnDisk(t *testing.T, dir string, slot uint64) bool {
 }
 
 // TestRecoverRefusesSnapshotItsCertificateDoesNotCover: recovery installs
-// the snapshot file through the same checks as a snapshot that arrives by
+// the WAL's snapshot record through the same checks as a snapshot that arrives by
 // state transfer, so a data directory holding a snapshot its certificate
 // does not cover — a certificate below CertQuorum, or a genuine one over
 // other bytes — makes NewReplica fail, naming the slot, instead of
@@ -239,11 +299,7 @@ func TestRecoverRefusesSnapshotItsCertificateDoesNotCover(t *testing.T) {
 	cfg := types.Generalized(1, 1)
 	scheme := sigcrypto.NewHMAC(cfg.N, 73)
 	const slot = 7
-	w := wire.NewWriter(0)
-	w.Uvarint(slot)
-	encodeSessions(w, nil)
-	w.BytesField(NewKVStore().Snapshot())
-	snap := w.Bytes()
+	snap := SnapshotOf(slot, NewKVStore().Snapshot())
 	certOver := func(b []byte, signers ...types.ProcessID) *msg.CheckpointCert {
 		sum := sha256.Sum256(b)
 		cp := types.Checkpoint{Slot: slot, StateHash: sum[:]}
@@ -260,7 +316,7 @@ func TestRecoverRefusesSnapshotItsCertificateDoesNotCover(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st.Checkpoint(cert, snap, nil)
+		st.Checkpoint(cert, snap)
 		if err := st.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -304,4 +360,57 @@ func TestRecoverRefusesSnapshotItsCertificateDoesNotCover(t *testing.T) {
 			t.Fatalf("recovered stable checkpoint %v (ok=%v), want slot %d", cp, ok, slot)
 		}
 	})
+}
+
+// TestDurableRecoversSnapshotAboveMessageLimit: a replica whose
+// application snapshot is larger than one protocol message (wire.MaxBytes)
+// recovers it from its data directory — the WAL record and the composite
+// snapshot codec both carry it uncapped, as state transfer's pieces do.
+func TestDurableRecoversSnapshotAboveMessageLimit(t *testing.T) {
+	cfg := types.Generalized(1, 1)
+	scheme := sigcrypto.NewHMAC(cfg.N, 75)
+	const slot = 7
+	value := strings.Repeat("0123456789abcdef", (1<<20)/16)
+	app := NewKVStore()
+	for i := 0; i < 9; i++ {
+		app.data[fmt.Sprintf("k%d", i)] = value
+	}
+	snap := SnapshotOf(slot, app.Snapshot())
+	sum := sha256.Sum256(snap)
+	cp := types.Checkpoint{Slot: slot, StateHash: sum[:]}
+	cert := &msg.CheckpointCert{CP: cp}
+	for _, p := range []types.ProcessID{0, 1} {
+		cert.Sigs = append(cert.Sigs, LogSigner(scheme.Signer(p), 0).Sign(msg.CheckpointDigest(cp)))
+	}
+	dir := t.TempDir()
+	st, err := storage.Open(storage.Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Checkpoint(cert, snap)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st, err = storage.Open(storage.Config{Dir: dir}); err != nil {
+		t.Fatal(err)
+	}
+	net := sim.NewNetwork(cfg.N)
+	restored := NewKVStore()
+	r, err := NewReplica(Config{
+		Cluster: cfg, Self: 0, Signer: scheme.Signer(0), Verifier: scheme.Verifier(),
+		Transport: net.Transport(0), Clock: net.Clock(0), App: restored, Storage: st,
+	})
+	if err != nil {
+		_ = st.Close()
+		t.Fatalf("recovering a %d-byte snapshot: %v", len(snap), err)
+	}
+	defer r.Close()
+	if cp, ok := r.StableCheckpoint(); !ok || cp.Slot != slot {
+		t.Fatalf("recovered stable checkpoint %v (ok=%v), want slot %d", cp, ok, slot)
+	}
+	for i := 0; i < 9; i++ {
+		if v, ok := restored.Get(fmt.Sprintf("k%d", i)); !ok || v != value {
+			t.Fatalf("recovered k%d of %d bytes (present=%v), want the %d checkpointed ones", i, len(v), ok, len(value))
+		}
+	}
 }

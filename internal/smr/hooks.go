@@ -76,3 +76,12 @@ func OpenEnvelope(frame []byte) (g, s uint64, m msg.Message, ok bool) {
 	}
 	return g, s, m, true
 }
+
+// SnapshotOf encodes a composite snapshot of slot s — the layout replicas
+// certify at checkpoints — with app as the application state and an empty
+// client session table: a well-formed snapshot whose contents the caller
+// chooses, so only a certificate's digest can tell it from the certified
+// state.
+func SnapshotOf(s uint64, app []byte) []byte {
+	return encodeSnapshot(s, nil, app)
+}

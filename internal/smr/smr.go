@@ -141,11 +141,12 @@ type Config struct {
 	CheckpointInterval uint64
 	// Storage, when non-nil, makes the replica durable (see durable.go):
 	// adopted votes are WAL-appended before their acks leave the process,
-	// decisions before their effects become visible, the stable-checkpoint
-	// snapshot is written at every stabilization (truncating the WAL), and
-	// the replica recovers its pre-crash state from the store at
-	// construction — including the vote state of in-flight slots, so a
-	// recovered replica never equivocates against its own earlier acks.
+	// decisions before their effects become visible, every stabilization
+	// installs a new WAL headed by the checkpoint's snapshot record and
+	// holding only the records above it, and the replica recovers its
+	// pre-crash state from the store at construction — including the vote
+	// state of in-flight slots, so a recovered replica never equivocates
+	// against its own earlier acks.
 	// The replica takes ownership of the store and closes it on Close.
 	Storage *storage.Store
 	// Group is this replica's consensus-group number (see internal/group).
@@ -263,11 +264,6 @@ type slot struct {
 	// slot decides; those the decision does not contain are returned to the
 	// pending queue (see releaseProposedLocked).
 	proposed []Command
-	// ackLog mirrors the slot's adopted-vote WAL records (oldest first), so
-	// WAL truncation can re-encode the votes of still-in-flight slots.
-	// Cleared when the slot decides (the decision record supersedes them).
-	// Nil on replicas without storage.
-	ackLog []*msg.Propose
 	// trace carries the slot's pipeline-stage timestamps (submit is the
 	// oldest enqueue time of the slot's chunk on the proposer, and the
 	// instance-open time on followers); marks are atomic, so the storage
@@ -1113,7 +1109,6 @@ func (r *Replica) onDecideLocked(s uint64, d types.Decision) {
 	}
 	r.persistDecisionLocked(s, d)
 	if sl, ok := r.slots[s]; ok {
-		sl.ackLog = nil // the decision record supersedes the slot's vote records
 		now := r.cfg.Clock.Now()
 		// Feed the adaptive suspicion timeout: EWMA (alpha = 1/4) of
 		// instance-open-to-decide latency.

@@ -281,6 +281,7 @@ func (r *Replica) onStateSnapshotLocked(m *msg.StateSnapshot) {
 		}
 		if r.certs[td.Slot] == nil {
 			r.certs[td.Slot] = td.CC.Clone() // retain even for known slots: it serves others
+			r.persistCertLocked(td.Slot, r.certs[td.Slot])
 		}
 		if _, dup := r.decided[td.Slot]; dup {
 			continue

@@ -2,8 +2,11 @@ package storage
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -42,6 +45,15 @@ func testCheckpointCert(slot uint64, hash string) *msg.CheckpointCert {
 			{Signer: 1, Bytes: []byte("c1")},
 		},
 	}
+}
+
+// framed renders payloads as consecutive WAL frames.
+func framed(payloads ...[]byte) []byte {
+	var out []byte
+	for _, p := range payloads {
+		out, _ = appendFrame(out, p)
+	}
+	return out
 }
 
 func openStore(t *testing.T, dir string) *Store {
@@ -140,7 +152,7 @@ func TestGroupCommitCoalescingAfterCheckpoint(t *testing.T) {
 	for slot := uint64(0); slot < 8; slot++ {
 		s.Append(EncodeDecision(slot, types.Decision{Value: types.Value("v"), View: 1, Path: types.FastPath}))
 	}
-	s.Checkpoint(testCheckpointCert(7, "h7"), []byte("snap-7"), nil)
+	s.Checkpoint(testCheckpointCert(7, "h7"), []byte("snap-7"))
 	s.Append(EncodeVote(8, testVote(1, "x")), func() {})
 	if err := s.Barrier(); err != nil {
 		t.Fatal(err)
@@ -182,6 +194,16 @@ func TestRecordRoundTrip(t *testing.T) {
 		rec.Cert.View != 4 || len(rec.Cert.Sigs) != 2 {
 		t.Fatalf("cert round trip: %+v", rec)
 	}
+
+	ckpt := testCheckpointCert(13, "h13")
+	rec, err = DecodeRecord(EncodeSnapshot(ckpt, []byte("snapshot-bytes")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Kind != RecordSnapshot || rec.Slot != 13 || !rec.SnapshotCert.CP.Equal(ckpt.CP) ||
+		len(rec.SnapshotCert.Sigs) != 2 || !bytes.Equal(rec.Snapshot, []byte("snapshot-bytes")) {
+		t.Fatalf("snapshot round trip: %+v", rec)
+	}
 }
 
 // TestStoreRecoversAppendedRecords is the basic durability loop: append,
@@ -201,7 +223,7 @@ func TestStoreRecoversAppendedRecords(t *testing.T) {
 	s = openStore(t, dir)
 	defer func() { _ = s.Close() }()
 	rec := s.Recovered()
-	if rec.HasSnapshot {
+	if rec.SnapshotCert != nil {
 		t.Fatal("unexpected snapshot in a fresh dir")
 	}
 	if d, ok := rec.Decisions[1]; !ok || !d.Value.Equal(types.Value("b")) {
@@ -250,79 +272,223 @@ func TestEffectsRunInOrderAfterRecords(t *testing.T) {
 	}
 }
 
-// TestCheckpointTruncatesWALAndPrunesSnapshots: a checkpoint op writes the
-// snapshot file, rewrites the WAL with only the live records, and removes
-// older snapshots; recovery then starts from the snapshot.
-func TestCheckpointTruncatesWALAndPrunesSnapshots(t *testing.T) {
+// TestCheckpointKeepsExactlyRecordsAboveIt: a checkpoint replaces the WAL
+// with the snapshot record followed by exactly the old WAL's frames whose
+// slot is above the checkpoint, byte for byte and in append order — votes
+// (of decided and of undecided slots), decisions and certificates alike,
+// including a certificate that arrived without a vote (a state-transfer
+// tail). The older checkpoint heading the old WAL is dropped, and the data
+// directory holds the one WAL file.
+func TestCheckpointKeepsExactlyRecordsAboveIt(t *testing.T) {
+	const c = 5
+	dec := func(s uint64, v string) []byte {
+		return EncodeDecision(s, types.Decision{Value: types.Value(v), View: 1, Path: types.FastPath})
+	}
+	var all, kept [][]byte
+	add := func(p []byte, slot uint64) {
+		all = append(all, p)
+		if slot > c {
+			kept = append(kept, p)
+		}
+	}
+	for slot := uint64(0); slot <= c+1; slot++ { // slots ≤ c and c+1: vote, decision, cert
+		v := "v" + itoa(int(slot))
+		add(EncodeVote(slot, testVote(1, v)), slot)
+		add(dec(slot, v), slot)
+		add(EncodeCert(slot, testCert(1, v)), slot)
+	}
+	add(EncodeCert(c+2, testCert(2, "tail")), c+2) // learned through a state-transfer tail:
+	add(dec(c+2, "tail"), c+2)                     // a certificate and a decision, no vote
+	add(EncodeVote(c+3, testVote(1, "undecided")), c+3)
+	add(EncodeVote(c+3, testVote(2, "undecided-2")), c+3)
+	add(EncodeVote(c-1, testVote(3, "late-below")), c-1) // appended late, still at or below c
+
 	dir := t.TempDir()
 	s := openStore(t, dir)
-	for slot := uint64(0); slot < 8; slot++ {
-		s.Append(EncodeDecision(slot, types.Decision{Value: types.Value("v"), View: 1, Path: types.FastPath}))
+	for i, p := range all {
+		s.Append(p)
+		if i == 6 {
+			s.Checkpoint(testCheckpointCert(1, "h1"), []byte("snap-1"))
+		}
 	}
-	// First checkpoint at slot 3, then a newer one at slot 5.
-	s.Checkpoint(testCheckpointCert(3, "h3"), []byte("snap-3"), nil)
-	live := [][]byte{
-		EncodeDecision(6, types.Decision{Value: types.Value("v"), View: 1, Path: types.FastPath}),
-		EncodeDecision(7, types.Decision{Value: types.Value("v"), View: 1, Path: types.FastPath}),
-		EncodeVote(8, testVote(1, "pending")),
-	}
-	s.Checkpoint(testCheckpointCert(5, "h5"), []byte("snap-5"), live)
-	s.Append(EncodeDecision(8, types.Decision{Value: types.Value("w"), View: 1, Path: types.FastPath}))
+	cert := testCheckpointCert(c, "h5")
+	s.Checkpoint(cert, []byte("snap-5"))
+	after := EncodeVote(c+4, testVote(1, "after"))
+	s.Append(after)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	if _, err := os.Stat(filepath.Join(dir, snapName(3))); !os.IsNotExist(err) {
-		t.Fatal("old snapshot not pruned")
+	want := framed(append(append([][]byte{EncodeSnapshot(cert, []byte("snap-5"))}, kept...), after)...)
+	got, err := os.ReadFile(filepath.Join(dir, walName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("WAL after the checkpoint holds\n%s\nwant\n%s", recordList(got), recordList(want))
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		t.Fatalf("data dir holds %d files, want only %s", len(entries), walName)
+	}
+
+	s = openStore(t, dir)
+	defer func() { _ = s.Close() }()
+	rec := s.Recovered()
+	if rec.SnapshotCert == nil || !rec.SnapshotCert.CP.Equal(cert.CP) || !bytes.Equal(rec.Snapshot, []byte("snap-5")) {
+		t.Fatalf("checkpoint not recovered: %+v", rec)
+	}
+	if len(rec.Decisions) != 2 || len(rec.Certs) != 2 || len(rec.Votes) != 3 {
+		t.Fatalf("recovered %d decisions, %d certs, %d vote slots; want 2, 2, 3",
+			len(rec.Decisions), len(rec.Certs), len(rec.Votes))
+	}
+	if vs := rec.Votes[c+3]; vs == nil || len(vs.Acks) != 2 || vs.Acks[1].View != 2 {
+		t.Fatalf("undecided slot's vote history lost: %+v", vs)
+	}
+}
+
+// recordList names the records of a WAL image, kind@slot, in order.
+func recordList(wal []byte) string {
+	recs, _ := scanWAL(wal)
+	var b strings.Builder
+	for _, r := range recs {
+		fmt.Fprintf(&b, " %s@%d", r.Kind, r.Slot)
+	}
+	return b.String()
+}
+
+// TestCheckpointSnapshotAboveMessageLimitRecovers: a snapshot larger than
+// one protocol message (wire.MaxBytes) — state transfer ships it in pieces
+// — survives a checkpoint and a reopen with its certificate and its exact
+// bytes, and so do the records above it.
+func TestCheckpointSnapshotAboveMessageLimitRecovers(t *testing.T) {
+	snap := make([]byte, 9<<20)
+	for i := range snap {
+		snap[i] = byte(i * 7)
+	}
+	dir := t.TempDir()
+	s := openStore(t, dir)
+	s.Append(EncodeDecision(4, types.Decision{Value: types.Value("v"), View: 1, Path: types.FastPath}))
+	cert := testCheckpointCert(3, "h3")
+	s.Checkpoint(cert, snap)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
 	}
 	s = openStore(t, dir)
 	defer func() { _ = s.Close() }()
 	rec := s.Recovered()
-	if !rec.HasSnapshot || rec.SnapshotSlot != 5 || !bytes.Equal(rec.Snapshot, []byte("snap-5")) {
-		t.Fatalf("snapshot not recovered: %+v", rec)
+	if rec.SnapshotCert == nil || !rec.SnapshotCert.CP.Equal(cert.CP) {
+		t.Fatalf("a %d-byte snapshot's certificate was not recovered", len(snap))
 	}
-	if rec.SnapshotCert == nil || !rec.SnapshotCert.CP.Equal(types.Checkpoint{Slot: 5, StateHash: []byte("h5")}) {
-		t.Fatal("snapshot cert not recovered")
+	if !bytes.Equal(rec.Snapshot, snap) {
+		t.Fatalf("recovered %d snapshot bytes, want the %d checkpointed ones", len(rec.Snapshot), len(snap))
 	}
-	// Only the live records and the post-checkpoint append survive; the
-	// pre-checkpoint decisions (slots 0..5) are gone.
-	if len(rec.Decisions) != 3 {
-		t.Fatalf("recovered %d decisions, want 3 (6,7,8): %+v", len(rec.Decisions), rec.Decisions)
-	}
-	for _, slot := range []uint64{6, 7, 8} {
-		if _, ok := rec.Decisions[slot]; !ok {
-			t.Fatalf("decision %d missing after truncation", slot)
-		}
-	}
-	if vs := rec.Votes[8]; vs == nil || len(vs.Acks) != 1 {
-		t.Fatal("live vote record lost in truncation")
+	if _, ok := rec.Decisions[4]; !ok || len(rec.Decisions) != 1 {
+		t.Fatalf("records above the checkpoint: %+v", rec.Decisions)
 	}
 }
 
-// TestTornWriteRecovery is the crash-consistency table: a WAL whose last
-// record is truncated at every possible byte boundary, or corrupted at
-// every possible byte, must recover exactly the records before it.
+// TestRecoverRemovesHalfWrittenCheckpoint: a crash in the middle of a
+// checkpoint leaves a partial temporary WAL next to the old one. Open
+// removes it, and the old WAL recovers in full.
+func TestRecoverRemovesHalfWrittenCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	s := openStore(t, dir)
+	s.Append(EncodeVote(1, testVote(1, "a")))
+	s.Append(EncodeDecision(1, types.Decision{Value: types.Value("a"), View: 1, Path: types.FastPath}))
+	s.Append(EncodeVote(2, testVote(1, "b")))
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	full := framed(EncodeSnapshot(testCheckpointCert(1, "h1"), []byte("snap-1")), EncodeVote(2, testVote(1, "b")))
+	tmp := filepath.Join(dir, walName+".tmp")
+	if err := os.WriteFile(tmp, full[:len(full)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s = openStore(t, dir)
+	defer func() { _ = s.Close() }()
+	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
+		t.Fatalf("half-written checkpoint %s survived Open (stat: %v)", tmp, err)
+	}
+	rec := s.Recovered()
+	if rec.SnapshotCert != nil || len(rec.Decisions) != 1 || len(rec.Votes) != 2 {
+		t.Fatalf("old WAL not recovered in full: snapshot %v, %d decisions, %d vote slots",
+			rec.SnapshotCert != nil, len(rec.Decisions), len(rec.Votes))
+	}
+}
+
+// TestWALRecordTooLongSetsStickyError: a record whose length a frame header
+// cannot carry (the limit is lowered here; in production it is 4 GiB) is
+// never written as a frame recovery would misread — the store sets its
+// sticky error and releases no effect, whether the record is appended or
+// is a checkpoint's snapshot record. The WAL keeps what came before.
+func TestWALRecordTooLongSetsStickyError(t *testing.T) {
+	small := EncodeDecision(1, types.Decision{Value: types.Value("v"), View: 1, Path: types.FastPath})
+	defer func(old uint64) { maxFramePayload = old }(maxFramePayload)
+	maxFramePayload = uint64(len(small))
+
+	for _, tc := range []struct {
+		name string
+		long func(s *Store)
+	}{
+		{"append", func(s *Store) {
+			s.Append(EncodeVote(2, testVote(1, "a value too long for the lowered frame limit")))
+		}},
+		{"checkpoint", func(s *Store) {
+			s.Checkpoint(testCheckpointCert(1, "h1"), []byte("a snapshot too long for the lowered frame limit"))
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s := openStore(t, dir)
+			s.Append(small)
+			if err := s.Barrier(); err != nil {
+				t.Fatal(err)
+			}
+			tc.long(s)
+			ran := false
+			s.Effect(func() { ran = true })
+			if err := s.Barrier(); !errors.Is(err, errFrameTooLong) {
+				t.Fatalf("Barrier = %v, want the sticky %v", err, errFrameTooLong)
+			}
+			if ran {
+				t.Fatal("an effect ran after the store refused a record")
+			}
+			_ = s.Close()
+			got, err := os.ReadFile(filepath.Join(dir, walName))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, framed(small)) {
+				t.Fatalf("WAL holds %d bytes, want only the %d-byte frame before the refused record", len(got), len(framed(small)))
+			}
+		})
+	}
+}
+
+// TestTornWriteRecovery is the crash-consistency table: a WAL — plain, or
+// headed by a checkpoint's snapshot record — whose last record is
+// truncated at every possible byte boundary, or corrupted at every
+// possible byte, must recover the snapshot and exactly the records before
+// the torn one.
 func TestTornWriteRecovery(t *testing.T) {
-	full := []Record{}
-	var wal []byte
-	payloads := [][]byte{
+	records := [][]byte{
 		EncodeVote(1, testVote(1, "first")),
 		EncodeDecision(1, types.Decision{Value: types.Value("first"), View: 1, Path: types.FastPath}),
 		EncodeCert(1, testCert(1, "first")),
 		EncodeVote(2, testVote(1, "second-longer-value-so-the-tail-spans-many-offsets")),
 	}
-	for _, p := range payloads {
-		rec, err := DecodeRecord(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		full = append(full, rec)
-		wal = AppendFrame(wal, p)
+	wantRecs := len(records) - 1
+	heads := map[string][][]byte{
+		"plain":           nil,
+		"snapshot-headed": {EncodeSnapshot(testCheckpointCert(0, "h0"), []byte("snap-0"))},
 	}
-	lastStart := len(wal) - walFrameHeader - len(payloads[len(payloads)-1])
-	wantRecs := len(full) - 1
 
-	check := func(t *testing.T, contents []byte, label string) {
+	check := func(t *testing.T, contents []byte, lastStart int, hasSnap bool, label string) {
 		t.Helper()
 		dir := t.TempDir()
 		if err := os.WriteFile(filepath.Join(dir, walName), contents, 0o644); err != nil {
@@ -337,6 +503,10 @@ func TestTornWriteRecovery(t *testing.T) {
 		got += len(rec.Certs)
 		if got != wantRecs {
 			t.Fatalf("%s: recovered %d records, want %d", label, got, wantRecs)
+		}
+		if (rec.SnapshotCert != nil) != hasSnap || hasSnap && !bytes.Equal(rec.Snapshot, []byte("snap-0")) {
+			t.Fatalf("%s: recovered snapshot %q (certificate: %v), want one: %v",
+				label, rec.Snapshot, rec.SnapshotCert != nil, hasSnap)
 		}
 		if vs := rec.Votes[2]; vs != nil {
 			t.Fatalf("%s: torn tail record leaked into recovery", label)
@@ -362,20 +532,39 @@ func TestTornWriteRecovery(t *testing.T) {
 		}
 		_ = s2.Close()
 	}
+	// tear runs check on every variant of each WAL shape that damage makes
+	// of its last frame, which starts at lastStart.
+	tear := func(t *testing.T, damage func(wal []byte, lastStart int) map[string][]byte) {
+		for name, head := range heads {
+			wal := framed(append(head, records...)...)
+			lastStart := len(wal) - walFrameHeader - len(records[len(records)-1])
+			for label, contents := range damage(wal, lastStart) {
+				check(t, contents, lastStart, head != nil, name+": "+label)
+			}
+		}
+	}
 
 	t.Run("truncated", func(t *testing.T) {
 		// Every byte boundary inside the last frame (header + payload).
-		for cut := lastStart; cut < len(wal); cut++ {
-			check(t, wal[:cut], "cut at "+itoa(cut))
-		}
+		tear(t, func(wal []byte, lastStart int) map[string][]byte {
+			out := map[string][]byte{}
+			for cut := lastStart; cut < len(wal); cut++ {
+				out["cut at "+itoa(cut)] = wal[:cut]
+			}
+			return out
+		})
 	})
 	t.Run("corrupted", func(t *testing.T) {
 		// Every byte of the last frame flipped.
-		for off := lastStart; off < len(wal); off++ {
-			bad := append([]byte(nil), wal...)
-			bad[off] ^= 0xFF
-			check(t, bad, "flip at "+itoa(off))
-		}
+		tear(t, func(wal []byte, lastStart int) map[string][]byte {
+			out := map[string][]byte{}
+			for off := lastStart; off < len(wal); off++ {
+				bad := append([]byte(nil), wal...)
+				bad[off] ^= 0xFF
+				out["flip at "+itoa(off)] = bad
+			}
+			return out
+		})
 	})
 }
 
@@ -397,10 +586,11 @@ func itoa(i int) string {
 // payload is not a valid record also stops recovery (framing after it is
 // untrusted).
 func TestValidCRCBadRecordStopsScan(t *testing.T) {
-	var wal []byte
-	wal = AppendFrame(wal, EncodeVote(1, testVote(1, "ok")))
-	wal = AppendFrame(wal, []byte{0xEE, 0x01, 0x02}) // valid frame, junk record
-	wal = AppendFrame(wal, EncodeVote(2, testVote(1, "after")))
+	wal := framed(
+		EncodeVote(1, testVote(1, "ok")),
+		[]byte{0xEE, 0x01, 0x02}, // valid frame, junk record
+		EncodeVote(2, testVote(1, "after")),
+	)
 	recs, off := scanWAL(wal)
 	if len(recs) != 1 {
 		t.Fatalf("scanned %d records, want 1", len(recs))

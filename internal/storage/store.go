@@ -1,6 +1,8 @@
 package storage
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -44,9 +46,9 @@ type Config struct {
 	Dir string
 	// Mode is the fsync policy; SyncGroup, the only one, is the zero value.
 	Mode SyncMode
-	// Namespace prefixes every file the store touches (WAL, snapshots,
-	// temporaries), so several stores — one per consensus group of a
-	// replica process — share one directory without colliding. Stores with
+	// Namespace prefixes every file the store touches (the WAL and its
+	// checkpoint temporary), so several stores — one per consensus group of
+	// a replica process — share one directory without colliding. Stores with
 	// distinct namespaces never read or delete each other's files. Empty
 	// leaves the file names unprefixed (a store used on its own).
 	Namespace string
@@ -69,15 +71,13 @@ type VoteState struct {
 	Acks []*msg.Propose
 }
 
-// RecoveredState is everything Open reconstructed from disk: the newest
-// durable snapshot (if any) and the WAL records after it, folded by slot.
+// RecoveredState is everything Open reconstructed from the WAL: the stable
+// checkpoint heading it (if any) and the records above it, folded by slot.
 type RecoveredState struct {
-	// HasSnapshot reports whether a snapshot was recovered; SnapshotSlot,
-	// Snapshot, and SnapshotCert describe it.
-	HasSnapshot  bool
-	SnapshotSlot uint64
-	Snapshot     []byte
+	// SnapshotCert and Snapshot are the recovered stable checkpoint; a nil
+	// SnapshotCert means the WAL holds none.
 	SnapshotCert *msg.CheckpointCert
+	Snapshot     []byte
 	// Decisions and Certs hold the decided slots above the snapshot.
 	Decisions map[uint64]types.Decision
 	Certs     map[uint64]*msg.CommitCert
@@ -90,7 +90,7 @@ type RecoveredState struct {
 type op struct {
 	frame  []byte        // a framed record to append, or nil
 	effect func()        // an effect to run in queue order, or nil
-	ckpt   *checkpointOp // a snapshot + WAL-truncation request, or nil
+	ckpt   *checkpointOp // a checkpoint install request, or nil
 	// ordered marks an effect that requires only queue order, not
 	// durability: it runs without waiting for an fsync of the records
 	// before it. Used for messages that expose no replica state a crash
@@ -100,12 +100,10 @@ type op struct {
 	ordered bool
 }
 
-// checkpointOp installs a stable checkpoint: durably write the snapshot
-// file, then rewrite the WAL with only the still-live records.
+// checkpointOp installs a stable checkpoint (see Checkpoint).
 type checkpointOp struct {
 	cert *msg.CheckpointCert
 	snap []byte
-	live [][]byte // record payloads surviving the truncation, in append order
 }
 
 // Store is one replica's durable state. All appends happen under the
@@ -127,6 +125,11 @@ type Store struct {
 	wal      *os.File
 	done     chan struct{}
 
+	// head is the length of the snapshot frame heading the WAL (0 when it
+	// has none): a checkpoint copies the old WAL's frames after it and
+	// never re-reads the old snapshot. Flusher only, after Open.
+	head int64
+
 	// written counts the records written to the WAL, synced how many of
 	// them an fsync (or a checkpoint's rewrite) has made durable. Only the
 	// flusher advances them; effect callers read them under s.mu to decide
@@ -146,8 +149,8 @@ type Store struct {
 	lg *obs.Logger
 }
 
-// Open creates or recovers a Store in cfg.Dir: it loads the newest valid
-// snapshot, replays the WAL after it (truncating any torn tail in place),
+// Open creates or recovers a Store in cfg.Dir: it removes a checkpoint's
+// leftover temporary, replays the WAL (truncating any torn tail in place),
 // and starts the group-commit flusher. The recovered state is available via
 // Recovered until the Store is closed.
 func Open(cfg Config) (*Store, error) {
@@ -179,11 +182,13 @@ func Open(cfg Config) (*Store, error) {
 	return s, nil
 }
 
-// recover loads the snapshot and WAL into s.rec and opens the WAL for
-// appending, truncated to its last valid record.
+// recover loads the WAL into s.rec and opens it for appending, truncated
+// to its last valid record.
 func (s *Store) recover() error {
-	cert, snap, err := loadNewestSnapshot(s.dir, s.ns)
-	if err != nil {
+	walPath := filepath.Join(s.dir, s.ns+walName)
+	// A temporary left by a checkpoint cut short never replaced the WAL,
+	// which is still whole.
+	if err := os.Remove(walPath + ".tmp"); err != nil && !os.IsNotExist(err) {
 		return err
 	}
 	rec := &RecoveredState{
@@ -191,15 +196,6 @@ func (s *Store) recover() error {
 		Certs:     make(map[uint64]*msg.CommitCert),
 		Votes:     make(map[uint64]*VoteState),
 	}
-	horizon := uint64(0) // records at or below this slot are obsolete
-	if cert != nil {
-		rec.HasSnapshot = true
-		rec.SnapshotSlot = cert.CP.Slot
-		rec.Snapshot = snap
-		rec.SnapshotCert = cert
-		horizon = cert.CP.Slot + 1
-	}
-	walPath := filepath.Join(s.dir, s.ns+walName)
 	buf, err := os.ReadFile(walPath)
 	if err != nil && !os.IsNotExist(err) {
 		return err
@@ -214,15 +210,23 @@ func (s *Store) recover() error {
 			return err
 		}
 	}
+	if len(recs) > 0 && recs[0].Kind == RecordSnapshot {
+		s.head = walFrameHeader + int64(binary.LittleEndian.Uint32(buf))
+	}
 	// Clone everything retained: the decoded records alias the single WAL
 	// read buffer, which must not stay pinned by long-lived replica state
 	// (votes live until their slot decides, certs until the next stable
 	// checkpoint).
+	horizon := uint64(0) // records below this slot are covered by the snapshot
 	for _, r := range recs {
 		if r.Slot < horizon {
 			continue
 		}
 		switch r.Kind {
+		case RecordSnapshot:
+			rec.SnapshotCert = r.SnapshotCert.Clone()
+			rec.Snapshot = bytes.Clone(r.Snapshot)
+			horizon = r.Slot + 1
 		case RecordVote:
 			vs := rec.Votes[r.Slot]
 			if vs == nil {
@@ -246,7 +250,7 @@ func (s *Store) recover() error {
 		}
 	}
 	s.rec = rec
-	wal, err := os.OpenFile(walPath, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
+	wal, err := os.OpenFile(walPath, os.O_RDWR|os.O_CREATE|os.O_APPEND, 0o644)
 	if err != nil {
 		return err
 	}
@@ -269,11 +273,17 @@ func (s *Store) Err() error {
 // Append queues one record payload for the WAL, followed by any effects
 // that must only run once the record is durable. Append never blocks on
 // an fsync; the flusher writes and fsyncs in the background and runs the
-// effects in queue order.
+// effects in queue order. A payload too long for a frame sets the sticky
+// error: the record is not written and no effect runs from then on.
 func (s *Store) Append(payload []byte, effects ...func()) {
-	frame := AppendFrame(nil, payload)
+	frame, err := appendFrame(nil, payload)
 	s.mu.Lock()
 	if s.closed {
+		s.mu.Unlock()
+		return
+	}
+	if err != nil {
+		s.failLocked(fmt.Errorf("storage: append: %w", err))
 		s.mu.Unlock()
 		return
 	}
@@ -324,18 +334,19 @@ func (s *Store) effect(f func(), ordered bool) {
 	s.mu.Unlock()
 }
 
-// Checkpoint durably installs a stable checkpoint: the snapshot file is
-// written and fsync'd first, then the WAL is truncated by rewriting it
-// with only the live record payloads (records of slots above the
-// checkpoint). Ordered like everything else: records appended before this
-// call land in the old WAL, records appended after it land in the new one.
-func (s *Store) Checkpoint(cert *msg.CheckpointCert, snapshot []byte, live [][]byte) {
+// Checkpoint durably installs a stable checkpoint: a new WAL holding the
+// snapshot record and then every record of the old WAL whose slot is above
+// the checkpoint replaces the old one in one atomic install. Ordered like
+// everything else: records appended before this call land in the old WAL
+// (and survive if above the checkpoint), records appended after it land in
+// the new one.
+func (s *Store) Checkpoint(cert *msg.CheckpointCert, snapshot []byte) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return
 	}
-	s.queue = append(s.queue, op{ckpt: &checkpointOp{cert: cert, snap: snapshot, live: live}})
+	s.queue = append(s.queue, op{ckpt: &checkpointOp{cert: cert, snap: snapshot}})
 	s.cond.Signal()
 	s.mu.Unlock()
 }
@@ -533,62 +544,85 @@ func (s *Store) runEffect(f func()) {
 	f()
 }
 
-// doCheckpoint durably installs a checkpoint op (see Checkpoint).
+// doCheckpoint durably installs a checkpoint op (see Checkpoint):
+// temporary file, fsync, rename over the WAL, directory fsync, then append
+// to the new file.
 func (s *Store) doCheckpoint(op *checkpointOp) {
 	if s.failed() || s.wal == nil {
 		return
 	}
-	if err := writeSnapshotFile(s.dir, s.ns, op.cert, op.snap); err != nil {
-		s.fail(fmt.Errorf("storage: snapshot: %w", err))
-		return
+	if err := s.installCheckpoint(op); err != nil {
+		s.fail(fmt.Errorf("storage: checkpoint at slot %d: %w", op.cert.CP.Slot, err))
 	}
-	// Rewrite the WAL with the surviving records: temp file, fsync,
-	// rename over, directory fsync, then append to the new file.
+}
+
+// installCheckpoint builds the new WAL and installs it; the caller makes
+// an error sticky. Flusher only.
+func (s *Store) installCheckpoint(op *checkpointOp) error {
+	st, err := s.wal.Stat()
+	if err != nil {
+		return err
+	}
+	old := make([]byte, st.Size()-s.head)
+	if _, err := s.wal.ReadAt(old, s.head); err != nil {
+		return err
+	}
+	payload := EncodeSnapshot(op.cert, op.snap)
+	buf, err := appendFrame(make([]byte, 0, walFrameHeader+len(payload)+len(old)), payload)
+	if err != nil {
+		return err
+	}
+	head := int64(len(buf))
+	if buf, err = framesAbove(buf, old, op.cert.CP.Slot); err != nil {
+		return err
+	}
 	walPath := filepath.Join(s.dir, s.ns+walName)
 	tmp := walPath + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
-		s.fail(err)
-		return
-	}
-	var buf []byte
-	for _, payload := range op.live {
-		buf = AppendFrame(buf, payload)
+		return err
 	}
 	if _, err := f.Write(buf); err != nil {
 		_ = f.Close()
-		s.fail(err)
-		return
+		return err
 	}
 	if err := f.Sync(); err != nil {
 		_ = f.Close()
-		s.fail(err)
-		return
+		return err
 	}
 	if err := f.Close(); err != nil {
-		s.fail(err)
-		return
+		return err
 	}
 	if err := os.Rename(tmp, walPath); err != nil {
-		s.fail(err)
-		return
+		return err
 	}
 	if err := syncDir(s.dir); err != nil {
-		s.fail(err)
-		return
+		return err
 	}
-	old := s.wal
-	wal, err := os.OpenFile(walPath, os.O_WRONLY|os.O_APPEND, 0o644)
+	wal, err := os.OpenFile(walPath, os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
-		s.fail(err)
-		return
+		return err
 	}
-	_ = old.Close()
+	_ = s.wal.Close()
 	s.mu.Lock()
 	s.wal = wal
-	s.synced = s.written // the rewrite fsync'd everything still live
+	s.synced = s.written // the install fsync'd every record it kept
 	s.mu.Unlock()
-	pruneSnapshots(s.dir, s.ns, op.cert.CP.Slot)
+	s.head = head
+	return nil
+}
+
+// syncDir fsyncs a directory, making renames within it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // failed reports whether the store must stop doing work: a sticky disk
@@ -602,6 +636,11 @@ func (s *Store) failed() bool {
 func (s *Store) fail(err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.failLocked(err)
+}
+
+// failLocked records err as the sticky error; the caller holds s.mu.
+func (s *Store) failLocked(err error) {
 	if s.err == nil {
 		s.err = err
 		s.lg.Errorf("storage: %s: %v (store disabled; effects withheld)", s.dir, err)

@@ -1,6 +1,6 @@
-// Package storage is the durable-state subsystem of a replica: an
-// append-only, CRC-framed, fsync'd write-ahead log plus atomically-renamed
-// on-disk snapshot files keyed by stable checkpoint.
+// Package storage is the durable-state subsystem of a replica: one
+// append-only, CRC-framed, fsync'd write-ahead log per store, headed after
+// each stable checkpoint by a snapshot record.
 //
 // The WAL records exactly the state a replica must remember across a crash
 // to stay safe and rejoin without help:
@@ -13,7 +13,9 @@
 //   - decision records — every decided slot's value, persisted before the
 //     decision's effects (client replies, commit callbacks) become visible;
 //   - certificate records — the commit certificates that authenticate
-//     decided slots during state transfer.
+//     decided slots during state transfer;
+//   - the snapshot record — the stable checkpoint: its slot, its checkpoint
+//     certificate and the composite snapshot bytes.
 //
 // Client session high-water marks ride inside the checkpoint snapshot and
 // are re-derived by replaying decision records after it, so they need no
@@ -25,11 +27,14 @@
 // every externally visible effect (an outgoing message, a client reply) is
 // released only after the records it depends on are durable.
 //
-// At each stable checkpoint the snapshot file is written first (write to a
-// temporary name, fsync, rename, fsync the directory), then the WAL is
-// truncated by rewriting it with only the records above the checkpoint.
-// Recovery loads the newest valid snapshot and replays the WAL after it,
-// stopping cleanly at the first torn or corrupt record.
+// Every record is appended once, when the replica learns it. At each stable
+// checkpoint the store writes a new WAL — the snapshot record first, then
+// every frame of the old WAL whose slot is above the checkpoint — to a
+// temporary name, fsyncs it, renames it over the old WAL and fsyncs the
+// directory: one atomic install, so a crash leaves either the old WAL or
+// the new one whole. Recovery is one scan of the WAL: the snapshot record
+// sets the horizon below which records are obsolete, and the scan stops
+// cleanly at the first torn or corrupt frame.
 package storage
 
 import (
@@ -37,6 +42,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 
 	"repro/internal/msg"
 	"repro/internal/types"
@@ -59,6 +65,11 @@ const (
 	// RecordCert is a decided slot's commit certificate (encoded as a
 	// msg.Commit), kept so a recovered replica can serve state transfer.
 	RecordCert
+	// RecordSnapshot is a stable checkpoint: the slot, its checkpoint
+	// certificate (carried as a msg.StateSnapshot with no data) and the
+	// composite snapshot bytes, which run to the end of the payload. The
+	// store writes it only as the first record of a WAL.
+	RecordSnapshot
 )
 
 func (k RecordKind) String() string {
@@ -69,6 +80,8 @@ func (k RecordKind) String() string {
 		return "decision"
 	case RecordCert:
 		return "cert"
+	case RecordSnapshot:
+		return "snapshot"
 	default:
 		return fmt.Sprintf("kind(%d)", uint8(k))
 	}
@@ -84,20 +97,23 @@ type Record struct {
 	Decision types.Decision
 	// Cert is the commit certificate of a RecordCert.
 	Cert *msg.CommitCert
+	// SnapshotCert and Snapshot are the checkpoint certificate and the
+	// snapshot bytes of a RecordSnapshot.
+	SnapshotCert *msg.CheckpointCert
+	Snapshot     []byte
 }
 
 // Decoding errors.
 var (
 	// ErrBadRecord reports a structurally invalid record payload.
 	ErrBadRecord = errors.New("storage: malformed WAL record")
+	// errFrameTooLong reports a record payload longer than a frame's
+	// length field can carry.
+	errFrameTooLong = errors.New("storage: record too long for a WAL frame")
 	// errTornFrame reports an incomplete or corrupt frame at the WAL tail;
 	// scanning stops there (everything before it is intact).
 	errTornFrame = errors.New("storage: torn WAL frame")
 )
-
-// maxRecordBytes bounds one record payload: a decision value is bounded by
-// the message codec limit, plus slack for the framing fields.
-const maxRecordBytes = wire.MaxBytes + 64
 
 // walFrameHeader is the per-record frame overhead: a 4-byte little-endian
 // payload length followed by a 4-byte CRC-32C of the payload.
@@ -105,17 +121,26 @@ const walFrameHeader = 8
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// AppendFrame appends one CRC frame carrying payload to dst.
-func AppendFrame(dst, payload []byte) []byte {
+// maxFramePayload is the longest payload a frame's 4-byte length carries.
+// A variable only so tests can reach the limit without allocating 4 GiB.
+var maxFramePayload uint64 = math.MaxUint32
+
+// appendFrame appends one CRC frame carrying payload to dst. A payload the
+// length field cannot represent is refused, never wrapped into a frame
+// recovery would misread.
+func appendFrame(dst, payload []byte) ([]byte, error) {
+	if uint64(len(payload)) > maxFramePayload {
+		return dst, fmt.Errorf("%w: %d bytes", errFrameTooLong, len(payload))
+	}
 	var hdr [walFrameHeader]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, crcTable))
 	dst = append(dst, hdr[:]...)
-	return append(dst, payload...)
+	return append(dst, payload...), nil
 }
 
 // nextFrame extracts the first frame of buf, returning the payload and the
-// remainder. A short, oversized, or CRC-mismatched frame returns
+// remainder. A short, empty, or CRC-mismatched frame returns
 // errTornFrame: the caller treats everything from that offset on as a torn
 // tail.
 func nextFrame(buf []byte) (payload, rest []byte, err error) {
@@ -123,10 +148,7 @@ func nextFrame(buf []byte) (payload, rest []byte, err error) {
 		return nil, nil, errTornFrame
 	}
 	n := binary.LittleEndian.Uint32(buf[0:4])
-	if n == 0 || n > maxRecordBytes {
-		return nil, nil, errTornFrame
-	}
-	if uint32(len(buf)-walFrameHeader) < n {
+	if n == 0 || uint64(len(buf)-walFrameHeader) < uint64(n) {
 		return nil, nil, errTornFrame
 	}
 	payload = buf[walFrameHeader : walFrameHeader+int(n)]
@@ -167,6 +189,19 @@ func EncodeCert(slot uint64, cc *msg.CommitCert) []byte {
 	w.Uvarint(slot)
 	w.BytesField(inner)
 	return w.Bytes()
+}
+
+// EncodeSnapshot renders a snapshot record payload: the checkpoint slot,
+// the certificate in msg's canonical encoding, and the snapshot bytes as
+// the rest of the payload — uncapped, so any snapshot state transfer
+// accepts is also one the WAL can hold.
+func EncodeSnapshot(cert *msg.CheckpointCert, snap []byte) []byte {
+	inner := msg.Encode(&msg.StateSnapshot{Cert: *cert})
+	w := wire.NewWriter(len(inner) + len(snap) + 16)
+	w.Uint8(uint8(RecordSnapshot))
+	w.Uvarint(cert.CP.Slot)
+	w.BytesField(inner)
+	return append(w.Bytes(), snap...)
 }
 
 // DecodeRecord parses one WAL record payload. Decoding is strict: trailing
@@ -218,6 +253,23 @@ func DecodeRecord(payload []byte) (Record, error) {
 			return Record{}, fmt.Errorf("%w: cert record carries %T", ErrBadRecord, m)
 		}
 		rec.Cert = &c.CC
+	case RecordSnapshot:
+		rec.Slot = rd.Uvarint()
+		inner := rd.BytesField()
+		if err := rd.Err(); err != nil {
+			return Record{}, fmt.Errorf("%w: %v", ErrBadRecord, err)
+		}
+		m, err := msg.Decode(inner)
+		if err != nil {
+			return Record{}, fmt.Errorf("%w: snapshot: %v", ErrBadRecord, err)
+		}
+		ss, ok := m.(*msg.StateSnapshot)
+		if !ok || ss.Total != 0 || ss.Offset != 0 || len(ss.Data) != 0 || len(ss.Tail) != 0 ||
+			ss.Cert.CP.Slot != rec.Slot {
+			return Record{}, fmt.Errorf("%w: snapshot record carries %T", ErrBadRecord, m)
+		}
+		rec.SnapshotCert = &ss.Cert
+		rec.Snapshot = payload[len(payload)-rd.Remaining():]
 	default:
 		return Record{}, fmt.Errorf("%w: unknown kind %d", ErrBadRecord, uint8(kind))
 	}
@@ -226,7 +278,7 @@ func DecodeRecord(payload []byte) (Record, error) {
 
 // scanWAL walks the framed records of buf, returning the decoded records
 // and the byte offset of the end of the last *valid* frame. Scanning stops
-// at the first torn frame (truncated, oversized, or CRC-mismatched) — the
+// at the first torn frame (truncated, empty, or CRC-mismatched) — the
 // crash-recovery contract: a torn tail never hides the intact records
 // before it. A frame whose CRC is intact but whose payload fails record
 // decoding also stops the scan: after it the stream framing cannot be
@@ -246,4 +298,27 @@ func scanWAL(buf []byte) (recs []Record, validOff int64) {
 		rest = next
 	}
 	return recs, int64(len(buf) - len(rest))
+}
+
+// framesAbove appends to dst every frame of frames whose record slot is
+// above slot — the records a checkpoint at slot keeps — reading of each
+// payload only its kind byte and slot. Snapshot records are dropped (the
+// new WAL is headed by its own). frames is WAL content this store wrote
+// whole, so a frame that does not parse is an error, not a torn tail.
+func framesAbove(dst, frames []byte, slot uint64) ([]byte, error) {
+	for len(frames) > 0 {
+		payload, rest, err := nextFrame(frames)
+		if err != nil {
+			return dst, err
+		}
+		s, n := binary.Uvarint(payload[1:])
+		if n <= 0 {
+			return dst, ErrBadRecord
+		}
+		if RecordKind(payload[0]) != RecordSnapshot && s > slot {
+			dst = append(dst, frames[:len(frames)-len(rest)]...)
+		}
+		frames = rest
+	}
+	return dst, nil
 }

@@ -26,7 +26,11 @@ func FuzzDecodeWALRecord(f *testing.F) {
 	cc := &msg.CommitCert{Value: types.Value("v"), View: 1,
 		Sigs: []sigcrypto.Signature{{Signer: 0, Bytes: []byte("s")}}}
 	f.Add(EncodeCert(9, cc))
-	f.Add(AppendFrame(nil, EncodeDecision(1, types.Decision{Value: types.Value("x"), View: 1, Path: types.SlowPath})))
+	f.Add(framed(EncodeDecision(1, types.Decision{Value: types.Value("x"), View: 1, Path: types.SlowPath})))
+	f.Add(EncodeSnapshot(&msg.CheckpointCert{
+		CP:   types.Checkpoint{Slot: 5, StateHash: []byte("hash")},
+		Sigs: []sigcrypto.Signature{{Signer: 0, Bytes: []byte("c")}},
+	}, []byte("snapshot-bytes")))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rec, err := DecodeRecord(data)
@@ -39,6 +43,8 @@ func FuzzDecodeWALRecord(f *testing.F) {
 				re = EncodeDecision(rec.Slot, rec.Decision)
 			case RecordCert:
 				re = EncodeCert(rec.Slot, rec.Cert)
+			case RecordSnapshot:
+				re = EncodeSnapshot(rec.SnapshotCert, rec.Snapshot)
 			default:
 				t.Fatalf("decoder accepted unknown kind %d", rec.Kind)
 			}

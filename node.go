@@ -159,14 +159,15 @@ type KVReplicaConfig struct {
 	CheckpointInterval uint64
 	// DataDir, when non-empty, makes the replica durable: it keeps a
 	// CRC-framed, fsync'd write-ahead log (adopted votes persisted before
-	// acks leave the process, decisions before replies go out) plus
-	// atomically-written snapshot files keyed by stable checkpoint in this
-	// directory, and recovers its pre-crash state from it at construction
-	// — a replica kill -9'd mid-window restarts from its data directory
-	// alone and rejoins consensus without equivocating against its own
-	// earlier votes. The WAL is truncated at every stable checkpoint. One
-	// directory belongs to exactly one replica. Empty keeps the replica
-	// purely in-memory.
+	// acks leave the process, decisions before replies go out) in this
+	// directory, one file per consensus group, and recovers its pre-crash
+	// state from it at construction — a replica kill -9'd mid-window
+	// restarts from its data directory alone and rejoins consensus without
+	// equivocating against its own earlier votes. At every stable
+	// checkpoint the WAL is replaced, in one atomic install, by one headed
+	// by the checkpoint's snapshot and holding only the records above it.
+	// One directory belongs to exactly one replica. Empty keeps the
+	// replica purely in-memory.
 	DataDir string
 	// SyncMode names the WAL fsync policy when DataDir is set. Group commit
 	// (one fsync amortized over every record queued while the previous

@@ -9,7 +9,7 @@ FUZZTIME ?= 30s
 # SEEDS is how many seeds per scenario the sim-sweep target runs.
 SEEDS ?= 500
 
-.PHONY: all build test race bench bench-check fuzz smoke leaderkill fmt fmt-check vet doc-check byz sim-sweep recovery-race cluster-race clean
+.PHONY: all build test race bench bench-check fuzz smoke leaderkill fmt fmt-check vet doc-check byz sim-sweep recovery-race cluster-race ledger clean
 
 all: build test
 
@@ -124,6 +124,13 @@ recovery-race:
 ## the fast quorums must catch up on every run, not most runs
 cluster-race:
 	$(GO) test -race -count=20 -run 'TestRunSmallCluster$$' ./cmd/fastbft-cluster
+
+## ledger: the cost ledger of internal/smr — frames by kind, request relays,
+## signs, verifies and allocations per closed-loop slot at n = 4 and n = 7,
+## asserted against the paper's arithmetic — printed as the one line a
+## change can quote
+ledger:
+	$(GO) test ./internal/smr -count=1 -v -run '^TestCostLedger$$'
 
 ## clean: drop build and test caches scoped to this module, plus any
 ## leftover replica data directories from local runs (the per-group WALs

@@ -13,9 +13,11 @@ import (
 // The behaviors below are the adversarial replica strategies the Byzantine
 // harness runs against the full SMR stack (see docs/THREAT_MODEL.md for the
 // attack taxonomy and the safety/liveness claim each one probes). The
-// workload-triggered ones arm on the first forwarded client request — the
-// natural "cluster is live" signal an adversary can observe — so they work
-// unmodified in lockstep simulations and in multi-process clusters.
+// workload-triggered ones arm on the first relayed client request — the
+// natural "cluster is live" signal an adversary can observe. Followers relay
+// requests only to the view-1 leader, so these must run as that leader (as
+// every harness and drill places them); they then work unmodified in
+// lockstep simulations and in multi-process clusters.
 
 // SlotEquivocator is a corrupted process that, as leader of view 1 of one
 // log slot, proposes ValueA to the processes in GroupA and ValueB to
@@ -37,7 +39,7 @@ type SlotEquivocator struct {
 // Start implements Behavior.
 func (e *SlotEquivocator) Start(*Driver) {}
 
-// Deliver implements Behavior: the first forwarded client request triggers
+// Deliver implements Behavior: the first relayed client request triggers
 // the equivocating proposals.
 func (e *SlotEquivocator) Deliver(d *Driver, _ types.ProcessID, slot uint64, _ msg.Message) {
 	if e.fired || slot != smr.CtrlSlotID {
@@ -80,7 +82,7 @@ type GarbageProposer struct {
 // Start implements Behavior.
 func (g *GarbageProposer) Start(*Driver) {}
 
-// Deliver implements Behavior: the first forwarded client request triggers
+// Deliver implements Behavior: the first relayed client request triggers
 // the garbage proposals.
 func (g *GarbageProposer) Deliver(d *Driver, _ types.ProcessID, slot uint64, _ msg.Message) {
 	if g.fired || slot != smr.CtrlSlotID {

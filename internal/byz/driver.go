@@ -18,7 +18,7 @@ import (
 // replica loop. This is the step up from the adversarial machines in byz.go:
 // those occupy a process of a single consensus instance; a Driver attacks
 // the full replicated log — slot-salted
-// signatures, checkpoints, state transfer, client forwarding — through the
+// signatures, checkpoints, state transfer, request relays — through the
 // same wire format honest replicas speak.
 //
 // The driver enforces nothing. Whatever the Behavior emits goes out

@@ -166,8 +166,8 @@ func (c *byzCluster) close() {
 }
 
 // submit hands the request to every live correct replica (clients talk to
-// all replicas; the adversary's slot gets the forwarded copy like any
-// leader would) and registers a per-replica reply recorder.
+// all replicas; an adversary leading view 1 gets the followers' relayed
+// copies like any leader would) and registers a per-replica reply recorder.
 func (c *byzCluster) submit(client string, seq uint64) string {
 	c.t.Helper()
 	key := fmt.Sprintf("%s-k%d", client, seq)

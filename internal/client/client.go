@@ -66,9 +66,9 @@ type Config struct {
 	// Retries bounds the retransmission rounds per request (20 if zero).
 	Retries int
 	// Entry is the initial entry replica — the presumed leader, contacted
-	// first on every submission. Any correct replica forwards requests to
-	// the active proposer, so the entry choice affects latency, not
-	// safety; after a timeout the session redirects to a replica that
+	// first on every submission. A correct follower relays a fresh
+	// request to the view-1 leader, so the entry choice affects latency,
+	// not safety; after a timeout the session redirects to a replica that
 	// demonstrably answers.
 	Entry types.ProcessID
 	// Group is the consensus group this session speaks to: requests are

@@ -80,7 +80,9 @@ func TestSigningDomainsAreDisjoint(t *testing.T) {
 // TestReplicaDropsFramesOfOtherGroups: a replica sitting directly on a raw
 // transport (no mux in front of it) drops a frame addressed to another group
 // and a frame with a truncated header, and accepts the identical message
-// under its own group.
+// under its own group. A relayed request passes the admission check of
+// HandleRequest: one addressed to another group, or with no operation, is
+// not queued even under this group's frame header.
 func TestReplicaDropsFramesOfOtherGroups(t *testing.T) {
 	cfg := types.Generalized(1, 1)
 	scheme := sigcrypto.NewHMAC(cfg.N, 10)
@@ -102,10 +104,12 @@ func TestReplicaDropsFramesOfOtherGroups(t *testing.T) {
 
 	req := &msg.Request{Client: "c", Seq: 1, Op: EncodeKV(KVCommand{Op: OpSet, Key: "k", Value: "v"}), Group: group}
 	for _, frame := range [][]byte{
-		envelope(group+1, ctrlSlot, req), // another group's forward
+		envelope(group+1, ctrlSlot, req), // another group's relay
 		envelope(0, ctrlSlot, req),       // group 0 is not a wildcard
 		{0x82},                           // truncated group uvarint
 		{group},                          // header ends before the slot
+		envelope(group, ctrlSlot, &msg.Request{Client: "c", Seq: 1, Op: req.Op, Group: group + 1}),
+		envelope(group, ctrlSlot, &msg.Request{Client: "c", Seq: 1, Group: group}),
 	} {
 		r.onPayload(1, frame)
 		if n := r.PendingCount(); n != 0 {
@@ -114,6 +118,6 @@ func TestReplicaDropsFramesOfOtherGroups(t *testing.T) {
 	}
 	r.onPayload(1, envelope(group, ctrlSlot, req))
 	if n := r.PendingCount(); n != 1 {
-		t.Fatalf("own-group forward queued %d commands, want 1", n)
+		t.Fatalf("own-group relay queued %d commands, want 1", n)
 	}
 }

@@ -87,8 +87,8 @@ func (r *Replica) broadcastEnvLocked(env []byte) {
 //     verification of the presented votes, re-issuable at will;
 //   - state-transfer traffic: everything served is authenticated by
 //     certificates, not by this replica's promise to remember it;
-//   - client-request forwards: the bytes are the client's, not replica
-//     state.
+//   - request relays to the view-1 leader: the bytes are the client's,
+//     not replica state.
 //
 // What remains durably gated: leader proposals (the protocol would
 // tolerate an equivocating leader, but letting the propose wave outrun the

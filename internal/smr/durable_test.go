@@ -3,6 +3,7 @@ package smr
 import (
 	"crypto/sha256"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -362,27 +363,25 @@ func TestRecoverRefusesSnapshotItsCertificateDoesNotCover(t *testing.T) {
 	})
 }
 
-// TestDurableRecoversSnapshotAboveMessageLimit: a replica whose
-// application snapshot is larger than one protocol message (wire.MaxBytes)
-// recovers it from its data directory — the WAL record and the composite
-// snapshot codec both carry it uncapped, as state transfer's pieces do.
-func TestDurableRecoversSnapshotAboveMessageLimit(t *testing.T) {
-	cfg := types.Generalized(1, 1)
-	scheme := sigcrypto.NewHMAC(cfg.N, 75)
-	const slot = 7
-	value := strings.Repeat("0123456789abcdef", (1<<20)/16)
+// bigCheckpointDir writes a data directory whose WAL holds one stable
+// checkpoint at slot 7 and nothing else: a KV snapshot of nine 1 MiB values —
+// larger than one protocol message (wire.MaxBytes) — under a genuine
+// certificate. It returns the directory, the value and the snapshot's size.
+func bigCheckpointDir(t *testing.T, scheme sigcrypto.Scheme) (dir, value string, size int) {
+	t.Helper()
+	value = strings.Repeat("0123456789abcdef", (1<<20)/16)
 	app := NewKVStore()
 	for i := 0; i < 9; i++ {
 		app.data[fmt.Sprintf("k%d", i)] = value
 	}
-	snap := SnapshotOf(slot, app.Snapshot())
+	snap := SnapshotOf(7, app.Snapshot())
 	sum := sha256.Sum256(snap)
-	cp := types.Checkpoint{Slot: slot, StateHash: sum[:]}
+	cp := types.Checkpoint{Slot: 7, StateHash: sum[:]}
 	cert := &msg.CheckpointCert{CP: cp}
 	for _, p := range []types.ProcessID{0, 1} {
 		cert.Sigs = append(cert.Sigs, LogSigner(scheme.Signer(p), 0).Sign(msg.CheckpointDigest(cp)))
 	}
-	dir := t.TempDir()
+	dir = t.TempDir()
 	st, err := storage.Open(storage.Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
@@ -391,26 +390,71 @@ func TestDurableRecoversSnapshotAboveMessageLimit(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if st, err = storage.Open(storage.Config{Dir: dir}); err != nil {
+	return dir, value, len(snap)
+}
+
+// recoverReplica rebuilds replica 0 of cfg from dir alone onto app.
+func recoverReplica(t *testing.T, cfg types.Config, scheme sigcrypto.Scheme, dir string, app App) *Replica {
+	t.Helper()
+	st, err := storage.Open(storage.Config{Dir: dir})
+	if err != nil {
 		t.Fatal(err)
 	}
 	net := sim.NewNetwork(cfg.N)
-	restored := NewKVStore()
 	r, err := NewReplica(Config{
 		Cluster: cfg, Self: 0, Signer: scheme.Signer(0), Verifier: scheme.Verifier(),
-		Transport: net.Transport(0), Clock: net.Clock(0), App: restored, Storage: st,
+		Transport: net.Transport(0), Clock: net.Clock(0), App: app, Storage: st,
 	})
 	if err != nil {
 		_ = st.Close()
-		t.Fatalf("recovering a %d-byte snapshot: %v", len(snap), err)
+		t.Fatalf("recovering from %s: %v", dir, err)
 	}
-	defer r.Close()
-	if cp, ok := r.StableCheckpoint(); !ok || cp.Slot != slot {
-		t.Fatalf("recovered stable checkpoint %v (ok=%v), want slot %d", cp, ok, slot)
+	t.Cleanup(func() { _ = r.Close() })
+	return r
+}
+
+// TestDurableRecoversSnapshotAboveMessageLimit: a replica whose
+// application snapshot is larger than one protocol message (wire.MaxBytes)
+// recovers it from its data directory — the WAL record and the composite
+// snapshot codec both carry it uncapped, as state transfer's pieces do.
+func TestDurableRecoversSnapshotAboveMessageLimit(t *testing.T) {
+	cfg := types.Generalized(1, 1)
+	scheme := sigcrypto.NewHMAC(cfg.N, 75)
+	dir, value, _ := bigCheckpointDir(t, scheme)
+	restored := NewKVStore()
+	r := recoverReplica(t, cfg, scheme, dir, restored)
+	if cp, ok := r.StableCheckpoint(); !ok || cp.Slot != 7 {
+		t.Fatalf("recovered stable checkpoint %v (ok=%v), want slot 7", cp, ok)
 	}
 	for i := 0; i < 9; i++ {
 		if v, ok := restored.Get(fmt.Sprintf("k%d", i)); !ok || v != value {
 			t.Fatalf("recovered k%d of %d bytes (present=%v), want the %d checkpointed ones", i, len(v), ok, len(value))
 		}
+	}
+}
+
+// TestDurableRecoveryReleasesStoreSnapshot: once a replica has installed the
+// snapshot its store recovered, the store holds no copy of it. Opening the
+// store and recovering the replica adds two snapshots' worth of live heap —
+// the application state and the one snapshot the replica keeps to serve
+// state transfer — not the third the store's RecoveredState used to pin for
+// the store's whole life.
+func TestDurableRecoveryReleasesStoreSnapshot(t *testing.T) {
+	cfg := types.Generalized(1, 1)
+	scheme := sigcrypto.NewHMAC(cfg.N, 76)
+	dir, _, size := bigCheckpointDir(t, scheme)
+	liveHeap := func() int64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	before := liveHeap()
+	r := recoverReplica(t, cfg, scheme, dir, NewKVStore())
+	grew := liveHeap() - before
+	runtime.KeepAlive(r)
+	if limit := int64(size) * 5 / 2; grew > limit {
+		t.Fatalf("recovering a %d-byte snapshot grew the live heap by %d bytes, want at most %d (application state plus the replica's copy)",
+			size, grew, limit)
 	}
 }

@@ -16,8 +16,9 @@ import (
 // protocol: every helper only combines the adversary's own signer with
 // public encoding rules.
 
-// CtrlSlotID is the reserved envelope slot number that forwards submitted
-// client requests between replicas (the exported name of ctrlSlot).
+// CtrlSlotID is the reserved envelope slot number of the request relay: a
+// follower sends each fresh client request it receives to the view-1 leader
+// under it (the exported name of ctrlSlot).
 const CtrlSlotID = ctrlSlot
 
 // SyncSlotID is the reserved envelope slot number carrying log-maintenance

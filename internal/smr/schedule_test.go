@@ -109,16 +109,24 @@ func runSchedule(t *testing.T, cfg types.Config, seed int64, silent bool) schedu
 	// Session c sends its k-th request through replica (c+k) mod n — skipping
 	// a dead one — from the reply callback of request k-1: the sessions are
 	// driven by what a client sees, replies, which are events of the schedule
-	// the seed determines, and every reply goes on the trace. A replica keeps
-	// a client's reply route, so later requests are answered by every replica
-	// the session visited; the first reply to the outstanding request
-	// triggers the next one.
-	entry := func(c, k int) *Replica {
-		for p := (c + k) % cfg.N; ; p = (p + 1) % cfg.N {
-			if g.reps[p] != nil {
-				return g.reps[p]
+	// the seed determines, and every reply goes on the trace. With the
+	// view-1 leader up, that one replica's relay carries the request to it;
+	// with the leader silent, the request goes to every live replica, entry
+	// first, as internal/client sends it, so the view-change leader holds it.
+	// A replica keeps a client's reply route, so later requests are answered
+	// by every replica the session visited; the first reply to the
+	// outstanding request triggers the next one.
+	entries := func(c, k int) []*Replica {
+		var out []*Replica
+		for i := 0; i < cfg.N; i++ {
+			if r := g.reps[(c+k+i)%cfg.N]; r != nil {
+				out = append(out, r)
+				if !silent {
+					break
+				}
 			}
 		}
+		return out
 	}
 	next := make([]int, scheduleSessions) // requests issued so far, per session
 	var issue func(c int)
@@ -127,15 +135,17 @@ func runSchedule(t *testing.T, cfg types.Config, seed int64, silent bool) schedu
 		k := next[c]
 		id := types.ClientID(fmt.Sprintf("s%d", c))
 		op := kvSetOp(fmt.Sprintf("s%d-%d", c, k), fmt.Sprintf("v%d", k))
-		err := entry(c, k).HandleRequest(&msg.Request{Client: id, Seq: uint64(k), Op: op}, func(rep *msg.Reply) {
-			res.record('r', g.net.Now(), uint64(rep.Replica), rep.Seq, rep.Slot, []byte(rep.Client), rep.Result)
-			res.replies++
-			if rep.Seq == uint64(next[c]) && next[c] < scheduleRequests {
-				issue(c)
+		for _, r := range entries(c, k) {
+			err := r.HandleRequest(&msg.Request{Client: id, Seq: uint64(k), Op: op}, func(rep *msg.Reply) {
+				res.record('r', g.net.Now(), uint64(rep.Replica), rep.Seq, rep.Slot, []byte(rep.Client), rep.Result)
+				res.replies++
+				if rep.Seq == uint64(next[c]) && next[c] < scheduleRequests {
+					issue(c)
+				}
+			})
+			if err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
 			}
-		})
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
 		}
 	}
 	const total = scheduleSessions * scheduleRequests

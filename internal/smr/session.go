@@ -76,39 +76,55 @@ func decodeRequest(cmd Command) (*msg.Request, bool) {
 	return req, true
 }
 
+// checkRequest is the admission check of both ways a request enters the
+// replica — from a client (HandleRequest) and relayed by a peer (the ctrlSlot
+// frame): a request this group must never queue is refused before it can
+// reach a proposal batch.
+func (r *Replica) checkRequest(req *msg.Request) error {
+	switch {
+	case req == nil || len(req.Op) == 0:
+		return errEmptyRequest
+	case len(req.Client) == 0:
+		return errEmptyClient
+	case len(req.Client) > msg.MaxClientID:
+		return errClientTooLong
+	case req.Seq == 0:
+		return errZeroSeq
+	case req.Group != r.cfg.Group:
+		// A misrouted request must not enter this group's log: the same
+		// (client, seq) pair may legitimately be in flight in its own
+		// group, and executing it here would both corrupt this group's
+		// session table and break exactly-once across the deployment.
+		return errWrongGroup
+	}
+	return nil
+}
+
 // HandleRequest ingests one external client request:
 //
 //   - a request at or below the client's executed high-water mark never
 //     reaches a proposal batch: a retransmission of the last executed
 //     request is answered immediately from the reply cache, anything older
 //     is dropped (the client has already moved on);
-//   - a fresh request is queued for proposal, forwarded to every replica so
-//     the next slot's leader can pack it, and answered through reply once it
-//     executes.
+//   - a fresh request is queued for proposal and answered through reply
+//     once it executes; a replica that does not lead view 1 also relays it,
+//     in one frame, to the replica that does — the one that fills the
+//     window.
+//
+// A correct client submits every request to every replica, as
+// internal/client does: that is what gets the request to f+1 repliers, and
+// what lets the view-change leader graft it from its own queue when the
+// view-1 leader is dead. A request handed to a single follower reaches
+// Leader(1) through the one relay and is not passed on to a view-change
+// leader.
 //
 // reply may be nil (fire-and-forget). A client must keep at most one
 // request in flight per session: sequence numbers are executed in log
 // order, and a lower sequence number committing after a higher one is
 // rejected as stale.
 func (r *Replica) HandleRequest(req *msg.Request, reply ReplyFunc) error {
-	if req == nil || len(req.Op) == 0 {
-		return errEmptyRequest
-	}
-	if len(req.Client) == 0 {
-		return errEmptyClient
-	}
-	if len(req.Client) > msg.MaxClientID {
-		return errClientTooLong
-	}
-	if req.Seq == 0 {
-		return errZeroSeq
-	}
-	if req.Group != r.cfg.Group {
-		// A misrouted request must not enter this group's log: the same
-		// (client, seq) pair may legitimately be in flight in its own
-		// group, and executing it here would both corrupt this group's
-		// session table and break exactly-once across the deployment.
-		return errWrongGroup
+	if err := r.checkRequest(req); err != nil {
+		return err
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -131,19 +147,20 @@ func (r *Replica) HandleRequest(req *msg.Request, reply ReplyFunc) error {
 	if reply != nil {
 		r.replyTo[req.Client] = reply
 	}
-	// The body of the forward frame is the request's canonical encoding,
+	// The body of the relay frame is the request's canonical encoding,
 	// which is also its SMR command bytes: one buffer serves both (the queue
 	// keeps its own copy).
 	w := newFrame(r.cfg.Group, ctrlSlot)
 	hdr := w.Len()
 	msg.EncodeTo(w, req)
 	frame := w.Bytes()
-	r.countOut(msg.KindRequest)
 	r.enqueueRequestLocked(req, Command(frame[hdr:]))
-	// Forward to every replica so the next slots' leaders can propose it
-	// (ordered, not durably gated: the forwarded bytes are the client's,
-	// not replica state).
-	r.broadcastOrderedLocked(frame)
+	if leader := r.cfg.Cluster.Leader(1); leader != r.cfg.Self {
+		// Ordered, not durably gated: the relayed bytes are the client's,
+		// not replica state.
+		r.countOut(msg.KindRequest)
+		r.sendOrderedLocked(leader, frame)
+	}
 	r.fillWindowLocked()
 	r.flushViewBufsLocked()
 	r.pokeRegimeLocked()
@@ -173,7 +190,7 @@ func (r *Replica) staleLocked(req *msg.Request) bool {
 // enqueueRequestLocked queues an encoded request for proposal unless it is
 // stale, already queued, or already in flight in a live slot proposal — the
 // in-flight check is what keeps concurrent slot chunks disjoint when the
-// same request arrives again (a retransmission, or a ctrlSlot forward of a
+// same request arrives again (a retransmission, or a follower's relay of a
 // command this replica already assigned). The caller holds r.mu.
 func (r *Replica) enqueueRequestLocked(req *msg.Request, enc Command) {
 	if r.staleLocked(req) {

@@ -34,6 +34,7 @@ type groupOpts struct {
 	interval uint64 // Config.CheckpointInterval
 	durable  bool   // every replica on a storage.Store (SyncGroup) in its own directory
 	trace    sim.TraceFunc
+	scheme   sigcrypto.Scheme // nil: HMAC keys drawn from the group's seed
 }
 
 type simGroup struct {
@@ -62,6 +63,9 @@ func newSimGroup(t *testing.T, cfg types.Config, seed int64, opts groupOpts) *si
 		stores: make([]*KVStore, cfg.N),
 		logs:   make([]*commitLog, cfg.N),
 		regs:   make([]*obs.Registry, cfg.N),
+	}
+	if opts.scheme != nil {
+		g.scheme = opts.scheme
 	}
 	if opts.jitter > 0 {
 		g.net.SetPayloadFunc(sim.SeededDelay(seed, opts.jitter))
@@ -306,4 +310,17 @@ func submitOps(t *testing.T, r *Replica, client string, from, to int) {
 func submitKV(t *testing.T, r *Replica, client string, i int) {
 	t.Helper()
 	submitOps(t, r, client, i, i+1)
+}
+
+// submitKVAll submits command k<i> to every live replica but skip (-1 skips
+// none), as internal/client sends one request to every replica it reaches:
+// the submission that survives a dead or deaf view-1 leader, because the
+// view-change leader then holds the request in its own queue.
+func (g *simGroup) submitKVAll(client string, i int, skip types.ProcessID) {
+	g.t.Helper()
+	g.live(func(p types.ProcessID, r *Replica) {
+		if p != skip {
+			submitKV(g.t, r, client, i)
+		}
+	})
 }

@@ -30,8 +30,11 @@
 // pair; replicas deduplicate by per-client session tables (see session.go),
 // cache the last reply per client for retransmissions, and prune inactive
 // sessions at checkpoint boundaries — so dedup memory is bounded by active
-// clients, not by log length. Clients submit through HandleRequest (see
-// internal/client for a full retransmitting client).
+// clients, not by log length. Clients submit through HandleRequest, a
+// correct client to every replica (see internal/client for a full
+// retransmitting client); a follower relays a fresh request once, to the
+// view-1 leader, so a request reaches the replica that proposes it even when
+// the client skipped that replica, and no replica relays to all.
 package smr
 
 import (
@@ -57,10 +60,11 @@ import (
 // the execution; identical bytes are applied only once.
 type Command = types.Value
 
-// ctrlSlot is the reserved envelope slot number used to forward submitted
-// commands to every replica, so that whichever process leads the next log
-// slot has the command in its queue (without forwarding, a command
-// submitted to a process that never becomes leader would starve).
+// ctrlSlot is the reserved envelope slot number of the request relay: a
+// replica that does not lead view 1 sends each fresh client request it
+// receives to the one that does, which fills the window (without the relay,
+// a request handed to a follower alone would starve). The relay is one hop;
+// a relayed request is queued, never relayed again.
 const ctrlSlot = ^uint64(0)
 
 // syncSlot is the reserved envelope slot number carrying log-maintenance
@@ -494,7 +498,7 @@ func saltedMsg(salt, msg []byte) []byte {
 // and a chunk assigned to a slot the leader never proposes is orphaned: it
 // sits in flight until a view change frees it, stalling the client for a
 // full suspicion timeout. Followers keep their commands pending (the
-// ctrlSlot forward puts them in the leader's queue) and open instances only
+// ctrlSlot relay puts them in the leader's queue) and open instances only
 // when slot traffic arrives (ensureSlotLocked) or the regime timer suspects
 // the leader. Commands stranded by a leader failure are grafted onto the
 // view-change leader's instances instead (see enterSlotViewLocked).
@@ -689,10 +693,11 @@ func (r *Replica) onPayload(from types.ProcessID, payload []byte) {
 // routePayloadLocked dispatches one decoded envelope. The caller holds r.mu.
 func (r *Replica) routePayloadLocked(from types.ProcessID, s uint64, inner []byte) {
 	if s == ctrlSlot {
-		// A forwarded client request; queue it for proposal unless the
-		// session table already proves it executed.
+		// A client request relayed by a follower; it passes HandleRequest's
+		// admission check and is queued for proposal unless the session
+		// table already proves it executed. It is not relayed again.
 		req, ok := decodeRequest(Command(inner))
-		if !ok {
+		if !ok || r.checkRequest(req) != nil {
 			return
 		}
 		r.countIn(msg.KindRequest)

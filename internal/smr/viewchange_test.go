@@ -15,8 +15,9 @@ import (
 
 // TestSMROrphanSlotResolvesViaWindowedViewChange is the regression test for
 // the orphan-slot hazard (ROADMAP item 4). The durability-skew shape: a
-// client command reaches every replica except the view-1 leader (its ctrl
-// forwards are parked), so the leader never proposes a slot for it. The old
+// client command reaches every replica except the view-1 leader (the client
+// skips it, and the followers' relays to it are parked), so the leader never
+// proposes a slot for it. The old
 // code had every follower speculatively open the slot with its own chunk
 // and then sit on the full per-slot BaseTimeout before a view change could
 // rescue it — with the 2s timeout below, resolution took >= 2s. Under
@@ -48,15 +49,15 @@ func TestSMROrphanSlotResolvesViaWindowedViewChange(t *testing.T) {
 		}
 	}
 
-	// Durability skew: the leader stops hearing ctrl forwards. A command
-	// submitted at a follower is now pending on every replica but the one
-	// that could propose it in view 1.
+	// Durability skew: the leader stops hearing relays, and the client
+	// reaches every replica but the leader. The command is now pending on
+	// every replica but the one that could propose it in view 1.
 	g.net.SetPayloadFunc(func(_, to types.ProcessID, payload []byte, _ sim.Time) sim.Fate {
 		s, ok := payloadSlot(payload)
 		return sim.Fate{Delay: g.opts.delta, Hold: ok && s == ctrlSlot && to == leader}
 	})
 	start := g.net.Now()
-	submitKV(t, reps[0], "orphan", 100)
+	g.submitKVAll("orphan", 100, leader)
 	g.run(30*time.Second, g.applied(warm+1), "the stranded command to apply everywhere")
 	elapsed := g.net.Now() - start
 
@@ -198,13 +199,14 @@ func TestSMRRegimeTimerShrinksAfterRecovery(t *testing.T) {
 		t.Fatalf("suspicion delay %v after %d decides of 5ms each, want 4·EWMA = the 20ms floor", got, warm)
 	}
 
-	// Kill the view-1 leader. Every further command must ride the windowed
-	// view change: suspicion fires at the adapted delay, the new leader
-	// grafts the stranded commands, and each decide re-feeds the EWMA.
+	// Kill the view-1 leader. Every further command, submitted to every
+	// survivor, must ride the windowed view change: suspicion fires at the
+	// adapted delay, the new leader grafts the stranded commands, and each
+	// decide re-feeds the EWMA.
 	g.crash(leader)
 	const post = 8
 	for i := warm; i < warm+post; i++ {
-		submitKV(t, reps[0], "shrink", i)
+		g.submitKVAll("shrink", i, -1)
 		g.run(10*time.Second, g.applied(uint64(i+1)), "a post-kill op to commit through the view change")
 	}
 	fires := reps[0].m.regime.Load()
@@ -223,4 +225,38 @@ func TestSMRRegimeTimerShrinksAfterRecovery(t *testing.T) {
 	if backoff != 0 {
 		t.Fatalf("backoff %d survived frontier movement; progress must reset it", backoff)
 	}
+}
+
+// TestRequestRelayFromFollowersOnly: a client that skips the view-1 leader —
+// a Byzantine one, or one that cannot reach it — cannot make the followers
+// suspect a correct leader. Each follower relays the request to Leader(1)
+// once, so the op applies one hop later than the two-step fast path (relay,
+// Propose, Ack: 3Δ), in view 1, and no replica's regime timer ever fires.
+func TestRequestRelayFromFollowersOnly(t *testing.T) {
+	cfg := types.Generalized(1, 1)
+	const delta = time.Millisecond
+	const base = 100 * time.Millisecond
+	g := newSimGroup(t, cfg, 84, groupOpts{delta: delta, base: base, window: 4})
+	leader := cfg.Leader(1)
+
+	const warm = 3
+	for i := 0; i < warm; i++ {
+		g.submitKVAll("warm", i, -1)
+		g.run(time.Second, g.applied(uint64(i+1)), "a warm-up op to apply")
+	}
+	g.submitKVAll("skip", warm, leader)
+	g.run(3*delta, g.applied(warm+1), "the op its client sent to the followers only to apply")
+	g.net.Advance(64 * base) // past any backed-off suspicion
+
+	if d, ok := g.reps[leader].Decided(warm); !ok || d.View != 1 {
+		t.Fatalf("slot %d: decision %+v (ok=%v), want one in view 1", warm, d, ok)
+	}
+	g.live(func(p types.ProcessID, r *Replica) {
+		if n := r.m.regime.Load(); n != 0 {
+			t.Errorf("replica %s suspected the correct leader %d times", p, n)
+		}
+		if n := g.viewChanges(p); n != 0 {
+			t.Errorf("replica %s counted %v view changes", p, n)
+		}
+	})
 }

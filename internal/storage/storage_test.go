@@ -239,6 +239,9 @@ func TestStoreRecoversAppendedRecords(t *testing.T) {
 	if vs := rec.Votes[2]; vs == nil || len(vs.Acks) != 1 || !vs.Acks[0].X.Equal(types.Value("c")) {
 		t.Fatal("in-flight vote not recovered")
 	}
+	if again := s.Recovered(); again != nil {
+		t.Fatal("the store kept its recovered state after handing it over")
+	}
 }
 
 // TestEffectsRunInOrderAfterRecords: group commit must release effects in

@@ -113,9 +113,9 @@ type checkpointOp struct {
 type Store struct {
 	dir string
 	ns  string
-	rec *RecoveredState
 
 	mu       sync.Mutex
+	rec      *RecoveredState // until Recovered hands it over
 	cond     *sync.Cond
 	queue    []op
 	flushing bool
@@ -258,8 +258,17 @@ func (s *Store) recover() error {
 	return nil
 }
 
-// Recovered returns the state reconstructed at Open.
-func (s *Store) Recovered() *RecoveredState { return s.rec }
+// Recovered hands over the state reconstructed at Open, once: the store
+// keeps no reference to it, so the recovered snapshot bytes live only as
+// long as the caller holds them (the replica installs them and lets go).
+// Later calls return nil.
+func (s *Store) Recovered() *RecoveredState {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	rec := s.rec
+	s.rec = nil
+	return rec
+}
 
 // Err returns the sticky disk error, if any. Once a write or fsync fails
 // the store stops releasing effects — the replica goes quiet rather than

@@ -406,57 +406,6 @@ func (r *KVReplica) Close() error {
 	return err
 }
 
-// ClientReply is a replica's response to an executed client request.
-type ClientReply struct {
-	// Client and Seq identify the request within its session.
-	Client string
-	Seq    uint64
-	// Slot is the log slot the request executed in.
-	Slot uint64
-	// Replica is the responding replica; a client trusts a result once f+1
-	// distinct replicas report it — the same process identifier in every
-	// group.
-	Replica ProcessID
-	// Result is the application's result bytes.
-	Result []byte
-	// Group is the consensus group that executed the request.
-	Group uint64
-}
-
-// HandleRequest submits one external client request to this replica's
-// session layer: requests are deduplicated by (clientID, seq) with a
-// per-client executed high-water mark, a retransmission of the last
-// executed request is answered from the reply cache without re-execution,
-// and onReply (optional) receives the reply once the request executes —
-// after the slot's OnCommit, in sequence order per client; it must not block.
-// Sequence numbers start at 1 and must increase within a session. The
-// request routes to its key's group (ops that do not decode as KV commands
-// go to group 0), and sessions are per group — a client interleaving keys
-// of different groups leaves gaps in each group's sequence numbering, which
-// the session tables accept.
-func (r *KVReplica) HandleRequest(clientID string, seq uint64, op []byte, onReply func(ClientReply)) error {
-	var cb smr.ReplyFunc
-	if onReply != nil {
-		cb = func(rep *msg.Reply) {
-			onReply(ClientReply{
-				Client:  string(rep.Client),
-				Seq:     rep.Seq,
-				Slot:    rep.Slot,
-				Replica: rep.Replica,
-				Result:  rep.Result,
-				Group:   rep.Group,
-			})
-		}
-	}
-	g := uint64(0)
-	if c, err := smr.DecodeKV(smr.Command(op)); err == nil {
-		g = smr.ShardOf(c.Key, r.shards)
-	}
-	return r.groups[g].Replica().HandleRequest(&msg.Request{
-		Client: types.ClientID(clientID), Seq: seq, Op: op, Group: g,
-	}, cb)
-}
-
 // SessionCount returns the number of live client sessions across the
 // replica's groups (bounded by active clients, not log length).
 func (r *KVReplica) SessionCount() int {

@@ -126,16 +126,18 @@ cluster-race:
 	$(GO) test -race -count=20 -run 'TestRunSmallCluster$$' ./cmd/fastbft-cluster
 
 ## ledger: the cost ledger of internal/smr — frames by kind, request relays,
-## signs, verifies and allocations per closed-loop slot at n = 4 and n = 7,
-## asserted against the paper's arithmetic — printed as the one line a
-## change can quote
+## signs, verifies and allocations per closed-loop slot, and per
+## view-changed slot after a leader crash, at n = 4 and n = 7, asserted
+## against the paper's arithmetic — printed as the one line a change can
+## quote
 ledger:
 	$(GO) test ./internal/smr -count=1 -v -run '^TestCostLedger$$'
 
 ## clean: drop build and test caches scoped to this module, plus any
-## leftover replica data directories from local runs (the per-group WALs
-## and snapshots live as g<k>- namespaced files inside these same
-## per-replica directories, so the patterns cover them too)
+## leftover replica data directories from local runs (each group's WAL,
+## whose first record is its stable checkpoint, lives as a g<k>-wal.log
+## file inside these same per-replica directories, so the patterns cover
+## it too)
 clean:
 	$(GO) clean ./...
 	rm -rf fastbft-cluster-data-* /tmp/fastbft-cluster-data-* 2>/dev/null || true

@@ -94,17 +94,6 @@ func EncodeTo(w *wire.Writer, m Message) bool {
 		w.Int32(int32(t.Replica))
 		w.BytesField(t.Result)
 		w.Uvarint(t.Group)
-	case *WindowWish:
-		w.Uvarint(uint64(t.View))
-		w.Uvarint(t.Lo)
-		w.Uvarint(t.Hi)
-	case *WindowVote:
-		w.Uvarint(uint64(t.View))
-		w.Uvarint(uint64(len(t.Entries)))
-		for _, e := range t.Entries {
-			w.Uvarint(e.Slot)
-			e.SV.encode(w)
-		}
 	default:
 		return false
 	}
@@ -222,35 +211,6 @@ func Decode(buf []byte) (Message, error) {
 		t.Replica = types.ProcessID(r.Int32())
 		t.Result = r.BytesField()
 		t.Group = r.Uvarint()
-		m = t
-	case KindWindowWish:
-		t := &WindowWish{}
-		t.View = types.View(r.Uvarint())
-		t.Lo = r.Uvarint()
-		t.Hi = r.Uvarint()
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
-		// The span bounds the per-slot fan-out a receiver performs; an
-		// inverted range is malformed outright.
-		if t.Hi < t.Lo || t.Hi-t.Lo+1 > MaxWindowSlots {
-			return nil, wire.ErrOverflow
-		}
-		m = t
-	case KindWindowVote:
-		t := &WindowVote{}
-		t.View = types.View(r.Uvarint())
-		n := r.SliceLen()
-		if n > MaxWindowSlots {
-			return nil, wire.ErrOverflow
-		}
-		t.Entries = make([]WindowVoteEntry, 0, n)
-		for i := 0; i < n && r.Err() == nil; i++ {
-			var e WindowVoteEntry
-			e.Slot = r.Uvarint()
-			e.SV = decodeSignedVote(r)
-			t.Entries = append(t.Entries, e)
-		}
 		m = t
 	default:
 		return nil, fmt.Errorf("msg: unknown kind %d", uint8(kind))

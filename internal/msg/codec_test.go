@@ -2,6 +2,7 @@ package msg
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -95,21 +96,28 @@ func TestRoundTripAllKinds(t *testing.T) {
 
 // TestKindNumbersArePinned: kind bytes are persisted (Request bytes live in
 // WALs and snapshots) and exchanged between versions, so a kind keeps its
-// number for good and a retired number stays unused.
+// number for good and a retired number stays unused: a frame of a retired
+// kind (15–17) is refused as unknown, even with the body it once carried.
 func TestKindNumbersArePinned(t *testing.T) {
 	want := map[Kind]uint8{
 		KindPropose: 1, KindAck: 2, KindAckSig: 3, KindVote: 4, KindCertRequest: 5,
 		KindCertAck: 6, KindCommit: 7, KindWish: 8, KindRaw: 9, KindCheckpoint: 10,
 		KindFetchState: 11, KindStateSnapshot: 12, KindRequest: 13, KindReply: 14,
-		KindWindowWish: 16, KindWindowVote: 17,
 	}
 	for k, n := range want {
 		if uint8(k) != n {
 			t.Errorf("%s is kind %d, want %d", k, uint8(k), n)
 		}
 	}
-	if _, err := Decode([]byte{15}); err == nil {
-		t.Error("retired kind 15 decoded")
+	retired := [][]byte{
+		{15},
+		{16, 2, 0, 7}, // view 2, slots 0..7
+		{17, 2, 0},    // view 2, no entries
+	}
+	for _, f := range retired {
+		if _, err := Decode(f); err == nil || !strings.Contains(err.Error(), "unknown kind") {
+			t.Errorf("retired kind %d: Decode err = %v, want unknown kind", f[0], err)
+		}
 	}
 }
 

@@ -54,21 +54,12 @@ const (
 	// KindReply is a replica's response to an executed client request; f+1
 	// matching replies convince the client (see Reply).
 	KindReply
-	// Kind 15 is reserved and never sent, so the kinds after it keep their
-	// wire numbers.
+	// Kinds 15, 16 and 17 are retired and stay reserved: no kind reuses
+	// their wire numbers, and a frame carrying one decodes as an unknown
+	// kind.
 	_
-	// KindWindowWish coalesces the view-synchronization wishes of a
-	// contiguous slot range into one message: when an SMR replica suspects a
-	// leader regime it changes the view of every in-flight window slot at
-	// once, and broadcasting one wish per slot would multiply the
-	// view-change traffic by the window size (see WindowWish).
-	KindWindowWish
-	// KindWindowVote coalesces the per-slot view-change votes a replica
-	// sends the leader of a new view: one entry per slot, each carrying the
-	// slot's own signed vote record, so the per-slot adopted-value state
-	// (and with it the restored-ack/equivocation guards) is preserved
-	// exactly as if the votes had traveled one by one (see WindowVote).
-	KindWindowVote
+	_
+	_
 )
 
 // String implements fmt.Stringer.
@@ -102,10 +93,6 @@ func (k Kind) String() string {
 		return "request"
 	case KindReply:
 		return "reply"
-	case KindWindowWish:
-		return "windowwish"
-	case KindWindowVote:
-		return "windowvote"
 	default:
 		return fmt.Sprintf("kind(%d)", uint8(k))
 	}
@@ -235,50 +222,6 @@ func (m *Wish) Kind() Kind { return KindWish }
 // InView implements Message.
 func (m *Wish) InView() types.View { return m.View }
 
-// MaxWindowSlots bounds the slot span of a WindowWish and the entry count
-// of a WindowVote. Correct replicas never exceed their window size (a few
-// slots); the cap only limits how much per-slot fan-out a Byzantine sender
-// can force with one message.
-const MaxWindowSlots = 256
-
-// WindowWish carries the wishes of every slot in [Lo, Hi] (inclusive) to
-// enter View: the windowed view change's suspicion broadcast. Each receiver
-// unbundles it into one per-slot wish, so the per-slot synchronizers (and
-// their monotone per-sender wish tables) observe exactly what per-slot Wish
-// messages would have delivered.
-type WindowWish struct {
-	View types.View
-	Lo   uint64
-	Hi   uint64
-}
-
-// Kind implements Message.
-func (m *WindowWish) Kind() Kind { return KindWindowWish }
-
-// InView implements Message.
-func (m *WindowWish) InView() types.View { return m.View }
-
-// WindowVoteEntry is one slot's signed vote inside a WindowVote.
-type WindowVoteEntry struct {
-	Slot uint64
-	SV   SignedVote
-}
-
-// WindowVote carries one replica's view-change votes for several slots to
-// the leader of View in a single message. Entries are independent: each
-// slot's vote is signed in that slot's signing domain and verified by the
-// slot's own consensus instance after unbundling.
-type WindowVote struct {
-	View    types.View
-	Entries []WindowVoteEntry
-}
-
-// Kind implements Message.
-func (m *WindowVote) Kind() Kind { return KindWindowVote }
-
-// InView implements Message.
-func (m *WindowVote) InView() types.View { return m.View }
-
 // Compile-time interface checks.
 var (
 	_ Message = (*Propose)(nil)
@@ -289,6 +232,4 @@ var (
 	_ Message = (*CertAck)(nil)
 	_ Message = (*Commit)(nil)
 	_ Message = (*Wish)(nil)
-	_ Message = (*WindowWish)(nil)
-	_ Message = (*WindowVote)(nil)
 )

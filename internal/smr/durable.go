@@ -94,9 +94,8 @@ func (r *Replica) broadcastEnvLocked(env []byte) {
 // tolerate an equivocating leader, but letting the propose wave outrun the
 // rest of the pipeline widens the window in which a slow replica opens
 // slots on traffic it cannot yet act on — see applyActions), the replica's
-// own votes (Ack, AckSig, the view-change Vote — and its coalesced
-// WindowVote form), the coalesced WindowWish (the per-slot wishes it
-// bundles feed peers' view-entry quorums, and a replica that forgot
+// own votes (Ack, AckSig, the view-change Vote), its view-synchronization
+// Wish (wishes feed peers' view-entry quorums, and a replica that forgot
 // wishing could stall re-entry), and a decision's effects (client replies,
 // OnCommit).
 // The caller holds r.mu.

@@ -107,21 +107,16 @@ func (r ledgerRow) total() float64 {
 	return sum
 }
 
-// runLedger runs warm-up slots, then ledgerSlots closed-loop slots of one
-// client session under testing.AllocsPerRun (plus its own warm-up call),
-// and divides the tally by the slots the group applied meanwhile.
-func runLedger(t *testing.T, cfg types.Config, reg ledgerRegime) ledgerRow {
+// newLedgerGroup builds the ledger's group: HMAC keys behind counting
+// wrappers, every frame due Δ = 1 ms after it is sent and tallied into c
+// (dropped, with dropAcks, if it is an Ack).
+func newLedgerGroup(t *testing.T, cfg types.Config, c *ledgerCounts, dropAcks bool) *simGroup {
 	t.Helper()
-	c := &ledgerCounts{}
 	const delta = time.Millisecond
 	g := newSimGroup(t, cfg, 91, groupOpts{
 		delta:  delta,
 		scheme: countingScheme{sigcrypto.NewHMAC(cfg.N, 91), c},
 	})
-	for i := 0; i < reg.silent; i++ {
-		g.crash(types.ProcessID(cfg.N - 1 - i))
-	}
-	live := cfg.N - reg.silent
 	g.net.SetPayloadFunc(func(_, _ types.ProcessID, payload []byte, _ sim.Time) sim.Fate {
 		_, s, inner, ok := openHeader(payload)
 		if !ok || len(inner) == 0 {
@@ -135,21 +130,40 @@ func runLedger(t *testing.T, cfg types.Config, reg ledgerRegime) ledgerRow {
 		if int(k) <= maxMsgKind {
 			c.frames[k]++
 		}
-		return sim.Fate{Delay: delta, Drop: reg.dropAcks && k == msg.KindAck}
+		return sim.Fate{Delay: delta, Drop: dropAcks && k == msg.KindAck}
 	})
+	return g
+}
 
+// ledgerRequest hands request (client, seq) to every live replica p with to(p).
+func ledgerRequest(t *testing.T, g *simGroup, client types.ClientID, seq uint64, to func(types.ProcessID) bool) {
+	t.Helper()
+	req := &msg.Request{Client: client, Seq: seq, Op: kvSetOp(fmt.Sprintf("k%d", seq), "v")}
+	g.live(func(p types.ProcessID, r *Replica) {
+		if to(p) {
+			if err := r.HandleRequest(req, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+}
+
+// runLedger runs warm-up slots, then ledgerSlots closed-loop slots of one
+// client session under testing.AllocsPerRun (plus its own warm-up call),
+// and divides the tally by the slots the group applied meanwhile.
+func runLedger(t *testing.T, cfg types.Config, reg ledgerRegime) ledgerRow {
+	t.Helper()
+	c := &ledgerCounts{}
+	g := newLedgerGroup(t, cfg, c, reg.dropAcks)
+	for i := 0; i < reg.silent; i++ {
+		g.crash(types.ProcessID(cfg.N - 1 - i))
+	}
+	live := cfg.N - reg.silent
 	leader := cfg.Leader(1)
 	seq := uint64(0)
 	op := func() {
 		seq++
-		req := &msg.Request{Client: "ledger", Seq: seq, Op: kvSetOp(fmt.Sprintf("k%d", seq), "v")}
-		g.live(func(p types.ProcessID, r *Replica) {
-			if reg.everyone || p == leader {
-				if err := r.HandleRequest(req, nil); err != nil {
-					t.Fatal(err)
-				}
-			}
-		})
+		ledgerRequest(t, g, "ledger", seq, func(p types.ProcessID) bool { return reg.everyone || p == leader })
 		g.run(time.Second, g.applied(seq), "a closed-loop slot to apply")
 	}
 	for i := 0; i < 3; i++ {
@@ -181,6 +195,46 @@ func runLedger(t *testing.T, cfg types.Config, reg ledgerRegime) ledgerRow {
 	return row
 }
 
+// runLeaderCrash is the leader-crash regime: it warms the group up, crashes
+// Leader(1), hands one request per window slot (W = 8 of them, each from its
+// own client) to every live replica, and runs until they apply. The tally covers
+// only what follows the crash and is divided by the W slots, every one of
+// which must have changed view; views is the group's slot view changes per
+// slot.
+func runLeaderCrash(t *testing.T, cfg types.Config) (row ledgerRow, views float64) {
+	t.Helper()
+	c := &ledgerCounts{}
+	g := newLedgerGroup(t, cfg, c, false)
+	all := func(types.ProcessID) bool { return true }
+	for seq := uint64(1); seq <= 3; seq++ {
+		ledgerRequest(t, g, "warm", seq, all)
+		g.run(time.Second, g.applied(seq), "a warm-up slot to apply")
+	}
+	g.crash(cfg.Leader(1))
+	c.reset()
+	const w = 8 // the default window: one regime fire ticks every slot
+	for i := 0; i < w; i++ {
+		ledgerRequest(t, g, types.ClientID(fmt.Sprintf("crash-%d", i)), 1, all)
+	}
+	g.run(5*time.Second, g.applied(3+w), "the requests to apply past the dead leader")
+	g.live(func(p types.ProcessID, r *Replica) {
+		for s := uint64(3); s < 3+w; s++ {
+			if d, ok := r.Decided(s); !ok || d.View != 2 {
+				t.Fatalf("replica %d: slot %d decided %v in view %d, want view 2", p, s, ok, d.View)
+			}
+		}
+		row.offPath += float64(r.m.pathSlow.Load())
+		views += g.viewChanges(p)
+	})
+	row.relays = float64(c.relays) / w
+	row.signs = float64(c.signs.Load()) / w / float64(cfg.N-1)
+	row.verifies = float64(c.verifies.Load()) / w / float64(cfg.N-1)
+	for k, n := range c.frames {
+		row.frames[k] = float64(n) / w
+	}
+	return row, views / w
+}
+
 // TestCostLedger pins what one closed-loop slot costs at n = 4 and n = 7,
 // per regime, against the paper's arithmetic (HMAC, Δ = 1 ms, one request
 // in flight, MaxBatch 1; live replicas are the ones not silenced):
@@ -205,6 +259,8 @@ func runLedger(t *testing.T, cfg types.Config, reg ledgerRegime) ledgerRow {
 // certificates, still in view 1; the fault-free regimes decide every slot on
 // the fast path. The allocation figure counts the simulator's events too, so
 // it is a plain ceiling for the whole group: the measured value plus 2 %.
+// A fourth regime crashes the view-1 leader and pins what one slot's view
+// change costs (see leaderCrashLedger).
 func TestCostLedger(t *testing.T) {
 	var line []string
 	for _, tc := range []struct {
@@ -255,6 +311,77 @@ func TestCostLedger(t *testing.T) {
 			line = append(line, fmt.Sprintf("n=%d %s: consensus %.0f relay %.0f verify %.2f sign %.2f allocs %.0f (%.1f/replica)",
 				n, reg.name, row.consensus(), row.relays, row.verifies, row.signs, row.allocs, row.allocs/float64(live)))
 		}
+		line = append(line, leaderCrashLedger(t, tc.cfg))
 	}
 	t.Log("ledger " + strings.Join(line, "; "))
+}
+
+// leaderCrashLedger pins the leader-crash regime's per-slot cost (see
+// runLeaderCrash) against the view change of Section 3.2 and Appendix A.2,
+// and renders its ledger entry. live = n − 1, Leader(1) being dead; every
+// broadcast still addresses it. Per view-changed slot:
+//
+//   - each live replica's synchronizer broadcasts one Wish for view 2:
+//     live·(n − 1) Wish frames;
+//   - on entering view 2 each live replica but Leader(2), which keeps its
+//     own vote, sends its signed Vote to Leader(2): live − 1 Vote frames;
+//   - Leader(2) endorses its selection itself and sends a CertRequest to
+//     the 2f lowest-numbered other processes (CertRequestSet = 2f + 1, see
+//     core's tryViewChange); Leader(2) = 2 and the dead Leader(1) = 1 is
+//     one of them, so 2f CertRequest and 2f − 1 CertAck frames — still
+//     CertQuorum = f + 1 endorsements, its own included;
+//   - Leader(2) proposes once: n − 1 Propose frames; all live = n − t
+//     replicas ack, so the slot decides on the fast path in view 2, and
+//     Ack, AckSig and Commit are live·(n − 1) frames each, as in view 1;
+//   - each live replica enters view 2 once: live slot view changes;
+//   - a live replica signs its Vote and its AckSig, Leader(2) its own
+//     endorsement and its Propose, the 2f − 1 live addressees a CertAck:
+//     2·live + 2f + 1 signatures in the group;
+//   - every live replica follows the dead Leader(1) and relays each fresh
+//     request to it: live relays per request, none of them answered.
+//
+// Nothing else flows. Verifies are reported, not pinned: how many votes a
+// leader checks before its selection succeeds depends on arrival order.
+func leaderCrashLedger(t *testing.T, cfg types.Config) string {
+	t.Helper()
+	row, views := runLeaderCrash(t, cfg)
+	n, f, live := cfg.N, cfg.F, cfg.N-1
+	pinned := []struct {
+		kind msg.Kind
+		want int
+	}{
+		{msg.KindWish, live * (n - 1)},
+		{msg.KindVote, live - 1},
+		{msg.KindCertRequest, 2 * f},
+		{msg.KindCertAck, 2*f - 1},
+		{msg.KindPropose, n - 1},
+		{msg.KindAck, live * (n - 1)},
+		{msg.KindAckSig, live * (n - 1)},
+		{msg.KindCommit, live * (n - 1)},
+	}
+	other := row.total()
+	var kinds []string
+	for _, c := range pinned {
+		if got := row.frames[c.kind]; got != float64(c.want) {
+			t.Errorf("n=%d leader-crash: %s frames per slot = %v, want %d", n, c.kind, got, c.want)
+		}
+		other -= row.frames[c.kind]
+		kinds = append(kinds, fmt.Sprintf("%s %.0f", c.kind, row.frames[c.kind]))
+	}
+	for _, c := range []struct {
+		what      string
+		got, want float64
+	}{
+		{"other frames per slot", other, 0},
+		{"slot view changes per slot", views, float64(live)},
+		{"request relays per slot", row.relays, float64(live)},
+		{"signs per slot and replica", row.signs, float64(2*live+2*f+1) / float64(live)},
+		{"slots decided on the slow path", row.offPath, 0},
+	} {
+		if c.got != c.want {
+			t.Errorf("n=%d leader-crash: %s = %v, want %v", n, c.what, c.got, c.want)
+		}
+	}
+	return fmt.Sprintf("n=%d leader-crash: %s views %.0f relay %.0f verify %.2f sign %.2f",
+		n, strings.Join(kinds, " "), views, row.relays, row.verifies, row.signs)
 }

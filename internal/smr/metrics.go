@@ -9,7 +9,7 @@ import (
 
 // maxMsgKind bounds the per-kind message counter arrays; message kinds are
 // small consecutive integers starting at 1.
-const maxMsgKind = int(msg.KindWindowVote)
+const maxMsgKind = int(msg.KindReply)
 
 // replicaMetrics are the replica's registry-backed counters and the staged
 // request tracer. The bundle always exists — a nil Config.Metrics registry

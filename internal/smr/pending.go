@@ -32,14 +32,10 @@ func (q *pendingQueue) Contains(cmd Command) bool {
 	return ok
 }
 
-// PushBack appends cmd unless it is already queued, reporting whether it was
-// added. The command bytes are retained (not copied); callers own them.
-func (q *pendingQueue) PushBack(cmd Command) bool {
-	return q.PushBackAt(cmd, 0)
-}
-
-// PushBackAt is PushBack carrying the command's tracer enqueue timestamp,
-// which survives until the command is popped into a proposal chunk.
+// PushBackAt appends cmd unless it is already queued, reporting whether it
+// was added. The command bytes are retained (not copied); callers own them.
+// enq is the command's tracer enqueue timestamp (0 = untracked), which
+// survives until the command is popped into a proposal chunk.
 func (q *pendingQueue) PushBackAt(cmd Command, enq int64) bool {
 	if q.Contains(cmd) {
 		return false
@@ -98,16 +94,9 @@ func (q *pendingQueue) unlink(e *pendingEntry) {
 	delete(q.index, string(e.cmd))
 }
 
-// PopFront removes and returns up to max commands from the front, oldest
-// first.
-func (q *pendingQueue) PopFront(max int) []Command {
-	cmds, _ := q.PopFrontTraced(max)
-	return cmds
-}
-
-// PopFrontTraced is PopFront that also returns the oldest (smallest nonzero)
-// tracer enqueue timestamp among the popped commands, or 0 if none carried
-// one. The oldest timestamp seeds the submit stage of the slot that proposes
+// PopFrontTraced removes and returns up to max commands from the front,
+// oldest first, with the oldest (smallest nonzero) tracer enqueue timestamp
+// among them, or 0 if none carried one. The oldest timestamp seeds the submit stage of the slot that proposes
 // the chunk: a batch's latency is the latency of its most-delayed command.
 func (q *pendingQueue) PopFrontTraced(max int) ([]Command, int64) {
 	if max <= 0 || q.head == nil {

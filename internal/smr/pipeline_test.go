@@ -458,12 +458,12 @@ func TestPendingQueueIndexedOps(t *testing.T) {
 	q := newPendingQueue()
 	mk := func(i int) Command { return Command(fmt.Sprintf("cmd-%03d", i)) }
 	for i := 0; i < 10; i++ {
-		if !q.PushBack(mk(i)) {
-			t.Fatalf("fresh PushBack(%d) rejected", i)
+		if !q.PushBackAt(mk(i), 0) {
+			t.Fatalf("fresh PushBackAt(%d) rejected", i)
 		}
 	}
-	if q.PushBack(mk(3)) {
-		t.Fatal("duplicate PushBack accepted")
+	if q.PushBackAt(mk(3), 0) {
+		t.Fatal("duplicate PushBackAt accepted")
 	}
 	if q.Len() != 10 {
 		t.Fatalf("Len=%d, want 10", q.Len())
@@ -479,16 +479,16 @@ func TestPendingQueueIndexedOps(t *testing.T) {
 	if !q.PushFront(mk(4)) {
 		t.Fatal("PushFront rejected")
 	}
-	got := q.PopFront(3)
+	got, _ := q.PopFrontTraced(3)
 	want := []int{4, 1, 2}
 	for i, w := range want {
 		if !got[i].Equal(mk(w)) {
-			t.Fatalf("PopFront[%d]=%q, want cmd-%03d", i, got[i], w)
+			t.Fatalf("PopFrontTraced[%d]=%q, want cmd-%03d", i, got[i], w)
 		}
 	}
 	// Filter drops non-matching, keeps order.
 	q.Filter(func(c Command) bool { return !c.Equal(mk(5)) && !c.Equal(mk(7)) })
-	rest := q.PopFront(10)
+	rest, _ := q.PopFrontTraced(10)
 	wantRest := []int{3, 6, 8}
 	if len(rest) != len(wantRest) {
 		t.Fatalf("after Filter: %d entries, want %d", len(rest), len(wantRest))
@@ -516,13 +516,13 @@ func BenchmarkPendingQueueRemove(b *testing.B) {
 			}
 			q := newPendingQueue()
 			for _, c := range cmds {
-				q.PushBack(c)
+				q.PushBackAt(c, 0)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				c := cmds[i%size]
 				q.Remove(c)
-				q.PushBack(c)
+				q.PushBackAt(c, 0)
 			}
 		})
 	}

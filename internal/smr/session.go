@@ -162,7 +162,6 @@ func (r *Replica) HandleRequest(req *msg.Request, reply ReplyFunc) error {
 		r.sendOrderedLocked(leader, frame)
 	}
 	r.fillWindowLocked()
-	r.flushViewBufsLocked()
 	r.pokeRegimeLocked()
 	return nil
 }

@@ -22,9 +22,9 @@
 // leader will not propose. Leader failure is handled per regime, not per
 // slot: one adaptive timer (EWMA of decide latency, exponential backoff,
 // reset on progress) watches the whole window, and when it fires every
-// in-flight slot changes view in one coordinated step, with wishes and
-// votes coalesced into windowed messages (see pokeRegimeLocked,
-// flushViewBufsLocked).
+// in-flight slot changes view in one coordinated step, each slot then
+// speaking its own Wish and Vote like any other consensus message (see
+// pokeRegimeLocked).
 //
 // Every command is an encoded msg.Request carrying a (client, sequence)
 // pair; replicas deduplicate by per-client session tables (see session.go),
@@ -40,7 +40,6 @@ package smr
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/core"
@@ -72,11 +71,6 @@ const ctrlSlot = ^uint64(0)
 // answer a fetch); they concern the log as a whole, not one consensus
 // instance.
 const syncSlot = ^uint64(0) - 1
-
-// viewSlot is the reserved envelope slot number carrying windowed
-// view-change messages (WindowWish, WindowVote): they span many consensus
-// instances and are unbundled into per-slot deliveries by the receiver.
-const viewSlot = ^uint64(0) - 2
 
 // App consumes decided commands in slot order and checkpoints its state.
 type App interface {
@@ -225,13 +219,6 @@ type Replica struct {
 	regimeBackoff uint
 	ewmaDecide    time.Duration
 
-	// Per-view coalescing buffers for windowed view-change traffic: wishes
-	// and votes emitted by per-slot instances inside one locked entry are
-	// batched and flushed as WindowWish/WindowVote messages at the end of
-	// the entry (see flushViewBufsLocked).
-	wishBuf map[types.View][]uint64
-	voteBuf map[types.View][]msg.WindowVoteEntry
-
 	// Checkpoint / state-transfer state (see checkpoint.go, statetransfer.go).
 	certs      map[uint64]*msg.CommitCert            // per-slot commit certificates
 	ckptVotes  map[types.ProcessID][]*msg.Checkpoint // recent signed checkpoints per sender
@@ -323,8 +310,6 @@ func NewReplica(cfg Config) (*Replica, error) {
 		snaps:         make(map[uint64][]byte),
 		serveTime:     make(map[types.ProcessID]time.Time),
 		restoredVotes: make(map[uint64]*storage.VoteState),
-		wishBuf:       make(map[types.View][]uint64),
-		voteBuf:       make(map[types.View][]msg.WindowVoteEntry),
 	}
 	if cfg.Logger != nil {
 		r.lg = cfg.Logger.With("group", cfg.Group)
@@ -356,7 +341,6 @@ func (r *Replica) Start() error {
 	// Re-join the slots the pre-crash incarnation was mid-vote in (no-op
 	// without recovered state).
 	r.resumeRestoredSlotsLocked()
-	r.flushViewBufsLocked()
 	// A recovered replica may come back with work outstanding (restored
 	// in-flight slots, a recovered pending queue) and a dead leader; the
 	// regime timer is its only way forward.
@@ -673,8 +657,8 @@ func (r *Replica) enterSlotViewLocked(s uint64, sl *slot, v types.View) {
 // onPayload parses a frame's (group, slot) header and routes the message to
 // the instance; a frame addressed to another group is dropped, whether it
 // came through a mux view or straight off a raw transport. Every delivery
-// ends by flushing coalesced view-change traffic and reconciling the regime
-// timer with the (possibly moved) log frontier.
+// ends by reconciling the regime timer with the (possibly moved) log
+// frontier.
 func (r *Replica) onPayload(from types.ProcessID, payload []byte) {
 	g, s, inner, ok := openHeader(payload)
 	if !ok || g != r.cfg.Group {
@@ -686,7 +670,6 @@ func (r *Replica) onPayload(from types.ProcessID, payload []byte) {
 		return
 	}
 	r.routePayloadLocked(from, s, inner)
-	r.flushViewBufsLocked()
 	r.pokeRegimeLocked()
 }
 
@@ -714,9 +697,14 @@ func (r *Replica) routePayloadLocked(from types.ProcessID, s uint64, inner []byt
 		r.onSyncLocked(from, m)
 		return
 	}
-	if s == viewSlot {
-		r.onViewMsgLocked(from, m)
-		return
+	switch m.(type) {
+	case *msg.Wish, *msg.Vote:
+		// A decided slot's instance lingers only to serve stragglers; a
+		// view change there would be counted as one without changing
+		// anything.
+		if _, dec := r.decided[s]; dec {
+			return
+		}
 	}
 	sl, ok := r.slots[s]
 	if !ok {
@@ -727,50 +715,6 @@ func (r *Replica) routePayloadLocked(from types.ProcessID, s uint64, inner []byt
 			if s >= r.next+uint64(r.cfg.WindowSize) {
 				r.noteBehindLocked(s, from)
 			}
-			return
-		}
-	}
-	r.applyActions(s, sl, sl.proc.Deliver(from, m, r.now()))
-	r.captureCertLocked(s, sl)
-}
-
-// onViewMsgLocked unbundles a windowed view-change message into per-slot
-// deliveries. Decided slots are skipped (their instances only linger for
-// stragglers); slots this replica has not opened yet are opened on demand,
-// exactly as per-slot traffic would. The caller holds r.mu.
-func (r *Replica) onViewMsgLocked(from types.ProcessID, m msg.Message) {
-	switch t := m.(type) {
-	case *msg.WindowWish:
-		if t.Hi >= r.next+uint64(r.cfg.WindowSize) {
-			// The sender is view-changing slots beyond our window: the
-			// cluster's frontier is past ours, which is lag evidence just
-			// like per-slot traffic beyond the window.
-			r.noteBehindLocked(t.Hi, from)
-		}
-		for s := t.Lo; s <= t.Hi; s++ {
-			r.deliverSlotLocked(from, s, &msg.Wish{View: t.View})
-		}
-	case *msg.WindowVote:
-		for i := range t.Entries {
-			e := &t.Entries[i]
-			// Each entry's signed vote was produced in (and is verified
-			// against) the slot's own signing domain, so the per-slot
-			// equivocation and restored-ack guards hold exactly as with
-			// per-slot Vote messages.
-			r.deliverSlotLocked(from, e.Slot, &msg.Vote{View: t.View, SV: e.SV})
-		}
-	}
-}
-
-// deliverSlotLocked routes one unbundled per-slot message to its instance,
-// opening it if needed. The caller holds r.mu.
-func (r *Replica) deliverSlotLocked(from types.ProcessID, s uint64, m msg.Message) {
-	if _, dec := r.decided[s]; dec {
-		return
-	}
-	sl, ok := r.slots[s]
-	if !ok {
-		if sl = r.ensureSlotLocked(s); sl == nil {
 			return
 		}
 	}
@@ -953,7 +897,6 @@ func (r *Replica) onRegimeTimer(gen uint64) {
 		r.applyActions(s, sl, sl.proc.Tick(r.now()))
 		r.captureCertLocked(s, sl)
 	}
-	r.flushViewBufsLocked()
 	r.pokeRegimeLocked()
 }
 
@@ -987,57 +930,6 @@ func (r *Replica) regimeHorizonLocked() uint64 {
 	return hi
 }
 
-// flushViewBufsLocked ships the view-change traffic coalesced during one
-// locked entry: per view, the slot wishes collapse into WindowWish
-// broadcasts (one per contiguous slot run) and the per-slot votes into one
-// WindowVote to the view's leader. Wishes and votes carry replica state
-// that must not outrun the WAL (a vote in particular is a signed promise),
-// so both go through the durably gated send path, like their per-slot
-// counterparts. The caller holds r.mu.
-func (r *Replica) flushViewBufsLocked() {
-	// Flush order is ascending by view for determinism in lockstep tests.
-	if len(r.wishBuf) > 0 {
-		views := make([]types.View, 0, len(r.wishBuf))
-		for v := range r.wishBuf {
-			views = append(views, v)
-		}
-		sort.Slice(views, func(i, j int) bool { return views[i] < views[j] })
-		for _, v := range views {
-			slots := r.wishBuf[v]
-			delete(r.wishBuf, v)
-			sort.Slice(slots, func(i, j int) bool { return slots[i] < slots[j] })
-			for i := 0; i < len(slots); {
-				j := i + 1
-				for j < len(slots) && slots[j] <= slots[j-1]+1 && slots[j]-slots[i] < msg.MaxWindowSlots-1 {
-					j++
-				}
-				r.broadcastEnvLocked(r.envOut(viewSlot, &msg.WindowWish{View: v, Lo: slots[i], Hi: slots[j-1]}))
-				i = j
-			}
-		}
-	}
-	if len(r.voteBuf) > 0 {
-		views := make([]types.View, 0, len(r.voteBuf))
-		for v := range r.voteBuf {
-			views = append(views, v)
-		}
-		sort.Slice(views, func(i, j int) bool { return views[i] < views[j] })
-		for _, v := range views {
-			entries := r.voteBuf[v]
-			delete(r.voteBuf, v)
-			sort.Slice(entries, func(i, j int) bool { return entries[i].Slot < entries[j].Slot })
-			to := r.cfg.Cluster.Leader(v)
-			for i := 0; i < len(entries); i += msg.MaxWindowSlots {
-				j := i + msg.MaxWindowSlots
-				if j > len(entries) {
-					j = len(entries)
-				}
-				r.sendEnvLocked(to, r.envOut(viewSlot, &msg.WindowVote{View: v, Entries: entries[i:j]}))
-			}
-		}
-	}
-}
-
 // applyActions executes instance actions; the caller holds r.mu. With
 // storage, an Ack broadcast first appends the adopted vote behind it to
 // the WAL, and every send is released through the store's effect queue —
@@ -1047,25 +939,17 @@ func (r *Replica) applyActions(s uint64, sl *slot, actions []core.Action) {
 	for _, a := range actions {
 		switch act := a.(type) {
 		case core.SendAction:
-			switch t := act.Msg.(type) {
+			switch act.Msg.(type) {
 			case *msg.CertRequest, *msg.CertAck:
 				// Stateless verification traffic (see sendOrderedLocked).
 				r.sendOrderedLocked(act.To, r.envOut(s, act.Msg))
-			case *msg.Vote:
-				// Coalesced: a windowed view change makes every in-flight
-				// slot vote at once, and the votes of one (view, leader)
-				// pair travel as a single WindowVote instead of one message
-				// per slot (see flushViewBufsLocked). The target is always
-				// Leader(view) — exactly where the flush sends the bundle.
-				r.voteBuf[t.View] = append(r.voteBuf[t.View],
-					msg.WindowVoteEntry{Slot: s, SV: t.SV.Clone()})
 			default:
 				// Anything else that exposes replica state waits for
 				// durability.
 				r.sendEnvLocked(act.To, r.envOut(s, act.Msg))
 			}
 		case core.BroadcastAction:
-			switch t := act.Msg.(type) {
+			switch act.Msg.(type) {
 			case *msg.Ack:
 				r.persistVoteLocked(s, sl)
 				r.broadcastEnvLocked(r.envOut(s, act.Msg))
@@ -1082,12 +966,6 @@ func (r *Replica) applyActions(s uint64, sl *slot, actions []core.Action) {
 				// quorum for the slot's value — the tracer's ackquorum stage.
 				r.markStage(sl, obs.StageAckQuorum, r.cfg.Clock.Now())
 				r.broadcastOrderedLocked(r.envOut(s, act.Msg))
-			case *msg.Wish:
-				// Coalesced like votes: the wishes of one view collapse
-				// into WindowWish range broadcasts at flush. The slot's own
-				// synchronizer already counted the wish locally, so
-				// buffering loses nothing on this replica.
-				r.wishBuf[t.View] = append(r.wishBuf[t.View], s)
 			default:
 				r.broadcastEnvLocked(r.envOut(s, act.Msg))
 			}

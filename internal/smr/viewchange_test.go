@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/msg"
 	"repro/internal/sim"
 	"repro/internal/types"
 )
@@ -259,4 +260,27 @@ func TestRequestRelayFromFollowersOnly(t *testing.T) {
 			t.Errorf("replica %s counted %v view changes", p, n)
 		}
 	})
+}
+
+// TestWishForDecidedSlotIsDropped: a Wish or Vote for a slot the replica
+// already decided is dropped on arrival. The decided instance lingers for
+// stragglers, and without the drop a late or replayed view change would move
+// it into a new view and count one more slot view change for nothing.
+func TestWishForDecidedSlotIsDropped(t *testing.T) {
+	cfg := types.Generalized(1, 1)
+	g := newSimGroup(t, cfg, 83, groupOpts{delta: time.Millisecond})
+	submitKV(t, g.reps[cfg.Leader(1)], "c", 0)
+	g.run(time.Second, g.applied(1), "the op to apply")
+	r := g.reps[0]
+	if _, ok := r.Decided(0); !ok {
+		t.Fatal("slot 0 undecided on replica 0")
+	}
+	// 2f + 1 wishes would make a live instance enter view 2.
+	for p := 1; p < cfg.N; p++ {
+		r.onPayload(types.ProcessID(p), envelope(0, 0, &msg.Wish{View: 2}))
+	}
+	g.settle()
+	if got := g.viewChanges(0); got != 0 {
+		t.Fatalf("%v slot view changes after wishes for a decided slot, want 0", got)
+	}
 }

@@ -42,6 +42,14 @@ func TestExperimentsMatchGolden(t *testing.T) {
 			}
 		}
 	}
+	// F1b (n = 4, f = 1): the view-2 leader asks 2f processes whose votes
+	// it holds for a CertAck. Having voted in this view, each is alive and
+	// answers: 2f CertReq and 2f CertAck frames.
+	for _, c := range []struct{ step, kind string }{{"13Δ", "certreq"}, {"14Δ", "certack"}} {
+		if n := stepCounts(got.String(), "F1b", 4, c.step)[c.kind]; n != 2 {
+			t.Errorf("F1b: %s %s count %d, want 2f = 2", c.step, c.kind, n)
+		}
+	}
 	if t.Failed() {
 		return
 	}

@@ -513,17 +513,22 @@ func (r *Replica) tryViewChange() []Action {
 	ls.certAcks = sigcrypto.NewSet(msg.CertAckDigest(ls.selected, r.view))
 
 	// Endorse our own selection, then ask 2f other processes, so that f+1
-	// correct endorsements are guaranteed among the 2f+1 contacted.
+	// correct endorsements are guaranteed among the 2f+1 contacted. Any 2f
+	// will do; ask the lowest-numbered voters, whose votes show them alive
+	// in this view. Select took n−f votes, and n−f−1 ≥ 2f as n ≥ 3f+1.
 	actions := []Action{}
 	own := r.signer.Sign(msg.CertAckDigest(ls.selected, r.view))
 	ls.certAcks.Add(r.verifier, own)
 	req := &msg.CertRequest{View: r.view, X: ls.selected.Clone(), Votes: ls.certVotes}
 	sent := 1 // ourselves
-	for p := types.ProcessID(0); int(p) < r.cfg.N && sent < r.th.CertRequestSet(); p++ {
-		if p == r.id {
+	for _, sv := range ls.certVotes {
+		if sent == r.th.CertRequestSet() {
+			break
+		}
+		if sv.Voter == r.id {
 			continue
 		}
-		actions = append(actions, SendAction{To: p, Msg: req})
+		actions = append(actions, SendAction{To: sv.Voter, Msg: req})
 		sent++
 	}
 	actions = append(actions, r.maybePropose()...)

@@ -54,7 +54,8 @@ type Config struct {
 	OnCommit smr.CommitFunc
 	// BaseTimeout, WindowSize, MaxBatch, and CheckpointInterval
 	// parameterize the group's smr.Replica and pass through unchanged; zero
-	// selects smr's default (see smr.Config).
+	// selects smr's default (see smr.Config). MaxBatch caps a proposal; a
+	// partial batch waits while the leader has a proposal in flight.
 	BaseTimeout        time.Duration
 	WindowSize         int
 	MaxBatch           int

@@ -8,11 +8,14 @@ import (
 )
 
 // A decided slot value is a batch of commands. Batching amortizes the two
-// consensus rounds over several client commands — the standard throughput
-// optimization of replicated state machines, composing with pipelining (the
-// other one): Config.MaxBatch controls how many pending commands one slot
-// proposal packs (1 disables batching), and with Config.WindowSize > 1 the
-// concurrent live slots each carry a disjoint chunk of the queue.
+// consensus rounds, and their signatures, over several client commands — the
+// standard throughput optimization of replicated state machines, composing
+// with pipelining (the other one): Config.MaxBatch controls how many pending
+// commands one slot proposal packs (1 disables batching), and with
+// Config.WindowSize > 1 the concurrent live slots each carry a disjoint chunk
+// of the queue. The leader proposes a full batch at once and a partial one
+// only while none of its proposals is in flight; otherwise the partial batch
+// keeps filling until a slot decides (see fillWindowLocked).
 //
 // The batch encoding is canonical (count + length-prefixed commands), so a
 // batch is also a valid unique consensus value.

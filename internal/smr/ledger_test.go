@@ -23,6 +23,11 @@ import (
 // ledgerSlots is how many closed-loop slots the allocation figure averages.
 const ledgerSlots = 100
 
+// ledgerBatch is the batched regime's MaxBatch, the kv-mem-batch
+// benchmark's; its sessions never fill a batch, so every slot it proposes is
+// a partial batch held while the previous slot was in flight.
+const ledgerBatch = 8
+
 // ledgerCounts is one run's tally: frames by kind, as the senders emit them
 // (a broadcast is n − 1 frames), with request relays apart, and every
 // signature operation of the group.
@@ -80,12 +85,16 @@ type ledgerRegime struct {
 	everyone bool // hand each request to every live replica, not the leader only
 	dropAcks bool // lose every Ack frame, so no slot can decide on the fast path
 	silent   int  // replicas crashed before the run (never the leader)
+	// sessions, if positive, replaces the single session with that many
+	// closed-loop sessions through the leader at MaxBatch ledgerBatch, each
+	// resubmitting from the reply callback of its previous request.
+	sessions int
 }
 
 // ledgerRow is one regime's per-slot cost: frames and allocations for the
-// whole group, signature operations per live replica, and how many slots a
-// live replica decided off the regime's path (slow with Acks lost, fast
-// otherwise).
+// whole group, signature operations per live replica, how many slots a live
+// replica decided off the regime's path (slow with Acks lost, fast
+// otherwise), and how many commands the leader applied per slot.
 type ledgerRow struct {
 	frames   [maxMsgKind + 1]float64
 	relays   float64
@@ -93,6 +102,7 @@ type ledgerRow struct {
 	verifies float64
 	allocs   float64
 	offPath  float64
+	cmds     float64
 }
 
 func (r ledgerRow) consensus() float64 {
@@ -110,12 +120,13 @@ func (r ledgerRow) total() float64 {
 // newLedgerGroup builds the ledger's group: HMAC keys behind counting
 // wrappers, every frame due Δ = 1 ms after it is sent and tallied into c
 // (dropped, with dropAcks, if it is an Ack).
-func newLedgerGroup(t *testing.T, cfg types.Config, c *ledgerCounts, dropAcks bool) *simGroup {
+func newLedgerGroup(t *testing.T, cfg types.Config, c *ledgerCounts, dropAcks bool, maxBatch int) *simGroup {
 	t.Helper()
 	const delta = time.Millisecond
 	g := newSimGroup(t, cfg, 91, groupOpts{
-		delta:  delta,
-		scheme: countingScheme{sigcrypto.NewHMAC(cfg.N, 91), c},
+		delta:    delta,
+		maxBatch: maxBatch,
+		scheme:   countingScheme{sigcrypto.NewHMAC(cfg.N, 91), c},
 	})
 	g.net.SetPayloadFunc(func(_, _ types.ProcessID, payload []byte, _ sim.Time) sim.Fate {
 		_, s, inner, ok := openHeader(payload)
@@ -148,39 +159,49 @@ func ledgerRequest(t *testing.T, g *simGroup, client types.ClientID, seq uint64,
 	})
 }
 
-// runLedger runs warm-up slots, then ledgerSlots closed-loop slots of one
-// client session under testing.AllocsPerRun (plus its own warm-up call),
-// and divides the tally by the slots the group applied meanwhile.
+// runLedger runs warm-up slots, then ledgerSlots closed-loop slots under
+// testing.AllocsPerRun (plus its own warm-up call), and divides the tally by
+// the slots the group applied meanwhile. One session sends one request per
+// slot; the batched regime's sessions fill slots two at a time (see
+// closedLoopSessions).
 func runLedger(t *testing.T, cfg types.Config, reg ledgerRegime) ledgerRow {
 	t.Helper()
 	c := &ledgerCounts{}
-	g := newLedgerGroup(t, cfg, c, reg.dropAcks)
+	maxBatch := 1
+	if reg.sessions > 0 {
+		maxBatch = ledgerBatch
+	}
+	g := newLedgerGroup(t, cfg, c, reg.dropAcks, maxBatch)
 	for i := 0; i < reg.silent; i++ {
 		g.crash(types.ProcessID(cfg.N - 1 - i))
 	}
 	live := cfg.N - reg.silent
 	leader := cfg.Leader(1)
 	seq := uint64(0)
-	op := func() {
+	op, slotsPerOp := func() {
 		seq++
 		ledgerRequest(t, g, "ledger", seq, func(p types.ProcessID) bool { return reg.everyone || p == leader })
 		g.run(time.Second, g.applied(seq), "a closed-loop slot to apply")
+	}, 1
+	if reg.sessions > 0 {
+		op, slotsPerOp = closedLoopSessions(t, g, reg.sessions), 2
 	}
 	for i := 0; i < 3; i++ {
 		op() // seed the decide-latency estimates and the replicas' maps
 	}
 	c.reset()
-	from := g.reps[leader].AppliedCount()
-	allocs := testing.AllocsPerRun(ledgerSlots, op)
+	from, fromCmds := g.reps[leader].AppliedCount(), g.stores[leader].AppliedOps()
+	allocs := testing.AllocsPerRun(ledgerSlots/slotsPerOp, op) / float64(slotsPerOp)
 	slots := float64(g.reps[leader].AppliedCount() - from)
 	if slots < ledgerSlots {
-		t.Fatalf("%s: %v slots applied for %d closed-loop requests", reg.name, slots, ledgerSlots)
+		t.Fatalf("%s: %v slots applied for %d closed-loop slots", reg.name, slots, ledgerSlots)
 	}
 	row := ledgerRow{
 		relays:   float64(c.relays) / slots,
 		signs:    float64(c.signs.Load()) / slots / float64(live),
 		verifies: float64(c.verifies.Load()) / slots / float64(live),
 		allocs:   allocs,
+		cmds:     float64(g.stores[leader].AppliedOps()-fromCmds) / slots,
 	}
 	for k, n := range c.frames {
 		row.frames[k] = float64(n) / slots
@@ -195,6 +216,36 @@ func runLedger(t *testing.T, cfg types.Config, reg ledgerRegime) ledgerRow {
 	return row
 }
 
+// closedLoopSessions starts k client sessions on the leader, each of which
+// submits its next request from the reply callback of the previous one, and
+// returns an op that runs until two more slots have applied.
+//
+// A reply callback runs after the decision that caused it has refilled the
+// window, so a resubmitted request finds the next slot already in flight and
+// waits for it to decide. The first request of all finds the window idle and
+// goes out alone; the other k − 1 wait for it, and from then on the sessions
+// alternate between two groups: batches of 1 and k − 1, k/2 commands per
+// slot. Two slots per op keep that figure exact.
+func closedLoopSessions(t *testing.T, g *simGroup, k int) func() {
+	t.Helper()
+	leader := g.reps[g.cfg.Leader(1)]
+	var submit func(c int, seq uint64)
+	submit = func(c int, seq uint64) {
+		req := &msg.Request{Client: types.ClientID(fmt.Sprintf("s%d", c)), Seq: seq,
+			Op: kvSetOp(fmt.Sprintf("s%d-%d", c, seq), "v")}
+		if err := leader.HandleRequest(req, func(*msg.Reply) { submit(c, seq+1) }); err != nil {
+			t.Error(err)
+		}
+	}
+	for c := 0; c < k; c++ {
+		submit(c, 1)
+	}
+	return func() {
+		want := leader.AppliedCount() + 2
+		g.run(time.Second, func() bool { return leader.AppliedCount() >= want }, "two closed-loop slots to apply")
+	}
+}
+
 // runLeaderCrash is the leader-crash regime: it warms the group up, crashes
 // Leader(1), hands one request per window slot (W = 8 of them, each from its
 // own client) to every live replica, and runs until they apply. The tally covers
@@ -204,7 +255,7 @@ func runLedger(t *testing.T, cfg types.Config, reg ledgerRegime) ledgerRow {
 func runLeaderCrash(t *testing.T, cfg types.Config) (row ledgerRow, views float64) {
 	t.Helper()
 	c := &ledgerCounts{}
-	g := newLedgerGroup(t, cfg, c, false)
+	g := newLedgerGroup(t, cfg, c, false, 1)
 	all := func(types.ProcessID) bool { return true }
 	for seq := uint64(1); seq <= 3; seq++ {
 		ledgerRequest(t, g, "warm", seq, all)
@@ -237,7 +288,8 @@ func runLeaderCrash(t *testing.T, cfg types.Config) (row ledgerRow, views float6
 
 // TestCostLedger pins what one closed-loop slot costs at n = 4 and n = 7,
 // per regime, against the paper's arithmetic (HMAC, Δ = 1 ms, one request
-// in flight, MaxBatch 1; live replicas are the ones not silenced):
+// in flight, MaxBatch 1 unless batched; live replicas are the ones not
+// silenced):
 //
 //   - the view-1 leader proposes once: n − 1 Propose frames;
 //   - every live replica acks and ack-signs once and, having seen
@@ -259,33 +311,48 @@ func runLeaderCrash(t *testing.T, cfg types.Config) (row ledgerRow, views float6
 // certificates, still in view 1; the fault-free regimes decide every slot on
 // the fast path. The allocation figure counts the simulator's events too, so
 // it is a plain ceiling for the whole group: the measured value plus 2 %.
-// A fourth regime crashes the view-1 leader and pins what one slot's view
-// change costs (see leaderCrashLedger).
+//
+// The batched regime (n = 4) runs four closed-loop sessions through the
+// leader at MaxBatch 8. A slot costs what a leader-only slot costs, but the
+// leader holds a partial batch while a slot is in flight, so the sessions
+// alternate between batches of 1 and 3 (see closedLoopSessions): 2 commands
+// per slot, against 1 in every other regime, and half the verifies per
+// command. A last regime crashes the view-1 leader and pins what one slot's
+// view change costs (see leaderCrashLedger).
 func TestCostLedger(t *testing.T) {
 	var line []string
 	for _, tc := range []struct {
-		cfg    types.Config
-		silent int                // replicas silenced in the slow regime
-		allocs map[string]float64 // measured allocations per slot, whole group
+		cfg      types.Config
+		silent   int                // replicas silenced in the slow regime
+		sessions int                // the batched regime's sessions; 0 skips it
+		allocs   map[string]float64 // measured allocations per slot, whole group
 	}{
-		{types.Generalized(1, 1), 0, map[string]float64{"leader-only": 1228, "every-replica": 1261, "slow": 1201}},
-		{types.Generalized(2, 1), 2, map[string]float64{"leader-only": 4082, "every-replica": 4148, "slow": 2200}},
+		{types.Generalized(1, 1), 0, 4, map[string]float64{"leader-only": 1228, "every-replica": 1261, "slow": 1201, "batched": 1292}},
+		{types.Generalized(2, 1), 2, 0, map[string]float64{"leader-only": 4082, "every-replica": 4148, "slow": 2200}},
 	} {
 		n, f := tc.cfg.N, tc.cfg.F
 		q := quorum.New(tc.cfg).CommitQuorum()
 		if q != (n+f+2)/2 { // ⌈(n+f+1)/2⌉
 			t.Fatalf("n=%d: CommitQuorum %d, want ⌈(n+f+1)/2⌉ = %d", n, q, (n+f+2)/2)
 		}
-		for _, reg := range []ledgerRegime{
+		regimes := []ledgerRegime{
 			{name: "leader-only"},
 			{name: "every-replica", everyone: true},
 			{name: "slow", everyone: true, dropAcks: true, silent: tc.silent},
-		} {
+		}
+		if tc.sessions > 0 {
+			regimes = append(regimes, ledgerRegime{name: "batched", sessions: tc.sessions})
+		}
+		for _, reg := range regimes {
 			row := runLedger(t, tc.cfg, reg)
 			live := n - reg.silent
 			relays := 0
 			if reg.everyone {
 				relays = live - 1
+			}
+			cmds := 1.0
+			if reg.sessions > 0 {
+				cmds = float64(reg.sessions) / 2 // batches of 1 and sessions − 1
 			}
 			for _, c := range []struct {
 				what      string
@@ -300,6 +367,7 @@ func TestCostLedger(t *testing.T) {
 				{"signs per slot and replica", row.signs, float64(live+1) / float64(live)},
 				{"verifies per slot and replica", row.verifies, float64(1 + live + live*q)},
 				{"slots decided off the regime's path", row.offPath, 0},
+				{"commands per slot", row.cmds, cmds},
 			} {
 				if c.got != c.want {
 					t.Errorf("n=%d %s: %s = %v, want %v", n, reg.name, c.what, c.got, c.want)
@@ -308,8 +376,9 @@ func TestCostLedger(t *testing.T) {
 			if ceil := tc.allocs[reg.name] * 1.02; row.allocs > ceil {
 				t.Errorf("n=%d %s: %.0f allocations per slot, ceiling %.0f", n, reg.name, row.allocs, ceil)
 			}
-			line = append(line, fmt.Sprintf("n=%d %s: consensus %.0f relay %.0f verify %.2f sign %.2f allocs %.0f (%.1f/replica)",
-				n, reg.name, row.consensus(), row.relays, row.verifies, row.signs, row.allocs, row.allocs/float64(live)))
+			line = append(line, fmt.Sprintf("n=%d %s: consensus %.0f relay %.0f verify %.2f sign %.2f allocs %.0f (%.1f/replica) cmds/slot %.2f verify/op %.2f",
+				n, reg.name, row.consensus(), row.relays, row.verifies, row.signs, row.allocs, row.allocs/float64(live),
+				row.cmds, row.verifies/row.cmds))
 		}
 		line = append(line, leaderCrashLedger(t, tc.cfg))
 	}
@@ -326,17 +395,19 @@ func TestCostLedger(t *testing.T) {
 //   - on entering view 2 each live replica but Leader(2), which keeps its
 //     own vote, sends its signed Vote to Leader(2): live − 1 Vote frames;
 //   - Leader(2) endorses its selection itself and sends a CertRequest to
-//     the 2f lowest-numbered other processes (CertRequestSet = 2f + 1, see
-//     core's tryViewChange); Leader(2) = 2 and the dead Leader(1) = 1 is
-//     one of them, so 2f CertRequest and 2f − 1 CertAck frames — still
-//     CertQuorum = f + 1 endorsements, its own included;
+//     the 2f lowest-numbered other voters (CertRequestSet = 2f + 1, see
+//     core's tryViewChange). Its selection took n − f votes, so it holds
+//     n − f − 1 ≥ 2f other voters (n ≥ 3f + 1), and none of them is the
+//     dead Leader(1): 2f CertRequest and 2f CertAck frames. Any 2f + 1
+//     contacted processes hold f + 1 correct ones, so CertQuorum = f + 1
+//     endorsements, its own included, are guaranteed as before;
 //   - Leader(2) proposes once: n − 1 Propose frames; all live = n − t
 //     replicas ack, so the slot decides on the fast path in view 2, and
 //     Ack, AckSig and Commit are live·(n − 1) frames each, as in view 1;
 //   - each live replica enters view 2 once: live slot view changes;
 //   - a live replica signs its Vote and its AckSig, Leader(2) its own
-//     endorsement and its Propose, the 2f − 1 live addressees a CertAck:
-//     2·live + 2f + 1 signatures in the group;
+//     endorsement and its Propose, the 2f addressees a CertAck:
+//     2·live + 2f + 2 signatures in the group;
 //   - every live replica follows the dead Leader(1) and relays each fresh
 //     request to it: live relays per request, none of them answered.
 //
@@ -353,7 +424,7 @@ func leaderCrashLedger(t *testing.T, cfg types.Config) string {
 		{msg.KindWish, live * (n - 1)},
 		{msg.KindVote, live - 1},
 		{msg.KindCertRequest, 2 * f},
-		{msg.KindCertAck, 2*f - 1},
+		{msg.KindCertAck, 2 * f},
 		{msg.KindPropose, n - 1},
 		{msg.KindAck, live * (n - 1)},
 		{msg.KindAckSig, live * (n - 1)},
@@ -375,7 +446,7 @@ func leaderCrashLedger(t *testing.T, cfg types.Config) string {
 		{"other frames per slot", other, 0},
 		{"slot view changes per slot", views, float64(live)},
 		{"request relays per slot", row.relays, float64(live)},
-		{"signs per slot and replica", row.signs, float64(2*live+2*f+1) / float64(live)},
+		{"signs per slot and replica", row.signs, float64(2*live+2*f+2) / float64(live)},
 		{"slots decided on the slow path", row.offPath, 0},
 	} {
 		if c.got != c.want {

@@ -19,11 +19,19 @@ import (
 // invariant of pipelined replication: no command is proposed in two live
 // slots at once, every proposed command is indexed in flight for exactly its
 // slot, and no in-flight command is simultaneously queued for assignment.
+// It also checks the batching hold: at most one undecided proposal holds
+// fewer than MaxBatch commands, because a partial batch waits while another
+// proposal is in flight. A view-change graft is exempt from the hold; no
+// caller changes a view with MaxBatch above 1.
 func (r *Replica) inflightInvariantErr() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	seen := make(map[string]uint64)
+	partial := 0
 	for num, sl := range r.slots {
+		if n := len(sl.proposed); n > 0 && n < r.cfg.MaxBatch {
+			partial++
+		}
 		for _, c := range sl.proposed {
 			if other, dup := seen[string(c)]; dup {
 				return fmt.Errorf("command proposed in two live slots (%d and %d)", other, num)
@@ -41,6 +49,9 @@ func (r *Replica) inflightInvariantErr() error {
 		if other, ok := seen[c]; !ok || other != s {
 			return fmt.Errorf("in-flight index entry for slot %d has no live proposal", s)
 		}
+	}
+	if partial > 1 {
+		return fmt.Errorf("%d partial batches in flight (MaxBatch %d)", partial, r.cfg.MaxBatch)
 	}
 	return nil
 }
@@ -101,18 +112,19 @@ func TestSMRPipelineFillsWindow(t *testing.T) {
 
 // TestSMRPipelineDisjointChunksUnderLoad runs a pipelined, batched workload
 // submitted through every replica under seeded random message delays — slots
-// overtake each other and every replica's proposals collide with the
-// leader's — and asserts after every single simulator event that no command
-// is proposed in two live slots of the same replica at once (the acceptance
-// invariant of pipelined replication), while every command still executes
-// exactly once.
+// overtake each other, and the followers' relays reach the leader in an
+// order the delays shuffle, while it holds partial batches — and asserts
+// after every single simulator event that no command is proposed in two live
+// slots of the same replica at once (the acceptance invariant of pipelined
+// replication) and that at most one partial batch is in flight, while every
+// command still executes exactly once.
 func TestSMRPipelineDisjointChunksUnderLoad(t *testing.T) {
 	cfg := types.Generalized(1, 1)
 	g := newSimGroup(t, cfg, 42, groupOpts{jitter: 2 * time.Millisecond, window: 8, maxBatch: 4})
 	reps, stores := g.reps, g.stores
 
-	// Submit through every replica to force conflicting local proposals (the
-	// losing chunks are what exercises re-enqueueing).
+	// Submit through every replica: only the leader fills the window, so
+	// three commands in four reach it through a follower's relay.
 	const ops = 96
 	for i := 0; i < ops; i++ {
 		submitKV(t, reps[i%cfg.N], "load", i)
@@ -141,6 +153,55 @@ func TestSMRPipelineDisjointChunksUnderLoad(t *testing.T) {
 		if err := r.inflightInvariantErr(); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestSMRBatchHoldsWhileSlotInFlight hands 8 requests from 8 clients to the
+// leader in one instant, with a window of 8. With MaxBatch 8 the first
+// request finds the window idle and goes out alone; the other 7 wait for
+// that slot to decide, then leave as one batch — 2 slots, not 8. With
+// MaxBatch 1 every request is a full batch, so the unbatched path still
+// opens a slot per request. Either way every replica applies every request
+// exactly once.
+func TestSMRBatchHoldsWhileSlotInFlight(t *testing.T) {
+	cfg := types.Generalized(1, 1)
+	for _, tc := range []struct {
+		maxBatch int
+		want     []int // commands per decided slot, in slot order
+	}{
+		{8, []int{1, 7}},
+		{1, []int{1, 1, 1, 1, 1, 1, 1, 1}},
+	} {
+		t.Run(fmt.Sprintf("maxbatch%d", tc.maxBatch), func(t *testing.T) {
+			g := newSimGroup(t, cfg, 44, groupOpts{window: 8, maxBatch: tc.maxBatch})
+			const ops = 8
+			submitOps(t, g.reps[cfg.Leader(1)], "burst", 0, ops)
+			g.run(time.Second, g.applied(ops), "the burst to apply")
+			g.net.Advance(100 * time.Millisecond) // any duplicate applications would land here
+			for i, r := range g.reps {
+				var got []int
+				for s := uint64(0); ; s++ {
+					d, ok := r.Decided(s)
+					if !ok {
+						break
+					}
+					cmds, err := DecodeBatch(d.Value)
+					if err != nil {
+						t.Fatalf("replica %d slot %d: %v", i, s, err)
+					}
+					got = append(got, len(cmds))
+				}
+				if fmt.Sprint(got) != fmt.Sprint(tc.want) {
+					t.Errorf("replica %d decided batches of %v, want %v", i, got, tc.want)
+				}
+				if n := g.stores[i].AppliedOps(); n != ops {
+					t.Errorf("replica %d applied %d ops, want exactly %d", i, n, ops)
+				}
+				if err := r.inflightInvariantErr(); err != nil {
+					t.Error(err)
+				}
+			}
+		})
 	}
 }
 

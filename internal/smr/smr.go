@@ -126,10 +126,14 @@ type Config struct {
 	// WindowSize bounds how many consensus instances may be live at once
 	// (default 8): the replica participates in slots
 	// [lowestUndecided, lowestUndecided+WindowSize), and starts an instance
-	// for every slot in the window for which fresh pending commands exist.
+	// for every slot in the window for which a batch is ready (see
+	// MaxBatch).
 	WindowSize int
 	// MaxBatch is the maximum number of pending commands a leader packs
-	// into one proposal (default 1, i.e. no batching).
+	// into one proposal (default 1, i.e. no batching). A full batch is
+	// proposed at once; a partial one only while none of the leader's
+	// proposals is in flight, and otherwise it keeps filling until a slot
+	// decides (see fillWindowLocked).
 	MaxBatch int
 	// CheckpointInterval is the checkpoint period (default 128): every
 	// CheckpointInterval applied slots the replica emits a signed
@@ -470,11 +474,18 @@ func saltedMsg(salt, msg []byte) []byte {
 }
 
 // fillWindowLocked starts a consensus instance for every slot in the live
-// window [next, next+WindowSize) that has none yet, as long as fresh
-// pending commands remain to propose — the pipelining step: each new slot
-// consumes its own disjoint chunk of the queue, so up to WindowSize
-// proposals replicate concurrently instead of one per consensus round-trip.
-// The caller holds r.mu.
+// window [next, next+WindowSize) that has none yet, as long as a batch is
+// ready to propose — the pipelining step: each new slot consumes its own
+// disjoint chunk of the queue, so up to WindowSize proposals replicate
+// concurrently instead of one per consensus round-trip. The caller holds
+// r.mu.
+//
+// A batch is ready when it is full (MaxBatch pending commands), or when it
+// is partial and none of this leader's proposals is in flight. So a lone
+// request on an idle window goes out at once, while under load a partial
+// batch keeps filling until a slot decides (advanceLocked calls back in):
+// it could not be applied before that slot anyway, apply being in slot
+// order. At MaxBatch 1 every non-empty queue is a full batch.
 //
 // Only the leader of view 1 fills the window. Every slot starts at view 1
 // with the same leader, so on any other replica a speculatively opened slot
@@ -495,10 +506,7 @@ func saltedMsg(salt, msg []byte) []byte {
 // requests must not bloat batches with replays) runs once, and only when a
 // slot can actually start.
 func (r *Replica) fillWindowLocked() {
-	if r.pending.Len() == 0 {
-		return
-	}
-	if r.cfg.Cluster.Leader(1) != r.cfg.Self {
+	if !r.batchReadyLocked() || r.cfg.Cluster.Leader(1) != r.cfg.Self {
 		return
 	}
 	startable := false
@@ -517,7 +525,7 @@ func (r *Replica) fillWindowLocked() {
 	}
 	r.compactPendingLocked()
 	for s := r.next; s < r.next+uint64(r.cfg.WindowSize); s++ {
-		if r.pending.Len() == 0 {
+		if !r.batchReadyLocked() {
 			break
 		}
 		if _, started := r.slots[s]; started {
@@ -528,6 +536,14 @@ func (r *Replica) fillWindowLocked() {
 		}
 		r.startSlotLocked(s, true)
 	}
+}
+
+// batchReadyLocked reports whether the pending queue holds a batch to
+// propose now: a full one, or a partial one while no proposal of this
+// replica is in flight (see fillWindowLocked). The caller holds r.mu.
+func (r *Replica) batchReadyLocked() bool {
+	n := r.pending.Len()
+	return n >= r.cfg.MaxBatch || (n > 0 && len(r.inflight) == 0)
 }
 
 // takeChunkLocked removes up to MaxBatch commands from the pending queue

@@ -146,7 +146,10 @@ type KVReplicaConfig struct {
 	// pipelining (one consensus round-trip per batch).
 	WindowSize int
 	// MaxBatch is the maximum number of pending commands packed into one
-	// slot proposal (default 1, i.e. no batching).
+	// slot proposal (default 1, i.e. no batching). The leader proposes a
+	// full batch at once, and a partial one only while none of its
+	// proposals is in flight: under load, requests gather while a slot is
+	// in flight and leave together when it decides.
 	MaxBatch int
 	// OnCommit, if set, observes every decided log slot, in slot order. Like
 	// HandleRequest's onReply it runs on one of the replica's own goroutines,

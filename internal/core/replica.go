@@ -98,7 +98,9 @@ type Replica struct {
 }
 
 // NewReplica creates the state machine of process id with the given input
-// value. It starts in no view; EnterView(1) starts view 1.
+// value. It starts in no view; EnterView(1) starts view 1. Every signature
+// the replica checks goes through its own verifyMemo over verifier, so each
+// one costs a real verification once per instance.
 func NewReplica(cfg types.Config, id types.ProcessID, signer sigcrypto.Signer, verifier sigcrypto.Verifier, input types.Value) (*Replica, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrInvalidConfig, err)
@@ -111,7 +113,7 @@ func NewReplica(cfg types.Config, id types.ProcessID, signer sigcrypto.Signer, v
 		th:         quorum.New(cfg),
 		id:         id,
 		signer:     signer,
-		verifier:   verifier,
+		verifier:   newVerifyMemo(verifier, cfg.N),
 		input:      input.Clone(),
 		acks:       make(map[voteKey]senderSet),
 		ackSigs:    make(map[voteKey]*sigcrypto.Set),

@@ -77,6 +77,53 @@ func TestSigningDomainsAreDisjoint(t *testing.T) {
 	}
 }
 
+// TestVerifyMemoStaysInItsSlot: a consensus instance answers a signature it
+// has already verified from memory, so that memory must not outlive its
+// signing domain. Slot 2's instance verifies three AckSigs and commits; the
+// certificate they make, replayed as Commits in slot 5, does not decide
+// slot 5, while the same Commits in slot 2 decide it. A memo shared by the
+// replica's instances and keyed on the unsalted digest would decide both.
+func TestVerifyMemoStaysInItsSlot(t *testing.T) {
+	cfg := types.Generalized(1, 1) // n = 4, CommitQuorum 3
+	scheme := sigcrypto.NewHMAC(cfg.N, 11)
+	net := transport.NewMemNetwork(cfg.N, 0)
+	defer net.Close()
+	r, err := NewReplica(Config{
+		Cluster: cfg, Self: 0,
+		Signer: scheme.Signer(0), Verifier: scheme.Verifier(),
+		Transport: net.Transport(0), App: NewKVStore(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+
+	const s, other = 2, 5
+	x, v := types.Value("x"), types.View(1)
+	cc := msg.CommitCert{Value: x, View: v}
+	for p := types.ProcessID(1); p <= 3; p++ {
+		phi := SlotSigner(scheme.Signer(p), 0, s).Sign(msg.AckDigest(x, v))
+		cc.Sigs = append(cc.Sigs, phi)
+		r.onPayload(p, envelope(0, s, &msg.AckSig{View: v, X: x, Phi: phi}))
+	}
+	commit := &msg.Commit{View: v, X: x, CC: cc}
+	for p := types.ProcessID(1); p <= 3; p++ {
+		r.onPayload(p, envelope(0, other, commit))
+	}
+	if _, ok := r.Decided(other); ok {
+		t.Fatalf("slot %d decided on slot %d's certificate", other, s)
+	}
+	for p := types.ProcessID(1); p <= 3; p++ {
+		r.onPayload(p, envelope(0, s, commit))
+	}
+	if d, ok := r.Decided(s); !ok || !d.Value.Equal(x) {
+		t.Fatalf("slot %d did not decide on its own certificate: %v %v", s, d, ok)
+	}
+}
+
 // TestReplicaDropsFramesOfOtherGroups: a replica sitting directly on a raw
 // transport (no mux in front of it) drops a frame addressed to another group
 // and a frame with a truncated header, and accepts the identical message

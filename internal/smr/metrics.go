@@ -34,6 +34,12 @@ type replicaMetrics struct {
 	msgIn  [maxMsgKind + 1]*obs.Counter
 	msgOut [maxMsgKind + 1]*obs.Counter
 
+	// Signature operations of the scheme, counted by domainSigner and
+	// domainVerifier: real crypto calls, not the ones an instance's memo
+	// answered.
+	signs    *obs.Counter
+	verifies *obs.Counter
+
 	tracer *obs.Tracer
 }
 
@@ -52,6 +58,8 @@ func (r *Replica) initMetricsLocked(reg *obs.Registry, ls obs.Labels) {
 		m.msgIn[k] = reg.Counter("fastbft_messages_in_total", "protocol messages received, by kind", ls.With("kind", k.String()))
 		m.msgOut[k] = reg.Counter("fastbft_messages_out_total", "protocol messages produced, by kind (a broadcast counts once)", ls.With("kind", k.String()))
 	}
+	m.signs = reg.Counter("fastbft_signatures_total", "signature operations of the replica's scheme, by op", ls.With("op", "sign"))
+	m.verifies = reg.Counter("fastbft_signatures_total", "signature operations of the replica's scheme, by op", ls.With("op", "verify"))
 	m.tracer = obs.NewTracer(reg, "fastbft_stage_seconds",
 		"cumulative request latency from submit to each pipeline stage", ls, r.cfg.Clock.Now())
 	reg.GaugeFunc("fastbft_pending_commands", "commands awaiting slot assignment", ls, func() float64 {

@@ -34,7 +34,6 @@ type groupOpts struct {
 	interval uint64 // Config.CheckpointInterval
 	durable  bool   // every replica on a storage.Store (SyncGroup) in its own directory
 	trace    sim.TraceFunc
-	scheme   sigcrypto.Scheme // nil: HMAC keys drawn from the group's seed
 }
 
 type simGroup struct {
@@ -63,9 +62,6 @@ func newSimGroup(t *testing.T, cfg types.Config, seed int64, opts groupOpts) *si
 		stores: make([]*KVStore, cfg.N),
 		logs:   make([]*commitLog, cfg.N),
 		regs:   make([]*obs.Registry, cfg.N),
-	}
-	if opts.scheme != nil {
-		g.scheme = opts.scheme
 	}
 	if opts.jitter > 0 {
 		g.net.SetPayloadFunc(sim.SeededDelay(seed, opts.jitter))

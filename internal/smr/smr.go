@@ -301,8 +301,6 @@ func NewReplica(cfg Config) (*Replica, error) {
 		th:            quorum.New(cfg.Cluster),
 		interval:      cfg.CheckpointInterval,
 		store:         cfg.Storage,
-		logSigner:     domainSigner{inner: cfg.Signer, salt: logDomain(cfg.Group)},
-		logVerifier:   domainVerifier{inner: cfg.Verifier, salt: logDomain(cfg.Group)},
 		slots:         make(map[uint64]*slot),
 		decided:       make(map[uint64]types.Decision),
 		sessions:      make(map[types.ClientID]*session),
@@ -319,6 +317,7 @@ func NewReplica(cfg Config) (*Replica, error) {
 		r.lg = cfg.Logger.With("group", cfg.Group)
 	}
 	r.initMetricsLocked(cfg.Metrics, cfg.MetricsLabels)
+	r.logSigner, r.logVerifier = r.signerFor(logDomain(cfg.Group)), r.verifierFor(logDomain(cfg.Group))
 	if r.store != nil {
 		// A callback is a promise that what it reports survives a crash: it
 		// waits for the WAL records appended before it.
@@ -444,25 +443,42 @@ func logDomain(g uint64) []byte {
 }
 
 // domainSigner and domainVerifier bind the replica's signature scheme to
-// one signing domain.
+// one signing domain. Each call is one real signature operation (a consensus
+// instance's memo of verified signatures sits above its verifier), counted
+// in calls: the replica's fastbft_signatures_total series, or nothing when
+// nil, as in the adversary hooks.
 type domainSigner struct {
 	inner sigcrypto.Signer
 	salt  []byte
+	calls *obs.Counter
 }
 
 func (s domainSigner) ID() types.ProcessID { return s.inner.ID() }
 
 func (s domainSigner) Sign(msg []byte) sigcrypto.Signature {
+	s.calls.Inc()
 	return s.inner.Sign(saltedMsg(s.salt, msg))
 }
 
 type domainVerifier struct {
 	inner sigcrypto.Verifier
 	salt  []byte
+	calls *obs.Counter
 }
 
 func (v domainVerifier) Verify(msg []byte, sig sigcrypto.Signature) bool {
+	v.calls.Inc()
 	return v.inner.Verify(saltedMsg(v.salt, msg), sig)
+}
+
+// signerFor and verifierFor bind the replica's scheme to the signing domain
+// salt, counted in its metrics.
+func (r *Replica) signerFor(salt []byte) domainSigner {
+	return domainSigner{inner: r.cfg.Signer, salt: salt, calls: r.m.signs}
+}
+
+func (r *Replica) verifierFor(salt []byte) domainVerifier {
+	return domainVerifier{inner: r.cfg.Verifier, salt: salt, calls: r.m.verifies}
 }
 
 // saltedMsg concatenates salt and msg with a single allocation; it runs for
@@ -602,8 +618,7 @@ func (r *Replica) startSlotLocked(s uint64, lead bool) *slot {
 	}
 	salt := slotDomain(r.cfg.Group, s)
 	proc, err := core.NewProcess(r.cfg.Cluster, r.cfg.Self,
-		domainSigner{inner: r.cfg.Signer, salt: salt},
-		domainVerifier{inner: r.cfg.Verifier, salt: salt},
+		r.signerFor(salt), r.verifierFor(salt),
 		input, r.cfg.BaseTimeout)
 	if err != nil {
 		return nil // configuration was validated at construction; unreachable

@@ -276,7 +276,7 @@ func (r *Replica) onStateSnapshotLocked(m *msg.StateSnapshot) {
 		}
 		// Verify under the slot's signing domain: a certificate from any
 		// other slot cannot pass (see slotDomain).
-		if !td.CC.Verify(domainVerifier{inner: r.cfg.Verifier, salt: slotDomain(r.cfg.Group, td.Slot)}, r.th) {
+		if !td.CC.Verify(r.verifierFor(slotDomain(r.cfg.Group, td.Slot)), r.th) {
 			continue
 		}
 		if r.certs[td.Slot] == nil {

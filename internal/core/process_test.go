@@ -112,3 +112,67 @@ func TestEachViewEnteredOnce(t *testing.T) {
 		}
 	}
 }
+
+// ownSigWatch is a process's inner verifier that counts the checks of
+// signatures in the process's own name.
+type ownSigWatch struct {
+	sigcrypto.Verifier
+	id  types.ProcessID
+	own *int
+}
+
+func (v ownSigWatch) Verify(m []byte, sig sigcrypto.Signature) bool {
+	if sig.Signer == v.id {
+		*v.own++
+	}
+	return v.Verifier.Verify(m, sig)
+}
+
+// TestOwnSignaturesNeverVerified: on whole clusters — n = 4 and n = 7,
+// fault-free and with the view-1 leader silent, so that view 2's vote
+// collection, certificate round and proposal run too — no process's inner
+// verifier is ever asked about a signature in its own name. Its τ, AckSigs,
+// votes and CertAcks come back to it (its own copy of a broadcast, its vote
+// in its own selection, its endorsement in a progress certificate, its
+// AckSig in commit certificates) as memo hits.
+func TestOwnSignaturesNeverVerified(t *testing.T) {
+	for _, cfg := range []types.Config{types.Generalized(1, 1), types.Generalized(2, 1)} {
+		for _, silent := range []bool{false, true} {
+			t.Run(fmt.Sprintf("n%d/silent-leader=%v", cfg.N, silent), func(t *testing.T) {
+				own := make([]int, cfg.N)
+				cc := sim.ClusterConfig{
+					Cfg:  cfg,
+					Seed: int64(cfg.N),
+					Machine: func(p types.ProcessID, keys sigcrypto.Scheme) (core.Machine, error) {
+						v := ownSigWatch{Verifier: keys.Verifier(), id: p, own: &own[p]}
+						return core.NewProcess(cfg, p, keys.Signer(p), v, types.Value(fmt.Sprintf("in-%d", p)), 10*sim.DefaultDelta)
+					},
+				}
+				view := types.View(1)
+				if silent {
+					cc.Faulty = map[types.ProcessID]core.Machine{cfg.Leader(1): nil}
+					view = 2
+				}
+				c, err := sim.NewCluster(cc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := c.Run(time.Minute); err != nil {
+					t.Fatal(err)
+				}
+				if err := c.CheckAgreement(true); err != nil {
+					t.Fatal(err)
+				}
+				for _, p := range c.CorrectIDs() {
+					r := c.Process(p).Replica()
+					if d, _ := r.Decided(); d.View != view {
+						t.Errorf("%s decided in view %s, want %s", p, d.View, view)
+					}
+					if own[p] != 0 {
+						t.Errorf("%s verified %d signatures in its own name", p, own[p])
+					}
+				}
+			})
+		}
+	}
+}

@@ -67,7 +67,7 @@ type Replica struct {
 	th       quorum.Thresholds
 	id       types.ProcessID
 	signer   sigcrypto.Signer
-	verifier sigcrypto.Verifier
+	verifier *verifyMemo
 	input    types.Value
 
 	view    types.View
@@ -100,7 +100,8 @@ type Replica struct {
 // NewReplica creates the state machine of process id with the given input
 // value. It starts in no view; EnterView(1) starts view 1. Every signature
 // the replica checks goes through its own verifyMemo over verifier, so each
-// one costs a real verification once per instance.
+// one costs a real verification at most once per instance, and the ones its
+// own signer made (see sign) cost none.
 func NewReplica(cfg types.Config, id types.ProcessID, signer sigcrypto.Signer, verifier sigcrypto.Verifier, input types.Value) (*Replica, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrInvalidConfig, err)
@@ -243,7 +244,7 @@ func (r *Replica) EnterView(v types.View) []Action {
 		// (the orphan-slot hazard, in its view-1 guise). Silence leaves
 		// every view-1 vote Nil, so the next view's selection is free.
 		if r.input != nil {
-			tau := r.signer.Sign(msg.ProposeDigest(r.input, 1))
+			tau := r.sign(msg.ProposeDigest(r.input, 1))
 			p := &msg.Propose{View: 1, X: r.input.Clone(), Cert: nil, Tau: tau}
 			out = append(out, r.broadcast(p)...)
 		}
@@ -278,10 +279,23 @@ func (r *Replica) EnterView(v types.View) []Action {
 	return out
 }
 
+// sign signs digest with the replica's own signer and records the signature
+// in the memo as accepted, so that the replica's own τ, AckSig, CertAck and
+// vote, when they come back to it (its own copy of a broadcast, or inside a
+// certificate), cost no verification. A signer that signs for another id
+// records nothing: the replica trusts only signatures in its own name.
+func (r *Replica) sign(digest []byte) sigcrypto.Signature {
+	sig := r.signer.Sign(digest)
+	if sig.Signer == r.id {
+		r.verifier.remember(digest, sig)
+	}
+	return sig
+}
+
 // signedVote builds this process's signed vote for new view v.
 func (r *Replica) signedVote(v types.View) msg.SignedVote {
 	vr := r.CurrentVote()
-	phi := r.signer.Sign(msg.VoteDigest(vr, v))
+	phi := r.sign(msg.VoteDigest(vr, v))
 	return msg.SignedVote{Voter: r.id, Vote: vr, Phi: phi}
 }
 
@@ -375,7 +389,7 @@ func (r *Replica) onPropose(from types.ProcessID, m *msg.Propose) []Action {
 	}
 	var out []Action
 	out = append(out, r.broadcast(&msg.Ack{View: m.View, X: m.X})...)
-	phi := r.signer.Sign(msg.AckDigest(m.X, m.View))
+	phi := r.sign(msg.AckDigest(m.X, m.View))
 	out = append(out, r.broadcast(&msg.AckSig{View: m.View, X: m.X, Phi: phi})...)
 	return out
 }
@@ -402,6 +416,11 @@ func (r *Replica) onAckSig(from types.ProcessID, m *msg.AckSig) []Action {
 		return nil
 	}
 	key := voteKey{view: m.View, value: string(m.X)}
+	if r.commitSent[key] {
+		// The certificate is formed and sent; nothing reads this set
+		// again, so a later AckSig is not worth a verification.
+		return nil
+	}
 	set, ok := r.ackSigs[key]
 	if !ok {
 		if len(r.ackSigs) >= maxTrackedKeys {
@@ -413,7 +432,7 @@ func (r *Replica) onAckSig(from types.ProcessID, m *msg.AckSig) []Action {
 	if !set.Add(r.verifier, m.Phi) {
 		return nil
 	}
-	if set.Len() >= r.th.CommitQuorum() && !r.commitSent[key] {
+	if set.Len() >= r.th.CommitQuorum() {
 		r.commitSent[key] = true
 		cc := &msg.CommitCert{Value: m.X.Clone(), View: m.View, Sigs: set.Signatures()}
 		r.updateLatestCC(cc)
@@ -424,6 +443,11 @@ func (r *Replica) onAckSig(from types.ProcessID, m *msg.AckSig) []Action {
 
 func (r *Replica) onCommit(from types.ProcessID, m *msg.Commit) []Action {
 	if !m.CC.Value.Equal(m.X) || m.CC.View != m.View {
+		return nil
+	}
+	if r.decided && r.latest != nil && r.latest.View >= m.View {
+		// Nothing this Commit could change: decide is a no-op once decided,
+		// and updateLatestCC keeps latest unless the view is higher.
 		return nil
 	}
 	if !m.CC.Verify(r.verifier, r.th) {
@@ -519,7 +543,7 @@ func (r *Replica) tryViewChange() []Action {
 	// will do; ask the lowest-numbered voters, whose votes show them alive
 	// in this view. Select took n−f votes, and n−f−1 ≥ 2f as n ≥ 3f+1.
 	actions := []Action{}
-	own := r.signer.Sign(msg.CertAckDigest(ls.selected, r.view))
+	own := r.sign(msg.CertAckDigest(ls.selected, r.view))
 	ls.certAcks.Add(r.verifier, own)
 	req := &msg.CertRequest{View: r.view, X: ls.selected.Clone(), Votes: ls.certVotes}
 	sent := 1 // ourselves
@@ -545,7 +569,7 @@ func (r *Replica) onCertRequest(from types.ProcessID, m *msg.CertRequest) []Acti
 	if err := VerifyCertRequest(r.th, r.verifier, m); err != nil {
 		return nil
 	}
-	phi := r.signer.Sign(msg.CertAckDigest(m.X, m.View))
+	phi := r.sign(msg.CertAckDigest(m.X, m.View))
 	return []Action{SendAction{To: from, Msg: &msg.CertAck{View: m.View, X: m.X, Phi: phi}}}
 }
 
@@ -582,7 +606,7 @@ func (r *Replica) maybePropose() []Action {
 		View:  r.view,
 		Sigs:  ls.certAcks.Signatures(),
 	}
-	tau := r.signer.Sign(msg.ProposeDigest(ls.selected, r.view))
+	tau := r.sign(msg.ProposeDigest(ls.selected, r.view))
 	return r.broadcast(&msg.Propose{View: r.view, X: ls.selected.Clone(), Cert: cert, Tau: tau})
 }
 

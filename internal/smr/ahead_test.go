@@ -1,0 +1,137 @@
+package smr
+
+import (
+	"fmt"
+	"testing"
+	"time"
+
+	"repro/internal/msg"
+	"repro/internal/sim"
+	"repro/internal/types"
+)
+
+// TestSkewedFollowerDecidesFast: n = 4, W = 8, Δ = 1 ms, 16 closed-loop
+// sessions through the leader (process 1) at MaxBatch 1, and the links from
+// the other two followers (0 and 2) to follower 3 lag by 1.5 or 3 ms more
+// than the leader's. The leader's traffic for slot s+W then reaches 3 while
+// its lowest undecided slot is still s: past its window. Dropped, it left 3
+// to decide nearly every slot on the slow path, from the later in-window
+// Commits (1.5 ms), or stranded it: with the leader's Propose, Ack, AckSig
+// and Commit for a slot all dropped, the two Commits that arrive later fall
+// short of the commit quorum, the slot never decides there, and 3 follows
+// by state transfer only (3 ms: 136 of 2 400 slots decided). Held and
+// replayed when the window slides, the traffic lets it decide every slot as
+// its peers do, on the fast path.
+func TestSkewedFollowerDecidesFast(t *testing.T) {
+	for _, skew := range []time.Duration{1500 * time.Microsecond, 3 * time.Millisecond} {
+		t.Run(skew.String(), func(t *testing.T) { testSkewedFollower(t, skew) })
+	}
+}
+
+func testSkewedFollower(t *testing.T, skew time.Duration) {
+	cfg := types.Generalized(1, 1)
+	const (
+		delta    = time.Millisecond
+		sessions = 16
+		ops      = 2400 // one command per slot at MaxBatch 1
+		lagger   = types.ProcessID(3)
+	)
+	g := newSimGroup(t, cfg, 93, groupOpts{delta: delta, window: 8, maxBatch: 1})
+	leader := cfg.Leader(1)
+	g.net.SetPayloadFunc(func(from, to types.ProcessID, _ []byte, _ sim.Time) sim.Fate {
+		if to == lagger && from != leader {
+			return sim.Fate{Delay: delta + skew}
+		}
+		return sim.Fate{Delay: delta}
+	})
+	var submit func(c int, seq uint64)
+	sent := 0
+	submit = func(c int, seq uint64) {
+		if sent == ops {
+			return
+		}
+		sent++
+		req := &msg.Request{Client: types.ClientID(fmt.Sprintf("s%d", c)), Seq: seq,
+			Op: kvSetOp(fmt.Sprintf("s%d-%d", c, seq), "v")}
+		if err := g.reps[leader].HandleRequest(req, func(*msg.Reply) { submit(c, seq+1) }); err != nil {
+			t.Error(err)
+		}
+	}
+	for c := 0; c < sessions; c++ {
+		submit(c, 1)
+	}
+	g.run(30*time.Second, g.applied(ops), "every closed-loop request to apply")
+	fast, slow := g.reps[lagger].m.pathFast.Load(), g.reps[lagger].m.pathSlow.Load()
+	share := float64(fast) / float64(fast+slow)
+	t.Logf("replica %d: %d slots decided fast, %d slow (fast share %.4f)", lagger, fast, slow, share)
+	if fast+slow < ops {
+		t.Fatalf("replica %d decided %d of %d slots itself; the rest came by state transfer", lagger, fast+slow, ops)
+	}
+	if share < 0.98 {
+		t.Fatalf("replica %d decided %d slots fast and %d slow (fast share %.4f), want at least 0.98", lagger, fast, slow, share)
+	}
+	// Every held message was replayed once its slot came into the window.
+	r := g.reps[lagger]
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for p, n := range r.aheadFrames {
+		if n != 0 || r.aheadBytes[p] != 0 {
+			t.Errorf("sender %d: %d messages (%d bytes) still held", p, n, r.aheadBytes[p])
+		}
+	}
+	if len(r.ahead) != 0 {
+		t.Errorf("%d messages still held after the last slot applied", len(r.ahead))
+	}
+}
+
+// TestAheadBufferBounded: a peer flooding a replica with messages for the
+// slots just past its window parks at most aheadFramesPerSlot·W of them and
+// at most maxAheadBytes, whatever it sends; messages for slots further out
+// are not held at all; and one sender's flood leaves the other senders'
+// share untouched.
+func TestAheadBufferBounded(t *testing.T) {
+	cfg := types.Generalized(1, 1)
+	const w = 8
+	g := newSimGroup(t, cfg, 94, groupOpts{delta: time.Millisecond, window: w})
+	r := g.reps[3]
+	held := func(from types.ProcessID) (frames, bytes int) {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		return r.aheadFrames[from], r.aheadBytes[from]
+	}
+	ack := func(s uint64, x types.Value) []byte { return envelope(0, s, &msg.Ack{View: 1, X: x}) }
+
+	// Small frames: the frame bound binds.
+	for i := 0; i < 20*aheadFramesPerSlot*w; i++ {
+		r.onPayload(2, ack(uint64(w+i%w), types.Value(fmt.Sprintf("x%d", i))))
+	}
+	if frames, _ := held(2); frames != aheadFramesPerSlot*w {
+		t.Fatalf("sender 2 holds %d frames past the window, bound %d", frames, aheadFramesPerSlot*w)
+	}
+	// Large frames: the byte bound binds.
+	big := make(types.Value, 64<<10)
+	for i := 0; i < 4*maxAheadBytes/len(big); i++ {
+		r.onPayload(0, ack(uint64(w+i%w), big))
+	}
+	if frames, bytes := held(0); bytes > maxAheadBytes || frames == 0 {
+		t.Fatalf("sender 0 holds %d frames of %d bytes past the window, bound %d bytes", frames, bytes, maxAheadBytes)
+	}
+	// Slots a second window out are not held.
+	for i := 0; i < 10; i++ {
+		r.onPayload(1, ack(uint64(2*w+i), types.Value("far")))
+	}
+	if frames, _ := held(1); frames != 0 {
+		t.Fatalf("%d frames for slots at or past next+2W held", frames)
+	}
+	// The flood of 0 and 2 leaves sender 1 its share.
+	r.onPayload(1, ack(w, types.Value("y")))
+	if frames, _ := held(1); frames != 1 {
+		t.Fatalf("sender 1 holds %d frames after one in-range frame, want 1", frames)
+	}
+	r.mu.Lock()
+	total := len(r.ahead)
+	r.mu.Unlock()
+	if f0, _ := held(0); total != aheadFramesPerSlot*w+f0+1 {
+		t.Fatalf("%d frames held in all, want the per-sender counts' sum %d", total, aheadFramesPerSlot*w+f0+1)
+	}
+}

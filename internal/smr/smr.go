@@ -127,7 +127,9 @@ type Config struct {
 	// (default 8): the replica participates in slots
 	// [lowestUndecided, lowestUndecided+WindowSize), and starts an instance
 	// for every slot in the window for which a batch is ready (see
-	// MaxBatch).
+	// MaxBatch). Traffic for the next WindowSize slots past the window is
+	// kept, within a per-sender bound, and delivered once the window
+	// reaches its slot.
 	WindowSize int
 	// MaxBatch is the maximum number of pending commands a leader packs
 	// into one proposal (default 1, i.e. no batching). A full batch is
@@ -247,7 +249,38 @@ type Replica struct {
 	// Reassembly of a streamed state-transfer snapshot (see
 	// statetransfer.go).
 	chunkAsm *chunkAssembly
+
+	// ahead holds, in arrival order, the messages for slots just past the
+	// live window, [next+W, next+2W), until advanceLocked slides the window
+	// over them (see holdAheadLocked); aheadFrames and aheadBytes count
+	// them per sender. replaying marks advanceLocked's replay loop, so that
+	// a decision it causes does not start a second one.
+	ahead       []aheadMsg
+	aheadFrames []int
+	aheadBytes  []int
+	replaying   bool
 }
+
+// aheadMsg is one message held for a slot past the live window; size is its
+// encoded length.
+type aheadMsg struct {
+	from types.ProcessID
+	s    uint64
+	m    msg.Message
+	size int
+}
+
+// aheadFramesPerSlot and maxAheadBytes bound what one sender can park past
+// the window: aheadFramesPerSlot·WindowSize messages and maxAheadBytes
+// encoded bytes. A correct sender sends a replica a handful of messages per
+// slot (Propose, Ack, AckSig and Commit; Wish and Vote in a view change),
+// so the bound holds everything a correct peer sends for the W slots past
+// the window. Past it a message is dropped, like one for a slot at or past
+// next+2W: the sender's later traffic or state transfer makes up for it.
+const (
+	aheadFramesPerSlot = 8
+	maxAheadBytes      = 1 << 20
+)
 
 type slot struct {
 	proc *core.Process
@@ -312,6 +345,8 @@ func NewReplica(cfg Config) (*Replica, error) {
 		snaps:         make(map[uint64][]byte),
 		serveTime:     make(map[types.ProcessID]time.Time),
 		restoredVotes: make(map[uint64]*storage.VoteState),
+		aheadFrames:   make([]int, cfg.Cluster.N),
+		aheadBytes:    make([]int, cfg.Cluster.N),
 	}
 	if cfg.Logger != nil {
 		r.lg = cfg.Logger.With("group", cfg.Group)
@@ -728,6 +763,15 @@ func (r *Replica) routePayloadLocked(from types.ProcessID, s uint64, inner []byt
 		r.onSyncLocked(from, m)
 		return
 	}
+	r.deliverSlotLocked(from, s, m, len(inner))
+}
+
+// deliverSlotLocked hands message m (size encoded bytes) for slot s to the
+// slot's instance, opening it if s is in the live window. A message for a
+// slot past the window is evidence that the cluster moved on: it asks the
+// sender for a state snapshot, and is held for replay if its slot is
+// within one more window. The caller holds r.mu.
+func (r *Replica) deliverSlotLocked(from types.ProcessID, s uint64, m msg.Message, size int) {
 	switch m.(type) {
 	case *msg.Wish, *msg.Vote:
 		// A decided slot's instance lingers only to serve stragglers; a
@@ -741,16 +785,72 @@ func (r *Replica) routePayloadLocked(from types.ProcessID, s uint64, inner []byt
 	if !ok {
 		sl = r.ensureSlotLocked(s)
 		if sl == nil {
-			// Traffic beyond the live window means the cluster moved on
-			// without us: ask the sender for a state snapshot.
 			if s >= r.next+uint64(r.cfg.WindowSize) {
 				r.noteBehindLocked(s, from)
+				r.holdAheadLocked(from, s, m, size)
 			}
 			return
 		}
 	}
 	r.applyActions(s, sl, sl.proc.Deliver(from, m, r.now()))
 	r.captureCertLocked(s, sl)
+}
+
+// holdAheadLocked keeps message m for slot s, past the live window, until
+// the window reaches s, if s is below next+2W and the sender is within its
+// bound (aheadFramesPerSlot·W messages, maxAheadBytes bytes); otherwise it
+// drops m. A follower whose links from some peers lag behind its link from
+// the leader sees the leader's Propose and Ack for slot s+W while slot s is
+// still open; held, they let it decide slot s+W on the fast path like its
+// peers. Dropped along with the leader's AckSig and Commit, they would leave
+// it one Commit short of the commit quorum for that slot, which no peer
+// sends again. The caller holds r.mu.
+func (r *Replica) holdAheadLocked(from types.ProcessID, s uint64, m msg.Message, size int) {
+	w := uint64(r.cfg.WindowSize)
+	if s >= r.next+2*w || !from.Valid(len(r.aheadFrames)) {
+		return
+	}
+	if r.aheadFrames[from] >= aheadFramesPerSlot*r.cfg.WindowSize || r.aheadBytes[from]+size > maxAheadBytes {
+		return
+	}
+	r.ahead = append(r.ahead, aheadMsg{from: from, s: s, m: m, size: size})
+	r.aheadFrames[from]++
+	r.aheadBytes[from] += size
+}
+
+// replayAheadLocked delivers, in arrival order, every held message whose
+// slot the window has reached (or passed: those meet a decided slot, as
+// late traffic does). A delivery can decide a slot and slide the window
+// further; the loop then takes the messages that became due. The caller
+// holds r.mu.
+func (r *Replica) replayAheadLocked() {
+	if r.replaying {
+		return
+	}
+	r.replaying = true
+	defer func() { r.replaying = false }()
+	for len(r.ahead) > 0 {
+		lim := r.next + uint64(r.cfg.WindowSize)
+		var due []aheadMsg
+		kept := r.ahead[:0]
+		for _, a := range r.ahead {
+			if a.s < lim {
+				due = append(due, a)
+				r.aheadFrames[a.from]--
+				r.aheadBytes[a.from] -= a.size
+			} else {
+				kept = append(kept, a)
+			}
+		}
+		clear(r.ahead[len(kept):])
+		r.ahead = kept
+		if len(due) == 0 {
+			return
+		}
+		for _, a := range due {
+			r.deliverSlotLocked(a.from, a.s, a.m, a.size)
+		}
+	}
 }
 
 // onSyncLocked routes a log-maintenance message; the caller holds r.mu.
@@ -1168,6 +1268,9 @@ func (r *Replica) advanceLocked() {
 	}
 	// Keep replicating while fresh commands are queued.
 	r.fillWindowLocked()
+	// Then deliver what peers sent for the slots the window now reaches; a
+	// leader has opened its own slots first.
+	r.replayAheadLocked()
 }
 
 // dropPending removes an applied command from the proposal queue in O(1)

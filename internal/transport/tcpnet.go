@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -268,7 +269,10 @@ func (t *TCPTransport) serveConn(conn net.Conn) {
 		t.mu.Unlock()
 	}()
 
-	hello, err := readFrame(conn)
+	// One buffered reader per connection: a burst of small frames costs one
+	// read call, not two per frame.
+	br := bufio.NewReaderSize(conn, peerReadBuffer)
+	hello, err := readFrame(br)
 	if err != nil {
 		return
 	}
@@ -284,7 +288,7 @@ func (t *TCPTransport) serveConn(conn net.Conn) {
 		return
 	}
 	for {
-		payload, err := readFrame(conn)
+		payload, err := readFrame(br)
 		if err != nil {
 			return
 		}
@@ -309,16 +313,24 @@ func (t *TCPTransport) serveConn(conn net.Conn) {
 // snapshot and its tail.
 const maxPeerOutbox = 128 << 20
 
+// peerReadBuffer is the size of each inbound peer connection's read buffer.
+const peerReadBuffer = 32 << 10
+
+// frameHeader is the length of a frame's big-endian payload length prefix.
+const frameHeader = 4
+
 // tcpPeer owns the outbound connection to one peer: a FIFO outbox of at most
-// maxPeerOutbox bytes, drained by a goroutine that (re)connects as needed.
+// maxPeerOutbox payload bytes, drained by a goroutine that (re)connects as
+// needed. The outbox holds whole frames, length prefix included, so each
+// one leaves in a single write.
 type tcpPeer struct {
 	t        *TCPTransport
 	id       types.ProcessID
 	mDropped *obs.Counter
 	mu       sync.Mutex // guards box, bytes and stop
 	cond     *sync.Cond
-	box      [][]byte
-	bytes    int // sum of len over box
+	box      [][]byte // frames, oldest first
+	bytes    int      // payload bytes over box, prefixes not counted
 	stop     bool
 }
 
@@ -331,15 +343,16 @@ func newTCPPeer(t *TCPTransport, id types.ProcessID) *tcpPeer {
 }
 
 func (p *tcpPeer) enqueue(payload []byte) {
-	cp := make([]byte, len(payload))
-	copy(cp, payload)
+	frame := make([]byte, frameHeader+len(payload))
+	binary.BigEndian.PutUint32(frame, uint32(len(payload)))
+	copy(frame[frameHeader:], payload)
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.stop {
 		return
 	}
-	p.box = append(p.box, cp)
-	p.bytes += len(cp)
+	p.box = append(p.box, frame)
+	p.bytes += len(payload)
 	for p.bytes > maxPeerOutbox { // never the frame just queued: MaxFrame is below the bound
 		p.pop()
 		p.mDropped.Inc()
@@ -349,11 +362,11 @@ func (p *tcpPeer) enqueue(payload []byte) {
 
 // pop removes and returns the oldest queued frame; the caller holds p.mu.
 func (p *tcpPeer) pop() []byte {
-	payload := p.box[0]
+	frame := p.box[0]
 	p.box[0] = nil
 	p.box = p.box[1:]
-	p.bytes -= len(payload)
-	return payload
+	p.bytes -= len(frame) - frameHeader
+	return frame
 }
 
 func (p *tcpPeer) close() {
@@ -383,7 +396,7 @@ func (p *tcpPeer) run() {
 		}
 		// The frame leaves the outbox before it is written, so a drop by
 		// enqueue meanwhile can only take frames behind it.
-		payload := p.pop()
+		frame := p.pop()
 		p.mu.Unlock()
 
 		for {
@@ -392,11 +405,11 @@ func (p *tcpPeer) run() {
 					return // transport closed while dialing
 				}
 			}
-			if writeFrame(conn, payload) == nil {
+			if _, err := conn.Write(frame); err == nil {
 				break
 			}
 			_ = conn.Close()
-			conn = nil // reconnect and retry the same payload
+			conn = nil // reconnect and retry the same frame
 		}
 	}
 }
@@ -426,27 +439,54 @@ func (p *tcpPeer) dial() net.Conn {
 	}
 }
 
-// writeFrame emits one 4-byte length-prefixed frame. It is shared by the
-// peer channel and the client channel; the per-channel payload limits are
-// enforced by the callers (Send and WriteClientFrame respectively).
+// maxPooledFrame is the largest frame buffer writeFrame keeps for reuse.
+const maxPooledFrame = 64 << 10
+
+// framePool holds writeFrame's frame buffers (as *[]byte, so that a Put
+// allocates nothing).
+var framePool = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
+
+// writeFrame emits one 4-byte length-prefixed frame in a single Write,
+// assembled in a pooled buffer. It serves the peer handshake and the client
+// channel; the per-channel payload limits are enforced by the callers (dial
+// and WriteClientFrame). Peer traffic proper is framed once, by enqueue.
 func writeFrame(w io.Writer, payload []byte) error {
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
+	bp := framePool.Get().(*[]byte)
+	frame := binary.BigEndian.AppendUint32((*bp)[:0], uint32(len(payload)))
+	frame = append(frame, payload...)
+	_, err := w.Write(frame)
+	if cap(frame) <= maxPooledFrame {
+		*bp = frame
+		framePool.Put(bp)
 	}
-	_, err := w.Write(payload)
 	return err
 }
 
 // readLimitedFrame reads one length-prefixed frame, enforcing the given
 // payload limit on the header alone — before any allocation.
 func readLimitedFrame(r io.Reader, limit uint32) ([]byte, error) {
-	var hdr [4]byte
+	var hdr [frameHeader]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	return readPayload(r, binary.BigEndian.Uint32(hdr[:]), limit)
+}
+
+// readFrame reads one peer-channel frame, enforcing MaxFrame. The length
+// prefix is read in place from the connection's buffer.
+func readFrame(r *bufio.Reader) ([]byte, error) {
+	hdr, err := r.Peek(frameHeader)
+	if err != nil {
+		return nil, err
+	}
+	n := binary.BigEndian.Uint32(hdr)
+	_, _ = r.Discard(frameHeader) // the bytes Peek returned
+	return readPayload(r, n, MaxFrame)
+}
+
+// readPayload reads a frame's n-byte payload once its prefix is read,
+// rejecting an n above limit before it allocates.
+func readPayload(r io.Reader, n, limit uint32) ([]byte, error) {
 	if n > limit {
 		return nil, ErrFrameTooLarge
 	}
@@ -455,9 +495,4 @@ func readLimitedFrame(r io.Reader, limit uint32) ([]byte, error) {
 		return nil, err
 	}
 	return payload, nil
-}
-
-// readFrame reads one peer-channel frame, enforcing MaxFrame.
-func readFrame(conn net.Conn) ([]byte, error) {
-	return readLimitedFrame(conn, MaxFrame)
 }

@@ -1,6 +1,10 @@
 package transport
 
 import (
+	"bufio"
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -236,7 +240,8 @@ func TestTCPOutboxIsBounded(t *testing.T) {
 	}
 	p := tr.peers[1]
 	p.mu.Lock()
-	queued, oldest, newest := p.bytes, p.box[0][0], p.box[len(p.box)-1][0]
+	// Each queued frame carries its length prefix; the index follows it.
+	queued, oldest, newest := p.bytes, p.box[0][frameHeader], p.box[len(p.box)-1][frameHeader]
 	p.mu.Unlock()
 	if queued > maxPeerOutbox {
 		t.Fatalf("%d bytes queued for the dead peer, bound is %d", queued, maxPeerOutbox)
@@ -248,5 +253,60 @@ func TestTCPOutboxIsBounded(t *testing.T) {
 	dropped, _ := reg.Snapshot().Value("fastbft_transport_outbox_dropped_total", obs.Labels{"peer": "1"})
 	if want := float64(frames - maxPeerOutbox/frame); dropped != want && dropped != want-1 {
 		t.Fatalf("dropped counter %v after %d frames of %d bytes, want %v or %v", dropped, frames, frame, want-1, want)
+	}
+}
+
+// writeCounter counts Write calls and keeps what they wrote.
+type writeCounter struct {
+	calls int
+	buf   bytes.Buffer
+}
+
+func (w *writeCounter) Write(p []byte) (int, error) {
+	w.calls++
+	return w.buf.Write(p)
+}
+
+// TestFrameIsOneWrite: writeFrame (the handshake and client-channel writer)
+// emits prefix and payload in a single Write from a pooled buffer, and the
+// buffered peer reader takes the frame back whole.
+func TestFrameIsOneWrite(t *testing.T) {
+	payload := []byte("one frame, one write")
+	var w writeCounter
+	if err := writeFrame(&w, payload); err != nil {
+		t.Fatal(err)
+	}
+	if w.calls != 1 || w.buf.Len() != frameHeader+len(payload) {
+		t.Fatalf("%d writes of %d bytes for a %d-byte payload, want 1 of %d", w.calls, w.buf.Len(), len(payload), frameHeader+len(payload))
+	}
+	got, err := readFrame(bufio.NewReader(&w.buf))
+	if err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("read back %q, %v", got, err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		w.buf.Reset()
+		_ = writeFrame(&w, payload)
+	}); allocs != 0 {
+		t.Fatalf("writeFrame made %v allocations per frame, want 0", allocs)
+	}
+}
+
+// TestReadFrameRejectsOversizeHeader: a peer frame whose length prefix is
+// over MaxFrame is refused on its four bytes, before any allocation.
+func TestReadFrameRejectsOversizeHeader(t *testing.T) {
+	hdr := binary.BigEndian.AppendUint32(nil, MaxFrame+1)
+	src := bytes.NewReader(hdr)
+	br := bufio.NewReader(src)
+	var err error
+	allocs := testing.AllocsPerRun(100, func() {
+		src.Reset(hdr)
+		br.Reset(src)
+		_, err = readFrame(br)
+	})
+	if !errors.Is(err, ErrFrameTooLarge) {
+		t.Fatalf("oversize prefix read as %v, want ErrFrameTooLarge", err)
+	}
+	if allocs != 0 {
+		t.Fatalf("%v allocations to refuse an oversize prefix, want 0", allocs)
 	}
 }

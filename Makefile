@@ -93,7 +93,7 @@ vet:
 doc-check:
 	$(GO) run ./cmd/doccheck
 
-## byz: the Byzantine adversary suite under the race detector — the five
+## byz: the Byzantine adversary suite under the race detector — the six
 ## simulator-driven SMR attack scenarios of internal/byz, each under both resilience
 ## shapes (n=5f−1 fast and n=3f+1 slow), plus the multi-process drills where
 ## one replica OS process runs the garbage or the equivocate adversary

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"repro/internal/msg"
+	"repro/internal/quorum"
 	"repro/internal/sigcrypto"
 	"repro/internal/smr"
 	"repro/internal/types"
@@ -106,8 +107,9 @@ func (g *GarbageProposer) Deliver(d *Driver, _ types.ProcessID, slot uint64, _ m
 //   - a snapshot under a forged certificate (below the signature quorum),
 //   - a well-formed snapshot of a genuine certificate's slot whose bytes
 //     do not hash to the certificate's digest,
-//   - a tail decision whose commit certificate was harvested from a
-//     different slot (the slot-salt replay),
+//   - a forged tail: GarbageBatch claimed for the slot after the genuine
+//     tail, a value no correct replica decided and only this responder
+//     reports,
 //   - and finally a genuine but stale response, recorded earlier from a
 //     correct peer and replayed frame for frame — verifiable progress,
 //     but short of the frontier.
@@ -123,6 +125,7 @@ type StaleSnapshotServer struct {
 	stale        []*msg.StateSnapshot // the harvested response, frame by frame
 	harvested    bool                 // stale holds a complete response
 	poisonServed int
+	forgedSlot   uint64
 }
 
 // Start implements Behavior.
@@ -137,10 +140,13 @@ func (s *StaleSnapshotServer) Harvest(d *Driver, peer types.ProcessID) {
 // Lure sends the victim a signed checkpoint claiming the corrupted process
 // has applied through evidence — unverifiable lag evidence that attracts
 // the victim's next FetchState.
-func (s *StaleSnapshotServer) Lure(d *Driver, evidence uint64) {
+func (s *StaleSnapshotServer) Lure(d *Driver, evidence uint64) { lure(d, s.Victim, evidence) }
+
+// lure sends victim, from d, a signed checkpoint at evidence.
+func lure(d *Driver, victim types.ProcessID, evidence uint64) {
 	sum := sha256.Sum256([]byte("no-such-state"))
 	cp := types.Checkpoint{Slot: evidence, StateHash: sum[:]}
-	d.Send(s.Victim, smr.SyncSlotID, &msg.Checkpoint{
+	d.Send(victim, smr.SyncSlotID, &msg.Checkpoint{
 		CP:  cp,
 		Phi: d.Signer().Sign(msg.CheckpointDigest(cp)),
 	})
@@ -154,7 +160,7 @@ func (s *StaleSnapshotServer) Stale() bool {
 }
 
 // StaleTailLen returns how many tail decisions the harvested response
-// carries (the slot-salt replay vector needs at least one).
+// carries (the forged tail claims the slot after them, so it needs one).
 func (s *StaleSnapshotServer) StaleTailLen() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -162,6 +168,13 @@ func (s *StaleSnapshotServer) StaleTailLen() int {
 		return 0
 	}
 	return len(s.stale[len(s.stale)-1].Tail)
+}
+
+// ForgedSlot returns the slot the last forged tail claimed.
+func (s *StaleSnapshotServer) ForgedSlot() uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.forgedSlot
 }
 
 // PoisonServed returns how many poisoned fetch rounds were served to the
@@ -227,11 +240,15 @@ func (s *StaleSnapshotServer) Deliver(d *Driver, from types.ProcessID, slot uint
 			})
 		}
 		if len(stale) > 0 && len(stale[len(stale)-1].Tail) > 0 {
-			// Slot-salt replay: a commit certificate harvested from slot j
-			// presented as the decision of slot j+1.
-			td := stale[len(stale)-1].Tail[0]
+			// A forged tail: one responder's word for the slot after the
+			// genuine tail, which f+1 responders never confirm.
+			tail := stale[len(stale)-1].Tail
+			slot := tail[len(tail)-1].Slot + 1
+			s.mu.Lock()
+			s.forgedSlot = slot
+			s.mu.Unlock()
 			d.Send(s.Victim, smr.SyncSlotID, &msg.StateSnapshot{
-				Tail: []msg.TailDecision{{Slot: td.Slot + 1, CC: td.CC}},
+				Tail: []msg.TailDecision{{Slot: slot, Value: GarbageBatch}},
 			})
 		}
 		// The stale-but-genuine response, last and frame for frame: the
@@ -329,4 +346,130 @@ func (a *AckEquivocator) ProposeFirst(d *Driver) {
 // ValueB, same slot and view.
 func (a *AckEquivocator) ProposeConflict(d *Driver) {
 	d.Send(a.Victim, a.Slot, d.Forger(a.Slot).Propose(a.ValueB, 1, nil))
+}
+
+// CertWithholder is a pair of corrupted processes, one of them the view-1
+// leader, that turn one valid commit certificate into a false claim about
+// what a slot decided (the n = 3f + 2t − 1, f > t shape, where a
+// certificate can verify for a value the next view must not select):
+//
+//   - the leader proposes X to the correct processes in GroupX and Y to the
+//     other correct ones;
+//   - both members add their own ack signatures for X to GroupX's, so a
+//     commit certificate for X in view 1 forms and verifies, and they keep
+//     it: no correct process ever holds it, and none decides in view 1;
+//   - in view 2 the colluder votes for Y. With the equivocating leader's
+//     votes set aside, the new leader's selection sees f + t votes for Y
+//     and must pick Y, which could have been decided fast. View 2 decides Y;
+//   - both members then answer any fetch of Victim with a tail that claims
+//     X for Slot. The claim is backed by the certificate, and by no correct
+//     process.
+//
+// Both members' drivers run the one value, which tells them apart by the
+// driver a delivery comes through.
+type CertWithholder struct {
+	Slot   uint64
+	X, Y   types.Value
+	GroupX map[types.ProcessID]bool
+	Victim types.ProcessID
+
+	mu      sync.Mutex
+	members map[types.ProcessID]*Driver
+	propY   *msg.Propose
+	sigs    map[types.ProcessID]sigcrypto.Signature // correct processes' AckSigs for X
+	cc      *msg.CommitCert
+	voted   bool
+	served  int
+}
+
+// Start implements Behavior: it registers the member's driver.
+func (w *CertWithholder) Start(d *Driver) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.members == nil {
+		w.members = make(map[types.ProcessID]*Driver)
+		w.sigs = make(map[types.ProcessID]sigcrypto.Signature)
+	}
+	w.members[d.Self()] = d
+}
+
+// Cert returns the withheld certificate once it has formed.
+func (w *CertWithholder) Cert() *msg.CommitCert {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.cc.Clone()
+}
+
+// Served returns how many of Victim's fetches the pair answered.
+func (w *CertWithholder) Served() int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.served
+}
+
+// Lure sends Victim, from member d, a signed checkpoint at evidence: lag
+// evidence that makes d the target of the victim's next FetchState.
+func (w *CertWithholder) Lure(d *Driver, evidence uint64) { lure(d, w.Victim, evidence) }
+
+// Deliver implements Behavior for either member. The two drivers deliver
+// concurrently on a real transport, hence the lock.
+func (w *CertWithholder) Deliver(d *Driver, from types.ProcessID, slot uint64, m msg.Message) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	leader := d.Cluster().Leader(1) == d.Self()
+	switch t := m.(type) {
+	case *msg.Request:
+		// The first relayed request: the leader equivocates on Slot.
+		if slot != smr.CtrlSlotID || !leader || w.propY != nil {
+			return
+		}
+		f := d.Forger(w.Slot)
+		px, py := f.Propose(w.X, 1, nil), f.Propose(w.Y, 1, nil)
+		w.propY = py
+		d.EachPeer(func(p types.ProcessID) {
+			switch {
+			case w.members[p] != nil:
+			case w.GroupX[p]:
+				d.Send(p, w.Slot, px)
+			default:
+				d.Send(p, w.Slot, py)
+			}
+		})
+	case *msg.AckSig:
+		if slot != w.Slot || t.View != 1 || !t.X.Equal(w.X) || t.Phi.Signer != from ||
+			w.members[from] != nil || w.cc != nil {
+			return
+		}
+		w.sigs[from] = t.Phi
+		th := quorum.New(d.Cluster())
+		if len(w.sigs)+len(w.members) < th.CommitQuorum() {
+			return
+		}
+		cc := &msg.CommitCert{Value: w.X.Clone(), View: 1}
+		for _, sig := range w.sigs {
+			cc.Sigs = append(cc.Sigs, sig)
+		}
+		for _, md := range w.members {
+			cc.Sigs = append(cc.Sigs, md.Forger(w.Slot).AckSig(w.X, 1).Phi)
+		}
+		w.cc = cc
+	case *msg.Wish:
+		// The colluder's vote for Y, sent as view 2 opens.
+		if slot != w.Slot || t.View != 2 || leader || w.voted || w.propY == nil {
+			return
+		}
+		w.voted = true
+		vr := msg.VoteRecord{Value: w.Y, View: 1, Tau: w.propY.Tau}
+		d.Send(d.Cluster().Leader(2), w.Slot, d.Forger(w.Slot).Vote(vr, 2))
+	case *msg.FetchState:
+		if slot != smr.SyncSlotID || from != w.Victim || w.cc == nil {
+			return
+		}
+		// Both members answer: two responders claim X, f of them at f = 2.
+		w.served++
+		claim := &msg.StateSnapshot{Tail: []msg.TailDecision{{Slot: w.Slot, Value: w.X}}}
+		for _, md := range w.members {
+			md.Send(w.Victim, smr.SyncSlotID, claim)
+		}
+	}
 }

@@ -33,8 +33,8 @@ var byzConfigs = []struct {
 
 // byzCluster is an SMR cluster on a lockstep sim.Network (every send due the
 // instant it was made, in send order; timers on the virtual clock) with one
-// process slot occupied by an adversarial Driver instead of an honest
-// replica. With in-memory replicas a scenario replays exactly. Replies from every
+// process slot (two, with a colluder) occupied by an adversarial Driver
+// instead of an honest replica. With in-memory replicas a scenario replays exactly. Replies from every
 // correct replica are recorded per (client, seq) so tests can assert the
 // client-visible safety property: no two correct replicas ever confirm the
 // same request with different results.
@@ -51,7 +51,8 @@ type byzCluster struct {
 	stores []*smr.KVStore
 	regs   []*obs.Registry                    // each correct replica's metrics (smr.Config.Metrics)
 	disks  map[types.ProcessID]*storage.Store // current store of each durable replica
-	drv    *Driver
+	drv    *Driver                            // the driver in byzID's slot
+	drv2   *Driver                            // the colluder's driver, if any
 
 	mu      sync.Mutex
 	replies map[string][]*msg.Reply
@@ -64,6 +65,10 @@ type clusterOpts struct {
 	timeout  time.Duration
 	// dirs maps durable replicas to their data directories.
 	dirs map[types.ProcessID]string
+	// colluder, when behavior2 is set, is a second corrupted process slot,
+	// run by its own driver.
+	colluder  types.ProcessID
+	behavior2 Behavior
 }
 
 func newByzCluster(t *testing.T, cfg types.Config, byzID types.ProcessID, seed int64, opts clusterOpts) *byzCluster {
@@ -87,7 +92,7 @@ func newByzCluster(t *testing.T, cfg types.Config, byzID types.ProcessID, seed i
 	}
 	for i := 0; i < cfg.N; i++ {
 		p := types.ProcessID(i)
-		if p == byzID {
+		if p == byzID || opts.behavior2 != nil && p == opts.colluder {
 			continue
 		}
 		c.bootReplica(p, c.net.Transport(p))
@@ -95,24 +100,33 @@ func newByzCluster(t *testing.T, cfg types.Config, byzID types.ProcessID, seed i
 			t.Fatal(err)
 		}
 	}
+	t.Cleanup(c.close)
+	c.drv = c.startDriver(byzID, opts.behavior)
+	if opts.behavior2 != nil {
+		c.drv2 = c.startDriver(opts.colluder, opts.behavior2)
+	}
+	return c
+}
+
+// startDriver runs behavior in corrupted process p's slot.
+func (c *byzCluster) startDriver(p types.ProcessID, behavior Behavior) *Driver {
+	c.t.Helper()
 	drv, err := NewDriver(DriverConfig{
-		Cluster:   cfg,
-		Group:     opts.group,
-		Self:      byzID,
-		Signer:    c.scheme.Signer(byzID),
+		Cluster:   c.cfg,
+		Group:     c.opts.group,
+		Self:      p,
+		Signer:    c.scheme.Signer(p),
 		Verifier:  c.scheme.Verifier(),
-		Transport: c.net.Transport(byzID),
-		Behavior:  opts.behavior,
+		Transport: c.net.Transport(p),
+		Behavior:  behavior,
 	})
 	if err != nil {
-		t.Fatal(err)
+		c.t.Fatal(err)
 	}
-	c.drv = drv
 	if err := drv.Start(); err != nil {
-		t.Fatal(err)
+		c.t.Fatal(err)
 	}
-	t.Cleanup(c.close)
-	return c
+	return drv
 }
 
 // bootReplica (re)builds correct replica p on transport tr; the caller
@@ -160,8 +174,10 @@ func (c *byzCluster) close() {
 			_ = r.Close()
 		}
 	}
-	if c.drv != nil {
-		_ = c.drv.Close()
+	for _, d := range []*Driver{c.drv, c.drv2} {
+		if d != nil {
+			_ = d.Close()
+		}
 	}
 }
 

@@ -7,15 +7,17 @@ import (
 	"time"
 
 	"repro/internal/msg"
+	"repro/internal/quorum"
 	"repro/internal/sim"
 	"repro/internal/smr"
 	"repro/internal/types"
 )
 
-// The five end-to-end adversary scenarios of docs/THREAT_MODEL.md. Each
+// The six end-to-end adversary scenarios of docs/THREAT_MODEL.md. Each
 // runs the full SMR stack — pipelined windows, view synchronization,
 // sessions/replies, and (where relevant) checkpointing, state transfer,
-// and durable recovery — against one adversarial replica driver, under
+// and durable recovery — against one adversarial replica driver (two, for
+// the withheld certificate), under
 // both resilience shapes, and asserts both halves of the paper's claim:
 // safety (no divergent confirmed replies, byte-identical application
 // state) and liveness (the view change recovers the attacked slots and
@@ -226,11 +228,11 @@ func TestByzCommitCertReplaySMR(t *testing.T) {
 // TestByzStaleSnapshotServerSMR: a recovering replica is lured into
 // fetching state from the corrupted process, which serves every poisoned
 // response shape — forged certificate, digest-mismatched snapshot bytes,
-// digest-mismatched chunked snapshot, a commit certificate replayed under
-// the wrong slot, and finally a genuine but stale snapshot recorded from a
-// correct peer. The victim must reject all poison, accept only verifiable
-// (stale) progress, and still reach the frontier via the round-robin
-// fetch retry and fresh lag evidence.
+// digest-mismatched chunked snapshot, a forged tail value only it reports,
+// and finally a genuine but stale snapshot recorded from a correct peer.
+// The victim must reject all poison, accept only verifiable (stale)
+// progress, and still reach the frontier via the round-robin fetch retry
+// and fresh lag evidence.
 func TestByzStaleSnapshotServerSMR(t *testing.T) {
 	const interval = 4
 	for _, tc := range byzConfigs {
@@ -257,7 +259,7 @@ func TestByzStaleSnapshotServerSMR(t *testing.T) {
 			ps.Harvest(th.drv, 0)
 			th.run(10*time.Second, func() bool { return ps.Stale() }, "the adversary to harvest a genuine snapshot")
 			if ps.StaleTailLen() == 0 {
-				t.Fatal("harvested response carries no tail decisions; the wrong-slot replay vector is dead")
+				t.Fatal("harvested response carries no tail decisions; the forged-tail vector is dead")
 			}
 			for seq := uint64(11); seq <= 14; seq++ {
 				keys = append(keys, th.submit("c0", seq))
@@ -278,6 +280,9 @@ func TestByzStaleSnapshotServerSMR(t *testing.T) {
 			th.run(10*time.Second, func() bool {
 				return ps.PoisonServed() >= 1 && th.reps[victim].AppliedCount() > 0
 			}, "the victim to fetch from the adversary and accept only the stale part")
+			if d, ok := th.reps[victim].Decided(ps.ForgedSlot()); ok && d.Value.Equal(GarbageBatch) {
+				t.Fatalf("victim decided slot %d on one responder's forged tail", ps.ForgedSlot())
+			}
 			victimAt := th.reps[victim].AppliedCount()
 			if victimAt >= frontier {
 				t.Fatalf("victim at %d is not behind the frontier %d: the stale response was not stale", victimAt, frontier)
@@ -427,6 +432,103 @@ func TestByzAckEquivocatorRecoverySMR(t *testing.T) {
 			})
 
 			th.assertReplySafety("c0/1")
+			th.assertStoresEqual()
+		})
+	}
+}
+
+// TestByzWithheldCommitCertSMR: one valid commit certificate is not a
+// decision. The corrupted view-1 leader and a colluder form a commit
+// certificate for X in view 1 and keep it, and view 2 decides Y (see
+// CertWithholder; one X-voter's view-2 vote is held back so that the new
+// leader's n − f votes hold f + t votes for Y). A crashed and restarted
+// replica is then lured to fetch state from the pair, and both members
+// serve it X for the slot. That claim comes from f responders, so it must
+// not decide the slot: the victim must end with the same store as its
+// peers, which decided Y.
+func TestByzWithheldCommitCertSMR(t *testing.T) {
+	for _, tc := range byzConfigs {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			leader1, colluder := types.ProcessID(1), types.ProcessID(cfg.N-1)
+			var correct []types.ProcessID
+			for i := 0; i < cfg.N; i++ {
+				if p := types.ProcessID(i); p != leader1 && p != colluder {
+					correct = append(correct, p)
+				}
+			}
+			// X goes to CommitQuorum − 2 correct processes from 2 upward,
+			// whose ack signatures and the pair's complete the certificate;
+			// Y goes to 0 and the rest.
+			nX := quorum.New(cfg).CommitQuorum() - 2
+			groupX := make(map[types.ProcessID]bool)
+			for _, p := range correct[1 : 1+nX] {
+				groupX[p] = true
+			}
+			late := correct[nX]               // the X-voter whose view-2 vote is held back
+			victim := correct[len(correct)-1] // a Y-voter, later crashed
+			x, _ := kvBatch(0, "byz-x", 1)
+			y, _ := kvBatch(0, "byz-y", 1)
+			w := &CertWithholder{Slot: 0, X: x, Y: y, GroupX: groupX, Victim: victim}
+			th := newByzCluster(t, cfg, leader1, 906, clusterOpts{
+				behavior: w, colluder: colluder, behavior2: w,
+			})
+			newLeader := th.drv.Cluster().Leader(2)
+			th.net.SetPayloadFunc(func(from, to types.ProcessID, payload []byte, _ sim.Time) (fate sim.Fate) {
+				if from != late || to != newLeader {
+					return
+				}
+				if _, s, m, ok := smr.OpenEnvelope(payload); ok && s == 0 {
+					if v, isVote := m.(*msg.Vote); isVote && v.View == 2 {
+						fate.Delay = 10 * time.Millisecond
+					}
+				}
+				return
+			})
+
+			keyC0 := th.submit("c0", 1) // triggers the equivocation
+			th.run(30*time.Second, func() bool {
+				return th.allCorrect(func(p types.ProcessID, r *smr.Replica) bool {
+					_, dec := r.Decided(0)
+					_, ok := th.stores[p].Get(keyC0)
+					return dec && ok
+				})
+			}, "slot 0 to decide and the client command to apply")
+			th.net.SetPayloadFunc(nil)
+
+			// The world of the attack: a certificate for X in view 1 that
+			// verifies, and Y decided by every correct replica in view 2.
+			cc := w.Cert()
+			if cc == nil || !cc.Verify(smr.SlotVerifier(th.scheme.Verifier(), 0, 0), th.th) {
+				t.Fatal("the pair holds no verifying commit certificate for X in view 1")
+			}
+			th.eachCorrect(func(p types.ProcessID, r *smr.Replica) {
+				if d, _ := r.Decided(0); !d.Value.Equal(y) || d.View != 2 {
+					t.Fatalf("replica %s decided slot 0 in view %d, not Y in view 2: the schedule missed the world of the attack", p, d.View)
+				}
+			})
+
+			// Crash the victim and bring it back empty; the pair lures its
+			// first fetch and serves it X for slot 0.
+			frontier := th.reps[0].AppliedCount()
+			th.crash(victim)
+			th.reboot(victim)
+			w.Lure(th.drv, frontier+1000)
+			th.run(10*time.Second, func() bool { return w.Served() > 0 }, "the victim to fetch from the pair")
+			th.run(60*time.Second, func() bool {
+				return th.reps[victim].AppliedCount() >= frontier
+			}, "the victim to catch up")
+
+			// Liveness: a fresh command applies everywhere, victim included.
+			keyC1 := th.submit("c1", 1)
+			th.run(30*time.Second, func() bool {
+				return th.allCorrect(func(p types.ProcessID, _ *smr.Replica) bool {
+					_, ok := th.stores[p].Get(keyC1)
+					return ok
+				})
+			}, "a post-attack command to apply everywhere")
+
+			th.assertReplySafety("c0/1", "c1/1")
 			th.assertStoresEqual()
 		})
 	}

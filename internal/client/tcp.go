@@ -1,6 +1,7 @@
 package client
 
 import (
+	"bufio"
 	"crypto/rand"
 	"errors"
 	"fmt"
@@ -57,7 +58,8 @@ var _ Transport = (*TCP)(nil)
 // tcpClientConn is one authenticated connection to one replica.
 type tcpClientConn struct {
 	conn net.Conn
-	mu   sync.Mutex // serializes writes
+	br   *bufio.Reader // the connection's one reader, handshake included
+	mu   sync.Mutex    // serializes writes
 }
 
 // NewTCP builds a networked client transport over the given address book.
@@ -127,23 +129,22 @@ func (t *TCP) conn(to types.ProcessID) (*tcpClientConn, error) {
 	}
 	t.mu.Unlock()
 
-	nc, err := t.dial(to)
+	c, err := t.dial(to)
 	if err != nil {
 		return nil, err
 	}
 	t.mu.Lock()
 	if t.closed {
 		t.mu.Unlock()
-		_ = nc.Close()
+		_ = c.conn.Close()
 		return nil, transport.ErrClosed
 	}
 	if existing := t.conns[to]; existing != nil {
 		// Lost a dial race; keep the established connection.
 		t.mu.Unlock()
-		_ = nc.Close()
+		_ = c.conn.Close()
 		return existing, nil
 	}
-	c := &tcpClientConn{conn: nc}
 	t.conns[to] = c
 	t.wg.Add(1)
 	go t.readLoop(to, c)
@@ -154,7 +155,7 @@ func (t *TCP) conn(to types.ProcessID) (*tcpClientConn, error) {
 // dial connects to replica `to` and runs the authenticating handshake: send
 // a fresh nonce, demand the replica's signature over it. A connection whose
 // peer cannot prove it holds replica to's key never enters the table.
-func (t *TCP) dial(to types.ProcessID) (net.Conn, error) {
+func (t *TCP) dial(to types.ProcessID) (*tcpClientConn, error) {
 	conn, err := net.DialTimeout("tcp", t.cfg.Addrs[to], t.cfg.DialTimeout)
 	if err != nil {
 		return nil, err
@@ -174,7 +175,8 @@ func (t *TCP) dial(to types.ProcessID) (net.Conn, error) {
 		_ = conn.Close()
 		return nil, err
 	}
-	payload, err := transport.ReadClientFrame(conn)
+	br := bufio.NewReader(conn)
+	payload, err := transport.ReadClientFrame(br)
 	if err != nil {
 		_ = conn.Close()
 		return nil, err
@@ -184,7 +186,7 @@ func (t *TCP) dial(to types.ProcessID) (net.Conn, error) {
 		return nil, err
 	}
 	_ = conn.SetDeadline(time.Time{}) // replies may take arbitrarily long
-	return conn, nil
+	return &tcpClientConn{conn: conn, br: br}, nil
 }
 
 // readLoop decodes reply frames from one authenticated connection. The
@@ -195,7 +197,7 @@ func (t *TCP) readLoop(from types.ProcessID, c *tcpClientConn) {
 	defer t.wg.Done()
 	defer t.drop(from, c)
 	for {
-		payload, err := transport.ReadClientFrame(c.conn)
+		payload, err := transport.ReadClientFrame(c.br)
 		if err != nil {
 			return
 		}

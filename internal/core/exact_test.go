@@ -114,7 +114,7 @@ func TestAckSigAfterCommitUnverified(t *testing.T) {
 	if f.inner.calls != 3 {
 		t.Fatalf("%d verifications before the late AckSig, want 3", f.inner.calls)
 	}
-	vote, cert := f.r.CurrentVote(), f.r.DecisionCert()
+	vote := f.r.CurrentVote()
 	late := f.ackSig(3, 1)
 	forged := f.ackSig(3, 1)
 	forged.Phi.Bytes[0] ^= 1
@@ -126,7 +126,7 @@ func TestAckSigAfterCommitUnverified(t *testing.T) {
 	if f.inner.calls != 3 {
 		t.Fatalf("late AckSigs cost %d verifications, want 0", f.inner.calls-3)
 	}
-	if !reflect.DeepEqual(vote, f.r.CurrentVote()) || !reflect.DeepEqual(cert, f.r.DecisionCert()) {
+	if !reflect.DeepEqual(vote, f.r.CurrentVote()) {
 		t.Fatal("a late AckSig changed the replica's vote or certificate")
 	}
 }
@@ -134,7 +134,7 @@ func TestAckSigAfterCommitUnverified(t *testing.T) {
 // TestCommitAfterDecisionHigherView: after the replica decided, a Commit of
 // no higher view than its latest certificate costs nothing, but one whose
 // certificate is of a higher view is still verified and still becomes the
-// latest certificate (CurrentVote().CC, DecisionCert), and a forged one of
+// latest certificate (CurrentVote().CC), and a forged one of
 // a higher view is still rejected.
 func TestCommitAfterDecisionHigherView(t *testing.T) {
 	f := newExactFixture(t, 7)
@@ -168,9 +168,6 @@ func TestCommitAfterDecisionHigherView(t *testing.T) {
 	f.r.Deliver(3, &msg.Commit{View: 2, X: f.x, CC: f.cert(2, 1, 2, 3)})
 	if cc := f.r.CurrentVote().CC; cc == nil || cc.View != 2 {
 		t.Fatal("a valid view-2 certificate after the decision did not become the latest")
-	}
-	if cc := f.r.DecisionCert(); cc == nil || cc.View != 2 {
-		t.Fatal("DecisionCert does not return the view-2 certificate")
 	}
 }
 
@@ -222,7 +219,7 @@ func TestUndecidedRejectsForgedCommit(t *testing.T) {
 			t.Fatal("no fast decision")
 		}
 		f.r.Deliver(3, &msg.Commit{View: 1, X: f.x, CC: f.forge(f.cert(1, 1, 2, 3), 3)})
-		if f.r.CurrentVote().CC != nil || f.r.DecisionCert() != nil {
+		if f.r.CurrentVote().CC != nil {
 			t.Fatal("a forged certificate became the latest after a fast decision")
 		}
 	})

@@ -150,19 +150,6 @@ func (r *Replica) Input() types.Value { return r.input.Clone() }
 // no effect on safety — those paths never read the input again.
 func (r *Replica) SetInput(v types.Value) { r.input = v.Clone() }
 
-// DecisionCert returns a commit certificate for the decided value, if the
-// replica has assembled or received one (ack signatures are broadcast on
-// every path, so under synchrony a certificate forms shortly after the
-// decision even when the decision itself came through the fast path). The
-// SMR layer ships these certificates during state transfer so a lagging
-// replica can verify decided slots without re-running consensus.
-func (r *Replica) DecisionCert() *msg.CommitCert {
-	if !r.decided || r.latest == nil || !r.latest.Value.Equal(r.decision.Value) {
-		return nil
-	}
-	return r.latest.Clone()
-}
-
 // CurrentVote materializes the process's vote record vote_q: the adopted
 // proposal plus the latest collected commit certificate (Appendix A.2).
 func (r *Replica) CurrentVote() msg.VoteRecord {

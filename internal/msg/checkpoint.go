@@ -46,13 +46,13 @@ func (m *FetchState) InView() types.View { return types.NoView }
 // decoder rejects larger counts before allocating).
 const MaxTailDecisions = 1024
 
-// TailDecision is one decided slot after a checkpoint, authenticated by its
-// commit certificate: CC.Value is the decided value and CC proves that a
-// commit quorum acknowledged it in view CC.View, so a state-transfer
-// receiver can apply the slot without re-running consensus.
+// TailDecision is one decided slot after a checkpoint: the value the
+// responder decided for Slot. It carries no proof; a state-transfer
+// receiver decides the slot once f+1 distinct responders report the same
+// value, so at least one correct process vouches for it.
 type TailDecision struct {
-	Slot uint64
-	CC   CommitCert
+	Slot  uint64
+	Value types.Value
 }
 
 // StateSnapshot is one frame of a state-transfer response. A response
@@ -60,9 +60,9 @@ type TailDecision struct {
 // bytes in offset order, every piece carrying the certificate that binds
 // the whole snapshot's digest to Cert.CP; the receiver reassembles them
 // and accepts the snapshot only if its SHA-256 digest matches the
-// certificate. The last piece also carries certified decisions for the
-// slots after the checkpoint. A responder with no shippable snapshot sends
-// one frame with Total == 0 and only the tail.
+// certificate. The last piece also carries the responder's decisions for
+// the slots after the checkpoint. A responder with no shippable snapshot
+// sends one frame with Total == 0 and only the tail.
 type StateSnapshot struct {
 	Cert   CheckpointCert
 	Total  uint64

@@ -80,7 +80,7 @@ func EncodeTo(w *wire.Writer, m Message) bool {
 		w.Uvarint(uint64(len(t.Tail)))
 		for _, td := range t.Tail {
 			w.Uvarint(td.Slot)
-			td.CC.encode(w)
+			w.BytesField(td.Value)
 		}
 	case *Request:
 		w.BytesField([]byte(t.Client))
@@ -192,7 +192,7 @@ func Decode(buf []byte) (Message, error) {
 		for i := 0; i < n && r.Err() == nil; i++ {
 			var td TailDecision
 			td.Slot = r.Uvarint()
-			td.CC = decodeCommitCert(r)
+			td.Value = r.BytesField()
 			t.Tail = append(t.Tail, td)
 		}
 		m = t

@@ -85,9 +85,9 @@ func TestRoundTripAllKinds(t *testing.T) {
 			Total:  14,
 			Offset: 0,
 			Data:   []byte("snapshot-bytes"),
-			Tail:   []TailDecision{{Slot: 17, CC: *cc}, {Slot: 18, CC: *cc}},
+			Tail:   []TailDecision{{Slot: 17, Value: x}, {Slot: 18, Value: x}},
 		},
-		&StateSnapshot{Tail: []TailDecision{{Slot: 17, CC: *cc}}},
+		&StateSnapshot{Tail: []TailDecision{{Slot: 17, Value: x}}},
 	}
 	for _, m := range msgs {
 		roundTrip(t, m)

@@ -72,13 +72,13 @@ func FuzzDecodeReply(f *testing.F) {
 // which a replica decodes from any peer that answers its fetch.
 func FuzzDecodeStateSnapshot(f *testing.F) {
 	s := testScheme()
-	cc := sampleCommitCert(s, []byte("value"), 2)
+	x := []byte("value")
 	f.Add(Encode(&StateSnapshot{
 		Cert: *sampleCheckpointCert(s), Total: 9, Offset: 0, Data: []byte("snapshot!"),
-		Tail: []TailDecision{{Slot: 17, CC: *cc}},
+		Tail: []TailDecision{{Slot: 17, Value: x}},
 	}))
 	f.Add(Encode(&StateSnapshot{Cert: *sampleCheckpointCert(s), Total: 1 << 20, Offset: 4096, Data: []byte("piece")}))
-	f.Add(Encode(&StateSnapshot{Tail: []TailDecision{{Slot: 3, CC: *cc}, {Slot: 4, CC: *cc}}}))
+	f.Add(Encode(&StateSnapshot{Tail: []TailDecision{{Slot: 3, Value: x}, {Slot: 4, Value: x}}}))
 	f.Add([]byte{byte(KindStateSnapshot)})
 	f.Add([]byte{byte(KindStateSnapshot), 0, 0, 0, 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -19,9 +19,9 @@ import (
 // least one signer is correct and correct replicas compute the digest only
 // by applying the decided log, so the digest provably identifies the unique
 // correct state at that slot. A replica with a stable checkpoint prunes all
-// consensus instances, decision records, and commit certificates at or below
-// the checkpoint slot, and keeps the snapshot bytes to serve state transfer
-// (see statetransfer.go). Checkpointing is always on: a replica left out of
+// consensus instances and decision records at or below the checkpoint
+// slot, and keeps the snapshot bytes to serve state transfer (see
+// statetransfer.go). Checkpointing is always on: a replica left out of
 // the fast quorums (n − t acks decide, so up to t correct replicas can trail
 // every slot) catches up only through it.
 
@@ -124,9 +124,9 @@ func (r *Replica) onCheckpointLocked(from types.ProcessID, m *msg.Checkpoint) {
 
 // stabilizeLocked installs a newer stable checkpoint and garbage-collects
 // everything the checkpoint covers: consensus instances, decision records,
-// commit certificates, older snapshots, recovered vote state, and older
-// checkpoint votes. The caller holds r.mu; cert must be valid and snap must
-// hash to cert.CP.StateHash.
+// older snapshots, recovered vote state, and older checkpoint votes. The
+// caller holds r.mu; cert must be valid and snap must hash to
+// cert.CP.StateHash.
 func (r *Replica) stabilizeLocked(cert *msg.CheckpointCert, snap []byte) {
 	if cert == nil {
 		return
@@ -155,11 +155,6 @@ func (r *Replica) stabilizeLocked(cert *msg.CheckpointCert, snap []byte) {
 	for num := range r.decided {
 		if num <= s {
 			delete(r.decided, num)
-		}
-	}
-	for num := range r.certs {
-		if num <= s {
-			delete(r.certs, num)
 		}
 	}
 	for num := range r.snaps {

@@ -125,7 +125,7 @@ func TestSnapshotChunkReassemblyRejectsHostileChunks(t *testing.T) {
 
 	r.mu.Lock()
 	// No fetch outstanding: dropped outright.
-	r.onStateSnapshotLocked(chunk(100, []byte("h"), 10, 0, []byte("xxxxx")))
+	r.onStateSnapshotLocked(1, chunk(100, []byte("h"), 10, 0, []byte("xxxxx")))
 	if r.chunkAsm != nil {
 		r.mu.Unlock()
 		t.Fatal("chunk buffered without an outstanding fetch")
@@ -133,20 +133,20 @@ func TestSnapshotChunkReassemblyRejectsHostileChunks(t *testing.T) {
 	// Pretend a fetch is outstanding from here on.
 	r.fetchAt = r.applyPtr + 1
 	// Unsigned certificate: no buffering.
-	r.onStateSnapshotLocked(chunk(100, []byte("h"), 10, 0, []byte("xxxxx")))
+	r.onStateSnapshotLocked(1, chunk(100, []byte("h"), 10, 0, []byte("xxxxx")))
 	if r.chunkAsm != nil {
 		r.mu.Unlock()
 		t.Fatal("chunk buffered under an unverifiable certificate")
 	}
 	// Absurd size claims: rejected before any allocation.
-	r.onStateSnapshotLocked(chunk(100, []byte("h"), maxSnapshotBytes+1, 0, []byte("x")))
-	r.onStateSnapshotLocked(chunk(100, []byte("h"), 4, 3, []byte("xx"))) // overruns Total
+	r.onStateSnapshotLocked(1, chunk(100, []byte("h"), maxSnapshotBytes+1, 0, []byte("x")))
+	r.onStateSnapshotLocked(1, chunk(100, []byte("h"), 4, 3, []byte("xx"))) // overruns Total
 	if r.chunkAsm != nil {
 		r.mu.Unlock()
 		t.Fatal("over-limit chunk buffered")
 	}
 	// Non-zero offset with no assembly in progress: dropped.
-	r.onStateSnapshotLocked(chunk(100, []byte("h"), 10, 5, []byte("xxxxx")))
+	r.onStateSnapshotLocked(1, chunk(100, []byte("h"), 10, 5, []byte("xxxxx")))
 	if r.chunkAsm != nil {
 		r.mu.Unlock()
 		t.Fatal("mid-stream chunk started an assembly")

@@ -21,9 +21,8 @@ import (
 //   - before a decided slot's effects (client replies, OnCommit callbacks,
 //     subsequent protocol messages) become visible, its decision record is
 //     appended;
-//   - commit certificates are appended as they are captured or arrive in
-//     a state-transfer tail, so a recovered replica can serve state
-//     transfer without peers;
+//   - a slot decided through a state-transfer tail gets its decision
+//     record like any other, so a recovered replica serves it onward;
 //   - every outgoing message and client reply is released through the
 //     store's effect queue, strictly after the records appended before it
 //     — group commit: one fsync covers everything queued while the
@@ -85,8 +84,11 @@ func (r *Replica) broadcastEnvLocked(env []byte) {
 //     the identical digest;
 //   - certificate-round traffic (CertRequest/CertAck): stateless
 //     verification of the presented votes, re-issuable at will;
-//   - state-transfer traffic: everything served is authenticated by
-//     certificates, not by this replica's promise to remember it;
+//   - state-transfer traffic: a snapshot is authenticated by its
+//     checkpoint certificate, and a tail value is a decided value, the
+//     same at every correct replica by agreement whether or not its
+//     record is durable yet; the requester believes it only once f+1
+//     responders report it;
 //   - request relays to the view-1 leader: the bytes are the client's,
 //     not replica state.
 //
@@ -152,15 +154,6 @@ func (r *Replica) persistDecisionLocked(s uint64, d types.Decision) {
 	r.store.Append(storage.EncodeDecision(s, d))
 }
 
-// persistCertLocked appends a captured commit certificate. The caller
-// holds r.mu.
-func (r *Replica) persistCertLocked(s uint64, cc *msg.CommitCert) {
-	if r.store == nil || r.recovering {
-		return
-	}
-	r.store.Append(storage.EncodeCert(s, cc))
-}
-
 // dispatchReplyLocked posts a client reply callback (see CommitFunc); with
 // storage it waits for the durability of everything appended so far (in
 // particular the decision record of the slot that produced the reply). tr is
@@ -179,8 +172,8 @@ func (r *Replica) dispatchReplyLocked(cb ReplyFunc, rep *msg.Reply, tr *obs.Trac
 }
 
 // recoverFromStore rebuilds the replica from its data directory alone:
-// install the snapshot (installSnapshotLocked), re-install the decisions and
-// certificates above it, replay the contiguous prefix through the normal
+// install the snapshot (installSnapshotLocked), re-install the decisions
+// above it, replay the contiguous prefix through the normal
 // apply path (which rebuilds the application state and session table), and
 // stage the vote state of in-flight slots for when their instances
 // restart. Runs in NewReplica, before the replica is shared, with
@@ -204,12 +197,6 @@ func (r *Replica) recoverFromStore() error {
 		}
 		r.decided[s] = d
 		r.m.decided.Inc()
-	}
-	for s, cc := range rec.Certs {
-		if s < r.applyPtr {
-			continue
-		}
-		r.certs[s] = cc.Clone()
 	}
 	for s, vs := range rec.Votes {
 		if s < r.applyPtr || len(vs.Acks) == 0 {

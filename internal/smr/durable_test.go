@@ -129,14 +129,14 @@ func TestDurableReplicaRecoversFromDataDirAlone(t *testing.T) {
 	}
 }
 
-// TestDurableStateTransferTailCertsReachTheWAL: the commit certificates a
-// replica learns from a state-transfer tail are appended to its WAL when
-// they arrive, like the certificates it captures itself — a checkpoint
-// keeps only what the WAL already holds, so a certificate held only in
-// memory would be lost at the next crash. A replica that caught up through
-// a snapshot and its tail, crashed before the next checkpoint, must find
-// every certificate above its stable checkpoint on disk.
-func TestDurableStateTransferTailCertsReachTheWAL(t *testing.T) {
+// TestDurableStateTransferTailDecisionsReachTheWAL: the slots a replica
+// decides from a state-transfer tail get decision records like any other —
+// a checkpoint keeps only what the WAL already holds, so a decision held
+// only in memory would be lost at the next crash. A replica that caught up
+// through a snapshot and its tail, crashed before the next checkpoint, must
+// find every tail-decided slot above its stable checkpoint on disk, and,
+// recovered from that disk alone, serve those slots onward in its own tail.
+func TestDurableStateTransferTailDecisionsReachTheWAL(t *testing.T) {
 	cfg := types.Generalized(1, 1)
 	const interval = 4
 	g := newSimGroup(t, cfg, 74, groupOpts{interval: interval, durable: true})
@@ -159,33 +159,62 @@ func TestDurableStateTransferTailCertsReachTheWAL(t *testing.T) {
 	submitOps(t, g.reps[0], "c0", ops, ops+1) // fresh traffic is the lag evidence
 	g.run(30*time.Second, g.applied(ops+1), "the lagging replica to catch up")
 
+	// A slot decided from a tail carries no view.
 	r := g.reps[lagging]
 	r.mu.Lock()
 	stable := r.stable.CP.Slot
-	var inMemory []uint64
-	for s := range r.certs {
-		inMemory = append(inMemory, s)
+	fromTail := make(map[uint64]types.Value)
+	for s, d := range r.decided {
+		if d.View == types.NoView {
+			fromTail[s] = d.Value
+		}
 	}
 	r.mu.Unlock()
 	if stable < 2*interval {
 		t.Fatalf("stable checkpoint %d: the replica did not catch up through a snapshot", stable)
 	}
-	if len(inMemory) == 0 {
-		t.Fatal("no certificates above the stable checkpoint; the tail vector is dead")
+	if len(fromTail) == 0 {
+		t.Fatal("no tail-decided slots above the stable checkpoint; the tail vector is dead")
 	}
 	g.crash(lagging) // the disks are settled: everything appended is durable
 	st, err := storage.Open(storage.Config{Dir: g.dirs[lagging]})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st.Abort()
 	rec := st.Recovered()
+	st.Abort()
 	if rec.SnapshotCert == nil || rec.SnapshotCert.CP.Slot != stable {
 		t.Fatalf("WAL not headed by the stable checkpoint at slot %d", stable)
 	}
-	for _, s := range inMemory {
-		if rec.Certs[s] == nil {
-			t.Fatalf("certificate of slot %d (stable checkpoint %d) held in memory but not in the WAL", s, stable)
+	for s, v := range fromTail {
+		if d, ok := rec.Decisions[s]; !ok || !d.Value.Equal(v) {
+			t.Fatalf("tail-decided slot %d (stable checkpoint %d) held in memory but not in the WAL", s, stable)
+		}
+	}
+
+	// Recovered from its data dir, the replica serves the slots onward.
+	served := make(map[uint64]types.Value)
+	g.net.SetPayloadFunc(func(from, _ types.ProcessID, payload []byte, _ sim.Time) sim.Fate {
+		if _, s, m, ok := OpenEnvelope(payload); ok && from == lagging && s == syncSlot {
+			if ss, ok := m.(*msg.StateSnapshot); ok {
+				for _, td := range ss.Tail {
+					served[td.Slot] = td.Value
+				}
+			}
+		}
+		return sim.Fate{Delay: g.opts.delta}
+	})
+	r = g.reboot(lagging)
+	if err := r.Start(); err != nil {
+		t.Fatal(err)
+	}
+	r.mu.Lock()
+	r.onFetchStateLocked(0, &msg.FetchState{From: stable + 1})
+	r.mu.Unlock()
+	g.settle()
+	for s, v := range fromTail {
+		if w, ok := served[s]; !ok || !w.Equal(v) {
+			t.Fatalf("recovered replica did not serve tail-decided slot %d onward (served %d slots)", s, len(served))
 		}
 	}
 }

@@ -301,8 +301,8 @@ func TestCostLedger(t *testing.T) {
 		allocs   map[string]float64 // measured allocations per slot, whole group
 		crash    float64            // measured leader-crash verifies per slot and replica
 	}{
-		{types.Generalized(1, 1), 0, 4, map[string]float64{"leader-only": 824, "every-replica": 858, "slow": 866, "batched": 889}, 6.00},
-		{types.Generalized(2, 1), 2, 0, map[string]float64{"leader-only": 2205, "every-replica": 2271, "slow": 1347}, 10.83},
+		{types.Generalized(1, 1), 0, 4, map[string]float64{"leader-only": 800, "every-replica": 833, "slow": 841, "batched": 864}, 6.00},
+		{types.Generalized(2, 1), 2, 0, map[string]float64{"leader-only": 2149, "every-replica": 2215, "slow": 1307}, 10.83},
 	} {
 		n, f := tc.cfg.N, tc.cfg.F
 		q := quorum.New(tc.cfg).CommitQuorum()

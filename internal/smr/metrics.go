@@ -93,7 +93,7 @@ func (r *Replica) initMetricsLocked(reg *obs.Registry, ls obs.Labels) {
 	// A snapshot reads series in registration order. The decided counter
 	// goes last: the path counters and the apply frontier it bounds only
 	// move after it, so read before it they never exceed it in one scrape.
-	m.decided = reg.Counter("fastbft_slots_decided_total", "slots decided locally (consensus or certified state-transfer tail)", ls)
+	m.decided = reg.Counter("fastbft_slots_decided_total", "slots decided locally (consensus or state-transfer tail)", ls)
 }
 
 // windowOccupancyLocked counts live undecided instances inside the window.

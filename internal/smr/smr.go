@@ -226,20 +226,21 @@ type Replica struct {
 	ewmaDecide    time.Duration
 
 	// Checkpoint / state-transfer state (see checkpoint.go, statetransfer.go).
-	certs      map[uint64]*msg.CommitCert            // per-slot commit certificates
-	ckptVotes  map[types.ProcessID][]*msg.Checkpoint // recent signed checkpoints per sender
-	snaps      map[uint64][]byte                     // own snapshots at interval boundaries
-	stable     *msg.CheckpointCert                   // newest quorum-certified checkpoint
-	stableSnap []byte                                // snapshot bytes of the stable checkpoint
-	ckptDone   uint64                                // 1 + slot of the last emitted checkpoint
-	fetchAt    uint64                                // 1 + applyPtr at the last FetchState (0 = sync idle)
-	fetchEv    uint64                                // highest lag evidence slot observed
-	fetchTime  time.Time                             // when the last FetchState was sent
-	fetchTimer node.Timer                            // retry timer of the sync loop
-	fetchRR    types.ProcessID                       // peer the last FetchState went to
-	fetchCycle int                                   // retries in the current round-robin cycle
-	fetchStart uint64                                // applyPtr when the current cycle began
-	serveTime  map[types.ProcessID]time.Time         // last StateSnapshot served per requester
+	ckptVotes  map[types.ProcessID][]*msg.Checkpoint      // recent signed checkpoints per sender
+	snaps      map[uint64][]byte                          // own snapshots at interval boundaries
+	stable     *msg.CheckpointCert                        // newest quorum-certified checkpoint
+	stableSnap []byte                                     // snapshot bytes of the stable checkpoint
+	ckptDone   uint64                                     // 1 + slot of the last emitted checkpoint
+	fetchAt    uint64                                     // 1 + applyPtr at the last FetchState (0 = sync idle)
+	fetchEv    uint64                                     // highest lag evidence slot observed
+	fetchTime  time.Time                                  // when the last FetchState was sent
+	fetchTimer node.Timer                                 // retry timer of the sync loop
+	fetchRR    types.ProcessID                            // peer the last FetchState went to
+	fetchCycle int                                        // retries in the current round-robin cycle
+	fetchStart uint64                                     // applyPtr when the current cycle began
+	fetchFan   bool                                       // the round's f further asks are still to go out
+	tails      map[types.ProcessID]map[uint64]types.Value // tail claims per responder (see tallyTailLocked)
+	serveTime  map[types.ProcessID]time.Time              // last StateSnapshot served per requester
 
 	// restoredVotes stages the persisted vote state of in-flight slots
 	// recovered from storage, consumed when their instances restart (see
@@ -340,7 +341,6 @@ func NewReplica(cfg Config) (*Replica, error) {
 		replyTo:       make(map[types.ClientID]ReplyFunc),
 		pending:       newPendingQueue(),
 		inflight:      make(map[string]uint64),
-		certs:         make(map[uint64]*msg.CommitCert),
 		ckptVotes:     make(map[types.ProcessID][]*msg.Checkpoint),
 		snaps:         make(map[uint64][]byte),
 		serveTime:     make(map[types.ProcessID]time.Time),
@@ -448,9 +448,8 @@ func (r *Replica) now() core.Time { return r.cfg.Clock.Now().Sub(r.start) }
 // binds it to exactly one context:
 //
 //   - slotDomain(g, s) for everything slot s's consensus instance signs: a
-//     commit certificate harvested from slot j of group g can never
-//     authenticate a decision for another slot or another group — neither
-//     replayed into their envelopes nor presented in a state-transfer tail;
+//     commit certificate harvested from slot j of group g, replayed into
+//     another slot's or another group's envelopes, authenticates nothing;
 //   - logDomain(g) for signatures about group g's log as a whole
 //     (checkpoints).
 //
@@ -793,7 +792,6 @@ func (r *Replica) deliverSlotLocked(from types.ProcessID, s uint64, m msg.Messag
 		}
 	}
 	r.applyActions(s, sl, sl.proc.Deliver(from, m, r.now()))
-	r.captureCertLocked(s, sl)
 }
 
 // holdAheadLocked keeps message m for slot s, past the live window, until
@@ -861,24 +859,7 @@ func (r *Replica) onSyncLocked(from types.ProcessID, m msg.Message) {
 	case *msg.FetchState:
 		r.onFetchStateLocked(from, t)
 	case *msg.StateSnapshot:
-		r.onStateSnapshotLocked(t)
-	}
-}
-
-// captureCertLocked harvests the commit certificate of a decided slot from
-// its consensus instance (ack signatures keep flowing briefly after a fast
-// decision, so the certificate may only be available a beat later). The
-// certificates authenticate tail decisions during state transfer.
-func (r *Replica) captureCertLocked(s uint64, sl *slot) {
-	if r.certs[s] != nil {
-		return
-	}
-	if _, decided := r.decided[s]; !decided {
-		return
-	}
-	if cc := sl.proc.Replica().DecisionCert(); cc != nil {
-		r.certs[s] = cc
-		r.persistCertLocked(s, cc)
+		r.onStateSnapshotLocked(from, t)
 	}
 }
 
@@ -1026,7 +1007,6 @@ func (r *Replica) onRegimeTimer(gen uint64) {
 			}
 		}
 		r.applyActions(s, sl, sl.proc.Tick(r.now()))
-		r.captureCertLocked(s, sl)
 	}
 	r.pokeRegimeLocked()
 }

@@ -16,23 +16,30 @@ import (
 // showed evidence of being ahead; the peer answers with a stream of
 // StateSnapshot frames: its stable checkpoint (snapshot bytes, in pieces,
 // each carrying the f+1-signature certificate over the whole snapshot's
-// digest) and, on the last frame, the decided values of the slots after
-// the checkpoint, authenticated by their commit certificates. Both parts
-// are verifiable, so a Byzantine responder can at worst stay silent:
+// digest) and, on the last frame, the values it decided for the slots
+// after the checkpoint. Once that response is in, the replica asks f
+// further peers, whose answers start above the checkpoint it installed and
+// so carry tails only. Neither part rests on one responder's word:
 //
 //   - the reassembled snapshot is installed only if its SHA-256 digest
-//     matches a valid CheckpointCert, which only ever certifies the unique
-//     correct state;
-//   - each tail decision is accepted only with a valid CommitCert, which by
-//     Lemma A.2 can only exist for the value the slot actually decided.
+//     matches a valid CheckpointCert, whose f+1 signers include a correct
+//     replica that computed that state;
+//   - a tail slot is decided only once f+1 distinct responders report the
+//     same value for it (the client's f+1 matching-reply rule). The peer
+//     channel authenticates its sender, so one of them is correct, and a
+//     correct replica reports only what it decided. One commit certificate
+//     would not do: at n = 3f + 2t − 1 with f > t, corrupted processes can
+//     form and keep a certificate for a value that the next view, correctly,
+//     does not select.
 //
-// One fetch round may not reach the cluster frontier (the responder answers
-// with what it had at that moment); the lag-evidence triggers below re-arm
-// after every applied-frontier advance, so successive rounds converge while
-// traffic keeps flowing.
+// A Byzantine responder can thus at worst stay silent or say nothing that
+// f correct peers confirm. One fetch round may not reach the cluster
+// frontier (each responder answers with what it had at that moment); the
+// lag-evidence triggers below re-arm after every applied-frontier advance,
+// so successive rounds converge while traffic keeps flowing.
 
-// maxTailDecisions and maxResponseBytes bound the certified tail of one
-// response — by entry count and by encoded size, so the last frame (at
+// maxTailDecisions and maxResponseBytes bound the tail of one response —
+// by entry count and by encoded size, so the last frame (at
 // most one snapChunkSize piece plus the tail) fits the transport frame
 // limit (transport.MaxFrame, 8 MiB). A requester further behind than one
 // response can cover catches up over multiple fetch rounds. A stable
@@ -74,24 +81,64 @@ func (r *Replica) noteBehindLocked(evidence uint64, from types.ProcessID) {
 	r.sendFetchLocked(from)
 }
 
-// sendFetchLocked sends one FetchState to peer `to` and arms the retry
+// sendFetchLocked starts a fetch round: one FetchState to peer `to`, the
+// f further asks once its response is in (see fanOutLocked), and the retry
 // timer. The caller holds r.mu.
 func (r *Replica) sendFetchLocked(to types.ProcessID) {
 	r.fetchAt = r.applyPtr + 1
 	r.fetchTime = r.cfg.Clock.Now()
 	r.fetchRR = to
-	r.sendOrderedLocked(to, r.envOut(syncSlot, &msg.FetchState{From: r.applyPtr}))
+	r.fetchFan = true
+	r.askLocked(to)
 	if r.fetchTimer != nil {
 		r.fetchTimer.Stop()
 	}
 	r.fetchTimer = r.cfg.Clock.AfterFunc(fetchRetryCooldown, r.onFetchRetry)
 }
 
+// askLocked sends one FetchState for everything from the lowest unapplied
+// slot on. The caller holds r.mu.
+func (r *Replica) askLocked(to types.ProcessID) {
+	r.sendOrderedLocked(to, r.envOut(syncSlot, &msg.FetchState{From: r.applyPtr}))
+}
+
+// nextPeer returns the peer after p in round-robin order, skipping self.
+func (r *Replica) nextPeer(p types.ProcessID) types.ProcessID {
+	for {
+		p = (p + 1) % types.ProcessID(r.cfg.Cluster.N)
+		if p != r.cfg.Self {
+			return p
+		}
+	}
+}
+
+// fanOutLocked sends the round's f further asks, to the f peers after the
+// round's first in round-robin order, so that a tail slot can gather f+1
+// matching reports. It runs once the first response is in: its snapshot,
+// if any, is installed, so the asks start above it and the peers answer
+// with tails, not with the snapshot again. The caller holds r.mu.
+func (r *Replica) fanOutLocked() {
+	r.fetchFan = false
+	for i := 0; i < r.cfg.Cluster.F; i++ {
+		r.fetchRR = r.nextPeer(r.fetchRR)
+		r.askLocked(r.fetchRR)
+	}
+}
+
+// endSyncLocked parks the state-sync loop and drops its tail tally. The
+// caller holds r.mu.
+func (r *Replica) endSyncLocked() {
+	r.fetchAt = 0
+	r.fetchCycle = 0
+	r.tails = nil
+}
+
 // onFetchRetry re-drives an unsatisfied state-sync: as long as the applied
-// frontier has not passed the lag evidence, it re-sends FetchState round-
-// robin across the peers. A full cycle of peers that yields no progress
-// parks the sync until fresh evidence arrives — that is what bounds the
-// retries a Byzantine peer can cause with an inflated evidence slot.
+// frontier has not passed the lag evidence, it starts a new fetch round
+// with the next peer in round-robin order. A full cycle of peers that
+// yields no progress parks the sync until fresh evidence arrives — that is
+// what bounds the retries a Byzantine peer can cause with an inflated
+// evidence slot.
 func (r *Replica) onFetchRetry() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -99,8 +146,7 @@ func (r *Replica) onFetchRetry() {
 		return
 	}
 	if r.applyPtr > r.fetchEv {
-		r.fetchAt = 0 // evidence satisfied; sync complete
-		r.fetchCycle = 0
+		r.endSyncLocked() // evidence satisfied; sync complete
 		return
 	}
 	if r.fetchCycle == 0 {
@@ -109,32 +155,26 @@ func (r *Replica) onFetchRetry() {
 	r.fetchCycle++
 	if r.fetchCycle > r.cfg.Cluster.N {
 		if r.applyPtr == r.fetchStart {
-			r.fetchAt = 0 // a fruitless full round; wait for new evidence
-			r.fetchCycle = 0
+			r.endSyncLocked() // a fruitless full round; wait for new evidence
 			return
 		}
 		r.fetchCycle = 1
 		r.fetchStart = r.applyPtr
 	}
-	to := r.fetchRR
-	for {
-		to = (to + 1) % types.ProcessID(r.cfg.Cluster.N)
-		if to != r.cfg.Self {
-			break
-		}
-	}
-	r.sendFetchLocked(to)
+	r.sendFetchLocked(r.nextPeer(r.fetchRR))
 }
 
 // onFetchStateLocked serves a state-transfer request: the stable checkpoint
 // if it moves the requester forward, streamed in pieces of at most
-// snapChunkSize bytes, plus certified decisions for the slots after it on
-// the last frame. Per-sender delivery order keeps the pieces in offset
-// order. Serving is rate-limited per requester — building a multi-MiB
-// response for a 2-byte request is an amplification lever a Byzantine peer
-// must not be able to pull at line rate. The caller holds r.mu; every
-// frame is encoded before this method returns, so sharing the stored
-// snapshot and certificate (no clones) is safe.
+// snapChunkSize bytes, plus this replica's decided values for the applied
+// slots after it on the last frame. r.decided holds every decided slot
+// above the stable checkpoint, recovered ones and ones learned by tail
+// included. Per-sender delivery order keeps the pieces in offset order.
+// Serving is rate-limited per requester — building a multi-MiB response
+// for a 2-byte request is an amplification lever a Byzantine peer must not
+// be able to pull at line rate. The caller holds r.mu; every frame is
+// encoded before this method returns, so sharing the stored snapshot and
+// values (no clones) is safe.
 func (r *Replica) onFetchStateLocked(from types.ProcessID, m *msg.FetchState) {
 	now := r.cfg.Clock.Now()
 	if now.Sub(r.serveTime[from]) < fetchRetryCooldown/2 {
@@ -154,16 +194,16 @@ func (r *Replica) onFetchStateLocked(from types.ProcessID, m *msg.FetchState) {
 	var tail []msg.TailDecision
 	budget := maxResponseBytes
 	for s := tailFrom; s < r.applyPtr && len(tail) < maxTailDecisions; s++ {
-		cc, ok := r.certs[s]
+		d, ok := r.decided[s]
 		if !ok {
 			break // tail must stay contiguous to be useful
 		}
-		sz := commitCertSize(cc)
+		sz := len(d.Value) + 16
 		if sz > budget {
 			break // the rest goes in the requester's next fetch round
 		}
 		budget -= sz
-		tail = append(tail, msg.TailDecision{Slot: s, CC: *cc})
+		tail = append(tail, msg.TailDecision{Slot: s, Value: d.Value})
 	}
 	if len(snap) == 0 && len(tail) == 0 {
 		return
@@ -234,26 +274,13 @@ func (r *Replica) reassembleLocked(m *msg.StateSnapshot) (*msg.CheckpointCert, [
 	return asm.cert, asm.buf
 }
 
-// commitCertSize estimates the encoded size of one tail decision, for the
-// response byte budget.
-func commitCertSize(cc *msg.CommitCert) int {
-	n := len(cc.Value) + 16
-	for _, s := range cc.Sigs {
-		n += len(s.Bytes) + 8
-	}
-	return n
-}
-
-// onStateSnapshotLocked verifies and applies one state-transfer frame: its
-// snapshot piece feeds the reassembly, and its certified tail decisions
-// are applied. The caller holds r.mu.
-func (r *Replica) onStateSnapshotLocked(m *msg.StateSnapshot) {
-	// Accept frames only while a fetch is outstanding, and never more tail
-	// entries than a response may carry: signature verification is
-	// expensive and runs under r.mu, so unsolicited frames stuffed with
-	// garbage certificates must not become a stall lever. (A response that
-	// arrives after the sync loop gave up is dropped; the next lag evidence
-	// re-requests it.)
+// onStateSnapshotLocked takes one state-transfer frame from peer `from`:
+// its snapshot piece feeds the reassembly, and its tail feeds the tally
+// (tallyTailLocked). The first complete response of a round sends the
+// round's f further asks. Frames count only while a fetch is outstanding;
+// a response that arrives after the sync loop gave up is dropped, and the
+// next lag evidence re-requests it. The caller holds r.mu.
+func (r *Replica) onStateSnapshotLocked(from types.ProcessID, m *msg.StateSnapshot) {
 	if r.fetchAt == 0 {
 		return
 	}
@@ -264,33 +291,62 @@ func (r *Replica) onStateSnapshotLocked(m *msg.StateSnapshot) {
 			_ = r.installSnapshotLocked(cert, snap)
 		}
 	}
-	if len(m.Tail) > maxTailDecisions {
-		m.Tail = m.Tail[:maxTailDecisions]
+	r.tallyTailLocked(from, m.Tail)
+	if r.fetchFan && m.Offset+uint64(len(m.Data)) >= m.Total && r.applyPtr <= r.fetchEv {
+		r.fanOutLocked()
 	}
-	// Apply certified tail decisions. Order does not matter for safety (the
-	// decision apply loop only ever advances contiguously), but applying in
-	// slot order lets one response move the frontier as far as it can.
-	for _, td := range m.Tail {
-		if td.Slot < r.applyPtr {
+}
+
+// tallyTailLocked records responder from's tail — its value for each slot,
+// replacing what it reported before — and decides every slot in it that
+// f+1 distinct responders report with the same value. Values alone are
+// compared: correct replicas can decide one value in different views, and
+// the tail does not carry the view (a tail-decided slot records NoView).
+// The tally is bounded: at most maxTailDecisions slots per responder, none
+// below the applied frontier, and it lives only while a fetch is
+// outstanding (endSyncLocked drops it). The caller holds r.mu.
+func (r *Replica) tallyTailLocked(from types.ProcessID, tail []msg.TailDecision) {
+	if len(tail) == 0 {
+		return
+	}
+	if r.tails == nil {
+		r.tails = make(map[types.ProcessID]map[uint64]types.Value)
+	}
+	claims := r.tails[from]
+	if claims == nil {
+		claims = make(map[uint64]types.Value)
+		r.tails[from] = claims
+	}
+	for _, td := range tail {
+		if _, known := claims[td.Slot]; td.Slot < r.applyPtr || !known && len(claims) >= maxTailDecisions {
 			continue
 		}
-		// Verify under the slot's signing domain: a certificate from any
-		// other slot cannot pass (see slotDomain).
-		if !td.CC.Verify(r.verifierFor(slotDomain(r.cfg.Group, td.Slot)), r.th) {
+		claims[td.Slot] = td.Value
+	}
+	// In slot order, so that one response moves the frontier as far as it
+	// can (the apply loop only ever advances contiguously). Deciding a slot
+	// already decided or applied is a no-op.
+	for _, td := range tail {
+		v, ok := claims[td.Slot]
+		if !ok {
 			continue
 		}
-		if r.certs[td.Slot] == nil {
-			r.certs[td.Slot] = td.CC.Clone() // retain even for known slots: it serves others
-			r.persistCertLocked(td.Slot, r.certs[td.Slot])
+		n := 0
+		for _, c := range r.tails {
+			if w, ok := c[td.Slot]; ok && w.Equal(v) {
+				n++
+			}
 		}
-		if _, dup := r.decided[td.Slot]; dup {
-			continue
+		if n >= r.th.CertQuorum() {
+			r.onDecideLocked(td.Slot, types.Decision{Value: v, Path: types.SlowPath})
 		}
-		r.onDecideLocked(td.Slot, types.Decision{
-			Value: td.CC.Value.Clone(),
-			View:  td.CC.View,
-			Path:  types.SlowPath,
-		})
+	}
+	for _, c := range r.tails {
+		for s := range c {
+			if s < r.applyPtr {
+				delete(c, s)
+			}
+		}
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/sigcrypto"
 	"repro/internal/types"
+	"repro/internal/wire"
 )
 
 // testVote builds a plausible adopted-vote record (signatures are opaque
@@ -26,8 +27,11 @@ func testVote(view types.View, value string) *msg.Propose {
 	}
 }
 
-func testCert(view types.View, value string) *msg.CommitCert {
-	return &msg.CommitCert{
+// certRecord renders a reserved certificate record as WALs written before
+// the kind was retired hold it: the slot and a msg.Commit carrying a commit
+// certificate for value in view.
+func certRecord(slot uint64, view types.View, value string) []byte {
+	cc := msg.CommitCert{
 		Value: types.Value(value),
 		View:  view,
 		Sigs: []sigcrypto.Signature{
@@ -35,6 +39,16 @@ func testCert(view types.View, value string) *msg.CommitCert {
 			{Signer: 2, Bytes: []byte("s2")},
 		},
 	}
+	return certRecordOf(slot, msg.Encode(&msg.Commit{View: view, X: cc.Value, CC: cc}))
+}
+
+// certRecordOf frames inner as the body of a reserved certificate record.
+func certRecordOf(slot uint64, inner []byte) []byte {
+	w := wire.NewWriter(len(inner) + 16)
+	w.Uint8(uint8(RecordCert))
+	w.Uvarint(slot)
+	w.BytesField(inner)
+	return w.Bytes()
 }
 
 func testCheckpointCert(slot uint64, hash string) *msg.CheckpointCert {
@@ -164,7 +178,8 @@ func TestGroupCommitCoalescingAfterCheckpoint(t *testing.T) {
 }
 
 // TestRecordRoundTrip pins the payload codecs: every record kind survives
-// encode → decode unchanged.
+// encode → decode unchanged, and a reserved certificate record decodes to
+// its slot.
 func TestRecordRoundTrip(t *testing.T) {
 	vote := testVote(3, "value-a")
 	rec, err := DecodeRecord(EncodeVote(7, vote))
@@ -185,14 +200,12 @@ func TestRecordRoundTrip(t *testing.T) {
 		t.Fatalf("decision round trip: %+v", rec)
 	}
 
-	cc := testCert(4, "cert-value")
-	rec, err = DecodeRecord(EncodeCert(11, cc))
+	rec, err = DecodeRecord(certRecord(11, 4, "cert-value"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Kind != RecordCert || rec.Slot != 11 || !rec.Cert.Value.Equal(cc.Value) ||
-		rec.Cert.View != 4 || len(rec.Cert.Sigs) != 2 {
-		t.Fatalf("cert round trip: %+v", rec)
+	if rec.Kind != RecordCert || rec.Slot != 11 {
+		t.Fatalf("reserved cert record: %+v", rec)
 	}
 
 	ckpt := testCheckpointCert(13, "h13")
@@ -206,6 +219,46 @@ func TestRecordRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWALRecordReservedCertSkipped: a WAL written while replicas kept
+// commit certificates holds certificate records between the others. The
+// scan must read past them, not stop: a stop there would truncate the file
+// and drop the votes after it, and a replica recovered without its votes
+// could ack twice in one view. Recovery skips the certificate, keeps both
+// votes and the decision, and truncates nothing.
+func TestWALRecordReservedCertSkipped(t *testing.T) {
+	dir := t.TempDir()
+	wal := framed(
+		EncodeVote(1, testVote(1, "a")),
+		certRecord(1, 1, "a"),
+		EncodeDecision(1, types.Decision{Value: types.Value("a"), View: 1, Path: types.SlowPath}),
+		EncodeVote(2, testVote(1, "b")),
+	)
+	path := filepath.Join(dir, walName)
+	if err := os.WriteFile(path, wal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := openStore(t, dir)
+	rec := s.Recovered()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if d, ok := rec.Decisions[1]; !ok || !d.Value.Equal(types.Value("a")) {
+		t.Fatalf("decision after the certificate record lost: %+v", rec.Decisions)
+	}
+	for slot, v := range map[uint64]string{1: "a", 2: "b"} {
+		if vs := rec.Votes[slot]; vs == nil || len(vs.Acks) != 1 || !vs.Acks[0].X.Equal(types.Value(v)) {
+			t.Fatalf("vote of slot %d lost: %+v", slot, vs)
+		}
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, wal) {
+		t.Fatalf("recovery rewrote the WAL: %d bytes, want the %d written", len(got), len(wal))
+	}
+}
+
 // TestStoreRecoversAppendedRecords is the basic durability loop: append,
 // close, reopen, and find everything folded by slot.
 func TestStoreRecoversAppendedRecords(t *testing.T) {
@@ -214,7 +267,6 @@ func TestStoreRecoversAppendedRecords(t *testing.T) {
 	s.Append(EncodeVote(1, testVote(1, "a")))
 	s.Append(EncodeVote(1, testVote(2, "b"))) // later view supersedes
 	s.Append(EncodeDecision(1, types.Decision{Value: types.Value("b"), View: 2, Path: types.SlowPath}))
-	s.Append(EncodeCert(1, testCert(2, "b")))
 	s.Append(EncodeVote(2, testVote(1, "c"))) // in-flight, undecided
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -228,9 +280,6 @@ func TestStoreRecoversAppendedRecords(t *testing.T) {
 	}
 	if d, ok := rec.Decisions[1]; !ok || !d.Value.Equal(types.Value("b")) {
 		t.Fatalf("decision not recovered: %+v", rec.Decisions)
-	}
-	if cc := rec.Certs[1]; cc == nil || !cc.Value.Equal(types.Value("b")) {
-		t.Fatal("cert not recovered")
 	}
 	vs := rec.Votes[1]
 	if vs == nil || len(vs.Acks) != 2 || vs.Acks[1].View != 2 {
@@ -278,10 +327,11 @@ func TestEffectsRunInOrderAfterRecords(t *testing.T) {
 // TestCheckpointKeepsExactlyRecordsAboveIt: a checkpoint replaces the WAL
 // with the snapshot record followed by exactly the old WAL's frames whose
 // slot is above the checkpoint, byte for byte and in append order — votes
-// (of decided and of undecided slots), decisions and certificates alike,
-// including a certificate that arrived without a vote (a state-transfer
-// tail). The older checkpoint heading the old WAL is dropped, and the data
-// directory holds the one WAL file.
+// (of decided and of undecided slots) and decisions alike, including a
+// decision that arrived without a vote (a state-transfer tail). The older
+// checkpoint heading the old WAL is dropped, and so are reserved
+// certificate records, above the checkpoint too; the data directory holds
+// the one WAL file.
 func TestCheckpointKeepsExactlyRecordsAboveIt(t *testing.T) {
 	const c = 5
 	dec := func(s uint64, v string) []byte {
@@ -298,10 +348,9 @@ func TestCheckpointKeepsExactlyRecordsAboveIt(t *testing.T) {
 		v := "v" + itoa(int(slot))
 		add(EncodeVote(slot, testVote(1, v)), slot)
 		add(dec(slot, v), slot)
-		add(EncodeCert(slot, testCert(1, v)), slot)
+		all = append(all, certRecord(slot, 1, v)) // never kept
 	}
-	add(EncodeCert(c+2, testCert(2, "tail")), c+2) // learned through a state-transfer tail:
-	add(dec(c+2, "tail"), c+2)                     // a certificate and a decision, no vote
+	add(dec(c+2, "tail"), c+2) // learned through a state-transfer tail: a decision, no vote
 	add(EncodeVote(c+3, testVote(1, "undecided")), c+3)
 	add(EncodeVote(c+3, testVote(2, "undecided-2")), c+3)
 	add(EncodeVote(c-1, testVote(3, "late-below")), c-1) // appended late, still at or below c
@@ -344,9 +393,9 @@ func TestCheckpointKeepsExactlyRecordsAboveIt(t *testing.T) {
 	if rec.SnapshotCert == nil || !rec.SnapshotCert.CP.Equal(cert.CP) || !bytes.Equal(rec.Snapshot, []byte("snap-5")) {
 		t.Fatalf("checkpoint not recovered: %+v", rec)
 	}
-	if len(rec.Decisions) != 2 || len(rec.Certs) != 2 || len(rec.Votes) != 3 {
-		t.Fatalf("recovered %d decisions, %d certs, %d vote slots; want 2, 2, 3",
-			len(rec.Decisions), len(rec.Certs), len(rec.Votes))
+	if len(rec.Decisions) != 2 || len(rec.Votes) != 3 {
+		t.Fatalf("recovered %d decisions, %d vote slots; want 2, 3",
+			len(rec.Decisions), len(rec.Votes))
 	}
 	if vs := rec.Votes[c+3]; vs == nil || len(vs.Acks) != 2 || vs.Acks[1].View != 2 {
 		t.Fatalf("undecided slot's vote history lost: %+v", vs)
@@ -482,10 +531,10 @@ func TestTornWriteRecovery(t *testing.T) {
 	records := [][]byte{
 		EncodeVote(1, testVote(1, "first")),
 		EncodeDecision(1, types.Decision{Value: types.Value("first"), View: 1, Path: types.FastPath}),
-		EncodeCert(1, testCert(1, "first")),
+		certRecord(1, 1, "first"), // reserved: read past, not recovered
 		EncodeVote(2, testVote(1, "second-longer-value-so-the-tail-spans-many-offsets")),
 	}
-	wantRecs := len(records) - 1
+	wantRecs := len(records) - 2
 	heads := map[string][][]byte{
 		"plain":           nil,
 		"snapshot-headed": {EncodeSnapshot(testCheckpointCert(0, "h0"), []byte("snap-0"))},
@@ -503,7 +552,6 @@ func TestTornWriteRecovery(t *testing.T) {
 		for _, vs := range rec.Votes {
 			got += len(vs.Acks)
 		}
-		got += len(rec.Certs)
 		if got != wantRecs {
 			t.Fatalf("%s: recovered %d records, want %d", label, got, wantRecs)
 		}

@@ -78,9 +78,8 @@ type RecoveredState struct {
 	// SnapshotCert means the WAL holds none.
 	SnapshotCert *msg.CheckpointCert
 	Snapshot     []byte
-	// Decisions and Certs hold the decided slots above the snapshot.
+	// Decisions holds the decided slots above the snapshot.
 	Decisions map[uint64]types.Decision
-	Certs     map[uint64]*msg.CommitCert
 	// Votes holds the adopted-vote state of slots above the snapshot —
 	// including slots that never decided before the crash.
 	Votes map[uint64]*VoteState
@@ -193,7 +192,6 @@ func (s *Store) recover() error {
 	}
 	rec := &RecoveredState{
 		Decisions: make(map[uint64]types.Decision),
-		Certs:     make(map[uint64]*msg.CommitCert),
 		Votes:     make(map[uint64]*VoteState),
 	}
 	buf, err := os.ReadFile(walPath)
@@ -215,8 +213,8 @@ func (s *Store) recover() error {
 	}
 	// Clone everything retained: the decoded records alias the single WAL
 	// read buffer, which must not stay pinned by long-lived replica state
-	// (votes live until their slot decides, certs until the next stable
-	// checkpoint).
+	// (votes live until their slot decides, decisions until the next
+	// stable checkpoint). Reserved certificate records are skipped.
 	horizon := uint64(0) // records below this slot are covered by the snapshot
 	for _, r := range recs {
 		if r.Slot < horizon {
@@ -245,8 +243,6 @@ func (s *Store) recover() error {
 				View:  r.Decision.View,
 				Path:  r.Decision.Path,
 			}
-		case RecordCert:
-			rec.Certs[r.Slot] = r.Cert.Clone()
 		}
 	}
 	s.rec = rec

@@ -12,8 +12,6 @@
 //     across steps; that assumption only holds with stable storage);
 //   - decision records — every decided slot's value, persisted before the
 //     decision's effects (client replies, commit callbacks) become visible;
-//   - certificate records — the commit certificates that authenticate
-//     decided slots during state transfer;
 //   - the snapshot record — the stable checkpoint: its slot, its checkpoint
 //     certificate and the composite snapshot bytes.
 //
@@ -62,8 +60,10 @@ const (
 	// RecordDecision is a decided slot: slot, view, decide path, value.
 	// Written before the decision's effects become externally visible.
 	RecordDecision
-	// RecordCert is a decided slot's commit certificate (encoded as a
-	// msg.Commit), kept so a recovered replica can serve state transfer.
+	// RecordCert is reserved: it held a decided slot's commit certificate,
+	// which replicas no longer keep. A WAL written before may still carry
+	// such records; they decode as a slot and opaque bytes, recovery skips
+	// them, and a checkpoint drops them from the new WAL.
 	RecordCert
 	// RecordSnapshot is a stable checkpoint: the slot, its checkpoint
 	// certificate (carried as a msg.StateSnapshot with no data) and the
@@ -95,8 +95,6 @@ type Record struct {
 	Vote *msg.Propose
 	// Decision is the decided value of a RecordDecision.
 	Decision types.Decision
-	// Cert is the commit certificate of a RecordCert.
-	Cert *msg.CommitCert
 	// SnapshotCert and Snapshot are the checkpoint certificate and the
 	// snapshot bytes of a RecordSnapshot.
 	SnapshotCert *msg.CheckpointCert
@@ -180,17 +178,6 @@ func EncodeDecision(slot uint64, d types.Decision) []byte {
 	return w.Bytes()
 }
 
-// EncodeCert renders a certificate record payload: the slot and the commit
-// certificate carried as a canonical msg.Commit.
-func EncodeCert(slot uint64, cc *msg.CommitCert) []byte {
-	inner := msg.Encode(&msg.Commit{View: cc.View, X: cc.Value, CC: *cc})
-	w := wire.NewWriter(len(inner) + 16)
-	w.Uint8(uint8(RecordCert))
-	w.Uvarint(slot)
-	w.BytesField(inner)
-	return w.Bytes()
-}
-
 // EncodeSnapshot renders a snapshot record payload: the checkpoint slot,
 // the certificate in msg's canonical encoding, and the snapshot bytes as
 // the rest of the payload — uncapped, so any snapshot state transfer
@@ -239,20 +226,13 @@ func DecodeRecord(payload []byte) (Record, error) {
 			return Record{}, fmt.Errorf("%w: decide path %d", ErrBadRecord, rec.Decision.Path)
 		}
 	case RecordCert:
+		// Reserved: read past the slot and the certificate bytes, so that
+		// the scan goes on to the records after it.
 		rec.Slot = rd.Uvarint()
-		inner := rd.BytesField()
+		rd.BytesField()
 		if err := rd.Finish(); err != nil {
 			return Record{}, fmt.Errorf("%w: %v", ErrBadRecord, err)
 		}
-		m, err := msg.Decode(inner)
-		if err != nil {
-			return Record{}, fmt.Errorf("%w: cert: %v", ErrBadRecord, err)
-		}
-		c, ok := m.(*msg.Commit)
-		if !ok || !c.CC.Value.Equal(c.X) || c.CC.View != c.View {
-			return Record{}, fmt.Errorf("%w: cert record carries %T", ErrBadRecord, m)
-		}
-		rec.Cert = &c.CC
 	case RecordSnapshot:
 		rec.Slot = rd.Uvarint()
 		inner := rd.BytesField()
@@ -303,8 +283,9 @@ func scanWAL(buf []byte) (recs []Record, validOff int64) {
 // framesAbove appends to dst every frame of frames whose record slot is
 // above slot — the records a checkpoint at slot keeps — reading of each
 // payload only its kind byte and slot. Snapshot records are dropped (the
-// new WAL is headed by its own). frames is WAL content this store wrote
-// whole, so a frame that does not parse is an error, not a torn tail.
+// new WAL is headed by its own), and so are reserved certificate records.
+// frames is WAL content this store wrote whole, so a frame that does not
+// parse is an error, not a torn tail.
 func framesAbove(dst, frames []byte, slot uint64) ([]byte, error) {
 	for len(frames) > 0 {
 		payload, rest, err := nextFrame(frames)
@@ -315,7 +296,7 @@ func framesAbove(dst, frames []byte, slot uint64) ([]byte, error) {
 		if n <= 0 {
 			return dst, ErrBadRecord
 		}
-		if RecordKind(payload[0]) != RecordSnapshot && s > slot {
+		if k := RecordKind(payload[0]); k != RecordSnapshot && k != RecordCert && s > slot {
 			dst = append(dst, frames[:len(frames)-len(rest)]...)
 		}
 		frames = rest

@@ -7,6 +7,7 @@ import (
 	"repro/internal/msg"
 	"repro/internal/sigcrypto"
 	"repro/internal/types"
+	"repro/internal/wire"
 )
 
 // FuzzDecodeWALRecord holds the WAL record decoder to the canonical
@@ -23,9 +24,7 @@ func FuzzDecodeWALRecord(f *testing.F) {
 		Tau:  sigcrypto.Signature{Signer: 1, Bytes: []byte("tau")},
 	}))
 	f.Add(EncodeDecision(7, types.Decision{Value: types.Value("v"), View: 1, Path: types.FastPath}))
-	cc := &msg.CommitCert{Value: types.Value("v"), View: 1,
-		Sigs: []sigcrypto.Signature{{Signer: 0, Bytes: []byte("s")}}}
-	f.Add(EncodeCert(9, cc))
+	f.Add(certRecord(9, 1, "v"))
 	f.Add(framed(EncodeDecision(1, types.Decision{Value: types.Value("x"), View: 1, Path: types.SlowPath})))
 	f.Add(EncodeSnapshot(&msg.CheckpointCert{
 		CP:   types.Checkpoint{Slot: 5, StateHash: []byte("hash")},
@@ -42,7 +41,11 @@ func FuzzDecodeWALRecord(f *testing.F) {
 			case RecordDecision:
 				re = EncodeDecision(rec.Slot, rec.Decision)
 			case RecordCert:
-				re = EncodeCert(rec.Slot, rec.Cert)
+				// Reserved: the body is opaque, so re-frame the bytes read.
+				rd := wire.NewReader(data)
+				rd.Uint8()
+				rd.Uvarint()
+				re = certRecordOf(rec.Slot, rd.BytesField())
 			case RecordSnapshot:
 				re = EncodeSnapshot(rec.SnapshotCert, rec.Snapshot)
 			default:

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -131,9 +132,10 @@ func WriteClientFrame(w io.Writer, payload []byte) error {
 
 // ReadClientFrame reads one length-prefixed payload, enforcing
 // MaxClientFrame before allocating anything — an oversized header is
-// rejected on its four bytes alone.
-func ReadClientFrame(r io.Reader) ([]byte, error) {
-	return readLimitedFrame(r, MaxClientFrame)
+// rejected on its four bytes alone. r must be the connection's one reader,
+// held for its whole life (see readFrame).
+func ReadClientFrame(r *bufio.Reader) ([]byte, error) {
+	return readFrame(r, MaxClientFrame)
 }
 
 // clientHelloDigest is the byte string a replica signs to prove its identity

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -109,5 +110,24 @@ func TestClientHelloRoundTrip(t *testing.T) {
 	}
 	if _, err := EncodeClientHello(bytes.Repeat([]byte{1}, maxHelloNonce+1)); err == nil {
 		t.Fatal("oversized nonce accepted")
+	}
+}
+
+// TestReadClientFrameTwoFramesOneWrite: two client frames that arrive in one
+// write land in the connection reader's buffer together, and the one reader
+// returns both.
+func TestReadClientFrameTwoFramesOneWrite(t *testing.T) {
+	var wire bytes.Buffer
+	for _, p := range []string{"first", "second"} {
+		if err := WriteClientFrame(&wire, []byte(p)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	br := bufio.NewReader(bytes.NewReader(wire.Bytes())) // one Read fills the buffer with both
+	for _, want := range []string{"first", "second"} {
+		got, err := ReadClientFrame(br)
+		if err != nil || string(got) != want {
+			t.Fatalf("read %q, %v; want %q", got, err, want)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -177,8 +178,9 @@ func (l *ClientListener) serveConn(conn net.Conn) {
 	// Handshake: the client opens with a nonce; we answer with our identity
 	// signed over it. The hello read runs under the same deadline as every
 	// other read — a client that connects and stalls is shed, not parked.
+	br := bufio.NewReader(conn)
 	_ = conn.SetReadDeadline(time.Now().Add(l.cfg.ReadTimeout))
-	payload, err := ReadClientFrame(conn)
+	payload, err := ReadClientFrame(br)
 	if err != nil {
 		return
 	}
@@ -194,7 +196,7 @@ func (l *ClientListener) serveConn(conn net.Conn) {
 
 	for {
 		_ = conn.SetReadDeadline(time.Now().Add(l.cfg.ReadTimeout))
-		payload, err := ReadClientFrame(conn)
+		payload, err := ReadClientFrame(br)
 		if err != nil {
 			return
 		}

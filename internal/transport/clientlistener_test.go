@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -43,9 +44,17 @@ func echoListener(t *testing.T, self types.ProcessID, scheme sigcrypto.Scheme, r
 	return ln
 }
 
+// testConn is a client connection with its one frame reader.
+type testConn struct {
+	net.Conn
+	br *bufio.Reader
+}
+
+func (c *testConn) read() ([]byte, error) { return ReadClientFrame(c.br) }
+
 // handshake dials the listener and completes the hello exchange, verifying
 // the replica's identity proof.
-func handshake(t *testing.T, addr string, expect types.ProcessID, v sigcrypto.Verifier) net.Conn {
+func handshake(t *testing.T, addr string, expect types.ProcessID, v sigcrypto.Verifier) *testConn {
 	t.Helper()
 	conn, err := net.DialTimeout("tcp", addr, 2*time.Second)
 	if err != nil {
@@ -60,7 +69,8 @@ func handshake(t *testing.T, addr string, expect types.ProcessID, v sigcrypto.Ve
 	if err := WriteClientFrame(conn, hello); err != nil {
 		t.Fatal(err)
 	}
-	payload, err := ReadClientFrame(conn)
+	c := &testConn{Conn: conn, br: bufio.NewReader(conn)}
+	payload, err := c.read()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,18 +78,18 @@ func handshake(t *testing.T, addr string, expect types.ProcessID, v sigcrypto.Ve
 		t.Fatal(err)
 	}
 	_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
-	return conn
+	return c
 }
 
 // exchange sends one request and reads one reply on an authenticated conn.
-func exchange(t *testing.T, conn net.Conn, client string, seq uint64, op string) *msg.Reply {
+func exchange(t *testing.T, conn *testConn, client string, seq uint64, op string) *msg.Reply {
 	t.Helper()
 	if err := WriteClientFrame(conn, msg.Encode(&msg.Request{
 		Client: types.ClientID(client), Seq: seq, Op: []byte(op),
 	})); err != nil {
 		t.Fatal(err)
 	}
-	payload, err := ReadClientFrame(conn)
+	payload, err := conn.read()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +134,7 @@ func TestClientListenerRejectsOversizedFrame(t *testing.T) {
 	if _, err := conn.Write(hdr[:]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadClientFrame(conn); err == nil {
+	if _, err := conn.read(); err == nil {
 		t.Fatal("connection survived an oversized frame header")
 	}
 	// The listener is unharmed: a fresh connection is served normally.
@@ -169,7 +179,7 @@ func TestClientListenerRejectsMalformedPayload(t *testing.T) {
 		if err := WriteClientFrame(conn, payload); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if _, err := ReadClientFrame(conn); err == nil {
+		if _, err := conn.read(); err == nil {
 			t.Fatalf("%s: connection survived", name)
 		}
 		_ = conn.Close()
@@ -263,7 +273,7 @@ func TestClientListenerEnforcesConnectionCap(t *testing.T) {
 		hello, _ := EncodeClientHello(nonce)
 		_ = next.SetDeadline(time.Now().Add(time.Second))
 		_ = WriteClientFrame(next, hello)
-		if payload, err := ReadClientFrame(next); err == nil {
+		if payload, err := ReadClientFrame(bufio.NewReader(next)); err == nil {
 			if err := VerifyServerHello(scheme.Verifier(), 1, nonce, payload); err != nil {
 				t.Fatal(err)
 			}

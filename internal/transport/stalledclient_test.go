@@ -1,6 +1,7 @@
 package transport_test
 
 import (
+	"bufio"
 	"net"
 	"runtime"
 	"strings"
@@ -16,7 +17,13 @@ import (
 )
 
 // dialClient connects to a client listener and completes the handshake.
-func dialClient(t *testing.T, addr string, expect types.ProcessID, v sigcrypto.Verifier) net.Conn {
+// clientConn is a client connection with its one frame reader.
+type clientConn struct {
+	net.Conn
+	br *bufio.Reader
+}
+
+func dialClient(t *testing.T, addr string, expect types.ProcessID, v sigcrypto.Verifier) *clientConn {
 	t.Helper()
 	conn, err := net.DialTimeout("tcp", addr, 2*time.Second)
 	if err != nil {
@@ -32,24 +39,25 @@ func dialClient(t *testing.T, addr string, expect types.ProcessID, v sigcrypto.V
 	if err := transport.WriteClientFrame(conn, hello); err != nil {
 		t.Fatal(err)
 	}
-	payload, err := transport.ReadClientFrame(conn)
+	c := &clientConn{Conn: conn, br: bufio.NewReader(conn)}
+	payload, err := transport.ReadClientFrame(c.br)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := transport.VerifyServerHello(v, expect, nonce, payload); err != nil {
 		t.Fatal(err)
 	}
-	return conn
+	return c
 }
 
 // roundTrip sends one KV set and reads its reply.
-func roundTrip(t *testing.T, conn net.Conn, client types.ClientID, seq uint64, value string) *msg.Reply {
+func roundTrip(t *testing.T, conn *clientConn, client types.ClientID, seq uint64, value string) *msg.Reply {
 	t.Helper()
 	op := smr.EncodeKV(smr.KVCommand{Op: smr.OpSet, Key: string(client), Value: value})
 	if err := transport.WriteClientFrame(conn, msg.Encode(&msg.Request{Client: client, Seq: seq, Op: op})); err != nil {
 		t.Fatal(err)
 	}
-	payload, err := transport.ReadClientFrame(conn)
+	payload, err := transport.ReadClientFrame(conn.br)
 	if err != nil {
 		t.Fatalf("%s/%d: no reply: %v", client, seq, err)
 	}

@@ -272,7 +272,7 @@ func (t *TCPTransport) serveConn(conn net.Conn) {
 	// One buffered reader per connection: a burst of small frames costs one
 	// read call, not two per frame.
 	br := bufio.NewReaderSize(conn, peerReadBuffer)
-	hello, err := readFrame(br)
+	hello, err := readFrame(br, MaxFrame)
 	if err != nil {
 		return
 	}
@@ -288,7 +288,7 @@ func (t *TCPTransport) serveConn(conn net.Conn) {
 		return
 	}
 	for {
-		payload, err := readFrame(br)
+		payload, err := readFrame(br, MaxFrame)
 		if err != nil {
 			return
 		}
@@ -462,31 +462,19 @@ func writeFrame(w io.Writer, payload []byte) error {
 	return err
 }
 
-// readLimitedFrame reads one length-prefixed frame, enforcing the given
-// payload limit on the header alone — before any allocation.
-func readLimitedFrame(r io.Reader, limit uint32) ([]byte, error) {
-	var hdr [frameHeader]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	return readPayload(r, binary.BigEndian.Uint32(hdr[:]), limit)
-}
-
-// readFrame reads one peer-channel frame, enforcing MaxFrame. The length
-// prefix is read in place from the connection's buffer.
-func readFrame(r *bufio.Reader) ([]byte, error) {
+// readFrame reads one length-prefixed frame of either channel, enforcing
+// limit on the header alone — before any allocation. The length prefix is
+// read in place from the connection's buffer, which must be the one reader
+// of the connection for its whole life: a frame's bytes can arrive in the
+// same read as the previous frame's, and a reader made per frame would drop
+// them.
+func readFrame(r *bufio.Reader, limit uint32) ([]byte, error) {
 	hdr, err := r.Peek(frameHeader)
 	if err != nil {
 		return nil, err
 	}
 	n := binary.BigEndian.Uint32(hdr)
 	_, _ = r.Discard(frameHeader) // the bytes Peek returned
-	return readPayload(r, n, MaxFrame)
-}
-
-// readPayload reads a frame's n-byte payload once its prefix is read,
-// rejecting an n above limit before it allocates.
-func readPayload(r io.Reader, n, limit uint32) ([]byte, error) {
 	if n > limit {
 		return nil, ErrFrameTooLarge
 	}

@@ -279,7 +279,7 @@ func TestFrameIsOneWrite(t *testing.T) {
 	if w.calls != 1 || w.buf.Len() != frameHeader+len(payload) {
 		t.Fatalf("%d writes of %d bytes for a %d-byte payload, want 1 of %d", w.calls, w.buf.Len(), len(payload), frameHeader+len(payload))
 	}
-	got, err := readFrame(bufio.NewReader(&w.buf))
+	got, err := readFrame(bufio.NewReader(&w.buf), MaxFrame)
 	if err != nil || !bytes.Equal(got, payload) {
 		t.Fatalf("read back %q, %v", got, err)
 	}
@@ -291,22 +291,25 @@ func TestFrameIsOneWrite(t *testing.T) {
 	}
 }
 
-// TestReadFrameRejectsOversizeHeader: a peer frame whose length prefix is
-// over MaxFrame is refused on its four bytes, before any allocation.
+// TestReadFrameRejectsOversizeHeader: a frame whose length prefix is over
+// its channel's limit — MaxFrame for a peer, MaxClientFrame for a client —
+// is refused on its four bytes, before any allocation.
 func TestReadFrameRejectsOversizeHeader(t *testing.T) {
-	hdr := binary.BigEndian.AppendUint32(nil, MaxFrame+1)
-	src := bytes.NewReader(hdr)
-	br := bufio.NewReader(src)
-	var err error
-	allocs := testing.AllocsPerRun(100, func() {
-		src.Reset(hdr)
-		br.Reset(src)
-		_, err = readFrame(br)
-	})
-	if !errors.Is(err, ErrFrameTooLarge) {
-		t.Fatalf("oversize prefix read as %v, want ErrFrameTooLarge", err)
-	}
-	if allocs != 0 {
-		t.Fatalf("%v allocations to refuse an oversize prefix, want 0", allocs)
+	for _, limit := range []uint32{MaxFrame, MaxClientFrame} {
+		hdr := binary.BigEndian.AppendUint32(nil, limit+1)
+		src := bytes.NewReader(hdr)
+		br := bufio.NewReader(src)
+		var err error
+		allocs := testing.AllocsPerRun(100, func() {
+			src.Reset(hdr)
+			br.Reset(src)
+			_, err = readFrame(br, limit)
+		})
+		if !errors.Is(err, ErrFrameTooLarge) {
+			t.Fatalf("limit %d: oversize prefix read as %v, want ErrFrameTooLarge", limit, err)
+		}
+		if allocs != 0 {
+			t.Fatalf("limit %d: %v allocations to refuse an oversize prefix, want 0", limit, allocs)
+		}
 	}
 }

@@ -70,8 +70,14 @@ type Replica struct {
 	verifier *verifyMemo
 	input    types.Value
 
-	view    types.View
-	acked   bool // whether an ack was sent in the current view
+	view   types.View
+	acked  bool // whether an ack was sent in the current view
+	signed bool // whether the AckSig of the current view's ack was sent
+	// hold makes onPropose leave the AckSig unsigned until HoldAckSig(false)
+	// or a peer's AckSig for the acked (view, value) releases it (see
+	// HoldAckSig). The paper's replica signs at once: hold is false unless
+	// a runtime sets it.
+	hold    bool
 	adopted *adoptedProposal
 	latest  *msg.CommitCert // latest commit certificate collected
 
@@ -218,6 +224,7 @@ func (r *Replica) EnterView(v types.View) []Action {
 	}
 	r.view = v
 	r.acked = false
+	r.signed = false
 	r.leader = nil
 	var out []Action
 
@@ -365,8 +372,10 @@ func (r *Replica) onPropose(from types.ProcessID, m *msg.Propose) []Action {
 	}
 
 	// Accept: adopt the vote (before sending the ack, per Section 3.2), then
-	// acknowledge to every process, attaching the slow-path signature in a
-	// separate message so the fast path is never delayed by extra signing.
+	// acknowledge to every process. The slow-path signature goes in a
+	// separate message, so the fast path is never delayed by extra signing:
+	// at once, as in the paper, or, while the replica holds it, only once
+	// the slot needs the slow path (see HoldAckSig).
 	r.acked = true
 	r.adopted = &adoptedProposal{
 		value: m.X.Clone(),
@@ -376,9 +385,47 @@ func (r *Replica) onPropose(from types.ProcessID, m *msg.Propose) []Action {
 	}
 	var out []Action
 	out = append(out, r.broadcast(&msg.Ack{View: m.View, X: m.X})...)
-	phi := r.sign(msg.AckDigest(m.X, m.View))
-	out = append(out, r.broadcast(&msg.AckSig{View: m.View, X: m.X, Phi: phi})...)
+	if r.hold {
+		if set := r.ackSigs[voteKey{view: m.View, value: string(m.X)}]; set != nil && set.Len() > 0 {
+			// A peer's AckSig for this very ack came first: the peer
+			// trigger, late (see HoldAckSig).
+			r.hold = false
+		}
+	}
+	if !r.hold {
+		out = append(out, r.broadcast(r.signAck(m.X))...)
+	}
 	return out
+}
+
+// HoldAckSig sets whether the replica holds back its AckSig. A held AckSig
+// is the slow path's first step, deferred: the replica acks a proposal at
+// once but signs the AckSig for it only when the slot turns out to need
+// the slow path. HoldAckSig(false) is that moment, chosen by the runtime
+// (a slot left undecided for too long): it ends the hold for the rest of
+// the instance and, if the replica acked in its current view and has not
+// sent that view's AckSig yet, signs and broadcasts it. A verified AckSig
+// from a peer for the very (view, value) the replica acked, arriving before
+// or after its ack, ends the hold the same way, so one replica that starts
+// the slow path starts it at every correct one. A held AckSig of an earlier
+// view is never sent: view entry drops it with the ack it belonged to.
+//
+// Safety does not depend on the hold: it changes when a correct process
+// sends its AckSig, never whether it may or what it says, and a delayed
+// message is an execution the asynchronous model already allows.
+func (r *Replica) HoldAckSig(hold bool) []Action {
+	r.hold = hold
+	if hold || !r.acked || r.signed {
+		return nil
+	}
+	return r.broadcast(r.signAck(r.adopted.value))
+}
+
+// signAck signs the AckSig for x, the value the replica acked in its
+// current view; the caller sends it, once per view.
+func (r *Replica) signAck(x types.Value) *msg.AckSig {
+	r.signed = true
+	return &msg.AckSig{View: r.view, X: x, Phi: r.sign(msg.AckDigest(x, r.view))}
 }
 
 func (r *Replica) onAck(from types.ProcessID, m *msg.Ack) []Action {
@@ -419,13 +466,24 @@ func (r *Replica) onAckSig(from types.ProcessID, m *msg.AckSig) []Action {
 	if !set.Add(r.verifier, m.Phi) {
 		return nil
 	}
-	if set.Len() >= r.th.CommitQuorum() {
+	var out []Action
+	if r.hold && r.acked && m.View == r.view && m.X.Equal(r.adopted.value) {
+		// A peer started the slow path for what this replica acked: join
+		// it. The own AckSig joins the set through broadcast, and may
+		// complete the certificate there.
+		out = r.HoldAckSig(false)
+	}
+	if !r.commitSent[key] && set.Len() >= r.th.CommitQuorum() {
 		r.commitSent[key] = true
 		cc := &msg.CommitCert{Value: m.X.Clone(), View: m.View, Sigs: set.Signatures()}
 		r.updateLatestCC(cc)
-		return r.broadcast(&msg.Commit{View: m.View, X: m.X, CC: *cc})
+		commit := r.broadcast(&msg.Commit{View: m.View, X: m.X, CC: *cc})
+		if out == nil {
+			return commit
+		}
+		out = append(out, commit...)
 	}
-	return nil
+	return out
 }
 
 func (r *Replica) onCommit(from types.ProcessID, m *msg.Commit) []Action {

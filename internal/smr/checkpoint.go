@@ -123,8 +123,9 @@ func (r *Replica) onCheckpointLocked(from types.ProcessID, m *msg.Checkpoint) {
 }
 
 // stabilizeLocked installs a newer stable checkpoint and garbage-collects
-// everything the checkpoint covers: consensus instances, decision records,
-// older snapshots, recovered vote state, and older checkpoint votes. The
+// everything the checkpoint covers: consensus instances, older snapshots,
+// recovered vote state, and older checkpoint votes, and the decision
+// records the previous stable checkpoint covers. The
 // caller holds r.mu; cert must be valid and snap must hash to
 // cert.CP.StateHash.
 func (r *Replica) stabilizeLocked(cert *msg.CheckpointCert, snap []byte) {
@@ -135,6 +136,10 @@ func (r *Replica) stabilizeLocked(cert *msg.CheckpointCert, snap []byte) {
 		return
 	}
 	s := cert.CP.Slot
+	var keep uint64 // decision records below it go (see below)
+	if r.stable != nil {
+		keep = r.stable.CP.Slot + 1
+	}
 	r.stable = cert
 	r.stableSnap = snap
 	if r.chunkAsm != nil && r.chunkAsm.cert.CP.Slot <= s {
@@ -152,8 +157,12 @@ func (r *Replica) stabilizeLocked(cert *msg.CheckpointCert, snap []byte) {
 			delete(r.slots, num)
 		}
 	}
+	// Decision records outlive the checkpoint that covers them by one
+	// interval: a follower that fell behind across the checkpoint can still
+	// catch up slot by slot from state-transfer tails (see
+	// onFetchStateLocked) instead of installing the snapshot.
 	for num := range r.decided {
-		if num <= s {
+		if num < keep {
 			delete(r.decided, num)
 		}
 	}

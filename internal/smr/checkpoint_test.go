@@ -48,8 +48,13 @@ func TestCheckpointingBoundsSlotState(t *testing.T) {
 
 	// The log ran for at least `ops` slots; without pruning the maps would
 	// hold one entry per slot. With pruning they are bounded by what a
-	// checkpoint interval plus the live window can keep alive.
-	const keepDecided = 4 // mirrors the constant in onDecideLocked
+	// checkpoint interval plus the live window can keep alive. The stable
+	// checkpoint prunes both, so at this interval the longer lives of a
+	// lazily opened instance (two windows past its decision, advanceLocked)
+	// and of a decision record (one interval past its checkpoint,
+	// stabilizeLocked) stay within the same bound: the run ends with 4–8
+	// instances and 8–12 records per replica.
+	const keepDecided = 4 // mirrors the constant in advanceLocked
 	bound := int(interval) + 8 /* default WindowSize */ + keepDecided
 	for i, r := range reps {
 		if n := r.SlotCount(); n > bound {

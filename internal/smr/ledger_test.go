@@ -2,6 +2,7 @@ package smr
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -59,7 +60,9 @@ type ledgerRegime struct {
 // ledgerRow is one regime's per-slot cost: frames and allocations for the
 // whole group, signature operations per live replica, how many slots a live
 // replica decided off the regime's path (slow with Acks lost, fast
-// otherwise), and how many commands the leader applied per slot.
+// otherwise), how many held AckSigs the live replicas released, and how
+// many commands the leader applied per slot; and how many decided
+// instances a follower keeps behind its frontier, with the heap each holds.
 type ledgerRow struct {
 	frames   [maxMsgKind + 1]float64
 	relays   float64
@@ -67,7 +70,10 @@ type ledgerRow struct {
 	verifies float64
 	allocs   float64
 	offPath  float64
+	released float64
 	cmds     float64
+	kept     int
+	keptB    float64
 }
 
 func (r ledgerRow) consensus() float64 {
@@ -174,8 +180,36 @@ func runLedger(t *testing.T, cfg types.Config, reg ledgerRegime) ledgerRow {
 			off = r.m.pathFast
 		}
 		row.offPath += float64(off.Load())
+		row.released += float64(r.m.slowTimer.Load() + r.m.slowPeer.Load())
 	})
+	row.kept, row.keptB = retainedInstanceBytes(g.reps[(leader+1)%types.ProcessID(cfg.N)])
 	return row
+}
+
+// retainedInstanceBytes reports how many decided instances r keeps behind
+// its frontier and the heap each holds: it drops them all and divides what
+// a collection then frees by their number. It leaves r without them, so it
+// is a group's last measurement.
+func retainedInstanceBytes(r *Replica) (int, float64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	before := int64(ms.HeapAlloc)
+	n := 0
+	for s := range r.slots {
+		if s < r.next {
+			delete(r.slots, s)
+			n++
+		}
+	}
+	if n == 0 {
+		return 0, 0
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return n, float64(before-int64(ms.HeapAlloc)) / float64(n)
 }
 
 // closedLoopSessions starts k client sessions on the leader, each of which
@@ -238,6 +272,7 @@ func runLeaderCrash(t *testing.T, cfg types.Config) (row ledgerRow, views float6
 			}
 		}
 		row.offPath += float64(r.m.pathSlow.Load())
+		row.released += float64(r.m.slowTimer.Load() + r.m.slowPeer.Load())
 		views += g.viewChanges(p)
 	})
 	row.relays = float64(c.relays) / w
@@ -252,29 +287,35 @@ func runLeaderCrash(t *testing.T, cfg types.Config) (row ledgerRow, views float6
 // TestCostLedger pins what one closed-loop slot costs at n = 4 and n = 7,
 // per regime, against the paper's arithmetic (HMAC, Δ = 1 ms, one request
 // in flight, MaxBatch 1 unless batched; live replicas are the ones not
-// silenced):
+// silenced; q = CommitQuorum = ⌈(n+f+1)/2⌉):
 //
 //   - the view-1 leader proposes once: n − 1 Propose frames;
-//   - every live replica acks and ack-signs once and, having seen
-//     CommitQuorum = ⌈(n+f+1)/2⌉ AckSigs, commits once: live·(n − 1) Ack,
-//     AckSig and Commit frames each — n(n − 1) fault-free;
-//   - nothing else flows: no view-change, checkpoint or fetch traffic;
-//   - a live replica signs its AckSig, the leader its Propose as well:
-//     (live + 1)/live signatures per replica;
+//   - every live replica acks once: live·(n − 1) Ack frames;
+//   - the slow path runs only where it can decide. A replica that has
+//     decided nothing since boot signs its AckSigs at once; one whose last
+//     consensus decision was fast holds them (the bias, see
+//     startSlotLocked), and a fault-free slot decides fast at 2Δ, long
+//     before the regime fire that would release them. So after the
+//     warm-up, a fault-free slot sends no AckSig and no Commit, and the
+//     consensus frames are (n − 1) + n(n − 1): 15 at n = 4, 48 at n = 7.
+//     With Acks lost no slot decides fast, every replica stays eager, and
+//     each signs its AckSig and, having seen q of them, commits once:
+//     live·(n − 1) AckSig and Commit frames each;
+//   - nothing else flows: no view-change, checkpoint or fetch traffic, and
+//     no held AckSig is released;
+//   - fault-free, only the leader signs, its τ: 1/n signatures per replica
+//     and slot. With Acks lost every live replica signs its AckSig as well:
+//     (live + 1)/live;
 //   - a replica verifies only the signatures whose check can change what it
 //     does, each once per slot (core's verifyMemo). Its own signatures are
 //     memoized when it makes them, so the leader verifies no τ and a
-//     follower verifies the leader's: (live − 1)/live per replica. Of the
-//     AckSigs it verifies CommitQuorum − 1 = q − 1 besides its own, and
-//     none after its certificate forms: q − 1. A Commit that reaches it
-//     once it has decided, with a certificate of no higher view than its
-//     own, is not checked at all. Fault-free, every slot decides fast at 2Δ
-//     and every Commit lands at 3Δ, so a replica verifies
-//     (live − 1)/live + q − 1: 2.75 at n = 4, 4.86 at n = 7. With Acks
-//     lost, a replica decides on q Commits, its own and q − 1 others, and
-//     their certificates carry the live − q AckSigs it skipped, each
-//     checked once: (live − 1)/live + q − 1 + live − q, 3.75 at n = 4 and
-//     4.80 at n = 7 (live = q = 5 there);
+//     follower verifies the leader's: (live − 1)/live per replica, and
+//     fault-free that is all, 0.75 at n = 4 and 0.86 at n = 7. With Acks
+//     lost it verifies q − 1 AckSigs besides its own, none after its
+//     certificate forms, and decides on q Commits, its own and q − 1
+//     others, whose certificates carry the live − q AckSigs it skipped,
+//     each checked once: (live − 1)/live + q − 1 + live − q, 3.75 at n = 4
+//     and 4.80 at n = 7 (live = q = 5 there);
 //   - a request reaches the leader once: a follower relays it to Leader(1)
 //     only, so live − 1 relays when the client hands it to every live
 //     replica, none when it hands it to the leader alone.
@@ -301,8 +342,8 @@ func TestCostLedger(t *testing.T) {
 		allocs   map[string]float64 // measured allocations per slot, whole group
 		crash    float64            // measured leader-crash verifies per slot and replica
 	}{
-		{types.Generalized(1, 1), 0, 4, map[string]float64{"leader-only": 800, "every-replica": 833, "slow": 841, "batched": 864}, 6.00},
-		{types.Generalized(2, 1), 2, 0, map[string]float64{"leader-only": 2149, "every-replica": 2215, "slow": 1307}, 10.83},
+		{types.Generalized(1, 1), 0, 4, map[string]float64{"leader-only": 357, "every-replica": 390, "slow": 842, "batched": 420}, 4.00},
+		{types.Generalized(2, 1), 2, 0, map[string]float64{"leader-only": 735, "every-replica": 801, "slow": 1307}, 6.83},
 	} {
 		n, f := tc.cfg.N, tc.cfg.F
 		q := quorum.New(tc.cfg).CommitQuorum()
@@ -328,9 +369,12 @@ func TestCostLedger(t *testing.T) {
 			if reg.sessions > 0 {
 				cmds = float64(reg.sessions) / 2 // batches of 1 and sessions − 1
 			}
-			verifies := float64(live-1)/float64(live) + float64(q-1)
+			// Fault-free: every AckSig held, only τ signed and verified.
+			slowFrames, signs := 0, 1/float64(live)
+			verifies := float64(live-1) / float64(live)
 			if reg.dropAcks {
-				verifies += float64(live - q)
+				slowFrames, signs = live*(n-1), float64(live+1)/float64(live)
+				verifies += float64(q-1) + float64(live-q)
 			}
 			for _, c := range []struct {
 				what      string
@@ -338,13 +382,14 @@ func TestCostLedger(t *testing.T) {
 			}{
 				{"Propose frames per slot", row.frames[msg.KindPropose], float64(n - 1)},
 				{"Ack frames per slot", row.frames[msg.KindAck], float64(live * (n - 1))},
-				{"AckSig frames per slot", row.frames[msg.KindAckSig], float64(live * (n - 1))},
-				{"Commit frames per slot", row.frames[msg.KindCommit], float64(live * (n - 1))},
+				{"AckSig frames per slot", row.frames[msg.KindAckSig], float64(slowFrames)},
+				{"Commit frames per slot", row.frames[msg.KindCommit], float64(slowFrames)},
 				{"other frames per slot", row.total() - row.consensus(), 0},
 				{"request relays per slot", row.relays, float64(relays)},
-				{"signs per slot and replica", row.signs, float64(live+1) / float64(live)},
+				{"signs per slot and replica", row.signs, signs},
 				{"verifies per slot and replica", row.verifies, verifies},
 				{"slots decided off the regime's path", row.offPath, 0},
+				{"held AckSigs released", row.released, 0},
 				{"commands per slot", row.cmds, cmds},
 			} {
 				if c.got != c.want {
@@ -354,9 +399,9 @@ func TestCostLedger(t *testing.T) {
 			if ceil := tc.allocs[reg.name] * 1.02; row.allocs > ceil {
 				t.Errorf("n=%d %s: %.0f allocations per slot, ceiling %.0f", n, reg.name, row.allocs, ceil)
 			}
-			line = append(line, fmt.Sprintf("n=%d %s: consensus %.0f relay %.0f verify %.2f sign %.2f allocs %.0f (%.1f/replica) cmds/slot %.2f verify/op %.2f",
+			line = append(line, fmt.Sprintf("n=%d %s: consensus %.0f relay %.0f verify %.2f sign %.2f allocs %.0f (%.1f/replica) cmds/slot %.2f verify/op %.2f kept %d × %.0f B",
 				n, reg.name, row.consensus(), row.relays, row.verifies, row.signs, row.allocs, row.allocs/float64(live),
-				row.cmds, row.verifies/row.cmds))
+				row.cmds, row.verifies/row.cmds, row.kept, row.keptB))
 		}
 		line = append(line, leaderCrashLedger(t, tc.cfg, tc.crash))
 	}
@@ -380,22 +425,25 @@ func TestCostLedger(t *testing.T) {
 //     contacted processes hold f + 1 correct ones, so CertQuorum = f + 1
 //     endorsements, its own included, are guaranteed as before;
 //   - Leader(2) proposes once: n − 1 Propose frames; all live = n − t
-//     replicas ack, so the slot decides on the fast path in view 2, and
-//     Ack, AckSig and Commit are live·(n − 1) frames each, as in view 1;
+//     replicas ack, live·(n − 1) Ack frames, so the slot decides on the
+//     fast path in view 2. The warm-up slots decided fast, so every
+//     replica opened the slot with its AckSig held, and a fast decision
+//     leaves it held: no AckSig and no Commit frame;
 //   - each live replica enters view 2 once: live slot view changes;
-//   - a live replica signs its Vote and its AckSig, Leader(2) its own
-//     endorsement and its Propose, the 2f addressees a CertAck:
-//     2·live + 2f + 2 signatures in the group;
+//   - a live replica signs its Vote, Leader(2) its own endorsement and
+//     its Propose, the 2f addressees a CertAck: live + 2f + 2 signatures in
+//     the group;
 //   - every live replica follows the dead Leader(1) and relays each fresh
 //     request to it: live relays per request, none of them answered.
 //
 // Nothing else flows. Verifies have a ceiling, not a formula: how many
 // votes a leader checks before its selection succeeds, and which CertAck
 // signatures a follower has met before the Propose carries them, depend on
-// arrival order. The ceiling is the measured value (n = 4: 6.00; 9.00
-// before a replica memoized its own signatures and skipped the checks whose
-// result nothing reads, 15.46 before each instance memoized its verified
-// signatures; n = 7: 10.83, 14.33 and 25.92 before).
+// arrival order. The ceiling is the measured value (n = 4: 4.00; 6.00
+// while every replica signed its AckSig at once, 9.00 before a replica
+// memoized its own signatures and skipped the checks whose result nothing
+// reads, 15.46 before each instance memoized its verified signatures;
+// n = 7: 6.83, 10.83, 14.33 and 25.92 before).
 func leaderCrashLedger(t *testing.T, cfg types.Config, maxVerifies float64) string {
 	t.Helper()
 	row, views := runLeaderCrash(t, cfg)
@@ -410,8 +458,8 @@ func leaderCrashLedger(t *testing.T, cfg types.Config, maxVerifies float64) stri
 		{msg.KindCertAck, 2 * f},
 		{msg.KindPropose, n - 1},
 		{msg.KindAck, live * (n - 1)},
-		{msg.KindAckSig, live * (n - 1)},
-		{msg.KindCommit, live * (n - 1)},
+		{msg.KindAckSig, 0},
+		{msg.KindCommit, 0},
 	}
 	other := row.total()
 	var kinds []string
@@ -429,8 +477,9 @@ func leaderCrashLedger(t *testing.T, cfg types.Config, maxVerifies float64) stri
 		{"other frames per slot", other, 0},
 		{"slot view changes per slot", views, float64(live)},
 		{"request relays per slot", row.relays, float64(live)},
-		{"signs per slot and replica", row.signs, float64(2*live+2*f+2) / float64(live)},
+		{"signs per slot and replica", row.signs, float64(live+2*f+2) / float64(live)},
 		{"slots decided on the slow path", row.offPath, 0},
+		{"held AckSigs released", row.released, 0},
 	} {
 		if c.got != c.want {
 			t.Errorf("n=%d leader-crash: %s = %v, want %v", n, c.what, c.got, c.want)
@@ -446,11 +495,16 @@ func leaderCrashLedger(t *testing.T, cfg types.Config, maxVerifies float64) stri
 // TestSignaturesCounted reads fastbft_signatures_total from each replica's
 // registry after a fault-free closed loop at n = 4 with a checkpoint every 8
 // slots. The series counts real signature operations, below each instance's
-// memo, so per decided slot the leader verifies CommitQuorum − 1 AckSigs and
-// a follower those and the leader's τ (see TestCostLedger), plus the n
-// signed Checkpoints of each checkpoint a replica takes; a replica signs one
-// AckSig per slot, one Propose per slot it leads and one Checkpoint per
-// checkpoint.
+// memo. The first slot runs eager, as every slot of a replica that has
+// decided nothing yet: a follower verifies the leader's τ and CommitQuorum −
+// 1 AckSigs, the leader those AckSigs, and every replica signs its AckSig
+// (see TestCostLedger). It decides fast, so every later slot holds its
+// AckSig and decides fast before anything releases it: a follower verifies
+// τ alone, the leader nothing, and only the leader signs, its τ. On top, a
+// replica verifies the n signed Checkpoints of each checkpoint it takes and
+// signs one Checkpoint per checkpoint. So a follower verifies q + (slots −
+// 1) + n·checkpoints and signs 1 + checkpoints, and the leader verifies
+// q − 1 + n·checkpoints and signs 1 + slots + checkpoints.
 func TestSignaturesCounted(t *testing.T) {
 	cfg := types.Generalized(1, 1)
 	const slots, interval = 40, 8
@@ -460,7 +514,7 @@ func TestSignaturesCounted(t *testing.T) {
 		ledgerRequest(t, g, "sigs", seq, func(p types.ProcessID) bool { return p == leader })
 		g.run(time.Second, g.applied(seq), "a closed-loop slot to apply")
 	}
-	g.net.Advance(10 * time.Millisecond) // the last slot's AckSigs and Commits land
+	g.net.Advance(10 * time.Millisecond) // the first slot's AckSigs and Commits land
 	n, q := cfg.N, quorum.New(cfg).CommitQuorum()
 	g.live(func(p types.ProcessID, _ *Replica) {
 		snap := g.regs[p].Snapshot()
@@ -471,16 +525,14 @@ func TestSignaturesCounted(t *testing.T) {
 			t.Fatalf("replica %d decided %v slots, want %d", p, decided, slots)
 		}
 		ckpts := float64(slots / interval)
-		perSlot := float64(q)
+		wantVerifies := float64(q) + (decided - 1)
+		wantSigns := 1 + ckpts
 		if p == leader {
-			perSlot = float64(q - 1)
-		}
-		if want := perSlot*decided + float64(n)*ckpts; verifies != want {
-			t.Errorf("replica %d: %v verifies for %v slots and %v checkpoints, want %v", p, verifies, decided, ckpts, want)
-		}
-		wantSigns := decided + ckpts
-		if p == leader {
+			wantVerifies = float64(q - 1)
 			wantSigns += decided
+		}
+		if want := wantVerifies + float64(n)*ckpts; verifies != want {
+			t.Errorf("replica %d: %v verifies for %v slots and %v checkpoints, want %v", p, verifies, decided, ckpts, want)
 		}
 		if signs != wantSigns {
 			t.Errorf("replica %d: %v signs, want %v", p, signs, wantSigns)

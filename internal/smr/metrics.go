@@ -28,6 +28,14 @@ type replicaMetrics struct {
 	viewsTotal *obs.Counter // slot instances entering a view beyond 1
 	pathFast   *obs.Counter // decisions via the fast path (n−t acks)
 	pathSlow   *obs.Counter // decisions via the slow path (commit quorum)
+	pathXfer   *obs.Counter // decisions learned from a state-transfer tail
+
+	// Held AckSigs released, by trigger: a regime fire or a later slot's
+	// decision (the slot was late), or a peer's AckSig (a peer started the
+	// slow path).
+	slowTimer *obs.Counter
+	slowOrder *obs.Counter
+	slowPeer  *obs.Counter
 
 	// Per-kind protocol message counters, indexed by msg.Kind (a broadcast
 	// counts once here; the transport layer counts physical frames).
@@ -54,6 +62,10 @@ func (r *Replica) initMetricsLocked(reg *obs.Registry, ls obs.Labels) {
 	m.viewsTotal = reg.Counter("fastbft_view_changes_total", "slot instances that entered a view beyond 1", ls)
 	m.pathFast = reg.Counter("fastbft_decided_path_total", "decisions by protocol path", ls.With("path", "fast"))
 	m.pathSlow = reg.Counter("fastbft_decided_path_total", "decisions by protocol path", ls.With("path", "slow"))
+	m.pathXfer = reg.Counter("fastbft_decided_path_total", "decisions by protocol path", ls.With("path", "transfer"))
+	m.slowTimer = reg.Counter("fastbft_slowpath_started_total", "held AckSigs released, by what started the slot's slow path", ls.With("trigger", "timer"))
+	m.slowOrder = reg.Counter("fastbft_slowpath_started_total", "held AckSigs released, by what started the slot's slow path", ls.With("trigger", "order"))
+	m.slowPeer = reg.Counter("fastbft_slowpath_started_total", "held AckSigs released, by what started the slot's slow path", ls.With("trigger", "peer"))
 	for k := msg.Kind(1); int(k) <= maxMsgKind; k++ {
 		m.msgIn[k] = reg.Counter("fastbft_messages_in_total", "protocol messages received, by kind", ls.With("kind", k.String()))
 		m.msgOut[k] = reg.Counter("fastbft_messages_out_total", "protocol messages produced, by kind (a broadcast counts once)", ls.With("kind", k.String()))

@@ -5,13 +5,16 @@ import (
 	"encoding/binary"
 	"flag"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/msg"
+	"repro/internal/quorum"
 	"repro/internal/sim"
 	"repro/internal/types"
+	"repro/internal/viewsync"
 )
 
 // Seeded schedules: whole clusters run under random per-message delays drawn
@@ -21,7 +24,9 @@ import (
 //	go test ./internal/smr -run TestSeededScheduleSmoke -sim.first=<seed> -sim.seeds=1
 //
 // This is a smoke over a handful of seeds, not an explorer: it injects no
-// crashes mid-run, no drops and no Byzantine behaviour.
+// crashes mid-run and no Byzantine behaviour, and drops frames only where
+// TestSeededScheduleSmokeLazySlowPath aims faults at the slow path's
+// triggers.
 var (
 	simSeeds = flag.Int("sim.seeds", 20, "how many seeds TestSeededScheduleSmoke runs per scenario")
 	simFirst = flag.Int64("sim.first", 1, "first seed of TestSeededScheduleSmoke")
@@ -34,6 +39,59 @@ const (
 	scheduleLimit    = 60 * time.Second
 )
 
+// scheduleFaults is what a seeded run injects besides its delays.
+type scheduleFaults struct {
+	silent types.ProcessID       // crashed before the run (NoProcess: none)
+	slots  map[uint64]slotFault  // per log slot, in every view
+	tail   *slotFault            // the fault of one last request's slot
+	lone   map[slotView]struct{} // lone AckSigs already sent (filled by the run)
+}
+
+// slotFault is one fault aimed at one slot.
+type slotFault struct {
+	kind   faultKind
+	target types.ProcessID   // the replica the fault is aimed at
+	from   []types.ProcessID // ackDrop: the senders whose Acks to target are lost
+}
+
+type faultKind int
+
+const (
+	// ackDrop loses the Acks of some senders to target, so that it misses
+	// the fast quorum its peers decide on.
+	ackDrop faultKind = iota + 1
+	// noPropose loses every Propose to target, so it never acks.
+	noPropose
+	// loneAckSig has target, a correct replica, send its valid AckSig the
+	// moment it acks: one peer alone starting the slow path.
+	loneAckSig
+)
+
+type slotView struct {
+	slot uint64
+	view types.View
+}
+
+// drops reports whether the fault of slot s, if any, loses a frame of kind
+// k from one replica to another.
+func (f *scheduleFaults) drops(from, to types.ProcessID, s uint64, k msg.Kind) bool {
+	sf, ok := f.slots[s]
+	if !ok || to != sf.target {
+		return false
+	}
+	switch sf.kind {
+	case ackDrop:
+		for _, p := range sf.from {
+			if k == msg.KindAck && from == p {
+				return true
+			}
+		}
+	case noPropose:
+		return k == msg.KindPropose
+	}
+	return false
+}
+
 // scheduleResult is what one seeded run leaves behind.
 type scheduleResult struct {
 	// trace is the run as the network and the clients saw it, in order: every
@@ -44,6 +102,13 @@ type scheduleResult struct {
 	decided [][]types.Decision // per replica, the decision of every applied slot
 	stores  [][]byte           // per replica, the KVStore snapshot
 	elapsed time.Duration      // virtual time until every live replica applied everything
+	// lag is the longest a slot took, from its first application at a live
+	// replica to its last; timer, order and peer sum the live replicas'
+	// held AckSigs released by a regime fire, by a later slot's decision and
+	// by a peer, xfer their decisions from state-transfer tails, and regime
+	// their regime timeouts.
+	lag                              time.Duration
+	timer, order, peer, xfer, regime uint64
 }
 
 // record appends one trace record: a tag, the virtual time, three numbers
@@ -77,8 +142,23 @@ type frameKey struct {
 // a Propose, Ack or AckSig crosses the same link twice for one slot and view.
 func runSchedule(t *testing.T, cfg types.Config, seed int64, silent bool) scheduleResult {
 	t.Helper()
+	f := scheduleFaults{silent: types.NoProcess}
+	if silent {
+		f.silent = cfg.Leader(1)
+	}
+	return runFaultSchedule(t, cfg, seed, &f)
+}
+
+// runFaultSchedule is runSchedule with the faults of f: a silent replica,
+// which may be the view-1 leader or not, faults aimed at chosen slots, and,
+// once the sessions are done, one last request whose slot gets f.tail, so
+// that no later slot shows the replica it hits that the cluster moved on.
+// A lone AckSig is the one frame that may cross a link twice.
+func runFaultSchedule(t *testing.T, cfg types.Config, seed int64, f *scheduleFaults) scheduleResult {
+	t.Helper()
 	var res scheduleResult
 	seen := make(map[frameKey]bool)
+	f.lone = make(map[slotView]struct{})
 	g := newSimGroup(t, cfg, seed, groupOpts{
 		jitter: scheduleDelta,
 		window: 4,
@@ -94,6 +174,9 @@ func runSchedule(t *testing.T, cfg types.Config, seed int64, silent bool) schedu
 			}
 			switch k := m.Kind(); k {
 			case msg.KindPropose, msg.KindAck, msg.KindAckSig:
+				if sf, ok := f.slots[s]; ok && sf.kind == loneAckSig && k == msg.KindAckSig {
+					return
+				}
 				key := frameKey{ev.From, ev.To, s, m.InView(), k}
 				if seen[key] {
 					t.Fatalf("seed %d: %s sent a second %s of slot %d, view %s, to %s", seed, ev.From, k, s, m.InView(), ev.To)
@@ -102,9 +185,28 @@ func runSchedule(t *testing.T, cfg types.Config, seed int64, silent bool) schedu
 			}
 		},
 	})
-	if silent {
-		g.crash(cfg.Leader(1))
+	if len(f.slots) > 0 || f.tail != nil {
+		delay := sim.SeededDelay(seed, scheduleDelta)
+		g.net.SetPayloadFunc(func(from, to types.ProcessID, payload []byte, now sim.Time) sim.Fate {
+			fate := delay(from, to, payload, now)
+			_, s, inner, ok := openHeader(payload)
+			if !ok || len(inner) == 0 || s == ctrlSlot || s == syncSlot {
+				return fate
+			}
+			k := msg.Kind(inner[0])
+			fate.Drop = f.drops(from, to, s, k)
+			if sf, ok := f.slots[s]; ok && sf.kind == loneAckSig && from == sf.target && k == msg.KindAck {
+				if ack, err := msg.Decode(inner); err == nil {
+					f.sendLoneAckSig(g, s, from, ack.(*msg.Ack))
+				}
+			}
+			return fate
+		})
 	}
+	if f.silent != types.NoProcess {
+		g.crash(f.silent)
+	}
+	leaderSilent := f.silent == cfg.Leader(1)
 
 	// Session c sends its k-th request through replica (c+k) mod n — skipping
 	// a dead one — from the reply callback of request k-1: the sessions are
@@ -121,7 +223,7 @@ func runSchedule(t *testing.T, cfg types.Config, seed int64, silent bool) schedu
 		for i := 0; i < cfg.N; i++ {
 			if r := g.reps[(c+k+i)%cfg.N]; r != nil {
 				out = append(out, r)
-				if !silent {
+				if !leaderSilent {
 					break
 				}
 			}
@@ -148,7 +250,7 @@ func runSchedule(t *testing.T, cfg types.Config, seed int64, silent bool) schedu
 			}
 		}
 	}
-	const total = scheduleSessions * scheduleRequests
+	total := uint64(scheduleSessions * scheduleRequests)
 	for c := range next {
 		issue(c)
 	}
@@ -159,9 +261,30 @@ func runSchedule(t *testing.T, cfg types.Config, seed int64, silent bool) schedu
 		t.Fatalf("seed %d: no progress to %d applied commands within %v of virtual time (%v)",
 			seed, total, scheduleLimit, g.reps)
 	}
+	if f.tail != nil {
+		// One more request, to every live replica, in a slot past every
+		// other: the replica the fault hits sees no later slot decided.
+		var s uint64
+		g.live(func(_ types.ProcessID, r *Replica) { s = max(s, r.AppliedCount()) })
+		f.slots[s] = *f.tail
+		g.live(func(_ types.ProcessID, r *Replica) {
+			req := &msg.Request{Client: "tail", Seq: 1, Op: kvSetOp("tail", "v")}
+			if err := r.HandleRequest(req, nil); err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+		})
+		total++
+		if _, err := g.net.Run(g.net.Now()+scheduleLimit, g.applied(total)); err != nil {
+			t.Fatal(err)
+		}
+		if !g.applied(total)() {
+			t.Fatalf("seed %d: the last request did not apply within %v of virtual time (%v)", seed, scheduleLimit, g.reps)
+		}
+	}
 	res.elapsed = g.net.Now()
 	g.net.Advance(time.Second) // stragglers, and any duplicate application
 
+	first, last := map[uint64]time.Duration{}, map[uint64]time.Duration{}
 	g.live(func(p types.ProcessID, r *Replica) {
 		var log []types.Decision
 		for s := uint64(0); s < r.AppliedCount(); s++ {
@@ -173,6 +296,17 @@ func runSchedule(t *testing.T, cfg types.Config, seed int64, silent bool) schedu
 		}
 		res.decided = append(res.decided, log)
 		res.stores = append(res.stores, g.stores[p].Snapshot())
+		for s, at := range g.logs[p].appliedAt() {
+			if a, ok := first[s]; !ok || at < a {
+				first[s] = at
+			}
+			last[s] = max(last[s], at)
+		}
+		res.timer += r.m.slowTimer.Load()
+		res.order += r.m.slowOrder.Load()
+		res.peer += r.m.slowPeer.Load()
+		res.xfer += r.m.pathXfer.Load()
+		res.regime += r.m.regime.Load()
 
 		// Exactly-once per (client, seq): every request wrote a key of its
 		// own, so all keys present and no more executions than requests means
@@ -188,6 +322,9 @@ func runSchedule(t *testing.T, cfg types.Config, seed int64, silent bool) schedu
 			}
 		}
 	})
+	for s, at := range first {
+		res.lag = max(res.lag, last[s]-at)
+	}
 	// Agreement per slot, and byte-identical application state.
 	for i := 1; i < len(res.decided); i++ {
 		for s := 0; s < len(res.decided[i]) && s < len(res.decided[0]); s++ {
@@ -200,6 +337,81 @@ func runSchedule(t *testing.T, cfg types.Config, seed int64, silent bool) schedu
 		}
 	}
 	return res
+}
+
+// sendLoneAckSig sends, once per slot and view, replica p's valid AckSig
+// for the value of its Ack to every peer, ahead of anything p's own
+// instance would send.
+func (f *scheduleFaults) sendLoneAckSig(g *simGroup, s uint64, p types.ProcessID, ack *msg.Ack) {
+	key := slotView{s, ack.View}
+	if _, done := f.lone[key]; done {
+		return
+	}
+	f.lone[key] = struct{}{}
+	signer := domainSigner{inner: g.scheme.Signer(p), salt: slotDomain(0, s)}
+	frame := envelope(0, s, &msg.AckSig{View: ack.View, X: ack.X, Phi: signer.Sign(msg.AckDigest(ack.X, ack.View))})
+	g.net.Clock(p).AfterFunc(0, func() {
+		for q := 0; q < g.cfg.N; q++ {
+			if types.ProcessID(q) != p {
+				_ = g.net.Transport(p).Send(types.ProcessID(q), frame)
+			}
+		}
+	})
+}
+
+// seededFaults draws a run's faults from its seed: in one run of four a
+// silent replica, the view-1 leader or not; each of the first 24 slots hit
+// with probability 1/3 by an ackDrop, a noPropose or a loneAckSig aimed at a
+// live replica; and an ackDrop on the last request's slot. A noPropose is
+// drawn only where the slot can decide without its target's ack, and an
+// ackDrop loses the Acks of t + 1 live senders, so its target misses the
+// fast quorum that the others reach.
+func seededFaults(cfg types.Config, seed int64) *scheduleFaults {
+	rng := rand.New(rand.NewSource(seed))
+	f := &scheduleFaults{silent: types.NoProcess, slots: make(map[uint64]slotFault)}
+	if rng.Intn(4) == 0 {
+		f.silent = types.ProcessID(rng.Intn(cfg.N))
+	}
+	var live []types.ProcessID
+	for p := 0; p < cfg.N; p++ {
+		if types.ProcessID(p) != f.silent {
+			live = append(live, types.ProcessID(p))
+		}
+	}
+	th := quorum.New(cfg)
+	pick := func(but types.ProcessID) types.ProcessID {
+		for {
+			if p := live[rng.Intn(len(live))]; p != but {
+				return p
+			}
+		}
+	}
+	drop := func() slotFault {
+		sf := slotFault{kind: ackDrop, target: pick(types.NoProcess)}
+		for _, i := range rng.Perm(len(live)) {
+			if p := live[i]; p != sf.target && len(sf.from) <= cfg.T {
+				sf.from = append(sf.from, p)
+			}
+		}
+		return sf
+	}
+	canDeaf := len(live)-1 >= th.CommitQuorum() // the slow path decides without the deaf target
+	for s := uint64(0); s < 24; s++ {
+		if rng.Intn(3) != 0 {
+			continue
+		}
+		switch k := faultKind(1 + rng.Intn(3)); {
+		case k == noPropose && canDeaf:
+			f.slots[s] = slotFault{kind: noPropose, target: pick(cfg.Leader(1))}
+		case k == loneAckSig:
+			f.slots[s] = slotFault{kind: loneAckSig, target: pick(types.NoProcess)}
+		default:
+			f.slots[s] = drop()
+		}
+	}
+	tail := drop()
+	f.tail = &tail
+	return f
 }
 
 // TestSeededScheduleReplays: one seed, run twice, yields a byte-identical
@@ -252,6 +464,62 @@ func TestSeededScheduleSmoke(t *testing.T) {
 				}
 			}
 			t.Logf("%d seeds from %d: slowest run took %v of virtual time", *simSeeds, *simFirst, worst)
+		})
+	}
+}
+
+// TestSeededScheduleSmokeLazySlowPath explores the held AckSig's triggers:
+// -sim.seeds seeds (at least 50 unless the flag is given; `make sim-sweep`
+// runs more) at n = 4 and at n = 7 (f = 2, t = 1), each under the faults
+// seededFaults draws from it — Acks lost on chosen links so that some
+// correct replicas miss a fast quorum the others decide on, a replica that
+// never receives a slot's Propose, a silent replica, a correct peer that
+// sends its AckSig alone — on top of the seeded delays. Besides
+// runSchedule's oracles (agreement, exactly-once, identical stores, bounded
+// progress), every slot must reach every live replica within two regime
+// delays at their ceiling (BaseTimeout) of its first application anywhere,
+// and a run whose view-1 leader is alive must suspect it nowhere: a slot
+// whose fast quorum is late is resolved by its slow path or by state
+// transfer, never by a view change. A failure names its seed; replay with
+// -sim.first=<seed> -sim.seeds=1.
+func TestSeededScheduleSmokeLazySlowPath(t *testing.T) {
+	seeds := 50
+	flag.Visit(func(fl *flag.Flag) {
+		if fl.Name == "sim.seeds" {
+			seeds = *simSeeds
+		}
+	})
+	bound := 2 * viewsync.DefaultBaseTimeout
+	for _, sc := range []struct {
+		name string
+		cfg  types.Config
+	}{
+		{"n4", types.Generalized(1, 1)},
+		{"n7", types.Generalized(2, 1)},
+	} {
+		t.Run(sc.name, func(t *testing.T) {
+			var worst time.Duration
+			var sum scheduleResult
+			for seed := *simFirst; seed < *simFirst+int64(seeds); seed++ {
+				f := seededFaults(sc.cfg, seed)
+				res := runFaultSchedule(t, sc.cfg, seed, f)
+				if res.lag > bound {
+					t.Fatalf("seed %d: a slot reached the last live replica %v after the first (bound %v)", seed, res.lag, bound)
+				}
+				if f.silent != sc.cfg.Leader(1) && res.regime != 0 {
+					t.Fatalf("seed %d: %d regime timeouts with the view-1 leader alive (faults %+v)", seed, res.regime, f)
+				}
+				worst = max(worst, res.lag)
+				sum.timer += res.timer
+				sum.order += res.order
+				sum.peer += res.peer
+				sum.xfer += res.xfer
+			}
+			t.Logf("%d seeds from %d: a slot reached every live replica within %v of its first application (bound %v); slow paths started by a regime fire %d times, by a later slot's decision %d times, by a peer %d times; %d slots decided from state-transfer tails",
+				seeds, *simFirst, worst, bound, sum.timer, sum.order, sum.peer, sum.xfer)
+			if sum.timer == 0 || sum.peer == 0 {
+				t.Fatalf("the faults never made a held AckSig's timer (%d) or peer (%d) trigger fire", sum.timer, sum.peer)
+			}
 		})
 	}
 }

@@ -98,7 +98,7 @@ func newSimGroup(t *testing.T, cfg types.Config, seed int64, opts groupOpts) *si
 func (g *simGroup) build(p types.ProcessID) {
 	g.t.Helper()
 	g.stores[p] = NewKVStore()
-	g.logs[p] = &commitLog{}
+	g.logs[p] = &commitLog{now: g.net.Now}
 	g.regs[p] = obs.NewRegistry()
 	cfg := Config{
 		Cluster:            g.cfg,
@@ -241,11 +241,14 @@ func payloadSlot(payload []byte) (uint64, bool) {
 }
 
 // commitLog records one replica's user callbacks in delivery order: every
-// OnCommit, and every reply delivered to reply (a ReplyFunc). The mutex is
-// for the durable groups, whose callbacks run on the store's goroutines.
+// OnCommit, with the virtual time of its delivery, and every reply
+// delivered to reply (a ReplyFunc). The mutex is for the durable groups,
+// whose callbacks run on the store's goroutines.
 type commitLog struct {
 	mu     sync.Mutex
-	slots  []uint64 // OnCommit deliveries
+	now    func() time.Duration
+	slots  []uint64        // OnCommit deliveries
+	at     []time.Duration // and when each was delivered
 	events []callback
 }
 
@@ -259,6 +262,7 @@ func (c *commitLog) record(slot uint64, _ Command, _ types.Decision) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.slots = append(c.slots, slot)
+	c.at = append(c.at, c.now())
 	c.events = append(c.events, callback{slot: slot})
 }
 
@@ -272,6 +276,17 @@ func (c *commitLog) snapshot() []uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return append([]uint64(nil), c.slots...)
+}
+
+// appliedAt maps every committed slot to the virtual time it was delivered.
+func (c *commitLog) appliedAt() map[uint64]time.Duration {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := make(map[uint64]time.Duration, len(c.slots))
+	for i, s := range c.slots {
+		out[s] = c.at[i]
+	}
+	return out
 }
 
 func (c *commitLog) history() []callback {

@@ -216,14 +216,24 @@ type Replica struct {
 	// (stale fires and fires after Close observe a bumped generation);
 	// regimeNext/regimeApply snapshot the log frontier when the timer was
 	// armed, so a fire can tell progress from a stall; regimeBackoff counts
-	// consecutive no-progress fires; ewmaDecide tracks observed decide
-	// latency for the adaptive timeout.
+	// consecutive no-progress fires; regimeAsked marks a stall whose first
+	// stage already put suspicion off once on a peer's evidence (see
+	// easeStallLocked); ewmaDecide tracks observed decide latency for the
+	// adaptive timeout.
 	regimeTimer   node.Timer
 	regimeGen     uint64
 	regimeNext    uint64
 	regimeApply   uint64
 	regimeBackoff uint
+	regimeAsked   bool
 	ewmaDecide    time.Duration
+
+	// lazy is the slow-path bias: whether the last slot this replica
+	// decided by consensus decided on the fast path. A slot opens with its
+	// AckSig held while it is set (see startSlotLocked). It starts clear —
+	// a replica that has decided nothing since boot or recovery signs
+	// eagerly — and a state-transfer decision does not move it.
+	lazy bool
 
 	// Checkpoint / state-transfer state (see checkpoint.go, statetransfer.go).
 	ckptVotes  map[types.ProcessID][]*msg.Checkpoint      // recent signed checkpoints per sender
@@ -240,7 +250,7 @@ type Replica struct {
 	fetchStart uint64                                     // applyPtr when the current cycle began
 	fetchFan   bool                                       // the round's f further asks are still to go out
 	tails      map[types.ProcessID]map[uint64]types.Value // tail claims per responder (see tallyTailLocked)
-	serveTime  map[types.ProcessID]time.Time              // last StateSnapshot served per requester
+	served     map[types.ProcessID]served                 // last full response and tail end per requester
 
 	// restoredVotes stages the persisted vote state of in-flight slots
 	// recovered from storage, consumed when their instances restart (see
@@ -298,6 +308,14 @@ type slot struct {
 	// instance-open time on followers); marks are atomic, so the storage
 	// effect queue can stamp durability without the replica lock.
 	trace obs.Trace
+	// lazy records that the slot opened under the lazy bias, with its
+	// AckSig held: its instance outlives its decision longer (see
+	// advanceLocked).
+	lazy bool
+	// peerAcked is set once a peer's Ack for the slot arrived: its leader
+	// proposed, so a stall here may be a quorum running late rather than
+	// a dead leader (see easeStallLocked).
+	peerAcked bool
 }
 
 // NewReplica builds an SMR replica.
@@ -343,7 +361,7 @@ func NewReplica(cfg Config) (*Replica, error) {
 		inflight:      make(map[string]uint64),
 		ckptVotes:     make(map[types.ProcessID][]*msg.Checkpoint),
 		snaps:         make(map[uint64][]byte),
-		serveTime:     make(map[types.ProcessID]time.Time),
+		served:        make(map[types.ProcessID]served),
 		restoredVotes: make(map[uint64]*storage.VoteState),
 		aheadFrames:   make([]int, cfg.Cluster.N),
 		aheadBytes:    make([]int, cfg.Cluster.N),
@@ -671,6 +689,12 @@ func (r *Replica) startSlotLocked(s uint64, lead bool) *slot {
 	// ahead of vote collection, however deliveries interleave — so a free
 	// selection proposes real pending commands, not a no-op.
 	proc.SetEnterHook(func(v types.View) { r.enterSlotViewLocked(s, sl, v) })
+	if r.lazy {
+		// The last consensus decision was fast: bet that this slot's is
+		// too, and sign its AckSig only if it turns out late.
+		sl.lazy = true
+		proc.Replica().HoldAckSig(true)
+	}
 	if restored != nil {
 		r.restoreSlotVoteLocked(s, sl, restored)
 	}
@@ -767,9 +791,13 @@ func (r *Replica) routePayloadLocked(from types.ProcessID, s uint64, inner []byt
 
 // deliverSlotLocked hands message m (size encoded bytes) for slot s to the
 // slot's instance, opening it if s is in the live window. A message for a
-// slot past the window is evidence that the cluster moved on: it asks the
-// sender for a state snapshot, and is held for replay if its slot is
-// within one more window. The caller holds r.mu.
+// slot past the window is held for replay if its slot is within one more
+// window. One that cannot be held is evidence that the cluster moved on
+// beyond what the window can absorb, and so is any while nothing this
+// replica holds can slide the window (frontierIdleLocked; a replica just
+// restarted, say): either asks the sender for state. A message held while
+// the window is moving asks only if it stays stuck for a regime delay
+// (see easeStallLocked). The caller holds r.mu.
 func (r *Replica) deliverSlotLocked(from types.ProcessID, s uint64, m msg.Message, size int) {
 	switch m.(type) {
 	case *msg.Wish, *msg.Vote:
@@ -784,14 +812,35 @@ func (r *Replica) deliverSlotLocked(from types.ProcessID, s uint64, m msg.Messag
 	if !ok {
 		sl = r.ensureSlotLocked(s)
 		if sl == nil {
-			if s >= r.next+uint64(r.cfg.WindowSize) {
+			if s >= r.next+uint64(r.cfg.WindowSize) && (!r.holdAheadLocked(from, s, m, size) || r.frontierIdleLocked()) {
 				r.noteBehindLocked(s, from)
-				r.holdAheadLocked(from, s, m, size)
 			}
 			return
 		}
 	}
-	r.applyActions(s, sl, sl.proc.Deliver(from, m, r.now()))
+	acts := sl.proc.Deliver(from, m, r.now())
+	switch m.(type) {
+	case *msg.Ack:
+		sl.peerAcked = sl.peerAcked || from != r.cfg.Self
+	case *msg.AckSig:
+		// An instance answers an AckSig with its own only when the AckSig
+		// ended its hold: a peer started the slot's slow path (core's
+		// HoldAckSig).
+		if hasAckSig(acts) {
+			r.m.slowPeer.Inc()
+		}
+	}
+	r.applyActions(s, sl, acts)
+}
+
+// hasAckSig reports whether actions broadcast an AckSig.
+func hasAckSig(actions []core.Action) bool {
+	for _, a := range actions {
+		if b, ok := a.(core.BroadcastAction); ok && b.Msg.Kind() == msg.KindAckSig {
+			return true
+		}
+	}
+	return false
 }
 
 // holdAheadLocked keeps message m for slot s, past the live window, until
@@ -802,18 +851,19 @@ func (r *Replica) deliverSlotLocked(from types.ProcessID, s uint64, m msg.Messag
 // still open; held, they let it decide slot s+W on the fast path like its
 // peers. Dropped along with the leader's AckSig and Commit, they would leave
 // it one Commit short of the commit quorum for that slot, which no peer
-// sends again. The caller holds r.mu.
-func (r *Replica) holdAheadLocked(from types.ProcessID, s uint64, m msg.Message, size int) {
+// sends again. It reports whether it held m. The caller holds r.mu.
+func (r *Replica) holdAheadLocked(from types.ProcessID, s uint64, m msg.Message, size int) bool {
 	w := uint64(r.cfg.WindowSize)
 	if s >= r.next+2*w || !from.Valid(len(r.aheadFrames)) {
-		return
+		return false
 	}
 	if r.aheadFrames[from] >= aheadFramesPerSlot*r.cfg.WindowSize || r.aheadBytes[from]+size > maxAheadBytes {
-		return
+		return false
 	}
 	r.ahead = append(r.ahead, aheadMsg{from: from, s: s, m: m, size: size})
 	r.aheadFrames[from]++
 	r.aheadBytes[from] += size
+	return true
 }
 
 // replayAheadLocked delivers, in arrival order, every held message whose
@@ -878,6 +928,13 @@ func (r *Replica) onSyncLocked(from types.ProcessID, m msg.Message) {
 // view-change protocol in the same step — and re-arms with the delay
 // doubled. The delay itself tracks reality instead of a fixed constant: an
 // EWMA of observed decide latency, clamped to [base/16 (min 20ms), base].
+//
+// A stuck fire first looks for a cause other than the leader (see
+// easeStallLocked): a slot whose fast quorum is late gets its held AckSig
+// released, which starts its slow path, and a replica that sees later
+// slots decided elsewhere asks its peers for them. That re-arms at the
+// same delay and suspects nobody, once per stall; the leader is suspected
+// by the next stuck fire, or by the first if it finds no such cause.
 
 // pokeRegimeLocked reconciles the regime timer with the replica's current
 // work: stop it when nothing is outstanding, arm it when something is, and
@@ -890,7 +947,7 @@ func (r *Replica) pokeRegimeLocked() {
 	}
 	if !r.workOutstandingLocked() {
 		r.regimeGen++ // invalidate an in-flight fire racing the Stop
-		r.regimeBackoff = 0
+		r.regimeBackoff, r.regimeAsked = 0, false
 		if r.regimeTimer != nil {
 			r.regimeTimer.Stop()
 			r.regimeTimer = nil
@@ -902,16 +959,26 @@ func (r *Replica) pokeRegimeLocked() {
 		return
 	}
 	if r.next != r.regimeNext || r.applyPtr != r.regimeApply {
-		r.regimeBackoff = 0
+		r.regimeBackoff, r.regimeAsked = 0, false
 		r.armRegimeLocked()
 	}
 }
 
+// frontierIdleLocked reports whether the lowest undecided slot has no
+// instance, or one that has not acked in its current view (its adopted
+// vote is older): nothing this replica holds can slide the window until
+// traffic it lacks arrives. The caller holds r.mu.
+func (r *Replica) frontierIdleLocked() bool {
+	sl, ok := r.slots[r.next]
+	return !ok || sl.proc.Replica().CurrentVote().View != sl.proc.View()
+}
+
 // workOutstandingLocked reports whether the replica is waiting on the
-// leader regime for anything: queued or in-flight commands, or an undecided
-// instance in the live window. The caller holds r.mu.
+// leader regime for anything: queued or in-flight commands, an undecided
+// instance in the live window, or messages held past it. The caller holds
+// r.mu.
 func (r *Replica) workOutstandingLocked() bool {
-	if r.pending.Len() > 0 || len(r.inflight) > 0 {
+	if r.pending.Len() > 0 || len(r.inflight) > 0 || len(r.ahead) > 0 {
 		return true
 	}
 	for s := range r.slots {
@@ -971,8 +1038,9 @@ func (r *Replica) regimeDelayLocked() time.Duration {
 // onRegimeTimer handles expiry of the regime timer. A stale generation
 // (the timer was re-armed or stopped while this fire was in flight) is a
 // no-op; a fire that finds the frontier moved re-arms and resets the
-// backoff; a fire that finds it stuck suspects the leader regime and ticks
-// every undecided in-flight slot into a view change in one step.
+// backoff; a fire that finds it stuck first tries easeStallLocked, and if
+// that finds nothing to do, suspects the leader regime and ticks every
+// undecided in-flight slot into a view change in one step.
 func (r *Replica) onRegimeTimer(gen uint64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -981,12 +1049,16 @@ func (r *Replica) onRegimeTimer(gen uint64) {
 	}
 	r.regimeTimer = nil
 	if !r.workOutstandingLocked() {
-		r.regimeBackoff = 0
+		r.regimeBackoff, r.regimeAsked = 0, false
 		return
 	}
 	if r.next != r.regimeNext || r.applyPtr != r.regimeApply {
-		r.regimeBackoff = 0
+		r.regimeBackoff, r.regimeAsked = 0, false
 		r.armRegimeLocked()
+		return
+	}
+	if r.easeStallLocked() {
+		r.pokeRegimeLocked() // re-arms at the same backoff
 		return
 	}
 	r.m.regime.Inc()
@@ -1009,6 +1081,77 @@ func (r *Replica) onRegimeTimer(gen uint64) {
 		r.applyActions(s, sl, sl.proc.Tick(r.now()))
 	}
 	r.pokeRegimeLocked()
+}
+
+// easeStallLocked is a stuck regime fire's first stage. It looks for a
+// reason the window is stuck that is not the leader's, acts on it, and
+// reports whether it found one:
+//
+//   - a live slot that still holds its AckSig is late on the fast path: its
+//     AckSig is released (core's HoldAckSig(false)), which starts the slow
+//     path there and, through the peer trigger, at every correct replica
+//     that acked the same value.
+//   - the lowest undecided slot carries a proposal that this replica or a
+//     peer acked: its leader proposed, and the slot waits on a quorum, not
+//     on a leader. If this replica also sees later slots decided, or holds
+//     messages past the window, the cluster went on without it, and it
+//     starts a fetch round with the next peer in round-robin order. The
+//     tail of a fetch decides a slot once f+1 peers report one value, so a
+//     replica that missed a slot's fast quorum and every message of its
+//     slow path still decides it. Otherwise it waits one more regime delay
+//     for the slot's slow path, which the peers' own fires start.
+//
+// A lowest undecided slot that nobody acked is the leader's fault alone (a
+// dead leader proposes nothing), and such a stall is suspected at once
+// unless a held AckSig was released. The stage runs once per stall
+// (regimeAsked): its evidence can come from a Byzantine peer or leader,
+// and must not keep the leader from being suspected. The caller holds r.mu.
+func (r *Replica) easeStallLocked() bool {
+	if r.regimeAsked {
+		return false
+	}
+	released := r.releaseHeldLocked(r.next+uint64(r.cfg.WindowSize), r.m.slowTimer)
+	fr, ok := r.slots[r.next]
+	if !ok || (!fr.peerAcked && fr.proc.Replica().CurrentVote().Nil) {
+		r.regimeAsked = released
+		return released
+	}
+	ev := r.next
+	for s := range r.decided {
+		ev = max(ev, s)
+	}
+	for _, a := range r.ahead {
+		ev = max(ev, a.s)
+	}
+	if ev > r.next {
+		r.fetchEv = max(r.fetchEv, ev)
+		r.sendFetchLocked(r.nextPeer(r.fetchRR))
+	}
+	r.regimeAsked = true
+	return true
+}
+
+// releaseHeldLocked ends the hold of every undecided live slot below
+// `below` (core's HoldAckSig(false)) and reports whether that sent any
+// AckSig, counting each one in c. The caller holds r.mu.
+func (r *Replica) releaseHeldLocked(below uint64, c *obs.Counter) bool {
+	released := false
+	for s := r.next; s < below; s++ {
+		sl, ok := r.slots[s]
+		if !ok {
+			continue
+		}
+		if _, dec := r.decided[s]; dec {
+			continue
+		}
+		acts := sl.proc.Replica().HoldAckSig(false)
+		if len(acts) > 0 {
+			released = true
+			c.Inc()
+		}
+		r.applyActions(s, sl, acts)
+	}
+	return released
 }
 
 // regimeHorizonLocked returns the exclusive upper bound of slots a
@@ -1074,7 +1217,8 @@ func (r *Replica) applyActions(s uint64, sl *slot, actions []core.Action) {
 				// the window in which a slow replica opens slots on traffic
 				// it cannot yet act on; proposals stay durably gated.)
 				// A commit broadcast is the moment this replica saw an ack
-				// quorum for the slot's value — the tracer's ackquorum stage.
+				// quorum for the slot's value — the tracer's ackquorum stage
+				// (unless a fast quorum came first; see DecideAction).
 				r.markStage(sl, obs.StageAckQuorum, r.cfg.Clock.Now())
 				r.broadcastOrderedLocked(r.envOut(s, act.Msg))
 			default:
@@ -1086,7 +1230,20 @@ func (r *Replica) applyActions(s uint64, sl *slot, actions []core.Action) {
 			// pokeRegimeLocked), and viewsync's OnTimeout is idempotent per
 			// view, so coarser-grained fires are safe.
 		case core.DecideAction:
+			if act.Decision.Path == types.FastPath {
+				// A fast decision is an ack quorum too, and in a slot
+				// that holds its AckSig the only one: stamp the
+				// ackquorum stage here (first mark wins).
+				r.markStage(sl, obs.StageAckQuorum, r.cfg.Clock.Now())
+			}
 			r.onDecideLocked(s, act.Decision)
+			// A slot below s that is still undecided missed a quorum that
+			// the later slot reached: it is late, as a regime fire would
+			// find it, but without waiting a regime delay — notably at the
+			// leader, whose window, and with it every client, waits on its
+			// lowest undecided slot. Per-peer FIFO links deliver a slot's
+			// Acks ahead of the next slot's, so in order this finds nothing.
+			r.releaseHeldLocked(s, r.m.slowOrder)
 		}
 	}
 }
@@ -1125,10 +1282,15 @@ func (r *Replica) onDecideLocked(s uint64, d types.Decision) {
 	delete(r.restoredVotes, s)
 	r.decided[s] = d
 	r.m.decided.Inc()
-	if d.Path == types.SlowPath {
-		r.m.pathSlow.Inc()
-	} else {
+	switch d.Path {
+	case types.FastPath:
 		r.m.pathFast.Inc()
+		r.lazy = true
+	case types.SlowPath:
+		r.m.pathSlow.Inc()
+		r.lazy = false
+	default: // learned by state transfer: not a consensus outcome, no bias
+		r.m.pathXfer.Inc()
 	}
 	r.releaseProposedLocked(s, d.Value)
 	r.advanceLocked()
@@ -1239,10 +1401,23 @@ func (r *Replica) advanceLocked() {
 		r.maybeCheckpointLocked()
 	}
 	// Garbage-collect instances far behind the live window so stragglers
-	// can still catch up on recent slots.
+	// can still catch up on recent slots. One that opened with its AckSig
+	// held is kept two windows behind the frontier, the lag the ahead
+	// buffer absorbs on the other side (see holdAheadLocked): a straggler
+	// that far behind can still run the slot's slow path with it, because
+	// a decided instance that still holds its AckSig releases it when the
+	// straggler's arrives (the peer trigger), and its certificate then
+	// yields its Commit. (At 4 slots, sweep seeds 158 and 185 at n = 4 of
+	// TestSeededScheduleSmokeLazySlowPath fail: a leader suspected, a slot
+	// late past the bound.) Any other instance signed its AckSig with its
+	// ack and has nothing more to give one.
 	const keepDecided = 4
-	for num := range r.slots {
-		if num+keepDecided < r.next {
+	for num, sl := range r.slots {
+		keep := uint64(keepDecided)
+		if sl.lazy {
+			keep = 2 * uint64(r.cfg.WindowSize)
+		}
+		if num+keep < r.next {
 			delete(r.slots, num)
 		}
 	}

@@ -164,30 +164,52 @@ func (r *Replica) onFetchRetry() {
 	r.sendFetchLocked(r.nextPeer(r.fetchRR))
 }
 
-// onFetchStateLocked serves a state-transfer request: the stable checkpoint
-// if it moves the requester forward, streamed in pieces of at most
-// snapChunkSize bytes, plus this replica's decided values for the applied
-// slots after it on the last frame. r.decided holds every decided slot
-// above the stable checkpoint, recovered ones and ones learned by tail
-// included. Per-sender delivery order keeps the pieces in offset order.
+// served is what a replica last sent one state-transfer requester: when
+// it last sent a full response, the slot after the last tail entry, and
+// 1 + the slot of the last checkpoint snapshot.
+type served struct {
+	at   time.Time
+	end  uint64
+	snap uint64
+}
+
+// onFetchStateLocked serves a state-transfer request: this replica's
+// decided values for the applied slots from the requester's frontier on,
+// on the last frame, and ahead of them, if it kept no decision that far
+// back, the stable checkpoint, streamed in pieces of at most snapChunkSize
+// bytes. r.decided holds every decided slot above the previous stable
+// checkpoint, recovered ones and ones learned by tail included.
+// Per-sender delivery order keeps the pieces in offset order.
+//
 // Serving is rate-limited per requester — building a multi-MiB response
 // for a 2-byte request is an amplification lever a Byzantine peer must not
-// be able to pull at line rate. The caller holds r.mu; every frame is
-// encoded before this method returns, so sharing the stored snapshot and
-// values (no clones) is safe.
+// be able to pull at line rate. A full response goes out at most once per
+// fetchRetryCooldown/2; in between, a requester is sent only what it has
+// not been sent yet: decisions past the last tail, and a checkpoint newer
+// than the last snapshot. So a follower that keeps falling behind a fast
+// cluster can ask again as soon as it has caught up with the last answer,
+// while what any requester can draw stays bounded by one full response per
+// half cooldown, each decided slot once and each checkpoint once. The
+// caller holds r.mu; every frame is encoded before this method returns, so
+// sharing the stored snapshot and values (no clones) is safe.
 func (r *Replica) onFetchStateLocked(from types.ProcessID, m *msg.FetchState) {
 	now := r.cfg.Clock.Now()
-	if now.Sub(r.serveTime[from]) < fetchRetryCooldown/2 {
-		return // the honest retry cadence is fetchRetryCooldown
+	last := r.served[from]
+	fresh := now.Sub(last.at) >= fetchRetryCooldown/2
+	tailFrom := m.From
+	if fresh {
+		last.at = now
+	} else {
+		tailFrom = max(tailFrom, last.end)
 	}
-	r.serveTime[from] = now
 	var cert msg.CheckpointCert
 	var snap []byte
-	tailFrom := m.From
-	if r.stable != nil && r.stableSnap != nil && r.stable.CP.Slot >= m.From &&
-		len(r.stableSnap) <= maxSnapshotBytes {
+	if _, kept := r.decided[tailFrom]; !kept && r.stable != nil && r.stableSnap != nil &&
+		r.stable.CP.Slot >= tailFrom && len(r.stableSnap) <= maxSnapshotBytes &&
+		(fresh || r.stable.CP.Slot >= last.snap) {
 		cert, snap = *r.stable, r.stableSnap
 		tailFrom = r.stable.CP.Slot + 1
+		last.snap = tailFrom
 	}
 	// Beyond maxSnapshotBytes the snapshot is not shippable; the tail still
 	// serves requesters inside the un-pruned range.
@@ -205,6 +227,10 @@ func (r *Replica) onFetchStateLocked(from types.ProcessID, m *msg.FetchState) {
 		budget -= sz
 		tail = append(tail, msg.TailDecision{Slot: s, Value: d.Value})
 	}
+	if len(tail) > 0 {
+		last.end = tail[len(tail)-1].Slot + 1
+	}
+	r.served[from] = last
 	if len(snap) == 0 && len(tail) == 0 {
 		return
 	}
@@ -301,7 +327,8 @@ func (r *Replica) onStateSnapshotLocked(from types.ProcessID, m *msg.StateSnapsh
 // replacing what it reported before — and decides every slot in it that
 // f+1 distinct responders report with the same value. Values alone are
 // compared: correct replicas can decide one value in different views, and
-// the tail does not carry the view (a tail-decided slot records NoView).
+// the tail does not carry the view (a tail-decided slot records NoView and
+// the transfer path: it was learned, not reached by consensus).
 // The tally is bounded: at most maxTailDecisions slots per responder, none
 // below the applied frontier, and it lives only while a fetch is
 // outstanding (endSyncLocked drops it). The caller holds r.mu.
@@ -338,7 +365,7 @@ func (r *Replica) tallyTailLocked(from types.ProcessID, tail []msg.TailDecision)
 			}
 		}
 		if n >= r.th.CertQuorum() {
-			r.onDecideLocked(td.Slot, types.Decision{Value: v, Path: types.SlowPath})
+			r.onDecideLocked(td.Slot, types.Decision{Value: v, Path: types.TransferPath})
 		}
 	}
 	for _, c := range r.tails {

@@ -190,14 +190,19 @@ func TestRecordRoundTrip(t *testing.T) {
 		t.Fatalf("vote round trip: %+v", rec)
 	}
 
-	d := types.Decision{Value: types.Value("decided"), View: 2, Path: types.SlowPath}
-	rec, err = DecodeRecord(EncodeDecision(9, d))
-	if err != nil {
-		t.Fatal(err)
+	for _, path := range []types.DecidePath{types.FastPath, types.SlowPath, types.TransferPath} {
+		d := types.Decision{Value: types.Value("decided"), View: 2, Path: path}
+		rec, err = DecodeRecord(EncodeDecision(9, d))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.Kind != RecordDecision || rec.Slot != 9 || !rec.Decision.Value.Equal(d.Value) ||
+			rec.Decision.View != 2 || rec.Decision.Path != path {
+			t.Fatalf("decision round trip: %+v", rec)
+		}
 	}
-	if rec.Kind != RecordDecision || rec.Slot != 9 || !rec.Decision.Value.Equal(d.Value) ||
-		rec.Decision.View != 2 || rec.Decision.Path != types.SlowPath {
-		t.Fatalf("decision round trip: %+v", rec)
+	if _, err := DecodeRecord(EncodeDecision(9, types.Decision{Value: types.Value("x"), Path: types.TransferPath + 1})); err == nil {
+		t.Fatal("a decision record with an unknown path decoded")
 	}
 
 	rec, err = DecodeRecord(certRecord(11, 4, "cert-value"))

@@ -222,7 +222,7 @@ func DecodeRecord(payload []byte) (Record, error) {
 		if err := rd.Finish(); err != nil {
 			return Record{}, fmt.Errorf("%w: %v", ErrBadRecord, err)
 		}
-		if rec.Decision.Path != types.FastPath && rec.Decision.Path != types.SlowPath {
+		if rec.Decision.Path < types.FastPath || rec.Decision.Path > types.TransferPath {
 			return Record{}, fmt.Errorf("%w: decide path %d", ErrBadRecord, rec.Decision.Path)
 		}
 	case RecordCert:

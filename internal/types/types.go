@@ -223,6 +223,9 @@ const (
 	FastPath DecidePath = iota + 1
 	// SlowPath is a decision from ⌈(n+f+1)/2⌉ Commit messages (three delays).
 	SlowPath
+	// TransferPath is a decision a replica did not reach by consensus but
+	// learned by state transfer, from f+1 peers reporting the same value.
+	TransferPath
 )
 
 // String implements fmt.Stringer.
@@ -232,6 +235,8 @@ func (p DecidePath) String() string {
 		return "fast"
 	case SlowPath:
 		return "slow"
+	case TransferPath:
+		return "transfer"
 	default:
 		return "unknown(" + strconv.Itoa(int(p)) + ")"
 	}

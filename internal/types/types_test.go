@@ -190,7 +190,7 @@ func TestStringers(t *testing.T) {
 	if View(3).String() != "v3" {
 		t.Errorf("View(3) = %s", View(3))
 	}
-	if FastPath.String() != "fast" || SlowPath.String() != "slow" {
+	if FastPath.String() != "fast" || SlowPath.String() != "slow" || TransferPath.String() != "transfer" {
 		t.Error("path stringers")
 	}
 	if DecidePath(9).String() == "" {

@@ -3,6 +3,7 @@ package byz
 import (
 	"crypto/sha256"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/msg"
 	"repro/internal/quorum"
@@ -473,3 +474,41 @@ func (w *CertWithholder) Deliver(d *Driver, from types.ProcessID, slot uint64, m
 		}
 	}
 }
+
+// squatJunk is the value of SlotSquatter's junk Acks: no leader proposes it.
+var squatJunk = types.Value("\xffsquat")
+
+// squatWindow is the window SlotSquatter squats: smr's default WindowSize,
+// which every harness runs.
+const squatWindow = 8
+
+// SlotSquatter is a corrupted follower that opens the view-1 leader's window
+// slots ahead of the leader: on every Propose it sees from that leader, for
+// slot s, it sends the leader an unsigned junk Ack for every later slot of
+// the window, s+1 to s+7. Each junk Ack opens the leader's instance for its
+// slot before a request for that slot arrives. A leader that filled only
+// slots with no instance skipped every one of them, and each write then
+// waited out a regime timeout and a view change; the leader must fill a slot
+// a peer opened exactly as it fills an unopened one.
+type SlotSquatter struct {
+	sent atomic.Int64
+}
+
+// Start implements Behavior.
+func (q *SlotSquatter) Start(*Driver) {}
+
+// Deliver implements Behavior: each view-1 Propose of the leader triggers
+// the junk Acks for the slots after it.
+func (q *SlotSquatter) Deliver(d *Driver, from types.ProcessID, slot uint64, m msg.Message) {
+	leader := d.Cluster().Leader(1)
+	if p, ok := m.(*msg.Propose); !ok || p.View != 1 || from != leader {
+		return
+	}
+	for s := slot + 1; s < slot+squatWindow; s++ {
+		d.Send(leader, s, &msg.Ack{View: 1, X: squatJunk})
+		q.sent.Add(1)
+	}
+}
+
+// Sent returns how many junk Acks the squatter has sent.
+func (q *SlotSquatter) Sent() int64 { return q.sent.Load() }

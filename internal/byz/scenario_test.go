@@ -13,7 +13,7 @@ import (
 	"repro/internal/types"
 )
 
-// The six end-to-end adversary scenarios of docs/THREAT_MODEL.md. Each
+// The seven end-to-end adversary scenarios of docs/THREAT_MODEL.md. Each
 // runs the full SMR stack — pipelined windows, view synchronization,
 // sessions/replies, and (where relevant) checkpointing, state transfer,
 // and durable recovery — against one adversarial replica driver (two, for
@@ -529,6 +529,48 @@ func TestByzWithheldCommitCertSMR(t *testing.T) {
 			}, "a post-attack command to apply everywhere")
 
 			th.assertReplySafety("c0/1", "c1/1")
+			th.assertStoresEqual()
+		})
+	}
+}
+
+// TestByzSlotSquatterSMR: a corrupted follower answers every view-1 Propose
+// of the leader with junk Acks for every later slot of the window, so each
+// slot the leader fills next has already been opened by the junk. The
+// leader feeds those slots like any other: 40 sequential writes apply on
+// every correct replica in view 1, no correct replica's regime timer
+// suspects the leader, and the stores stay byte-identical. When the fill
+// skipped a slot a peer had opened, every write after the first waited for
+// a view change.
+func TestByzSlotSquatterSMR(t *testing.T) {
+	const writes = 40
+	for _, tc := range byzConfigs {
+		t.Run(tc.name, func(t *testing.T) {
+			squatter := &SlotSquatter{}
+			th := newByzCluster(t, tc.cfg, 0, 907, clusterOpts{behavior: squatter})
+			confirmed := make([]string, 0, writes)
+			for seq := uint64(1); seq <= writes; seq++ {
+				key := th.submit("c", seq)
+				confirmed = append(confirmed, fmt.Sprintf("c/%d", seq))
+				th.run(30*time.Second, func() bool {
+					return th.allCorrect(func(p types.ProcessID, _ *smr.Replica) bool {
+						_, ok := th.stores[p].Get(key)
+						return ok
+					})
+				}, "a write to apply everywhere")
+			}
+			if squatter.Sent() == 0 {
+				t.Fatal("the squatter sent no junk Ack: the test exercises nothing")
+			}
+			th.eachCorrect(func(p types.ProcessID, _ *smr.Replica) {
+				if n := th.counter(p, "fastbft_regime_timeouts_total"); n != 0 {
+					t.Errorf("replica %s suspected the leader %v times", p, n)
+				}
+				if n := th.counter(p, "fastbft_view_changes_total"); n != 0 {
+					t.Errorf("replica %s changed view %v times", p, n)
+				}
+			})
+			th.assertReplySafety(confirmed...)
 			th.assertStoresEqual()
 		})
 	}

@@ -43,8 +43,9 @@ func (p *Process) Replica() *Replica { return p.replica }
 // included: it is the one place a runtime observes view entry. The hook runs
 // before any protocol step of the new view — in particular before the
 // replica's own vote is recorded and before buffered votes of that view are
-// replayed — so a runtime can refresh the replica's input (SetInput) in time
-// for a free selection, no matter how deliveries interleave.
+// replayed — so a runtime can give the replica its input (SetInput) in time
+// for a free selection, no matter how deliveries interleave. The actions
+// SetInput returns are the runtime's to carry out, in the hook as anywhere.
 func (p *Process) SetEnterHook(fn func(types.View)) { p.enterHook = fn }
 
 // ID returns the process identifier.

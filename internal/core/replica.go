@@ -50,7 +50,6 @@ type leaderState struct {
 	selected      types.Value
 	certVotes     []msg.SignedVote
 	certAcks      *sigcrypto.Set
-	proposed      bool
 	culprit       types.ProcessID
 }
 
@@ -70,9 +69,10 @@ type Replica struct {
 	verifier *verifyMemo
 	input    types.Value
 
-	view   types.View
-	acked  bool // whether an ack was sent in the current view
-	signed bool // whether the AckSig of the current view's ack was sent
+	view     types.View
+	proposed bool // whether this replica proposed in the current view
+	acked    bool // whether an ack was sent in the current view
+	signed   bool // whether the AckSig of the current view's ack was sent
 	// hold makes onPropose leave the AckSig unsigned until HoldAckSig(false)
 	// or a peer's AckSig for the acked (view, value) releases it (see
 	// HoldAckSig). The paper's replica signs at once: hold is false unless
@@ -145,16 +145,28 @@ func (r *Replica) Decided() (types.Decision, bool) { return r.decision, r.decide
 // Input returns the process's input value.
 func (r *Replica) Input() types.Value { return r.input.Clone() }
 
-// SetInput replaces the process's input value. The input is read in two
-// places: leader(1)'s initial proposal, and a later leader's free selection
-// (when no collected vote constrains the choice, the leader proposes its own
-// input — Section 3.2). The SMR layer uses SetInput just before this process
-// enters a view it leads: under leader-driven window fill, follower
-// instances open with a nil input, and without a refreshed input a free
-// selection would propose a no-op while real commands wait in the replica's
-// queue. Calling it after the instance has adopted or selected a value has
-// no effect on safety — those paths never read the input again.
-func (r *Replica) SetInput(v types.Value) { r.input = v.Clone() }
+// SetInput replaces the process's input value and returns the actions that
+// follow. The input is read in two places: leader(1)'s proposal, and a later
+// leader's free selection (when no collected vote constrains the choice, the
+// leader proposes its own input — Section 3.2). Leader(1) proposes when it
+// enters view 1, or, if it had no input then, at the first SetInput that
+// gives it one while it is still in view 1 (see proposeInput): the SMR layer
+// opens every instance with no input and hands the slot its commands later,
+// through this call, whether the instance was opened for them or by a peer's
+// traffic. A leader of a later view gets its input here before it enters the
+// view (see Process.SetEnterHook), so a free selection proposes real
+// commands, not a no-op. Calling it after the instance has adopted or
+// selected a value has no effect on safety — those paths never read the
+// input again.
+func (r *Replica) SetInput(v types.Value) []Action {
+	r.input = v.Clone()
+	return r.proposeInput()
+}
+
+// AwaitsInput reports whether the replica is in view 1 with no input: as
+// leader(1), its next SetInput proposes. It allocates nothing, so a runtime
+// may ask it on every request.
+func (r *Replica) AwaitsInput() bool { return r.view == 1 && r.input == nil }
 
 // CurrentVote materializes the process's vote record vote_q: the adopted
 // proposal plus the latest collected commit certificate (Appendix A.2).
@@ -214,15 +226,17 @@ func (r *Replica) Init() []Action { return r.EnterView(1) }
 
 // EnterView advances the replica to view v — driven by the view
 // synchronizer, the only way into a view — and takes the view's first
-// step: leader(1) proposes its input (Section 3), a later view's leader
-// starts the view change, and every other process sends it its vote. Views
-// never decrease and each is entered at most once (a v at or below the
-// current view is ignored), so a process acks at most one value per view.
+// step: leader(1) proposes its input (Section 3; proposeInput), a later
+// view's leader starts the view change, and every other process sends it its
+// vote. Views never decrease and each is entered at most once (a v at or
+// below the current view is ignored), so a process acks at most one value
+// per view.
 func (r *Replica) EnterView(v types.View) []Action {
 	if v <= r.view {
 		return nil
 	}
 	r.view = v
+	r.proposed = false
 	r.acked = false
 	r.signed = false
 	r.leader = nil
@@ -231,17 +245,7 @@ func (r *Replica) EnterView(v types.View) []Action {
 	leader := r.cfg.Leader(v)
 	switch {
 	case leader == r.id && v == 1:
-		// The first leader proposes its own input with an empty certificate.
-		// A leader with no input stays silent: proposing the empty value
-		// would hand followers a vote for it, and that vote then beats any
-		// real command a view-change leader grafts onto a free selection
-		// (the orphan-slot hazard, in its view-1 guise). Silence leaves
-		// every view-1 vote Nil, so the next view's selection is free.
-		if r.input != nil {
-			tau := r.sign(msg.ProposeDigest(r.input, 1))
-			p := &msg.Propose{View: 1, X: r.input.Clone(), Cert: nil, Tau: tau}
-			out = append(out, r.broadcast(p)...)
-		}
+		out = append(out, r.proposeInput()...)
 	case leader == r.id:
 		// Run the view change: collect n−f votes, starting with our own.
 		r.leader = &leaderState{
@@ -271,6 +275,22 @@ func (r *Replica) EnterView(v types.View) []Action {
 		}
 	}
 	return out
+}
+
+// proposeInput is leader(1)'s step of view 1: it proposes its input with an
+// empty certificate, once. A leader with no input stays silent until
+// SetInput gives it one: proposing the empty value would hand followers a
+// vote for it, and that vote then beats any real command a view-change
+// leader grafts onto a free selection (the orphan-slot hazard, in its view-1
+// guise). Silence leaves every view-1 vote Nil, so the next view's selection
+// is free.
+func (r *Replica) proposeInput() []Action {
+	if r.view != 1 || r.cfg.Leader(1) != r.id || r.proposed || r.input == nil {
+		return nil
+	}
+	r.proposed = true
+	tau := r.sign(msg.ProposeDigest(r.input, 1))
+	return r.broadcast(&msg.Propose{View: 1, X: r.input.Clone(), Cert: nil, Tau: tau})
 }
 
 // sign signs digest with the replica's own signer and records the signature
@@ -627,7 +647,7 @@ func (r *Replica) onCertAck(from types.ProcessID, m *msg.CertAck) []Action {
 		return nil
 	}
 	ls := r.leader
-	if ls == nil || !ls.certRequested || ls.proposed {
+	if ls == nil || !ls.certRequested || r.proposed {
 		return nil
 	}
 	if !m.X.Equal(ls.selected) || m.Phi.Signer != from {
@@ -642,10 +662,10 @@ func (r *Replica) onCertAck(from types.ProcessID, m *msg.CertAck) []Action {
 // maybePropose sends the Propose once f+1 CertAck signatures are collected.
 func (r *Replica) maybePropose() []Action {
 	ls := r.leader
-	if ls == nil || ls.proposed || ls.certAcks == nil || ls.certAcks.Len() < r.th.CertQuorum() {
+	if ls == nil || r.proposed || ls.certAcks == nil || ls.certAcks.Len() < r.th.CertQuorum() {
 		return nil
 	}
-	ls.proposed = true
+	r.proposed = true
 	cert := &msg.ProgressCert{
 		Value: ls.selected.Clone(),
 		View:  r.view,

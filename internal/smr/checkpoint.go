@@ -153,7 +153,7 @@ func (r *Replica) stabilizeLocked(cert *msg.CheckpointCert, snap []byte) {
 			// commands are re-proposed above the checkpoint unless the
 			// restored session table proves them executed. Slots that decided
 			// locally settled their chunk at decision time (proposed is nil).
-			r.releaseSlotLocked(sl)
+			r.releaseProposedLocked(sl, nil)
 			delete(r.slots, num)
 		}
 	}

@@ -50,12 +50,11 @@ func TestCheckpointingBoundsSlotState(t *testing.T) {
 	// hold one entry per slot. With pruning they are bounded by what a
 	// checkpoint interval plus the live window can keep alive. The stable
 	// checkpoint prunes both, so at this interval the longer lives of a
-	// lazily opened instance (two windows past its decision, advanceLocked)
-	// and of a decision record (one interval past its checkpoint,
-	// stabilizeLocked) stay within the same bound: the run ends with 4–8
+	// decided instance (two windows past its decision, advanceLocked) and of
+	// a decision record (one interval past its checkpoint, stabilizeLocked)
+	// stay within an interval, the window and 4 slots: the run ends with 4–8
 	// instances and 8–12 records per replica.
-	const keepDecided = 4 // mirrors the constant in advanceLocked
-	bound := int(interval) + 8 /* default WindowSize */ + keepDecided
+	bound := int(interval) + 8 /* default WindowSize */ + 4
 	for i, r := range reps {
 		if n := r.SlotCount(); n > bound {
 			t.Errorf("replica %d holds %d live slot instances, want <= %d", i, n, bound)

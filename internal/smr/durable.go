@@ -223,21 +223,17 @@ func (r *Replica) resumeRestoredSlotsLocked() {
 		if s < r.next || s >= r.next+uint64(r.cfg.WindowSize) {
 			continue
 		}
-		if _, started := r.slots[s]; started {
-			continue
-		}
 		if _, dec := r.decided[s]; dec {
 			continue
 		}
-		// Restored slots restart from their persisted vote state, never
-		// from a fresh chunk, so the lead flag is moot; false keeps the
-		// follower invariant (only fillWindowLocked assigns chunks).
-		r.startSlotLocked(s, false)
+		// The instance restarts from its persisted vote state, never from
+		// a fresh chunk (see ensureSlotLocked).
+		r.ensureSlotLocked(s)
 	}
 }
 
 // restoreSlotVoteLocked seeds a restarting instance with its pre-crash
-// vote state (startSlotLocked makes the latest adopted value its input, so
+// vote state (ensureSlotLocked makes the latest adopted value its input, so
 // a recovered leader re-proposes what it already signed rather than
 // equivocating with a fresh chunk). The caller holds r.mu; called between
 // core.NewProcess and the Process.Init that enters view 1.

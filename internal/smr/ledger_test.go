@@ -294,7 +294,7 @@ func runLeaderCrash(t *testing.T, cfg types.Config) (row ledgerRow, views float6
 //   - the slow path runs only where it can decide. A replica that has
 //     decided nothing since boot signs its AckSigs at once; one whose last
 //     consensus decision was fast holds them (the bias, see
-//     startSlotLocked), and a fault-free slot decides fast at 2Δ, long
+//     ensureSlotLocked), and a fault-free slot decides fast at 2Δ, long
 //     before the regime fire that would release them. So after the
 //     warm-up, a fault-free slot sends no AckSig and no Commit, and the
 //     consensus frames are (n − 1) + n(n − 1): 15 at n = 4, 48 at n = 7.

@@ -144,7 +144,15 @@ func (r *Replica) envOut(s uint64, m msg.Message) []byte {
 	return envelope(r.cfg.Group, s, m)
 }
 
-// markStage records pipeline stage st of slot sl at time `at`.
+// markStage records pipeline stage st of slot sl at time `at`. A slot that
+// no chunk of this replica's fed (a follower's, or a leader's with an empty
+// queue) has no enqueue time to backfill: its pipeline clock starts, and it
+// is proposed, when its instance opened, so every replica's stage histograms
+// fill, not just the proposer's.
 func (r *Replica) markStage(sl *slot, st obs.Stage, at time.Time) {
+	if sl.trace.At(obs.StageSubmit) == 0 {
+		r.m.tracer.MarkAt(&sl.trace, obs.StageSubmit, r.m.tracer.Nanos(sl.born))
+		r.m.tracer.Mark(&sl.trace, obs.StageProposed, sl.born)
+	}
 	r.m.tracer.Mark(&sl.trace, st, at)
 }

@@ -13,13 +13,17 @@
 // out of order; commands are applied strictly in slot order, and commit
 // observers see slots in order too.
 //
-// Window slots are opened by the leader: only the replica that leads view 1
-// (and with it the current leader regime — leader(v) is the same process
-// for every slot at view v) assigns pending-queue chunks to fresh slots;
-// followers keep their commands queued and open instances only when the
-// leader's traffic arrives. This is what makes slot assignment
-// crash-consistent — a follower can never strand a command in a slot the
-// leader will not propose. Leader failure is handled per regime, not per
+// Every slot opens one way (ensureSlotLocked: for the fill, on a peer's
+// traffic, on a regime fire, or to resume recovered vote state), with no
+// input, and gets commands one way (feedSlotLocked), from the leader of its
+// view: the replica that leads view 1 (and with it the current leader
+// regime — leader(v) is the same process for every slot at view v) feeds
+// pending-queue chunks to the window's slots, however they opened, and a
+// later view's leader feeds the slot it takes over. Followers keep their
+// commands queued. This is what makes slot assignment crash-consistent — a
+// follower can never strand a command in a slot the leader will not
+// propose — and what keeps a peer's frame, junk or not, from making the
+// leader skip a slot. Leader failure is handled per regime, not per
 // slot: one adaptive timer (EWMA of decide latency, exponential backoff,
 // reset on progress) watches the whole window, and when it fires every
 // in-flight slot changes view in one coordinated step, each slot then
@@ -125,11 +129,11 @@ type Config struct {
 	BaseTimeout time.Duration
 	// WindowSize bounds how many consensus instances may be live at once
 	// (default 8): the replica participates in slots
-	// [lowestUndecided, lowestUndecided+WindowSize), and starts an instance
-	// for every slot in the window for which a batch is ready (see
-	// MaxBatch). Traffic for the next WindowSize slots past the window is
-	// kept, within a per-sender bound, and delivered once the window
-	// reaches its slot.
+	// [lowestUndecided, lowestUndecided+WindowSize), and the view-1 leader
+	// feeds a batch to every slot in the window that can take one while a
+	// batch is ready (see MaxBatch). Traffic for the next WindowSize slots
+	// past the window is kept, within a per-sender bound, and delivered
+	// once the window reaches its slot.
 	WindowSize int
 	// MaxBatch is the maximum number of pending commands a leader packs
 	// into one proposal (default 1, i.e. no batching). A full batch is
@@ -230,7 +234,7 @@ type Replica struct {
 
 	// lazy is the slow-path bias: whether the last slot this replica
 	// decided by consensus decided on the fast path. A slot opens with its
-	// AckSig held while it is set (see startSlotLocked). It starts clear —
+	// AckSig held while it is set (see ensureSlotLocked). It starts clear —
 	// a replica that has decided nothing since boot or recovery signs
 	// eagerly — and a state-transfer decision does not move it.
 	lazy bool
@@ -298,20 +302,16 @@ type slot struct {
 	// born is when the instance was opened locally; the decide latency
 	// (born to decision) feeds the regime timer's EWMA.
 	born time.Time
-	// proposed is the disjoint chunk of the pending queue this replica
-	// proposed for the slot. The commands are tracked as in-flight until the
-	// slot decides; those the decision does not contain are returned to the
-	// pending queue (see releaseProposedLocked).
+	// proposed is the disjoint chunk of the pending queue this replica fed
+	// the slot (see feedSlotLocked). The commands are tracked as in-flight
+	// until the slot decides; those the decision does not contain are
+	// returned to the pending queue (see releaseProposedLocked).
 	proposed []Command
 	// trace carries the slot's pipeline-stage timestamps (submit is the
 	// oldest enqueue time of the slot's chunk on the proposer, and the
-	// instance-open time on followers); marks are atomic, so the storage
-	// effect queue can stamp durability without the replica lock.
+	// instance-open time elsewhere; see markStage); marks are atomic, so the
+	// storage effect queue can stamp durability without the replica lock.
 	trace obs.Trace
-	// lazy records that the slot opened under the lazy bias, with its
-	// AckSig held: its instance outlives its decision longer (see
-	// advanceLocked).
-	lazy bool
 	// peerAcked is set once a peer's Ack for the slot arrived: its leader
 	// proposed, so a stall here may be a quorum running late rather than
 	// a dead leader (see easeStallLocked).
@@ -541,12 +541,17 @@ func saltedMsg(salt, msg []byte) []byte {
 	return append(out, msg...)
 }
 
-// fillWindowLocked starts a consensus instance for every slot in the live
-// window [next, next+WindowSize) that has none yet, as long as a batch is
-// ready to propose — the pipelining step: each new slot consumes its own
+// fillWindowLocked feeds a chunk of the pending queue to every slot of the
+// live window [next, next+WindowSize) that can take one, as long as a batch
+// is ready to propose — the pipelining step: each slot consumes its own
 // disjoint chunk of the queue, so up to WindowSize proposals replicate
-// concurrently instead of one per consensus round-trip. The caller holds
-// r.mu.
+// concurrently instead of one per consensus round-trip. A slot can take a
+// chunk if it is undecided and has no instance yet, or has one still in view
+// 1 with no input (core's AwaitsInput) — a peer's frame opened it first,
+// which fault-free never happens at the leader, but a Byzantine peer can do
+// for every slot at the cost of one junk Ack each. Either way the slot opens
+// through ensureSlotLocked and takes its chunk through feedSlotLocked, so
+// the fill treats both alike. The caller holds r.mu.
 //
 // A batch is ready when it is full (MaxBatch pending commands), or when it
 // is partial and none of this leader's proposals is in flight. So a lone
@@ -556,54 +561,51 @@ func saltedMsg(salt, msg []byte) []byte {
 // order. At MaxBatch 1 every non-empty queue is a full batch.
 //
 // Only the leader of view 1 fills the window. Every slot starts at view 1
-// with the same leader, so on any other replica a speculatively opened slot
-// proposes into an instance whose leader may never pick the same chunk —
-// and a chunk assigned to a slot the leader never proposes is orphaned: it
-// sits in flight until a view change frees it, stalling the client for a
-// full suspicion timeout. Followers keep their commands pending (the
-// ctrlSlot relay puts them in the leader's queue) and open instances only
-// when slot traffic arrives (ensureSlotLocked) or the regime timer suspects
-// the leader. Commands stranded by a leader failure are grafted onto the
-// view-change leader's instances instead (see enterSlotViewLocked).
+// with the same leader, so on any other replica a chunk fed to a slot goes
+// into an instance whose leader may never pick the same chunk — and a chunk
+// assigned to a slot the leader never proposes is orphaned: it sits in
+// flight until a view change frees it, stalling the client for a full
+// suspicion timeout. Followers keep their commands pending (the ctrlSlot
+// relay puts them in the leader's queue). Commands stranded by a leader
+// failure are fed to the view-change leader's instances instead (see
+// enterSlotViewLocked).
 //
 // This runs on every request arrival, so the saturated case must stay
-// cheap: when the window holds no startable slot the function returns after
-// an O(WindowSize) scan, without touching the queue. Compaction (dropping
-// queued requests the session table has proven stale, so they never enter a
-// proposal batch — a Byzantine or slow client retransmitting executed
-// requests must not bloat batches with replays) runs once, and only when a
-// slot can actually start.
+// cheap: when the window holds no slot to feed the function returns after an
+// O(WindowSize) scan that allocates nothing, without touching the queue.
+// Compaction (dropping queued requests the session table has proven stale,
+// so they never enter a proposal batch — a Byzantine or slow client
+// retransmitting executed requests must not bloat batches with replays)
+// runs once, and only when a slot can actually take a chunk.
 func (r *Replica) fillWindowLocked() {
-	if !r.batchReadyLocked() || r.cfg.Cluster.Leader(1) != r.cfg.Self {
+	if r.cfg.Cluster.Leader(1) != r.cfg.Self {
 		return
 	}
-	startable := false
-	for s := r.next; s < r.next+uint64(r.cfg.WindowSize); s++ {
-		if _, started := r.slots[s]; started {
+	compacted := false
+	for s := r.next; s < r.next+uint64(r.cfg.WindowSize) && r.batchReadyLocked(); s++ {
+		if !r.fillableLocked(s) {
 			continue
 		}
-		if _, dec := r.decided[s]; dec {
-			continue // decided out of order; proposing is pointless
+		if !compacted {
+			r.compactPendingLocked()
+			compacted = true
+			if !r.batchReadyLocked() {
+				return
+			}
 		}
-		startable = true
-		break
+		r.feedSlotLocked(s, r.ensureSlotLocked(s))
 	}
-	if !startable {
-		return
+}
+
+// fillableLocked reports whether slot s can take a chunk from the fill: it
+// is undecided, and it has no instance or one in view 1 with no input (see
+// fillWindowLocked). The caller holds r.mu.
+func (r *Replica) fillableLocked(s uint64) bool {
+	if _, dec := r.decided[s]; dec {
+		return false // decided out of order; proposing is pointless
 	}
-	r.compactPendingLocked()
-	for s := r.next; s < r.next+uint64(r.cfg.WindowSize); s++ {
-		if !r.batchReadyLocked() {
-			break
-		}
-		if _, started := r.slots[s]; started {
-			continue
-		}
-		if _, dec := r.decided[s]; dec {
-			continue
-		}
-		r.startSlotLocked(s, true)
-	}
+	sl, ok := r.slots[s]
+	return !ok || sl.proc.Replica().AwaitsInput()
 }
 
 // batchReadyLocked reports whether the pending queue holds a batch to
@@ -614,28 +616,16 @@ func (r *Replica) batchReadyLocked() bool {
 	return n >= r.cfg.MaxBatch || (n > 0 && len(r.inflight) == 0)
 }
 
-// takeChunkLocked removes up to MaxBatch commands from the pending queue
-// and marks them in flight for slot s. The chunks of concurrent slots are
-// disjoint by construction: a command leaves the queue when assigned and
-// returns only if its slot decides a different value, so no command is ever
-// proposed in two live slots of this replica at once. The caller holds r.mu
-// and has compacted the queue.
-// It also returns the oldest tracer enqueue timestamp among the chunk's
-// commands (0 when untracked), which seeds the slot trace's submit stage.
-func (r *Replica) takeChunkLocked(s uint64) ([]Command, int64) {
-	chunk, oldest := r.pending.PopFrontTraced(r.cfg.MaxBatch)
-	for _, c := range chunk {
-		r.inflight[string(c)] = s
-	}
-	return chunk, oldest
-}
-
-// ensureSlotLocked creates the consensus instance for slot s if it is
-// within the live window and does not exist yet — the on-traffic path: a
-// peer's message arrived for a slot this replica has not started. The
-// instance opens without a chunk of its own (only the leader assigns
-// chunks; see fillWindowLocked), so an instance opened by a follower can
-// never orphan a command.
+// ensureSlotLocked returns slot s's consensus instance, opening it if s is
+// in the live window and has none. It is the only way an instance opens: for
+// the fill, on a peer's traffic, on a regime fire, and to resume a slot whose
+// vote state a restart recovered. The instance opens with no input, so it
+// proposes nothing until feedSlotLocked gives it a chunk. A slot with
+// recovered vote state instead restarts from that state: its input is the
+// last value it adopted — so a recovered leader re-proposes what it already
+// signed rather than equivocating with a fresh chunk — and the instance
+// refuses to ack conflicting values in views it voted in before the crash.
+// It returns nil for a slot outside the window. The caller holds r.mu.
 func (r *Replica) ensureSlotLocked(s uint64) *slot {
 	if sl, ok := r.slots[s]; ok {
 		return sl
@@ -643,30 +633,10 @@ func (r *Replica) ensureSlotLocked(s uint64) *slot {
 	if s < r.next || s >= r.next+uint64(r.cfg.WindowSize) {
 		return nil
 	}
-	return r.startSlotLocked(s, false)
-}
-
-// startSlotLocked creates the instance for slot s. With lead set (the
-// leader-driven fill path) the instance proposes a fresh disjoint chunk of
-// the pending queue; without it the instance opens with a nil input and
-// proposes nothing. A slot with recovered vote state instead restarts from
-// that state: its input is the last value it adopted — so a recovered
-// leader re-proposes what it already signed rather than equivocating with a
-// fresh chunk — and the instance refuses to ack conflicting values in views
-// it voted in before the crash. The caller holds r.mu, has bounds-checked s
-// against the window, and (when lead is set) has compacted the queue.
-func (r *Replica) startSlotLocked(s uint64, lead bool) *slot {
 	restored := r.restoredVotes[s]
-	var chunk []Command
-	var oldest int64
-	input := types.Value(nil)
+	var input types.Value
 	if restored != nil && len(restored.Acks) > 0 {
-		input = restored.Acks[len(restored.Acks)-1].X.Clone()
-	} else if lead {
-		chunk, oldest = r.takeChunkLocked(s)
-		if len(chunk) > 0 {
-			input = EncodeBatch(chunk)
-		}
+		input = restored.Acks[len(restored.Acks)-1].X
 	}
 	salt := slotDomain(r.cfg.Group, s)
 	proc, err := core.NewProcess(r.cfg.Cluster, r.cfg.Self,
@@ -675,16 +645,7 @@ func (r *Replica) startSlotLocked(s uint64, lead bool) *slot {
 	if err != nil {
 		return nil // configuration was validated at construction; unreachable
 	}
-	sl := &slot{proc: proc, proposed: chunk, born: r.cfg.Clock.Now()}
-	if oldest == 0 {
-		// Follower instances (and leaders with an empty queue) have no
-		// enqueue timestamp to backfill: their pipeline clock starts when
-		// the instance opens locally, so every replica's stage histograms
-		// fill, not just the proposer's.
-		oldest = r.m.tracer.Nanos(sl.born)
-	}
-	r.m.tracer.MarkAt(&sl.trace, obs.StageSubmit, oldest)
-	r.markStage(sl, obs.StageProposed, sl.born)
+	sl := &slot{proc: proc, born: r.cfg.Clock.Now()}
 	// The hook runs before the instance enters any view this replica leads —
 	// ahead of vote collection, however deliveries interleave — so a free
 	// selection proposes real pending commands, not a no-op.
@@ -692,7 +653,6 @@ func (r *Replica) startSlotLocked(s uint64, lead bool) *slot {
 	if r.lazy {
 		// The last consensus decision was fast: bet that this slot's is
 		// too, and sign its AckSig only if it turns out late.
-		sl.lazy = true
 		proc.Replica().HoldAckSig(true)
 	}
 	if restored != nil {
@@ -703,19 +663,42 @@ func (r *Replica) startSlotLocked(s uint64, lead bool) *slot {
 	return sl
 }
 
+// feedSlotLocked gives slot s's instance a chunk of up to MaxBatch pending
+// commands as its input and carries out what follows (core's SetInput: in
+// view 1, leader(1) proposes the chunk at once). It is the only way a slot
+// gets commands: from the fill in view 1 and from the graft in a later view
+// (enterSlotViewLocked). The chunk's commands leave the queue and are marked
+// in flight for s, so the chunks of concurrent slots are disjoint: a command
+// returns to the queue only if its slot decides a different value, and is
+// never proposed in two live slots of this replica at once. The slot's
+// submit stage is the chunk's oldest enqueue time. An empty queue feeds
+// nothing. The caller holds r.mu and has compacted the queue.
+func (r *Replica) feedSlotLocked(s uint64, sl *slot) {
+	chunk, oldest := r.pending.PopFrontTraced(r.cfg.MaxBatch)
+	if len(chunk) == 0 {
+		return
+	}
+	for _, c := range chunk {
+		r.inflight[string(c)] = s
+	}
+	sl.proposed = chunk
+	r.m.tracer.MarkAt(&sl.trace, obs.StageSubmit, oldest)
+	r.markStage(sl, obs.StageProposed, r.cfg.Clock.Now())
+	r.applyActions(s, sl, sl.proc.Replica().SetInput(EncodeBatch(chunk)))
+}
+
 // enterSlotViewLocked runs just before slot s enters view v (registered as
 // the instance's enter hook, the one place the replica observes view
 // entry). Entering any view beyond the first means a leader was given up on,
 // and is counted. When this replica leads the new view and the instance
-// carries nothing — no chunk proposed by this replica, nothing
-// adopted in an earlier view — the leader grafts a fresh chunk of the
-// pending queue onto the instance. Under leader-driven fill, follower
-// instances open with a nil input; without this graft, a view change whose
-// selection comes up free would propose a no-op, and the very commands
-// whose stall forced the view change would starve. Safety is untouched: the
-// input only matters to a free selection, which by definition no collected
-// vote constrains. The caller holds r.mu (the hook fires inside
-// Deliver/Tick/Init, which always run under it).
+// carries nothing — no chunk of this replica's, nothing adopted in an
+// earlier view — the new leader feeds it a chunk of the pending queue
+// (feedSlotLocked, as the fill does in view 1): the graft. Without it a view
+// change whose selection comes up free would propose a no-op, and the very
+// commands whose stall forced the view change would starve. Safety is
+// untouched: the input only matters to a free selection, which by
+// definition no collected vote constrains. The caller holds r.mu (the hook
+// fires inside Deliver/Tick/Init, which always run under it).
 func (r *Replica) enterSlotViewLocked(s uint64, sl *slot, v types.View) {
 	if v <= 1 {
 		return
@@ -731,16 +714,7 @@ func (r *Replica) enterSlotViewLocked(s uint64, sl *slot, v types.View) {
 		return
 	}
 	r.compactPendingLocked()
-	chunk, oldest := r.takeChunkLocked(s)
-	if len(chunk) == 0 {
-		return
-	}
-	sl.proposed = chunk
-	if oldest != 0 {
-		r.m.tracer.MarkAt(&sl.trace, obs.StageSubmit, oldest)
-	}
-	r.markStage(sl, obs.StageProposed, r.cfg.Clock.Now())
-	sl.proc.Replica().SetInput(EncodeBatch(chunk))
+	r.feedSlotLocked(s, sl)
 }
 
 // onPayload parses a frame's (group, slot) header and routes the message to
@@ -1278,6 +1252,7 @@ func (r *Replica) onDecideLocked(s uint64, d types.Decision) {
 			tr := &sl.trace
 			r.store.Effect(func() { r.m.tracer.Mark(tr, obs.StageDurable, r.cfg.Clock.Now()) })
 		}
+		r.releaseProposedLocked(sl, &d)
 	}
 	delete(r.restoredVotes, s)
 	r.decided[s] = d
@@ -1292,23 +1267,24 @@ func (r *Replica) onDecideLocked(s uint64, d types.Decision) {
 	default: // learned by state transfer: not a consensus outcome, no bias
 		r.m.pathXfer.Inc()
 	}
-	r.releaseProposedLocked(s, d.Value)
 	r.advanceLocked()
 }
 
-// releaseProposedLocked settles slot s's in-flight chunk against the value
-// the slot decided: every proposed command leaves the in-flight index, and
-// the ones the decision does not contain are returned to the front of the
-// pending queue (unless meanwhile stale) so a later window slot re-proposes
-// them. The caller holds r.mu.
-func (r *Replica) releaseProposedLocked(s uint64, decided types.Value) {
-	sl, ok := r.slots[s]
-	if !ok || len(sl.proposed) == 0 {
+// releaseProposedLocked gives back sl's in-flight chunk: every proposed
+// command leaves the in-flight index, and the ones the slot's decision d
+// does not carry return to the front of the pending queue, so a later window
+// slot re-proposes them — unless the session table proves them executed
+// meanwhile. With a decision, what returns was displaced by a conflicting
+// value and counts as reproposed; a slot discarded without a local decision
+// (state transfer restored past it) passes a nil d and returns its whole
+// chunk uncounted. The caller holds r.mu.
+func (r *Replica) releaseProposedLocked(sl *slot, d *types.Decision) {
+	if len(sl.proposed) == 0 {
 		return
 	}
 	inDecided := make(map[string]bool)
-	if len(decided) > 0 {
-		if cmds, err := DecodeBatch(decided); err == nil {
+	if d != nil && len(d.Value) > 0 {
+		if cmds, err := DecodeBatch(d.Value); err == nil {
 			for _, c := range cmds {
 				inDecided[string(c)] = true
 			}
@@ -1324,25 +1300,9 @@ func (r *Replica) releaseProposedLocked(s uint64, decided types.Value) {
 		if req, ok := decodeRequest(c); !ok || r.staleLocked(req) {
 			continue // executed through another slot's batch meanwhile
 		}
-		if r.pending.PushFront(c) {
+		if r.pending.PushFront(c) && d != nil {
 			r.m.reproposed.Inc()
 		}
-	}
-	sl.proposed = nil
-}
-
-// releaseSlotLocked returns a slot's whole in-flight chunk to the pending
-// queue — used when the instance is discarded without a locally observed
-// decision (state transfer restored past it). Commands the restored session
-// table proves executed are dropped instead. The caller holds r.mu.
-func (r *Replica) releaseSlotLocked(sl *slot) {
-	for i := len(sl.proposed) - 1; i >= 0; i-- {
-		c := sl.proposed[i]
-		delete(r.inflight, string(c))
-		if req, ok := decodeRequest(c); !ok || r.staleLocked(req) {
-			continue
-		}
-		r.pending.PushFront(c)
 	}
 	sl.proposed = nil
 }
@@ -1400,23 +1360,17 @@ func (r *Replica) advanceLocked() {
 		r.applyPtr++
 		r.maybeCheckpointLocked()
 	}
-	// Garbage-collect instances far behind the live window so stragglers
-	// can still catch up on recent slots. One that opened with its AckSig
-	// held is kept two windows behind the frontier, the lag the ahead
-	// buffer absorbs on the other side (see holdAheadLocked): a straggler
-	// that far behind can still run the slot's slow path with it, because
-	// a decided instance that still holds its AckSig releases it when the
-	// straggler's arrives (the peer trigger), and its certificate then
-	// yields its Commit. (At 4 slots, sweep seeds 158 and 185 at n = 4 of
+	// Garbage-collect instances far behind the live window, keeping every
+	// decided one two windows behind the frontier, the lag the ahead buffer
+	// absorbs on the other side (see holdAheadLocked): a straggler that far
+	// behind can still run a slot's slow path with it, because a decided
+	// instance that still holds its AckSig releases it when the straggler's
+	// arrives (the peer trigger), and its certificate then yields its
+	// Commit. (At 4 slots, sweep seeds 158 and 185 at n = 4 of
 	// TestSeededScheduleSmokeLazySlowPath fail: a leader suspected, a slot
-	// late past the bound.) Any other instance signed its AckSig with its
-	// ack and has nothing more to give one.
-	const keepDecided = 4
-	for num, sl := range r.slots {
-		keep := uint64(keepDecided)
-		if sl.lazy {
-			keep = 2 * uint64(r.cfg.WindowSize)
-		}
+	// late past the bound.)
+	keep := 2 * uint64(r.cfg.WindowSize)
+	for num := range r.slots {
 		if num+keep < r.next {
 			delete(r.slots, num)
 		}

@@ -9,13 +9,19 @@ FUZZTIME ?= 30s
 # SEEDS is how many seeds per scenario the sim-sweep target runs.
 SEEDS ?= 500
 
-.PHONY: all build test race bench bench-check fuzz smoke leaderkill fmt fmt-check vet doc-check byz sim-sweep recovery-race cluster-race ledger clean
+.PHONY: all build cross test race bench bench-check fuzz smoke leaderkill fmt fmt-check vet doc-check byz sim-sweep recovery-race cluster-race ledger clean
 
 all: build test
 
 ## build: compile every package and command
 build:
 	$(GO) build ./...
+
+## cross: compile every package for windows and darwin, so the non-unix
+## stub of the peer channel's write attempt cannot rot
+cross:
+	GOOS=windows $(GO) build ./...
+	GOOS=darwin $(GO) build ./...
 
 ## test: run the full test suite
 test:

@@ -316,6 +316,13 @@ type slot struct {
 	// proposed, so a stall here may be a quorum running late rather than
 	// a dead leader (see easeStallLocked).
 	peerAcked bool
+	// lone is the peer whose frame opened the slot, for as long as no other
+	// peer's frame has arrived for it and this replica has not voted in it;
+	// types.NoProcess otherwise, and for a slot this replica opened itself
+	// or holds a restored vote for. Nobody but that one sender could be
+	// waiting on a lone slot, so it is not outstanding work (see
+	// workOutstandingLocked).
+	lone types.ProcessID
 }
 
 // NewReplica builds an SMR replica.
@@ -645,7 +652,7 @@ func (r *Replica) ensureSlotLocked(s uint64) *slot {
 	if err != nil {
 		return nil // configuration was validated at construction; unreachable
 	}
-	sl := &slot{proc: proc, born: r.cfg.Clock.Now()}
+	sl := &slot{proc: proc, born: r.cfg.Clock.Now(), lone: types.NoProcess}
 	// The hook runs before the instance enters any view this replica leads —
 	// ahead of vote collection, however deliveries interleave — so a free
 	// selection proposes real pending commands, not a no-op.
@@ -784,6 +791,7 @@ func (r *Replica) deliverSlotLocked(from types.ProcessID, s uint64, m msg.Messag
 	}
 	sl, ok := r.slots[s]
 	if !ok {
+		_, restored := r.restoredVotes[s]
 		sl = r.ensureSlotLocked(s)
 		if sl == nil {
 			if s >= r.next+uint64(r.cfg.WindowSize) && (!r.holdAheadLocked(from, s, m, size) || r.frontierIdleLocked()) {
@@ -791,6 +799,11 @@ func (r *Replica) deliverSlotLocked(from types.ProcessID, s uint64, m msg.Messag
 			}
 			return
 		}
+		if from != r.cfg.Self && !restored {
+			sl.lone = from
+		}
+	} else if sl.lone != from {
+		sl.lone = types.NoProcess
 	}
 	acts := sl.proc.Deliver(from, m, r.now())
 	switch m.(type) {
@@ -948,18 +961,24 @@ func (r *Replica) frontierIdleLocked() bool {
 }
 
 // workOutstandingLocked reports whether the replica is waiting on the
-// leader regime for anything: queued or in-flight commands, an undecided
-// instance in the live window, or messages held past it. The caller holds
-// r.mu.
+// leader regime for anything: queued or in-flight commands, messages held
+// past the live window, or an undecided instance in it that someone besides
+// one peer could be waiting on. An instance that only one peer's frames
+// reached, and in which this replica has not voted (slot.lone), is not
+// work: one junk frame would otherwise make an idle group suspect its
+// correct leader. The caller holds r.mu.
 func (r *Replica) workOutstandingLocked() bool {
 	if r.pending.Len() > 0 || len(r.inflight) > 0 || len(r.ahead) > 0 {
 		return true
 	}
-	for s := range r.slots {
+	for s, sl := range r.slots {
 		if s < r.next || s >= r.next+uint64(r.cfg.WindowSize) {
 			continue
 		}
-		if _, dec := r.decided[s]; !dec {
+		if _, dec := r.decided[s]; dec {
+			continue
+		}
+		if sl.lone == types.NoProcess {
 			return true
 		}
 	}
@@ -1179,6 +1198,7 @@ func (r *Replica) applyActions(s uint64, sl *slot, actions []core.Action) {
 		case core.BroadcastAction:
 			switch act.Msg.(type) {
 			case *msg.Ack:
+				sl.lone = types.NoProcess // this replica voted in the slot
 				r.persistVoteLocked(s, sl)
 				r.broadcastEnvLocked(r.envOut(s, act.Msg))
 			case *msg.Commit:

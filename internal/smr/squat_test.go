@@ -75,3 +75,43 @@ func squatWrites(t *testing.T, cfg types.Config, squat bool) time.Duration {
 	})
 	return took
 }
+
+// TestIdleJunkFrameSuspectsNobody: one junk frame for an idle window slot
+// must not make an idle group suspect its correct leader. n = 4, Δ = 1 ms:
+// after 3 writes (slots 0–2) follower 0 sends the leader one unsigned junk
+// Ack for slot 5. When an undecided instance that only a peer's frame had
+// opened counted as outstanding work, the leader's regime timer fired on it,
+// its Wishes opened the slots at the followers, their timers followed, and
+// every replica timed out once and counted 3 view changes, deciding slots
+// 3–5 as no-ops. Now nobody times out, and the next write decides at slot 3.
+func TestIdleJunkFrameSuspectsNobody(t *testing.T) {
+	cfg := types.Generalized(1, 1)
+	g := newSimGroup(t, cfg, 65, groupOpts{delta: time.Millisecond})
+	leaderID := cfg.Leader(1)
+	for i := 0; i < 3; i++ {
+		g.submitKVAll("c", i, -1)
+		g.run(10*time.Second, g.applied(uint64(i+1)), "a write")
+	}
+	frame := envelope(0, 5, &msg.Ack{View: 1, X: types.Value("junk")})
+	if err := g.net.Transport(0).Send(leaderID, frame); err != nil {
+		t.Fatal(err)
+	}
+	g.net.Advance(5 * time.Second)
+	g.settle()
+	g.submitKVAll("c", 3, -1)
+	g.run(10*time.Second, g.applied(4), "the write after the junk frame")
+	g.live(func(p types.ProcessID, r *Replica) {
+		if n := r.m.regime.Load(); n != 0 {
+			t.Errorf("replica %s had %d regime timeouts", p, n)
+		}
+		if n := g.viewChanges(p); n != 0 {
+			t.Errorf("replica %s changed view %v times", p, n)
+		}
+		r.mu.Lock()
+		next := r.next
+		r.mu.Unlock()
+		if next != 4 {
+			t.Errorf("replica %s decided slots up to %d after 4 writes, want 3", p, next-1)
+		}
+	})
+}

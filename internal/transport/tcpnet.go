@@ -9,6 +9,7 @@ import (
 	"net"
 	"strconv"
 	"sync"
+	"syscall"
 	"time"
 
 	"repro/internal/obs"
@@ -152,7 +153,7 @@ func (t *TCPTransport) SetHandler(h Handler) {
 }
 
 // Start implements Transport: it launches the accept loop and the per-peer
-// senders.
+// drain goroutines.
 func (t *TCPTransport) Start() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -186,28 +187,46 @@ func (t *TCPTransport) Send(to types.ProcessID, payload []byte) error {
 	if !to.Valid(t.cfg.N) || to == t.cfg.Self {
 		return ErrUnknownPeer
 	}
-	if len(payload) > MaxFrame {
-		return fmt.Errorf("tcp: payload %d bytes exceeds limit", len(payload))
+	frame, err := t.frame(payload)
+	if err != nil {
+		return err
 	}
-	if t.isClosed() {
-		return ErrClosed
-	}
-	t.peers[to].enqueue(payload)
+	t.peers[to].enqueue(frame)
 	t.mFramesOut.Inc()
 	t.mBytesOut.Add(uint64(len(payload)))
 	return nil
 }
 
-// Broadcast implements Transport.
+// Broadcast implements Transport. The frame is built once, and every peer's
+// outbox takes the same bytes.
 func (t *TCPTransport) Broadcast(payload []byte) error {
-	for i := 0; i < t.cfg.N; i++ {
-		if pid := types.ProcessID(i); pid != t.cfg.Self {
-			if err := t.Send(pid, payload); err != nil {
-				return err
-			}
+	frame, err := t.frame(payload)
+	if err != nil {
+		return err
+	}
+	for _, p := range t.peers {
+		if p != nil {
+			p.enqueue(frame)
 		}
 	}
+	t.mFramesOut.Add(uint64(t.cfg.N - 1))
+	t.mBytesOut.Add(uint64((t.cfg.N - 1) * len(payload)))
 	return nil
+}
+
+// frame returns payload behind its length prefix, in a new slice that
+// nothing modifies afterwards, so several outboxes may hold it at once.
+func (t *TCPTransport) frame(payload []byte) ([]byte, error) {
+	if len(payload) > MaxFrame {
+		return nil, fmt.Errorf("tcp: payload %d bytes exceeds limit", len(payload))
+	}
+	if t.isClosed() {
+		return nil, ErrClosed
+	}
+	frame := make([]byte, frameHeader+len(payload))
+	binary.BigEndian.PutUint32(frame, uint32(len(payload)))
+	copy(frame[frameHeader:], payload)
+	return frame, nil
 }
 
 // Close implements Transport.
@@ -319,74 +338,121 @@ const peerReadBuffer = 32 << 10
 // frameHeader is the length of a frame's big-endian payload length prefix.
 const frameHeader = 4
 
-// tcpPeer owns the outbound connection to one peer: a FIFO outbox of at most
-// maxPeerOutbox payload bytes, drained by a goroutine that (re)connects as
-// needed. The outbox holds whole frames, length prefix included, so each
-// one leaves in a single write.
+// tcpPeer owns the outbound connection to one peer and a FIFO outbox of at
+// most maxPeerOutbox payload bytes. While the link is idle (nothing queued,
+// no write in progress, the connection up) a frame leaves on the sender's
+// goroutine, in one non-blocking write attempt (peerConn.tryWrite). What the
+// socket does not take is queued: a partly written frame first, with the
+// count of its bytes already sent, and later frames behind it. A goroutine
+// drains the queue with blocking writes and (re)dials as needed, so a peer
+// that stops reading never blocks Send. The outbox holds whole frames,
+// length prefix included; a frame cut by a broken connection is written
+// again whole on the next one.
 type tcpPeer struct {
 	t        *TCPTransport
 	id       types.ProcessID
 	mDropped *obs.Counter
-	mu       sync.Mutex // guards box, bytes and stop
+	mInline  *obs.Counter // frames written whole by the sender's attempt
+	mDrain   *obs.Counter // frames the drain goroutine finished
+	mu       sync.Mutex   // guards the fields below
 	cond     *sync.Cond
-	box      [][]byte // frames, oldest first
-	bytes    int      // payload bytes over box, prefixes not counted
+	box      [][]byte  // frames, oldest first
+	bytes    int       // payload bytes over box, prefixes not counted
+	sent     int       // bytes of box[0] already on the wire
+	conn     *peerConn // the drain goroutine's connection; nil while down
+	busy     bool      // the drain goroutine holds a frame outside box
 	stop     bool
 }
 
 func newTCPPeer(t *TCPTransport, id types.ProcessID) *tcpPeer {
-	p := &tcpPeer{t: t, id: id, mDropped: t.cfg.Metrics.Counter("fastbft_transport_outbox_dropped_total",
-		"peer-channel frames dropped, oldest first, because the peer's outbox was full",
-		t.cfg.MetricsLabels.With("peer", strconv.Itoa(int(id))))}
+	labels := t.cfg.MetricsLabels.With("peer", strconv.Itoa(int(id)))
+	const writesHelp = "peer-channel frames written, by the path that finished them: inline on the sender's goroutine, or by the drain goroutine"
+	p := &tcpPeer{t: t, id: id,
+		mDropped: t.cfg.Metrics.Counter("fastbft_transport_outbox_dropped_total",
+			"peer-channel frames dropped, oldest first, because the peer's outbox was full", labels),
+		mInline: t.cfg.Metrics.Counter("fastbft_transport_writes_total", writesHelp, labels.With("path", "inline")),
+		mDrain:  t.cfg.Metrics.Counter("fastbft_transport_writes_total", writesHelp, labels.With("path", "drain")),
+	}
 	p.cond = sync.NewCond(&p.mu)
 	return p
 }
 
-func (p *tcpPeer) enqueue(payload []byte) {
-	frame := make([]byte, frameHeader+len(payload))
-	binary.BigEndian.PutUint32(frame, uint32(len(payload)))
-	copy(frame[frameHeader:], payload)
+// enqueue sends frame, which it does not modify: on an idle link it writes
+// what the socket takes at once, and it queues the rest.
+func (p *tcpPeer) enqueue(frame []byte) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.stop {
 		return
 	}
+	if len(p.box) == 0 && !p.busy && p.conn != nil {
+		n, err := p.conn.tryWrite(frame)
+		if err == nil && n == len(frame) {
+			p.mInline.Inc()
+			return
+		}
+		// A broken connection wrote nothing: the drain goroutine meets the
+		// same error, redials and writes the frame whole.
+		p.sent = n
+	}
 	p.box = append(p.box, frame)
-	p.bytes += len(payload)
-	for p.bytes > maxPeerOutbox { // never the frame just queued: MaxFrame is below the bound
-		p.pop()
-		p.mDropped.Inc()
+	p.bytes += len(frame) - frameHeader
+	for p.bytes > maxPeerOutbox { // never a partly written frame or the one just queued: two MaxFrames are far below the bound
+		p.dropOldest()
 	}
 	p.cond.Signal()
 }
 
-// pop removes and returns the oldest queued frame; the caller holds p.mu.
-func (p *tcpPeer) pop() []byte {
-	frame := p.box[0]
+// dropOldest drops the oldest queued frame with no byte on the wire: a
+// partly written one must finish, or the peer's stream would lose its
+// framing. The caller holds p.mu.
+func (p *tcpPeer) dropOldest() {
+	i := 0
+	if p.sent > 0 {
+		i = 1
+	}
+	p.bytes -= len(p.box[i]) - frameHeader
+	p.box[i] = p.box[0] // the partly written frame moves up, if there is one
+	p.box[0] = nil
+	p.box = p.box[1:]
+	p.mDropped.Inc()
+}
+
+// pop removes the oldest queued frame and returns it with the count of its
+// bytes already written; the caller holds p.mu.
+func (p *tcpPeer) pop() ([]byte, int) {
+	frame, off := p.box[0], p.sent
 	p.box[0] = nil
 	p.box = p.box[1:]
 	p.bytes -= len(frame) - frameHeader
-	return frame
+	p.sent = 0
+	return frame, off
 }
 
+// close stops the peer. Closing the connection ends a write blocked on a
+// peer that stopped reading.
 func (p *tcpPeer) close() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.stop = true
+	if p.conn != nil {
+		_ = p.conn.Close()
+	}
 	p.cond.Broadcast()
 }
 
 // run drains the outbox over a (re)dialed connection.
 func (p *tcpPeer) run() {
 	defer p.t.wg.Done()
-	var conn net.Conn
+	var conn *peerConn
 	defer func() {
 		if conn != nil {
 			_ = conn.Close()
 		}
 	}()
+	p.mu.Lock()
 	for {
-		p.mu.Lock()
+		p.busy = false
 		for len(p.box) == 0 && !p.stop {
 			p.cond.Wait()
 		}
@@ -395,8 +461,10 @@ func (p *tcpPeer) run() {
 			return
 		}
 		// The frame leaves the outbox before it is written, so a drop by
-		// enqueue meanwhile can only take frames behind it.
-		frame := p.pop()
+		// enqueue meanwhile can only take frames behind it, and busy keeps
+		// enqueue from writing ahead of it.
+		frame, off := p.pop()
+		p.busy = true
 		p.mu.Unlock()
 
 		for {
@@ -404,18 +472,30 @@ func (p *tcpPeer) run() {
 				if conn = p.dial(); conn == nil {
 					return // transport closed while dialing
 				}
+				p.mu.Lock()
+				p.conn = conn
+				stop := p.stop
+				p.mu.Unlock()
+				if stop {
+					return // close ran before the connection was visible to it
+				}
 			}
-			if _, err := conn.Write(frame); err == nil {
+			if _, err := conn.Write(frame[off:]); err == nil {
 				break
 			}
 			_ = conn.Close()
-			conn = nil // reconnect and retry the same frame
+			p.mu.Lock()
+			p.conn = nil
+			p.mu.Unlock()
+			conn, off = nil, 0 // reconnect and write the whole frame again
 		}
+		p.mDrain.Inc()
+		p.mu.Lock()
 	}
 }
 
 // dial connects and handshakes, retrying until success or shutdown.
-func (p *tcpPeer) dial() net.Conn {
+func (p *tcpPeer) dial() *peerConn {
 	for {
 		if p.t.isClosed() { // Close stops the peers only after closing the transport
 			return nil
@@ -435,8 +515,50 @@ func (p *tcpPeer) dial() net.Conn {
 			time.Sleep(p.t.cfg.DialRetry)
 			continue
 		}
-		return conn
+		return newPeerConn(conn)
 	}
+}
+
+// peerConn is an outbound peer connection with its non-blocking write
+// attempt. The attempt's callback is bound once per connection, so an
+// attempt allocates nothing.
+type peerConn struct {
+	net.Conn
+	raw     syscall.RawConn // nil if the connection exposes none
+	attempt func(fd uintptr) bool
+	buf     []byte // the attempt's input,
+	n       int    // its byte count
+	err     error  // and its error
+}
+
+func newPeerConn(conn net.Conn) *peerConn {
+	c := &peerConn{Conn: conn}
+	if sc, ok := conn.(syscall.Conn); ok {
+		if raw, err := sc.SyscallConn(); err == nil {
+			c.raw = raw
+		}
+	}
+	c.attempt = func(fd uintptr) bool {
+		c.n, c.err = writeNonblock(fd, c.buf)
+		return true // never wait for the socket: the drain goroutine does
+	}
+	return c
+}
+
+// tryWrite writes as much of b as the socket takes without blocking and
+// returns the count. An error means the connection is broken. Calls must
+// not overlap each other or a Write.
+func (c *peerConn) tryWrite(b []byte) (int, error) {
+	if c.raw == nil {
+		return 0, nil
+	}
+	c.buf = b
+	err := c.raw.Write(c.attempt)
+	c.buf = nil
+	if err != nil {
+		return 0, err
+	}
+	return c.n, c.err
 }
 
 // maxPooledFrame is the largest frame buffer writeFrame keeps for reuse.
@@ -449,7 +571,7 @@ var framePool = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b
 // writeFrame emits one 4-byte length-prefixed frame in a single Write,
 // assembled in a pooled buffer. It serves the peer handshake and the client
 // channel; the per-channel payload limits are enforced by the callers (dial
-// and WriteClientFrame). Peer traffic proper is framed once, by enqueue.
+// and WriteClientFrame). Peer traffic proper is framed once, by TCPTransport.frame.
 func writeFrame(w io.Writer, payload []byte) error {
 	bp := framePool.Get().(*[]byte)
 	frame := binary.BigEndian.AppendUint32((*bp)[:0], uint32(len(payload)))

@@ -1,14 +1,21 @@
 // Package client implements an external client of the replicated state
 // machine, following the PBFT client protocol shape: the client assigns
 // per-session monotonically increasing sequence numbers, submits each
-// request to the cluster (preferred entry replica first — replicas reply
-// only to clients that contacted them directly, so reaching f+1 distinct
-// replicas is what makes a reply quorum possible), retransmits when the
-// quorum does not form in time (lost messages, a crashed entry replica, a
-// view change in progress), and accepts a result once f+1 replicas return
-// matching replies for the sequence number — at least one of the f+1 is
-// correct, so the result is the one the replicated state machine actually
-// computed.
+// request, retransmits it to every replica when no reply quorum forms in
+// time (lost messages, a crashed or deaf leader, a view change in
+// progress), and accepts a result once f+1 replicas return matching
+// replies for the sequence number — at least one of the f+1 is correct, so
+// the result is the one the replicated state machine actually computed.
+//
+// A replica answers a session over the route of the last request it got
+// from it, so the replicas that should answer a request need not all
+// receive it. A session's first request goes to every replica. Once a
+// request has settled in its first round, each first round goes to the
+// group's view-1 leader alone, and the other replicas answer over the
+// routes that earlier rounds bound. A first round whose send to the leader
+// fails goes to every replica at once; one that times out is retransmitted
+// to every replica, and the next requests open with a round to every
+// replica, a number of them that doubles with each back-to-back miss.
 //
 // Replicas deduplicate by (client, seq) session tables and cache the last
 // reply per client, so retransmissions are answered without re-execution
@@ -40,8 +47,9 @@ var (
 // (the f+1 matching-reply rule counts distinct replicas).
 type Transport interface {
 	// Send delivers one request to replica `to`. Delivery may fail fast
-	// (e.g. the replica is down); the client treats failures as silence
-	// and falls back to retransmission.
+	// (e.g. the replica is down); a failed send to the leader alone makes
+	// the client send to the other replicas at once, and any other failure
+	// is silence, recovered by retransmission.
 	Send(to types.ProcessID, req *msg.Request) error
 	// SetHandler installs the reply callback. It must be called before the
 	// first Send; replies arriving for unknown sequence numbers are
@@ -65,12 +73,6 @@ type Config struct {
 	Timeout time.Duration
 	// Retries bounds the retransmission rounds per request (20 if zero).
 	Retries int
-	// Entry is the initial entry replica — the presumed leader, contacted
-	// first on every submission. A correct follower relays a fresh
-	// request to the view-1 leader, so the entry choice affects latency,
-	// not safety; after a timeout the session redirects to a replica that
-	// demonstrably answers.
-	Entry types.ProcessID
 	// Group is the consensus group this session speaks to: requests are
 	// stamped with it, and replies for any other group are rejected — the
 	// per-group sessions of one physical client share sequence-number
@@ -79,18 +81,28 @@ type Config struct {
 	Group uint64
 }
 
+// maxHoldShift caps the doubling of Client.hold: after k back-to-back
+// direct rounds that timed out, the next 2^min(k, maxHoldShift) requests
+// open with a round to every replica. A leader that ignores direct requests
+// so costs about log2(r) timeouts over r requests, not one in two.
+const maxHoldShift = 16
+
 // Client is one external client session.
 type Client struct {
-	cfg  Config
-	need int // matching replies required: f+1
-	tr   Transport
+	cfg    Config
+	need   int             // matching replies required: f+1
+	leader types.ProcessID // the group's view-1 leader, a direct round's target
+	tr     Transport
 
 	execMu sync.Mutex // serializes Execute: one in-flight request per session
+	// Guarded by execMu: whether a first round may go to the leader alone.
+	direct bool // an earlier request settled in its first round
+	misses int  // back-to-back direct rounds that timed out
+	hold   int  // requests left whose first round goes to every replica
 
 	mu      sync.Mutex
 	closed  bool
 	seq     uint64
-	entry   types.ProcessID
 	waiters map[uint64]*waiter
 }
 
@@ -124,14 +136,11 @@ func New(cfg Config, tr Transport) (*Client, error) {
 	if cfg.Retries <= 0 {
 		cfg.Retries = 20
 	}
-	if !cfg.Entry.Valid(cfg.Cluster.N) {
-		cfg.Entry = 0
-	}
 	c := &Client{
 		cfg:     cfg,
 		need:    quorum.New(cfg.Cluster).CertQuorum(),
+		leader:  cfg.Cluster.WithLeaderShift(cfg.Group).Leader(1),
 		tr:      tr,
-		entry:   cfg.Entry,
 		waiters: make(map[uint64]*waiter),
 	}
 	tr.SetHandler(c.onReply)
@@ -165,7 +174,6 @@ func (c *Client) Execute(op []byte) ([]byte, error) {
 	seq := c.seq
 	w := &waiter{done: make(chan struct{}), votes: make(map[types.ProcessID][]byte)}
 	c.waiters[seq] = w
-	entry := c.entry
 	c.mu.Unlock()
 	defer func() {
 		c.mu.Lock()
@@ -174,13 +182,7 @@ func (c *Client) Execute(op []byte) ([]byte, error) {
 	}()
 
 	req := &msg.Request{Client: c.cfg.ID, Seq: seq, Op: op, Group: c.cfg.Group}
-	// Submit to the whole cluster, entry replica first: replicas only reply
-	// to clients that contacted them directly, and the f+1 matching-reply
-	// rule needs answers from at least f+1 distinct replicas — an
-	// entry-only first round could never settle. Sending to the entry
-	// replica first keeps it the likely proposer; duplicates are dropped by
-	// the replicas' session tables.
-	c.submit(entry, req)
+	direct := c.firstRound(req)
 
 	timer := time.NewTimer(c.cfg.Timeout)
 	defer timer.Stop()
@@ -193,36 +195,63 @@ func (c *Client) Execute(op []byte) ([]byte, error) {
 			if closed {
 				return nil, ErrClosed
 			}
+			if round == 0 {
+				c.direct = true
+				if direct {
+					c.misses = 0
+				}
+			}
 			return res, nil
 		case <-timer.C:
 			if round >= c.cfg.Retries {
 				return nil, ErrTimeout
 			}
-			// No quorum in time: messages were lost, the entry replica may
-			// be faulty, or the cluster is mid view change — retransmit.
-			// Replicas that already executed seq answer from their reply
-			// cache without re-executing.
-			c.mu.Lock()
-			entry = c.entry
-			c.mu.Unlock()
-			c.submit(entry, req)
+			if round == 0 && direct {
+				// The leader may be dead, deaf to clients or no longer
+				// proposing: open the next requests with rounds to all.
+				c.misses++
+				c.hold = 1 << min(c.misses, maxHoldShift)
+			}
+			// No quorum in time: messages were lost, a replica may be
+			// faulty, or the cluster is mid view change — retransmit to
+			// every replica. Replicas that already executed seq answer from
+			// their reply cache without re-executing.
+			c.submit(req, types.NoProcess)
 			timer.Reset(c.cfg.Timeout)
 		}
 	}
 }
 
-// submit sends req to every replica, the preferred entry replica first.
-func (c *Client) submit(entry types.ProcessID, req *msg.Request) {
-	_ = c.tr.Send(entry, req)
-	for p := 0; p < c.cfg.Cluster.N; p++ {
-		if types.ProcessID(p) != entry {
-			_ = c.tr.Send(types.ProcessID(p), req)
+// firstRound sends req's first round and reports whether it went to the
+// leader alone. The caller holds execMu.
+func (c *Client) firstRound(req *msg.Request) bool {
+	skip := types.NoProcess
+	if c.hold > 0 {
+		c.hold--
+	} else if c.direct {
+		if c.tr.Send(c.leader, req) == nil {
+			return true
+		}
+		skip = c.leader // it failed just now; the rest go at once
+	}
+	c.submit(req, skip)
+	return false
+}
+
+// submit sends req to every replica but skip, the leader first: it is the
+// replica that proposes, and duplicates are dropped by the replicas'
+// session tables.
+func (c *Client) submit(req *msg.Request, skip types.ProcessID) {
+	n := c.cfg.Cluster.N
+	for i := 0; i < n; i++ {
+		if p := types.ProcessID((int(c.leader) + i) % n); p != skip {
+			_ = c.tr.Send(p, req)
 		}
 	}
 }
 
 // onReply tallies one replica's reply; f+1 matching results settle the
-// request and redirect the session to a demonstrably live entry replica.
+// request.
 func (c *Client) onReply(from types.ProcessID, rep *msg.Reply) {
 	if rep == nil || rep.Client != c.cfg.ID || !from.Valid(c.cfg.Cluster.N) {
 		return
@@ -251,9 +280,6 @@ func (c *Client) onReply(from types.ProcessID, rep *msg.Reply) {
 	}
 	w.settled = true
 	w.result = append([]byte(nil), rep.Result...)
-	// Prefer a replica that demonstrably answers; if the old entry replica
-	// was dead or demoted, this is the redirect after the view change.
-	c.entry = from
 	close(w.done)
 }
 

@@ -2,6 +2,8 @@ package client
 
 import (
 	"fmt"
+	"math/bits"
+	"sync"
 	"testing"
 	"time"
 
@@ -116,41 +118,134 @@ func TestClientEndToEnd(t *testing.T) {
 	}
 }
 
-// TestClientFailsOverFromDeadEntryReplica points the client's entry at a
-// crashed replica: the send to the entry fails, but the submission also
-// reaches the surviving replicas (still above every quorum for n=4, f=1),
-// which commit it and answer with f+1 matching replies; the session then
-// redirects its entry to a replica that answered.
-func TestClientFailsOverFromDeadEntryReplica(t *testing.T) {
+// recorder wraps a client Transport. It counts every request send and every
+// send to the group's leader, and silently drops the sends to deaf, as a
+// leader that ignores its clients does. Every round of a request sends to
+// the leader once (a round to every replica starts there), so the leader
+// sends of a sequence number count its rounds.
+type recorder struct {
+	Transport
+	leader, deaf types.ProcessID
+
+	mu     sync.Mutex
+	sends  int
+	rounds map[uint64]int
+}
+
+func newRecorder(inner Transport, cfg types.Config, deaf types.ProcessID) *recorder {
+	return &recorder{Transport: inner, leader: cfg.Leader(1), deaf: deaf, rounds: make(map[uint64]int)}
+}
+
+func (r *recorder) Send(to types.ProcessID, req *msg.Request) error {
+	r.mu.Lock()
+	r.sends++
+	if to == r.leader {
+		r.rounds[req.Seq]++
+	}
+	r.mu.Unlock()
+	if to == r.deaf {
+		return nil
+	}
+	return r.Transport.Send(to, req)
+}
+
+// retransmissions returns the rounds sent after the first, over all
+// requests.
+func (r *recorder) retransmissions() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	n := 0
+	for _, rounds := range r.rounds {
+		n += rounds - 1
+	}
+	return n
+}
+
+func (r *recorder) sendCount() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.sends
+}
+
+// newSession opens a client session over tr; its cleanup closes it.
+func newSession(t *testing.T, cfg types.Config, id string, timeout time.Duration, tr Transport) *Client {
+	t.Helper()
+	c, err := New(Config{Cluster: cfg, ID: types.ClientID(id), Timeout: timeout}, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = c.Close() })
+	return c
+}
+
+// executeSets runs ops writes k<i> = v<i> through c and checks each result.
+func executeSets(t *testing.T, c *Client, ops int) {
+	t.Helper()
+	for i := 1; i <= ops; i++ {
+		val := fmt.Sprintf("v%d", i)
+		if res, err := c.Execute(kvSet(fmt.Sprintf("k%d", i), val)); err != nil || string(res) != val {
+			t.Fatalf("execute %d: res=%q err=%v", i, res, err)
+		}
+	}
+}
+
+// TestClientSettlesFirstRoundWithDeadLeader: the view-1 leader is down
+// (a nil handle, so every send to it fails), and every request still
+// settles in its first round — the failed direct send falls back to the
+// other replicas at once, which change view and answer. The 30 s round
+// timeout makes a retransmission impossible to miss.
+func TestClientSettlesFirstRoundWithDeadLeader(t *testing.T) {
 	cfg := types.Generalized(1, 1)
 	reps, _, cleanup := buildGroup(t, cfg, 12)
 	defer cleanup()
 
-	dead := types.ProcessID(0)
-	if err := reps[dead].Close(); err != nil {
+	leader := cfg.Leader(1)
+	if err := reps[leader].Close(); err != nil {
 		t.Fatal(err)
 	}
+	live := append([]*smr.Replica(nil), reps...)
+	live[leader] = nil
 
-	c, err := New(Config{
-		Cluster: cfg, ID: "bob", Entry: dead, Timeout: 300 * time.Millisecond,
-	}, NewLocal(reps))
-	if err != nil {
-		t.Fatal(err)
+	rec := newRecorder(NewLocal(live), cfg, types.NoProcess)
+	c := newSession(t, cfg, "bob", 30*time.Second, rec)
+	const ops = 3
+	executeSets(t, c, ops)
+	if n := rec.retransmissions(); n != 0 {
+		t.Fatalf("%d retransmission rounds with a dead leader, want 0", n)
 	}
-	defer func() { _ = c.Close() }()
+}
 
-	res, err := c.Execute(kvSet("x", "1"))
-	if err != nil {
-		t.Fatalf("execute with dead entry replica: %v", err)
+// TestClientToleratesDeafLeader: the transport silently drops every send
+// to the view-1 leader, as a leader that ignores its clients would, while
+// the leader still proposes what followers relay. Every write applies at
+// every replica, and the back-off bounds the cost: the k-th direct round
+// is request k + 2^k − 1, so r requests pay at most ⌊log2(r+1)⌋ timed-out
+// direct rounds, each retransmitted once, where a session that tried the
+// leader on every other request would pay r/2.
+func TestClientToleratesDeafLeader(t *testing.T) {
+	cfg := types.Generalized(1, 1)
+	reps, stores, cleanup := buildGroup(t, cfg, 14)
+	defer cleanup()
+
+	rec := newRecorder(NewLocal(reps), cfg, cfg.Leader(1))
+	c := newSession(t, cfg, "erin", 500*time.Millisecond, rec)
+	const ops = 20
+	executeSets(t, c, ops)
+
+	bound := bits.Len(ops+1) - 1 // ⌊log2(ops+1)⌋
+	if n := rec.retransmissions(); n > bound {
+		t.Fatalf("%d retransmission rounds over %d requests to a deaf leader, want at most %d", n, ops, bound)
 	}
-	if string(res) != "1" {
-		t.Fatalf("result %q, want %q", res, "1")
+	deadline := time.Now().Add(30 * time.Second)
+	for i, st := range stores {
+		for st.AppliedOps() < ops && time.Now().Before(deadline) {
+			time.Sleep(5 * time.Millisecond)
+		}
+		if st.AppliedOps() != ops {
+			t.Fatalf("replica %d applied %d writes, want %d", i, st.AppliedOps(), ops)
+		}
 	}
-	// The session redirected to a live entry replica; the next request
-	// succeeds too.
-	if res, err = c.Execute(kvSet("y", "2")); err != nil || string(res) != "2" {
-		t.Fatalf("post-redirect execute: res=%q err=%v", res, err)
-	}
+	t.Logf("%d requests, %d retransmission rounds (bound %d), %d sends", ops, rec.retransmissions(), bound, rec.sendCount())
 }
 
 // TestFirstRequestNeedsNoTimeoutRound: a fresh session's first request

@@ -26,7 +26,9 @@ type netGroup struct {
 	addrs     []string // client-facing addresses, indexed by ProcessID
 }
 
-func buildNetGroup(t *testing.T, cfg types.Config, seed int64) (*netGroup, func()) {
+// buildNetGroup starts the fixture; readTimeout is the listeners'
+// ReadTimeout (0: the default).
+func buildNetGroup(t *testing.T, cfg types.Config, seed int64, readTimeout time.Duration) (*netGroup, func()) {
 	t.Helper()
 	scheme := sigcrypto.NewHMAC(cfg.N, seed)
 	net := transport.NewMemNetwork(cfg.N, 0)
@@ -56,10 +58,11 @@ func buildNetGroup(t *testing.T, cfg types.Config, seed int64) (*netGroup, func(
 		}
 		g.reps[i] = rep
 		ln, err := transport.NewClientListener(transport.ClientListenerConfig{
-			Self:       pid,
-			ListenAddr: "127.0.0.1:0",
-			Signer:     scheme.Signer(pid),
-			Handler:    clientHandler(rep),
+			Self:        pid,
+			ListenAddr:  "127.0.0.1:0",
+			Signer:      scheme.Signer(pid),
+			Handler:     clientHandler(rep),
+			ReadTimeout: readTimeout,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -90,9 +93,9 @@ func clientHandler(rep *smr.Replica) transport.ClientHandler {
 	}
 }
 
-// newNetClient opens a TCP client session against the group, with the given
+// newNetTransport opens a TCP client transport to the group, with the given
 // address book override (nil means the group's own addresses).
-func newNetClient(t *testing.T, g *netGroup, id string, entry types.ProcessID, addrs []string, tcpCfg TCPConfig) *Client {
+func newNetTransport(t *testing.T, g *netGroup, addrs []string, tcpCfg TCPConfig) *TCP {
 	t.Helper()
 	if addrs == nil {
 		addrs = g.addrs
@@ -104,25 +107,22 @@ func newNetClient(t *testing.T, g *netGroup, id string, entry types.ProcessID, a
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := New(Config{
-		Cluster: g.cfg,
-		ID:      types.ClientID(id),
-		Entry:   entry,
-		Timeout: 300 * time.Millisecond,
-	}, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = c.Close() })
-	return c
+	return tr
+}
+
+// newNetClient opens a TCP client session against the group with a 300 ms
+// round timeout.
+func newNetClient(t *testing.T, g *netGroup, id string, addrs []string, tcpCfg TCPConfig) *Client {
+	t.Helper()
+	return newSession(t, g.cfg, id, 300*time.Millisecond, newNetTransport(t, g, addrs, tcpCfg))
 }
 
 func TestTCPClientEndToEnd(t *testing.T) {
 	cfg := types.Generalized(1, 1)
-	g, cleanup := buildNetGroup(t, cfg, 31)
+	g, cleanup := buildNetGroup(t, cfg, 31, 0)
 	defer cleanup()
 
-	c := newNetClient(t, g, "alice", 0, nil, TCPConfig{})
+	c := newNetClient(t, g, "alice", nil, TCPConfig{})
 	const ops = 5
 	for i := 1; i <= ops; i++ {
 		key, val := fmt.Sprintf("k%d", i), fmt.Sprintf("v%d", i)
@@ -139,31 +139,58 @@ func TestTCPClientEndToEnd(t *testing.T) {
 	}
 }
 
-// TestTCPClientFailsOverFromCrashedEntryReplica is the crashed-entry leg of
-// the fault sweep: the client's entry replica is down before the session
-// opens — dials to it are refused — yet the first request must settle from
-// the surviving replicas' replies.
-func TestTCPClientFailsOverFromCrashedEntryReplica(t *testing.T) {
+// TestTCPClientSettlesFirstRoundWithCrashedLeader is the crashed-leader leg
+// of the fault sweep: the view-1 leader is down before the session opens —
+// dials to it are refused — and every request still settles in its first
+// round, because the failed direct send falls back to the other replicas at
+// once. The 30 s round timeout makes a retransmission impossible to miss.
+func TestTCPClientSettlesFirstRoundWithCrashedLeader(t *testing.T) {
 	cfg := types.Generalized(1, 1)
-	g, cleanup := buildNetGroup(t, cfg, 32)
+	g, cleanup := buildNetGroup(t, cfg, 32, 0)
 	defer cleanup()
 
-	dead := types.ProcessID(0)
-	_ = g.listeners[dead].Close()
-	_ = g.reps[dead].Close()
+	leader := cfg.Leader(1)
+	_ = g.listeners[leader].Close()
+	_ = g.reps[leader].Close()
 
-	c := newNetClient(t, g, "bob", dead, nil, TCPConfig{})
-	res, err := c.Execute(kvSet("x", "1"))
-	if err != nil {
-		t.Fatalf("execute with crashed entry replica: %v", err)
+	rec := newRecorder(newNetTransport(t, g, nil, TCPConfig{}), cfg, types.NoProcess)
+	c := newSession(t, cfg, "bob", 30*time.Second, rec)
+	const ops = 3
+	executeSets(t, c, ops)
+	if n := rec.retransmissions(); n != 0 {
+		t.Fatalf("%d retransmission rounds with a crashed leader, want 0", n)
 	}
-	if string(res) != "1" {
-		t.Fatalf("result %q, want %q", res, "1")
+}
+
+// TestTCPReplyOnlyConnectionsStayOpen: once a session sends its first
+// rounds to the leader alone, the followers' connections carry only
+// replies. The listeners' 200 ms read deadline must count those replies as
+// activity: a session running for three deadlines keeps every follower's
+// replies, so it never needs a retransmission round, and it sends each
+// request once after the first.
+func TestTCPReplyOnlyConnectionsStayOpen(t *testing.T) {
+	cfg := types.Generalized(1, 1)
+	const readTimeout = 200 * time.Millisecond
+	g, cleanup := buildNetGroup(t, cfg, 36, readTimeout)
+	defer cleanup()
+
+	rec := newRecorder(newNetTransport(t, g, nil, TCPConfig{}), cfg, types.NoProcess)
+	c := newSession(t, cfg, "frank", 2*time.Second, rec)
+	ops := 0
+	for start := time.Now(); time.Since(start) < 3*readTimeout; {
+		ops++
+		val := fmt.Sprintf("v%d", ops)
+		if res, err := c.Execute(kvSet(fmt.Sprintf("k%d", ops), val)); err != nil || string(res) != val {
+			t.Fatalf("execute %d: res=%q err=%v", ops, res, err)
+		}
 	}
-	// The session redirected to a live replica; the next request works too.
-	if res, err = c.Execute(kvSet("y", "2")); err != nil || string(res) != "2" {
-		t.Fatalf("post-redirect execute: res=%q err=%v", res, err)
+	if n := rec.retransmissions(); n != 0 {
+		t.Fatalf("%d retransmission rounds over %d requests, want 0", n, ops)
 	}
+	if got, want := rec.sendCount(), cfg.N+ops-1; got != want {
+		t.Fatalf("%d request sends over %d requests, want %d (the first to all, the rest to the leader)", got, ops, want)
+	}
+	t.Logf("%d requests in %v, 0 retransmission rounds", ops, 3*readTimeout)
 }
 
 // TestTCPClientToleratesBlackholeReplica is the silent-replica leg of the
@@ -173,7 +200,7 @@ func TestTCPClientFailsOverFromCrashedEntryReplica(t *testing.T) {
 // other replicas.
 func TestTCPClientToleratesBlackholeReplica(t *testing.T) {
 	cfg := types.Generalized(1, 1)
-	g, cleanup := buildNetGroup(t, cfg, 33)
+	g, cleanup := buildNetGroup(t, cfg, 33, 0)
 	defer cleanup()
 
 	hole := types.ProcessID(1)
@@ -186,7 +213,7 @@ func TestTCPClientToleratesBlackholeReplica(t *testing.T) {
 
 	addrs := append([]string(nil), g.addrs...)
 	addrs[hole] = proxy.Addr()
-	c := newNetClient(t, g, "carol", 0, addrs, TCPConfig{
+	c := newNetClient(t, g, "carol", addrs, TCPConfig{
 		HandshakeTimeout: 150 * time.Millisecond,
 	})
 
@@ -211,7 +238,7 @@ func TestTCPClientToleratesBlackholeReplica(t *testing.T) {
 // must redial, retransmit, and still execute each request exactly once.
 func TestTCPClientSurvivesMidStreamConnectionDrops(t *testing.T) {
 	cfg := types.Generalized(1, 1)
-	g, cleanup := buildNetGroup(t, cfg, 34)
+	g, cleanup := buildNetGroup(t, cfg, 34, 0)
 	defer cleanup()
 
 	proxies := make([]*sim.ClientProxy, cfg.N)
@@ -235,7 +262,7 @@ func TestTCPClientSurvivesMidStreamConnectionDrops(t *testing.T) {
 		}
 	}
 
-	c := newNetClient(t, g, "dave", 0, addrs, TCPConfig{})
+	c := newNetClient(t, g, "dave", addrs, TCPConfig{})
 	const ops = 3
 	for i := 1; i <= ops; i++ {
 		if i > 1 {
@@ -288,12 +315,12 @@ func TestTCPClientSurvivesMidStreamConnectionDrops(t *testing.T) {
 // mark and every operation applies exactly once.
 func TestConcurrentClientsOverOneListener(t *testing.T) {
 	cfg := types.Generalized(1, 1)
-	g, cleanup := buildNetGroup(t, cfg, 35)
+	g, cleanup := buildNetGroup(t, cfg, 35, 0)
 	defer cleanup()
 
 	const ops = 8
 	runClient := func(name string) error {
-		c := newNetClient(t, g, name, 0, nil, TCPConfig{})
+		c := newNetClient(t, g, name, nil, TCPConfig{})
 		for i := 1; i <= ops; i++ {
 			// Keys and values carry the client name: a crossed reply (one
 			// client's Execute resolved with the other's result) is caught

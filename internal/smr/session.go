@@ -111,12 +111,16 @@ func (r *Replica) checkRequest(req *msg.Request) error {
 //     in one frame, to the replica that does — the one that fills the
 //     window.
 //
-// A correct client submits every request to every replica, as
-// internal/client does: that is what gets the request to f+1 repliers, and
-// what lets the view-change leader graft it from its own queue when the
-// view-1 leader is dead. A request handed to a single follower reaches
-// Leader(1) through the one relay and is not passed on to a view-change
-// leader.
+// reply, when not nil, becomes the client's reply route here, stale
+// request or fresh: every later execution of the client's requests is
+// answered through it, including requests this replica never received.
+// That is what lets a correct client (internal/client) send a session's
+// first request to every replica and its later first rounds to Leader(1)
+// alone, and still collect f+1 replies. A round that does not settle goes
+// to every replica again, which lets the view-change leader graft the
+// request from its own queue when the view-1 leader is dead. A request
+// handed to a single follower reaches Leader(1) through the one relay and
+// is not passed on to a view-change leader.
 //
 // reply may be nil (fire-and-forget). A client must keep at most one
 // request in flight per session: sequence numbers are executed in log
@@ -132,6 +136,13 @@ func (r *Replica) HandleRequest(req *msg.Request, reply ReplyFunc) error {
 		return transport.ErrClosed
 	}
 	r.countIn(msg.KindRequest)
+	if reply != nil {
+		// Bound before the stale check: a follower may apply the leader's
+		// batch before the client's own copy of the request arrives, and
+		// the route must still follow the session, whose later requests go
+		// to the leader alone.
+		r.replyTo[req.Client] = reply
+	}
 	if sess := r.sessions[req.Client]; sess != nil && req.Seq <= sess.lastSeq {
 		// Stale: reject before it ever enters a proposal batch. Serve the
 		// cached reply for an exact retransmission of the last execution —
@@ -143,9 +154,6 @@ func (r *Replica) HandleRequest(req *msg.Request, reply ReplyFunc) error {
 			r.dispatchReplyLocked(reply, r.cachedReplyLocked(req.Client, sess), nil)
 		}
 		return nil
-	}
-	if reply != nil {
-		r.replyTo[req.Client] = reply
 	}
 	// The body of the relay frame is the request's canonical encoding,
 	// which is also its SMR command bytes: one buffer serves both (the queue

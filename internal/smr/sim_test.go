@@ -324,9 +324,10 @@ func submitKV(t *testing.T, r *Replica, client string, i int) {
 }
 
 // submitKVAll submits command k<i> to every live replica but skip (-1 skips
-// none), as internal/client sends one request to every replica it reaches:
-// the submission that survives a dead or deaf view-1 leader, because the
-// view-change leader then holds the request in its own queue.
+// none), as internal/client sends a round to every replica it reaches when
+// the view-1 leader fails it: the submission that survives a dead or deaf
+// view-1 leader, because the view-change leader then holds the request in
+// its own queue.
 func (g *simGroup) submitKVAll(client string, i int, skip types.ProcessID) {
 	g.t.Helper()
 	g.live(func(p types.ProcessID, r *Replica) {

@@ -35,10 +35,12 @@
 // cache the last reply per client for retransmissions, and prune inactive
 // sessions at checkpoint boundaries — so dedup memory is bounded by active
 // clients, not by log length. Clients submit through HandleRequest, a
-// correct client to every replica (see internal/client for a full
-// retransmitting client); a follower relays a fresh request once, to the
-// view-1 leader, so a request reaches the replica that proposes it even when
-// the client skipped that replica, and no replica relays to all.
+// correct client to the view-1 leader once every replica holds a reply
+// route for its session, and to every replica otherwise (see
+// internal/client for a full retransmitting client); a follower relays a
+// fresh request once, to the view-1 leader, so a request reaches the
+// replica that proposes it even when the client skipped that replica, and
+// no replica relays to all.
 package smr
 
 import (

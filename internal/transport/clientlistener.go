@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/msg"
@@ -34,7 +35,8 @@ type ClientListenerConfig struct {
 	// Handler receives every decoded request.
 	Handler ClientHandler
 	// ReadTimeout is the per-connection read deadline, re-armed before the
-	// handshake and before every request frame (default 2 minutes). A client
+	// handshake and before every request frame (default 2 minutes); between
+	// frames a reply written on the connection re-arms it too. A client
 	// that stops sending mid-frame — or never completes its hello — is
 	// disconnected when it expires, so a slow or hostile client occupies a
 	// goroutine for a bounded time and never the accept loop.
@@ -196,6 +198,9 @@ func (l *ClientListener) serveConn(conn net.Conn) {
 
 	for {
 		_ = conn.SetReadDeadline(time.Now().Add(l.cfg.ReadTimeout))
+		if !w.awaitFrame(br, l.cfg.ReadTimeout) {
+			return
+		}
 		payload, err := ReadClientFrame(br)
 		if err != nil {
 			return
@@ -228,10 +233,31 @@ const clientReplyQueue = 256
 // drops the reply — either way the client retransmits and is answered from
 // the reply cache.
 type clientConnWriter struct {
-	conn    net.Conn
-	timeout time.Duration
-	queue   chan []byte   // encoded replies, oldest first; never closed
-	done    chan struct{} // closed by the reader (serveConn) on its way out
+	conn      net.Conn
+	timeout   time.Duration
+	queue     chan []byte   // encoded replies, oldest first; never closed
+	done      chan struct{} // closed by the reader (serveConn) on its way out
+	lastReply atomic.Int64  // when run last wrote a reply, in Unix nanoseconds
+}
+
+// awaitFrame waits under the armed read deadline for the first byte of the
+// next request frame. A reply written on the connection counts as activity:
+// a session whose requests go to another replica reads its replies here and
+// sends nothing, and shedding its connection would silence this replica to
+// it. A reply extends only this wait, never a frame that has started.
+func (w *clientConnWriter) awaitFrame(br *bufio.Reader, idle time.Duration) bool {
+	for {
+		_, err := br.Peek(1)
+		if err == nil {
+			return true
+		}
+		var ne net.Error
+		last := time.Unix(0, w.lastReply.Load())
+		if !errors.As(err, &ne) || !ne.Timeout() || time.Since(last) >= idle {
+			return false
+		}
+		_ = w.conn.SetReadDeadline(last.Add(idle))
+	}
 }
 
 // write sends one frame under the write deadline.
@@ -252,6 +278,7 @@ func (w *clientConnWriter) run(wg *sync.WaitGroup) {
 				_ = w.conn.Close()
 				return
 			}
+			w.lastReply.Store(time.Now().UnixNano())
 		}
 	}
 }

@@ -453,11 +453,13 @@ func (r *KVReplica) StableCheckpoint() (Checkpoint, bool) {
 // ---------------------------------------------------------------------------
 
 // KVClient is an external client session over a KVReplica cluster. It
-// assigns per-session monotonically increasing sequence numbers, submits
-// each request to the cluster (preferred entry replica first), retransmits
-// when replies do not arrive in time (lost messages, crashed entry replica,
-// view change in progress), and accepts a result once f+1 replicas report a
-// matching reply. Replicas answer retransmissions of executed requests from
+// assigns per-session monotonically increasing sequence numbers, submits a
+// session's first request to every replica and each later one to its
+// group's view-1 leader alone (every replica answers over the route the
+// session last used), retransmits to every replica when replies do not
+// arrive in time (lost messages, a crashed or deaf leader, view change in
+// progress), and accepts a result once f+1 replicas report a matching
+// reply. Replicas answer retransmissions of executed requests from
 // their per-client reply cache, so a request is applied exactly once no
 // matter how often it is resent.
 //
@@ -531,9 +533,10 @@ func NewKVClient(id string, timeout time.Duration, reps ...*KVReplica) (*KVClien
 // ProcessID, and keys supplies the verifier for the handshake in which each
 // replica proves its identity — the authentication the f+1 matching-reply
 // rule rests on. The session behaves exactly like an in-process NewKVClient
-// session: per-session sequence numbers, retransmission on timeout (which
-// also covers redialing crashed or unreachable replicas), f+1 matching-reply
-// confirmation, and server-side exactly-once execution. It is
+// session: per-session sequence numbers, a first request to every replica
+// and later ones to the leader alone, retransmission to every replica on
+// timeout (which also covers redialing crashed or unreachable replicas),
+// f+1 matching-reply confirmation, and server-side exactly-once execution. It is
 // NewShardedKVNetworkClient for a cluster hosting one group.
 func NewKVNetworkClient(id string, timeout time.Duration, cluster Config, keys *Keys, clientAddrs []string) (*KVClient, error) {
 	return NewShardedKVNetworkClient(id, timeout, cluster, keys, clientAddrs, 1)

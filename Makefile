@@ -51,6 +51,7 @@ fuzz:
 	$(GO) test ./internal/smr -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/msg -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/msg -run '^$$' -fuzz '^FuzzDecodeReply$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/msg -run '^$$' -fuzz '^FuzzDecodeOwned$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/msg -run '^$$' -fuzz '^FuzzDecodeStateSnapshot$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/transport -run '^$$' -fuzz '^FuzzDecodeClientFrame$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/storage -run '^$$' -fuzz '^FuzzDecodeWALRecord$$' -fuzztime $(FUZZTIME)
@@ -99,7 +100,7 @@ vet:
 doc-check:
 	$(GO) run ./cmd/doccheck
 
-## byz: the Byzantine adversary suite under the race detector — the six
+## byz: the Byzantine adversary suite under the race detector — the eight
 ## simulator-driven SMR attack scenarios of internal/byz, each under both resilience
 ## shapes (n=5f−1 fast and n=3f+1 slow), plus the multi-process drills where
 ## one replica OS process runs the garbage or the equivocate adversary

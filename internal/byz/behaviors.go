@@ -512,3 +512,40 @@ func (q *SlotSquatter) Deliver(d *Driver, from types.ProcessID, slot uint64, m m
 
 // Sent returns how many junk Acks the squatter has sent.
 func (q *SlotSquatter) Sent() int64 { return q.sent.Load() }
+
+// junkAckFlood is how many junk Acks JunkAcker sends per slot: as many
+// values as the value-keyed ack tallies once tracked per instance.
+const junkAckFlood = 4096
+
+// JunkAcker is a corrupted follower that floods the view-1 leader with junk
+// Acks: on every Propose it sees from that leader, for slot s, it sends the
+// leader junkAckFlood Acks for slot s+1, each for a distinct 5-byte value
+// no leader proposes, before the leader proposes there. It acks no real
+// value. A replica that tallied Acks per (view, value), in a bounded number
+// of such pairs, had no pair left for the real value once the junk took
+// them, and decided no flooded slot fast; a replica that counts each
+// sender's first Ack of a view, and drops its later ones unread, is not
+// moved by the flood.
+type JunkAcker struct {
+	sent atomic.Int64
+}
+
+// Start implements Behavior.
+func (j *JunkAcker) Start(*Driver) {}
+
+// Deliver implements Behavior: each view-1 Propose of the leader triggers
+// the flood for the slot after it.
+func (j *JunkAcker) Deliver(d *Driver, from types.ProcessID, slot uint64, m msg.Message) {
+	leader := d.Cluster().Leader(1)
+	if p, ok := m.(*msg.Propose); !ok || p.View != 1 || from != leader {
+		return
+	}
+	for i := 0; i < junkAckFlood; i++ {
+		x := types.Value{0xff, byte(slot), byte(i >> 16), byte(i >> 8), byte(i)}
+		d.Send(leader, slot+1, &msg.Ack{View: 1, X: x})
+	}
+	j.sent.Add(junkAckFlood)
+}
+
+// Sent returns how many junk Acks the flooder has sent.
+func (j *JunkAcker) Sent() int64 { return j.sent.Load() }

@@ -226,7 +226,8 @@ func (l *ForgedCertLeader) Deliver(_ types.ProcessID, m msg.Message, _ core.Time
 // Flooder spams junk protocol state: acks and ack signatures for thousands
 // of fabricated (view, value) pairs, plus wishes for huge views. Correct
 // processes must neither crash nor let their per-instance state grow without
-// bound (the replica caps tracked keys), and the protocol must still decide.
+// bound (the replica tallies one message of each kind per sender in each of
+// four views), and the protocol must still decide.
 type Flooder struct {
 	idle
 	*Forger

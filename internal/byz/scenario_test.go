@@ -7,13 +7,14 @@ import (
 	"time"
 
 	"repro/internal/msg"
+	"repro/internal/obs"
 	"repro/internal/quorum"
 	"repro/internal/sim"
 	"repro/internal/smr"
 	"repro/internal/types"
 )
 
-// The seven end-to-end adversary scenarios of docs/THREAT_MODEL.md. Each
+// The eight end-to-end adversary scenarios of docs/THREAT_MODEL.md. Each
 // runs the full SMR stack — pipelined windows, view synchronization,
 // sessions/replies, and (where relevant) checkpointing, state transfer,
 // and durable recovery — against one adversarial replica driver (two, for
@@ -561,6 +562,52 @@ func TestByzSlotSquatterSMR(t *testing.T) {
 			}
 			if squatter.Sent() == 0 {
 				t.Fatal("the squatter sent no junk Ack: the test exercises nothing")
+			}
+			th.eachCorrect(func(p types.ProcessID, _ *smr.Replica) {
+				if n := th.counter(p, "fastbft_regime_timeouts_total"); n != 0 {
+					t.Errorf("replica %s suspected the leader %v times", p, n)
+				}
+				if n := th.counter(p, "fastbft_view_changes_total"); n != 0 {
+					t.Errorf("replica %s changed view %v times", p, n)
+				}
+			})
+			th.assertReplySafety(confirmed...)
+			th.assertStoresEqual()
+		})
+	}
+}
+
+// TestByzJunkAckerSMR: a corrupted follower answers every view-1 Propose of
+// the leader, for slot s, with 4096 junk Acks for slot s+1, each for a
+// distinct value, which reach the leader before its proposal there. 20
+// sequential writes apply on every correct replica, the leader decides every
+// slot fast, no correct replica suspects the leader or changes view, and the
+// stores stay byte-identical. When the leader tallied Acks per (view,
+// value), in at most 4096 pairs per instance, the junk left no pair for the
+// real value, and no flooded slot decided fast at the leader.
+func TestByzJunkAckerSMR(t *testing.T) {
+	const writes = 20
+	for _, tc := range byzConfigs {
+		t.Run(tc.name, func(t *testing.T) {
+			flooder := &JunkAcker{}
+			th := newByzCluster(t, tc.cfg, 0, 908, clusterOpts{behavior: flooder})
+			confirmed := make([]string, 0, writes)
+			for seq := uint64(1); seq <= writes; seq++ {
+				key := th.submit("c", seq)
+				confirmed = append(confirmed, fmt.Sprintf("c/%d", seq))
+				th.run(30*time.Second, func() bool {
+					return th.allCorrect(func(p types.ProcessID, _ *smr.Replica) bool {
+						_, ok := th.stores[p].Get(key)
+						return ok
+					})
+				}, "a write to apply everywhere")
+			}
+			if flooder.Sent() < (writes-1)*junkAckFlood {
+				t.Fatalf("the flooder sent %d junk Acks, want at least %d", flooder.Sent(), (writes-1)*junkAckFlood)
+			}
+			leader := tc.cfg.Leader(1)
+			if n := th.regs[leader].Snapshot().Sum("fastbft_decided_path_total", obs.Labels{"path": "fast"}); n != writes {
+				t.Errorf("the leader decided %v of %d slots fast", n, writes)
 			}
 			th.eachCorrect(func(p types.ProcessID, _ *smr.Replica) {
 				if n := th.counter(p, "fastbft_regime_timeouts_total"); n != 0 {

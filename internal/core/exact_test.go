@@ -165,17 +165,19 @@ func TestCommitAfterDecisionHigherView(t *testing.T) {
 	if cc := f.r.CurrentVote().CC; cc.View != 1 {
 		t.Fatalf("a forged view-2 certificate became the latest (view %d)", cc.View)
 	}
-	f.r.Deliver(3, &msg.Commit{View: 2, X: f.x, CC: f.cert(2, 1, 2, 3)})
+	// Sender 3's view-2 Commit is spent; another sender's counts.
+	f.r.Deliver(2, &msg.Commit{View: 2, X: f.x, CC: f.cert(2, 1, 2, 3)})
 	if cc := f.r.CurrentVote().CC; cc == nil || cc.View != 2 {
 		t.Fatal("a valid view-2 certificate after the decision did not become the latest")
 	}
 }
 
-// TestUndecidedRejectsForgedCommit: an undecided replica checks every Commit
-// — with no certificate of its own, and with its own certificate formed and
-// its own Commit sent — so forged certificates neither decide nor become its
-// latest. A replica decided on the fast path before any certificate formed
-// also still checks them.
+// TestUndecidedRejectsForgedCommit: an undecided replica checks each
+// sender's first Commit of a view — with no certificate of its own, and with
+// its own certificate formed and its own Commit sent — so forged
+// certificates neither decide nor become its latest, and a sender whose
+// first Commit was forged has no second one counted. A replica decided on
+// the fast path before any certificate formed also still checks them.
 func TestUndecidedRejectsForgedCommit(t *testing.T) {
 	t.Run("no certificate", func(t *testing.T) {
 		f := newExactFixture(t, 8)
@@ -198,16 +200,16 @@ func TestUndecidedRejectsForgedCommit(t *testing.T) {
 			t.Fatal("decided on one Commit")
 		}
 		forged := f.forge(f.cert(1, 1, 2, 3), 3)
-		for _, p := range []types.ProcessID{1, 2, 3} {
+		for _, p := range []types.ProcessID{2, 3} {
 			if decidedIn(f.r.Deliver(p, &msg.Commit{View: 1, X: f.x, CC: forged})) {
 				t.Fatal("forged Commits decided next to the replica's own")
 			}
 		}
-		if decidedIn(f.r.Deliver(3, &msg.Commit{View: 1, X: f.x, CC: f.cert(1, 1, 2, 3)})) {
-			t.Fatal("decided on two Commits")
+		if decidedIn(f.r.Deliver(1, &msg.Commit{View: 1, X: f.x, CC: f.cert(1, 1, 2, 3)})) {
+			t.Fatal("decided on two genuine Commits and two forged ones")
 		}
-		if !decidedIn(f.r.Deliver(2, &msg.Commit{View: 1, X: f.x, CC: f.cert(1, 1, 2, 3)})) {
-			t.Fatal("a commit quorum of genuine Commits did not decide")
+		if decidedIn(f.r.Deliver(2, &msg.Commit{View: 1, X: f.x, CC: f.cert(1, 1, 2, 3)})) {
+			t.Fatal("a sender's genuine Commit after its forged one counted")
 		}
 	})
 	t.Run("decided fast, no certificate", func(t *testing.T) {
@@ -229,16 +231,15 @@ func TestUndecidedRejectsForgedCommit(t *testing.T) {
 // it signed it. A certificate whose entry in the replica's own name carries
 // other bytes is checked and fails — the memo vouches for the exact bytes,
 // not the name — so it neither decides nor becomes the latest; with the
-// genuine entry the same certificate is accepted.
+// genuine entry the same certificate is accepted, from the senders whose
+// first Commit it is, next to the replica's own.
 func TestForgedOwnNameSigRejected(t *testing.T) {
 	f := newExactFixture(t, 11)
 	f.propose(t) // the replica's own AckSig is now memoized
 	forged := f.forge(f.cert(1, 0, 1, 2), 0)
 	before := f.inner.calls
-	for _, p := range []types.ProcessID{1, 2, 3} {
-		if decidedIn(f.r.Deliver(p, &msg.Commit{View: 1, X: f.x, CC: forged})) {
-			t.Fatal("a certificate with a forged signature in the replica's name decided")
-		}
+	if decidedIn(f.r.Deliver(3, &msg.Commit{View: 1, X: f.x, CC: forged})) {
+		t.Fatal("a certificate with a forged signature in the replica's name decided")
 	}
 	if f.r.CurrentVote().CC != nil {
 		t.Fatal("a certificate with a forged signature in the replica's name became the latest")
@@ -246,8 +247,12 @@ func TestForgedOwnNameSigRejected(t *testing.T) {
 	if f.inner.calls == before {
 		t.Fatal("the forged entry in the replica's name was answered from the memo")
 	}
+	// Two peers' AckSigs complete the replica's own certificate, and its
+	// own Commit goes out and counts.
+	f.r.Deliver(1, f.ackSig(1, 1))
+	f.r.Deliver(2, f.ackSig(2, 1))
 	decided := false
-	for _, p := range []types.ProcessID{1, 2, 3} {
+	for _, p := range []types.ProcessID{1, 2} {
 		decided = decidedIn(f.r.Deliver(p, &msg.Commit{View: 1, X: f.x, CC: f.cert(1, 0, 1, 2)})) || decided
 	}
 	if !decided {

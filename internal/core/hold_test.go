@@ -75,7 +75,8 @@ func TestHoldAckSigReleasedOnce(t *testing.T) {
 
 // TestHoldAckSigPeerTrigger: a peer's valid AckSig for the (view, value)
 // the replica acked releases its own, once; one for another value, one with
-// a forged signature, and one whose signer is not its sender do not.
+// a forged signature, and one whose signer is not its sender do not, and
+// the sender of the first two has no second AckSig in the view counted.
 func TestHoldAckSigPeerTrigger(t *testing.T) {
 	f := newHoldFixture(t)
 	f.proposeHeld(t)
@@ -96,10 +97,13 @@ func TestHoldAckSigPeerTrigger(t *testing.T) {
 			t.Fatalf("%s: released %d AckSigs", name, n)
 		}
 	}
-	if n := ackSigsIn(t, f, f.r.Deliver(2, f.ackSig(2, 1)), 1); n != 1 {
+	if n := ackSigsIn(t, f, f.r.Deliver(2, f.ackSig(2, 1)), 1); n != 0 {
+		t.Fatalf("a sender's second AckSig of the view released %d AckSigs", n)
+	}
+	if n := ackSigsIn(t, f, f.r.Deliver(3, f.ackSig(3, 1)), 1); n != 1 {
 		t.Fatalf("a peer's AckSig for the acked value released %d AckSigs, want 1", n)
 	}
-	if n := ackSigsIn(t, f, f.r.Deliver(3, f.ackSig(3, 1)), 1); n != 0 {
+	if n := ackSigsIn(t, f, f.r.Deliver(1, f.ackSig(1, 1)), 1); n != 0 {
 		t.Fatalf("a second peer AckSig released %d more", n)
 	}
 }

@@ -133,8 +133,10 @@ func TestVerifyMemoBounded(t *testing.T) {
 // the AckSig signatures the replica has memoized, but one entry claims a
 // memoized signer with bytes that are not its own. The certificate then
 // holds one valid signature too few, so no number of such Commits decides,
-// and the forged entry is checked again on every one of them. The genuine
-// certificate decides afterwards with no verification at all.
+// and the forged entry is checked again on the first Commit of every
+// sender. The genuine certificate decides afterwards with no verification
+// at all, from the senders that sent no forged one and the replica's own
+// Commit, which the fifth AckSig lets it send.
 func TestCommitWithOneForgedSigAmongMemoized(t *testing.T) {
 	cfg := types.Generalized(2, 1) // n = 7, CommitQuorum 5
 	scheme := sigcrypto.NewHMAC(cfg.N, 4)
@@ -164,21 +166,23 @@ func TestCommitWithOneForgedSigAmongMemoized(t *testing.T) {
 	}
 	forged.Sigs[2] = scheme.Signer(6).Sign(d)
 	forged.Sigs[2].Signer = 3 // memoized, with bytes that are not its own
-	senders := cfg.N - 1
-	for p := 1; p <= senders; p++ {
-		if len(r.Deliver(types.ProcessID(p), &msg.Commit{View: 1, X: x, CC: forged})) != 0 {
+	forgers := []types.ProcessID{5, 6}
+	for _, p := range forgers {
+		if len(r.Deliver(p, &msg.Commit{View: 1, X: x, CC: forged})) != 0 {
 			t.Fatal("a certificate with a forged signature was acted on")
 		}
 	}
-	// Each Commit re-checks the forged entry; signer 5's is checked once.
-	if want := 4 + senders + 1; inner.calls != want {
+	// Each sender's Commit re-checks the forged entry; signer 5's is checked
+	// once.
+	if want := 4 + len(forgers) + 1; inner.calls != want {
 		t.Fatalf("%d verifications after the forged Commits, want %d", inner.calls, want)
 	}
 
 	genuine := msg.CommitCert{Value: x, View: 1, Sigs: sigs}
 	before := inner.calls
 	decided := false
-	for p := types.ProcessID(1); p <= 5; p++ {
+	r.Deliver(5, &msg.AckSig{View: 1, X: x, Phi: sigs[4]}) // the replica's own Commit
+	for p := types.ProcessID(1); p <= 4; p++ {
 		for _, a := range r.Deliver(p, &msg.Commit{View: 1, X: x, CC: genuine}) {
 			_, ok := a.(DecideAction)
 			decided = decided || ok

@@ -13,8 +13,8 @@ import (
 // one deterministic state machine with a single timer. It is the unit the
 // simulator and the real runtime drive.
 type Process struct {
-	replica *Replica
-	sync    *viewsync.Synchronizer
+	replica Replica
+	sync    viewsync.Synchronizer
 	// enterHook, when set, runs immediately before the replica enters a view
 	// the synchronizer selected (see SetEnterHook).
 	enterHook func(types.View)
@@ -22,20 +22,19 @@ type Process struct {
 
 // NewProcess builds the full per-process state machine. baseTimeout is the
 // view-1 timer duration (viewsync.DefaultBaseTimeout if 0).
+// The replica and the synchronizer live inside the Process, one allocation.
 func NewProcess(cfg types.Config, id types.ProcessID, signer sigcrypto.Signer, verifier sigcrypto.Verifier, input types.Value, baseTimeout time.Duration) (*Process, error) {
-	r, err := NewReplica(cfg, id, signer, verifier, input)
-	if err != nil {
+	p := &Process{}
+	if err := p.replica.init(cfg, id, signer, verifier, input); err != nil {
 		return nil, err
 	}
-	return &Process{
-		replica: r,
-		sync:    viewsync.New(cfg.N, cfg.F, id, baseTimeout),
-	}, nil
+	p.sync = viewsync.Make(cfg.N, cfg.F, id, baseTimeout)
+	return p, nil
 }
 
 // Replica exposes the consensus state machine (read-mostly: experiments
 // inspect views, votes, and decisions through it).
-func (p *Process) Replica() *Replica { return p.replica }
+func (p *Process) Replica() *Replica { return &p.replica }
 
 // SetEnterHook registers fn to run synchronously right before the replica
 // enters a new view, with the view about to be entered. The synchronizer is

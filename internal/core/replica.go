@@ -10,11 +10,19 @@ import (
 	"repro/internal/types"
 )
 
-// maxTrackedKeys bounds the number of (view, value) pairs for which a
-// replica accumulates ack, ack-signature, or commit counters. Correct
-// processes generate one pair per view; the cap only limits how much junk
-// state f Byzantine senders can force a correct process to hold.
+// maxTrackedKeys bounds the number of messages whose accepted signatures an
+// instance's verify memo records (see verifyMemo.remember). Correct
+// processes sign a handful of messages per view; the cap only limits how
+// much junk state f Byzantine senders can force a correct process to hold.
 const maxTrackedKeys = 4096
+
+// tallyViews is how many views an instance tallies Acks, AckSigs and
+// Commits for at once: its current view, the one before it (late traffic
+// of the view it just left) and the two after it (traffic of peers that
+// entered a view first). A message of any other view is dropped before it
+// costs a signature check; tallies then hold at most tallyViews·n senders'
+// records of one Ack, AckSig and Commit each, whatever f senders send.
+const tallyViews = 4
 
 // maxPendingMessages bounds the buffer of messages received for views the
 // replica has not entered yet (reliable channels may deliver a new leader's
@@ -34,14 +42,62 @@ type adoptedProposal struct {
 	tau   sigcrypto.Signature
 }
 
-// voteKey indexes per-(view, value) tallies.
-type voteKey struct {
-	view  types.View
-	value string
+// The kinds of message a view's tallies count, indexing senderVotes.votes.
+const (
+	tallyAck = iota
+	tallyAckSig
+	tallyCommit
+	tallyKinds
+)
+
+// vote is a sender's first message of one kind in one view, as the tallies
+// keep it: its value, and whether it passed its check (an Ack has none).
+type vote struct {
+	x        types.Value
+	seen, ok bool
 }
 
-// senderSet counts distinct senders.
-type senderSet map[types.ProcessID]struct{}
+// senderVotes is what one sender has sent in one view: its first Ack,
+// AckSig and Commit. A correct process sends each at most once per view,
+// and a quorum is a count of distinct senders, so a sender's later message
+// of a kind in the view can change no count and is dropped unread — before
+// any signature check, so that a Byzantine sender's flood costs one check
+// per (view, sender) and kind.
+type senderVotes struct {
+	votes [tallyKinds]vote
+	phi   sigcrypto.Signature // the AckSig's signature, once it checked out
+}
+
+// viewTally is one view's Ack, AckSig and Commit tallies: one record per
+// sender, made on the view's first message (see Replica.tallyFor).
+type viewTally struct {
+	view       types.View
+	senders    []senderVotes // by sender
+	commitSent bool          // this replica's Commit of the view is out
+}
+
+// take records x as sender from's message of kind k in the view and
+// returns its vote, or nil if the sender already sent one of that kind.
+func (t *viewTally) take(from types.ProcessID, k int, x types.Value) *vote {
+	v := &t.senders[from].votes[k]
+	if v.seen {
+		return nil
+	}
+	v.seen, v.x = true, x
+	return v
+}
+
+// count counts the senders whose message of kind k in the view was for x
+// and passed its check.
+func (t *viewTally) count(k int, x types.Value) int {
+	n := 0
+	for i := range t.senders {
+		if v := &t.senders[i].votes[k]; v.ok && v.x.Equal(x) {
+			n++
+		}
+	}
+	return n
+}
 
 // leaderState is the view-change state of the leader of the current view.
 type leaderState struct {
@@ -66,7 +122,7 @@ type Replica struct {
 	th       quorum.Thresholds
 	id       types.ProcessID
 	signer   sigcrypto.Signer
-	verifier *verifyMemo
+	verifier verifyMemo
 	input    types.Value
 
 	view     types.View
@@ -93,13 +149,12 @@ type Replica struct {
 	decided  bool
 	decision types.Decision
 
-	acks       map[voteKey]senderSet
-	ackSigs    map[voteKey]*sigcrypto.Set
-	commits    map[voteKey]senderSet
-	commitSent map[voteKey]bool
+	// tallies holds the Ack, AckSig and Commit tallies of the views in
+	// [view−1, view+2], view w at index w mod tallyViews (see tallyFor).
+	tallies [tallyViews]viewTally
 
 	leader  *leaderState
-	pending map[types.View][]pendingMsg
+	pending map[types.View][]pendingMsg // made by the first buffered message
 	nPend   int
 }
 
@@ -107,27 +162,35 @@ type Replica struct {
 // value. It starts in no view; EnterView(1) starts view 1. Every signature
 // the replica checks goes through its own verifyMemo over verifier, so each
 // one costs a real verification at most once per instance, and the ones its
-// own signer made (see sign) cost none.
+// own signer made (see sign) cost none. It allocates the Replica alone: the
+// state only some paths touch (a view's tallies, the buffer of future-view
+// messages, the memo's table, a view change's leader state) is made on
+// first use.
 func NewReplica(cfg types.Config, id types.ProcessID, signer sigcrypto.Signer, verifier sigcrypto.Verifier, input types.Value) (*Replica, error) {
+	r := new(Replica)
+	if err := r.init(cfg, id, signer, verifier, input); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// init makes the zero Replica r the one NewReplica describes.
+func (r *Replica) init(cfg types.Config, id types.ProcessID, signer sigcrypto.Signer, verifier sigcrypto.Verifier, input types.Value) error {
 	if err := cfg.Validate(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrInvalidConfig, err)
+		return fmt.Errorf("%w: %v", ErrInvalidConfig, err)
 	}
 	if !id.Valid(cfg.N) {
-		return nil, fmt.Errorf("%w: process %v out of range for n=%d", ErrInvalidConfig, id, cfg.N)
+		return fmt.Errorf("%w: process %v out of range for n=%d", ErrInvalidConfig, id, cfg.N)
 	}
-	return &Replica{
-		cfg:        cfg,
-		th:         quorum.New(cfg),
-		id:         id,
-		signer:     signer,
-		verifier:   newVerifyMemo(verifier, cfg.N),
-		input:      input.Clone(),
-		acks:       make(map[voteKey]senderSet),
-		ackSigs:    make(map[voteKey]*sigcrypto.Set),
-		commits:    make(map[voteKey]senderSet),
-		commitSent: make(map[voteKey]bool),
-		pending:    make(map[types.View][]pendingMsg),
-	}, nil
+	*r = Replica{
+		cfg:      cfg,
+		th:       quorum.New(cfg),
+		id:       id,
+		signer:   signer,
+		verifier: *newVerifyMemo(verifier, cfg.N),
+		input:    input.Clone(),
+	}
+	return nil
 }
 
 // ID returns the process identifier.
@@ -346,6 +409,9 @@ func (r *Replica) buffer(from types.ProcessID, m msg.Message) {
 		return
 	}
 	v := m.InView()
+	if r.pending == nil {
+		r.pending = make(map[types.View][]pendingMsg)
+	}
 	r.pending[v] = append(r.pending[v], pendingMsg{from: from, m: m})
 	r.nPend++
 }
@@ -381,7 +447,7 @@ func (r *Replica) onPropose(from types.ProcessID, m *msg.Propose) []Action {
 	if m.Tau.Signer != leader || !r.verifier.Verify(msg.ProposeDigest(m.X, m.View), m.Tau) {
 		return nil
 	}
-	if !m.Cert.VerifyFor(r.verifier, r.th, m.X, m.View) {
+	if !m.Cert.VerifyFor(&r.verifier, r.th, m.X, m.View) {
 		return nil
 	}
 	if prev, ok := r.restoredAcks[m.View]; ok && !prev.Equal(m.X) {
@@ -406,7 +472,7 @@ func (r *Replica) onPropose(from types.ProcessID, m *msg.Propose) []Action {
 	var out []Action
 	out = append(out, r.broadcast(&msg.Ack{View: m.View, X: m.X})...)
 	if r.hold {
-		if set := r.ackSigs[voteKey{view: m.View, value: string(m.X)}]; set != nil && set.Len() > 0 {
+		if t := r.tallyAt(m.View); t != nil && t.count(tallyAckSig, m.X) > 0 {
 			// A peer's AckSig for this very ack came first: the peer
 			// trigger, late (see HoldAckSig).
 			r.hold = false
@@ -448,18 +514,47 @@ func (r *Replica) signAck(x types.Value) *msg.AckSig {
 	return &msg.AckSig{View: r.view, X: x, Phi: r.sign(msg.AckDigest(x, r.view))}
 }
 
-func (r *Replica) onAck(from types.ProcessID, m *msg.Ack) []Action {
-	key := voteKey{view: m.View, value: string(m.X)}
-	set, ok := r.acks[key]
-	if !ok {
-		if len(r.acks) >= maxTrackedKeys {
-			return nil
-		}
-		set = make(senderSet)
-		r.acks[key] = set
+// tallyFor returns view v's tallies, making them if v is in the tallied
+// window [view−1, view+2] and has none yet; a view that left the window
+// gives its record to the one that entered it. It returns nil for a view
+// outside the window: that message counts nowhere.
+func (r *Replica) tallyFor(v types.View) *viewTally {
+	if v == types.NoView || v+1 < r.view || v > r.view+2 {
+		return nil
 	}
-	set[from] = struct{}{}
-	if len(set) >= r.th.FastQuorum() {
+	t := &r.tallies[v%tallyViews]
+	if t.view != v {
+		t.view, t.commitSent = v, false
+		clear(t.senders)
+	}
+	if t.senders == nil {
+		t.senders = make([]senderVotes, r.cfg.N)
+	}
+	return t
+}
+
+// tallyAt returns view v's tallies if it has any, making none.
+func (r *Replica) tallyAt(v types.View) *viewTally {
+	if t := &r.tallies[v%tallyViews]; t.view == v && t.senders != nil {
+		return t
+	}
+	return nil
+}
+
+func (r *Replica) onAck(from types.ProcessID, m *msg.Ack) []Action {
+	if r.decided {
+		return nil // nothing an Ack could change
+	}
+	t := r.tallyFor(m.View)
+	if t == nil {
+		return nil
+	}
+	v := t.take(from, tallyAck, m.X)
+	if v == nil {
+		return nil // a sender's first Ack of a view is the one that counts
+	}
+	v.ok = true
+	if t.count(tallyAck, m.X) >= r.th.FastQuorum() {
 		return r.decide(m.X, m.View, types.FastPath)
 	}
 	return nil
@@ -469,33 +564,31 @@ func (r *Replica) onAckSig(from types.ProcessID, m *msg.AckSig) []Action {
 	if m.Phi.Signer != from {
 		return nil
 	}
-	key := voteKey{view: m.View, value: string(m.X)}
-	if r.commitSent[key] {
-		// The certificate is formed and sent; nothing reads this set
-		// again, so a later AckSig is not worth a verification.
+	t := r.tallyFor(m.View)
+	if t == nil || t.commitSent {
+		// Once the certificate is formed and sent nothing reads the view's
+		// AckSigs again (no other value can gather a commit quorum of
+		// distinct senders), so a later one is not worth a verification.
 		return nil
 	}
-	set, ok := r.ackSigs[key]
-	if !ok {
-		if len(r.ackSigs) >= maxTrackedKeys {
-			return nil
-		}
-		set = sigcrypto.NewSet(msg.AckDigest(m.X, m.View))
-		r.ackSigs[key] = set
+	v := t.take(from, tallyAckSig, m.X)
+	if v == nil {
+		return nil // one check per (view, sender), whatever it found
 	}
-	if !set.Add(r.verifier, m.Phi) {
+	if !r.verifier.Verify(msg.AckDigest(m.X, m.View), m.Phi) {
 		return nil
 	}
+	v.ok, t.senders[from].phi = true, m.Phi
 	var out []Action
 	if r.hold && r.acked && m.View == r.view && m.X.Equal(r.adopted.value) {
 		// A peer started the slow path for what this replica acked: join
-		// it. The own AckSig joins the set through broadcast, and may
+		// it. The own AckSig joins the tally through broadcast, and may
 		// complete the certificate there.
 		out = r.HoldAckSig(false)
 	}
-	if !r.commitSent[key] && set.Len() >= r.th.CommitQuorum() {
-		r.commitSent[key] = true
-		cc := &msg.CommitCert{Value: m.X.Clone(), View: m.View, Sigs: set.Signatures()}
+	if !t.commitSent && t.count(tallyAckSig, m.X) >= r.th.CommitQuorum() {
+		t.commitSent = true
+		cc := &msg.CommitCert{Value: m.X.Clone(), View: m.View, Sigs: t.certSigs(m.X)}
 		r.updateLatestCC(cc)
 		commit := r.broadcast(&msg.Commit{View: m.View, X: m.X, CC: *cc})
 		if out == nil {
@@ -504,6 +597,17 @@ func (r *Replica) onAckSig(from types.ProcessID, m *msg.AckSig) []Action {
 		out = append(out, commit...)
 	}
 	return out
+}
+
+// certSigs returns the valid AckSig signatures for x, in sender order.
+func (t *viewTally) certSigs(x types.Value) []sigcrypto.Signature {
+	sigs := make([]sigcrypto.Signature, 0, t.count(tallyAckSig, x))
+	for i := range t.senders {
+		if v := &t.senders[i].votes[tallyAckSig]; v.ok && v.x.Equal(x) {
+			sigs = append(sigs, t.senders[i].phi)
+		}
+	}
+	return sigs
 }
 
 func (r *Replica) onCommit(from types.ProcessID, m *msg.Commit) []Action {
@@ -515,21 +619,20 @@ func (r *Replica) onCommit(from types.ProcessID, m *msg.Commit) []Action {
 		// and updateLatestCC keeps latest unless the view is higher.
 		return nil
 	}
-	if !m.CC.Verify(r.verifier, r.th) {
+	t := r.tallyFor(m.View)
+	if t == nil {
 		return nil
 	}
-	r.updateLatestCC(&m.CC)
-	key := voteKey{view: m.View, value: string(m.X)}
-	set, ok := r.commits[key]
-	if !ok {
-		if len(r.commits) >= maxTrackedKeys {
-			return nil
-		}
-		set = make(senderSet)
-		r.commits[key] = set
+	v := t.take(from, tallyCommit, m.X)
+	if v == nil {
+		return nil // one certificate check per (view, sender)
 	}
-	set[from] = struct{}{}
-	if len(set) >= r.th.CommitQuorum() {
+	if !m.CC.Verify(&r.verifier, r.th) {
+		return nil
+	}
+	v.ok = true
+	r.updateLatestCC(&m.CC)
+	if t.count(tallyCommit, m.X) >= r.th.CommitQuorum() {
 		return r.decide(m.X, m.View, types.SlowPath)
 	}
 	return nil
@@ -571,7 +674,7 @@ func (r *Replica) onVote(from types.ProcessID, m *msg.Vote) []Action {
 	if _, dup := r.leader.votes[from]; dup {
 		return nil
 	}
-	if !m.SV.Valid(r.verifier, r.th, m.View) {
+	if !m.SV.Valid(&r.verifier, r.th, m.View) {
 		return nil
 	}
 	r.leader.votes[from] = m.SV.Clone()
@@ -589,7 +692,7 @@ func (r *Replica) tryViewChange() []Action {
 	for _, sv := range ls.votes {
 		votes = append(votes, sv)
 	}
-	out, err := Select(r.th, r.verifier, r.view, votes)
+	out, err := Select(r.th, &r.verifier, r.view, votes)
 	if err != nil {
 		return nil // ErrNeedMoreVotes: keep collecting
 	}
@@ -609,7 +712,7 @@ func (r *Replica) tryViewChange() []Action {
 	// in this view. Select took n−f votes, and n−f−1 ≥ 2f as n ≥ 3f+1.
 	actions := []Action{}
 	own := r.sign(msg.CertAckDigest(ls.selected, r.view))
-	ls.certAcks.Add(r.verifier, own)
+	ls.certAcks.Add(&r.verifier, own)
 	req := &msg.CertRequest{View: r.view, X: ls.selected.Clone(), Votes: ls.certVotes}
 	sent := 1 // ourselves
 	for _, sv := range ls.certVotes {
@@ -631,7 +734,7 @@ func (r *Replica) onCertRequest(from types.ProcessID, m *msg.CertRequest) []Acti
 	// value is safe in m.View (Section 3.2 — "at least one correct process
 	// verified that the leader performed the selection algorithm
 	// correctly"), so a process may endorse regardless of its current view.
-	if err := VerifyCertRequest(r.th, r.verifier, m); err != nil {
+	if err := VerifyCertRequest(r.th, &r.verifier, m); err != nil {
 		return nil
 	}
 	phi := r.sign(msg.CertAckDigest(m.X, m.View))
@@ -653,7 +756,7 @@ func (r *Replica) onCertAck(from types.ProcessID, m *msg.CertAck) []Action {
 	if !m.X.Equal(ls.selected) || m.Phi.Signer != from {
 		return nil
 	}
-	if !ls.certAcks.Add(r.verifier, m.Phi) {
+	if !ls.certAcks.Add(&r.verifier, m.Phi) {
 		return nil
 	}
 	return r.maybePropose()

@@ -103,11 +103,25 @@ func EncodeTo(w *wire.Writer, m Message) bool {
 // Decode parses a message from its canonical wire form. Decoding is strict:
 // trailing bytes, truncated fields, and over-limit lengths are errors, so a
 // Byzantine sender cannot craft two byte strings decoding to one message.
+// The message's byte fields are copies: buf stays the caller's.
 func Decode(buf []byte) (Message, error) {
-	if len(buf) > wire.MaxBytes {
+	return decode(wire.NewReader(buf))
+}
+
+// DecodeOwned is Decode for a caller that owns buf and never writes to it
+// again, as a receiver owns a frame its transport allocated for it: the
+// message's byte fields are sub-slices of buf, not copies (see the wire
+// package doc). It accepts and rejects exactly what Decode does, with the
+// same errors, and returns an equal message.
+func DecodeOwned(buf []byte) (Message, error) {
+	return decode(wire.NewOwnedReader(buf))
+}
+
+// decode parses one whole message from r (see Decode).
+func decode(r *wire.Reader) (Message, error) {
+	if r.Remaining() > wire.MaxBytes {
 		return nil, wire.ErrOverflow
 	}
-	r := wire.NewReader(buf)
 	kind := Kind(r.Uint8())
 	var m Message
 	switch kind {

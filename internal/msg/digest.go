@@ -4,6 +4,14 @@
 // the slow path (Appendix A.1), vote/CertReq/CertAck for the view change
 // (Section 3.2), plus the certificates those messages carry and the
 // deterministic byte digests each signature covers.
+//
+// Buffer ownership: Decode copies every byte field out of its input, so the
+// decoded message is independent of the buffer; it serves the WAL, snapshots,
+// state transfer and every caller that may reuse its bytes. DecodeOwned
+// returns the same message with its byte fields aliasing the input, for a
+// receiver that owns a frame and never writes to it again (the SMR layer's
+// consensus frames and the client channel's frames). Whoever holds a message
+// decoded either way treats its byte fields as read-only.
 package msg
 
 import (

@@ -148,8 +148,31 @@ func (ep *endpoint) Start() error {
 }
 
 // Send implements transport.Transport: the payload predicate rules on the
-// send, which is then queued, held or dropped.
+// send, which is then queued, held or dropped. The receiver gets its own
+// copy of payload.
 func (ep *endpoint) Send(to types.ProcessID, payload []byte) error {
+	return ep.send(to, payload, nil)
+}
+
+// Broadcast implements transport.Transport. Every receiver gets the same
+// copy of payload: a receiver owns the frame it is handed for reading only
+// (as a TCP receiver owns the frame it read, and decodes it without
+// copying), so one receiver writing into it would show in the others'.
+func (ep *endpoint) Broadcast(payload []byte) error {
+	data := append([]byte(nil), payload...)
+	for i := 0; i < ep.net.n; i++ {
+		if pid := types.ProcessID(i); pid != ep.self {
+			if err := ep.send(pid, payload, data); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// send rules on payload and queues, holds or drops its delivery to `to`:
+// data if it is set, a copy of payload otherwise.
+func (ep *endpoint) send(to types.ProcessID, payload, data []byte) error {
 	net := ep.net
 	if !to.Valid(net.n) {
 		return transport.ErrUnknownPeer
@@ -164,7 +187,10 @@ func (ep *endpoint) Send(to types.ProcessID, payload []byte) error {
 	if rule != nil {
 		fate = rule(ep.self, to, payload, now)
 	}
-	ev := event{to: to, from: ep.self, data: append([]byte(nil), payload...)}
+	if data == nil {
+		data = append([]byte(nil), payload...)
+	}
+	ev := event{to: to, from: ep.self, data: data}
 	net.mu.Lock()
 	defer net.mu.Unlock()
 	switch {
@@ -175,18 +201,6 @@ func (ep *endpoint) Send(to types.ProcessID, payload []byte) error {
 	default:
 		ev.at = net.now + fate.Delay
 		net.push(ev)
-	}
-	return nil
-}
-
-// Broadcast implements transport.Transport.
-func (ep *endpoint) Broadcast(payload []byte) error {
-	for i := 0; i < ep.net.n; i++ {
-		if pid := types.ProcessID(i); pid != ep.self {
-			if err := ep.Send(pid, payload); err != nil {
-				return err
-			}
-		}
 	}
 	return nil
 }

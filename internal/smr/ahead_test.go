@@ -165,3 +165,73 @@ func TestAheadBufferBounded(t *testing.T) {
 		t.Fatalf("%d frames held in all, want the per-sender counts' sum %d", total, aheadFramesPerSlot*w+f0+1)
 	}
 }
+
+// TestRestartedReplicaCatchesUpFromHeldFrames: a replica restarted with
+// nothing catches up from the frames it holds past its window. n = 4, W = 8,
+// Δ = 1 ms: replica 3 crashes after 3 writes, the others apply 12 more, and
+// 3 comes back empty, its window at slots 0–7. The next write's traffic,
+// for slot 15, lands past that window but within two of it: 3 holds it, and,
+// no slot of its window having an ack of its own, asks the senders for
+// state at once. The state-transfer tails decide slots 0–14, the window
+// slides over slot 15, and the held Propose and Acks decide it there on the
+// fast path. Every later write 3 decides as its peers do, without a regime
+// timeout anywhere, and nothing stays held.
+func TestRestartedReplicaCatchesUpFromHeldFrames(t *testing.T) {
+	cfg := types.Generalized(1, 1)
+	const (
+		before   = 3
+		down     = 12
+		after    = 5
+		restarts = types.ProcessID(3)
+	)
+	// held is the most messages the restarted replica held past its window
+	// when a frame reached it: the trace runs before each delivery.
+	var r *Replica
+	held := 0
+	trace := func(ev sim.TraceEvent) {
+		if r != nil && ev.To == restarts {
+			r.mu.Lock()
+			held = max(held, len(r.ahead))
+			r.mu.Unlock()
+		}
+	}
+	g := newSimGroup(t, cfg, 95, groupOpts{delta: time.Millisecond, window: 8, trace: trace})
+	write := func(i int) {
+		g.submitKVAll("c", i, -1)
+		g.run(10*time.Second, g.applied(uint64(i+1)), "a write")
+	}
+	for i := 0; i < before; i++ {
+		write(i)
+	}
+	g.crash(restarts)
+	for i := before; i < before+down; i++ {
+		write(i)
+	}
+	r = g.reboot(restarts)
+	if err := r.Start(); err != nil {
+		t.Fatal(err)
+	}
+	for i := before + down; i < before+down+after; i++ {
+		write(i)
+	}
+	if held == 0 {
+		t.Fatal("the restarted replica held no frame past its window: the test exercises nothing")
+	}
+	m := &r.m
+	if xfer := m.pathXfer.Load(); xfer != before+down {
+		t.Errorf("the restarted replica learned %d slots from tails, want the %d it missed", xfer, before+down)
+	}
+	if fast := m.pathFast.Load(); fast != after {
+		t.Errorf("the restarted replica decided %d slots fast, want the %d written after its restart", fast, after)
+	}
+	g.live(func(p types.ProcessID, rep *Replica) {
+		if n := rep.m.regime.Load(); n != 0 {
+			t.Errorf("replica %s had %d regime timeouts", p, n)
+		}
+	})
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if len(r.ahead) != 0 {
+		t.Errorf("%d messages still held", len(r.ahead))
+	}
+}

@@ -36,9 +36,11 @@ func EncodeBatch(cmds []Command) types.Value {
 
 // DecodeBatch parses a batch value. Malformed batches decide slots but
 // apply nothing (a Byzantine leader can always propose garbage; it must not
-// wedge the log).
+// wedge the log). The commands are sub-slices of v, not copies: v is a
+// decided value, which nobody writes, and a command that must outlive it or
+// be written is the caller's to clone.
 func DecodeBatch(v types.Value) ([]Command, error) {
-	r := wire.NewReader(v)
+	r := wire.NewOwnedReader(v)
 	n := r.SliceLen()
 	if err := r.Err(); err != nil {
 		return nil, err

@@ -38,9 +38,10 @@ func EncodeKV(c KVCommand) Command {
 	return Command(w.Bytes())
 }
 
-// DecodeKV parses an SMR command produced by EncodeKV.
+// DecodeKV parses an SMR command produced by EncodeKV. The command's fields
+// become strings, which copy them, so the reader need not copy them first.
 func DecodeKV(cmd Command) (KVCommand, error) {
-	r := wire.NewReader(cmd)
+	r := wire.NewOwnedReader(cmd)
 	var c KVCommand
 	c.Op = r.Uint8()
 	c.Client = string(r.BytesField())

@@ -342,8 +342,8 @@ func TestCostLedger(t *testing.T) {
 		allocs   map[string]float64 // measured allocations per slot, whole group
 		crash    float64            // measured leader-crash verifies per slot and replica
 	}{
-		{types.Generalized(1, 1), 0, 4, map[string]float64{"leader-only": 357, "every-replica": 390, "slow": 842, "batched": 420}, 4.00},
-		{types.Generalized(2, 1), 2, 0, map[string]float64{"leader-only": 735, "every-replica": 801, "slow": 1307}, 6.83},
+		{types.Generalized(1, 1), 0, 4, map[string]float64{"leader-only": 224, "every-replica": 248, "slow": 544, "batched": 264}, 4.00},
+		{types.Generalized(2, 1), 2, 0, map[string]float64{"leader-only": 440, "every-replica": 488, "slow": 782}, 6.83},
 	} {
 		n, f := tc.cfg.N, tc.cfg.F
 		q := quorum.New(tc.cfg).CommitQuorum()

@@ -138,8 +138,11 @@ type frameKey struct {
 // cluster under SeededDelay(seed, Δ) — with silent set, the view-1 leader is
 // dead from the start, so every slot decides through a view change — until
 // every live replica applied every request, and fails the test (naming the
-// seed) if that takes more than scheduleLimit of virtual time, or as soon as
-// a Propose, Ack or AckSig crosses the same link twice for one slot and view.
+// seed) if that takes more than scheduleLimit of virtual time, as soon as
+// a Propose, Ack or AckSig crosses the same link twice for one slot and view,
+// or as soon as a replica acks two values in one slot and view (every
+// replica of the run is correct, and a correct process acks at most one
+// value per view, Section 3.1).
 func runSchedule(t *testing.T, cfg types.Config, seed int64, silent bool) scheduleResult {
 	t.Helper()
 	f := scheduleFaults{silent: types.NoProcess}
@@ -158,6 +161,7 @@ func runFaultSchedule(t *testing.T, cfg types.Config, seed int64, f *scheduleFau
 	t.Helper()
 	var res scheduleResult
 	seen := make(map[frameKey]bool)
+	acked := make(map[frameKey]types.Value) // by (sender, slot, view); to and kind unset
 	f.lone = make(map[slotView]struct{})
 	g := newSimGroup(t, cfg, seed, groupOpts{
 		jitter: scheduleDelta,
@@ -182,6 +186,13 @@ func runFaultSchedule(t *testing.T, cfg types.Config, seed int64, f *scheduleFau
 					t.Fatalf("seed %d: %s sent a second %s of slot %d, view %s, to %s", seed, ev.From, k, s, m.InView(), ev.To)
 				}
 				seen[key] = true
+				if ack, ok := m.(*msg.Ack); ok {
+					own := frameKey{from: ev.From, slot: s, view: ack.View}
+					if prev, ok := acked[own]; ok && !prev.Equal(ack.X) {
+						t.Fatalf("seed %d: %s acked %s and %s in slot %d, view %s", seed, ev.From, prev, ack.X, s, ack.View)
+					}
+					acked[own] = ack.X
+				}
 			}
 		},
 	})
@@ -444,8 +455,9 @@ func TestSeededScheduleReplays(t *testing.T) {
 
 // TestSeededScheduleSmoke runs -sim.seeds seeds (20 by default; `make
 // sim-sweep` runs more) of each scenario and checks, per run, agreement per
-// slot, exactly-once execution, byte-identical stores and progress within
-// bounded virtual time. A failure names its seed.
+// slot, exactly-once execution, byte-identical stores, that no replica acks
+// two values in one view, and progress within bounded virtual time. A
+// failure names its seed.
 func TestSeededScheduleSmoke(t *testing.T) {
 	for _, sc := range []struct {
 		name   string

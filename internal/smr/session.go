@@ -63,9 +63,11 @@ var (
 
 // decodeRequest parses SMR command bytes back into a request. Commands that
 // are not well-formed requests (a Byzantine leader can batch arbitrary
-// bytes) decode to (nil, false) and are skipped by the apply loop.
+// bytes) decode to (nil, false) and are skipped by the apply loop. Every
+// command the replica holds — queued, in flight, decided — is its own and
+// never written, so the request's Op aliases cmd (msg.DecodeOwned).
 func decodeRequest(cmd Command) (*msg.Request, bool) {
-	m, err := msg.Decode(cmd)
+	m, err := msg.DecodeOwned(cmd)
 	if err != nil {
 		return nil, false
 	}
@@ -156,8 +158,8 @@ func (r *Replica) HandleRequest(req *msg.Request, reply ReplyFunc) error {
 		return nil
 	}
 	// The body of the relay frame is the request's canonical encoding,
-	// which is also its SMR command bytes: one buffer serves both (the queue
-	// keeps its own copy).
+	// which is also its SMR command bytes: one buffer serves both, and
+	// neither the queue nor the transport writes to it.
 	w := newFrame(r.cfg.Group, ctrlSlot)
 	hdr := w.Len()
 	msg.EncodeTo(w, req)
@@ -198,7 +200,10 @@ func (r *Replica) staleLocked(req *msg.Request) bool {
 // stale, already queued, or already in flight in a live slot proposal — the
 // in-flight check is what keeps concurrent slot chunks disjoint when the
 // same request arrives again (a retransmission, or a follower's relay of a
-// command this replica already assigned). The caller holds r.mu.
+// command this replica already assigned). enc is the tail of a frame this
+// replica owns — one it encoded, or one its transport delivered — that
+// nobody writes again, so the queue keeps it without a copy. The caller
+// holds r.mu.
 func (r *Replica) enqueueRequestLocked(req *msg.Request, enc Command) {
 	if r.staleLocked(req) {
 		return
@@ -207,9 +212,9 @@ func (r *Replica) enqueueRequestLocked(req *msg.Request, enc Command) {
 		return
 	}
 	if r.pending.Contains(enc) {
-		return // duplicate arrival; don't clone just to discard the copy
+		return // duplicate arrival
 	}
-	r.pending.PushBackAt(enc.Clone(), r.m.tracer.Nanos(r.cfg.Clock.Now()))
+	r.pending.PushBackAt(enc, r.m.tracer.Nanos(r.cfg.Clock.Now()))
 }
 
 // compactPendingLocked drops queued commands the session table has since

@@ -255,6 +255,9 @@ type Replica struct {
 	fetchCycle int                                        // retries in the current round-robin cycle
 	fetchStart uint64                                     // applyPtr when the current cycle began
 	fetchFan   bool                                       // the round's f further asks are still to go out
+	fetchWide  node.Timer                                 // the round's widening timer (see fanOutLocked)
+	fetchRound uint64                                     // fetch rounds started
+	fetchFanAt uint64                                     // applyPtr when the round fanned out
 	tails      map[types.ProcessID]map[uint64]types.Value // tail claims per responder (see tallyTailLocked)
 	served     map[types.ProcessID]served                 // last full response and tail end per requester
 
@@ -301,6 +304,10 @@ const (
 
 type slot struct {
 	proc *core.Process
+	// signer and verifier are the instance's, bound to the slot's signing
+	// domain; they live here so the slot is one allocation with them.
+	signer   domainSigner
+	verifier domainVerifier
 	// born is when the instance was opened locally; the decide latency
 	// (born to decision) feeds the regime timer's EWMA.
 	born time.Time
@@ -434,6 +441,9 @@ func (r *Replica) Close() error {
 	}
 	if r.fetchTimer != nil {
 		r.fetchTimer.Stop()
+	}
+	if r.fetchWide != nil {
+		r.fetchWide.Stop()
 	}
 	r.mu.Drain()
 	if r.store != nil {
@@ -648,13 +658,12 @@ func (r *Replica) ensureSlotLocked(s uint64) *slot {
 		input = restored.Acks[len(restored.Acks)-1].X
 	}
 	salt := slotDomain(r.cfg.Group, s)
-	proc, err := core.NewProcess(r.cfg.Cluster, r.cfg.Self,
-		r.signerFor(salt), r.verifierFor(salt),
-		input, r.cfg.BaseTimeout)
+	sl := &slot{born: r.cfg.Clock.Now(), lone: types.NoProcess, signer: r.signerFor(salt), verifier: r.verifierFor(salt)}
+	proc, err := core.NewProcess(r.cfg.Cluster, r.cfg.Self, &sl.signer, &sl.verifier, input, r.cfg.BaseTimeout)
 	if err != nil {
 		return nil // configuration was validated at construction; unreachable
 	}
-	sl := &slot{proc: proc, born: r.cfg.Clock.Now(), lone: types.NoProcess}
+	sl.proc = proc
 	// The hook runs before the instance enters any view this replica leads —
 	// ahead of vote collection, however deliveries interleave — so a free
 	// selection proposes real pending commands, not a no-op.
@@ -745,7 +754,14 @@ func (r *Replica) onPayload(from types.ProcessID, payload []byte) {
 	r.pokeRegimeLocked()
 }
 
-// routePayloadLocked dispatches one decoded envelope. The caller holds r.mu.
+// routePayloadLocked dispatches one decoded envelope. inner is the tail of
+// a frame the transport handed this replica alone, so a request or a
+// consensus message decodes without copying (msg.DecodeOwned): what it
+// keeps of the frame — a queued request, a value a tally records, a message
+// held past the window — is never written, and lives no longer than its
+// slot. Log-maintenance messages are copied out (msg.Decode): a tail
+// decision or a checkpoint digest outlives the slot, and aliased, would
+// keep a whole state-transfer response alive. The caller holds r.mu.
 func (r *Replica) routePayloadLocked(from types.ProcessID, s uint64, inner []byte) {
 	if s == ctrlSlot {
 		// A client request relayed by a follower; it passes HandleRequest's
@@ -760,15 +776,20 @@ func (r *Replica) routePayloadLocked(from types.ProcessID, s uint64, inner []byt
 		r.fillWindowLocked()
 		return
 	}
-	m, err := msg.Decode(inner)
+	if s == syncSlot {
+		m, err := msg.Decode(inner)
+		if err != nil {
+			return
+		}
+		r.countIn(m.Kind())
+		r.onSyncLocked(from, m)
+		return
+	}
+	m, err := msg.DecodeOwned(inner)
 	if err != nil {
 		return
 	}
 	r.countIn(m.Kind())
-	if s == syncSlot {
-		r.onSyncLocked(from, m)
-		return
-	}
 	r.deliverSlotLocked(from, s, m, len(inner))
 }
 
@@ -853,6 +874,21 @@ func (r *Replica) holdAheadLocked(from types.ProcessID, s uint64, m msg.Message,
 	r.aheadFrames[from]++
 	r.aheadBytes[from] += size
 	return true
+}
+
+// aheadSendersLocked counts the senders with messages held past the
+// window, stopping at two, all that workOutstandingLocked asks. The caller
+// holds r.mu.
+func (r *Replica) aheadSendersLocked() int {
+	n := 0
+	for _, frames := range r.aheadFrames {
+		if frames > 0 {
+			if n++; n == 2 {
+				break
+			}
+		}
+	}
+	return n
 }
 
 // replayAheadLocked delivers, in arrival order, every held message whose
@@ -963,14 +999,15 @@ func (r *Replica) frontierIdleLocked() bool {
 }
 
 // workOutstandingLocked reports whether the replica is waiting on the
-// leader regime for anything: queued or in-flight commands, messages held
-// past the live window, or an undecided instance in it that someone besides
-// one peer could be waiting on. An instance that only one peer's frames
-// reached, and in which this replica has not voted (slot.lone), is not
-// work: one junk frame would otherwise make an idle group suspect its
-// correct leader. The caller holds r.mu.
+// leader regime for anything: queued or in-flight commands, messages of two
+// or more senders held past the live window, or an undecided instance in it
+// that someone besides one peer could be waiting on. An instance that only
+// one peer's frames reached, and in which this replica has not voted
+// (slot.lone), is not work, and neither are messages past the window that
+// only one peer sent: one junk frame would otherwise make an idle group
+// suspect its correct leader. The caller holds r.mu.
 func (r *Replica) workOutstandingLocked() bool {
-	if r.pending.Len() > 0 || len(r.inflight) > 0 || len(r.ahead) > 0 {
+	if r.pending.Len() > 0 || len(r.inflight) > 0 || r.aheadSendersLocked() >= 2 {
 		return true
 	}
 	for s, sl := range r.slots {

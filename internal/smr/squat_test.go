@@ -115,3 +115,55 @@ func TestIdleJunkFrameSuspectsNobody(t *testing.T) {
 		}
 	})
 }
+
+// TestIdleJunkAheadFrameSuspectsNobody is TestIdleJunkFrameSuspectsNobody
+// with the junk Ack past the leader's window: after 3 writes (slots 0–2)
+// follower 0 sends the leader one unsigned junk Ack for slot next+W+2,
+// which the leader holds for replay when its window gets there. When every
+// held message counted as outstanding work, whoever sent it, the one junk
+// frame kept the idle leader's regime timer firing: 7 regime timeouts in
+// the 5 s the group then idled. Now held messages are work only once two
+// senders hold some, as an instance in the window is only once two peers'
+// frames reached it (slot.lone): nobody times out or changes view, and the
+// next write decides at slot 3.
+func TestIdleJunkAheadFrameSuspectsNobody(t *testing.T) {
+	cfg := types.Generalized(1, 1)
+	g := newSimGroup(t, cfg, 67, groupOpts{delta: time.Millisecond})
+	leaderID := cfg.Leader(1)
+	leader := g.reps[leaderID]
+	for i := 0; i < 3; i++ {
+		g.submitKVAll("c", i, -1)
+		g.run(10*time.Second, g.applied(uint64(i+1)), "a write")
+	}
+	leader.mu.Lock()
+	s := leader.next + uint64(leader.cfg.WindowSize) + 2
+	leader.mu.Unlock()
+	frame := envelope(0, s, &msg.Ack{View: 1, X: types.Value("junk")})
+	if err := g.net.Transport(0).Send(leaderID, frame); err != nil {
+		t.Fatal(err)
+	}
+	g.net.Advance(5 * time.Second)
+	g.settle()
+	leader.mu.Lock()
+	held := len(leader.ahead)
+	leader.mu.Unlock()
+	if held != 1 {
+		t.Fatalf("the leader holds %d messages past its window, want the junk Ack", held)
+	}
+	g.submitKVAll("c", 3, -1)
+	g.run(10*time.Second, g.applied(4), "the write after the junk frame")
+	g.live(func(p types.ProcessID, r *Replica) {
+		if n := r.m.regime.Load(); n != 0 {
+			t.Errorf("replica %s had %d regime timeouts", p, n)
+		}
+		if n := g.viewChanges(p); n != 0 {
+			t.Errorf("replica %s changed view %v times", p, n)
+		}
+		r.mu.Lock()
+		next := r.next
+		r.mu.Unlock()
+		if next != 4 {
+			t.Errorf("replica %s decided slots up to %d after 4 writes, want 3", p, next-1)
+		}
+	})
+}

@@ -63,6 +63,11 @@ var snapChunkSize = 1 << 20
 // re-trigger a fetch.
 const fetchRetryCooldown = time.Second
 
+// fetchWiden is how long a fetch round waits, after its f further asks, for
+// them to move the applied frontier before it asks f more peers (see
+// fanOutLocked): a small share of the retry period, and many round trips.
+const fetchWiden = fetchRetryCooldown / 16
+
 // noteBehindLocked records evidence that peer `from` is ahead (it sent
 // traffic for slot `evidence`, beyond our window or frontier) and starts or
 // feeds the state-sync loop, rate-limited so that a burst of evidence
@@ -82,9 +87,10 @@ func (r *Replica) noteBehindLocked(evidence uint64, from types.ProcessID) {
 }
 
 // sendFetchLocked starts a fetch round: one FetchState to peer `to`, the
-// f further asks once its response is in (see fanOutLocked), and the retry
+// further asks once its response is in (see fanOutLocked), and the retry
 // timer. The caller holds r.mu.
 func (r *Replica) sendFetchLocked(to types.ProcessID) {
+	r.fetchRound++
 	r.fetchAt = r.applyPtr + 1
 	r.fetchTime = r.cfg.Clock.Now()
 	r.fetchRR = to
@@ -114,15 +120,47 @@ func (r *Replica) nextPeer(p types.ProcessID) types.ProcessID {
 
 // fanOutLocked sends the round's f further asks, to the f peers after the
 // round's first in round-robin order, so that a tail slot can gather f+1
-// matching reports. It runs once the first response is in: its snapshot,
-// if any, is installed, so the asks start above it and the peers answer
-// with tails, not with the snapshot again. The caller holds r.mu.
+// matching reports, and arms the round's widening: if fetchWiden later the
+// applied frontier has not moved, the round asks the f peers after those
+// (onFetchWiden). Of the 2f+1 peers a round then has asked (n − 1 ≥ 3f of
+// them exist), f+1 are correct even if f are faulty or down, where the f
+// further asks alone left a round with one down peer a report short until
+// the retry timer. Most rounds end on f+1 answers, so the second f asks,
+// and the tails they draw, go out only when the first ones fell short. It
+// runs once the first response is in: its snapshot, if any, is installed,
+// so the asks start above it and the peers answer with tails, not with the
+// snapshot again. The caller holds r.mu.
 func (r *Replica) fanOutLocked() {
 	r.fetchFan = false
+	r.askFurtherLocked()
+	r.fetchFanAt = r.applyPtr
+	if r.fetchWide != nil {
+		r.fetchWide.Stop()
+	}
+	round := r.fetchRound
+	r.fetchWide = r.cfg.Clock.AfterFunc(fetchWiden, func() { r.onFetchWiden(round) })
+}
+
+// askFurtherLocked asks the f peers after the last one asked, in
+// round-robin order. The caller holds r.mu.
+func (r *Replica) askFurtherLocked() {
 	for i := 0; i < r.cfg.Cluster.F; i++ {
 		r.fetchRR = r.nextPeer(r.fetchRR)
 		r.askLocked(r.fetchRR)
 	}
+}
+
+// onFetchWiden asks fetch round `round` the f peers after its first f+1
+// if the round is still the current one, still short of the lag evidence,
+// and its answers have not moved the applied frontier since it fanned out.
+func (r *Replica) onFetchWiden(round uint64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.closed || r.fetchAt == 0 || round != r.fetchRound ||
+		r.applyPtr != r.fetchFanAt || r.applyPtr > r.fetchEv {
+		return
+	}
+	r.askFurtherLocked()
 }
 
 // endSyncLocked parks the state-sync loop and drops its tail tally. The
@@ -303,9 +341,9 @@ func (r *Replica) reassembleLocked(m *msg.StateSnapshot) (*msg.CheckpointCert, [
 // onStateSnapshotLocked takes one state-transfer frame from peer `from`:
 // its snapshot piece feeds the reassembly, and its tail feeds the tally
 // (tallyTailLocked). The first complete response of a round sends the
-// round's f further asks. Frames count only while a fetch is outstanding;
-// a response that arrives after the sync loop gave up is dropped, and the
-// next lag evidence re-requests it. The caller holds r.mu.
+// round's further asks (fanOutLocked). Frames count only while a fetch is
+// outstanding; a response that arrives after the sync loop gave up is
+// dropped, and the next lag evidence re-requests it. The caller holds r.mu.
 func (r *Replica) onStateSnapshotLocked(from types.ProcessID, m *msg.StateSnapshot) {
 	if r.fetchAt == 0 {
 		return

@@ -91,7 +91,8 @@ func EncodeClientFrame(m msg.Message) ([]byte, error) {
 // DecodeClientFrame parses one complete client-channel frame. Decoding is
 // strict — length prefix exactly matching the payload, canonical msg
 // encoding, Request/Reply kinds only — so there is exactly one byte string
-// per message, on the client wire as everywhere else.
+// per message, on the client wire as everywhere else. Like
+// DecodeClientMessage's, the message's byte fields alias frame.
 func DecodeClientFrame(frame []byte) (msg.Message, error) {
 	if len(frame) < 4 {
 		return nil, ErrBadClientFrame
@@ -107,9 +108,11 @@ func DecodeClientFrame(frame []byte) (msg.Message, error) {
 }
 
 // DecodeClientMessage parses one client-channel payload (a frame with the
-// length prefix already stripped by the stream reader).
+// length prefix already stripped by the stream reader). The payload is the
+// caller's, read for this one message and never written again, so the
+// message's byte fields alias it (msg.DecodeOwned).
 func DecodeClientMessage(payload []byte) (msg.Message, error) {
-	m, err := msg.Decode(payload)
+	m, err := msg.DecodeOwned(payload)
 	if err != nil {
 		return nil, err
 	}

@@ -60,10 +60,17 @@ type Synchronizer struct {
 // New creates a synchronizer for process id among n processes with at most
 // f Byzantine. base is the view-1 timeout (DefaultBaseTimeout if 0).
 func New(n, f int, id types.ProcessID, base time.Duration) *Synchronizer {
+	s := Make(n, f, id, base)
+	return &s
+}
+
+// Make is New for a caller that keeps the synchronizer inside a larger
+// struct, and so allocates it with that struct.
+func Make(n, f int, id types.ProcessID, base time.Duration) Synchronizer {
 	if base <= 0 {
 		base = DefaultBaseTimeout
 	}
-	return &Synchronizer{
+	return Synchronizer{
 		n:      n,
 		f:      f,
 		id:     id,

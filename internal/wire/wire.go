@@ -3,6 +3,16 @@
 // cursor-based reader with sticky error handling. The repository uses a
 // hand-rolled codec instead of encoding/gob so that signed digests are
 // byte-for-byte deterministic across processes and Go versions.
+//
+// Buffer ownership: a Reader made by NewReader copies every byte string it
+// returns, so a decoded value never aliases the input and the caller may
+// reuse or overwrite the buffer. A Reader made by NewOwnedReader returns
+// sub-slices of the input instead, for a caller that owns the buffer and
+// never writes to it again (a frame the transport allocated for this one
+// delivery): decoding then allocates nothing per byte string, and the
+// decoded values keep the whole buffer alive for as long as any of them is
+// held. Each sub-slice's capacity ends where its field does, so appending
+// to a decoded field reallocates instead of writing over the next field.
 package wire
 
 import (
@@ -84,15 +94,24 @@ func (w *Writer) BytesField(b []byte) {
 // subsequent read returns the zero value and the reader's Err method reports
 // the failure; this keeps decode methods linear instead of nested.
 type Reader struct {
-	buf []byte
-	off int
-	err error
+	buf   []byte
+	off   int
+	err   error
+	owned bool // BytesField returns sub-slices of buf (see NewOwnedReader)
 }
 
 // NewReader returns a reader over buf. The reader does not copy buf; callers
 // that retain decoded byte fields receive copies.
 func NewReader(buf []byte) *Reader {
 	return &Reader{buf: buf}
+}
+
+// NewOwnedReader returns a reader over buf whose BytesField returns
+// sub-slices of buf rather than copies. The caller must own buf and never
+// write to it again while any decoded field is in use (see the package
+// doc); a reader for any other buffer is NewReader's.
+func NewOwnedReader(buf []byte) *Reader {
+	return &Reader{buf: buf, owned: true}
 }
 
 // Err returns the sticky decoding error, if any.
@@ -202,7 +221,9 @@ func (r *Reader) Int32() int32 {
 }
 
 // BytesField reads a length-prefixed byte string. The returned slice is a
-// copy and safe to retain.
+// copy and safe to retain, unless the reader is an owned one
+// (NewOwnedReader): then it is the field's bytes in the input buffer, with
+// its capacity capped at its length.
 func (r *Reader) BytesField() []byte {
 	n := r.Uvarint()
 	if r.err != nil {
@@ -212,10 +233,13 @@ func (r *Reader) BytesField() []byte {
 		r.fail(ErrOverflow)
 		return nil
 	}
-	out := make([]byte, n)
-	copy(out, r.buf[r.off:r.off+int(n)])
-	r.off += int(n)
-	return out
+	end := r.off + int(n)
+	field := r.buf[r.off:end:end]
+	r.off = end
+	if r.owned {
+		return field
+	}
+	return append(make([]byte, 0, n), field...)
 }
 
 // SliceLen reads a slice length prefix, enforcing MaxSlice. A count above

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 
 	"repro/internal/msg"
+	"repro/internal/quorum"
 	"repro/internal/sigcrypto"
 	"repro/internal/types"
 )
@@ -15,8 +17,9 @@ import (
 // certificate. These tests pin both halves: what is skipped, and that every
 // check that can change an outcome still runs.
 
-// exactFixture is one replica, process 0 of n = 4 (CommitQuorum 3), over a
-// counting inner verifier, with the scheme that signs for its peers.
+// exactFixture is one replica, process 0 of n = 4 (CommitQuorum 3) unless
+// made with newExactFixtureFor, over a counting inner verifier, with the
+// scheme that signs for its peers.
 type exactFixture struct {
 	cfg    types.Config
 	scheme sigcrypto.Scheme
@@ -27,7 +30,12 @@ type exactFixture struct {
 
 func newExactFixture(t *testing.T, seed int64) *exactFixture {
 	t.Helper()
-	cfg := types.Generalized(1, 1)
+	return newExactFixtureFor(t, types.Generalized(1, 1), seed)
+}
+
+// newExactFixtureFor is newExactFixture at configuration cfg.
+func newExactFixtureFor(t *testing.T, cfg types.Config, seed int64) *exactFixture {
+	t.Helper()
 	scheme := sigcrypto.NewHMAC(cfg.N, seed)
 	inner := &innerCounter{Verifier: scheme.Verifier()}
 	r, err := NewReplica(cfg, 0, scheme.Signer(0), inner, nil)
@@ -192,23 +200,28 @@ func TestUndecidedRejectsForgedCommit(t *testing.T) {
 		}
 	})
 	t.Run("own certificate formed", func(t *testing.T) {
-		f := newExactFixture(t, 9)
+		// n = 7: CommitQuorum 5 AckSigs form the certificate while the five
+		// Acks they count as stay one short of FastQuorum 6.
+		f := newExactFixtureFor(t, types.Generalized(2, 1), 9)
 		f.propose(t)
-		f.r.Deliver(1, f.ackSig(1, 1))
-		f.r.Deliver(2, f.ackSig(2, 1)) // commit quorum: the replica's own Commit is counted
+		for p := types.ProcessID(1); p <= 4; p++ {
+			f.r.Deliver(p, f.ackSig(p, 1)) // commit quorum: the replica's own Commit is counted
+		}
 		if _, ok := f.r.Decided(); ok {
 			t.Fatal("decided on one Commit")
 		}
-		forged := f.forge(f.cert(1, 1, 2, 3), 3)
-		for _, p := range []types.ProcessID{2, 3} {
+		forged := f.forge(f.cert(1, 1, 2, 3, 4, 5), 5)
+		for _, p := range []types.ProcessID{2, 3, 4} {
 			if decidedIn(f.r.Deliver(p, &msg.Commit{View: 1, X: f.x, CC: forged})) {
 				t.Fatal("forged Commits decided next to the replica's own")
 			}
 		}
-		if decidedIn(f.r.Deliver(1, &msg.Commit{View: 1, X: f.x, CC: f.cert(1, 1, 2, 3)})) {
-			t.Fatal("decided on two genuine Commits and two forged ones")
+		for _, p := range []types.ProcessID{1, 5, 6} {
+			if decidedIn(f.r.Deliver(p, &msg.Commit{View: 1, X: f.x, CC: f.cert(1, 1, 2, 3, 4, 5)})) {
+				t.Fatal("decided on at most four genuine Commits next to three forged ones")
+			}
 		}
-		if decidedIn(f.r.Deliver(2, &msg.Commit{View: 1, X: f.x, CC: f.cert(1, 1, 2, 3)})) {
+		if decidedIn(f.r.Deliver(2, &msg.Commit{View: 1, X: f.x, CC: f.cert(1, 1, 2, 3, 4, 5)})) {
 			t.Fatal("a sender's genuine Commit after its forged one counted")
 		}
 	})
@@ -234,11 +247,15 @@ func TestUndecidedRejectsForgedCommit(t *testing.T) {
 // genuine entry the same certificate is accepted, from the senders whose
 // first Commit it is, next to the replica's own.
 func TestForgedOwnNameSigRejected(t *testing.T) {
-	f := newExactFixture(t, 11)
+	// n = 7, so that the AckSigs completing the replica's own certificate
+	// (CommitQuorum 5) leave it short of a fast quorum (6) and the
+	// certificate's Commits are what decides.
+	f := newExactFixtureFor(t, types.Generalized(2, 1), 11)
 	f.propose(t) // the replica's own AckSig is now memoized
-	forged := f.forge(f.cert(1, 0, 1, 2), 0)
+	signers := []types.ProcessID{0, 1, 2, 3, 4}
+	forged := f.forge(f.cert(1, signers...), 0)
 	before := f.inner.calls
-	if decidedIn(f.r.Deliver(3, &msg.Commit{View: 1, X: f.x, CC: forged})) {
+	if decidedIn(f.r.Deliver(6, &msg.Commit{View: 1, X: f.x, CC: forged})) {
 		t.Fatal("a certificate with a forged signature in the replica's name decided")
 	}
 	if f.r.CurrentVote().CC != nil {
@@ -247,15 +264,102 @@ func TestForgedOwnNameSigRejected(t *testing.T) {
 	if f.inner.calls == before {
 		t.Fatal("the forged entry in the replica's name was answered from the memo")
 	}
-	// Two peers' AckSigs complete the replica's own certificate, and its
+	// Four peers' AckSigs complete the replica's own certificate, and its
 	// own Commit goes out and counts.
-	f.r.Deliver(1, f.ackSig(1, 1))
-	f.r.Deliver(2, f.ackSig(2, 1))
+	for p := types.ProcessID(1); p <= 4; p++ {
+		f.r.Deliver(p, f.ackSig(p, 1))
+	}
 	decided := false
-	for _, p := range []types.ProcessID{1, 2} {
-		decided = decidedIn(f.r.Deliver(p, &msg.Commit{View: 1, X: f.x, CC: f.cert(1, 0, 1, 2)})) || decided
+	for p := types.ProcessID(1); p <= 4; p++ {
+		decided = decidedIn(f.r.Deliver(p, &msg.Commit{View: 1, X: f.x, CC: f.cert(1, signers...)})) || decided
 	}
 	if !decided {
 		t.Fatal("the genuine certificate did not decide")
+	}
+}
+
+// TestAckSigCountsAsAck: an AckSig is its sender's Ack of the view. Over n
+// ∈ {4, 7}, replica 0 (no proposal of its own) receives from each peer a
+// first message of the view that is one of: none, Ack x, Ack y, AckSig x
+// with a valid or a forged signature, AckSig y; then, from each peer that
+// sent one, an Ack x that the first-message rule must ignore. It decides
+// on the fast path on a value exactly when at least n − t distinct
+// senders' first messages are for it, and no forged signature enters the
+// commit certificate it forms.
+func TestAckSigCountsAsAck(t *testing.T) {
+	const (
+		none = iota
+		ackX
+		ackY
+		sigX
+		forgedX
+		sigY
+		kinds
+	)
+	for _, cfg := range []types.Config{types.Generalized(1, 1), types.Generalized(2, 1)} {
+		rng := rand.New(rand.NewSource(int64(cfg.N)))
+		for trial := 0; trial < 2000; trial++ {
+			f := newExactFixtureFor(t, cfg, int64(trial))
+			y := types.Value("y")
+			first := make([]int, cfg.N)
+			forX, forY := 0, 0
+			var out []Action
+			for p := types.ProcessID(1); int(p) < cfg.N; p++ {
+				first[p] = rng.Intn(kinds)
+				var m msg.Message
+				switch first[p] {
+				case ackX:
+					m, forX = &msg.Ack{View: 1, X: f.x}, forX+1
+				case ackY:
+					m, forY = &msg.Ack{View: 1, X: y}, forY+1
+				case sigX:
+					m, forX = f.ackSig(p, 1), forX+1
+				case forgedX:
+					as := f.ackSig(p, 1)
+					as.Phi.Bytes[0] ^= 1
+					m, forX = as, forX+1
+				case sigY:
+					m = &msg.AckSig{View: 1, X: y, Phi: f.scheme.Signer(p).Sign(msg.AckDigest(y, 1))}
+					forY++
+				}
+				if m != nil {
+					out = append(out, f.r.Deliver(p, m)...)
+				}
+			}
+			for p := types.ProcessID(1); int(p) < cfg.N; p++ {
+				if first[p] != none {
+					out = append(out, f.r.Deliver(p, &msg.Ack{View: 1, X: f.x})...)
+				}
+			}
+			fq := quorum.New(cfg).FastQuorum()
+			d, decided := f.r.Decided()
+			switch {
+			case forX >= fq:
+				if !decided || !d.Value.Equal(f.x) || d.Path != types.FastPath {
+					t.Fatalf("%v trial %d %v: %d first messages for x, decided %v %+v", cfg, trial, first, forX, decided, d)
+				}
+			case forY >= fq:
+				if !decided || !d.Value.Equal(y) || d.Path != types.FastPath {
+					t.Fatalf("%v trial %d %v: %d first messages for y, decided %v %+v", cfg, trial, first, forY, decided, d)
+				}
+			case decided:
+				t.Fatalf("%v trial %d %v: decided %+v on %d for x, %d for y, below %d", cfg, trial, first, d, forX, forY, fq)
+			}
+			for _, a := range out {
+				b, ok := a.(BroadcastAction)
+				if !ok {
+					continue
+				}
+				c, ok := b.Msg.(*msg.Commit)
+				if !ok {
+					continue
+				}
+				for _, sig := range c.CC.Sigs {
+					if !f.scheme.Verifier().Verify(msg.AckDigest(c.X, c.View), sig) {
+						t.Fatalf("%v trial %d %v: certificate carries %v's forged signature", cfg, trial, first, sig.Signer)
+					}
+				}
+			}
+		}
 	}
 }

@@ -459,9 +459,11 @@ func (r *Replica) onPropose(from types.ProcessID, m *msg.Propose) []Action {
 
 	// Accept: adopt the vote (before sending the ack, per Section 3.2), then
 	// acknowledge to every process. The slow-path signature goes in a
-	// separate message, so the fast path is never delayed by extra signing:
-	// at once, as in the paper, or, while the replica holds it, only once
-	// the slot needs the slow path (see HoldAckSig).
+	// separate message, so a held one never delays the fast path: at once,
+	// as in the paper, or, while the replica holds it, only once the slot
+	// needs the slow path (see HoldAckSig). The AckSig also counts as its
+	// sender's Ack (see onAckSig), so a runtime that sends both at once may
+	// send the AckSig alone.
 	r.acked = true
 	r.adopted = &adoptedProposal{
 		value: m.X.Clone(),
@@ -560,31 +562,49 @@ func (r *Replica) onAck(from types.ProcessID, m *msg.Ack) []Action {
 	return nil
 }
 
+// onAckSig counts an AckSig twice over. First as its sender's Ack of the
+// view: a correct process signs an AckSig only for the value it adopted and
+// acked in that view (Appendix A), so the AckSig says everything its Ack
+// says, and a runtime may send it in the Ack's place. It counts under the
+// Ack's own first-message rule and before any signature check, as an Ack
+// would — an Ack is only channel-authenticated, so a forged signature
+// claims no more than the Ack a Byzantine sender could send instead. Then,
+// once its signature checks out, as a share of the view's commit
+// certificate; the Commit goes out at CommitQuorum even after a fast
+// decision, for peers that missed the fast quorum.
 func (r *Replica) onAckSig(from types.ProcessID, m *msg.AckSig) []Action {
-	if m.Phi.Signer != from {
+	t := r.tallyFor(m.View)
+	if t == nil {
 		return nil
 	}
-	t := r.tallyFor(m.View)
-	if t == nil || t.commitSent {
+	var out []Action
+	if !r.decided {
+		if a := t.take(from, tallyAck, m.X); a != nil {
+			a.ok = true
+			if t.count(tallyAck, m.X) >= r.th.FastQuorum() {
+				out = r.decide(m.X, m.View, types.FastPath)
+			}
+		}
+	}
+	if m.Phi.Signer != from || t.commitSent {
 		// Once the certificate is formed and sent nothing reads the view's
 		// AckSigs again (no other value can gather a commit quorum of
 		// distinct senders), so a later one is not worth a verification.
-		return nil
+		return out
 	}
 	v := t.take(from, tallyAckSig, m.X)
 	if v == nil {
-		return nil // one check per (view, sender), whatever it found
+		return out // one check per (view, sender), whatever it found
 	}
 	if !r.verifier.Verify(msg.AckDigest(m.X, m.View), m.Phi) {
-		return nil
+		return out
 	}
 	v.ok, t.senders[from].phi = true, m.Phi
-	var out []Action
 	if r.hold && r.acked && m.View == r.view && m.X.Equal(r.adopted.value) {
 		// A peer started the slow path for what this replica acked: join
 		// it. The own AckSig joins the tally through broadcast, and may
 		// complete the certificate there.
-		out = r.HoldAckSig(false)
+		out = append(out, r.HoldAckSig(false)...)
 	}
 	if !t.commitSent && t.count(tallyAckSig, m.X) >= r.th.CommitQuorum() {
 		t.commitSent = true

@@ -131,3 +131,28 @@ func TestQuorumIntersectionArithmetic(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestFastCommitGap: at the minimal n = 3f + 2t − 1, FastQuorum exceeds
+// CommitQuorum by f − 1, for every admissible (f, t) up to n = 12. An
+// AckSig counts as its sender's Ack, so at f = 1 the AckSigs that form a
+// commit certificate are a fast quorum too, and a slot decides on them in
+// two message delays; above f = 1 a certificate's signers stay f − 1
+// short of one.
+func TestFastCommitGap(t *testing.T) {
+	for f := 1; 3*f+1 <= 12; f++ {
+		for tt := 1; tt <= f; tt++ {
+			cfg := types.Generalized(f, tt)
+			if cfg.N > 12 {
+				continue
+			}
+			if cfg.N != 3*f+2*tt-1 {
+				t.Fatalf("%v: Generalized is not n = 3f + 2t − 1", cfg)
+			}
+			th := New(cfg)
+			if gap := th.FastQuorum() - th.CommitQuorum(); gap != f-1 {
+				t.Errorf("%v: FastQuorum %d − CommitQuorum %d = %d, want f − 1 = %d",
+					cfg, th.FastQuorum(), th.CommitQuorum(), gap, f-1)
+			}
+		}
+	}
+}

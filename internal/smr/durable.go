@@ -96,10 +96,11 @@ func (r *Replica) broadcastEnvLocked(env []byte) {
 // tolerate an equivocating leader, but letting the propose wave outrun the
 // rest of the pipeline widens the window in which a slow replica opens
 // slots on traffic it cannot yet act on — see applyActions), the replica's
-// own votes (Ack, AckSig, the view-change Vote), its view-synchronization
-// Wish (wishes feed peers' view-entry quorums, and a replica that forgot
-// wishing could stall re-entry), and a decision's effects (client replies,
-// OnCommit).
+// own votes (Ack; AckSig, which, signed at once, goes alone in the Ack's
+// place behind the same vote record; the view-change Vote), its
+// view-synchronization Wish (wishes feed peers' view-entry quorums, and a
+// replica that forgot wishing could stall re-entry), and a decision's
+// effects (client replies, OnCommit).
 // The caller holds r.mu.
 func (r *Replica) sendOrderedLocked(to types.ProcessID, env []byte) {
 	if r.recovering {

@@ -49,8 +49,13 @@ func (g *simGroup) sigOps(op string) float64 {
 type ledgerRegime struct {
 	name     string
 	everyone bool // hand each request to every live replica, not the leader only
-	dropAcks bool // lose every Ack frame, so no slot can decide on the fast path
+	dropAcks bool // lose every Ack frame, so no Ack decides a slot on the fast path
 	silent   int  // replicas crashed before the run (never the leader)
+	// observed, unless NoProcess, is a live follower that every AckSig to
+	// is lost as well: where the AckSigs of the live replicas make a fast
+	// quorum (each counts as its sender's Ack), it is the one replica that
+	// still decides through Commit certificates.
+	observed types.ProcessID
 	// sessions, if positive, replaces the single session with that many
 	// closed-loop sessions through the leader at MaxBatch ledgerBatch, each
 	// resubmitting from the reply callback of its previous request.
@@ -89,13 +94,14 @@ func (r ledgerRow) total() float64 {
 }
 
 // newLedgerGroup builds the ledger's group: HMAC keys, every frame due
-// Δ = 1 ms after it is sent and tallied into c (dropped, with dropAcks, if it
-// is an Ack). Signature operations are read from the replicas' registries.
-func newLedgerGroup(t *testing.T, cfg types.Config, c *ledgerCounts, dropAcks bool, maxBatch int) *simGroup {
+// Δ = 1 ms after it is sent and tallied into c (dropped, with reg.dropAcks,
+// if it is an Ack, or an AckSig to reg.observed). Signature operations are
+// read from the replicas' registries.
+func newLedgerGroup(t *testing.T, cfg types.Config, c *ledgerCounts, reg ledgerRegime, maxBatch int) *simGroup {
 	t.Helper()
 	const delta = time.Millisecond
 	g := newSimGroup(t, cfg, 91, groupOpts{delta: delta, maxBatch: maxBatch})
-	g.net.SetPayloadFunc(func(_, _ types.ProcessID, payload []byte, _ sim.Time) sim.Fate {
+	g.net.SetPayloadFunc(func(_, to types.ProcessID, payload []byte, _ sim.Time) sim.Fate {
 		_, s, inner, ok := openHeader(payload)
 		if !ok || len(inner) == 0 {
 			return sim.Fate{Delay: delta}
@@ -108,7 +114,7 @@ func newLedgerGroup(t *testing.T, cfg types.Config, c *ledgerCounts, dropAcks bo
 		if int(k) <= maxMsgKind {
 			c.frames[k]++
 		}
-		return sim.Fate{Delay: delta, Drop: dropAcks && k == msg.KindAck}
+		return sim.Fate{Delay: delta, Drop: reg.dropAcks && (k == msg.KindAck || k == msg.KindAckSig && to == reg.observed)}
 	})
 	return g
 }
@@ -138,7 +144,7 @@ func runLedger(t *testing.T, cfg types.Config, reg ledgerRegime) ledgerRow {
 	if reg.sessions > 0 {
 		maxBatch = ledgerBatch
 	}
-	g := newLedgerGroup(t, cfg, c, reg.dropAcks, maxBatch)
+	g := newLedgerGroup(t, cfg, c, reg, maxBatch)
 	for i := 0; i < reg.silent; i++ {
 		g.crash(types.ProcessID(cfg.N - 1 - i))
 	}
@@ -157,7 +163,7 @@ func runLedger(t *testing.T, cfg types.Config, reg ledgerRegime) ledgerRow {
 		op() // seed the decide-latency estimates and the replicas' maps
 	}
 	*c = ledgerCounts{}
-	signs, verifies := g.sigOps("sign"), g.sigOps("verify")
+	signs, verifies, released := g.sigOps("sign"), g.sigOps("verify"), g.releases()
 	from, fromCmds := g.reps[leader].AppliedCount(), g.stores[leader].AppliedOps()
 	allocs := testing.AllocsPerRun(ledgerSlots/slotsPerOp, op) / float64(slotsPerOp)
 	slots := float64(g.reps[leader].AppliedCount() - from)
@@ -174,16 +180,27 @@ func runLedger(t *testing.T, cfg types.Config, reg ledgerRegime) ledgerRow {
 	for k, n := range c.frames {
 		row.frames[k] = float64(n) / slots
 	}
-	g.live(func(_ types.ProcessID, r *Replica) {
+	row.released = g.releases() - released
+	fastOnAckSigs := live >= quorum.New(cfg).FastQuorum()
+	g.live(func(p types.ProcessID, r *Replica) {
 		off := r.m.pathSlow
-		if reg.dropAcks {
+		if reg.dropAcks && (p == reg.observed || !fastOnAckSigs) {
 			off = r.m.pathFast
 		}
 		row.offPath += float64(off.Load())
-		row.released += float64(r.m.slowTimer.Load() + r.m.slowPeer.Load())
 	})
 	row.kept, row.keptB = retainedInstanceBytes(g.reps[(leader+1)%types.ProcessID(cfg.N)])
 	return row
+}
+
+// releases sums the held AckSigs the live replicas released, by any
+// trigger.
+func (g *simGroup) releases() float64 {
+	var sum float64
+	g.live(func(_ types.ProcessID, r *Replica) {
+		sum += float64(r.m.slowTimer.Load() + r.m.slowOrder.Load() + r.m.slowPeer.Load())
+	})
+	return sum
 }
 
 // retainedInstanceBytes reports how many decided instances r keeps behind
@@ -251,7 +268,7 @@ func closedLoopSessions(t *testing.T, g *simGroup, k int) func() {
 func runLeaderCrash(t *testing.T, cfg types.Config) (row ledgerRow, views float64) {
 	t.Helper()
 	c := &ledgerCounts{}
-	g := newLedgerGroup(t, cfg, c, false, 1)
+	g := newLedgerGroup(t, cfg, c, ledgerRegime{observed: types.NoProcess}, 1)
 	all := func(types.ProcessID) bool { return true }
 	for seq := uint64(1); seq <= 3; seq++ {
 		ledgerRequest(t, g, "warm", seq, all)
@@ -287,22 +304,26 @@ func runLeaderCrash(t *testing.T, cfg types.Config) (row ledgerRow, views float6
 // TestCostLedger pins what one closed-loop slot costs at n = 4 and n = 7,
 // per regime, against the paper's arithmetic (HMAC, Δ = 1 ms, one request
 // in flight, MaxBatch 1 unless batched; live replicas are the ones not
-// silenced; q = CommitQuorum = ⌈(n+f+1)/2⌉):
+// silenced; q = CommitQuorum = ⌈(n+f+1)/2⌉, FastQuorum = n − t):
 //
 //   - the view-1 leader proposes once: n − 1 Propose frames;
-//   - every live replica acks once: live·(n − 1) Ack frames;
+//   - every live replica acks once, one vote frame per peer: an Ack when it
+//     holds its AckSig, and its AckSig alone when it signs at once, the
+//     AckSig counting as its Ack at every receiver (core's onAckSig);
 //   - the slow path runs only where it can decide. A replica that has
 //     decided nothing since boot signs its AckSigs at once; one whose last
 //     consensus decision was fast holds them (the bias, see
-//     ensureSlotLocked), and a fault-free slot decides fast at 2Δ, long
-//     before the regime fire that would release them. So after the
-//     warm-up, a fault-free slot sends no AckSig and no Commit, and the
-//     consensus frames are (n − 1) + n(n − 1): 15 at n = 4, 48 at n = 7.
-//     With Acks lost no slot decides fast, every replica stays eager, and
-//     each signs its AckSig and, having seen q of them, commits once:
-//     live·(n − 1) AckSig and Commit frames each;
-//   - nothing else flows: no view-change, checkpoint or fetch traffic, and
-//     no held AckSig is released;
+//     ensureSlotLocked), and a fault-free slot decides fast at 2Δ on the
+//     Acks, long before the regime fire that would release them. So after
+//     the warm-up, a fault-free slot sends live·(n − 1) Acks, no AckSig
+//     and no Commit, and the consensus frames are (n − 1) + n(n − 1): 15
+//     at n = 4, 48 at n = 7. With Acks lost a replica that held its AckSig
+//     finds only AckSigs deciding and signs at once from then on (the bias
+//     follows the evidence, see onDecideLocked), so after the warm-up every
+//     live replica sends its AckSig alone, live·(n − 1) frames and no Ack,
+//     and each that forms a certificate of q of them commits once;
+//   - nothing else flows after the warm-up: no view-change, checkpoint or
+//     fetch traffic, and no held AckSig is released;
 //   - fault-free, only the leader signs, its τ: 1/n signatures per replica
 //     and slot. With Acks lost every live replica signs its AckSig as well:
 //     (live + 1)/live;
@@ -311,20 +332,27 @@ func runLeaderCrash(t *testing.T, cfg types.Config) (row ledgerRow, views float6
 //     memoized when it makes them, so the leader verifies no τ and a
 //     follower verifies the leader's: (live − 1)/live per replica, and
 //     fault-free that is all, 0.75 at n = 4 and 0.86 at n = 7. With Acks
-//     lost it verifies q − 1 AckSigs besides its own, none after its
-//     certificate forms, and decides on q Commits, its own and q − 1
-//     others, whose certificates carry the live − q AckSigs it skipped,
-//     each checked once: (live − 1)/live + q − 1 + live − q, 3.75 at n = 4
-//     and 4.80 at n = 7 (live = q = 5 there);
+//     lost a replica that meets q AckSigs verifies q − 1 besides its own and
+//     none after its certificate forms; if live < FastQuorum it decides on
+//     q Commits, whose certificates carry the live − q AckSigs it skipped,
+//     each checked once;
 //   - a request reaches the leader once: a follower relays it to Leader(1)
 //     only, so live − 1 relays when the client hands it to every live
 //     replica, none when it hands it to the leader alone.
 //
-// The slow regime loses every Ack (and, at n = 7, two replicas are silent,
-// as in the kv-slowpath benchmark), so every slot decides through Commit
-// certificates, still in view 1; the fault-free regimes decide every slot on
-// the fast path. The allocation figure counts the simulator's events too, so
-// it is a plain ceiling for the whole group: the measured value plus 2 %.
+// The slow regime loses every Ack. At n = 7 two replicas are silent, as in
+// the kv-slowpath benchmark: live = q = 5 AckSigs, one short of FastQuorum
+// 6, so every slot decides through Commit certificates, still in view 1 —
+// 66 consensus frames and (live − 1)/live + q − 1 + live − q = 4.80
+// verifies. At n = 4 (f = 1, where FastQuorum = CommitQuorum) the live
+// AckSigs are a fast quorum: every replica that meets them decides fast in
+// two message delays, as its certificate forms. So the regime also loses
+// every AckSig to one observed follower, which alone decides through the
+// Commits of the others: 24 consensus frames (the observed replica commits
+// nothing), and verifies 0.75 + ((live − 1)(q − 1) + live − 1)/live = 3.00.
+// The fault-free regimes decide every slot on the fast path. The allocation
+// figure counts the simulator's events too, so it is a plain ceiling for
+// the whole group: the measured value plus 2 %.
 //
 // The batched regime (n = 4) runs four closed-loop sessions through the
 // leader at MaxBatch 8. A slot costs what a leader-only slot costs, but the
@@ -342,21 +370,30 @@ func TestCostLedger(t *testing.T) {
 		allocs   map[string]float64 // measured allocations per slot, whole group
 		crash    float64            // measured leader-crash verifies per slot and replica
 	}{
-		{types.Generalized(1, 1), 0, 4, map[string]float64{"leader-only": 224, "every-replica": 248, "slow": 544, "batched": 264}, 4.00},
-		{types.Generalized(2, 1), 2, 0, map[string]float64{"leader-only": 440, "every-replica": 488, "slow": 782}, 6.83},
+		{types.Generalized(1, 1), 0, 4, map[string]float64{"leader-only": 224, "every-replica": 248, "slow": 475, "batched": 264}, 4.00},
+		{types.Generalized(2, 1), 2, 0, map[string]float64{"leader-only": 440, "every-replica": 488, "slow": 772}, 6.83},
 	} {
 		n, f := tc.cfg.N, tc.cfg.F
-		q := quorum.New(tc.cfg).CommitQuorum()
+		th := quorum.New(tc.cfg)
+		q, fq := th.CommitQuorum(), th.FastQuorum()
 		if q != (n+f+2)/2 { // ⌈(n+f+1)/2⌉
 			t.Fatalf("n=%d: CommitQuorum %d, want ⌈(n+f+1)/2⌉ = %d", n, q, (n+f+2)/2)
 		}
+		slowLive := n - tc.silent
+		slow := ledgerRegime{name: "slow", everyone: true, dropAcks: true, silent: tc.silent, observed: types.NoProcess}
+		if slowLive >= fq {
+			// The live replicas' AckSigs are a fast quorum (at f = 1,
+			// where FastQuorum = CommitQuorum): lose them to one follower,
+			// the slow path's observed replica.
+			slow.observed = types.ProcessID(n - 1)
+		}
 		regimes := []ledgerRegime{
-			{name: "leader-only"},
-			{name: "every-replica", everyone: true},
-			{name: "slow", everyone: true, dropAcks: true, silent: tc.silent},
+			{name: "leader-only", observed: types.NoProcess},
+			{name: "every-replica", everyone: true, observed: types.NoProcess},
+			slow,
 		}
 		if tc.sessions > 0 {
-			regimes = append(regimes, ledgerRegime{name: "batched", sessions: tc.sessions})
+			regimes = append(regimes, ledgerRegime{name: "batched", sessions: tc.sessions, observed: types.NoProcess})
 		}
 		for _, reg := range regimes {
 			row := runLedger(t, tc.cfg, reg)
@@ -369,21 +406,39 @@ func TestCostLedger(t *testing.T) {
 			if reg.sessions > 0 {
 				cmds = float64(reg.sessions) / 2 // batches of 1 and sessions − 1
 			}
-			// Fault-free: every AckSig held, only τ signed and verified.
-			slowFrames, signs := 0, 1/float64(live)
+			// Fault-free: every AckSig held, every Ack sent alone, only τ
+			// signed and verified.
+			acks, ackSigs, commits, signs := live*(n-1), 0, 0, 1/float64(live)
 			verifies := float64(live-1) / float64(live)
 			if reg.dropAcks {
-				slowFrames, signs = live*(n-1), float64(live+1)/float64(live)
-				verifies += float64(q-1) + float64(live-q)
+				// Every replica eager, each AckSig standing in for its Ack.
+				// A replica that sees every live AckSig decides fast if
+				// live ≥ FastQuorum, as soon as its certificate forms, and
+				// skips the Commits; otherwise slow on CommitQuorum
+				// Commits, whose certificates carry the live − q AckSigs it
+				// skipped. The observed replica forms no certificate and
+				// meets every other live replica's AckSig in the
+				// certificates of the Commits it decides on.
+				obs := 0
+				if reg.observed != types.NoProcess {
+					obs = 1
+				}
+				acks, ackSigs, commits = 0, live*(n-1), (live-obs)*(n-1)
+				signs = float64(live+1) / float64(live)
+				extra := (live-obs)*(q-1) + obs*(live-1)
+				if live < fq {
+					extra += (live - obs) * (live - q)
+				}
+				verifies += float64(extra) / float64(live)
 			}
 			for _, c := range []struct {
 				what      string
 				got, want float64
 			}{
 				{"Propose frames per slot", row.frames[msg.KindPropose], float64(n - 1)},
-				{"Ack frames per slot", row.frames[msg.KindAck], float64(live * (n - 1))},
-				{"AckSig frames per slot", row.frames[msg.KindAckSig], float64(slowFrames)},
-				{"Commit frames per slot", row.frames[msg.KindCommit], float64(slowFrames)},
+				{"Ack frames per slot", row.frames[msg.KindAck], float64(acks)},
+				{"AckSig frames per slot", row.frames[msg.KindAckSig], float64(ackSigs)},
+				{"Commit frames per slot", row.frames[msg.KindCommit], float64(commits)},
 				{"other frames per slot", row.total() - row.consensus(), 0},
 				{"request relays per slot", row.relays, float64(relays)},
 				{"signs per slot and replica", row.signs, signs},

@@ -92,6 +92,12 @@ func TestCallbacksLeaveInOrder(t *testing.T) {
 				return
 			}
 			const p = types.ProcessID(2)
+			if cp, ok := g.reps[p].StableCheckpoint(); ok && cp.Slot+1 >= g.reps[p].AppliedCount() {
+				// A stable checkpoint at its last slot leaves the log no
+				// decision to replay; one more write puts one past it.
+				g.submitKVAll("extra", 0, -1)
+				g.run(10*time.Second, g.applied(sessions*requests+1), "one more write")
+			}
 			applied := g.reps[p].AppliedCount()
 			g.crash(p)
 			r := g.reboot(p)

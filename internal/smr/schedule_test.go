@@ -140,9 +140,10 @@ type frameKey struct {
 // every live replica applied every request, and fails the test (naming the
 // seed) if that takes more than scheduleLimit of virtual time, as soon as
 // a Propose, Ack or AckSig crosses the same link twice for one slot and view,
-// or as soon as a replica acks two values in one slot and view (every
-// replica of the run is correct, and a correct process acks at most one
-// value per view, Section 3.1).
+// or as soon as a replica acks two values in one slot and view, or signs
+// an AckSig for a value other than the one it acked there (every replica
+// of the run is correct, a correct process acks at most one value per
+// view, Section 3.1, and signs an AckSig only for that value, Appendix A).
 func runSchedule(t *testing.T, cfg types.Config, seed int64, silent bool) scheduleResult {
 	t.Helper()
 	f := scheduleFaults{silent: types.NoProcess}
@@ -186,12 +187,22 @@ func runFaultSchedule(t *testing.T, cfg types.Config, seed int64, f *scheduleFau
 					t.Fatalf("seed %d: %s sent a second %s of slot %d, view %s, to %s", seed, ev.From, k, s, m.InView(), ev.To)
 				}
 				seen[key] = true
-				if ack, ok := m.(*msg.Ack); ok {
-					own := frameKey{from: ev.From, slot: s, view: ack.View}
-					if prev, ok := acked[own]; ok && !prev.Equal(ack.X) {
-						t.Fatalf("seed %d: %s acked %s and %s in slot %d, view %s", seed, ev.From, prev, ack.X, s, ack.View)
+				// An AckSig is its sender's Ack too (core's onAckSig), sent
+				// alone when signed at once: a correct replica signs one
+				// only for the value it acked in that view.
+				var x types.Value
+				switch v := m.(type) {
+				case *msg.Ack:
+					x = v.X
+				case *msg.AckSig:
+					x = v.X
+				}
+				if x != nil {
+					own := frameKey{from: ev.From, slot: s, view: m.InView()}
+					if prev, ok := acked[own]; ok && !prev.Equal(x) {
+						t.Fatalf("seed %d: %s sent %s for %s after acking %s in slot %d, view %s", seed, ev.From, k, x, prev, s, m.InView())
 					}
-					acked[own] = ack.X
+					acked[own] = x
 				}
 			}
 		},

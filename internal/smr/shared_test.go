@@ -15,8 +15,10 @@ import (
 // tallied values and signatures, certificates, held and queued requests —
 // alias those frames, and the simulator hands every receiver of a broadcast
 // the same bytes. n = 4, Δ = 1 ms: 10 fault-free writes, 5 with every Ack
-// lost (so slots decide through AckSigs and Commit certificates), then the
-// view-1 leader crashes and 5 more writes ride the view change. The test
+// lost, and every AckSig to follower 3 (so slots decide through AckSigs,
+// and at 3 through Commit certificates: at f = 1 the AckSigs alone would
+// make it a fast quorum), then the view-1 leader crashes and 5 more writes
+// ride the view change. The test
 // checksums every frame as it is delivered and again after the run: a
 // receiver that wrote into a field it decoded would change a frame's
 // checksum, and in a shared frame another receiver's message with it.
@@ -43,10 +45,13 @@ func TestSharedFramesStayUnwritten(t *testing.T) {
 	for ; i < 10; i++ {
 		write(i)
 	}
-	g.net.SetPayloadFunc(func(_, _ types.ProcessID, payload []byte, _ sim.Time) sim.Fate {
+	g.net.SetPayloadFunc(func(_, to types.ProcessID, payload []byte, _ sim.Time) sim.Fate {
 		_, s, inner, ok := openHeader(payload)
-		drop := ok && s != ctrlSlot && s != syncSlot && len(inner) > 0 && msg.Kind(inner[0]) == msg.KindAck
-		return sim.Fate{Delay: time.Millisecond, Drop: drop}
+		if !ok || s == ctrlSlot || s == syncSlot || len(inner) == 0 {
+			return sim.Fate{Delay: time.Millisecond}
+		}
+		k := msg.Kind(inner[0])
+		return sim.Fate{Delay: time.Millisecond, Drop: k == msg.KindAck || k == msg.KindAckSig && to == 3}
 	})
 	for ; i < 15; i++ {
 		write(i)

@@ -128,11 +128,13 @@ func TestTransferDecisionsCountApart(t *testing.T) {
 
 // TestSlowPathStartCounted: fastbft_slowpath_started_total counts each held
 // AckSig a replica releases, by trigger. n = 4, Δ = 1 ms; after a warm-up
-// every Ack to follower 3 is lost for one slot, so 3 alone misses the fast
-// quorum. Its regime fire releases its AckSig (trigger "timer"); the other
-// replicas, whose instances of the slot linger after their fast decision,
-// release theirs on receiving it (trigger "peer"), and the Commits that
-// follow decide the slot at 3 on the slow path, with no leader suspected.
+// every Ack and AckSig to follower 3 is lost for one slot, so 3 alone misses
+// the fast quorum (at f = 1 the AckSigs of CommitQuorum = FastQuorum
+// replicas would make one: each counts as its sender's Ack). Its regime fire
+// releases its AckSig (trigger "timer"); the other replicas, whose
+// instances of the slot linger after their fast decision, release theirs on
+// receiving it (trigger "peer"), and the Commits that follow decide the
+// slot at 3 on the slow path, with no leader suspected.
 func TestSlowPathStartCounted(t *testing.T) {
 	cfg := types.Generalized(1, 1)
 	const (
@@ -143,7 +145,8 @@ func TestSlowPathStartCounted(t *testing.T) {
 	lost := uint64(1 << 62)
 	g.net.SetPayloadFunc(func(_, to types.ProcessID, payload []byte, _ sim.Time) sim.Fate {
 		_, s, inner, ok := openHeader(payload)
-		drop := ok && s == lost && to == late && len(inner) > 0 && msg.Kind(inner[0]) == msg.KindAck
+		drop := ok && s == lost && to == late && len(inner) > 0 &&
+			(msg.Kind(inner[0]) == msg.KindAck || msg.Kind(inner[0]) == msg.KindAckSig)
 		return sim.Fate{Delay: time.Millisecond, Drop: drop}
 	})
 	all := func(types.ProcessID) bool { return true }

@@ -235,11 +235,18 @@ type Replica struct {
 	ewmaDecide    time.Duration
 
 	// lazy is the slow-path bias: whether the last slot this replica
-	// decided by consensus decided on the fast path. A slot opens with its
-	// AckSig held while it is set (see ensureSlotLocked). It starts clear —
-	// a replica that has decided nothing since boot or recovery signs
-	// eagerly — and a state-transfer decision does not move it.
+	// decided by consensus decided on the fast path, and held AckSigs are
+	// not known to lose (betLost). A slot opens with its AckSig held while
+	// it is set (see ensureSlotLocked). It starts clear — a replica that has
+	// decided nothing since boot or recovery signs eagerly — and a
+	// state-transfer decision does not move it.
 	lazy bool
+	// betLost records that the last fast decision to weigh the bet found it
+	// losing: this replica held its AckSig in the deciding view and no
+	// peer's Ack came as an Ack, only as AckSigs — peers sign at once, or
+	// Acks are being lost. It keeps the replica eager until a fast decision
+	// counts a peer's plain Ack again (see onDecideLocked).
+	betLost bool
 
 	// Checkpoint / state-transfer state (see checkpoint.go, statetransfer.go).
 	ckptVotes  map[types.ProcessID][]*msg.Checkpoint      // recent signed checkpoints per sender
@@ -321,10 +328,16 @@ type slot struct {
 	// instance-open time elsewhere; see markStage); marks are atomic, so the
 	// storage effect queue can stamp durability without the replica lock.
 	trace obs.Trace
-	// peerAcked is set once a peer's Ack for the slot arrived: its leader
-	// proposed, so a stall here may be a quorum running late rather than
-	// a dead leader (see easeStallLocked).
+	// peerAcked is set once a peer's Ack for the slot arrived, or its
+	// AckSig, which is an Ack too: its leader proposed, so a stall here may
+	// be a quorum running late rather than a dead leader (see
+	// easeStallLocked).
 	peerAcked bool
+	// betView is the view of this replica's last Ack sent alone, its AckSig
+	// held, and peerBetView that of the last Ack a peer sent alone: the
+	// evidence a fast decision weighs for the slow-path bias (see
+	// onDecideLocked).
+	betView, peerBetView types.View
 	// lone is the peer whose frame opened the slot, for as long as no other
 	// peer's frame has arrived for it and this replica has not voted in it;
 	// types.NoProcess otherwise, and for a slot this replica opened itself
@@ -829,10 +842,13 @@ func (r *Replica) deliverSlotLocked(from types.ProcessID, s uint64, m msg.Messag
 		sl.lone = types.NoProcess
 	}
 	acts := sl.proc.Deliver(from, m, r.now())
-	switch m.(type) {
+	switch m := m.(type) {
 	case *msg.Ack:
-		sl.peerAcked = sl.peerAcked || from != r.cfg.Self
+		if from != r.cfg.Self {
+			sl.peerAcked, sl.peerBetView = true, m.View
+		}
 	case *msg.AckSig:
+		sl.peerAcked = sl.peerAcked || from != r.cfg.Self
 		// An instance answers an AckSig with its own only when the AckSig
 		// ended its hold: a peer started the slot's slow path (core's
 		// HoldAckSig).
@@ -1220,9 +1236,12 @@ func (r *Replica) regimeHorizonLocked() uint64 {
 // storage, an Ack broadcast first appends the adopted vote behind it to
 // the WAL, and every send is released through the store's effect queue —
 // so no message betraying un-persisted state can reach the network before
-// the state is durable.
+// the state is durable. An Ack that the same actions follow with this
+// replica's AckSig for its (view, value) is not sent: the AckSig counts as
+// the Ack at every receiver (core's onAckSig), so an eager replica sends
+// one vote frame per peer, not two.
 func (r *Replica) applyActions(s uint64, sl *slot, actions []core.Action) {
-	for _, a := range actions {
+	for i, a := range actions {
 		switch act := a.(type) {
 		case core.SendAction:
 			switch act.Msg.(type) {
@@ -1235,10 +1254,17 @@ func (r *Replica) applyActions(s uint64, sl *slot, actions []core.Action) {
 				r.sendEnvLocked(act.To, r.envOut(s, act.Msg))
 			}
 		case core.BroadcastAction:
-			switch act.Msg.(type) {
+			switch m := act.Msg.(type) {
 			case *msg.Ack:
 				sl.lone = types.NoProcess // this replica voted in the slot
 				r.persistVoteLocked(s, sl)
+				if signsAck(actions[i+1:], m) {
+					// The AckSig behind it is an Ack too (core's onAckSig):
+					// it goes on the wire alone, after the vote record as
+					// the Ack would.
+					continue
+				}
+				sl.betView = m.View // the Ack goes alone, its AckSig held
 				r.broadcastEnvLocked(r.envOut(s, act.Msg))
 			case *msg.Commit:
 				// A commit message commits the replica to nothing a crash
@@ -1281,6 +1307,19 @@ func (r *Replica) applyActions(s uint64, sl *slot, actions []core.Action) {
 	}
 }
 
+// signsAck reports whether actions broadcast this replica's AckSig for the
+// (view, value) of its Ack a.
+func signsAck(actions []core.Action, a *msg.Ack) bool {
+	for _, act := range actions {
+		if b, ok := act.(core.BroadcastAction); ok {
+			if as, ok := b.Msg.(*msg.AckSig); ok && as.View == a.View && as.X.Equal(a.X) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // onDecideLocked records a slot decision and advances the log. The
 // decision record is appended to the WAL before any effect of the decision
 // (apply, replies, commit callbacks, subsequent messages) is scheduled.
@@ -1312,6 +1351,14 @@ func (r *Replica) onDecideLocked(s uint64, d types.Decision) {
 			r.store.Effect(func() { r.m.tracer.Mark(tr, obs.StageDurable, r.cfg.Clock.Now()) })
 		}
 		r.releaseProposedLocked(sl, &d)
+		if d.Path == types.FastPath {
+			switch d.View {
+			case sl.peerBetView:
+				r.betLost = false // peers hold theirs, and their Acks arrive
+			case sl.betView:
+				r.betLost = true // held, and only AckSigs decided it
+			}
+		}
 	}
 	delete(r.restoredVotes, s)
 	r.decided[s] = d
@@ -1319,7 +1366,7 @@ func (r *Replica) onDecideLocked(s uint64, d types.Decision) {
 	switch d.Path {
 	case types.FastPath:
 		r.m.pathFast.Inc()
-		r.lazy = true
+		r.lazy = !r.betLost
 	case types.SlowPath:
 		r.m.pathSlow.Inc()
 		r.lazy = false
